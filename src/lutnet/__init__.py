@@ -17,7 +17,6 @@ from .hyper import (
 from .core import (
     Network,
     Layer,
-    LinearConnection,
     LutConnection,
     forward_network,
     forward_batch,
@@ -29,7 +28,6 @@ from .train import Trainer, TrainingDiverged, train_iteration, backprop
 from .regularize import diffuse_lut, diffuse_visits, update_visits, gain_decay
 from .data import (
     Dataset,
-    Sample,
     CsvSchema,
     complement,
     gen_circle,
@@ -47,11 +45,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Hyperparameters", "KIND_LW", "KIND_NLW", "KINDS", "default_hyperparameters",
-    "Network", "Layer", "LinearConnection", "LutConnection",
+    "Network", "Layer", "LutConnection",
     "forward_network", "forward_batch", "init_network", "interpolate", "lut_grid",
     "Trainer", "TrainingDiverged", "train_iteration", "backprop",
     "diffuse_lut", "diffuse_visits", "update_visits", "gain_decay",
-    "Dataset", "Sample", "CsvSchema",
+    "Dataset", "CsvSchema",
     "complement",
     "gen_circle", "gen_md2", "gen_two_spirals", "gen_two_spirals_sparse",
     "load_csv", "scale_args", "split",

@@ -222,22 +222,8 @@ def _dataset_from_source(ns, config: dict, source: str) -> Dataset:
 
 def cmd_gen_data(ns) -> int:
     config = parse_config_file(ns.config) if ns.config else {}
-    name = ns.name
-    if name == "circle":
-        train, full = gen_circle(
-            sampling_seed=_setting(ns, config, "data_seed", 0),
-            sampling_fraction=_setting(ns, config, "data_fraction", 0.15),
-        )
-        ds = full if ns.full else train
-    elif name == "spirals":
-        ds = gen_two_spirals()
-    elif name == "spirals-sparse":
-        ds = gen_two_spirals_sparse()
-    else:                                   # argparse limits choices to GENERATORS
-        ds = gen_md2(
-            _setting(ns, config, "data_n", 10000),
-            seed=_setting(ns, config, "data_seed", 0),
-        )
+    source = "circle-full" if ns.full and ns.name == "circle" else ns.name
+    ds = _dataset_from_source(ns, config, source)
     write_csv(ds, ns.out)
     print(f"wrote {len(ds)} samples to {ns.out}")
     return 0

@@ -67,6 +67,17 @@ def segment_coords(x, hp: Hyperparameters):
     return lo_f.astype(np.intp), pos
 
 
+def _lut_read(lut: np.ndarray, cols, lo, frac):
+    """Piecewise-linear read of a (n_out, n_in, r) LUT tensor.
+
+    cols picks the source column of each input and broadcasts against
+    lo/frac, which locate the segment of each input; the result has one
+    read per destination row and input. This is the only place that
+    blends the two entries bracketing a segment.
+    """
+    return (1.0 - frac) * lut[:, cols, lo] + frac * lut[:, cols, lo + 1]
+
+
 def interpolate(values, x: float, hp: Hyperparameters) -> float:
     """Piecewise-linear read of a LUT at input x.
 
@@ -77,18 +88,11 @@ def interpolate(values, x: float, hp: Hyperparameters) -> float:
     if values.shape != (hp.r_res,):
         raise ValueError(f"expected {hp.r_res} LUT entries, got shape {values.shape}")
     lo, frac = segment_coords(float(x), hp)
-    return float((1.0 - frac) * values[lo] + frac * values[lo + 1])
+    return float(_lut_read(values[None, None], 0, lo, frac)[0])
 
 
 # ---------------------------------------------------------------------------
 # Connections
-
-@dataclass
-class LinearConnection:
-    """Scalar-weight connection; bias connections see a constant input of 1."""
-
-    weight: float
-
 
 @dataclass
 class LutConnection:
@@ -97,22 +101,6 @@ class LutConnection:
     linear: float
     lut: np.ndarray
     visits: np.ndarray
-
-
-Connection = LinearConnection | LutConnection
-
-
-def weight_function(conn: Connection, x: float, hp: Hyperparameters) -> float:
-    """Output of a connection for input x."""
-    if isinstance(conn, LutConnection):
-        return conn.linear * x + interpolate(conn.lut, x, hp)
-    return conn.weight * x
-
-
-def forward_node(connection_outputs) -> tuple[float, float]:
-    """Combine incoming connection outputs: plain sum, then tanh."""
-    u = float(np.sum(connection_outputs))
-    return u, float(np.tanh(u))
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +166,6 @@ class Network:
             return 0
         return sum(n_in * n_out for n_in, n_out in zip(self.sizes, self.sizes[1:]))
 
-    def connection(self, layer: int, dst: int, src: int) -> Connection:
-        """View of one inter-node connection; LUT arrays are live slices."""
-        lay = self.layers[layer]
-        if lay.lut is not None:
-            return LutConnection(float(lay.w[dst, src]), lay.lut[dst, src], lay.visits[dst, src])
-        return LinearConnection(float(lay.w[dst, src]))
-
-    def bias_connection(self, layer: int, dst: int) -> LinearConnection:
-        return LinearConnection(float(self.layers[layer].bias[dst]))
-
     def clone(self) -> "Network":
         layers = [
             Layer(
@@ -251,10 +229,7 @@ def forward_network(net: Network, x) -> tuple[np.ndarray, ForwardTrace]:
     for lay in net.layers:
         if lay.lut is not None:
             lo, frac = segment_coords(act, hp)
-            cols = lay.cols
-            vlo = lay.lut[:, cols, lo]
-            vhi = lay.lut[:, cols, lo + 1]
-            lut_vals = (1.0 - frac) * vlo + frac * vhi
+            lut_vals = _lut_read(lay.lut, lay.cols, lo, frac)
             outputs = lay.w * act + lut_vals
         else:
             lo = frac = lut_vals = None
@@ -278,10 +253,7 @@ def forward_batch(net: Network, xs: np.ndarray, chunk: int = 4096) -> np.ndarray
         for lay in net.layers:
             if lay.lut is not None:
                 lo, frac = segment_coords(act, hp)
-                cols = np.arange(lay.n_in)
-                vlo = lay.lut[:, cols[None, :], lo]          # (n_out, ns, n_in)
-                vhi = lay.lut[:, cols[None, :], lo + 1]
-                lut_vals = (1.0 - frac) * vlo + frac * vhi
+                lut_vals = _lut_read(lay.lut, lay.cols, lo, frac)    # (n_out, ns, n_in)
                 outputs = lay.w[:, None, :] * act[None, :, :] + lut_vals
             else:
                 outputs = lay.w[:, None, :] * act[None, :, :]

@@ -15,12 +15,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 __all__ = [
-    "Sample",
     "Dataset",
     "CsvSchema",
     "gen_circle",
@@ -34,14 +32,6 @@ __all__ = [
     "split",
     "GENERATORS",
 ]
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One observation: argument attributes and target value attributes."""
-
-    args: np.ndarray
-    vals: np.ndarray
 
 
 @dataclass
@@ -82,13 +72,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.args.shape[0]
-
-    def sample(self, i: int) -> Sample:
-        return Sample(self.args[i], self.vals[i])
-
-    def __iter__(self) -> Iterator[Sample]:
-        for i in range(len(self)):
-            yield self.sample(i)
 
     def subset(self, indices, provenance: dict | None = None) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)

@@ -11,6 +11,7 @@ the gain/decay pair differs between kinds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace, fields
 
 KIND_LW = "LW"
@@ -58,6 +59,15 @@ class Hyperparameters:
     v_min: float = 1e-16
 
     def __post_init__(self):
+        if isinstance(self.r_res, bool) or not isinstance(self.r_res, int):
+            raise ValueError(f"r_res must be an int, got {self.r_res!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        for name in ("mu", "r_a", "r_b", "s_a"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must not be negative")
         if self.r_res < 2:
             raise ValueError("r_res must be at least 2")
         if not self.i_min < self.i_max:

@@ -61,8 +61,10 @@ def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = 
         "rng": _plain(rng_state) if rng_state is not None else None,
         "layers": layers,
     }
+    # encoded before the file is opened, so a non-finite value leaves no partial file
+    text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
     with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -119,6 +121,12 @@ def load_model(path) -> LoadedModel:
             )
         elif "lut" in entry or "visits" in entry:
             raise ValueError(f"{path}: layer {li}: LUT tables in an LW model")
+        for name, arr in (("w", w), ("bias", bias), ("lut", lut), ("visits", visits)):
+            _require(arr is None or np.isfinite(arr).all(), path,
+                     f"layer {li}: non-finite {name} entry")
+        # the diffusion divides by visit entries
+        _require(visits is None or (visits >= hp.v_min).all(), path,
+                 f"layer {li}: visits entry below v_min")
         layers.append(Layer(w=w, bias=bias, lut=lut, visits=visits))
 
     iteration = doc.get("iteration", 0)

@@ -1,4 +1,4 @@
-"""Regularization: weight decay, update gain shaping, and diffusion.
+"""Regularization: update gain shaping, visit tables, and diffusion.
 
 Diffusion is the characteristic operation here. Each adjacent pair of
 LUT entries exchanges value toward the pair mean, with the amount
@@ -6,9 +6,10 @@ smoothly bounded and split asymmetrically by the ratio of the two
 entries' visit counts: the rarely visited side moves further. Visit
 tables themselves diffuse the same way, minus the smooth bound.
 
-Everything is written against the pair formulas below; the array
-routines reshape and reuse them so a single transcription feeds the
-scalar API, the tensor API, and the training loop.
+The pair formulas are written once, in ``_visit_ratios``, ``_pair_core``
+and ``_assemble_pairs``; the scalar API and the training loop both
+call those three directly, and ``_gain_decay`` and
+``_update_visits_tensor`` likewise serve both.
 """
 from __future__ import annotations
 
@@ -16,11 +17,6 @@ import numpy as np
 
 from .core import segment_coords
 from .hyper import Hyperparameters
-
-
-def decay(w, hp: Hyperparameters):
-    """Multiplicative pull toward zero; elementwise on arrays."""
-    return (1.0 - hp.s_b) * w
 
 
 def _gain_decay(w, dw, hp: Hyperparameters):
@@ -34,12 +30,6 @@ def _gain_decay(w, dw, hp: Hyperparameters):
     """
     if hp.s_a == 0.0:
         return dw
-    if np.ndim(w) == 0 and np.ndim(dw) == 0:
-        den = hp.s_a * float(w)
-        if den == 0.0:
-            return dw
-        arg = min(max(den * float(dw), -50.0), 50.0)
-        return float(np.expm1(arg)) / den
     den = np.asarray(hp.s_a * w)
     arg = np.maximum(den * dw, -50.0)
     np.minimum(arg, 50.0, out=arg)
@@ -52,29 +42,22 @@ def _gain_decay(w, dw, hp: Hyperparameters):
 
 
 def gain_decay(w: float, dw: float, hp: Hyperparameters) -> float:
-    return float(_gain_decay(float(w), float(dw), hp))
-
-
-def should_regularize(hp: Hyperparameters, rng: np.random.Generator) -> bool:
-    """One gate draw: true with probability zeta (always for zeta=1, never for 0)."""
-    return hp.zeta > rng.random()
+    return float(_gain_decay(np.array([w], dtype=float), np.array([dw], dtype=float), hp)[0])
 
 
 # ---------------------------------------------------------------------------
 # Visit tables
 
-def _update_visits_tensor(vis: np.ndarray, lo, frac, hp: Hyperparameters,
-                          cols: np.ndarray | None = None) -> None:
+def _update_visits_tensor(vis: np.ndarray, lo, frac, hp: Hyperparameters, cols) -> None:
     """Decay-and-bump on a (n_out, n_in, r) visit tensor, in place.
 
     lo/frac locate the traversed segment per input column. Every entry
     decays and is floored at v_min; the two segment endpoints are then
     bumped in proportion to their interpolation shares, each bump scaled
     by the entry's pre-decay headroom below 1. A fraction of exactly 0
-    or 1 turns one of the bumps into a multiplication by 1.
+    or 1 turns one of the bumps into a multiplication by 1. cols picks
+    the source column of each input, as for ``core._lut_read``.
     """
-    if cols is None:
-        cols = np.arange(vis.shape[1])
     pre_lo = vis[:, cols, lo]
     pre_hi = vis[:, cols, lo + 1]
     vis *= 1.0 - hp.r_c
@@ -89,8 +72,7 @@ def update_visits(visits, x: float, hp: Hyperparameters) -> np.ndarray:
     if visits.shape != (hp.r_res,):
         raise ValueError(f"expected {hp.r_res} visit entries, got shape {visits.shape}")
     lo, frac = segment_coords(np.asarray([x], dtype=float), hp)
-    tensor = visits.reshape(1, 1, -1)
-    _update_visits_tensor(tensor, lo, frac, hp)
+    _update_visits_tensor(visits[None, None], lo, frac, hp, 0)
     return visits
 
 
@@ -126,11 +108,6 @@ def _visit_ratios(vis: np.ndarray):
     return vis[..., 1:] / vis[..., :-1], vis[..., :-1] / vis[..., 1:]
 
 
-def _pair_terms(vals: np.ndarray, vis: np.ndarray, hp: Hyperparameters, smooth: bool):
-    p, pinv = _visit_ratios(vis)
-    return _pair_core(vals, p, pinv, hp, smooth)
-
-
 def _assemble_pairs(low: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Recombine pair values: edges keep their single side, interiors average."""
     shape = low.shape[:-1] + (low.shape[-1] + 1,)
@@ -144,20 +121,9 @@ def _assemble_pairs(low: np.ndarray, high: np.ndarray) -> np.ndarray:
 def diffusion_pair(w_lo: float, w_hi: float, v_lo: float, v_hi: float,
                    hp: Hyperparameters, smooth: bool = True) -> tuple[float, float]:
     """Replacement pair for two adjacent entries with given visit counts."""
-    low, high = _pair_terms(np.array([w_lo, w_hi]), np.array([v_lo, v_hi]), hp, smooth)
+    p, pinv = _visit_ratios(np.array([v_lo, v_hi]))
+    low, high = _pair_core(np.array([w_lo, w_hi]), p, pinv, hp, smooth)
     return float(low[0]), float(high[0])
-
-
-def _diffuse_rows(vals: np.ndarray, vis: np.ndarray, hp: Hyperparameters) -> np.ndarray:
-    low, high = _pair_terms(vals, vis, hp, smooth=True)
-    return _assemble_pairs(low, high)
-
-
-def _diffuse_visit_rows(vis: np.ndarray, hp: Hyperparameters) -> np.ndarray:
-    low, high = _pair_terms(vis, vis, hp, smooth=False)
-    out = _assemble_pairs(low, high)
-    np.maximum(out, hp.v_min, out=out)
-    return out
 
 
 def diffuse_lut(values, visits, hp: Hyperparameters) -> np.ndarray:
@@ -166,7 +132,8 @@ def diffuse_lut(values, visits, hp: Hyperparameters) -> np.ndarray:
     visits = np.asarray(visits, dtype=float)
     if values.shape != (hp.r_res,) or visits.shape != (hp.r_res,):
         raise ValueError("LUT and visit table must both have r_res entries")
-    return _diffuse_rows(values, visits, hp)
+    p, pinv = _visit_ratios(visits)
+    return _assemble_pairs(*_pair_core(values, p, pinv, hp, smooth=True))
 
 
 def diffuse_visits(visits, hp: Hyperparameters) -> np.ndarray:
@@ -174,4 +141,7 @@ def diffuse_visits(visits, hp: Hyperparameters) -> np.ndarray:
     visits = np.asarray(visits, dtype=float)
     if visits.shape != (hp.r_res,):
         raise ValueError(f"expected {hp.r_res} visit entries, got shape {visits.shape}")
-    return _diffuse_visit_rows(visits, hp)
+    p, pinv = _visit_ratios(visits)
+    out = _assemble_pairs(*_pair_core(visits, p, pinv, hp, smooth=False))
+    np.maximum(out, hp.v_min, out=out)
+    return out

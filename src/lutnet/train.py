@@ -20,9 +20,9 @@ import numpy as np
 
 from .core import (
     ForwardTrace,
-    LinearConnection,
     LutConnection,
     Network,
+    _lut_read,
     find_nonfinite,
     forward_network,
     segment_coords,
@@ -58,10 +58,11 @@ def derivative_offsets(hp: Hyperparameters) -> np.ndarray:
 
 
 def _lut_slope_estimate(lut: np.ndarray, x: np.ndarray, offsets: np.ndarray,
-                        hp: Hyperparameters, cols: np.ndarray | None = None) -> np.ndarray:
+                        hp: Hyperparameters, cols) -> np.ndarray:
     """Averaged symmetric difference quotients of the LUT part.
 
-    lut is (n_out, n_in, r) and x the per-column inputs (n_in,). Both
+    lut is (n_out, n_in, r), x the per-column inputs (n_in,) and cols
+    their source columns, as for ``_lut_read``. Both
     probe points are clamped into the domain before reading; a probe
     pair whose clamped points coincide carries no slope information and
     is skipped from the average (zero if every pair degenerates).
@@ -74,11 +75,7 @@ def _lut_slope_estimate(lut: np.ndarray, x: np.ndarray, offsets: np.ndarray,
     np.minimum(probes, hp.i_max, out=probes)
     den = probes[:k] - probes[k:]
     lo, frac = segment_coords(probes, hp)
-    if cols is None:
-        cols = np.arange(lut.shape[1])
-    v_lo = lut[:, cols, lo]                                   # (n_out, 2k, n_in)
-    v_hi = lut[:, cols, lo + 1]
-    reads = (1.0 - frac) * v_lo + frac * v_hi
+    reads = _lut_read(lut, cols, lo, frac)                    # (n_out, 2k, n_in)
     diff = reads[:, :k] - reads[:, k:]
     if den.min() > 0.0:
         diff /= den
@@ -95,8 +92,8 @@ def approx_lut_derivative(conn: LutConnection, x: float, hp: Hyperparameters,
     """Estimated derivative of a LUT connection's weight function at x."""
     if offsets is None:
         offsets = derivative_offsets(hp)
-    est = _lut_slope_estimate(conn.lut.reshape(1, 1, -1),
-                              np.asarray([x], dtype=float), offsets, hp)
+    est = _lut_slope_estimate(conn.lut[None, None],
+                              np.asarray([x], dtype=float), offsets, hp, 0)
     return float(conn.linear + est[0, 0])
 
 
@@ -135,34 +132,33 @@ def backprop(net: Network, trace: ForwardTrace, target,
 
 
 # ---------------------------------------------------------------------------
-# Update rules (single-connection forms)
+# Update rules
 
-def update_linear(conn: LinearConnection, e: float, x: float,
-                  hp: Hyperparameters) -> float:
-    """New scalar weight after one gain-shaped step and decay."""
-    dw = -float(_gain_decay(np.float64(conn.weight), np.float64(hp.mu * e * x), hp))
-    return (1.0 - hp.s_b) * (conn.weight + dw)
+def _lut_entry_updates(lut: np.ndarray, cols, lo, frac, lut_value, e,
+                       hp: Hyperparameters) -> None:
+    """Update the two entries bracketing each traversed segment, in place.
 
-
-def update_linear_component(conn: LutConnection, e: float, x: float,
-                            hp: Hyperparameters) -> float:
-    """New linear part of a LUT connection; the step is boosted by nu."""
-    dw = -float(_gain_decay(np.float64(conn.linear), np.float64(hp.mu * e * x), hp))
-    return (1.0 - hp.s_b) * (conn.linear + hp.nu * dw)
-
-
-def _lut_entry_updates(lut_value, e, frac, hp: Hyperparameters):
-    """Deltas for the two entries bracketing the traversed segment.
-
-    The raw step is gain-shaped against the interpolated value itself
-    (no input factor). Splitting by s/(2s^2-2s+1) on each side makes the
-    interpolated value at the traversed point move by exactly the raw
-    step, and sends everything to a single entry when the position sits
-    on a grid point.
+    Addressing is as for ``_lut_read``; lut_value is that read and e the
+    error of each destination row. The raw step is gain-shaped against
+    the interpolated value itself (no input factor). Splitting by
+    s/(2s^2-2s+1) on each side makes the interpolated value at the
+    traversed point move by exactly the raw step, and sends everything
+    to a single entry when the position sits on a grid point.
     """
     dwr = -_gain_decay(lut_value, hp.mu * e, hp)
     den = 2.0 * frac * frac - 2.0 * frac + 1.0
-    return dwr * ((1.0 - frac) / den), dwr * (frac / den)
+    lut[:, cols, lo] += dwr * ((1.0 - frac) / den)
+    lut[:, cols, lo + 1] += dwr * (frac / den)
+
+
+def _decay_touched(lut: np.ndarray, rows, cols, lo, frac, hp: Hyperparameters) -> None:
+    """Gated decay of the entries a read at (lo, frac) touched, in place.
+
+    Entries lut[rows, cols, lo] and lo + 1 shrink by s_b; one whose
+    interpolation share is zero (frac exactly 0 or 1) is left as it is.
+    """
+    lut[rows, cols, lo] *= np.where(frac < 1.0, 1.0 - hp.s_b, 1.0)
+    lut[rows, cols, lo + 1] *= np.where(frac > 0.0, 1.0 - hp.s_b, 1.0)
 
 
 def update_lut_component(conn: LutConnection, e: float, x: float,
@@ -172,16 +168,11 @@ def update_lut_component(conn: LutConnection, e: float, x: float,
     With the gate on, the touched entries are additionally decayed.
     Returns the connection's LUT for convenience.
     """
+    lut = conn.lut[None, None]
     lo, frac = segment_coords(float(x), hp)
-    rv = (1.0 - frac) * conn.lut[lo] + frac * conn.lut[lo + 1]
-    d_lo, d_hi = _lut_entry_updates(rv, e, frac, hp)
-    conn.lut[lo] += d_lo
-    conn.lut[lo + 1] += d_hi
+    _lut_entry_updates(lut, 0, lo, frac, _lut_read(lut, 0, lo, frac), e, hp)
     if gate:
-        if frac < 1.0:
-            conn.lut[lo] *= 1.0 - hp.s_b
-        if frac > 0.0:
-            conn.lut[lo + 1] *= 1.0 - hp.s_b
+        _decay_touched(lut, 0, 0, lo, frac, hp)
     return conn.lut
 
 
@@ -221,9 +212,7 @@ def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
 
         lo, frac = tr.seg_lo, tr.seg_frac
         cols = lay.cols
-        d_lo, d_hi = _lut_entry_updates(tr.lut_values, delta[:, None], frac, hp)
-        lay.lut[:, cols, lo] += d_lo
-        lay.lut[:, cols, lo + 1] += d_hi
+        _lut_entry_updates(lay.lut, cols, lo, frac, tr.lut_values, delta[:, None], hp)
 
         _update_visits_tensor(lay.visits, lo, frac, hp, cols)
 
@@ -231,10 +220,7 @@ def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
         rows, gcols = np.nonzero(hp.zeta > gate_u[used:used + n].reshape(lay.n_out, lay.n_in))
         used += n
         if rows.size:
-            fr = frac[gcols]
-            jl = lo[gcols]
-            lay.lut[rows, gcols, jl] *= np.where(fr < 1.0, 1.0 - hp.s_b, 1.0)
-            lay.lut[rows, gcols, jl + 1] *= np.where(fr > 0.0, 1.0 - hp.s_b, 1.0)
+            _decay_touched(lay.lut, rows, gcols, lo[gcols], frac[gcols], hp)
             lvals = lay.lut[rows, gcols]
             vvals = lay.visits[rows, gcols]
             p, pinv = _visit_ratios(vvals)

@@ -197,6 +197,7 @@ def test_criterion_9_determinism_and_resume(tmp_path):
             f"in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_4_selective_parameter_scaling():
     """Training cost ratio r256/r16 under 2; forward ratio in [0.8, 1.3]."""
     start = time.perf_counter()
@@ -237,6 +238,7 @@ def _write_species_csv(path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+@pytest.mark.slow
 def test_criterion_8_small_set_harness(tmp_path):
     """Mean test accuracy over 10 random 80/20 splits reaches 0.90."""
     start = time.perf_counter()
@@ -261,6 +263,7 @@ def test_criterion_8_small_set_harness(tmp_path):
             f"in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_circle_ablation():
     """Diffusion lowers held-out MSE in at least 4 of 5 seeds."""
     start = time.perf_counter()
@@ -285,6 +288,7 @@ def test_criterion_5_circle_ablation():
             f"in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_md2_comparison():
     """NLW 5-16-16-1 beats LW 5-32-32-1 on held-out md2 MSE."""
     start = time.perf_counter()
@@ -305,6 +309,7 @@ def test_criterion_7_md2_comparison():
             f"in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_two_spirals():
     """NLW separates the spirals on 2 of 3 seeds; LW never does."""
     start = time.perf_counter()

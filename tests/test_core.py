@@ -3,19 +3,15 @@ import numpy as np
 import pytest
 
 from lutnet.core import (
-    LinearConnection,
-    LutConnection,
     find_nonfinite,
     forward_batch,
     forward_network,
-    forward_node,
     grid_position,
     init_network,
     interpolate,
     lut_grid,
     lut_grid_point,
     segment_coords,
-    weight_function,
 )
 from lutnet.hyper import Hyperparameters, default_hyperparameters
 
@@ -109,25 +105,6 @@ def test_interpolate_linear_within_a_segment():
     b = lut_grid_point(6, HP)
     mid = interpolate(table, (a + b) / 2, HP)
     assert abs(mid - (table[5] + table[6]) / 2) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Connections and nodes
-
-def test_weight_function_linear_and_lut():
-    wf = weight_function(LinearConnection(weight=0.5), 0.8, HP)
-    assert wf == 0.5 * 0.8
-    grid = lut_grid(HP)
-    conn = LutConnection(linear=0.25, lut=2.0 * grid, visits=np.full(HP.r_res, HP.v_p))
-    # linear part plus the ramp table read
-    assert abs(weight_function(conn, 0.3, HP) - (0.25 * 0.3 + 0.6)) < 1e-12
-
-
-def test_forward_node_is_tanh_of_sum():
-    u, y = forward_node([0.2, 0.3, -0.1])
-    assert abs(u - 0.4) < 1e-15
-    assert y == np.tanh(u)
-    assert forward_node([])[1] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +212,13 @@ def test_forward_batch_equals_single_forwards():
     for kind in ("LW", "NLW"):
         hp = default_hyperparameters(kind)
         net = init_network((3, 4, 2), kind, hp, np.random.default_rng(7))
-        xs = np.random.default_rng(8).uniform(-1.5, 1.5, (40, 3))
+        xs = np.random.default_rng(8).uniform(-1.5, 1.5, (43, 3))
+        # frac 0 and 1 edges: both domain edges and a grid point
+        xs[40] = hp.i_min
+        xs[41] = hp.i_max
+        xs[42] = lut_grid(hp)[hp.r_res // 3]
         batch = forward_batch(net, xs, chunk=16)
-        for i in range(40):
+        for i in range(43):
             y, _ = forward_network(net, xs[i])
             assert np.array_equal(batch[i], y)
 
@@ -249,19 +230,7 @@ def test_forward_output_bounded_by_tanh():
 
 
 # ---------------------------------------------------------------------------
-# Views and diagnostics
-
-def test_connection_views_expose_live_parameters():
-    net = init_network((2, 2, 1), "NLW", HP, np.random.default_rng(14))
-    conn = net.connection(0, 1, 0)
-    assert isinstance(conn, LutConnection)
-    assert conn.linear == net.layers[0].w[1, 0]
-    conn.lut[3] = 42.0
-    assert net.layers[0].lut[1, 0, 3] == 42.0
-    bias = net.bias_connection(1, 0)
-    assert isinstance(bias, LinearConnection)
-    assert bias.weight == net.layers[1].bias[0]
-
+# Cloning and diagnostics
 
 def test_clone_is_independent():
     net = init_network((2, 2, 1), "NLW", HP, np.random.default_rng(15))

@@ -32,13 +32,6 @@ def test_dataset_validates_and_normalizes_shapes():
         Dataset([[1.0]], [[0.5], [0.5]])        # row count mismatch
 
 
-def test_dataset_sample_and_iteration():
-    ds = Dataset([[1.0, 2.0], [3.0, 4.0]], [[0.5], [-0.5]])
-    s = ds.sample(1)
-    assert tuple(s.args) == (3.0, 4.0) and tuple(s.vals) == (-0.5,)
-    assert len(list(ds)) == 2
-
-
 def test_subset_copies_and_merges_provenance():
     ds = Dataset(np.arange(8.0).reshape(4, 2), np.zeros((4, 1)),
                  provenance={"origin": "x"})

@@ -51,6 +51,15 @@ def test_to_dict_round_trips():
     {"v_min": 0.0},
     {"v_p": 0.0},
     {"v_p": 1.5},
+    {"r_res": 64.0},
+    {"r_res": True},
+    {"mu": float("nan")},
+    {"r_a": float("inf")},
+    {"i_min": float("-inf")},
+    {"mu": -0.01},
+    {"r_a": -1e-4},
+    {"r_b": -1.0},
+    {"s_a": -1.0},
 ])
 def test_validation_rejects_out_of_range(bad):
     with pytest.raises(ValueError):

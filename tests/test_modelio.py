@@ -89,8 +89,17 @@ def _corrupt(tmp_path, mutate):
     (lambda d: d["layers"][0]["lut"][0][0].pop(), "shape"),
     (lambda d: d["layers"][0].pop("visits"), "visits"),
     (lambda d: d.update(iteration=-3), "iteration"),
+    (lambda d: d["layers"][0]["w"][0].__setitem__(0, float("nan")), "non-finite w"),
+    (lambda d: d["layers"][1]["bias"].__setitem__(0, float("inf")), "non-finite bias"),
+    (lambda d: d["layers"][0]["lut"][0][0].__setitem__(3, float("nan")), "non-finite lut"),
+    (lambda d: d["layers"][0]["visits"][0][0].__setitem__(3, float("inf")),
+     "non-finite visits"),
+    (lambda d: d["layers"][0]["visits"][0][0].__setitem__(3, 0.0), "below v_min"),
+    (lambda d: d["hyperparameters"].update(r_res=64.0), "r_res"),
+    (lambda d: d["hyperparameters"].update(r_b=-1.0), "r_b"),
 ], ids=["format", "version", "kind", "arch", "layers", "w-shape",
-        "lut-shape", "missing-visits", "iteration"])
+        "lut-shape", "missing-visits", "iteration", "nan-w", "inf-bias", "nan-lut",
+        "inf-visits", "zero-visits", "float-r_res", "negative-r_b"])
 def test_load_rejects_corrupt_documents(tmp_path, mutate, phrase):
     p = _corrupt(tmp_path, mutate)
     with pytest.raises(ValueError, match=phrase):

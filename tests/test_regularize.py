@@ -6,12 +6,10 @@ import pytest
 
 from lutnet.hyper import Hyperparameters, default_hyperparameters
 from lutnet.regularize import (
-    decay,
     diffuse_lut,
     diffuse_visits,
     diffusion_pair,
     gain_decay,
-    should_regularize,
     update_visits,
 )
 
@@ -21,13 +19,6 @@ NLW = default_hyperparameters("NLW")
 
 # ---------------------------------------------------------------------------
 # Decay transforms
-
-def test_decay_scales_by_one_minus_coefficient():
-    hp = Hyperparameters(s_b=1e-9)
-    assert decay(2.0, hp) == 2.0 * (1.0 - 1e-9)
-    arr = np.array([1.0, -3.0, 0.0])
-    assert np.array_equal(decay(arr, hp), arr * (1.0 - 1e-9))
-
 
 def test_gain_decay_frozen_values():
     hp = Hyperparameters(s_a=1.0)
@@ -63,21 +54,6 @@ def test_gain_decay_amplifies_aligned_updates():
     # same-sign weight and update: the step grows; opposing: it shrinks
     assert gain_decay(1.0, 0.1, hp) > 0.1
     assert abs(gain_decay(1.0, -0.1, hp)) < 0.1
-
-
-def test_should_regularize_edge_rates():
-    rng = np.random.default_rng(0)
-    assert not any(should_regularize(Hyperparameters(zeta=0.0), rng)
-                   for _ in range(1000))
-    assert all(should_regularize(Hyperparameters(zeta=1.0), rng)
-               for _ in range(1000))
-
-
-def test_should_regularize_empirical_rate():
-    hp = Hyperparameters(zeta=0.05)
-    rng = np.random.default_rng(1)
-    hits = sum(should_regularize(hp, rng) for _ in range(20000))
-    assert 0.04 < hits / 20000 < 0.06
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from lutnet.train import (
     backprop,
     derivative_offsets,
     train_iteration,
-    update_linear,
     update_lut_component,
 )
 from reference import extract_params, max_param_difference, ref_iteration
@@ -172,14 +171,6 @@ def test_lut_entry_gradient_is_exact_interpolation_share():
 # ---------------------------------------------------------------------------
 # Update rules
 
-def test_update_linear_frozen_arithmetic():
-    from lutnet.core import LinearConnection
-    hp = Hyperparameters(s_a=0.0, s_b=2e-7, mu=0.02)
-    conn = LinearConnection(weight=0.3)
-    out = update_linear(conn, e=0.5, x=-0.4, hp=hp)
-    assert out == (1.0 - 2e-7) * (0.3 - 0.02 * 0.5 * -0.4)
-
-
 def test_update_lut_moves_interpolated_value_by_raw_step():
     rng = np.random.default_rng(9)
     for _ in range(2000):
@@ -236,13 +227,16 @@ PARITY_CONFIGS = [
     ("NLW", NLW.replace(r_res=8, zeta=0.9, r_a=1e-2, r_b=0.5, r_c=0.05,
                         s_b=1e-3, mu=0.3, v_p=0.3)),
     ("NLW", NLW.replace(r_res=16)),
+    ("NLW", NLW.replace(r_res=8, zeta=0.0, s_b=1e-3)),
+    ("NLW", NLW.replace(r_res=8, zeta=1.0, s_b=1e-3)),
     ("LW", LW),
     ("LW", LW.replace(s_a=1.0, s_b=1e-4, mu=0.1)),
 ]
 
 
 @pytest.mark.parametrize("kind,hp", PARITY_CONFIGS,
-                         ids=["nlw-aggressive", "nlw-default", "lw-default", "lw-gain"])
+                         ids=["nlw-aggressive", "nlw-default", "nlw-gate-never",
+                              "nlw-gate-always", "lw-default", "lw-gain"])
 def test_iteration_matches_scalar_reference(kind, hp):
     net = init_network((2, 3, 2), kind, hp, _rng([21, 0]))
     params = extract_params(net)
