@@ -26,8 +26,7 @@ __all__ = [
     "BenchRow",
     "BenchReport",
     "bench_dataset",
-    "time_train_ms",
-    "time_forward_ms",
+    "time_in_turn_ms",
     "bench_iterations",
 ]
 
@@ -80,29 +79,38 @@ def bench_dataset(n_inputs: int, n_outputs: int, count: int = 64, seed: int = 0)
     return args, vals
 
 
-def _median_ms(run, reps: int) -> float:
-    """Median ms/iteration of run(k), sizing k to fill the time window."""
-    run(8)                                      # warm-up, also JITs caches
-    t0 = time.perf_counter()
-    run(8)
-    probe = max((time.perf_counter() - t0) / 8, 1e-9)
-    inner = int(min(max(_WINDOW / probe, 8), 200_000))
-    times = []
-    for _ in range(reps):
+def _median_ms(runs, reps: int) -> list[float]:
+    """Median ms/iteration of each run(k), sizing k to fill the time window.
+
+    The runs take turns within every repetition, and the one going first
+    alternates, so a slow spell of the machine falls on all of them
+    alike rather than on whichever happened to be timed then.
+    """
+    inner = []
+    for run in runs:
+        run(8)                                  # warm-up, also JITs caches
         t0 = time.perf_counter()
-        run(inner)
-        times.append((time.perf_counter() - t0) / inner)
-    return float(np.median(times)) * 1000.0
+        run(8)
+        probe = max((time.perf_counter() - t0) / 8, 1e-9)
+        inner.append(int(min(max(_WINDOW / probe, 8), 200_000)))
+    times = [[] for _ in runs]
+    order = list(range(len(runs)))
+    for rep in range(reps):
+        for i in (order if rep % 2 == 0 else order[::-1]):
+            t0 = time.perf_counter()
+            runs[i](inner[i])
+            times[i].append((time.perf_counter() - t0) / inner[i])
+    return [float(np.median(t)) * 1000.0 for t in times]
 
 
-def time_train_ms(net: Network, args, vals, reps: int = 5, seed: int = 0) -> float:
-    """Median wall milliseconds per training iteration on a cloned net."""
+def _train_run(net: Network, args, vals, seed: int):
+    """run(k): k training iterations on a cloned net."""
     trainer = Trainer(net.clone(), np.asarray(args, float), np.asarray(vals, float), seed=seed)
-    return _median_ms(lambda k: trainer.run(k, log_every=0), reps)
+    return lambda k: trainer.run(k, log_every=0)
 
 
-def time_forward_ms(net: Network, args, reps: int = 5) -> float:
-    """Median wall milliseconds per forward-only iteration (one sample each)."""
+def _forward_run(net: Network, args):
+    """run(k): k forward-only iterations, one sample each."""
     rows = [np.array(row) for row in np.asarray(args, float)]
     n = len(rows)
 
@@ -110,7 +118,20 @@ def time_forward_ms(net: Network, args, reps: int = 5) -> float:
         for i in range(k):
             forward_network(net, rows[i % n])
 
-    return _median_ms(run, reps)
+    return run
+
+
+def time_in_turn_ms(nets, args, vals, reps: int = 5, seed: int = 0):
+    """Median wall ms per training and per forward-only iteration of each net.
+
+    Returns (train, forward), each a list in the order of nets. Training
+    runs on clones; a forward-only iteration presents one sample. Within
+    every repetition each net is timed once, so the ratio of two nets'
+    times is not decided by a slow spell that covered only one of them.
+    """
+    train = _median_ms([_train_run(net, args, vals, seed) for net in nets], reps)
+    forward = _median_ms([_forward_run(net, args) for net in nets], reps)
+    return train, forward
 
 
 def bench_iterations(
@@ -141,8 +162,7 @@ def bench_iterations(
     for arch in archs:
         net = init_network(arch, kind, hp, np.random.default_rng(seed))
         args, vals = bench_dataset(arch[0], arch[-1], seed=seed)
-        t_train = time_train_ms(net, args, vals, reps=reps, seed=seed)
-        t_fwd = time_forward_ms(net, args, reps=reps)
+        (t_train,), (t_fwd,) = time_in_turn_ms([net], args, vals, reps=reps, seed=seed)
         n = net.connection_count()
         counts.add(n)
         ns.append(n)
@@ -158,21 +178,17 @@ def bench_iterations(
     train_b, train_a = np.polyfit(ns, train_ms, 1)
     fwd_b, fwd_a = np.polyfit(ns, fwd_ms, 1)
 
-    rres_rows: list[BenchRow] = []
+    # the sweep's nets take turns, so a slow spell cannot skew one r_res against another
     sweep_arch = rres_arch or archs[0]
-    for r_res in rres_values:
-        hp_r = hp.replace(r_res=int(r_res))
-        net = init_network(sweep_arch, kind, hp_r, np.random.default_rng(seed))
-        args, vals = bench_dataset(sweep_arch[0], sweep_arch[-1], seed=seed)
-        n = net.connection_count()
-        rres_rows.append(BenchRow(
-            kind, sweep_arch, n, int(r_res), "train",
-            time_train_ms(net, args, vals, reps=reps, seed=seed),
-        ))
-        rres_rows.append(BenchRow(
-            kind, sweep_arch, n, int(r_res), "forward",
-            time_forward_ms(net, args, reps=reps),
-        ))
+    args, vals = bench_dataset(sweep_arch[0], sweep_arch[-1], seed=seed)
+    nets = [init_network(sweep_arch, kind, hp.replace(r_res=int(r_res)),
+                         np.random.default_rng(seed)) for r_res in rres_values]
+    sweep_train, sweep_fwd = time_in_turn_ms(nets, args, vals, reps=reps, seed=seed)
+    rres_rows: list[BenchRow] = []
+    for net, t_train, t_fwd in zip(nets, sweep_train, sweep_fwd):
+        n, r_res = net.connection_count(), net.hp.r_res
+        rres_rows.append(BenchRow(kind, sweep_arch, n, r_res, "train", t_train))
+        rres_rows.append(BenchRow(kind, sweep_arch, n, r_res, "forward", t_fwd))
 
     return BenchReport(
         kind=kind,

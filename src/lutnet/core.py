@@ -13,7 +13,9 @@ often each grid region has been traversed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +33,8 @@ def lut_grid_point(j: int, hp: Hyperparameters) -> float:
 
 
 def lut_grid(hp: Hyperparameters) -> np.ndarray:
-    return np.array([lut_grid_point(j, hp) for j in range(hp.r_res)])
+    """Every grid point, each computed as ``lut_grid_point`` computes it."""
+    return hp.i_min + np.arange(hp.r_res) / (hp.r_res - 1) * hp.span
 
 
 def grid_position(x, hp: Hyperparameters):
@@ -112,13 +115,20 @@ class Layer:
 
     ``w`` holds the scalar weight of LW connections or the linear part of
     LUT connections. ``lut`` and ``visits`` are (n_out, n_in, r_res) and
-    present only in NLW networks.
+    present only in NLW networks. All four are views into the owning
+    network's buffers: write into them, never rebind them (an augmented
+    assignment such as ``lay.w *= 2`` writes in place). ``cols`` is the
+    source-index row for addressing LUT tensors.
     """
 
     w: np.ndarray
     bias: np.ndarray
     lut: np.ndarray | None = None
     visits: np.ndarray | None = None
+    cols: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.cols = np.arange(self.n_in)
 
     @property
     def n_out(self) -> int:
@@ -128,26 +138,87 @@ class Layer:
     def n_in(self) -> int:
         return self.w.shape[1]
 
-    @property
-    def cols(self) -> np.ndarray:
-        """Cached source-index row for addressing LUT tensors."""
-        cached = getattr(self, "_cols", None)
-        if cached is None or cached.shape[0] != self.n_in:
-            cached = np.arange(self.n_in)
-            self._cols = cached
-        return cached
+
+class UpdateMaps(NamedTuple):
+    """Index maps that let one update pass cover every layer of a network.
+
+    Number the nodes that layers feed (their deltas) layer after layer,
+    and the inputs layers read likewise, followed by one constant-1 bias
+    input per layer. Entry i of ``Network.params`` runs from input
+    ``param_src[i]`` to node ``param_dst[i]``; LUT row c from input
+    ``conn_src[c]`` to node ``conn_dst[c]``, and ``row_starts[c]`` is the
+    flat index of its first entry. ``linear_rates`` scales each entry's
+    linear update: nu on the linear part of a LUT connection, 1 on a bias
+    (None for LW, where every rate is 1).
+    """
+
+    param_dst: np.ndarray
+    param_src: np.ndarray
+    conn_dst: np.ndarray
+    conn_src: np.ndarray
+    row_starts: np.ndarray | None
+    linear_rates: np.ndarray | None
 
 
 class Network:
-    """Layered feedforward net; holds its hyperparameters and kind."""
+    """Layered feedforward net; holds its hyperparameters, kind and parameters.
 
-    def __init__(self, sizes, kind: str, hp: Hyperparameters, layers: list[Layer]):
+    The parameters live in three contiguous buffers. ``params`` holds
+    each layer's weights (row-major) followed by its biases, layer after
+    layer. For NLW, ``luts`` and ``visits`` are (connections, r_res)
+    with one row per LUT connection in gate-draw order: layer, then
+    destination, then source; for LW both are None. The layers' arrays
+    are views into these buffers. A new network's parameters are zero.
+    """
+
+    def __init__(self, sizes, kind: str, hp: Hyperparameters):
         if kind not in KINDS:
             raise ValueError(f"unknown network kind {kind!r}")
         self.sizes = tuple(int(s) for s in sizes)
         self.kind = kind
         self.hp = hp
-        self.layers = layers
+        pairs = list(zip(self.sizes, self.sizes[1:]))
+        self.params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in pairs))
+        n_conn = sum(n_in * n_out for n_in, n_out in pairs)
+        self.luts = self.visits = None
+        if kind == KIND_NLW:
+            self.luts = np.zeros((n_conn, hp.r_res))
+            self.visits = np.zeros((n_conn, hp.r_res))
+        self.layers = []
+        p = c = 0
+        for n_in, n_out in pairs:
+            n = n_in * n_out
+            w = self.params[p:p + n].reshape(n_out, n_in)
+            bias = self.params[p + n:p + n + n_out]
+            lut = vis = None
+            if self.luts is not None:
+                lut = self.luts[c:c + n].reshape(n_out, n_in, hp.r_res)
+                vis = self.visits[c:c + n].reshape(n_out, n_in, hp.r_res)
+            self.layers.append(Layer(w, bias, lut, vis))
+            p += n + n_out
+            c += n
+
+    @cached_property
+    def update_maps(self) -> UpdateMaps:
+        """The index maps of the parameter layout, built on first use."""
+        dst, src = [], []
+        n_src = sum(self.sizes[:-1])
+        d0 = s0 = 0
+        for li, (n_in, n_out) in enumerate(zip(self.sizes, self.sizes[1:])):
+            nodes = np.arange(d0, d0 + n_out)
+            dst += [np.repeat(nodes, n_in), nodes]
+            src += [np.tile(np.arange(s0, s0 + n_in), n_out), np.full(n_out, n_src + li)]
+            d0 += n_out
+            s0 += n_in
+        param_dst = np.concatenate(dst)
+        param_src = np.concatenate(src)
+        weight = param_src < n_src
+        row_starts = linear_rates = None
+        if self.luts is not None:
+            row_starts = np.arange(self.luts.shape[0]) * self.hp.r_res
+            linear_rates = np.where(weight, self.hp.nu, 1.0)
+        return UpdateMaps(param_dst, param_src, param_dst[weight], param_src[weight],
+                          row_starts, linear_rates)
 
     @property
     def n_inputs(self) -> int:
@@ -159,24 +230,18 @@ class Network:
 
     def connection_count(self) -> int:
         """All connections including one bias connection per non-input node."""
-        return sum((n_in + 1) * n_out for n_in, n_out in zip(self.sizes, self.sizes[1:]))
+        return self.params.shape[0]
 
     def lut_connection_count(self) -> int:
-        if self.kind == KIND_LW:
-            return 0
-        return sum(n_in * n_out for n_in, n_out in zip(self.sizes, self.sizes[1:]))
+        return 0 if self.luts is None else self.luts.shape[0]
 
     def clone(self) -> "Network":
-        layers = [
-            Layer(
-                lay.w.copy(),
-                lay.bias.copy(),
-                None if lay.lut is None else lay.lut.copy(),
-                None if lay.visits is None else lay.visits.copy(),
-            )
-            for lay in self.layers
-        ]
-        return Network(self.sizes, self.kind, self.hp, layers)
+        twin = Network(self.sizes, self.kind, self.hp)
+        np.copyto(twin.params, self.params)
+        if self.luts is not None:
+            np.copyto(twin.luts, self.luts)
+            np.copyto(twin.visits, self.visits)
+        return twin
 
 
 @dataclass
@@ -279,24 +344,34 @@ def init_network(sizes, kind: str, hp: Hyperparameters, rng: np.random.Generator
         raise ValueError("every layer needs at least one node")
     if kind not in KINDS:
         raise ValueError(f"unknown network kind {kind!r}")
+    net = Network(sizes, kind, hp)
     grid = lut_grid(hp)
-    layers = []
-    for n_in, n_out in zip(sizes, sizes[1:]):
-        w = rng.uniform(-0.5, 0.5, size=(n_out, n_in))
-        bias = rng.uniform(-0.5, 0.5, size=n_out)
-        if kind == KIND_NLW:
-            intercept = rng.uniform(-0.25, 0.25, size=(n_out, n_in))
-            slope = rng.uniform(-0.25, 0.25, size=(n_out, n_in))
-            lut = intercept[:, :, None] + slope[:, :, None] * grid
-            visits = np.full((n_out, n_in, hp.r_res), hp.v_p)
-            layers.append(Layer(w, bias, np.ascontiguousarray(lut), visits))
-        else:
-            layers.append(Layer(w, bias))
-    return Network(sizes, kind, hp, layers)
+    start = 0
+    for lay in net.layers:
+        end = start + lay.w.size + lay.bias.size
+        _uniform(rng, -0.5, 0.5, net.params[start:end])        # w, then bias
+        start = end
+        if lay.lut is not None:
+            intercept, slope = rng.uniform(-0.25, 0.25, (2, *lay.w.shape, 1))
+            np.multiply(slope, grid, out=lay.lut)
+            lay.lut += intercept
+    if net.visits is not None:
+        net.visits.fill(hp.v_p)
+    return net
+
+
+def _uniform(rng: np.random.Generator, low: float, high: float, out: np.ndarray) -> None:
+    """Fill out in place with the draws ``rng.uniform(low, high, out.shape)`` returns."""
+    rng.random(out=out)
+    out *= high - low
+    out += low
 
 
 def find_nonfinite(net: Network) -> str | None:
     """Locate the first non-finite parameter, or None if all are finite."""
+    buffers = [net.params] if net.luts is None else [net.params, net.luts, net.visits]
+    if all(np.isfinite(buf).all() for buf in buffers):
+        return None
     for li, lay in enumerate(net.layers):
         checks = [("weight", lay.w), ("bias", lay.bias)]
         if lay.lut is not None:

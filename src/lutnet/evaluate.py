@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Network, forward_batch, forward_network
+from .core import Network, forward_batch
 from .data import Dataset
 
 __all__ = [

@@ -10,11 +10,13 @@ byte for byte.
 from __future__ import annotations
 
 import json
+import os
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Layer, Network
+from .core import Network
 from .hyper import Hyperparameters, KIND_NLW, KINDS
 
 __all__ = ["FORMAT_NAME", "FORMAT_VERSION", "LoadedModel", "save_model", "load_model"]
@@ -44,6 +46,14 @@ def _plain(value):
 
 
 def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = None) -> None:
+    """Write the model file atomically.
+
+    The document goes to a temporary file in the target's directory,
+    which then replaces the target in one step: a save that fails
+    leaves any earlier file at path as it was and removes its temporary
+    file. A killed process may leave the temporary file, never a
+    partial target. No fsync: the file is durable once the OS flushes.
+    """
     layers = []
     for lay in net.layers:
         entry = {"w": lay.w.tolist(), "bias": lay.bias.tolist()}
@@ -63,14 +73,43 @@ def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = 
     }
     # encoded before the file is opened, so a non-finite value leaves no partial file
     text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
-        fh.write("\n")
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x", encoding="ascii") as fh:
+            fh.write(text)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def _require(cond: bool, path, message: str) -> None:
     if not cond:
         raise ValueError(f"{path}: {message}")
+
+
+def _fill(view: np.ndarray, value, path, what: str) -> None:
+    """Copy a nested list from the file straight into a parameter view.
+
+    The lengths along the first element at each depth must match the
+    view's shape; numpy rejects a ragged list, so a list that passes
+    both has exactly the view's shape.
+    """
+    probe = value
+    for n in view.shape:
+        _require(isinstance(probe, list) and len(probe) == n, path,
+                 f"{what} shape is not {view.shape}")
+        probe = probe[0]
+    try:
+        view[...] = value
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: {what} is not a numeric array of shape {view.shape}") from None
 
 
 def load_model(path) -> LoadedModel:
@@ -104,34 +143,23 @@ def load_model(path) -> LoadedModel:
         path,
         f"expected {len(sizes) - 1} layers",
     )
-    layers: list[Layer] = []
-    for li, (entry, n_in, n_out) in enumerate(zip(raw_layers, sizes, sizes[1:])):
-        w = np.asarray(entry.get("w"), dtype=float)
-        bias = np.asarray(entry.get("bias"), dtype=float)
-        _require(w.shape == (n_out, n_in), path, f"layer {li}: w shape {w.shape}")
-        _require(bias.shape == (n_out,), path, f"layer {li}: bias shape {bias.shape}")
-        lut = visits = None
+    net = Network(tuple(sizes), kind, hp)
+    for li, (entry, lay) in enumerate(zip(raw_layers, net.layers)):
+        _require(isinstance(entry, dict), path, f"layer {li}: not a JSON object")
+        arrays = {"w": lay.w, "bias": lay.bias}
         if kind == KIND_NLW:
-            lut = np.asarray(entry.get("lut"), dtype=float)
-            visits = np.asarray(entry.get("visits"), dtype=float)
-            want = (n_out, n_in, hp.r_res)
-            _require(lut.shape == want, path, f"layer {li}: lut shape {lut.shape} != {want}")
-            _require(
-                visits.shape == want, path, f"layer {li}: visits shape {visits.shape} != {want}"
-            )
+            arrays.update(lut=lay.lut, visits=lay.visits)
         elif "lut" in entry or "visits" in entry:
             raise ValueError(f"{path}: layer {li}: LUT tables in an LW model")
-        for name, arr in (("w", w), ("bias", bias), ("lut", lut), ("visits", visits)):
-            _require(arr is None or np.isfinite(arr).all(), path,
-                     f"layer {li}: non-finite {name} entry")
+        for name, view in arrays.items():
+            _fill(view, entry.get(name), path, f"layer {li}: {name}")
+            _require(np.isfinite(view).all(), path, f"layer {li}: non-finite {name} entry")
         # the diffusion divides by visit entries
-        _require(visits is None or (visits >= hp.v_min).all(), path,
+        _require(lay.visits is None or (lay.visits >= hp.v_min).all(), path,
                  f"layer {li}: visits entry below v_min")
-        layers.append(Layer(w=w, bias=bias, lut=lut, visits=visits))
 
     iteration = doc.get("iteration", 0)
     _require(isinstance(iteration, int) and iteration >= 0, path, "bad iteration counter")
     rng_state = doc.get("rng")
     _require(rng_state is None or isinstance(rng_state, dict), path, "bad rng state")
-    net = Network(tuple(sizes), kind, hp, layers)
     return LoadedModel(net=net, iteration=iteration, rng_state=rng_state)

@@ -48,22 +48,23 @@ def gain_decay(w: float, dw: float, hp: Hyperparameters) -> float:
 # ---------------------------------------------------------------------------
 # Visit tables
 
-def _update_visits_tensor(vis: np.ndarray, lo, frac, hp: Hyperparameters, cols) -> None:
-    """Decay-and-bump on a (n_out, n_in, r) visit tensor, in place.
+def _update_visits_tensor(vis: np.ndarray, at, frac, hp: Hyperparameters) -> None:
+    """Decay-and-bump on a contiguous visit array, in place.
 
-    lo/frac locate the traversed segment per input column. Every entry
-    decays and is floored at v_min; the two segment endpoints are then
-    bumped in proportion to their interpolation shares, each bump scaled
-    by the entry's pre-decay headroom below 1. A fraction of exactly 0
-    or 1 turns one of the bumps into a multiplication by 1. cols picks
-    the source column of each input, as for ``core._lut_read``.
+    at is the flat index of each traversed segment's lower entry and
+    frac the position within it. Every entry decays and is floored at
+    v_min; the two segment endpoints are then bumped in proportion to
+    their interpolation shares, each bump scaled by the entry's
+    pre-decay headroom below 1. A fraction of exactly 0 or 1 turns one
+    of the bumps into a multiplication by 1.
     """
-    pre_lo = vis[:, cols, lo]
-    pre_hi = vis[:, cols, lo + 1]
+    flat = vis.reshape(-1)
+    pre_lo = flat[at]
+    pre_hi = flat[at + 1]
     vis *= 1.0 - hp.r_c
     np.maximum(vis, hp.v_min, out=vis)
-    vis[:, cols, lo] *= 1.0 + (hp.r_c * (1.0 - frac)) * (1.0 - pre_lo)
-    vis[:, cols, lo + 1] *= 1.0 + (hp.r_c * frac) * (1.0 - pre_hi)
+    flat[at] *= 1.0 + (hp.r_c * (1.0 - frac)) * (1.0 - pre_lo)
+    flat[at + 1] *= 1.0 + (hp.r_c * frac) * (1.0 - pre_hi)
 
 
 def update_visits(visits, x: float, hp: Hyperparameters) -> np.ndarray:
@@ -72,23 +73,22 @@ def update_visits(visits, x: float, hp: Hyperparameters) -> np.ndarray:
     if visits.shape != (hp.r_res,):
         raise ValueError(f"expected {hp.r_res} visit entries, got shape {visits.shape}")
     lo, frac = segment_coords(np.asarray([x], dtype=float), hp)
-    _update_visits_tensor(visits[None, None], lo, frac, hp, 0)
+    _update_visits_tensor(visits, lo, frac, hp)
     return visits
 
 
 # ---------------------------------------------------------------------------
 # Diffusion
 
-def _pair_core(vals: np.ndarray, p: np.ndarray, pinv: np.ndarray,
+def _pair_core(vals: np.ndarray, den_lo: np.ndarray, den_hi: np.ndarray,
                hp: Hyperparameters, smooth: bool):
     """Low/high replacement values for every adjacent pair along the last axis.
 
     For pair j the low side L[j] replaces entry j and the high side
     H[j] replaces entry j+1. The transfer toward the pair mean is the
     smoothly bounded gap (or the raw half-gap when smoothing is off or
-    its coefficient is zero), divided on each side by one plus the
-    balance coefficient times that side's visit ratio p (resp. the
-    directly computed inverse ratio pinv).
+    its coefficient is zero), divided on each side by that side's
+    balance denominator from ``_visit_ratios``.
     """
     a = vals[..., :-1]
     b = vals[..., 1:]
@@ -98,14 +98,21 @@ def _pair_core(vals: np.ndarray, p: np.ndarray, pinv: np.ndarray,
         t = np.tanh(hp.r_a * d) / (2.0 * hp.r_a)
     else:
         t = d * 0.5
-    low = m - t / (1.0 + hp.r_b * p)
-    high = m + t / (1.0 + hp.r_b * pinv)
+    low = m - t / den_lo
+    high = m + t / den_hi
     return low, high
 
 
-def _visit_ratios(vis: np.ndarray):
-    """Adjacent visit ratios and their elementwise-quotient inverses."""
-    return vis[..., 1:] / vis[..., :-1], vis[..., :-1] / vis[..., 1:]
+def _visit_ratios(vis: np.ndarray, hp: Hyperparameters):
+    """Balance denominators 1 + r_b*p of every adjacent pair along the last axis.
+
+    p is the ratio of the high entry's visit count to the low one's on
+    the low side, and the directly computed inverse ratio on the high
+    side. A LUT and its visit table diffuse with the same denominators.
+    """
+    lo = vis[..., :-1]
+    hi = vis[..., 1:]
+    return 1.0 + hp.r_b * (hi / lo), 1.0 + hp.r_b * (lo / hi)
 
 
 def _assemble_pairs(low: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -121,8 +128,8 @@ def _assemble_pairs(low: np.ndarray, high: np.ndarray) -> np.ndarray:
 def diffusion_pair(w_lo: float, w_hi: float, v_lo: float, v_hi: float,
                    hp: Hyperparameters, smooth: bool = True) -> tuple[float, float]:
     """Replacement pair for two adjacent entries with given visit counts."""
-    p, pinv = _visit_ratios(np.array([v_lo, v_hi]))
-    low, high = _pair_core(np.array([w_lo, w_hi]), p, pinv, hp, smooth)
+    den_lo, den_hi = _visit_ratios(np.array([v_lo, v_hi]), hp)
+    low, high = _pair_core(np.array([w_lo, w_hi]), den_lo, den_hi, hp, smooth)
     return float(low[0]), float(high[0])
 
 
@@ -132,8 +139,7 @@ def diffuse_lut(values, visits, hp: Hyperparameters) -> np.ndarray:
     visits = np.asarray(visits, dtype=float)
     if values.shape != (hp.r_res,) or visits.shape != (hp.r_res,):
         raise ValueError("LUT and visit table must both have r_res entries")
-    p, pinv = _visit_ratios(visits)
-    return _assemble_pairs(*_pair_core(values, p, pinv, hp, smooth=True))
+    return _assemble_pairs(*_pair_core(values, *_visit_ratios(visits, hp), hp, smooth=True))
 
 
 def diffuse_visits(visits, hp: Hyperparameters) -> np.ndarray:
@@ -141,7 +147,6 @@ def diffuse_visits(visits, hp: Hyperparameters) -> np.ndarray:
     visits = np.asarray(visits, dtype=float)
     if visits.shape != (hp.r_res,):
         raise ValueError(f"expected {hp.r_res} visit entries, got shape {visits.shape}")
-    p, pinv = _visit_ratios(visits)
-    out = _assemble_pairs(*_pair_core(visits, p, pinv, hp, smooth=False))
+    out = _assemble_pairs(*_pair_core(visits, *_visit_ratios(visits, hp), hp, smooth=False))
     np.maximum(out, hp.v_min, out=out)
     return out

@@ -134,31 +134,34 @@ def backprop(net: Network, trace: ForwardTrace, target,
 # ---------------------------------------------------------------------------
 # Update rules
 
-def _lut_entry_updates(lut: np.ndarray, cols, lo, frac, lut_value, e,
+def _lut_entry_updates(lut: np.ndarray, at, frac, lut_value, step,
                        hp: Hyperparameters) -> None:
     """Update the two entries bracketing each traversed segment, in place.
 
-    Addressing is as for ``_lut_read``; lut_value is that read and e the
-    error of each destination row. The raw step is gain-shaped against
-    the interpolated value itself (no input factor). Splitting by
-    s/(2s^2-2s+1) on each side makes the interpolated value at the
-    traversed point move by exactly the raw step, and sends everything
-    to a single entry when the position sits on a grid point.
+    lut is a flat table array and at the flat index of each lower
+    entry; lut_value is the interpolated read there and step the
+    learning step times the error of the connection's destination. The
+    raw step is gain-shaped against the interpolated value itself (no
+    input factor). Splitting by s/(2s^2-2s+1) on each side makes the
+    interpolated value at the traversed point move by exactly the raw
+    step, and sends everything to a single entry when the position sits
+    on a grid point.
     """
-    dwr = -_gain_decay(lut_value, hp.mu * e, hp)
+    dwr = -_gain_decay(lut_value, step, hp)
     den = 2.0 * frac * frac - 2.0 * frac + 1.0
-    lut[:, cols, lo] += dwr * ((1.0 - frac) / den)
-    lut[:, cols, lo + 1] += dwr * (frac / den)
+    lut[at] += dwr * ((1.0 - frac) / den)
+    lut[at + 1] += dwr * (frac / den)
 
 
-def _decay_touched(lut: np.ndarray, rows, cols, lo, frac, hp: Hyperparameters) -> None:
-    """Gated decay of the entries a read at (lo, frac) touched, in place.
+def _decay_touched(lut: np.ndarray, at, frac, hp: Hyperparameters) -> None:
+    """Gated decay of the entries a read at (at, frac) touched, in place.
 
-    Entries lut[rows, cols, lo] and lo + 1 shrink by s_b; one whose
-    interpolation share is zero (frac exactly 0 or 1) is left as it is.
+    Entries at and at + 1 of the flat table array shrink by s_b; one
+    whose interpolation share is zero (frac exactly 0 or 1) is left as
+    it is.
     """
-    lut[rows, cols, lo] *= np.where(frac < 1.0, 1.0 - hp.s_b, 1.0)
-    lut[rows, cols, lo + 1] *= np.where(frac > 0.0, 1.0 - hp.s_b, 1.0)
+    lut[at] *= np.where(frac < 1.0, 1.0 - hp.s_b, 1.0)
+    lut[at + 1] *= np.where(frac > 0.0, 1.0 - hp.s_b, 1.0)
 
 
 def update_lut_component(conn: LutConnection, e: float, x: float,
@@ -168,11 +171,11 @@ def update_lut_component(conn: LutConnection, e: float, x: float,
     With the gate on, the touched entries are additionally decayed.
     Returns the connection's LUT for convenience.
     """
-    lut = conn.lut[None, None]
-    lo, frac = segment_coords(float(x), hp)
-    _lut_entry_updates(lut, 0, lo, frac, _lut_read(lut, 0, lo, frac), e, hp)
+    lo, frac = segment_coords(np.asarray([x], dtype=float), hp)
+    value = _lut_read(conn.lut[None, None], 0, lo, frac)[0]
+    _lut_entry_updates(conn.lut, lo, frac, value, hp.mu * e, hp)
     if gate:
-        _decay_touched(lut, 0, 0, lo, frac, hp)
+        _decay_touched(conn.lut, lo, frac, hp)
     return conn.lut
 
 
@@ -185,7 +188,9 @@ def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
 
     gate_u supplies one uniform draw per LUT connection in layer-major,
     destination-major, source-major order. Returns the sample's mean
-    squared output error (from the pre-update forward pass).
+    squared output error (from the pre-update forward pass). Every
+    update step runs once over the network's flat buffers, all layers
+    at a time.
     """
     hp = net.hp
     y, trace = forward_network(net, x)
@@ -194,41 +199,37 @@ def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
     err = y - target
     sq_err = float(err @ err) / err.shape[0]
 
-    used = 0
-    for lay, tr, delta in zip(net.layers, trace.layers, deltas):
-        inp = tr.inputs
-        grad = hp.mu * delta[:, None] * inp
-        dw = -_gain_decay(lay.w, grad, hp)
-        db = -_gain_decay(lay.bias, hp.mu * delta, hp)
-        if lay.lut is None:
-            lay.w += dw
-        else:
-            lay.w += hp.nu * dw
-        lay.w *= 1.0 - hp.s_b
-        lay.bias += db
-        lay.bias *= 1.0 - hp.s_b
-        if lay.lut is None:
-            continue
+    maps = net.update_maps
+    step = hp.mu * np.concatenate(deltas)
+    inputs = np.concatenate([tr.inputs for tr in trace.layers] + [np.ones(len(deltas))])
+    grad = step[maps.param_dst] * inputs[maps.param_src]
+    dw = _gain_decay(net.params, grad, hp)
+    if maps.linear_rates is not None:
+        dw *= maps.linear_rates
+    net.params -= dw
+    net.params *= 1.0 - hp.s_b
+    if net.luts is None:
+        return sq_err
 
-        lo, frac = tr.seg_lo, tr.seg_frac
-        cols = lay.cols
-        _lut_entry_updates(lay.lut, cols, lo, frac, tr.lut_values, delta[:, None], hp)
+    frac = np.concatenate([tr.seg_frac for tr in trace.layers])[maps.conn_src]
+    at = np.concatenate([tr.seg_lo for tr in trace.layers])[maps.conn_src]
+    at += maps.row_starts
+    lut_value = np.concatenate([tr.lut_values.reshape(-1) for tr in trace.layers])
+    luts = net.luts.reshape(-1)
+    _lut_entry_updates(luts, at, frac, lut_value, step[maps.conn_dst], hp)
 
-        _update_visits_tensor(lay.visits, lo, frac, hp, cols)
+    _update_visits_tensor(net.visits, at, frac, hp)
 
-        n = lay.n_out * lay.n_in
-        rows, gcols = np.nonzero(hp.zeta > gate_u[used:used + n].reshape(lay.n_out, lay.n_in))
-        used += n
-        if rows.size:
-            _decay_touched(lay.lut, rows, gcols, lo[gcols], frac[gcols], hp)
-            lvals = lay.lut[rows, gcols]
-            vvals = lay.visits[rows, gcols]
-            p, pinv = _visit_ratios(vvals)
-            lay.lut[rows, gcols] = _assemble_pairs(
-                *_pair_core(lvals, p, pinv, hp, smooth=True))
-            new_vis = _assemble_pairs(*_pair_core(vvals, p, pinv, hp, smooth=False))
-            np.maximum(new_vis, hp.v_min, out=new_vis)
-            lay.visits[rows, gcols] = new_vis
+    hit = np.flatnonzero(hp.zeta > gate_u)
+    if hit.size:
+        _decay_touched(luts, at[hit], frac[hit], hp)
+        vvals = net.visits[hit]
+        den_lo, den_hi = _visit_ratios(vvals, hp)
+        net.luts[hit] = _assemble_pairs(
+            *_pair_core(net.luts[hit], den_lo, den_hi, hp, smooth=True))
+        new_vis = _assemble_pairs(*_pair_core(vvals, den_lo, den_hi, hp, smooth=False))
+        np.maximum(new_vis, hp.v_min, out=new_vis)
+        net.visits[hit] = new_vis
     return sq_err
 
 
@@ -266,6 +267,9 @@ class Trainer:
             raise ValueError(
                 f"dataset is {args.shape[1]} -> {vals.shape[1]} but the network is "
                 f"{net.n_inputs} -> {net.n_outputs}")
+        if not (np.isfinite(args).all() and np.isfinite(vals).all()):
+            finite = np.isfinite(args).all(axis=1) & np.isfinite(vals).all(axis=1)
+            raise ValueError(f"training data row {int(np.argmin(finite))} has a non-finite value")
         self.net = net
         self.args = args
         self.vals = vals

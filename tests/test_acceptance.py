@@ -30,7 +30,7 @@ from lutnet.data import (
 )
 from lutnet.evaluate import accuracy, mse
 from lutnet.hyper import Hyperparameters, default_hyperparameters
-from lutnet.bench import bench_dataset, time_forward_ms, time_train_ms
+from lutnet.bench import bench_dataset, time_in_turn_ms
 from lutnet.regularize import diffusion_pair, gain_decay
 from lutnet.train import Trainer, backprop, update_lut_component
 
@@ -202,14 +202,12 @@ def test_criterion_4_selective_parameter_scaling():
     """Training cost ratio r256/r16 under 2; forward ratio in [0.8, 1.3]."""
     start = time.perf_counter()
     args, vals = bench_dataset(5, 1, count=64, seed=0)
-    times = {}
-    for r_res in (16, 256):
-        hp = NLW.replace(r_res=r_res)
-        net = init_network((5, 16, 16, 1), "NLW", hp, _seeded([404, 0]))
-        times[r_res] = (time_train_ms(net, args, vals, reps=5, seed=0),
-                        time_forward_ms(net, args, reps=5))
-    train_ratio = times[256][0] / times[16][0]
-    fwd_ratio = times[256][1] / times[16][1]
+    nets = [init_network((5, 16, 16, 1), "NLW", NLW.replace(r_res=r_res), _seeded([404, 0]))
+            for r_res in (16, 256)]
+    # r16 and r256 take turns rep by rep, so one slow spell cannot decide the ratio
+    (train16, train256), (fwd16, fwd256) = time_in_turn_ms(nets, args, vals, reps=15, seed=0)
+    train_ratio = train256 / train16
+    fwd_ratio = fwd256 / fwd16
     elapsed = time.perf_counter() - start
     ok = train_ratio < 2.0 and 0.8 <= fwd_ratio <= 1.3
     _report(4, ok,

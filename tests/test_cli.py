@@ -186,6 +186,19 @@ def test_train_nan_abort_exits_2_and_names_location(tmp_path, capsys):
     assert not (tmp_path / "m2.json").exists()
 
 
+def test_train_nonfinite_data_row_exits_2_and_names_it(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("0.1,0.2,0.5\n0.3,nan,-0.5\n-0.2,0.4,0.5\n")
+    code = run("train", "--data", data, "--csv-args", "0,1", "--csv-vals", "2",
+               "--arch", "X-3-1", "--kind", "NLW", "--iterations", 10,
+               "--out", tmp_path / "m.json")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "training data row 1" in err
+    assert "training aborted" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_train_resume_missing_file_exits_2(tmp_path):
     assert run("train", "--resume", tmp_path / "nope.json", "--data", "spirals",
                "--iterations", 10, "--out", tmp_path / "m.json") == 2

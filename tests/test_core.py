@@ -30,6 +30,8 @@ def test_grid_spans_domain_with_equal_spacing():
     assert grid[-1] == HP.i_max
     steps = np.diff(grid)
     assert np.allclose(steps, steps[0], atol=1e-15)
+    for hp in (HP, HP.replace(r_res=255, i_min=-0.3, i_max=0.7)):
+        assert lut_grid(hp).tolist() == [lut_grid_point(j, hp) for j in range(hp.r_res)]
 
 
 def test_grid_point_bounds_checked():

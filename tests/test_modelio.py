@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from lutnet import modelio
 from lutnet.core import init_network
 from lutnet.hyper import default_hyperparameters
 from lutnet.modelio import load_model, save_model
@@ -48,6 +49,37 @@ def test_save_load_save_is_byte_identical(tmp_path):
     loaded = load_model(a)
     save_model(b, loaded.net, loaded.iteration, loaded.rng_state)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_failed_save_keeps_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    p = tmp_path / "m.json"
+    save_model(p, _net("NLW", seed=1))
+    old = p.read_bytes()
+    real_open = open
+
+    class HalfWrite:
+        """A file that writes half of what it is given, then fails."""
+
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(modelio, "open", HalfWrite, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_model(p, _net("NLW", seed=2))
+    monkeypatch.undo()
+    assert p.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [p]
 
 
 def test_saved_file_is_plain_ascii_json(tmp_path):

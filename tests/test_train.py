@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lutnet.core import (
     LutConnection,
@@ -13,6 +15,7 @@ from lutnet.core import (
     segment_coords,
 )
 from lutnet.hyper import Hyperparameters, default_hyperparameters
+from lutnet.modelio import load_model, save_model
 from lutnet.train import (
     Trainer,
     TrainingDiverged,
@@ -234,16 +237,30 @@ PARITY_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("kind,hp", PARITY_CONFIGS,
-                         ids=["nlw-aggressive", "nlw-default", "nlw-gate-never",
-                              "nlw-gate-always", "lw-default", "lw-gain"])
-def test_iteration_matches_scalar_reference(kind, hp):
-    net = init_network((2, 3, 2), kind, hp, _rng([21, 0]))
+PARITY_IDS = ["nlw-aggressive", "nlw-default", "nlw-gate-never", "nlw-gate-always",
+              "lw-default", "lw-gain"]
+
+# Three layers let gates fire in several layers in one iteration and check
+# each layer's offsets into the network's flat buffers. They run 40
+# iterations: there the aggressive profile grows the last-ulp gap between
+# the reference's summation order and numpy's about 1.5x per iteration,
+# and it passes 1e-9 after 57.
+PARITY_CASES = (
+    [pytest.param(kind, hp, (2, 3, 2), 60, id=name)
+     for (kind, hp), name in zip(PARITY_CONFIGS, PARITY_IDS)]
+    + [pytest.param(kind, hp, (2, 4, 3, 2), 40, id=f"{name}-3layer")
+       for (kind, hp), name in zip(PARITY_CONFIGS, PARITY_IDS)]
+)
+
+
+@pytest.mark.parametrize("kind,hp,sizes,iterations", PARITY_CASES)
+def test_iteration_matches_scalar_reference(kind, hp, sizes, iterations):
+    net = init_network(sizes, kind, hp, _rng([21, 0]))
     params = extract_params(net)
     rng = np.random.default_rng(22)
     offsets = derivative_offsets(hp)
     n_gate = net.lut_connection_count()
-    for _ in range(60):
+    for _ in range(iterations):
         x = rng.uniform(-1.2, 1.2, 2)
         target = rng.uniform(-0.9, 0.9, 2)
         gate_u = rng.random(n_gate)
@@ -251,6 +268,51 @@ def test_iteration_matches_scalar_reference(kind, hp):
         ref_err = ref_iteration(params, x, target, gate_u, hp, kind)
         assert abs(err - ref_err) < 1e-9
         assert max_param_difference(params, net) < 1e-9
+
+
+@pytest.mark.parametrize("source", ["init", "load", "clone"])
+def test_layer_arrays_are_views_the_next_iteration_reads(tmp_path, source):
+    hp = NLW.replace(r_res=8, zeta=1.0, s_b=1e-3)
+    net = init_network((2, 4, 3, 2), "NLW", hp, _rng([26, 0]))
+    if source == "load":
+        save_model(tmp_path / "m.json", net)
+        net = load_model(tmp_path / "m.json").net
+    elif source == "clone":
+        net = net.clone()
+    for lay in net.layers:
+        assert np.shares_memory(lay.w, net.params) and np.shares_memory(lay.bias, net.params)
+        assert np.shares_memory(lay.lut, net.luts) and np.shares_memory(lay.visits, net.visits)
+    for li, lay in enumerate(net.layers):
+        lay.w[0, 1] = 0.4 + li
+        lay.bias[1] = -0.3
+        lay.lut[1, 0, 2:5] = [0.5, -0.25, 0.75]
+        lay.visits[0, 1, 3] = 0.9
+    params = extract_params(net)
+    rng = np.random.default_rng(27)
+    for _ in range(3):
+        x = rng.uniform(-1.0, 1.0, 2)
+        target = rng.uniform(-0.9, 0.9, 2)
+        gate_u = rng.random(net.lut_connection_count())
+        err = _apply_iteration(net, x, target, gate_u, derivative_offsets(hp))
+        assert abs(err - ref_iteration(params, x, target, gate_u, hp, "NLW")) < 1e-12
+        assert max_param_difference(params, net) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r_res=st.integers(2, 40),
+       x=st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2),
+       target=st.floats(-0.9, 0.9))
+def test_ungated_iteration_changes_at_most_two_adjacent_lut_entries(seed, r_res, x, target):
+    hp = NLW.replace(r_res=r_res, zeta=0.0)
+    net = init_network((2, 3, 1), "NLW", hp, _rng([seed, 0]))
+    before = net.luts.copy()
+    _apply_iteration(net, np.array(x), np.array([target]),
+                     _rng([seed, 1]).random(net.lut_connection_count()), derivative_offsets(hp))
+    for row_before, row_after in zip(before, net.luts):
+        changed = np.flatnonzero(row_before != row_after)
+        assert changed.size <= 2
+        if changed.size == 2:
+            assert changed[1] == changed[0] + 1
 
 
 def test_train_iteration_consumes_one_uniform_per_lut_connection():
@@ -297,6 +359,17 @@ def test_trainer_validates_shapes():
         Trainer(net, args, np.hstack([vals, vals]), seed=0)
     with pytest.raises(ValueError):
         Trainer(net, args[:0], vals[:0], seed=0)
+
+
+@pytest.mark.parametrize("bad", [(5, "args", np.nan), (7, "vals", np.inf), (3, "args", -np.inf)])
+def test_trainer_rejects_nonfinite_data_naming_the_row(bad):
+    row, which, value = bad
+    net = init_network((2, 2, 1), "NLW", NLW, _rng([25, 1]))
+    args, vals = _toy_data()
+    {"args": args, "vals": vals}[which][row, -1] = value
+    vals[9, 0] = np.nan                                  # a later bad row is not the one named
+    with pytest.raises(ValueError, match=f"row {row} "):
+        Trainer(net, args, vals, seed=0)
 
 
 def test_trainer_zero_iterations_is_identity():
