@@ -41,9 +41,6 @@ class BenchFit:
     a: float
     b: float
 
-    def at(self, n: int) -> float:
-        return self.a + self.b * n
-
 
 @dataclass(frozen=True)
 class BenchRow:
@@ -140,15 +137,14 @@ def bench_iterations(
     hp: Hyperparameters | None = None,
     reps: int = 5,
     rres_values: tuple[int, ...] = (),
-    rres_arch: tuple[int, ...] | None = None,
     seed: int = 0,
 ) -> BenchReport:
     """Time both phases across architectures and fit cost vs connections.
 
     ``archs`` is a sequence of layer-size tuples covering at least four
     distinct connection counts. When ``rres_values`` is given the first
-    architecture (or ``rres_arch``) is re-timed at each table length,
-    holding everything else fixed.
+    architecture is re-timed at each table length, holding everything
+    else fixed.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -179,7 +175,7 @@ def bench_iterations(
     fwd_b, fwd_a = np.polyfit(ns, fwd_ms, 1)
 
     # the sweep's nets take turns, so a slow spell cannot skew one r_res against another
-    sweep_arch = rres_arch or archs[0]
+    sweep_arch = archs[0]
     args, vals = bench_dataset(sweep_arch[0], sweep_arch[-1], seed=seed)
     nets = [init_network(sweep_arch, kind, hp.replace(r_res=int(r_res)),
                          np.random.default_rng(seed)) for r_res in rres_values]

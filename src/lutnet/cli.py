@@ -63,12 +63,18 @@ _RUN_KEYS = {
     "arch": str, "kind": str, "iterations": int, "seed": int,
     "data": str, "data_n": int, "data_seed": int, "data_fraction": float,
     "out": str, "log": str, "log_every": int, "checkpoint_every": int,
-    "test_data": str, "scale": bool, "resolution": int,
+    "test_data": str, "scale": bool,
     "csv_args": str, "csv_vals": str, "csv_class": int,
     "csv_categorical": str, "csv_header": bool,
 }
 
 _CONVERTERS = {**_HYPER_KEYS, **_RUN_KEYS}
+
+# smallest accepted value of integer settings, checked before any work
+_MINIMUMS = {
+    "seed": 0, "data_seed": 0, "data_n": 1, "log_every": 0, "checkpoint_every": 0,
+    "resolution": 1, "reps": 1,
+}
 
 
 def _parse_bool(text: str) -> bool:
@@ -103,7 +109,13 @@ def parse_config_file(path) -> dict:
             values[key] = convert(raw)
         except ValueError as exc:
             raise UsageError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
+        _check_minimum(key, values[key], f"{path}:{line_no}: {key}")
     return values
+
+
+def _check_minimum(key: str, value, name: str) -> None:
+    if key in _MINIMUMS and value is not None and value < _MINIMUMS[key]:
+        raise UsageError(f"{name} must be at least {_MINIMUMS[key]}, got {value}")
 
 
 def _setting(ns, config: dict, key: str, default=None):
@@ -340,12 +352,10 @@ def cmd_eval(ns) -> int:
 
 def cmd_render(ns) -> int:
     loaded = load_model(ns.model)
-    if loaded.net.n_inputs != 2 or loaded.net.n_outputs != 1:
-        raise UsageError(
-            f"rendering needs a 2-input 1-output model, this one is "
-            f"{loaded.net.n_inputs} -> {loaded.net.n_outputs}"
-        )
-    img = render_surface(loaded.net, ns.resolution)
+    try:
+        img = render_surface(loaded.net, ns.resolution)
+    except ValueError as exc:                 # not a 2-input 1-output model
+        raise UsageError(str(exc)) from None
     write_pgm(img, ns.out)
     print(f"wrote {img.width}x{img.height} surface to {ns.out}")
     return 0
@@ -501,6 +511,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:               # argparse exits; keep the code
         return int(exc.code or 0)
     try:
+        for key in _MINIMUMS:
+            _check_minimum(key, getattr(ns, key, None), f"--{key.replace('_', '-')}")
         return ns.func(ns)
     except UsageError as exc:
         print(f"lutnet: error: {exc}", file=sys.stderr)

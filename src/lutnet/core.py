@@ -246,36 +246,54 @@ class Network:
 
 @dataclass
 class LayerTrace:
-    """Per-layer record of one forward pass.
+    """Per-layer record of one forward pass, as backprop and the updates read it.
 
     inputs       source activations, one per incoming connection column
-    outputs      per-connection outputs (n_out, n_in), bias excluded
-    lut_values   interpolated LUT part of each output, None for LW
     seg_lo       lower LUT grid index per source input, None for LW
     seg_frac     fractional position within the segment, None for LW
-    combination  per-node sum of connection outputs including bias
-    activations  tanh of the combination
+    lut_values   interpolated LUT part of each connection output, None for LW
+    activations  tanh of each node's summed connection outputs plus bias
     """
 
     inputs: np.ndarray
-    outputs: np.ndarray
-    lut_values: np.ndarray | None
     seg_lo: np.ndarray | None
     seg_frac: np.ndarray | None
-    combination: np.ndarray
+    lut_values: np.ndarray | None
     activations: np.ndarray
 
 
+@dataclass
 class ForwardTrace:
     """Everything the backward pass and the update rules need to see."""
 
-    def __init__(self, inputs: np.ndarray, layers: list[LayerTrace]):
-        self.inputs = inputs
-        self.layers = layers
+    inputs: np.ndarray
+    layers: list[LayerTrace]
 
-    @property
-    def outputs(self) -> np.ndarray:
-        return self.layers[-1].activations
+
+# rows that forward_batch runs through the layers at once
+BATCH_CHUNK = 4096
+
+
+def _forward_layers(net: Network, act: np.ndarray, trace: list | None = None) -> np.ndarray:
+    """Run one sample (n_in,) or a batch of rows (ns, n_in) through every layer.
+
+    A batch puts the samples on a middle axis, so a connection output
+    sits at [dst, sample, src]. One LayerTrace per layer is appended to
+    trace when it is given.
+    """
+    batch = act.ndim == 2
+    for lay in net.layers:
+        w, bias = (lay.w[:, None, :], lay.bias[:, None]) if batch else (lay.w, lay.bias)
+        lo = frac = lut_vals = None
+        if lay.lut is not None:
+            lo, frac = segment_coords(act, net.hp)
+            lut_vals = _lut_read(lay.lut, lay.cols, lo, frac)
+        outputs = w * act if lut_vals is None else w * act + lut_vals
+        y = np.tanh(outputs.sum(axis=-1) + bias)
+        if trace is not None:
+            trace.append(LayerTrace(act, lo, frac, lut_vals, y))
+        act = y.T if batch else y
+    return act
 
 
 def forward_network(net: Network, x) -> tuple[np.ndarray, ForwardTrace]:
@@ -288,42 +306,18 @@ def forward_network(net: Network, x) -> tuple[np.ndarray, ForwardTrace]:
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_inputs,):
         raise ValueError(f"expected {net.n_inputs} inputs, got shape {x.shape}")
-    hp = net.hp
-    act = x
-    traces = []
-    for lay in net.layers:
-        if lay.lut is not None:
-            lo, frac = segment_coords(act, hp)
-            lut_vals = _lut_read(lay.lut, lay.cols, lo, frac)
-            outputs = lay.w * act + lut_vals
-        else:
-            lo = frac = lut_vals = None
-            outputs = lay.w * act
-        comb = outputs.sum(axis=1) + lay.bias
-        y = np.tanh(comb)
-        traces.append(LayerTrace(act, outputs, lut_vals, lo, frac, comb, y))
-        act = y
-    return act, ForwardTrace(x, traces)
+    layers: list[LayerTrace] = []
+    return _forward_layers(net, x, layers), ForwardTrace(x, layers)
 
 
-def forward_batch(net: Network, xs: np.ndarray, chunk: int = 4096) -> np.ndarray:
+def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:
     """Forward many samples at once; rows of xs are individual inputs."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != net.n_inputs:
         raise ValueError(f"expected (n, {net.n_inputs}) inputs, got shape {xs.shape}")
-    hp = net.hp
     out = np.empty((xs.shape[0], net.n_outputs))
-    for start in range(0, xs.shape[0], chunk):
-        act = xs[start:start + chunk]
-        for lay in net.layers:
-            if lay.lut is not None:
-                lo, frac = segment_coords(act, hp)
-                lut_vals = _lut_read(lay.lut, lay.cols, lo, frac)    # (n_out, ns, n_in)
-                outputs = lay.w[:, None, :] * act[None, :, :] + lut_vals
-            else:
-                outputs = lay.w[:, None, :] * act[None, :, :]
-            act = np.tanh(outputs.sum(axis=2) + lay.bias[:, None]).T
-        out[start:start + act.shape[0]] = act
+    for start in range(0, xs.shape[0], BATCH_CHUNK):
+        out[start:start + BATCH_CHUNK] = _forward_layers(net, xs[start:start + BATCH_CHUNK])
     return out
 
 

@@ -327,14 +327,11 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     return Dataset(args, vals, classes, {"source": str(path)})
 
 
-def write_csv(ds: Dataset, path, comments: dict | None = None) -> None:
+def write_csv(ds: Dataset, path) -> None:
     """Write args then vals as CSV, provenance as leading # comments."""
-    notes = dict(ds.provenance)
-    if comments:
-        notes.update(comments)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        for key in sorted(notes):
-            fh.write(f"# {key}={notes[key]}\n")
+        for key in sorted(ds.provenance):
+            fh.write(f"# {key}={ds.provenance[key]}\n")
         writer = csv.writer(fh)
         for i in range(len(ds)):
             writer.writerow(

@@ -87,13 +87,10 @@ def _lut_slope_estimate(lut: np.ndarray, x: np.ndarray, offsets: np.ndarray,
     return diff.sum(axis=1) / np.maximum(count, 1)
 
 
-def approx_lut_derivative(conn: LutConnection, x: float, hp: Hyperparameters,
-                          offsets: np.ndarray | None = None) -> float:
+def approx_lut_derivative(conn: LutConnection, x: float, hp: Hyperparameters) -> float:
     """Estimated derivative of a LUT connection's weight function at x."""
-    if offsets is None:
-        offsets = derivative_offsets(hp)
-    est = _lut_slope_estimate(conn.lut[None, None],
-                              np.asarray([x], dtype=float), offsets, hp, 0)
+    est = _lut_slope_estimate(conn.lut[None, None], np.asarray([x], dtype=float),
+                              derivative_offsets(hp), hp, 0)
     return float(conn.linear + est[0, 0])
 
 
@@ -307,6 +304,9 @@ class Trainer:
         stop_when(trainer), polled at log points, ends the run early.
         Returns the log rows as (iteration, window mse) pairs.
         """
+        for name, every in (("log_every", log_every), ("checkpoint_every", checkpoint_every)):
+            if every is not None and every < 0:
+                raise ValueError(f"{name} must be non-negative, got {every}")
         net = self.net
         n = len(self.args)
         n_gate = net.lut_connection_count()

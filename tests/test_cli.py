@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lutnet.cli import main, parse_arch, parse_config_file
+from lutnet.cli import UsageError, main, parse_arch, parse_config_file
 from lutnet.modelio import load_model
 
 
@@ -39,6 +39,24 @@ def test_parse_config_rejects_unknown_key(tmp_path):
     p.write_text("bogus = 1\n")
     with pytest.raises(Exception, match="bogus"):
         parse_config_file(p)
+
+
+def test_parse_config_rejects_value_below_minimum(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text("seed = 1\nlog-every = -5\n")
+    with pytest.raises(UsageError, match=r"c.cfg:2: log_every must be at least 0"):
+        parse_config_file(p)
+
+
+def test_train_config_resolution_is_unknown_setting(tmp_path, capsys):
+    # no subcommand that reads --config renders, so the key would be ignored
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("resolution = 256\n")
+    out = tmp_path / "m.json"
+    assert run("train", "--config", cfg, "--data", "spirals", "--arch", "2-4-1",
+               "--kind", "NLW", "--iterations", 0, "--out", out) == 1
+    assert "unknown setting 'resolution'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +217,25 @@ def test_train_nonfinite_data_row_exits_2_and_names_it(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+TRAIN = ("train", "--data", "spirals", "--arch", "2-4-1", "--kind", "NLW", "--iterations", 10)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (TRAIN + ("--log-every", -5), "--log-every"),
+    (TRAIN + ("--checkpoint-every", -1), "--checkpoint-every"),
+    (TRAIN + ("--seed", -3), "--seed"),
+    (TRAIN + ("--data-seed", -3), "--data-seed"),
+    (("gen-data", "md2", "--data-n", 0), "--data-n"),
+    (("render", "--model", "model.json", "--resolution", 0), "--resolution"),
+], ids=["log-every", "checkpoint-every", "seed", "data-seed", "data-n", "resolution"])
+def test_flag_below_minimum_is_usage_error_naming_it(tmp_path, capsys, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.file"
+    assert run(*argv, "--out", out) == 1
+    assert f"{flag} must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_resume_missing_file_exits_2(tmp_path):
     assert run("train", "--resume", tmp_path / "nope.json", "--data", "spirals",
                "--iterations", 10, "--out", tmp_path / "m.json") == 2
@@ -282,3 +319,11 @@ def test_bench_writes_fit_and_csv(tmp_path, capsys):
 def test_bench_needs_enough_architectures():
     assert main(["bench", "--archs", "2-2-1,2-4-1", "--kinds", "LW",
                  "--reps", "1"]) == 1
+
+
+def test_bench_reps_below_one_is_usage_error(capsys):
+    assert run("bench", "--archs", "2-2-1,2-4-1,2-8-1,2-12-1", "--kinds", "LW",
+               "--reps", 0) == 1
+    captured = capsys.readouterr()
+    assert "--reps must be at least 1" in captured.err
+    assert captured.out == ""

@@ -455,6 +455,16 @@ def test_trainer_checkpoint_cadence_skips_final_iteration():
     assert marks == [200, 400]
 
 
+@pytest.mark.parametrize("cadence", [{"log_every": -5}, {"checkpoint_every": -1}])
+def test_trainer_rejects_negative_cadence(cadence):
+    args, vals = _toy_data()
+    net = init_network((2, 2, 1), "LW", LW, _rng([33, 1]))
+    tr = Trainer(net, args, vals, seed=0)
+    with pytest.raises(ValueError, match=next(iter(cadence))):
+        tr.run(10, **cadence)
+    assert tr.iteration == 0
+
+
 def test_trainer_epoch_reshuffle_changes_order():
     # with stable per-epoch orders the same net trained twice over two
     # epochs must equal one continuous run of the same length
