@@ -109,13 +109,17 @@ def parse_config_file(path) -> dict:
             values[key] = convert(raw)
         except ValueError as exc:
             raise UsageError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
-        _check_minimum(key, values[key], f"{path}:{line_no}: {key}")
+        _check_range(key, values[key], f"{path}:{line_no}: {key}")
     return values
 
 
-def _check_minimum(key: str, value, name: str) -> None:
-    if key in _MINIMUMS and value is not None and value < _MINIMUMS[key]:
+def _check_range(key: str, value, name: str) -> None:
+    if value is None:
+        return
+    if key in _MINIMUMS and value < _MINIMUMS[key]:
         raise UsageError(f"{name} must be at least {_MINIMUMS[key]}, got {value}")
+    if key == "data_fraction" and not 0 < value <= 1:
+        raise UsageError(f"{name} must be in (0, 1], got {value}")
 
 
 def _setting(ns, config: dict, key: str, default=None):
@@ -367,9 +371,18 @@ def cmd_bench(ns) -> int:
     for kind in kinds:
         if kind not in KINDS:
             raise UsageError(f"kind must be one of {KINDS}, got {kind!r}")
-    rres_values = ()
-    if ns.rres_values:
-        rres_values = tuple(int(t) for t in ns.rres_values.split(",") if t.strip())
+    try:
+        rres_values = tuple(int(t) for t in (ns.rres_values or "").split(",") if t.strip())
+    except ValueError:
+        raise UsageError(f"--rres-values must be a comma list of integers, "
+                         f"got {ns.rres_values!r}") from None
+    # table lengths are checked here, before the first timing run
+    for flag, r_res in [("--r-res", ns.r_res)] + [("--rres-values", r) for r in rres_values]:
+        try:
+            if r_res is not None:
+                Hyperparameters(r_res=r_res)
+        except ValueError as exc:
+            raise UsageError(f"{flag}: {exc}") from None
 
     reports = []
     for kind in kinds:
@@ -511,8 +524,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:               # argparse exits; keep the code
         return int(exc.code or 0)
     try:
-        for key in _MINIMUMS:
-            _check_minimum(key, getattr(ns, key, None), f"--{key.replace('_', '-')}")
+        for key in (*_MINIMUMS, "data_fraction"):
+            _check_range(key, getattr(ns, key, None), f"--{key.replace('_', '-')}")
         return ns.func(ns)
     except UsageError as exc:
         print(f"lutnet: error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 """Command-line behaviour: parsing, precedence, artifacts, exit codes."""
+import base64
 import hashlib
 import json
 
@@ -45,6 +46,13 @@ def test_parse_config_rejects_value_below_minimum(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("seed = 1\nlog-every = -5\n")
     with pytest.raises(UsageError, match=r"c.cfg:2: log_every must be at least 0"):
+        parse_config_file(p)
+
+
+def test_parse_config_rejects_data_fraction_outside_unit_interval(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text("data-fraction = 1.5\n")
+    with pytest.raises(UsageError, match=r"c.cfg:1: data_fraction must be in \(0, 1\]"):
         parse_config_file(p)
 
 
@@ -191,8 +199,9 @@ def test_train_nan_abort_exits_2_and_names_location(tmp_path, capsys):
     doc = json.loads(out.read_text())
     # model files must be finite, so make it extreme instead: alternating
     # +-1e308 table entries overflow the derivative estimate on resume
-    for row in doc["layers"][1]["lut"]:
-        row[:] = [[1e308 * (-1) ** k for k in range(len(t))] for t in row]
+    luts = np.frombuffer(base64.b64decode(doc["luts"]), "<f8").reshape(12, -1).copy()
+    luts[8:] = 1e308 * (-1.0) ** np.arange(luts.shape[1])   # layer 1 holds rows 8-11
+    doc["luts"] = base64.b64encode(luts.tobytes()).decode("ascii")
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     code = run("train", "--resume", out, "--data", "spirals",
@@ -233,6 +242,17 @@ def test_flag_below_minimum_is_usage_error_naming_it(tmp_path, capsys, monkeypat
     out = tmp_path / "out.file"
     assert run(*argv, "--out", out) == 1
     assert f"{flag} must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-data", "circle", "--data-fraction", 2),
+    TRAIN[:2] + ("circle",) + TRAIN[3:] + ("--data-fraction", 0),
+], ids=["gen-data", "train"])
+def test_data_fraction_outside_unit_interval_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.file"
+    assert run(*argv, "--out", out) == 1
+    assert "--data-fraction must be in (0, 1]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -319,6 +339,20 @@ def test_bench_writes_fit_and_csv(tmp_path, capsys):
 def test_bench_needs_enough_architectures():
     assert main(["bench", "--archs", "2-2-1,2-4-1", "--kinds", "LW",
                  "--reps", "1"]) == 1
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--r-res", 1), "--r-res: r_res must be at least 2"),
+    (("--rres-values", "16,x"), "--rres-values must be a comma list of integers"),
+    (("--rres-values", "16,1"), "--rres-values: r_res must be at least 2"),
+], ids=["r-res", "rres-values-not-int", "rres-values-too-small"])
+def test_bench_bad_table_length_is_usage_error(capsys, flags, message):
+    # LW is timed before NLW's sweep, so a late check would print LW's fit first
+    assert run("bench", "--archs", "2-2-1,2-4-1,2-8-1,2-12-1", "--kinds", "LW,NLW",
+               "--reps", 1, *flags) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_bench_reps_below_one_is_usage_error(capsys):
