@@ -81,6 +81,37 @@ def _lut_read(lut: np.ndarray, cols, lo, frac):
     return (1.0 - frac) * lut[:, cols, lo] + frac * lut[:, cols, lo + 1]
 
 
+def _probed_read(lut: np.ndarray, cols, x: np.ndarray, offsets: np.ndarray,
+                 hp: Hyperparameters):
+    """``_lut_read`` at x and the LUT part's slope estimate, from one gather.
+
+    Reads the block [x; clamp(x + a); clamp(x - a)] over the k probe
+    offsets a. Returns lo, frac and the read of row 0, then the mean of
+    the k symmetric difference quotients (n_out, n_in); a pair whose
+    clamped points coincide is left out of the mean (zero if all are).
+    """
+    k = offsets.shape[0]
+    block = np.empty((2 * k + 1, x.shape[0]))
+    block[0] = x
+    np.add(x, offsets[:, None], out=block[1:k + 1])
+    np.subtract(x, offsets[:, None], out=block[k + 1:])
+    np.maximum(block, hp.i_min, out=block)
+    np.minimum(block, hp.i_max, out=block)
+    lo, frac = segment_coords(block, hp)
+    reads = _lut_read(lut, cols, lo, frac)                    # (n_out, 2k + 1, n_in)
+    den = block[1:k + 1] - block[k + 1:]
+    diff = reads[:, 1:k + 1] - reads[:, k + 1:]
+    if den.min() > 0.0:
+        diff /= den
+        slope = diff.sum(axis=1) / k
+    else:
+        good = den > 0.0
+        diff /= np.where(good, den, 1.0)
+        diff *= good
+        slope = diff.sum(axis=1) / np.maximum(good.sum(axis=0), 1)
+    return lo[0], frac[0], reads[:, 0], slope
+
+
 def interpolate(values, x: float, hp: Hyperparameters) -> float:
     """Piecewise-linear read of a LUT at input x.
 
@@ -253,6 +284,7 @@ class LayerTrace:
     seg_frac     fractional position within the segment, None for LW
     lut_values   interpolated LUT part of each connection output, None for LW
     activations  tanh of each node's summed connection outputs plus bias
+    slope        LUT slope estimate if probe offsets were given; None for layer 0, LW
     """
 
     inputs: np.ndarray
@@ -260,6 +292,7 @@ class LayerTrace:
     seg_frac: np.ndarray | None
     lut_values: np.ndarray | None
     activations: np.ndarray
+    slope: np.ndarray | None
 
 
 @dataclass
@@ -274,40 +307,46 @@ class ForwardTrace:
 BATCH_CHUNK = 4096
 
 
-def _forward_layers(net: Network, act: np.ndarray, trace: list | None = None) -> np.ndarray:
+def _forward_layers(net: Network, act: np.ndarray, trace: list | None = None,
+                    offsets: np.ndarray | None = None, coords=None) -> np.ndarray:
     """Run one sample (n_in,) or a batch of rows (ns, n_in) through every layer.
 
     A batch puts the samples on a middle axis, so a connection output
     sits at [dst, sample, src]. One LayerTrace per layer is appended to
-    trace when it is given.
+    trace when it is given. Given probe offsets, LUT layers after the
+    first use ``_probed_read``; coords, if given, is layer 0's (lo, frac).
     """
     batch = act.ndim == 2
-    for lay in net.layers:
+    for li, lay in enumerate(net.layers):
         w, bias = (lay.w[:, None, :], lay.bias[:, None]) if batch else (lay.w, lay.bias)
-        lo = frac = lut_vals = None
-        if lay.lut is not None:
-            lo, frac = segment_coords(act, net.hp)
+        lo = frac = lut_vals = slope = None
+        if lay.lut is not None and li and offsets is not None:
+            lo, frac, lut_vals, slope = _probed_read(lay.lut, lay.cols, act, offsets, net.hp)
+        elif lay.lut is not None:
+            lo, frac = segment_coords(act, net.hp) if li or coords is None else coords
             lut_vals = _lut_read(lay.lut, lay.cols, lo, frac)
         outputs = w * act if lut_vals is None else w * act + lut_vals
         y = np.tanh(outputs.sum(axis=-1) + bias)
         if trace is not None:
-            trace.append(LayerTrace(act, lo, frac, lut_vals, y))
+            trace.append(LayerTrace(act, lo, frac, lut_vals, y, slope))
         act = y.T if batch else y
     return act
 
 
-def forward_network(net: Network, x) -> tuple[np.ndarray, ForwardTrace]:
+def forward_network(net: Network, x, offsets: np.ndarray | None = None,
+                    coords=None) -> tuple[np.ndarray, ForwardTrace]:
     """Run one input vector through the net.
 
     Input nodes are pass-through; the raw input is what the first layer's
     connections see. Returns the output activations and a full trace.
-    Read-only on the network.
+    Read-only on the network. Training passes the probe offsets, for the
+    trace's slope estimates, and ``segment_coords(x, net.hp)`` as coords.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_inputs,):
         raise ValueError(f"expected {net.n_inputs} inputs, got shape {x.shape}")
     layers: list[LayerTrace] = []
-    return _forward_layers(net, x, layers), ForwardTrace(x, layers)
+    return _forward_layers(net, x, layers, offsets, coords), ForwardTrace(x, layers)
 
 
 def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:

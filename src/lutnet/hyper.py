@@ -63,6 +63,8 @@ class Hyperparameters:
             raise ValueError(f"r_res must be an int, got {self.r_res!r}")
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, bool):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
         for name in ("mu", "r_a", "r_b", "s_a"):

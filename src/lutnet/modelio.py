@@ -171,17 +171,16 @@ def load_model(path) -> LoadedModel:
         doc = json.load(fh)
     _require(isinstance(doc, dict), path, "not a JSON object")
     _require(doc.get("format") == FORMAT_NAME, path, "not a model file")
+    # type(...) is int throughout: JSON true and false load as bool, an int subclass
     version = doc.get("version")
-    _require(version in (1, FORMAT_VERSION), path, f"unsupported version {version!r}")
+    _require(type(version) is int and version in (1, FORMAT_VERSION), path,
+             f"unsupported version {version!r}")
     kind = doc.get("kind")
     _require(kind in KINDS, path, f"unknown kind {kind!r}")
     sizes = doc.get("architecture")
-    _require(
-        isinstance(sizes, list) and len(sizes) >= 2
-        and all(isinstance(s, int) and s >= 1 for s in sizes),
-        path,
-        f"bad architecture {sizes!r}",
-    )
+    _require(isinstance(sizes, list) and len(sizes) >= 2
+             and all(type(s) is int and s >= 1 for s in sizes),
+             path, f"bad architecture {sizes!r}")
     try:
         hp = Hyperparameters(**doc["hyperparameters"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -200,7 +199,8 @@ def load_model(path) -> LoadedModel:
                  f"layer {li}: visits entry below v_min")
 
     iteration = doc.get("iteration", 0)
-    _require(isinstance(iteration, int) and iteration >= 0, path, "bad iteration counter")
+    _require(type(iteration) is int and iteration >= 0, path,
+             f"bad iteration counter {iteration!r}")
     rng_state = doc.get("rng")
     _require(rng_state is None or isinstance(rng_state, dict), path, "bad rng state")
     return LoadedModel(net=net, iteration=iteration, rng_state=rng_state)

@@ -10,7 +10,8 @@ The error function is half the summed squared output error, so output
 deltas are simply (y - d) times the tanh slope. Because LUTs are only
 piecewise differentiable, the derivative carried through a LUT
 connection is estimated by averaging symmetric difference quotients at
-a geometric ladder of probe offsets.
+a geometric ladder of probe offsets. Training reads them in the forward
+pass's LUT gather and locates each training row on the grid just once.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .core import (
     LutConnection,
     Network,
     _lut_read,
+    _probed_read,
     find_nonfinite,
     forward_network,
     segment_coords,
@@ -57,41 +59,11 @@ def derivative_offsets(hp: Hyperparameters) -> np.ndarray:
     return np.asarray(out)
 
 
-def _lut_slope_estimate(lut: np.ndarray, x: np.ndarray, offsets: np.ndarray,
-                        hp: Hyperparameters, cols) -> np.ndarray:
-    """Averaged symmetric difference quotients of the LUT part.
-
-    lut is (n_out, n_in, r), x the per-column inputs (n_in,) and cols
-    their source columns, as for ``_lut_read``. Both
-    probe points are clamped into the domain before reading; a probe
-    pair whose clamped points coincide carries no slope information and
-    is skipped from the average (zero if every pair degenerates).
-    """
-    k = offsets.shape[0]
-    probes = np.empty((2 * k, x.shape[0]))
-    np.add(x, offsets[:, None], out=probes[:k])
-    np.subtract(x, offsets[:, None], out=probes[k:])
-    np.maximum(probes, hp.i_min, out=probes)
-    np.minimum(probes, hp.i_max, out=probes)
-    den = probes[:k] - probes[k:]
-    lo, frac = segment_coords(probes, hp)
-    reads = _lut_read(lut, cols, lo, frac)                    # (n_out, 2k, n_in)
-    diff = reads[:, :k] - reads[:, k:]
-    if den.min() > 0.0:
-        diff /= den
-        return diff.mean(axis=1)
-    good = den > 0.0
-    diff /= np.where(good, den, 1.0)
-    diff *= good
-    count = good.sum(axis=0)
-    return diff.sum(axis=1) / np.maximum(count, 1)
-
-
 def approx_lut_derivative(conn: LutConnection, x: float, hp: Hyperparameters) -> float:
     """Estimated derivative of a LUT connection's weight function at x."""
-    est = _lut_slope_estimate(conn.lut[None, None], np.asarray([x], dtype=float),
-                              derivative_offsets(hp), hp, 0)
-    return float(conn.linear + est[0, 0])
+    slope = _probed_read(conn.lut[None, None], 0, np.asarray([x], dtype=float),
+                         derivative_offsets(hp), hp)[3]
+    return float(conn.linear + slope[0, 0])
 
 
 def backprop(net: Network, trace: ForwardTrace, target,
@@ -103,6 +75,7 @@ def backprop(net: Network, trace: ForwardTrace, target,
     determines all connection errors. Output deltas are
     (y - d) * (1 - y^2); hidden deltas accumulate each downstream
     connection's error times its estimated weight-function derivative.
+    Slope estimates come from the trace if the forward pass read them.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (net.n_outputs,):
@@ -116,11 +89,10 @@ def backprop(net: Network, trace: ForwardTrace, target,
     deltas[-1] = delta
     for li in range(len(net.layers) - 1, 0, -1):
         lay = net.layers[li]
-        if lay.lut is not None:
-            dodi = lay.w + _lut_slope_estimate(lay.lut, layers[li].inputs,
-                                               offsets, net.hp, lay.cols)
-        else:
-            dodi = lay.w
+        slope = layers[li].slope
+        if lay.lut is not None and slope is None:
+            slope = _probed_read(lay.lut, lay.cols, layers[li].inputs, offsets, net.hp)[3]
+        dodi = lay.w if slope is None else lay.w + slope
         back = (delta[:, None] * dodi).sum(axis=0)
         y_prev = layers[li - 1].activations
         delta = back * (1.0 - y_prev * y_prev)
@@ -180,17 +152,17 @@ def update_lut_component(conn: LutConnection, e: float, x: float,
 # One full iteration
 
 def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
-                     offsets: np.ndarray) -> float:
+                     offsets: np.ndarray, coords=None) -> float:
     """Forward, backprop, and all updates for one sample.
 
     gate_u supplies one uniform draw per LUT connection in layer-major,
     destination-major, source-major order. Returns the sample's mean
     squared output error (from the pre-update forward pass). Every
     update step runs once over the network's flat buffers, all layers
-    at a time.
+    at a time. coords, if given, is ``segment_coords(x, net.hp)``.
     """
     hp = net.hp
-    y, trace = forward_network(net, x)
+    y, trace = forward_network(net, x, offsets, coords)
     target = np.asarray(target, dtype=float)
     deltas = backprop(net, trace, target, offsets)
     err = y - target
@@ -253,6 +225,8 @@ class Trainer:
     gate generator is the only stateful stream; its state plus the
     iteration counter fully determine the rest of a run, which is what
     makes checkpoint resume bit-exact.
+    ``input_coords`` is ``segment_coords(args, hp)``, read-only, for NLW
+    (None for LW): layer 0's grid coordinates, so args must not change.
     """
 
     def __init__(self, net: Network, args: np.ndarray, vals: np.ndarray, seed: int):
@@ -275,6 +249,9 @@ class Trainer:
         self.gate_rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([self.seed, 1])))
         self._offsets = derivative_offsets(net.hp)
+        self.input_coords = None if net.luts is None else segment_coords(args, net.hp)
+        for arr in self.input_coords or ():
+            arr.setflags(write=False)
         self._order = None
         self._order_epoch = -1
 
@@ -310,6 +287,7 @@ class Trainer:
         net = self.net
         n = len(self.args)
         n_gate = net.lut_connection_count()
+        coords = self.input_coords
         end = self.iteration + int(iterations)
         rows: list[tuple[int, float]] = []
         window_sum = 0.0
@@ -327,8 +305,9 @@ class Trainer:
             gate_u = self.gate_rng.random((block, n_gate))
             for b in range(block):
                 idx = order[pos + b]
+                at0 = None if coords is None else (coords[0][idx], coords[1][idx])
                 err = _apply_iteration(net, self.args[idx], self.vals[idx],
-                                       gate_u[b], self._offsets)
+                                       gate_u[b], self._offsets, at0)
                 window_sum += err
                 window_n += 1
                 if not math.isfinite(err):

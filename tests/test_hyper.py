@@ -60,6 +60,8 @@ def test_to_dict_round_trips():
     {"r_a": -1e-4},
     {"r_b": -1.0},
     {"s_a": -1.0},
+    {"mu": True},
+    {"zeta": False},
 ])
 def test_validation_rejects_out_of_range(bad):
     with pytest.raises(ValueError):

@@ -173,11 +173,16 @@ def _set(index, value):
     ("v2", lambda d: _patch(d, "luts", _set(6 * 64 + 5, float("inf"))),
      "layer 1: non-finite lut"),
     ("v2", lambda d: _patch(d, "visits", _set(3, 0.0)), "layer 0: visits entry below v_min"),
+    ("v2", lambda d: d.update(version=True), "unsupported version True"),
+    ("v2", lambda d: d.update(iteration=True), "bad iteration counter True"),
+    ("v2", lambda d: d.update(architecture=[2, 3, True]), "bad architecture"),
+    ("v2", lambda d: d["hyperparameters"].update(mu=True), "mu must be a number"),
 ], ids=["format", "version", "kind", "arch", "layers", "w-shape",
         "lut-shape", "missing-visits", "iteration", "nan-w", "inf-bias", "nan-lut",
         "inf-visits", "zero-visits", "float-r_res", "negative-r_b",
         "v2-not-base64", "v2-byte-short", "v2-missing-visits", "v2-luts-on-lw",
-        "v2-nan-params", "v2-inf-luts", "v2-zero-visits"])
+        "v2-nan-params", "v2-inf-luts", "v2-zero-visits",
+        "bool-version", "bool-iteration", "bool-arch", "bool-mu"])
 def test_load_rejects_corrupt_documents(tmp_path, source, mutate, phrase):
     p = _corrupt(tmp_path, source, mutate)
     with pytest.raises(ValueError, match=phrase):

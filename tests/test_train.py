@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lutnet import train as train_module
 from lutnet.core import (
     LutConnection,
     forward_network,
@@ -331,6 +332,47 @@ def test_train_iteration_consumes_one_uniform_per_lut_connection():
     assert rng_a.random() == rng_b.random()
 
 
+# Probe pairs as the default ladder, wide enough to clamp at both edges, and
+# on a domain narrower than tanh's range, where pairs of one input clamp to
+# the same edge and drop out of the average.
+PROBE_PROFILES = [
+    pytest.param(NLW.replace(r_res=16, zeta=0.5), id="default"),
+    pytest.param(NLW.replace(r_res=16, zeta=0.5, a_l=0.9, a_h=2.0), id="wide-probes"),
+    pytest.param(NLW.replace(r_res=16, zeta=0.5, i_min=-0.3, i_max=0.3), id="narrow-domain"),
+]
+
+
+@pytest.mark.parametrize("sizes", [(2, 8, 1), (2, 4, 3, 2)], ids=["2-8-1", "2-4-3-2"])
+@pytest.mark.parametrize("hp", PROBE_PROFILES)
+def test_fused_probe_reads_match_public_forward_and_backprop(monkeypatch, sizes, hp):
+    grid = lut_grid(hp)
+    rows = np.array([[hp.i_min, 0.1], [hp.i_max, hp.i_min], [grid[5], grid[11]],
+                     [hp.i_min - 0.7, hp.i_max + 1.4]])
+    target = np.linspace(-0.5, 0.5, sizes[-1])
+    offsets = derivative_offsets(hp)
+    cached = init_network(sizes, "NLW", hp, _rng([40, len(sizes)]))
+    uncached, public = cached.clone(), cached.clone()
+    lo, frac = segment_coords(rows, hp)
+    gate_u = _rng([41]).random((len(rows), cached.lut_connection_count()))
+    for i, x in enumerate(rows):
+        _, fused_trace = forward_network(cached, x, offsets, (lo[i], frac[i]))
+        _, public_trace = forward_network(cached, x)
+        assert public_trace.layers[1].slope is None
+        for fused_delta, public_delta in zip(backprop(cached, fused_trace, target, offsets),
+                                             backprop(cached, public_trace, target)):
+            assert np.array_equal(fused_delta, public_delta)
+        _apply_iteration(cached, x, target, gate_u[i], offsets, (lo[i], frac[i]))
+        _apply_iteration(uncached, x, target, gate_u[i], offsets)
+    # the same updates, with backprop estimating every slope from a public trace
+    monkeypatch.setattr(train_module, "forward_network",
+                        lambda net, x, *_: forward_network(net, x))
+    for i, x in enumerate(rows):
+        _apply_iteration(public, x, target, gate_u[i], offsets)
+    for net in (uncached, public):
+        for name in ("params", "luts", "visits"):
+            assert np.array_equal(getattr(net, name), getattr(cached, name))
+
+
 def test_iteration_error_is_mean_squared_output_error():
     net = init_network((2, 1, 3), "LW", LW, _rng([24, 0]))
     x = np.array([0.1, 0.2])
@@ -370,6 +412,29 @@ def test_trainer_rejects_nonfinite_data_naming_the_row(bad):
     vals[9, 0] = np.nan                                  # a later bad row is not the one named
     with pytest.raises(ValueError, match=f"row {row} "):
         Trainer(net, args, vals, seed=0)
+
+
+def test_trainer_caches_read_only_layer0_coordinates_for_nlw_only():
+    args, vals = _toy_data()
+    args[:3] = [[NLW.i_min, NLW.i_max], [lut_grid(NLW)[9], 0.0], [-1.7, 2.4]]
+    tr = Trainer(init_network((2, 3, 1), "NLW", NLW, _rng([25, 2])), args, vals, seed=0)
+    lo, frac = tr.input_coords
+    for i, row in enumerate(args):
+        row_lo, row_frac = segment_coords(row, NLW)
+        assert np.array_equal(lo[i], row_lo) and np.array_equal(frac[i], row_frac)
+    for arr in (lo, frac):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1
+    lw = Trainer(init_network((2, 3, 1), "LW", LW, _rng([25, 3])), args, vals, seed=0)
+    assert lw.input_coords is None
+    # without the cache every iteration locates its row itself: same run
+    uncached = Trainer(tr.net.clone(), args, vals, seed=0)
+    uncached.input_coords = None
+    tr.run(40, log_every=0)
+    uncached.run(40, log_every=0)
+    for name in ("params", "luts", "visits"):
+        assert np.array_equal(getattr(tr.net, name), getattr(uncached.net, name))
 
 
 def test_trainer_zero_iterations_is_identity():
@@ -416,6 +481,34 @@ def test_trainer_restore_resumes_bit_exact():
     tr2.run(263, log_every=50)
     assert tr2.iteration == tr.iteration == 400
     assert max_param_difference(extract_params(net), snap_net) == 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["NLW", "LW"]), seed=st.integers(0, 2**16),
+       n=st.integers(1, 90), split=st.floats(0.0, 1.0))
+def test_resume_at_any_split_is_bit_exact(tmp_path_factory, kind, seed, n, split):
+    # run(n) == run(k), save, load, restore, run(n - k): parameters and saved bytes
+    k = int(split * n)
+    hp = {"NLW": NLW.replace(r_res=8, zeta=0.3), "LW": LW}[kind]
+    args, vals = _toy_data(n=17, seed=seed)
+    whole = init_network((2, 3, 1), kind, hp, _rng([seed, 0]))
+    tr = Trainer(whole, args, vals, seed=seed)
+    tr.run(n, log_every=7)
+
+    half = Trainer(init_network((2, 3, 1), kind, hp, _rng([seed, 0])), args, vals, seed=seed)
+    half.run(k, log_every=7)
+    tmp = tmp_path_factory.mktemp("resume")
+    save_model(tmp / "k.json", half.net, half.iteration, half.gate_state())
+    loaded = load_model(tmp / "k.json")
+    resumed = Trainer(loaded.net, args, vals, seed=seed)
+    resumed.restore(loaded.iteration, loaded.rng_state)
+    resumed.run(n - k, log_every=7)
+
+    assert resumed.iteration == tr.iteration == n
+    assert max_param_difference(extract_params(whole), loaded.net) == 0.0
+    save_model(tmp / "whole.json", whole, tr.iteration, tr.gate_state())
+    save_model(tmp / "resumed.json", loaded.net, resumed.iteration, resumed.gate_state())
+    assert (tmp / "whole.json").read_bytes() == (tmp / "resumed.json").read_bytes()
 
 
 def test_trainer_log_rows_cadence_and_partial_tail():
