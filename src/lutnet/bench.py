@@ -3,9 +3,11 @@
 Two phases are measured: a full training iteration (forward, backprop,
 every update rule) and a forward-only iteration. Times are medians of
 several repetitions, each repetition long enough to swamp timer
-resolution, reported in milliseconds per iteration. Across architectures
-the per-iteration cost is summarized by a least-squares line
-a + b * connections.
+resolution, reported in milliseconds per iteration. Every net is built
+and the inputs checked before the first timing run; then all nets, the
+architectures and the optional ``r_res`` sweep, are timed in turn.
+Across architectures the per-iteration cost is summarized by a
+least-squares line a + b * connections.
 
 Absolute numbers are hardware-bound; only orderings and ratios are
 meaningful across machines.
@@ -18,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Network, forward_network, init_network
-from .hyper import Hyperparameters, KINDS, default_hyperparameters
+from .hyper import Hyperparameters, default_hyperparameters
 from .train import Trainer
 
 __all__ = [
-    "BenchFit",
     "BenchRow",
     "BenchReport",
     "bench_dataset",
@@ -32,14 +33,6 @@ __all__ = [
 
 # each timed repetition aims for this many seconds of work
 _WINDOW = 0.05
-
-
-@dataclass(frozen=True)
-class BenchFit:
-    """Linear model a + b*n of per-iteration milliseconds vs connections."""
-
-    a: float
-    b: float
 
 
 @dataclass(frozen=True)
@@ -56,16 +49,9 @@ class BenchRow:
 class BenchReport:
     kind: str
     rows: list[BenchRow]
-    train_fit: BenchFit
-    forward_fit: BenchFit
+    train_fit: tuple[float, float]  # (a, b) of a + b*connections ms per iteration
+    forward_fit: tuple[float, float]
     rres_rows: list[BenchRow]       # r_res sweep at a fixed architecture
-
-    def csv_rows(self) -> list[tuple]:
-        out = []
-        for r in self.rows + self.rres_rows:
-            arch = "-".join(str(s) for s in r.arch)
-            out.append((r.kind, arch, r.connections, r.r_res, r.phase, r.ms_per_iter))
-        return out
 
 
 def bench_dataset(n_inputs: int, n_outputs: int, count: int = 64, seed: int = 0):
@@ -118,17 +104,38 @@ def _forward_run(net: Network, args):
     return run
 
 
+def _timed_rows(cases, reps: int, seed: int) -> list[BenchRow]:
+    """A train row then a forward row for each (net, args, vals) case.
+
+    Training runs on clones; a forward-only iteration presents one
+    sample. Within every repetition each net is timed once, so the ratio
+    of two nets' times is not decided by a slow spell that covered only
+    one of them.
+    """
+    train = _median_ms([_train_run(net, args, vals, seed) for net, args, vals in cases], reps)
+    forward = _median_ms([_forward_run(net, args) for net, args, _ in cases], reps)
+    rows = []
+    for (net, _, _), t_train, t_fwd in zip(cases, train, forward):
+        n = net.connection_count()
+        rows.append(BenchRow(net.kind, net.sizes, n, net.hp.r_res, "train", t_train))
+        rows.append(BenchRow(net.kind, net.sizes, n, net.hp.r_res, "forward", t_fwd))
+    return rows
+
+
 def time_in_turn_ms(nets, args, vals, reps: int = 5, seed: int = 0):
     """Median wall ms per training and per forward-only iteration of each net.
 
-    Returns (train, forward), each a list in the order of nets. Training
-    runs on clones; a forward-only iteration presents one sample. Within
-    every repetition each net is timed once, so the ratio of two nets'
-    times is not decided by a slow spell that covered only one of them.
+    Returns (train, forward), each a list in the order of nets, all
+    timed in turn on the one dataset.
     """
-    train = _median_ms([_train_run(net, args, vals, seed) for net in nets], reps)
-    forward = _median_ms([_forward_run(net, args) for net in nets], reps)
-    return train, forward
+    rows = _timed_rows([(net, args, vals) for net in nets], reps, seed)
+    return [r.ms_per_iter for r in rows[0::2]], [r.ms_per_iter for r in rows[1::2]]
+
+
+def _fit(rows: list[BenchRow], phase: str) -> tuple[float, float]:
+    ns, ms = zip(*[(r.connections, r.ms_per_iter) for r in rows if r.phase == phase])
+    b, a = np.polyfit(ns, ms, 1)
+    return float(a), float(b)
 
 
 def bench_iterations(
@@ -143,53 +150,20 @@ def bench_iterations(
 
     ``archs`` is a sequence of layer-size tuples covering at least four
     distinct connection counts. When ``rres_values`` is given the first
-    architecture is re-timed at each table length, holding everything
-    else fixed.
+    architecture is also timed at each table length, holding everything
+    else fixed. Every net is built, and the counts checked, before the
+    first timing run.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown kind {kind!r}")
     if hp is None:
         hp = default_hyperparameters(kind)
-    archs = [tuple(int(s) for s in a) for a in archs]
-
-    rows: list[BenchRow] = []
-    counts: set[int] = set()
-    ns, train_ms, fwd_ms = [], [], []
-    for arch in archs:
-        net = init_network(arch, kind, hp, np.random.default_rng(seed))
-        args, vals = bench_dataset(arch[0], arch[-1], seed=seed)
-        (t_train,), (t_fwd,) = time_in_turn_ms([net], args, vals, reps=reps, seed=seed)
-        n = net.connection_count()
-        counts.add(n)
-        ns.append(n)
-        train_ms.append(t_train)
-        fwd_ms.append(t_fwd)
-        rows.append(BenchRow(kind, arch, n, hp.r_res, "train", t_train))
-        rows.append(BenchRow(kind, arch, n, hp.r_res, "forward", t_fwd))
+    nets = [init_network(arch, kind, hp, np.random.default_rng(seed)) for arch in archs]
+    counts = sorted({net.connection_count() for net in nets})
     if len(counts) < 4:
-        raise ValueError(
-            f"need >= 4 distinct connection counts for the fit, got {sorted(counts)}"
-        )
-
-    train_b, train_a = np.polyfit(ns, train_ms, 1)
-    fwd_b, fwd_a = np.polyfit(ns, fwd_ms, 1)
-
-    # the sweep's nets take turns, so a slow spell cannot skew one r_res against another
-    sweep_arch = archs[0]
-    args, vals = bench_dataset(sweep_arch[0], sweep_arch[-1], seed=seed)
-    nets = [init_network(sweep_arch, kind, hp.replace(r_res=int(r_res)),
-                         np.random.default_rng(seed)) for r_res in rres_values]
-    sweep_train, sweep_fwd = time_in_turn_ms(nets, args, vals, reps=reps, seed=seed)
-    rres_rows: list[BenchRow] = []
-    for net, t_train, t_fwd in zip(nets, sweep_train, sweep_fwd):
-        n, r_res = net.connection_count(), net.hp.r_res
-        rres_rows.append(BenchRow(kind, sweep_arch, n, r_res, "train", t_train))
-        rres_rows.append(BenchRow(kind, sweep_arch, n, r_res, "forward", t_fwd))
-
-    return BenchReport(
-        kind=kind,
-        rows=rows,
-        train_fit=BenchFit(float(train_a), float(train_b)),
-        forward_fit=BenchFit(float(fwd_a), float(fwd_b)),
-        rres_rows=rres_rows,
-    )
+        raise ValueError(f"need >= 4 distinct connection counts for the fit, got {counts}")
+    sweep = [init_network(nets[0].sizes, kind, hp.replace(r_res=int(r_res)),
+                          np.random.default_rng(seed)) for r_res in rres_values]
+    rows = _timed_rows([(net, *bench_dataset(net.sizes[0], net.sizes[-1], seed=seed))
+                        for net in nets + sweep], reps, seed)
+    arch_rows, rres_rows = rows[:2 * len(nets)], rows[2 * len(nets):]
+    return BenchReport(kind, arch_rows, _fit(arch_rows, "train"), _fit(arch_rows, "forward"),
+                       rres_rows)

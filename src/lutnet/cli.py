@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -52,12 +53,7 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # Option plumbing
 
-_HYPER_KEYS = {
-    "mu": float, "nu": float, "r_res": int, "i_min": float, "i_max": float,
-    "a_l": float, "a_h": float, "a_m": float, "zeta": float,
-    "r_a": float, "r_b": float, "r_c": float, "s_a": float, "s_b": float,
-    "v_p": float, "v_min": float,
-}
+_HYPER_KEYS = {f.name: type(f.default) for f in fields(Hyperparameters)}
 
 _RUN_KEYS = {
     "arch": str, "kind": str, "iterations": int, "seed": int,
@@ -69,6 +65,13 @@ _RUN_KEYS = {
 }
 
 _CONVERTERS = {**_HYPER_KEYS, **_RUN_KEYS}
+
+# values of settings that neither a flag nor the config file gave; the
+# hyperparameters' come from default_hyperparameters(kind)
+_DEFAULTS = {
+    "seed": 0, "data_seed": 0, "data_n": 10000, "data_fraction": 0.15,
+    "log_every": 1000, "scale": False, "csv_header": False,
+}
 
 # smallest accepted value of integer settings, checked before any work
 _MINIMUMS = {
@@ -122,21 +125,9 @@ def _check_range(key: str, value, name: str) -> None:
         raise UsageError(f"{name} must be in (0, 1], got {value}")
 
 
-def _setting(ns, config: dict, key: str, default=None):
-    """Flag beats config file beats default."""
-    given = getattr(ns, key, None)
-    if given is not None:
-        return given
-    return config.get(key, default)
-
-
-def _build_hyper(ns, config: dict, kind: str) -> Hyperparameters:
+def _build_hyper(ns, kind: str) -> Hyperparameters:
     hp = default_hyperparameters(kind)
-    overrides = {}
-    for key in _HYPER_KEYS:
-        value = _setting(ns, config, key)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: getattr(ns, key) for key in _HYPER_KEYS if getattr(ns, key) is not None}
     try:
         return hp.replace(**overrides) if overrides else hp
     except ValueError as exc:
@@ -186,20 +177,18 @@ def _parse_columns(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Dataset resolution
 
-def _load_dataset(ns, config: dict) -> Dataset:
-    source = _setting(ns, config, "data")
-    if source is None:
+def _load_dataset(ns) -> Dataset:
+    """The --data set; --scale min-max scales it if it is a CSV file."""
+    if ns.data is None:
         raise UsageError("no dataset given (--data)")
-    return _dataset_from_source(ns, config, source)
+    ds = _dataset_from_source(ns, ns.data)
+    return scale_args(ds) if ns.scale and "source" in ds.provenance else ds
 
 
-def _dataset_from_source(ns, config: dict, source: str) -> Dataset:
-    seed = _setting(ns, config, "data_seed", 0)
+def _dataset_from_source(ns, source: str) -> Dataset:
+    seed = ns.data_seed
     if source == "circle":
-        train, _ = gen_circle(
-            sampling_seed=seed,
-            sampling_fraction=_setting(ns, config, "data_fraction", 0.15),
-        )
+        train, _ = gen_circle(sampling_seed=seed, sampling_fraction=ns.data_fraction)
         return train
     if source == "circle-full":
         return gen_circle(sampling_seed=seed)[1]
@@ -208,38 +197,30 @@ def _dataset_from_source(ns, config: dict, source: str) -> Dataset:
     if source == "spirals-sparse":
         return gen_two_spirals_sparse()
     if source == "md2":
-        return gen_md2(_setting(ns, config, "data_n", 10000), seed=seed)
+        return gen_md2(ns.data_n, seed=seed)
 
     # anything else is a CSV path and needs a schema
-    arg_text = _setting(ns, config, "csv_args")
-    if arg_text is None:
+    if ns.csv_args is None:
         raise UsageError(f"{source}: CSV input needs --csv-args")
-    val_text = _setting(ns, config, "csv_vals")
-    class_col = _setting(ns, config, "csv_class")
-    cat_text = _setting(ns, config, "csv_categorical")
     try:
         schema = CsvSchema(
-            arg_columns=_parse_columns(arg_text),
-            val_columns=_parse_columns(val_text) if val_text else (),
-            class_column=class_col,
-            categorical_args=_parse_columns(cat_text) if cat_text else (),
-            header=bool(_setting(ns, config, "csv_header", False)),
+            arg_columns=_parse_columns(ns.csv_args),
+            val_columns=_parse_columns(ns.csv_vals) if ns.csv_vals else (),
+            class_column=ns.csv_class,
+            categorical_args=_parse_columns(ns.csv_categorical) if ns.csv_categorical else (),
+            header=ns.csv_header,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    ds = load_csv(source, schema)
-    if _setting(ns, config, "scale", False):
-        ds = scale_args(ds)
-    return ds
+    return load_csv(source, schema)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_gen_data(ns) -> int:
-    config = parse_config_file(ns.config) if ns.config else {}
     source = "circle-full" if ns.full and ns.name == "circle" else ns.name
-    ds = _dataset_from_source(ns, config, source)
+    ds = _dataset_from_source(ns, source)
     write_csv(ds, ns.out)
     print(f"wrote {len(ds)} samples to {ns.out}")
     return 0
@@ -254,15 +235,13 @@ def _require_dims(net, ds: Dataset) -> None:
 
 
 def cmd_train(ns) -> int:
-    config = parse_config_file(ns.config) if ns.config else {}
-    ds = _load_dataset(ns, config)
-    test_source = _setting(ns, config, "test_data")
-    test_ds = _dataset_from_source(ns, config, test_source) if test_source else None
+    ds = _load_dataset(ns)
+    test_ds = _dataset_from_source(ns, ns.test_data) if ns.test_data else None
 
-    iterations = _setting(ns, config, "iterations")
+    iterations = ns.iterations
     if iterations is None or iterations < 0:
         raise UsageError("--iterations must be given and non-negative")
-    out_path = _setting(ns, config, "out")
+    out_path = ns.out
     if out_path is None:
         raise UsageError("no output model path (--out)")
 
@@ -277,15 +256,14 @@ def cmd_train(ns) -> int:
         trainer = Trainer(net, ds.args, ds.vals, seed=seed)
         trainer.restore(loaded.iteration, state["gate"])
     else:
-        kind = _setting(ns, config, "kind")
+        kind = ns.kind
         if kind not in KINDS:
             raise UsageError(f"kind must be one of {KINDS}, got {kind!r}")
-        arch_text = _setting(ns, config, "arch")
-        if arch_text is None:
+        if ns.arch is None:
             raise UsageError("no architecture given (--arch)")
-        sizes = parse_arch(arch_text, n_args=ds.n_args)
-        hp = _build_hyper(ns, config, kind)
-        seed = _setting(ns, config, "seed", 0)
+        sizes = parse_arch(ns.arch, n_args=ds.n_args)
+        hp = _build_hyper(ns, kind)
+        seed = ns.seed
         net = init_network(
             sizes, kind, hp,
             np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0]))),
@@ -294,10 +272,12 @@ def cmd_train(ns) -> int:
         trainer = Trainer(net, ds.args, ds.vals, seed=seed)
     if test_ds is not None:
         _require_dims(net, test_ds)
+        if "scale" in ds.provenance:          # score it the way the model sees inputs
+            test_ds = scale_args(test_ds, ds.provenance["scale"])
 
-    log_every = _setting(ns, config, "log_every", 1000)
-    checkpoint_every = _setting(ns, config, "checkpoint_every")
-    log_path = _setting(ns, config, "log")
+    log_every = ns.log_every
+    checkpoint_every = ns.checkpoint_every
+    log_path = ns.log
 
     def rng_descriptor() -> dict:
         return {"seed": seed, "gate": trainer.gate_state()}
@@ -344,9 +324,8 @@ def cmd_train(ns) -> int:
 
 
 def cmd_eval(ns) -> int:
-    config = parse_config_file(ns.config) if ns.config else {}
     loaded = load_model(ns.model)
-    ds = _load_dataset(ns, config)
+    ds = _load_dataset(ns)
     _require_dims(loaded.net, ds)
     print(f"mse {mse(loaded.net, ds):.12g}")
     if ds.classes is not None:
@@ -397,16 +376,14 @@ def cmd_bench(ns) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         reports.append(report)
-        print(
-            f"{kind}: train {report.train_fit.a:.4g} + {report.train_fit.b:.4g}*n ms, "
-            f"forward {report.forward_fit.a:.4g} + {report.forward_fit.b:.4g}*n ms"
-        )
+        (train_a, train_b), (fwd_a, fwd_b) = report.train_fit, report.forward_fit
+        print(f"{kind}: train {train_a:.4g} + {train_b:.4g}*n ms, "
+              f"forward {fwd_a:.4g} + {fwd_b:.4g}*n ms")
 
     if len(reports) == 2 and {r.kind for r in reports} == set(KINDS):
-        by_kind = {r.kind: r for r in reports}
-        lw_b = by_kind["LW"].train_fit.b
-        if lw_b != 0.0:
-            ratio = by_kind["NLW"].train_fit.b / lw_b
+        slope = {r.kind: r.train_fit[1] for r in reports}
+        if slope["LW"] != 0.0:
+            ratio = slope["NLW"] / slope["LW"]
             print(f"NLW/LW training slope ratio {ratio:.3g}")
 
     if ns.out:
@@ -414,8 +391,9 @@ def cmd_bench(ns) -> int:
             writer = csv.writer(fh)
             writer.writerow(["kind", "arch", "connections", "r_res", "phase", "ms_per_iter"])
             for report in reports:
-                for row in report.csv_rows():
-                    writer.writerow([*row[:5], repr(row[5])])
+                for r in report.rows + report.rres_rows:
+                    writer.writerow([r.kind, "-".join(map(str, r.arch)), r.connections,
+                                     r.r_res, r.phase, repr(r.ms_per_iter)])
         print(f"wrote timing rows to {ns.out}")
     return 0
 
@@ -526,6 +504,11 @@ def main(argv=None) -> int:
     try:
         for key in (*_MINIMUMS, "data_fraction"):
             _check_range(key, getattr(ns, key, None), f"--{key.replace('_', '-')}")
+        # a setting no flag set takes its config-file value, else its default
+        config = parse_config_file(ns.config) if getattr(ns, "config", None) else {}
+        for key in _CONVERTERS.keys() & vars(ns).keys():
+            if getattr(ns, key) is None:
+                setattr(ns, key, config.get(key, _DEFAULTS.get(key)))
         return ns.func(ns)
     except UsageError as exc:
         print(f"lutnet: error: {exc}", file=sys.stderr)

@@ -232,6 +232,9 @@ class Trainer:
     def __init__(self, net: Network, args: np.ndarray, vals: np.ndarray, seed: int):
         args = np.asarray(args, dtype=float)
         vals = np.asarray(vals, dtype=float)
+        if args.ndim != 2 or vals.ndim != 2 or len(args) != len(vals):
+            raise ValueError(f"args and vals must be 2-D with one row per sample, "
+                             f"got shapes {args.shape} and {vals.shape}")
         if len(args) == 0:
             raise ValueError("training set is empty")
         if args.shape[1] != net.n_inputs or vals.shape[1] != net.n_outputs:

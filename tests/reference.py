@@ -4,7 +4,8 @@ Everything here is deliberately written with per-connection Python
 loops and plain floats, mirroring the update rules as stated rather
 than the vectorized production code. The consistency tests drive both
 implementations with identical samples and gate draws and require the
-parameters to stay together to ~1e-9 over dozens of iterations.
+parameters to stay together to ~1e-9 over dozens of iterations, and
+within a relative 1e-9 (``relative_gap``) over thousands.
 """
 from __future__ import annotations
 
@@ -34,22 +35,38 @@ def extract_params(net: Network) -> list[dict]:
     return layers
 
 
-def max_param_difference(params: list[dict], net: Network) -> float:
-    """Largest absolute parameter gap between reference and network."""
-    worst = 0.0
+def _param_pairs(params: list[dict], net: Network):
+    """Yield (reference, network) values of every parameter."""
     for entry, lay in zip(params, net.layers):
         for d in range(lay.n_out):
-            worst = max(worst, abs(entry["bias"][d] - float(lay.bias[d])))
+            yield entry["bias"][d], float(lay.bias[d])
             for s in range(lay.n_in):
-                worst = max(worst, abs(entry["w"][d][s] - float(lay.w[d][s])))
+                yield entry["w"][d][s], float(lay.w[d][s])
                 if entry["lut"] is not None:
                     for j in range(len(entry["lut"][d][s])):
-                        worst = max(
-                            worst,
-                            abs(entry["lut"][d][s][j] - float(lay.lut[d, s, j])),
-                            abs(entry["visits"][d][s][j] - float(lay.visits[d, s, j])),
-                        )
-    return worst
+                        yield entry["lut"][d][s][j], float(lay.lut[d, s, j])
+                        yield entry["visits"][d][s][j], float(lay.visits[d, s, j])
+
+
+def _worst(gaps) -> float:
+    """The largest gap, or NaN if any gap is NaN (``max`` would skip it)."""
+    gaps = list(gaps)
+    return math.nan if any(map(math.isnan, gaps)) else max(gaps)
+
+
+def max_param_difference(params: list[dict], net: Network) -> float:
+    """Largest absolute parameter gap between reference and network."""
+    return _worst(abs(ref - got) for ref, got in _param_pairs(params, net))
+
+
+def relative_gap(ref: float, got: float) -> float:
+    """|got - ref| / max(1, |ref|): the gap relative to values above 1."""
+    return abs(got - ref) / max(1.0, abs(ref))
+
+
+def max_relative_param_difference(params: list[dict], net: Network) -> float:
+    """Largest ``relative_gap`` of any parameter between reference and network."""
+    return _worst(relative_gap(ref, got) for ref, got in _param_pairs(params, net))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from lutnet.cli import UsageError, main, parse_arch, parse_config_file
+from lutnet.data import CsvSchema, load_csv, scale_args
+from lutnet.evaluate import mse
 from lutnet.modelio import load_model
 
 
@@ -176,6 +178,24 @@ def test_train_log_includes_test_column_when_given(tmp_path):
     assert len(lines[1].split(",")) == 3
 
 
+def test_train_scales_test_data_with_the_training_scale(tmp_path):
+    rng = np.random.default_rng(31)
+    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+    for path, n, lo, hi in ((train_csv, 200, -3.0, 5.0), (test_csv, 50, -1.0, 2.0)):
+        args = rng.uniform(lo, hi, (n, 2))
+        vals = 0.4 * np.tanh(args[:, :1] - args[:, 1:])
+        np.savetxt(path, np.hstack([args, vals]), delimiter=",", fmt="%.6f")
+    out, log = tmp_path / "m.json", tmp_path / "log.csv"
+    assert run("train", "--data", train_csv, "--csv-args", "0-1", "--csv-vals", 2, "--scale",
+               "--test-data", test_csv, "--arch", "2-4-1", "--kind", "NLW",
+               "--iterations", 200, "--log-every", 200, "--out", out, "--log", log) == 0
+    schema = CsvSchema(arg_columns=(0, 1), val_columns=(2,))
+    scale = scale_args(load_csv(train_csv, schema)).provenance["scale"]
+    test = scale_args(load_csv(test_csv, schema), scale)
+    logged = log.read_text().splitlines()[-1].split(",")[2]
+    assert logged == repr(mse(load_model(out).net, test))
+
+
 def test_train_missing_out_is_usage_error():
     assert run("train", "--data", "spirals", "--arch", "2-4-1",
                "--iterations", 10) == 1
@@ -339,6 +359,18 @@ def test_bench_writes_fit_and_csv(tmp_path, capsys):
 def test_bench_needs_enough_architectures():
     assert main(["bench", "--archs", "2-2-1,2-4-1", "--kinds", "LW",
                  "--reps", "1"]) == 1
+
+
+def test_bench_checks_connection_counts_before_timing(monkeypatch, capsys):
+    def no_timing(runs, reps):
+        raise AssertionError("timed before the connection counts were checked")
+
+    monkeypatch.setattr("lutnet.bench._median_ms", no_timing)
+    assert run("bench", "--archs", "2-8-1,2-8-1,2-8-1,2-8-1", "--kinds", "NLW",
+               "--reps", 3) == 1
+    captured = capsys.readouterr()
+    assert "need >= 4 distinct connection counts" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -1,5 +1,6 @@
 """Backprop, update rules, the iteration loop, and the Trainer."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,13 @@ from lutnet.train import (
     train_iteration,
     update_lut_component,
 )
-from reference import extract_params, max_param_difference, ref_iteration
+from reference import (
+    extract_params,
+    max_param_difference,
+    max_relative_param_difference,
+    ref_iteration,
+    relative_gap,
+)
 
 
 NLW = default_hyperparameters("NLW")
@@ -271,6 +278,34 @@ def test_iteration_matches_scalar_reference(kind, hp, sizes, iterations):
         assert max_param_difference(params, net) < 1e-9
 
 
+# Last-ulp summation differences compound over a long run, so it is held
+# to a bound relative to the values (mild profiles only; see above).
+@pytest.mark.parametrize("kind,hp", [PARITY_CONFIGS[1], PARITY_CONFIGS[4]],
+                         ids=["nlw-default", "lw-default"])
+def test_long_run_matches_scalar_reference_relatively(kind, hp):
+    net = init_network((2, 4, 3, 2), kind, hp, _rng([21, 0]))
+    params = extract_params(net)
+    rng = np.random.default_rng(23)
+    offsets = derivative_offsets(hp)
+    n_gate = net.lut_connection_count()
+    for it in range(1, 2001):
+        x = rng.uniform(-1.2, 1.2, 2)
+        target = rng.uniform(-0.9, 0.9, 2)
+        gate_u = rng.random(n_gate)
+        err = _apply_iteration(net, x, target, gate_u, offsets)
+        assert relative_gap(ref_iteration(params, x, target, gate_u, hp, kind), err) <= 1e-9
+        if it % 250 == 0:
+            assert max_relative_param_difference(params, net) <= 1e-9
+
+
+def test_reference_comparisons_report_a_nan_parameter():
+    net = init_network((2, 3, 2), "NLW", NLW.replace(r_res=8), _rng([21, 0]))
+    params = extract_params(net)
+    net.layers[1].lut[1, 2, 3] = np.nan
+    assert math.isnan(max_param_difference(params, net))
+    assert math.isnan(max_relative_param_difference(params, net))
+
+
 @pytest.mark.parametrize("source", ["init", "load", "clone"])
 def test_layer_arrays_are_views_the_next_iteration_reads(tmp_path, source):
     hp = NLW.replace(r_res=8, zeta=1.0, s_b=1e-3)
@@ -401,6 +436,16 @@ def test_trainer_validates_shapes():
         Trainer(net, args, np.hstack([vals, vals]), seed=0)
     with pytest.raises(ValueError):
         Trainer(net, args[:0], vals[:0], seed=0)
+
+
+@pytest.mark.parametrize("args_shape,vals_shape", [
+    ((5,), (5, 1)), ((5, 1), (5,)), ((5, 1, 1), (5, 1)), ((5, 1), (3, 1)),
+], ids=["args-1d", "vals-1d", "args-3d", "row-counts-differ"])
+def test_trainer_rejects_misshapen_data_naming_the_shapes(args_shape, vals_shape):
+    net = init_network((1, 2, 1), "NLW", NLW, _rng([25, 4]))
+    args, vals = np.zeros(args_shape), np.zeros(vals_shape)
+    with pytest.raises(ValueError, match=re.escape(f"shapes {args_shape} and {vals_shape}")):
+        Trainer(net, args, vals, seed=0)
 
 
 @pytest.mark.parametrize("bad", [(5, "args", np.nan), (7, "vals", np.inf), (3, "args", -np.inf)])
