@@ -19,7 +19,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import bench as bench_mod
-from .core import init_network
+from .core import _require_fit, init_network
 from .data import (
     CsvSchema,
     Dataset,
@@ -126,9 +126,9 @@ def _check_range(key: str, value, name: str) -> None:
 
 
 def _build_hyper(ns, kind: str) -> Hyperparameters:
-    hp = default_hyperparameters(kind)
     overrides = {key: getattr(ns, key) for key in _HYPER_KEYS if getattr(ns, key) is not None}
     try:
+        hp = default_hyperparameters(kind)
         return hp.replace(**overrides) if overrides else hp
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -177,11 +177,16 @@ def _parse_columns(text: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Dataset resolution
 
-def _load_dataset(ns) -> Dataset:
-    """The --data set; --scale min-max scales it if it is a CSV file."""
+def _load_dataset(ns, loaded=None) -> Dataset:
+    """The --data set, checked against a loaded model and min-max scaled by its
+    stored scale if it has one; else --scale scales a CSV set by its own range."""
     if ns.data is None:
         raise UsageError("no dataset given (--data)")
     ds = _dataset_from_source(ns, ns.data)
+    if loaded is not None:
+        _require_dims(loaded.net, ds)
+        if loaded.scale is not None:
+            return scale_args(ds, loaded.scale)
     return scale_args(ds) if ns.scale and "source" in ds.provenance else ds
 
 
@@ -227,15 +232,16 @@ def cmd_gen_data(ns) -> int:
 
 
 def _require_dims(net, ds: Dataset) -> None:
-    if net.n_inputs != ds.n_args or net.n_outputs != ds.n_vals:
-        raise UsageError(
-            f"network is {net.n_inputs} -> {net.n_outputs} but dataset is "
-            f"{ds.n_args} -> {ds.n_vals}"
-        )
+    try:
+        _require_fit(net, ds.args, ds.vals)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_train(ns) -> int:
-    ds = _load_dataset(ns)
+    loaded = load_model(ns.resume) if ns.resume else None
+    ds = _load_dataset(ns, loaded)
+    scale = ds.provenance.get("scale")
     test_ds = _dataset_from_source(ns, ns.test_data) if ns.test_data else None
 
     iterations = ns.iterations
@@ -245,20 +251,16 @@ def cmd_train(ns) -> int:
     if out_path is None:
         raise UsageError("no output model path (--out)")
 
-    if ns.resume:
-        loaded = load_model(ns.resume)
+    if loaded is not None:
         net = loaded.net
         state = loaded.rng_state or {}
         if "seed" not in state or "gate" not in state:
             raise UsageError(f"{ns.resume}: model has no resumable rng state")
-        _require_dims(net, ds)
         seed = int(state["seed"])
         trainer = Trainer(net, ds.args, ds.vals, seed=seed)
         trainer.restore(loaded.iteration, state["gate"])
     else:
         kind = ns.kind
-        if kind not in KINDS:
-            raise UsageError(f"kind must be one of {KINDS}, got {kind!r}")
         if ns.arch is None:
             raise UsageError("no architecture given (--arch)")
         sizes = parse_arch(ns.arch, n_args=ds.n_args)
@@ -272,17 +274,13 @@ def cmd_train(ns) -> int:
         trainer = Trainer(net, ds.args, ds.vals, seed=seed)
     if test_ds is not None:
         _require_dims(net, test_ds)
-        if "scale" in ds.provenance:          # score it the way the model sees inputs
-            test_ds = scale_args(test_ds, ds.provenance["scale"])
-
-    log_every = ns.log_every
-    checkpoint_every = ns.checkpoint_every
-    log_path = ns.log
+        if scale is not None:                 # score it the way the model sees inputs
+            test_ds = scale_args(test_ds, scale)
 
     def rng_descriptor() -> dict:
         return {"seed": seed, "gate": trainer.gate_state()}
 
-    log_fh = open(log_path, "w", newline="", encoding="utf-8") if log_path else None
+    log_fh = open(ns.log, "w", newline="", encoding="utf-8") if ns.log else None
     try:
         log_writer = None
         if log_fh is not None:
@@ -301,32 +299,29 @@ def cmd_train(ns) -> int:
             log_writer.writerow(row)
 
         def on_checkpoint(tr: Trainer) -> None:
-            save_model(out_path, tr.net, tr.iteration, rng_descriptor())
+            save_model(out_path, tr.net, tr.iteration, rng_descriptor(), scale)
 
-        rows = trainer.run(
+        trainer.run(
             iterations,
-            log_every=log_every or 0,
+            log_every=ns.log_every or 0,
             on_log=on_log,
-            checkpoint_every=checkpoint_every,
+            checkpoint_every=ns.checkpoint_every,
             on_checkpoint=on_checkpoint,
         )
-        # a run ending off the log cadence leaves its partial window
-        # in the returned rows only
-        if rows and (not log_every or rows[-1][0] % log_every != 0):
-            on_log(trainer, rows[-1][1])
     finally:
         if log_fh is not None:
             log_fh.close()
 
-    save_model(out_path, trainer.net, trainer.iteration, rng_descriptor())
+    save_model(out_path, trainer.net, trainer.iteration, rng_descriptor(), scale)
     print(f"trained to iteration {trainer.iteration}, model written to {out_path}")
     return 0
 
 
 def cmd_eval(ns) -> int:
     loaded = load_model(ns.model)
-    ds = _load_dataset(ns)
-    _require_dims(loaded.net, ds)
+    if ns.scale and loaded.scale is None:     # a test set's own min/max is the wrong scale
+        raise UsageError(f"--scale: {ns.model} stores no training input scale")
+    ds = _load_dataset(ns, loaded)
     print(f"mse {mse(loaded.net, ds):.12g}")
     if ds.classes is not None:
         print(f"accuracy {accuracy(loaded.net, ds):.12g}")
@@ -382,9 +377,11 @@ def cmd_bench(ns) -> int:
 
     if len(reports) == 2 and {r.kind for r in reports} == set(KINDS):
         slope = {r.kind: r.train_fit[1] for r in reports}
-        if slope["LW"] != 0.0:
-            ratio = slope["NLW"] / slope["LW"]
-            print(f"NLW/LW training slope ratio {ratio:.3g}")
+        if slope["LW"] > 0.0:
+            print(f"NLW/LW training slope ratio {slope['NLW'] / slope['LW']:.3g}")
+        else:                                 # a flat or falling LW fit is timing noise
+            print(f"NLW/LW training slope ratio undefined: LW slope {slope['LW']:.3g} "
+                  f"ms per connection")
 
     if ns.out:
         with open(ns.out, "w", newline="", encoding="utf-8") as fh:

@@ -200,11 +200,17 @@ class Network:
     with one row per LUT connection in gate-draw order: layer, then
     destination, then source; for LW both are None. The layers' arrays
     are views into these buffers. A new network's parameters are zero.
+    ``sizes`` must be two or more positive ints (no bool or float), ``kind`` in ``KINDS``.
     """
 
     def __init__(self, sizes, kind: str, hp: Hyperparameters):
+        sizes = tuple(sizes)
+        if len(sizes) < 2 or not all(isinstance(s, (int, np.integer)) and not isinstance(s, bool)
+                                     and s >= 1 for s in sizes):
+            raise ValueError(f"bad architecture {sizes!r}: need an input and an output layer, "
+                             f"every size a positive integer")
         if kind not in KINDS:
-            raise ValueError(f"unknown network kind {kind!r}")
+            raise ValueError(f"unknown network kind {kind!r}, expected one of {KINDS}")
         self.sizes = tuple(int(s) for s in sizes)
         self.kind = kind
         self.hp = hp
@@ -370,13 +376,6 @@ def init_network(sizes, kind: str, hp: Hyperparameters, rng: np.random.Generator
     intercept + slope * grid with both coefficients uniform on
     [-0.25, 0.25]; visit tables start filled with v_p.
     """
-    sizes = tuple(int(s) for s in sizes)
-    if len(sizes) < 2:
-        raise ValueError("architecture needs an input and an output layer")
-    if any(s < 1 for s in sizes):
-        raise ValueError("every layer needs at least one node")
-    if kind not in KINDS:
-        raise ValueError(f"unknown network kind {kind!r}")
     net = Network(sizes, kind, hp)
     grid = lut_grid(hp)
     start = 0
@@ -401,21 +400,26 @@ def _uniform(rng: np.random.Generator, low: float, high: float, out: np.ndarray)
 
 
 def find_nonfinite(net: Network) -> str | None:
-    """Locate the first non-finite parameter, or None if all are finite."""
+    """Locate the first non-finite parameter, or None if all are finite.
+
+    The one wording, e.g. ``layer 1: non-finite lut at dst 0, src 1, entry 2``.
+    """
     buffers = [net.params] if net.luts is None else [net.params, net.luts, net.visits]
     if all(np.isfinite(buf).all() for buf in buffers):
         return None
     for li, lay in enumerate(net.layers):
-        checks = [("weight", lay.w), ("bias", lay.bias)]
-        if lay.lut is not None:
-            checks += [("lut", lay.lut), ("visits", lay.visits)]
-        for name, arr in checks:
-            if np.isfinite(arr).all():
-                continue
-            idx = np.argwhere(~np.isfinite(arr))[0]
-            if name == "bias":
-                return f"layer {li} bias connection (dst {idx[0]})"
-            if name == "weight":
-                return f"layer {li} connection (dst {idx[0]}, src {idx[1]})"
-            return f"layer {li} connection (dst {idx[0]}, src {idx[1]}) {name} entry {idx[2]}"
+        for name in ("w", "bias", "lut", "visits"):
+            arr = getattr(lay, name)
+            if arr is not None and not np.isfinite(arr).all():
+                idx = np.argwhere(~np.isfinite(arr))[0]
+                at = ", ".join(f"{axis} {i}" for axis, i in zip(("dst", "src", "entry"), idx))
+                return f"layer {li}: non-finite {name} at {at}"
     return None
+
+
+def _require_fit(net: Network, args: np.ndarray, vals: np.ndarray) -> None:
+    """Raise ValueError unless args/vals are one or more sample rows that fit net."""
+    if (args.ndim != 2 or vals.ndim != 2 or not 0 < len(args) == len(vals)
+            or args.shape[1] != net.n_inputs or vals.shape[1] != net.n_outputs):
+        raise ValueError(f"need one or more samples as rows of {net.n_inputs} args and "
+                         f"{net.n_outputs} vals, got shapes {args.shape} and {vals.shape}")

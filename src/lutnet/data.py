@@ -36,7 +36,7 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """A fixed-size collection of dimensionally consistent samples.
+    """A fixed-size collection of dimensionally consistent, finite samples.
 
     ``classes`` names the class labels for classification sets (the
     position in the tuple is the value column carrying that class for
@@ -59,6 +59,9 @@ class Dataset:
             raise ValueError(
                 f"{self.args.shape[0]} argument rows vs {self.vals.shape[0]} value rows"
             )
+        if not (np.isfinite(self.args).all() and np.isfinite(self.vals).all()):
+            finite = np.isfinite(self.args).all(axis=1) & np.isfinite(self.vals).all(axis=1)
+            raise ValueError(f"dataset row {int(np.argmin(finite))} has a non-finite value")
         if self.classes is not None:
             self.classes = tuple(self.classes)
 
@@ -249,18 +252,20 @@ class CsvSchema:
 
 def _parse_cell(row: list[str], col: int, line_no: int) -> float:
     try:
-        return float(row[col])
+        value = float(row[col])
     except ValueError:
-        raise ValueError(
-            f"line {line_no}: column {col} is not numeric: {row[col]!r}"
-        ) from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"line {line_no}: column {col} is not a finite number: {row[col]!r}")
+    return value
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Read a comma-separated file into a Dataset per the schema.
 
     Rows shorter than the schema demands raise with the offending line
-    number, as do non-numeric cells in numeric columns. A binary class
+    number, as do non-numeric and non-finite (nan, inf) cells in numeric
+    columns, which also name the column. A binary class
     column becomes one +/-0.5 value attribute (sorted label order:
     first label negative); k > 2 labels become k one-hot columns.
     """

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Network, forward_batch
+from .core import Network, _require_fit, forward_batch
 from .data import Dataset
 
 __all__ = [
@@ -20,23 +20,12 @@ __all__ = [
     "SurfaceImage",
     "render_surface",
     "write_pgm",
-    "read_pgm",
 ]
-
-
-def _check_dims(net: Network, ds: Dataset) -> None:
-    if ds.n_args != net.n_inputs or ds.n_vals != net.n_outputs:
-        raise ValueError(
-            f"dataset is {ds.n_args} -> {ds.n_vals} but network is "
-            f"{net.n_inputs} -> {net.n_outputs}"
-        )
-    if len(ds) == 0:
-        raise ValueError("empty dataset")
 
 
 def mse(net: Network, ds: Dataset) -> float:
     """Mean over samples of the mean squared output error."""
-    _check_dims(net, ds)
+    _require_fit(net, ds.args, ds.vals)
     outputs = forward_batch(net, ds.args)
     err = outputs - ds.vals
     return float(np.mean(np.mean(err * err, axis=1)))
@@ -49,7 +38,7 @@ def accuracy(net: Network, ds: Dataset) -> float:
     column and are read by strict sign; with k value columns the
     predicted class is the argmax output.
     """
-    _check_dims(net, ds)
+    _require_fit(net, ds.args, ds.vals)
     if ds.classes is None:
         raise ValueError("accuracy needs a classification dataset")
     outputs = forward_batch(net, ds.args)
@@ -118,36 +107,3 @@ def write_pgm(img: SurfaceImage, path) -> None:
         fh.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
         fh.write(raster.tobytes())
 
-
-def read_pgm(path) -> tuple[int, int, np.ndarray]:
-    """Read back a binary PGM written by :func:`write_pgm`.
-
-    Returns (width, height, bytes grid). Accepts '#' comment lines in
-    the header and any maxval up to 255.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if not blob.startswith(b"P5"):
-        raise ValueError(f"{path}: not a binary PGM")
-    # header = magic + 3 whitespace-separated integers, then one whitespace
-    tokens: list[int] = []
-    pos = 2
-    while len(tokens) < 3:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(blob) and blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"{path}: truncated header")
-        tokens.append(int(blob[start:pos]))
-    pos += 1                                  # single whitespace before raster
-    width, height, maxval = tokens
-    if not 0 < maxval <= 255:
-        raise ValueError(f"{path}: unsupported maxval {maxval}")
-    raster = np.frombuffer(blob, dtype=np.uint8, count=width * height, offset=pos)
-    return width, height, raster.reshape(height, width).copy()

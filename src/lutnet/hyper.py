@@ -38,7 +38,7 @@ class Hyperparameters:
     s_a     update gain coefficient (0 disables gain shaping)
     s_b     multiplicative weight decay per application
     v_p     initial fill value of visit tables
-    v_min   hard floor of visit table entries (> 0)
+    v_min   hard floor of visit table entries, in (0, 0.5]
     """
 
     mu: float = 0.02
@@ -84,8 +84,10 @@ class Hyperparameters:
             raise ValueError("s_b must lie in [0, 1)")
         if not 0.0 <= self.r_c < 1.0:
             raise ValueError("r_c must lie in [0, 1)")
-        if not self.v_min > 0.0:
-            raise ValueError("v_min must be positive")
+        # at most 0.5: a floored visit entry then bumps to <= 1, so no later bump
+        # factor 1 + r_c*share*(1 - v) falls below 1 and pushes an entry under it
+        if not 0.0 < self.v_min <= 0.5:
+            raise ValueError("v_min must lie in (0, 0.5]")
         if not 0.0 < self.v_p <= 1.0:
             raise ValueError("v_p must lie in (0, 1]")
 
@@ -103,7 +105,7 @@ class Hyperparameters:
 def default_hyperparameters(kind: str = KIND_NLW) -> Hyperparameters:
     """Defaults for a network kind; LW flips the gain off and decays harder."""
     if kind not in KINDS:
-        raise ValueError(f"unknown network kind {kind!r}")
+        raise ValueError(f"unknown network kind {kind!r}, expected one of {KINDS}")
     if kind == KIND_LW:
         return Hyperparameters(s_a=0.0, s_b=2e-7)
     return Hyperparameters()

@@ -9,12 +9,14 @@ as one string: the padded base64 (RFC 4648) of its bytes as
 little-endian float64 in C order. The bytes are the values themselves,
 so save -> load -> save reproduces the file byte for byte, ``-0.0``
 included. Version 1 files, which list every layer's arrays as JSON
-numbers, still load; saves always write version 2.
+numbers, still load; saves always write version 2. A model trained on
+min-max scaled inputs also stores that scale, under the optional key ``scale``.
 """
 from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import secrets
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Network, find_nonfinite
-from .hyper import Hyperparameters, KIND_NLW, KINDS
+from .hyper import Hyperparameters, KIND_NLW
 
 __all__ = ["FORMAT_NAME", "FORMAT_VERSION", "LoadedModel", "save_model", "load_model"]
 
@@ -36,6 +38,7 @@ class LoadedModel:
     net: Network
     iteration: int
     rng_state: dict | None
+    scale: dict | None = None       # {"min": [...], "max": [...]} per input, if stored
 
 
 def _plain(value):
@@ -58,11 +61,14 @@ def _buffers(net: Network) -> dict:
     return {"params": net.params, "luts": net.luts, "visits": net.visits}
 
 
-def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = None) -> None:
+def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = None,
+               scale: dict | None = None) -> None:
     """Write the model file atomically, in format version 2.
 
-    A network with a non-finite parameter is refused with ValueError
-    before any file is opened. The document goes to a temporary file in
+    ``scale`` (the training inputs' ``scale_args`` record) goes under key ``scale``.
+    A network with a non-finite parameter, or a scale that does not hold
+    ``n_inputs`` finite numbers under each of ``min`` and ``max``, is
+    refused with ValueError before any file is opened. The document goes to a temporary file in
     the target's directory, which then replaces the target in one step:
     a save that fails leaves any earlier file at path as it was and
     removes its temporary file. A killed process may leave the
@@ -71,7 +77,7 @@ def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = 
     """
     bad = find_nonfinite(net)
     if bad is not None:
-        raise ValueError(f"{os.fspath(path)}: cannot save a non-finite parameter at {bad}")
+        raise ValueError(f"{os.fspath(path)}: cannot save, {bad}")
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -81,6 +87,9 @@ def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = 
         "iteration": int(iteration),
         "rng": _plain(rng_state) if rng_state is not None else None,
     }
+    if scale is not None:
+        doc["scale"] = _plain(scale)
+        _check_scale(doc["scale"], net.n_inputs, path)
     for key, buf in _buffers(net).items():
         doc[key] = base64.b64encode(buf.astype(_DTYPE, copy=False).tobytes()).decode("ascii")
     text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
@@ -103,6 +112,14 @@ def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = 
 def _require(cond: bool, path, message: str) -> None:
     if not cond:
         raise ValueError(f"{path}: {message}")
+
+
+def _check_scale(scale, n_inputs: int, path) -> None:
+    _require(scale is None or isinstance(scale, dict) and all(
+        isinstance(col, list) and len(col) == n_inputs
+        and all(type(v) in (int, float) and math.isfinite(v) for v in col)
+        for col in (scale.get("min"), scale.get("max"))),
+        path, f"bad scale: need min and max lists of {n_inputs} finite numbers")
 
 
 def _fill(view: np.ndarray, value, path, what: str) -> None:
@@ -164,8 +181,8 @@ def load_model(path) -> LoadedModel:
     """Read a model file back, validating it against its own header.
 
     Both format versions fill the network's buffers, then pass the same
-    checks on every layer: finite values, and visit entries at least
-    ``v_min``.
+    checks: finite values, visit entries at least ``v_min``, and the
+    optional scale that ``save_model`` checks.
     """
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
@@ -175,25 +192,21 @@ def load_model(path) -> LoadedModel:
     version = doc.get("version")
     _require(type(version) is int and version in (1, FORMAT_VERSION), path,
              f"unsupported version {version!r}")
-    kind = doc.get("kind")
-    _require(kind in KINDS, path, f"unknown kind {kind!r}")
     sizes = doc.get("architecture")
-    _require(isinstance(sizes, list) and len(sizes) >= 2
-             and all(type(s) is int and s >= 1 for s in sizes),
-             path, f"bad architecture {sizes!r}")
+    _require(isinstance(sizes, list), path, f"bad architecture {sizes!r}")
     try:
         hp = Hyperparameters(**doc["hyperparameters"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad hyperparameters: {exc}") from None
+    try:
+        net = Network(sizes, doc.get("kind"), hp)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
-    net = Network(tuple(sizes), kind, hp)
     (_fill_v1 if version == 1 else _fill_v2)(doc, net, path)
+    bad = find_nonfinite(net)
+    _require(bad is None, path, bad)
     for li, lay in enumerate(net.layers):
-        arrays = {"w": lay.w, "bias": lay.bias}
-        if lay.lut is not None:
-            arrays.update(lut=lay.lut, visits=lay.visits)
-        for name, view in arrays.items():
-            _require(np.isfinite(view).all(), path, f"layer {li}: non-finite {name} entry")
         # the diffusion divides by visit entries
         _require(lay.visits is None or (lay.visits >= hp.v_min).all(), path,
                  f"layer {li}: visits entry below v_min")
@@ -203,4 +216,5 @@ def load_model(path) -> LoadedModel:
              f"bad iteration counter {iteration!r}")
     rng_state = doc.get("rng")
     _require(rng_state is None or isinstance(rng_state, dict), path, "bad rng state")
-    return LoadedModel(net=net, iteration=iteration, rng_state=rng_state)
+    _check_scale(doc.get("scale"), net.n_inputs, path)
+    return LoadedModel(net=net, iteration=iteration, rng_state=rng_state, scale=doc.get("scale"))

@@ -25,6 +25,7 @@ from .core import (
     Network,
     _lut_read,
     _probed_read,
+    _require_fit,
     find_nonfinite,
     forward_network,
     segment_coords,
@@ -232,15 +233,7 @@ class Trainer:
     def __init__(self, net: Network, args: np.ndarray, vals: np.ndarray, seed: int):
         args = np.asarray(args, dtype=float)
         vals = np.asarray(vals, dtype=float)
-        if args.ndim != 2 or vals.ndim != 2 or len(args) != len(vals):
-            raise ValueError(f"args and vals must be 2-D with one row per sample, "
-                             f"got shapes {args.shape} and {vals.shape}")
-        if len(args) == 0:
-            raise ValueError("training set is empty")
-        if args.shape[1] != net.n_inputs or vals.shape[1] != net.n_outputs:
-            raise ValueError(
-                f"dataset is {args.shape[1]} -> {vals.shape[1]} but the network is "
-                f"{net.n_inputs} -> {net.n_outputs}")
+        _require_fit(net, args, vals)
         if not (np.isfinite(args).all() and np.isfinite(vals).all()):
             finite = np.isfinite(args).all(axis=1) & np.isfinite(vals).all(axis=1)
             raise ValueError(f"training data row {int(np.argmin(finite))} has a non-finite value")
@@ -279,10 +272,13 @@ class Trainer:
         """Train for a number of iterations.
 
         on_log(trainer, window_mse) fires every log_every iterations
-        with the mean per-sample error since the previous log point;
+        with the mean per-sample error since the previous log point, and
+        once more for a run that ends off that cadence (or with
+        log_every 0), with the mean over its trailing partial window;
         on_checkpoint(trainer) fires every checkpoint_every iterations.
         stop_when(trainer), polled at log points, ends the run early.
-        Returns the log rows as (iteration, window mse) pairs.
+        Returns the log rows as (iteration, window mse) pairs, one per
+        on_log call.
         """
         for name, every in (("log_every", log_every), ("checkpoint_every", checkpoint_every)):
             if every is not None and every < 0:
@@ -315,16 +311,14 @@ class Trainer:
                 window_n += 1
                 if not math.isfinite(err):
                     self.iteration += b + 1
-                    where = find_nonfinite(net) or "network outputs"
-                    raise TrainingDiverged(
-                        f"non-finite value in {where} at iteration {self.iteration}")
+                    where = find_nonfinite(net) or "non-finite network output"
+                    raise TrainingDiverged(f"{where} at iteration {self.iteration}")
             self.iteration += block
             at_log = log_every and self.iteration % log_every == 0
             if at_log or self.iteration == end:
                 bad = find_nonfinite(net)
                 if bad is not None:
-                    raise TrainingDiverged(
-                        f"non-finite value in {bad} at iteration {self.iteration}")
+                    raise TrainingDiverged(f"{bad} at iteration {self.iteration}")
             if at_log:
                 rows.append((self.iteration, window_sum / max(window_n, 1)))
                 if on_log is not None:
@@ -338,4 +332,6 @@ class Trainer:
                 on_checkpoint(self)
         if window_n and (not log_every or self.iteration % log_every != 0):
             rows.append((self.iteration, window_sum / window_n))
+            if on_log is not None:
+                on_log(self, window_sum / window_n)
         return rows

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from lutnet.cli import UsageError, main, parse_arch, parse_config_file
-from lutnet.data import CsvSchema, load_csv, scale_args
+from lutnet.data import CsvSchema, Dataset, load_csv, scale_args, write_csv
 from lutnet.evaluate import mse
-from lutnet.modelio import load_model
+from lutnet.modelio import load_model, save_model
+from lutnet.train import Trainer
 
 
 def run(*argv):
@@ -178,13 +179,22 @@ def test_train_log_includes_test_column_when_given(tmp_path):
     assert len(lines[1].split(",")) == 3
 
 
-def test_train_scales_test_data_with_the_training_scale(tmp_path):
+def _scaled_csvs(tmp_path):
+    """Training CSV over [-3, 5] and test CSV over [-1, 2], two args and one value."""
     rng = np.random.default_rng(31)
-    train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
-    for path, n, lo, hi in ((train_csv, 200, -3.0, 5.0), (test_csv, 50, -1.0, 2.0)):
+    paths = tmp_path / "train.csv", tmp_path / "test.csv"
+    for path, n, lo, hi in zip(paths, (200, 50), (-3.0, -1.0), (5.0, 2.0)):
         args = rng.uniform(lo, hi, (n, 2))
         vals = 0.4 * np.tanh(args[:, :1] - args[:, 1:])
         np.savetxt(path, np.hstack([args, vals]), delimiter=",", fmt="%.6f")
+    return paths
+
+
+CSV_FLAGS = ("--csv-args", "0-1", "--csv-vals", 2)
+
+
+def test_train_scales_test_data_with_the_training_scale(tmp_path):
+    train_csv, test_csv = _scaled_csvs(tmp_path)
     out, log = tmp_path / "m.json", tmp_path / "log.csv"
     assert run("train", "--data", train_csv, "--csv-args", "0-1", "--csv-vals", 2, "--scale",
                "--test-data", test_csv, "--arch", "2-4-1", "--kind", "NLW",
@@ -194,6 +204,95 @@ def test_train_scales_test_data_with_the_training_scale(tmp_path):
     test = scale_args(load_csv(test_csv, schema), scale)
     logged = log.read_text().splitlines()[-1].split(",")[2]
     assert logged == repr(mse(load_model(out).net, test))
+
+
+def test_scaled_model_stores_its_scale_and_eval_uses_it(tmp_path, capsys):
+    train_csv, test_csv = _scaled_csvs(tmp_path)
+    out = tmp_path / "m.json"
+    assert run("train", "--data", train_csv, *CSV_FLAGS, "--scale", "--arch", "2-4-1",
+               "--kind", "NLW", "--iterations", 200, "--out", out) == 0
+    schema = CsvSchema(arg_columns=(0, 1), val_columns=(2,))
+    scale = scale_args(load_csv(train_csv, schema)).provenance["scale"]
+    loaded = load_model(out)
+    assert loaded.scale == scale
+    expected = f"mse {mse(loaded.net, scale_args(load_csv(test_csv, schema), scale)):.12g}"
+    capsys.readouterr()
+    for flags in ((), ("--scale",)):
+        assert run("eval", "--model", out, "--data", test_csv, *CSV_FLAGS, *flags) == 0
+        assert capsys.readouterr().out.splitlines()[0] == expected
+
+
+def test_checkpoint_stores_the_scale(tmp_path, monkeypatch):
+    train_csv, _ = _scaled_csvs(tmp_path)
+    saved = []
+    monkeypatch.setattr("lutnet.cli.save_model",
+                        lambda path, net, it, rng, scale=None: saved.append((it, scale)))
+    assert run("train", "--data", train_csv, *CSV_FLAGS, "--scale", "--arch", "2-4-1",
+               "--kind", "NLW", "--iterations", 200, "--checkpoint-every", 100,
+               "--out", tmp_path / "m.json") == 0
+    schema = CsvSchema(arg_columns=(0, 1), val_columns=(2,))
+    scale = scale_args(load_csv(train_csv, schema)).provenance["scale"]
+    assert saved == [(100, scale), (200, scale)]
+
+
+def test_resume_scales_with_the_stored_scale(tmp_path):
+    train_csv, test_csv = _scaled_csvs(tmp_path)
+    part, again = tmp_path / "part.json", tmp_path / "again.json"
+    assert run("train", "--data", train_csv, *CSV_FLAGS, "--scale", "--arch", "2-4-1",
+               "--kind", "NLW", "--iterations", 100, "--seed", 4, "--out", part) == 0
+    # resumed on the narrower test file, which must be scaled like the training file
+    assert run("train", "--resume", part, "--data", test_csv, *CSV_FLAGS,
+               "--iterations", 60, "--out", again) == 0
+    loaded = load_model(part)
+    ds = scale_args(load_csv(test_csv, CsvSchema(arg_columns=(0, 1), val_columns=(2,))),
+                    loaded.scale)
+    tr = Trainer(loaded.net, ds.args, ds.vals, seed=4)
+    tr.restore(loaded.iteration, loaded.rng_state["gate"])
+    tr.run(60)
+    lib = tmp_path / "lib.json"
+    save_model(lib, tr.net, tr.iteration, {"seed": 4, "gate": tr.gate_state()}, loaded.scale)
+    assert again.read_bytes() == lib.read_bytes()
+
+
+def test_eval_scale_on_a_model_without_stored_scale_is_usage_error(tmp_path, capsys):
+    _, test_csv = _scaled_csvs(tmp_path)
+    out = tmp_path / "m.json"
+    assert run("train", "--data", test_csv, *CSV_FLAGS, "--arch", "2-4-1", "--kind", "NLW",
+               "--iterations", 10, "--out", out) == 0
+    assert "scale" not in json.loads(out.read_text())
+    capsys.readouterr()
+    assert run("eval", "--model", out, "--data", test_csv, *CSV_FLAGS, "--scale") == 1
+    assert "stores no training input scale" in capsys.readouterr().err
+
+
+def test_eval_nonfinite_csv_cell_exits_2_naming_line_and_column(tmp_path, capsys):
+    model = _trained_model(tmp_path)
+    data = tmp_path / "d.csv"
+    data.write_text("0.1,0.2,0.5\n0.3,0.1,0.5\n-0.2,nan,0.5\n")
+    capsys.readouterr()
+    assert run("eval", "--model", model, "--data", data, *CSV_FLAGS) == 2
+    captured = capsys.readouterr()
+    assert "line 3: column 1 is not a finite number: 'nan'" in captured.err
+    assert captured.out == ""
+
+
+def test_data_that_does_not_fit_the_net_has_one_wording(tmp_path, capsys):
+    model = _trained_model(tmp_path)
+    net = load_model(model).net
+    ds = Dataset(np.zeros((4, 3)), np.zeros((4, 1)))
+    messages = []
+    for call in (lambda: mse(net, ds), lambda: Trainer(net, ds.args, ds.vals, seed=0)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        messages.append(str(exc.value))
+    data = tmp_path / "d.csv"
+    write_csv(ds, data)
+    capsys.readouterr()
+    assert run("eval", "--model", model, "--data", data, "--csv-args", "0-2",
+               "--csv-vals", 3) == 1
+    messages.append(capsys.readouterr().err.strip().removeprefix("lutnet: error: "))
+    assert messages == ["need one or more samples as rows of 2 args and 1 vals, "
+                        "got shapes (4, 3) and (4, 1)"] * 3
 
 
 def test_train_missing_out_is_usage_error():
@@ -241,7 +340,7 @@ def test_train_nonfinite_data_row_exits_2_and_names_it(tmp_path, capsys):
                "--out", tmp_path / "m.json")
     err = capsys.readouterr().err
     assert code == 2
-    assert "training data row 1" in err
+    assert "line 2: column 1 is not a finite number: 'nan'" in err
     assert "training aborted" not in err
     assert not (tmp_path / "m.json").exists()
 
@@ -371,6 +470,17 @@ def test_bench_checks_connection_counts_before_timing(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "need >= 4 distinct connection counts" in captured.err
     assert captured.out == ""
+
+
+def test_bench_prints_no_ratio_for_a_falling_lw_fit(monkeypatch, capsys):
+    # each later (larger) architecture times faster: a negative slope for both kinds
+    monkeypatch.setattr("lutnet.bench._median_ms",
+                        lambda runs, reps: [1.0 / (i + 1) for i in range(len(runs))])
+    assert run("bench", "--archs", "2-2-1,2-4-1,2-8-1,2-12-1", "--kinds", "LW,NLW",
+               "--reps", 1) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("NLW/LW training slope ratio undefined: LW slope -")
+    assert last.endswith(" ms per connection")
 
 
 @pytest.mark.parametrize("flags,message", [

@@ -4,6 +4,7 @@ import pytest
 
 from lutnet.core import (
     BATCH_CHUNK,
+    Network,
     find_nonfinite,
     forward_batch,
     forward_network,
@@ -156,6 +157,22 @@ def test_init_rejects_bad_sizes():
         init_network((2, 1), "bogus", HP, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("sizes", [(2.7, 3, 1), (2, 0, 1), (2, True, 1), (2, 3.0, 1), [2]],
+                         ids=["float", "zero-nodes", "bool", "integral-float", "one-layer"])
+@pytest.mark.parametrize("build", [
+    lambda sizes: Network(sizes, "NLW", HP),
+    lambda sizes: init_network(sizes, "NLW", HP, np.random.default_rng(0)),
+], ids=["Network", "init_network"])
+def test_network_checks_its_architecture(build, sizes):
+    with pytest.raises(ValueError, match="bad architecture"):
+        build(sizes)
+
+
+def test_network_takes_numpy_integer_sizes():
+    net = Network(np.array([2, 3, 1]), "LW", HP)
+    assert net.sizes == (2, 3, 1) and all(type(s) is int for s in net.sizes)
+
+
 def test_init_deterministic_per_seed():
     a = init_network((2, 3, 1), "NLW", HP, np.random.default_rng(9))
     b = init_network((2, 3, 1), "NLW", HP, np.random.default_rng(9))
@@ -262,10 +279,16 @@ def test_find_nonfinite_names_the_location():
     assert find_nonfinite(net) is None
     net.layers[1].w[0, 1] = np.nan
     msg = find_nonfinite(net)
-    assert "layer 1" in msg
+    assert msg == "layer 1: non-finite w at dst 0, src 1"
     net.layers[1].w[0, 1] = 0.0
     net.layers[0].lut[1, 0, 5] = np.inf
-    assert "layer 0" in find_nonfinite(net)
+    assert find_nonfinite(net) == "layer 0: non-finite lut at dst 1, src 0, entry 5"
+    net.layers[0].lut[1, 0, 5] = 0.0
+    net.layers[0].visits[0, 1, 2] = np.nan
+    assert find_nonfinite(net) == "layer 0: non-finite visits at dst 0, src 1, entry 2"
+    net.layers[0].visits[0, 1, 2] = 0.1
+    net.layers[1].bias[0] = -np.inf
+    assert find_nonfinite(net) == "layer 1: non-finite bias at dst 0"
 
 
 def test_nan_input_yields_nan_output_not_crash():

@@ -32,6 +32,16 @@ def test_dataset_validates_and_normalizes_shapes():
         Dataset([[1.0]], [[0.5], [0.5]])        # row count mismatch
 
 
+@pytest.mark.parametrize("which,row,value", [("args", 2, np.nan), ("vals", 1, np.inf),
+                                             ("args", 0, -np.inf)])
+def test_dataset_rejects_a_nonfinite_row_naming_it(which, row, value):
+    arrays = {"args": np.zeros((4, 2)), "vals": np.zeros((4, 1))}
+    arrays[which][row, -1] = value
+    arrays["vals"][3, 0] = np.nan                      # a later bad row is not the one named
+    with pytest.raises(ValueError, match=f"dataset row {row} has a non-finite value"):
+        Dataset(arrays["args"], arrays["vals"])
+
+
 def test_subset_copies_and_merges_provenance():
     ds = Dataset(np.arange(8.0).reshape(4, 2), np.zeros((4, 1)),
                  provenance={"origin": "x"})
@@ -237,6 +247,17 @@ def test_load_csv_error_messages_name_lines(tmp_path):
     p3.write_text("")
     with pytest.raises(ValueError, match="no data rows"):
         load_csv(p3, CsvSchema(arg_columns=(0,), val_columns=(1,)))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "oops"])
+@pytest.mark.parametrize("col", [0, 2], ids=["arg", "val"])
+def test_load_csv_rejects_nonfinite_cells_naming_line_and_column(tmp_path, cell, col):
+    p = tmp_path / "d.csv"
+    row = ["0.3", "0.1", "0.5"]
+    row[col] = cell
+    p.write_text("0.1,0.2,0.5\n# comment\n" + ",".join(row) + "\n")
+    with pytest.raises(ValueError, match=f"line 3: column {col} is not a finite number: '{cell}'"):
+        load_csv(p, CsvSchema(arg_columns=(0, 1), val_columns=(2,)))
 
 
 def test_csv_round_trip_preserves_exact_floats(tmp_path):

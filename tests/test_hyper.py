@@ -62,6 +62,7 @@ def test_to_dict_round_trips():
     {"s_a": -1.0},
     {"mu": True},
     {"zeta": False},
+    {"v_min": 0.75},
 ])
 def test_validation_rejects_out_of_range(bad):
     with pytest.raises(ValueError):

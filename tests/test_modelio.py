@@ -177,12 +177,23 @@ def _set(index, value):
     ("v2", lambda d: d.update(iteration=True), "bad iteration counter True"),
     ("v2", lambda d: d.update(architecture=[2, 3, True]), "bad architecture"),
     ("v2", lambda d: d["hyperparameters"].update(mu=True), "mu must be a number"),
+    ("v2", lambda d: d.update(architecture=[2, 3.0, 1]), "bad architecture"),
+    ("v2", lambda d: d.update(architecture=[2, 0, 1]), "bad architecture"),
+    ("v2", lambda d: d.update(architecture="2-3-1"), "bad architecture"),
+    ("v2", lambda d: d.update(scale={"min": [0.0], "max": [1.0, 2.0]}), "bad scale"),
+    ("v2", lambda d: d.update(scale={"min": [0.0, float("nan")], "max": [1.0, 2.0]}),
+     "bad scale"),
+    ("v2", lambda d: d.update(scale={"min": [0.0, True], "max": [1.0, 2.0]}), "bad scale"),
+    ("v2", lambda d: d.update(scale={"max": [1.0, 2.0]}), "bad scale"),
+    ("v2", lambda d: d.update(scale=[0.0, 1.0]), "bad scale"),
 ], ids=["format", "version", "kind", "arch", "layers", "w-shape",
         "lut-shape", "missing-visits", "iteration", "nan-w", "inf-bias", "nan-lut",
         "inf-visits", "zero-visits", "float-r_res", "negative-r_b",
         "v2-not-base64", "v2-byte-short", "v2-missing-visits", "v2-luts-on-lw",
         "v2-nan-params", "v2-inf-luts", "v2-zero-visits",
-        "bool-version", "bool-iteration", "bool-arch", "bool-mu"])
+        "bool-version", "bool-iteration", "bool-arch", "bool-mu",
+        "float-arch", "zero-node-arch", "string-arch", "scale-width", "scale-nan",
+        "scale-bool", "scale-no-min", "scale-not-object"])
 def test_load_rejects_corrupt_documents(tmp_path, source, mutate, phrase):
     p = _corrupt(tmp_path, source, mutate)
     with pytest.raises(ValueError, match=phrase):
@@ -233,8 +244,29 @@ def test_save_refuses_nonfinite_and_writes_nothing(tmp_path):
     net = _net("NLW")
     net.luts[7, 2] = float("nan")          # layer 1 starts at LUT row 6
     p = tmp_path / "m.json"
-    with pytest.raises(ValueError, match=r"layer 1 connection \(dst 0, src 1\) lut entry 2"):
+    with pytest.raises(ValueError, match="layer 1: non-finite lut at dst 0, src 1, entry 2"):
         save_model(p, net)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scale_round_trips_and_is_absent_unless_given(tmp_path):
+    net = _net("NLW")
+    p = tmp_path / "m.json"
+    save_model(p, net, 4)
+    assert "scale" not in json.loads(p.read_text())
+    assert load_model(p).scale is None
+    scale = {"min": [-3.0, np.float64(0.1)], "max": [5, 2.5]}
+    save_model(p, net, 4, scale=scale)
+    assert json.loads(p.read_text())["scale"] == {"min": [-3.0, 0.1], "max": [5, 2.5]}
+    assert load_model(p).scale == {"min": [-3.0, 0.1], "max": [5, 2.5]}
+
+
+@pytest.mark.parametrize("scale", [{"min": [0.0], "max": [1.0]},
+                                   {"min": [0.0, float("inf")], "max": [1.0, 2.0]},
+                                   {"max": [1.0, 2.0]}], ids=["width", "inf", "no-min"])
+def test_save_refuses_a_bad_scale_and_writes_nothing(tmp_path, scale):
+    with pytest.raises(ValueError, match="bad scale: need min and max lists of 2 finite"):
+        save_model(tmp_path / "m.json", _net("NLW"), scale=scale)
     assert list(tmp_path.iterdir()) == []
 
 

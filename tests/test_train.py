@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lutnet import train as train_module
@@ -571,6 +571,19 @@ def test_trainer_log_every_zero_gives_single_tail_row():
     assert [it for it, _ in rows] == [57]
 
 
+@pytest.mark.parametrize("iterations,log_every,calls", [
+    (250, 100, [100, 200, 250]), (57, 0, [57]), (200, 100, [100, 200]), (0, 100, []),
+], ids=["tail", "log-every-zero", "on-cadence", "no-iterations"])
+def test_trainer_gives_every_log_row_to_on_log(iterations, log_every, calls):
+    args, vals = _toy_data()
+    net = init_network((2, 2, 1), "LW", LW, _rng([31, 1]))
+    seen = []
+    rows = Trainer(net, args, vals, seed=0).run(
+        iterations, log_every=log_every, on_log=lambda t, m: seen.append((t.iteration, m)))
+    assert seen == rows
+    assert [it for it, _ in rows] == calls
+
+
 def test_trainer_on_log_and_stop_when():
     args, vals = _toy_data()
     net = init_network((2, 2, 1), "LW", LW, _rng([32, 0]))
@@ -636,3 +649,23 @@ def test_trainer_error_window_decreases_on_learnable_problem():
     net = init_network((2, 4, 1), "NLW", NLW, _rng([36, 0]))
     rows = Trainer(net, args, vals, seed=0).run(4000, log_every=1000)
     assert rows[-1][1] < rows[0][1]
+
+
+@settings(max_examples=60, deadline=None)
+@example(r_c=1.0 - 2**-53, r_b=0.0, zeta=1.0, v_min=0.5, v_p=1e-3, seed=0, iterations=40)
+@given(r_c=st.floats(0.0, 1.0, exclude_max=True), r_b=st.floats(0.0, 1e3),
+       zeta=st.floats(0.0, 1.0), v_min=st.floats(0.0, 0.5, exclude_min=True),
+       v_p=st.floats(0.0, 1.0, exclude_min=True), seed=st.integers(0, 2**16),
+       iterations=st.integers(1, 40))
+def test_visit_entries_stay_finite_and_at_least_v_min(r_c, r_b, zeta, v_min, v_p, seed,
+                                                      iterations):
+    # every valid setting; v_p below v_min is allowed and floored by the first update
+    hp = NLW.replace(r_res=8, r_c=r_c, r_b=r_b, zeta=zeta, v_min=v_min, v_p=v_p)
+    args, vals = _toy_data(n=13, seed=seed)
+    args *= 2.4                                          # past the domain edges too
+    net = init_network((2, 3, 2, 1), "NLW", hp, _rng([seed, 0]))
+    tr = Trainer(net, args, vals, seed=seed)
+    for _ in range(iterations):
+        tr.run(1, log_every=0)
+        assert np.isfinite(net.visits).all()
+        assert (net.visits >= v_min).all()
