@@ -1,9 +1,11 @@
 """Command-line front end: gen-data, train, eval, render, bench.
 
-Settings are resolved in three tiers: built-in defaults, then a
-``key = value`` config file (``--config``), then explicit flags. Exit
-codes: 0 success, 1 usage or configuration error, 2 runtime error
-(training divergence, unreadable or malformed files).
+Each setting is one row of ``_SETTINGS``: converter, default, smallest
+accepted value and help. The row adds the setting's flag to each command
+that takes it, and converts and checks the flag's value and a ``key =
+value`` line of a ``--config`` file alike. A flag beats the config file,
+which beats the default. Exit codes: 0 success, 1 usage or configuration
+error, 2 runtime error (training divergence, unreadable or malformed files).
 
 Training writes a versioned JSON model whose rng descriptor carries the
 run seed and the gate generator state, so ``--resume`` continues a run
@@ -15,6 +17,7 @@ import argparse
 import csv
 import sys
 from dataclasses import fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,42 +54,117 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# Option plumbing
+# Settings: one row each, for its flag and its config line alike
 
-_HYPER_KEYS = {f.name: type(f.default) for f in fields(Hyperparameters)}
+def _number(kind, noun: str):
+    def convert(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ValueError(f"must be {noun}, got {text!r}") from None
+    return convert
 
-_RUN_KEYS = {
-    "arch": str, "kind": str, "iterations": int, "seed": int,
-    "data": str, "data_n": int, "data_seed": int, "data_fraction": float,
-    "out": str, "log": str, "log_every": int, "checkpoint_every": int,
-    "test_data": str, "scale": bool,
-    "csv_args": str, "csv_vals": str, "csv_class": int,
-    "csv_categorical": str, "csv_header": bool,
-}
 
-_CONVERTERS = {**_HYPER_KEYS, **_RUN_KEYS}
-
-# values of settings that neither a flag nor the config file gave; the
-# hyperparameters' come from default_hyperparameters(kind)
-_DEFAULTS = {
-    "seed": 0, "data_seed": 0, "data_n": 10000, "data_fraction": 0.15,
-    "log_every": 1000, "scale": False, "csv_header": False,
-}
-
-# smallest accepted value of integer settings, checked before any work
-_MINIMUMS = {
-    "seed": 0, "data_seed": 0, "data_n": 1, "log_every": 0, "checkpoint_every": 0,
-    "resolution": 1, "reps": 1,
-}
+_INT, _FLOAT = _number(int, "an integer"), _number(float, "a number")
 
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    if lowered in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        return lowered in ("1", "true", "yes", "on")
+    raise ValueError(f"must be a boolean (true/false, yes/no, on/off, 1/0), got {text!r}")
+
+
+def _fraction(text: str) -> float:
+    value = _FLOAT(text)
+    if not 0 < value <= 1:
+        raise ValueError(f"must be in (0, 1], got {value}")
+    return value
+
+
+def _parse_columns(text: str) -> tuple[int, ...]:
+    """Comma list of column indices; a range such as 0-3 counts up."""
+    cols: list[int] = []
+    for token in filter(str.strip, text.split(",")):
+        lo, dash, hi = (part.strip() for part in token.partition("-"))
+        hi = hi if dash else lo
+        if not (lo.isdigit() and hi.isdigit() and int(lo) <= int(hi)):
+            raise ValueError(f"must list column indices or ranges like 0-3, got {text!r}")
+        cols.extend(range(int(lo), int(hi) + 1))
+    if not cols:
+        raise ValueError(f"must list at least one column, got {text!r}")
+    return tuple(cols)
+
+
+class _OneOf(tuple):
+    """Converter that accepts only its members; a flag lists them as argparse choices."""
+    def __call__(self, text: str) -> str:
+        if text not in self:
+            raise ValueError(f"must be one of {', '.join(self)}, got {text!r}")
+        return text
+
+
+class _Setting(NamedTuple):
+    convert: Callable = str   # text of a flag or config line -> value; ValueError if bad
+    default: object = None    # value when neither a flag nor the config file gives one
+    minimum: object = None    # smallest accepted value
+    help: str | None = None
+
+
+# a hyperparameter neither gives keeps its value from default_hyperparameters(kind);
+# its help is its line in the Hyperparameters docstring
+_DOC = dict(line.split(None, 1) for line in Hyperparameters.__doc__.splitlines() if line.strip())
+_HYPER = {f.name: _Setting(_INT if type(f.default) is int else _FLOAT, help=_DOC.get(f.name))
+          for f in fields(Hyperparameters)}
+_SETTINGS = {
+    **_HYPER,
+    "arch": _Setting(help="layer sizes, e.g. 2-32-32-1 or X-4-3"),
+    "kind": _Setting(_OneOf(KINDS)),
+    "iterations": _Setting(_INT, None, 0, "iterations to run; with --resume, to add"),
+    "seed": _Setting(_INT, 0, 0),
+    "data": _Setting(help=f"one of {', '.join(GENERATORS)}, circle-full, or a CSV path"),
+    "data_n": _Setting(_INT, 10000, 1, "sample count for generated regression sets"),
+    "data_seed": _Setting(_INT, 0, 0),
+    "data_fraction": _Setting(_fraction, 0.15, help="kept pixel share of the circle mask"),
+    "out": _Setting(help="file to write: the model, dataset CSV, PGM or timing CSV"),
+    "log": _Setting(help="training-log CSV path"),
+    "log_every": _Setting(_INT, 1000, 0),
+    "checkpoint_every": _Setting(_INT, None, 0),
+    "test_data": _Setting(help="dataset evaluated at every log point"),
+    "scale": _Setting(_parse_bool, False, help="min-max scale args into [-0.5, 0.5]"),
+    "csv_args": _Setting(_parse_columns, help="argument column indices, e.g. 0,1,2,3 or 0-3"),
+    "csv_vals": _Setting(_parse_columns, help="numeric value column indices"),
+    "csv_class": _Setting(_INT, None, 0, "categorical class column index"),
+    "csv_categorical": _Setting(_parse_columns, help="argument columns to one-hot encode"),
+    "csv_header": _Setting(_parse_bool, False, help="first row is a header"),
+    "resolution": _Setting(_INT, 64, 1),
+    "reps": _Setting(_INT, 5, 1),
+}
+
+# render and bench read no config file, so their own settings are no config keys
+_CONFIG_KEYS = _SETTINGS.keys() - {"resolution", "reps"}
+
+
+def _value(key: str, text: str, name: str):
+    """Setting ``key`` from ``text``, converted and range-checked; ``name`` says where."""
+    row = _SETTINGS[key]
+    try:
+        value = row.convert(text)
+    except ValueError as exc:
+        raise UsageError(f"{name} {exc}") from None
+    if row.minimum is not None and value < row.minimum:
+        raise UsageError(f"{name} must be at least {row.minimum}, got {value}")
+    return value
+
+
+def _add_settings(parser, *keys: str, required: bool = False) -> None:
+    """Add the flags of table settings; each keeps its text until main converts it."""
+    for key in keys:
+        row = _SETTINGS[key]
+        extra = ({"action": "store_const", "const": "true"} if row.convert is _parse_bool
+                 else {"choices": row.convert} if isinstance(row.convert, _OneOf) else {})
+        parser.add_argument(f"--{key.replace('_', '-')}", required=required,
+                            help=row.help, **extra)
 
 
 def parse_config_file(path) -> dict:
@@ -105,28 +183,14 @@ def parse_config_file(path) -> dict:
             raise UsageError(f"{path}:{line_no}: expected key = value, got {text!r}")
         key, raw = (part.strip() for part in text.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _CONVERTERS:
+        if key not in _CONFIG_KEYS:
             raise UsageError(f"{path}:{line_no}: unknown setting {key!r}")
-        convert = _parse_bool if _CONVERTERS[key] is bool else _CONVERTERS[key]
-        try:
-            values[key] = convert(raw)
-        except ValueError as exc:
-            raise UsageError(f"{path}:{line_no}: bad value for {key}: {exc}") from None
-        _check_range(key, values[key], f"{path}:{line_no}: {key}")
+        values[key] = _value(key, raw, f"{path}:{line_no}: {key}")
     return values
 
 
-def _check_range(key: str, value, name: str) -> None:
-    if value is None:
-        return
-    if key in _MINIMUMS and value < _MINIMUMS[key]:
-        raise UsageError(f"{name} must be at least {_MINIMUMS[key]}, got {value}")
-    if key == "data_fraction" and not 0 < value <= 1:
-        raise UsageError(f"{name} must be in (0, 1], got {value}")
-
-
 def _build_hyper(ns, kind: str) -> Hyperparameters:
-    overrides = {key: getattr(ns, key) for key in _HYPER_KEYS if getattr(ns, key) is not None}
+    overrides = {k: getattr(ns, k) for k in _HYPER if getattr(ns, k, None) is not None}
     try:
         hp = default_hyperparameters(kind)
         return hp.replace(**overrides) if overrides else hp
@@ -151,27 +215,6 @@ def parse_arch(text: str, n_args: int | None = None) -> tuple[int, ...]:
     if len(sizes) < 2:
         raise UsageError(f"architecture {text!r} needs at least input and output sizes")
     return tuple(sizes)
-
-
-def _parse_columns(text: str) -> tuple[int, ...]:
-    """Comma list of column indices, ranges like 0-3 allowed."""
-    cols: list[int] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "-" in token:
-            lo, _, hi = token.partition("-")
-            if not (lo.strip().isdigit() and hi.strip().isdigit()):
-                raise UsageError(f"bad column range {token!r}")
-            cols.extend(range(int(lo), int(hi) + 1))
-        elif token.isdigit():
-            cols.append(int(token))
-        else:
-            raise UsageError(f"bad column index {token!r}")
-    if not cols:
-        raise UsageError(f"no columns in {text!r}")
-    return tuple(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +252,10 @@ def _dataset_from_source(ns, source: str) -> Dataset:
         raise UsageError(f"{source}: CSV input needs --csv-args")
     try:
         schema = CsvSchema(
-            arg_columns=_parse_columns(ns.csv_args),
-            val_columns=_parse_columns(ns.csv_vals) if ns.csv_vals else (),
+            arg_columns=ns.csv_args,
+            val_columns=ns.csv_vals or (),
             class_column=ns.csv_class,
-            categorical_args=_parse_columns(ns.csv_categorical) if ns.csv_categorical else (),
+            categorical_args=ns.csv_categorical or (),
             header=ns.csv_header,
         )
     except ValueError as exc:
@@ -244,12 +287,9 @@ def cmd_train(ns) -> int:
     scale = ds.provenance.get("scale")
     test_ds = _dataset_from_source(ns, ns.test_data) if ns.test_data else None
 
-    iterations = ns.iterations
-    if iterations is None or iterations < 0:
-        raise UsageError("--iterations must be given and non-negative")
-    out_path = ns.out
-    if out_path is None:
-        raise UsageError("no output model path (--out)")
+    for key in ("iterations", "out") + (() if loaded else ("arch", "kind")):
+        if getattr(ns, key) is None:          # a new run also needs its net
+            raise UsageError(f"--{key} must be given")
 
     if loaded is not None:
         net = loaded.net
@@ -260,14 +300,11 @@ def cmd_train(ns) -> int:
         trainer = Trainer(net, ds.args, ds.vals, seed=seed)
         trainer.restore(loaded.iteration, state["gate"])
     else:
-        kind = ns.kind
-        if ns.arch is None:
-            raise UsageError("no architecture given (--arch)")
         sizes = parse_arch(ns.arch, n_args=ds.n_args)
-        hp = _build_hyper(ns, kind)
+        hp = _build_hyper(ns, ns.kind)
         seed = ns.seed
         net = init_network(
-            sizes, kind, hp,
+            sizes, ns.kind, hp,
             np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0]))),
         )
         _require_dims(net, ds)
@@ -299,10 +336,10 @@ def cmd_train(ns) -> int:
             log_writer.writerow(row)
 
         def on_checkpoint(tr: Trainer) -> None:
-            save_model(out_path, tr.net, tr.iteration, rng_descriptor(), scale)
+            save_model(ns.out, tr.net, tr.iteration, rng_descriptor(), scale)
 
         trainer.run(
-            iterations,
+            ns.iterations,
             log_every=ns.log_every or 0,
             on_log=on_log,
             checkpoint_every=ns.checkpoint_every,
@@ -312,8 +349,8 @@ def cmd_train(ns) -> int:
         if log_fh is not None:
             log_fh.close()
 
-    save_model(out_path, trainer.net, trainer.iteration, rng_descriptor(), scale)
-    print(f"trained to iteration {trainer.iteration}, model written to {out_path}")
+    save_model(ns.out, trainer.net, trainer.iteration, rng_descriptor(), scale)
+    print(f"trained to iteration {trainer.iteration}, model written to {ns.out}")
     return 0
 
 
@@ -341,10 +378,7 @@ def cmd_render(ns) -> int:
 
 def cmd_bench(ns) -> int:
     archs = [parse_arch(text) for text in ns.archs.split(",") if text.strip()]
-    kinds = [k.strip() for k in ns.kinds.split(",") if k.strip()]
-    for kind in kinds:
-        if kind not in KINDS:
-            raise UsageError(f"kind must be one of {KINDS}, got {kind!r}")
+    kinds = [_value("kind", k.strip(), "--kinds") for k in ns.kinds.split(",") if k.strip()]
     try:
         rres_values = tuple(int(t) for t in (ns.rres_values or "").split(",") if t.strip())
     except ValueError:
@@ -361,12 +395,10 @@ def cmd_bench(ns) -> int:
     reports = []
     for kind in kinds:
         sweep = rres_values if kind == "NLW" else ()
-        hp = default_hyperparameters(kind)
-        if ns.r_res is not None:
-            hp = hp.replace(r_res=ns.r_res)
         try:
             report = bench_mod.bench_iterations(
-                archs, kind, hp=hp, reps=ns.reps, rres_values=sweep, seed=ns.seed,
+                archs, kind, hp=_build_hyper(ns, kind), reps=ns.reps, rres_values=sweep,
+                seed=ns.seed,
             )
         except ValueError as exc:
             raise UsageError(str(exc)) from None
@@ -398,114 +430,66 @@ def cmd_bench(ns) -> int:
 # ---------------------------------------------------------------------------
 # Parser assembly
 
-def _add_hyper_flags(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_argument_group("hyperparameters")
-    for key, conv in _HYPER_KEYS.items():
-        group.add_argument(f"--{key.replace('_', '-')}", type=conv, default=None)
-
-
-def _add_csv_flags(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_argument_group("csv schema")
-    group.add_argument("--csv-args", default=None,
-                       help="argument column indices, e.g. 0,1,2,3 or 0-3")
-    group.add_argument("--csv-vals", default=None,
-                       help="numeric value column indices")
-    group.add_argument("--csv-class", type=int, default=None,
-                       help="categorical class column index")
-    group.add_argument("--csv-categorical", default=None,
-                       help="argument columns to one-hot encode")
-    group.add_argument("--csv-header", action="store_const", const=True, default=None,
-                       help="first row is a header")
-    group.add_argument("--scale", action="store_const", const=True, default=None,
-                       help="min-max scale argument columns into [-0.5, 0.5]")
-
-
-def _add_data_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--data", default=None,
-                     help=f"one of {', '.join(GENERATORS)}, circle-full, or a CSV path")
-    sub.add_argument("--data-seed", type=int, default=None)
-    sub.add_argument("--data-n", type=int, default=None,
-                     help="sample count for generated regression sets")
-    sub.add_argument("--data-fraction", type=float, default=None,
-                     help="kept pixel fraction of the circle training mask")
-    _add_csv_flags(sub)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lutnet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sampling = ("data_seed", "data_n", "data_fraction")
+    csv_schema = ("csv_args", "csv_vals", "csv_class", "csv_categorical", "csv_header", "scale")
 
     p = sub.add_parser("gen-data", help="write a benchmark dataset as CSV")
     p.add_argument("name", choices=GENERATORS)
-    p.add_argument("--out", required=True)
+    _add_settings(p, "out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--data-seed", type=int, default=None)
-    p.add_argument("--data-n", type=int, default=None)
-    p.add_argument("--data-fraction", type=float, default=None)
+    _add_settings(p, *sampling)
     p.add_argument("--full", action="store_true",
                    help="for circle: write every pixel instead of the training mask")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a network on a dataset")
     p.add_argument("--config", default=None, help="key = value settings file")
-    p.add_argument("--arch", default=None, help="layer sizes, e.g. 2-32-32-1 or X-4-3")
-    p.add_argument("--kind", default=None, choices=KINDS)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="model file to write")
-    p.add_argument("--resume", default=None,
-                   help="model file to continue from; --iterations adds to it")
-    p.add_argument("--log", default=None, help="training-log CSV path")
-    p.add_argument("--log-every", type=int, default=None)
-    p.add_argument("--checkpoint-every", type=int, default=None)
-    p.add_argument("--test-data", default=None,
-                   help="dataset evaluated at every log point")
-    _add_data_flags(p)
-    _add_hyper_flags(p)
+    _add_settings(p, "arch", "kind", "iterations", "seed", "out")
+    p.add_argument("--resume", help="model file to continue from; --iterations adds to it")
+    _add_settings(p, "log", "log_every", "checkpoint_every", "test_data", "data", *sampling)
+    _add_settings(p.add_argument_group("csv schema"), *csv_schema)
+    _add_settings(p.add_argument_group("hyperparameters"), *_HYPER)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="report metrics of a model on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--config", default=None)
-    _add_data_flags(p)
+    _add_settings(p, "data", *sampling)
+    _add_settings(p.add_argument_group("csv schema"), *csv_schema)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("render", help="render the 2-d response surface as PGM")
     p.add_argument("--model", required=True)
-    p.add_argument("--resolution", type=int, default=64)
-    p.add_argument("--out", required=True)
+    _add_settings(p, "resolution")
+    _add_settings(p, "out", required=True)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("bench", help="time training and forward iterations")
-    p.add_argument("--archs", required=True,
-                   help="comma-separated architectures, at least 4")
+    p.add_argument("--archs", required=True, help="comma-separated architectures, at least 4")
     p.add_argument("--kinds", default="LW,NLW")
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--r-res", type=int, default=None,
-                   help="table length for the architecture sweep (default 64)")
-    p.add_argument("--rres-values", default=None,
-                   help="comma list of table lengths to sweep on the first arch")
-    p.add_argument("--out", default=None, help="timing CSV path")
+    _add_settings(p, "reps", "seed", "r_res")
+    p.add_argument("--rres-values", help="comma list of table lengths to sweep on the first arch")
+    _add_settings(p, "out")
     p.set_defaults(func=cmd_bench)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = build_parser().parse_args(argv)
     except SystemExit as exc:               # argparse exits; keep the code
         return int(exc.code or 0)
     try:
-        for key in (*_MINIMUMS, "data_fraction"):
-            _check_range(key, getattr(ns, key, None), f"--{key.replace('_', '-')}")
-        # a setting no flag set takes its config-file value, else its default
+        # each setting of the command: its flag, else its config line, else its default
+        flags = {key: _value(key, text, f"--{key.replace('_', '-')}")
+                 for key, text in vars(ns).items() if key in _SETTINGS and text is not None}
         config = parse_config_file(ns.config) if getattr(ns, "config", None) else {}
-        for key in _CONVERTERS.keys() & vars(ns).keys():
-            if getattr(ns, key) is None:
-                setattr(ns, key, config.get(key, _DEFAULTS.get(key)))
+        for key in _SETTINGS.keys() & vars(ns).keys():
+            setattr(ns, key, flags.get(key, config.get(key, _SETTINGS[key].default)))
         return ns.func(ns)
     except UsageError as exc:
         print(f"lutnet: error: {exc}", file=sys.stderr)

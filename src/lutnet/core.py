@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hyper import Hyperparameters, KIND_LW, KIND_NLW, KINDS
+from .hyper import Hyperparameters, KIND_NLW, KINDS
 
 # ---------------------------------------------------------------------------
 # LUT grid and interpolation
@@ -350,7 +350,7 @@ def forward_network(net: Network, x, offsets: np.ndarray | None = None,
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_inputs,):
-        raise ValueError(f"expected {net.n_inputs} inputs, got shape {x.shape}")
+        raise _misfit(net, "one sample", x)
     layers: list[LayerTrace] = []
     return _forward_layers(net, x, layers, offsets, coords), ForwardTrace(x, layers)
 
@@ -359,7 +359,7 @@ def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:
     """Forward many samples at once; rows of xs are individual inputs."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != net.n_inputs:
-        raise ValueError(f"expected (n, {net.n_inputs}) inputs, got shape {xs.shape}")
+        raise _misfit(net, "samples as rows", xs)
     out = np.empty((xs.shape[0], net.n_outputs))
     for start in range(0, xs.shape[0], BATCH_CHUNK):
         out[start:start + BATCH_CHUNK] = _forward_layers(net, xs[start:start + BATCH_CHUNK])
@@ -421,5 +421,11 @@ def _require_fit(net: Network, args: np.ndarray, vals: np.ndarray) -> None:
     """Raise ValueError unless args/vals are one or more sample rows that fit net."""
     if (args.ndim != 2 or vals.ndim != 2 or not 0 < len(args) == len(vals)
             or args.shape[1] != net.n_inputs or vals.shape[1] != net.n_outputs):
-        raise ValueError(f"need one or more samples as rows of {net.n_inputs} args and "
-                         f"{net.n_outputs} vals, got shapes {args.shape} and {vals.shape}")
+        raise _misfit(net, "one or more samples as rows", args, vals)
+
+
+def _misfit(net: Network, samples: str, *arrays: np.ndarray) -> ValueError:
+    """The one wording for data that does not fit ``net``: args, then vals if given."""
+    sizes = " and ".join([f"{net.n_inputs} args", f"{net.n_outputs} vals"][:len(arrays)])
+    shapes = " and ".join(str(a.shape) for a in arrays)
+    return ValueError(f"need {samples} of {sizes}, got shape{'s' * (len(arrays) > 1)} {shapes}")

@@ -59,9 +59,7 @@ class Dataset:
             raise ValueError(
                 f"{self.args.shape[0]} argument rows vs {self.vals.shape[0]} value rows"
             )
-        if not (np.isfinite(self.args).all() and np.isfinite(self.vals).all()):
-            finite = np.isfinite(self.args).all(axis=1) & np.isfinite(self.vals).all(axis=1)
-            raise ValueError(f"dataset row {int(np.argmin(finite))} has a non-finite value")
+        _require_finite(self.args, self.vals, "dataset")
         if self.classes is not None:
             self.classes = tuple(self.classes)
 
@@ -82,6 +80,13 @@ class Dataset:
         if provenance:
             prov.update(provenance)
         return Dataset(self.args[idx].copy(), self.vals[idx].copy(), self.classes, prov)
+
+
+def _require_finite(args: np.ndarray, vals: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first sample row that holds a NaN or infinity."""
+    if not (np.isfinite(args).all() and np.isfinite(vals).all()):
+        finite = np.isfinite(args).all(axis=1) & np.isfinite(vals).all(axis=1)
+        raise ValueError(f"{what} row {int(np.argmin(finite))} has a non-finite value")
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +253,20 @@ class CsvSchema:
         unknown = set(self.categorical_args) - set(self.arg_columns)
         if unknown:
             raise ValueError(f"categorical columns {sorted(unknown)} not argument columns")
+        named = [("arg_columns", self.arg_columns), ("val_columns", self.val_columns),
+                 ("class_column", () if self.class_column is None else (self.class_column,))]
+        for name, columns in named:
+            if any(col < 0 for col in columns):
+                raise ValueError(f"{name} must not hold a negative index, got {columns}")
+
+
+def _one_hot(labels: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Sorted distinct labels and one column each: +0.5 where the row has it, else -0.5."""
+    cats = tuple(sorted(set(labels)))
+    index = {c: k for k, c in enumerate(cats)}
+    block = np.full((len(labels), len(cats)), -0.5)
+    block[np.arange(len(labels)), [index[label] for label in labels]] = 0.5
+    return cats, block
 
 
 def _parse_cell(row: list[str], col: int, line_no: int) -> float:
@@ -302,26 +321,16 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             vals = [_parse_cell(r, col, ln) for r, ln in zip(rows, data_lines)]
             arg_blocks.append(np.array(vals)[:, None])
         else:
-            labels = [r[col] for r in rows]
-            cats = sorted(set(labels))
-            block = np.full((len(rows), len(cats)), -0.5)
-            index = {c: k for k, c in enumerate(cats)}
-            block[np.arange(len(rows)), [index[l] for l in labels]] = 0.5
-            arg_blocks.append(block)
+            arg_blocks.append(_one_hot([r[col] for r in rows])[1])
     args = np.hstack(arg_blocks)
 
     classes: tuple[str, ...] | None = None
     if schema.class_column is not None:
-        labels = [r[schema.class_column] for r in rows]
-        classes = tuple(sorted(set(labels)))
-        index = {c: k for k, c in enumerate(classes)}
+        classes, vals = _one_hot([r[schema.class_column] for r in rows])
         if len(classes) < 2:
             raise ValueError(f"{path}: class column has a single label {classes}")
         if len(classes) == 2:
-            vals = np.array([[0.5 if index[l] else -0.5] for l in labels])
-        else:
-            vals = np.full((len(rows), len(classes)), -0.5)
-            vals[np.arange(len(rows)), [index[l] for l in labels]] = 0.5
+            vals = vals[:, [1]]               # one column, +0.5 for the second label
     else:
         cols = [
             [_parse_cell(r, col, ln) for r, ln in zip(rows, data_lines)]

@@ -30,6 +30,7 @@ from .core import (
     forward_network,
     segment_coords,
 )
+from .data import _require_finite
 from .hyper import Hyperparameters
 from .regularize import (
     _assemble_pairs,
@@ -234,9 +235,7 @@ class Trainer:
         args = np.asarray(args, dtype=float)
         vals = np.asarray(vals, dtype=float)
         _require_fit(net, args, vals)
-        if not (np.isfinite(args).all() and np.isfinite(vals).all()):
-            finite = np.isfinite(args).all(axis=1) & np.isfinite(vals).all(axis=1)
-            raise ValueError(f"training data row {int(np.argmin(finite))} has a non-finite value")
+        _require_finite(args, vals, "training data")
         self.net = net
         self.args = args
         self.vals = vals

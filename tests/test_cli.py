@@ -2,13 +2,16 @@
 import base64
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from lutnet.cli import UsageError, main, parse_arch, parse_config_file
+from lutnet.core import forward_batch, forward_network
 from lutnet.data import CsvSchema, Dataset, load_csv, scale_args, write_csv
 from lutnet.evaluate import mse
+from lutnet.hyper import Hyperparameters
 from lutnet.modelio import load_model, save_model
 from lutnet.train import Trainer
 
@@ -57,6 +60,95 @@ def test_parse_config_rejects_data_fraction_outside_unit_interval(tmp_path):
     p.write_text("data-fraction = 1.5\n")
     with pytest.raises(UsageError, match=r"c.cfg:1: data_fraction must be in \(0, 1\]"):
         parse_config_file(p)
+
+
+def test_hyperparameter_flags_take_their_help_from_the_docstring(capsys):
+    assert run("train", "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())
+    described = {ln.split()[0]: " ".join(ln.split()[1:])
+                 for ln in Hyperparameters.__doc__.splitlines()[2:] if ln.strip()}
+    for f in fields(Hyperparameters):
+        assert f"--{f.name.replace('_', '-')} {f.name.upper()} {described[f.name]}" in text
+
+
+# one text per config key, each different from the setting's default; the flag
+# of a boolean setting takes no value
+CONFIG_SAMPLES = {
+    "arch": "2-3-1", "kind": "LW", "iterations": "7", "seed": "3", "out": "m.json",
+    "log": "log.csv", "log_every": "5", "checkpoint_every": "2", "test_data": "md2",
+    "data": "circle", "data_seed": "4", "data_n": "9", "data_fraction": "0.5",
+    "csv_args": "0-2", "csv_vals": "3", "csv_class": "4", "csv_categorical": "1",
+    "csv_header": None, "scale": None,
+    "mu": "0.25", "nu": "1.5", "r_res": "16", "i_min": "-0.5", "i_max": "0.75",
+    "a_l": "0.1", "a_h": "0.3", "a_m": "1.2", "zeta": "0.5", "r_a": "0.001",
+    "r_b": "0.002", "r_c": "0.003", "s_a": "0.5", "s_b": "1e-8", "v_p": "0.2",
+    "v_min": "1e-10",
+}
+
+
+def _train_settings(monkeypatch, *argv):
+    """What cmd_train is handed for a train command line."""
+    seen = []
+    monkeypatch.setattr("lutnet.cli.cmd_train", lambda ns: seen.append(vars(ns)) or 0)
+    assert run("train", *argv) == 0
+    return {key: value for key, value in seen[0].items() if key != "func"}
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_SAMPLES))
+def test_config_line_and_flag_give_the_same_value(tmp_path, monkeypatch, key):
+    text = CONFIG_SAMPLES[key]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {'true' if text is None else text}\n")
+    flag = f"--{key.replace('_', '-')}"
+    by_flag = _train_settings(monkeypatch, flag, *([] if text is None else [text]))
+    by_config = _train_settings(monkeypatch, "--config", cfg)
+    default = _train_settings(monkeypatch)
+    assert by_config[key] == by_flag[key] != default[key]
+    assert type(by_config[key]) is type(by_flag[key])
+    assert {k: v for k, v in by_config.items() if k != "config"} == \
+        {k: v for k, v in by_flag.items() if k != "config"}
+
+
+@pytest.mark.parametrize("key", ["reps", "resume", "model", "full"])
+def test_config_keys_are_the_settings_of_the_commands_that_read_config(tmp_path, key):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = 1\n")
+    with pytest.raises(UsageError, match=rf"c.cfg:1: unknown setting '{key}'"):
+        parse_config_file(cfg)
+
+
+@pytest.mark.parametrize("config,flags,message", [
+    ("", (), "--kind must be given"),
+    ("arch = 2-4-1\nseed = 1\n", (), "--kind must be given"),
+    ("kind = foo\n", ("--kind", "NLW"), "c.cfg:1: kind must be one of LW, NLW, got 'foo'"),
+    ("iterations = -3\n", ("--iterations", 5), "c.cfg:1: iterations must be at least 0"),
+], ids=["no-kind", "config-without-kind", "config-kind-foo", "config-iterations-negative"])
+def test_bad_or_missing_setting_is_usage_error_naming_it(tmp_path, capsys, config, flags,
+                                                         message):
+    # a config line's value is checked even where a flag overrides it
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "m.json"
+    assert run("train", "--config", cfg, "--data", "spirals", "--arch", "2-4-1",
+               "--iterations", 1, *flags, "--out", out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--csv-args", "0,1", "--csv-class", -1), "--csv-class must be at least 0, got -1"),
+    (("--csv-args", "0,1", "--csv-class", -3), "--csv-class must be at least 0, got -3"),
+    (("--csv-args", "0,3-1", "--csv-class", 2),
+     "--csv-args must list column indices or ranges like 0-3, got '0,3-1'"),
+], ids=["class-minus-1", "class-minus-3", "reversed-range"])
+def test_bad_column_index_is_usage_error_naming_the_flag(tmp_path, capsys, flags, message):
+    data = tmp_path / "d.csv"
+    data.write_text("0.1,-0.2,a\n0.3,0.0,b\n-0.1,0.3,a\n")
+    out = tmp_path / "m.json"
+    assert run("train", "--data", data, *flags, "--arch", "X-3-1", "--kind", "NLW",
+               "--iterations", 5, "--out", out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_config_resolution_is_unknown_setting(tmp_path, capsys):
@@ -293,6 +385,12 @@ def test_data_that_does_not_fit_the_net_has_one_wording(tmp_path, capsys):
     messages.append(capsys.readouterr().err.strip().removeprefix("lutnet: error: "))
     assert messages == ["need one or more samples as rows of 2 args and 1 vals, "
                         "got shapes (4, 3) and (4, 1)"] * 3
+    # the forward passes take args only, in the same words
+    with pytest.raises(ValueError, match=r"^need one sample of 2 args, got shape \(3,\)$"):
+        forward_network(net, ds.args[0])
+    with pytest.raises(ValueError,
+                       match=r"^need samples as rows of 2 args, got shape \(4, 3\)$"):
+        forward_batch(net, ds.args)
 
 
 def test_train_missing_out_is_usage_error():

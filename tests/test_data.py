@@ -188,6 +188,16 @@ def test_schema_validation():
     with pytest.raises(ValueError):
         CsvSchema(arg_columns=(0,), val_columns=(1,), categorical_args=(5,))
 
+    # a negative index would count from the end and could pick an argument column
+    for kwargs, name in [
+        ({"arg_columns": (0, -1), "val_columns": (2,)}, "arg_columns"),
+        ({"arg_columns": (0,), "val_columns": (-2,)}, "val_columns"),
+        ({"arg_columns": (0, 1), "class_column": -1}, "class_column"),
+        ({"arg_columns": (0, 1), "class_column": -3}, "class_column"),
+    ]:
+        with pytest.raises(ValueError, match=rf"{name} must not hold a negative index"):
+            CsvSchema(**kwargs)
+
 
 def test_load_csv_numeric_targets(tmp_path):
     p = tmp_path / "d.csv"
