@@ -38,7 +38,7 @@ from .data import (
     scale_args,
     split,
 )
-from .evaluate import SurfaceImage, accuracy, mse, render_surface, write_pgm
+from .evaluate import accuracy, mse, render_surface, write_pgm
 from .modelio import LoadedModel, load_model, save_model
 
 __version__ = "0.1.0"
@@ -53,7 +53,7 @@ __all__ = [
     "complement",
     "gen_circle", "gen_md2", "gen_two_spirals", "gen_two_spirals_sparse",
     "load_csv", "scale_args", "split",
-    "SurfaceImage", "accuracy", "mse", "render_surface", "write_pgm",
+    "accuracy", "mse", "render_surface", "write_pgm",
     "LoadedModel", "load_model", "save_model",
     "__version__",
 ]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Network, forward_network, init_network
-from .hyper import Hyperparameters, default_hyperparameters
+from .hyper import Hyperparameters
 from .train import Trainer
 
 __all__ = [
@@ -141,7 +141,7 @@ def _fit(rows: list[BenchRow], phase: str) -> tuple[float, float]:
 def bench_iterations(
     archs,
     kind: str,
-    hp: Hyperparameters | None = None,
+    hp: Hyperparameters,
     reps: int = 5,
     rres_values: tuple[int, ...] = (),
     seed: int = 0,
@@ -154,8 +154,6 @@ def bench_iterations(
     else fixed. Every net is built, and the counts checked, before the
     first timing run.
     """
-    if hp is None:
-        hp = default_hyperparameters(kind)
     nets = [init_network(arch, kind, hp, np.random.default_rng(seed)) for arch in archs]
     counts = sorted({net.connection_count() for net in nets})
     if len(counts) < 4:

@@ -9,7 +9,8 @@ error, 2 runtime error (training divergence, unreadable or malformed files).
 
 Training writes a versioned JSON model whose rng descriptor carries the
 run seed and the gate generator state, so ``--resume`` continues a run
-bit-exactly; ``--iterations`` then counts additional iterations.
+bit-exactly; ``--iterations`` then counts additional iterations. A setting the model
+fixes (arch, kind, seed, a hyperparameter) may be given again only with the model's value.
 """
 from __future__ import annotations
 
@@ -297,6 +298,12 @@ def cmd_train(ns) -> int:
         if "seed" not in state or "gate" not in state:
             raise UsageError(f"{ns.resume}: model has no resumable rng state")
         seed = int(state["seed"])
+        fixed = {"arch": "-".join(map(str, net.sizes)), "kind": net.kind, "seed": seed,
+                 **net.hp.to_dict()}
+        for key, value in ns.given.items():   # a setting the model fixes may only repeat it
+            same = "-".join(map(str, parse_arch(value, ds.n_args))) if key == "arch" else value
+            if key in fixed and same != fixed[key]:
+                raise UsageError(f"--resume: {key} {value} differs from the model's {fixed[key]}")
         trainer = Trainer(net, ds.args, ds.vals, seed=seed)
         trainer.restore(loaded.iteration, state["gate"])
     else:
@@ -372,7 +379,7 @@ def cmd_render(ns) -> int:
     except ValueError as exc:                 # not a 2-input 1-output model
         raise UsageError(str(exc)) from None
     write_pgm(img, ns.out)
-    print(f"wrote {img.width}x{img.height} surface to {ns.out}")
+    print(f"wrote {img.shape[1]}x{img.shape[0]} surface to {ns.out}")
     return 0
 
 
@@ -488,8 +495,9 @@ def main(argv=None) -> int:
         flags = {key: _value(key, text, f"--{key.replace('_', '-')}")
                  for key, text in vars(ns).items() if key in _SETTINGS and text is not None}
         config = parse_config_file(ns.config) if getattr(ns, "config", None) else {}
+        ns.given = {**config, **flags}
         for key in _SETTINGS.keys() & vars(ns).keys():
-            setattr(ns, key, flags.get(key, config.get(key, _SETTINGS[key].default)))
+            setattr(ns, key, ns.given.get(key, _SETTINGS[key].default))
         return ns.func(ns)
     except UsageError as exc:
         print(f"lutnet: error: {exc}", file=sys.stderr)

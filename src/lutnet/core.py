@@ -81,6 +81,22 @@ def _lut_read(lut: np.ndarray, cols, lo, frac):
     return (1.0 - frac) * lut[:, cols, lo] + frac * lut[:, cols, lo + 1]
 
 
+def derivative_offsets(hp: Hyperparameters) -> np.ndarray:
+    """Probe offsets a_l, a_l*a_m, a_l*a_m^2, ... up to the last one <= a_h.
+
+    Always non-empty; one more a_m step past the last entry would
+    exceed a_h.
+    """
+    out = []
+    a = hp.a_l
+    while True:
+        out.append(a)
+        if a * hp.a_m > hp.a_h:
+            break
+        a *= hp.a_m
+    return np.asarray(out)
+
+
 def _probed_read(lut: np.ndarray, cols, x: np.ndarray, offsets: np.ndarray,
                  hp: Hyperparameters):
     """``_lut_read`` at x and the LUT part's slope estimate, from one gather.
@@ -257,6 +273,11 @@ class Network:
         return UpdateMaps(param_dst, param_src, param_dst[weight], param_src[weight],
                           row_starts, linear_rates)
 
+    @cached_property
+    def probe_offsets(self) -> np.ndarray:
+        """``derivative_offsets(hp)``, the LUT slope estimates' probes, built on first use."""
+        return derivative_offsets(self.hp)
+
     @property
     def n_inputs(self) -> int:
         return self.sizes[0]
@@ -290,7 +311,7 @@ class LayerTrace:
     seg_frac     fractional position within the segment, None for LW
     lut_values   interpolated LUT part of each connection output, None for LW
     activations  tanh of each node's summed connection outputs plus bias
-    slope        LUT slope estimate if probe offsets were given; None for layer 0, LW
+    slope        LUT slope estimate on a training pass; None for layer 0, LW, public passes
     """
 
     inputs: np.ndarray
@@ -314,20 +335,21 @@ BATCH_CHUNK = 4096
 
 
 def _forward_layers(net: Network, act: np.ndarray, trace: list | None = None,
-                    offsets: np.ndarray | None = None, coords=None) -> np.ndarray:
+                    coords=None) -> np.ndarray:
     """Run one sample (n_in,) or a batch of rows (ns, n_in) through every layer.
 
     A batch puts the samples on a middle axis, so a connection output
     sits at [dst, sample, src]. One LayerTrace per layer is appended to
-    trace when it is given. Given probe offsets, LUT layers after the
-    first use ``_probed_read``; coords, if given, is layer 0's (lo, frac).
+    trace when it is given. coords, if given, is layer 0's (lo, frac) and
+    marks a training pass: LUT layers after the first use ``_probed_read``.
     """
     batch = act.ndim == 2
     for li, lay in enumerate(net.layers):
         w, bias = (lay.w[:, None, :], lay.bias[:, None]) if batch else (lay.w, lay.bias)
         lo = frac = lut_vals = slope = None
-        if lay.lut is not None and li and offsets is not None:
-            lo, frac, lut_vals, slope = _probed_read(lay.lut, lay.cols, act, offsets, net.hp)
+        if lay.lut is not None and li and coords is not None:
+            lo, frac, lut_vals, slope = _probed_read(lay.lut, lay.cols, act, net.probe_offsets,
+                                                     net.hp)
         elif lay.lut is not None:
             lo, frac = segment_coords(act, net.hp) if li or coords is None else coords
             lut_vals = _lut_read(lay.lut, lay.cols, lo, frac)
@@ -339,20 +361,19 @@ def _forward_layers(net: Network, act: np.ndarray, trace: list | None = None,
     return act
 
 
-def forward_network(net: Network, x, offsets: np.ndarray | None = None,
-                    coords=None) -> tuple[np.ndarray, ForwardTrace]:
+def forward_network(net: Network, x, coords=None) -> tuple[np.ndarray, ForwardTrace]:
     """Run one input vector through the net.
 
     Input nodes are pass-through; the raw input is what the first layer's
     connections see. Returns the output activations and a full trace.
-    Read-only on the network. Training passes the probe offsets, for the
-    trace's slope estimates, and ``segment_coords(x, net.hp)`` as coords.
+    Read-only on the network. Training passes ``segment_coords(x, net.hp)``
+    as coords, and the trace then carries the LUT slope estimates.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_inputs,):
         raise _misfit(net, "one sample", x)
     layers: list[LayerTrace] = []
-    return _forward_layers(net, x, layers, offsets, coords), ForwardTrace(x, layers)
+    return _forward_layers(net, x, layers, coords), ForwardTrace(x, layers)
 
 
 def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:

@@ -95,6 +95,13 @@ def _require_finite(args: np.ndarray, vals: np.ndarray, what: str) -> None:
 BINARY_CLASSES = ("neg", "pos")
 
 
+def _pixel_grid(resolution: int) -> np.ndarray:
+    """(x, y) points of a resolution^2 grid over [-0.5, 0.5]^2, row-major: y varies per row."""
+    coords = np.linspace(-0.5, 0.5, resolution)
+    xx, yy = np.meshgrid(coords, coords)
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
 def gen_circle(
     resolution: int = 64,
     sampling_seed: int = 0,
@@ -112,9 +119,7 @@ def gen_circle(
         raise ValueError(f"resolution {resolution} < 8")
     if not 0.0 < sampling_fraction <= 1.0:
         raise ValueError(f"sampling fraction {sampling_fraction} outside (0, 1]")
-    coords = np.linspace(-0.5, 0.5, resolution)
-    xx, yy = np.meshgrid(coords, coords)          # row-major: y varies per row
-    args = np.column_stack([xx.ravel(), yy.ravel()])
+    args = _pixel_grid(resolution)
     inside = args[:, 0] ** 2 + args[:, 1] ** 2 <= 0.3 * 0.3
     vals = np.where(inside, 0.5, -0.5)[:, None]
     prov = {"generator": "circle", "resolution": resolution}

@@ -3,21 +3,19 @@
 Error is always the mean over samples of the mean squared output error,
 so multi-output nets report a per-output average rather than a sum.
 Classification reads a single output by sign (an exact zero counts as
-wrong for either class) and multiple outputs by argmax.
+wrong for either class) and multiple outputs by argmax. A rendered
+surface is a plain 2-D array of raw outputs, which ``write_pgm`` writes.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import Network, _require_fit, forward_batch
-from .data import Dataset
+from .data import Dataset, _pixel_grid
 
 __all__ = [
     "mse",
     "accuracy",
-    "SurfaceImage",
     "render_surface",
     "write_pgm",
 ]
@@ -54,30 +52,12 @@ def accuracy(net: Network, ds: Dataset) -> float:
 # Surface rendering
 
 
-@dataclass
-class SurfaceImage:
-    """Grid of raw network outputs over the unit box.
+def render_surface(net: Network, resolution: int = 64) -> np.ndarray:
+    """Evaluate a 2-input 1-output net over the [-0.5, 0.5]^2 grid.
 
-    ``values[row, col]`` is the output at x = col coordinate, y = row
-    coordinate; the upper-left pixel sits at (-0.5, -0.5). Rendering
-    maps -0.5 to black and +0.5 to white, clamping values outside.
+    Returns the (resolution, resolution) raw outputs; ``values[row, col]`` is the
+    output at x = col coordinate, y = row coordinate, upper left at (-0.5, -0.5).
     """
-
-    width: int
-    height: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.height, self.width):
-            raise ValueError(
-                f"value grid {self.values.shape} does not match "
-                f"{self.height} rows x {self.width} columns"
-            )
-
-
-def render_surface(net: Network, resolution: int = 64) -> SurfaceImage:
-    """Evaluate a 2-input 1-output net over the [-0.5, 0.5]^2 grid."""
     if net.n_inputs != 2 or net.n_outputs != 1:
         raise ValueError(
             f"rendering needs a 2-input 1-output network, got "
@@ -85,25 +65,22 @@ def render_surface(net: Network, resolution: int = 64) -> SurfaceImage:
         )
     if resolution < 1:
         raise ValueError(f"resolution {resolution} < 1")
-    coords = np.linspace(-0.5, 0.5, resolution)
-    xx, yy = np.meshgrid(coords, coords)
-    points = np.column_stack([xx.ravel(), yy.ravel()])
-    values = forward_batch(net, points)[:, 0].reshape(resolution, resolution)
-    return SurfaceImage(resolution, resolution, values)
+    return forward_batch(net, _pixel_grid(resolution))[:, 0].reshape(resolution, resolution)
 
 
 def quantize_gray(values: np.ndarray) -> np.ndarray:
-    """Map values to bytes: clamp(v + 0.5, 0, 1) * 255, rounding .5 up."""
+    """Map values to bytes, -0.5 black to +0.5 white: clamp(v + 0.5, 0, 1) * 255, .5 up."""
     level = np.clip(np.asarray(values, dtype=float) + 0.5, 0.0, 1.0) * 255.0
     return np.floor(level + 0.5).astype(np.uint8)
 
 
-def write_pgm(img: SurfaceImage, path) -> None:
-    """Write a binary PGM (magic P5, maxval 255)."""
-    if not np.all(np.isfinite(img.values)):
+def write_pgm(values: np.ndarray, path) -> None:
+    """Write a 2-D value array, row 0 on top, as a binary PGM (magic P5, maxval 255)."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"surface must be a 2-D array, got shape {values.shape}")
+    if not np.all(np.isfinite(values)):
         raise ValueError("surface contains non-finite values")
-    raster = quantize_gray(img.values)
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{img.width} {img.height}\n255\n".encode("ascii"))
-        fh.write(raster.tobytes())
-
+        fh.write(f"P5\n{values.shape[1]} {values.shape[0]}\n255\n".encode("ascii"))
+        fh.write(quantize_gray(values).tobytes())

@@ -66,26 +66,28 @@ def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = 
     """Write the model file atomically, in format version 2.
 
     ``scale`` (the training inputs' ``scale_args`` record) goes under key ``scale``.
-    A network with a non-finite parameter, or a scale that does not hold
-    ``n_inputs`` finite numbers under each of ``min`` and ``max``, is
-    refused with ValueError before any file is opened. The document goes to a temporary file in
+    What ``load_model`` would refuse (a non-finite parameter, a negative
+    iteration, an rng state that is no dict, a scale without ``n_inputs``
+    finite numbers under each of ``min`` and ``max``) raises ValueError
+    before any file is opened. The document goes to a temporary file in
     the target's directory, which then replaces the target in one step:
     a save that fails leaves any earlier file at path as it was and
-    removes its temporary file. A killed process may leave the
-    temporary file, never a partial target. No fsync: the file is
-    durable once the OS flushes.
+    removes its temporary file. A killed process may leave the temporary
+    file, never a partial target. No fsync: durable once the OS flushes.
     """
     bad = find_nonfinite(net)
     if bad is not None:
         raise ValueError(f"{os.fspath(path)}: cannot save, {bad}")
+    iteration, rng_state = int(iteration), _plain(rng_state)
+    _check_run_state(iteration, rng_state, path)
     doc = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "architecture": list(net.sizes),
         "kind": net.kind,
         "hyperparameters": net.hp.to_dict(),
-        "iteration": int(iteration),
-        "rng": _plain(rng_state) if rng_state is not None else None,
+        "iteration": iteration,
+        "rng": rng_state,
     }
     if scale is not None:
         doc["scale"] = _plain(scale)
@@ -112,6 +114,12 @@ def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = 
 def _require(cond: bool, path, message: str) -> None:
     if not cond:
         raise ValueError(f"{path}: {message}")
+
+
+def _check_run_state(iteration, rng_state, path) -> None:
+    _require(type(iteration) is int and iteration >= 0, path,
+             f"bad iteration counter {iteration!r}")
+    _require(rng_state is None or isinstance(rng_state, dict), path, "bad rng state")
 
 
 def _check_scale(scale, n_inputs: int, path) -> None:
@@ -211,10 +219,7 @@ def load_model(path) -> LoadedModel:
         _require(lay.visits is None or (lay.visits >= hp.v_min).all(), path,
                  f"layer {li}: visits entry below v_min")
 
-    iteration = doc.get("iteration", 0)
-    _require(type(iteration) is int and iteration >= 0, path,
-             f"bad iteration counter {iteration!r}")
-    rng_state = doc.get("rng")
-    _require(rng_state is None or isinstance(rng_state, dict), path, "bad rng state")
+    iteration, rng_state = doc.get("iteration", 0), doc.get("rng")
+    _check_run_state(iteration, rng_state, path)
     _check_scale(doc.get("scale"), net.n_inputs, path)
     return LoadedModel(net=net, iteration=iteration, rng_state=rng_state, scale=doc.get("scale"))

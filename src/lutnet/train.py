@@ -10,8 +10,9 @@ The error function is half the summed squared output error, so output
 deltas are simply (y - d) times the tanh slope. Because LUTs are only
 piecewise differentiable, the derivative carried through a LUT
 connection is estimated by averaging symmetric difference quotients at
-a geometric ladder of probe offsets. Training reads them in the forward
-pass's LUT gather and locates each training row on the grid just once.
+a geometric ladder of probe offsets, ``Network.probe_offsets``. A forward
+pass given layer 0's grid coordinates is a training pass: it reads the
+probes in its LUT gather, so each training row is located just once.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .core import (
     _lut_read,
     _probed_read,
     _require_fit,
+    derivative_offsets,
     find_nonfinite,
     forward_network,
     segment_coords,
@@ -45,22 +47,6 @@ class TrainingDiverged(RuntimeError):
     """Raised when a parameter or output stops being finite."""
 
 
-def derivative_offsets(hp: Hyperparameters) -> np.ndarray:
-    """Probe offsets a_l, a_l*a_m, a_l*a_m^2, ... up to the last one <= a_h.
-
-    Always non-empty; one more a_m step past the last entry would
-    exceed a_h.
-    """
-    out = []
-    a = hp.a_l
-    while True:
-        out.append(a)
-        if a * hp.a_m > hp.a_h:
-            break
-        a *= hp.a_m
-    return np.asarray(out)
-
-
 def approx_lut_derivative(conn: LutConnection, x: float, hp: Hyperparameters) -> float:
     """Estimated derivative of a LUT connection's weight function at x."""
     slope = _probed_read(conn.lut[None, None], 0, np.asarray([x], dtype=float),
@@ -68,8 +54,7 @@ def approx_lut_derivative(conn: LutConnection, x: float, hp: Hyperparameters) ->
     return float(conn.linear + slope[0, 0])
 
 
-def backprop(net: Network, trace: ForwardTrace, target,
-             offsets: np.ndarray | None = None) -> list[np.ndarray]:
+def backprop(net: Network, trace: ForwardTrace, target) -> list[np.ndarray]:
     """Per-node error deltas for every non-input layer.
 
     Every connection into node k carries the error e_i = delta[k] of
@@ -77,13 +62,12 @@ def backprop(net: Network, trace: ForwardTrace, target,
     determines all connection errors. Output deltas are
     (y - d) * (1 - y^2); hidden deltas accumulate each downstream
     connection's error times its estimated weight-function derivative.
-    Slope estimates come from the trace if the forward pass read them.
+    Slope estimates come from the trace if the forward pass read them;
+    otherwise backprop reads them at ``net.probe_offsets``.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (net.n_outputs,):
         raise ValueError(f"expected {net.n_outputs} target values, got shape {target.shape}")
-    if offsets is None:
-        offsets = derivative_offsets(net.hp)
     layers = trace.layers
     y = layers[-1].activations
     delta = (y - target) * (1.0 - y * y)
@@ -93,7 +77,8 @@ def backprop(net: Network, trace: ForwardTrace, target,
         lay = net.layers[li]
         slope = layers[li].slope
         if lay.lut is not None and slope is None:
-            slope = _probed_read(lay.lut, lay.cols, layers[li].inputs, offsets, net.hp)[3]
+            slope = _probed_read(lay.lut, lay.cols, layers[li].inputs, net.probe_offsets,
+                                 net.hp)[3]
         dodi = lay.w if slope is None else lay.w + slope
         back = (delta[:, None] * dodi).sum(axis=0)
         y_prev = layers[li - 1].activations
@@ -153,20 +138,22 @@ def update_lut_component(conn: LutConnection, e: float, x: float,
 # ---------------------------------------------------------------------------
 # One full iteration
 
-def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
-                     offsets: np.ndarray, coords=None) -> float:
+def _apply_iteration(net: Network, x, target, gate_u: np.ndarray, coords=None) -> float:
     """Forward, backprop, and all updates for one sample.
 
     gate_u supplies one uniform draw per LUT connection in layer-major,
     destination-major, source-major order. Returns the sample's mean
     squared output error (from the pre-update forward pass). Every
     update step runs once over the network's flat buffers, all layers
-    at a time. coords, if given, is ``segment_coords(x, net.hp)``.
+    at a time. coords, if given, is ``segment_coords(x, net.hp)``; an NLW
+    net without them computes it here.
     """
     hp = net.hp
-    y, trace = forward_network(net, x, offsets, coords)
+    if coords is None and net.luts is not None:
+        coords = segment_coords(np.asarray(x, dtype=float), hp)
+    y, trace = forward_network(net, x, coords)
     target = np.asarray(target, dtype=float)
-    deltas = backprop(net, trace, target, offsets)
+    deltas = backprop(net, trace, target)
     err = y - target
     sq_err = float(err @ err) / err.shape[0]
 
@@ -212,7 +199,7 @@ def train_iteration(net: Network, x, target, rng: np.random.Generator) -> float:
     Returns the sample's mean squared output error.
     """
     gate_u = rng.random(net.lut_connection_count())
-    return _apply_iteration(net, x, target, gate_u, derivative_offsets(net.hp))
+    return _apply_iteration(net, x, target, gate_u)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +230,6 @@ class Trainer:
         self.iteration = 0
         self.gate_rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([self.seed, 1])))
-        self._offsets = derivative_offsets(net.hp)
         self.input_coords = None if net.luts is None else segment_coords(args, net.hp)
         for arr in self.input_coords or ():
             arr.setflags(write=False)
@@ -279,9 +265,10 @@ class Trainer:
         Returns the log rows as (iteration, window mse) pairs, one per
         on_log call.
         """
-        for name, every in (("log_every", log_every), ("checkpoint_every", checkpoint_every)):
-            if every is not None and every < 0:
-                raise ValueError(f"{name} must be non-negative, got {every}")
+        for name, count in (("iterations", iterations), ("log_every", log_every),
+                            ("checkpoint_every", checkpoint_every)):
+            if count is not None and count < 0:
+                raise ValueError(f"{name} must be non-negative, got {count}")
         net = self.net
         n = len(self.args)
         n_gate = net.lut_connection_count()
@@ -304,8 +291,7 @@ class Trainer:
             for b in range(block):
                 idx = order[pos + b]
                 at0 = None if coords is None else (coords[0][idx], coords[1][idx])
-                err = _apply_iteration(net, self.args[idx], self.vals[idx],
-                                       gate_u[b], self._offsets, at0)
+                err = _apply_iteration(net, self.args[idx], self.vals[idx], gate_u[b], at0)
                 window_sum += err
                 window_n += 1
                 if not math.isfinite(err):

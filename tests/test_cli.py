@@ -245,6 +245,32 @@ def test_train_resume_matches_uninterrupted_run(tmp_path):
     assert whole.read_bytes() == part.read_bytes()
 
 
+@pytest.mark.parametrize("extra,message", [
+    (("--mu", 0.5), "mu 0.5 differs from the model's 0.02"),
+    (("--r-res", 64), "r_res 64 differs from the model's 16"),
+    (("--kind", "LW"), "kind LW differs from the model's NLW"),
+    (("--arch", "9-9-9"), "arch 9-9-9 differs from the model's 2-4-1"),
+    (("--seed", 3), "seed 3 differs from the model's 0"),
+    (("--config", "zeta = 0.5"), "zeta 0.5 differs from the model's 0.05"),
+], ids=["hyper", "int-hyper", "kind", "arch", "seed", "config-line"])
+def test_resume_refuses_a_setting_the_model_fixes(tmp_path, capsys, extra, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("arch = X-4-1\nkind = NLW\nseed = 0\nmu = 0.02\nr-res = 16\n")
+    first, out = tmp_path / "r.json", tmp_path / "r2.json"
+    resume = ("train", "--resume", first, "--data", "spirals", "--iterations", 0)
+    assert run("train", "--config", cfg, "--data", "spirals", "--iterations", 0,
+               "--out", first) == 0
+    assert run(*resume, "--config", cfg, "--out", out) == 0      # the run's own settings
+    out.unlink()
+    if extra[0] == "--config":
+        cfg.write_text(extra[1] + "\n")
+        extra = ("--config", cfg)
+    capsys.readouterr()
+    assert run(*resume, *extra, "--out", out) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_writes_log_with_expected_cadence(tmp_path):
     out = tmp_path / "m.json"
     log = tmp_path / "log.csv"
@@ -398,15 +424,17 @@ def test_train_missing_out_is_usage_error():
                "--iterations", 10) == 1
 
 
-def test_train_dimension_mismatch_is_usage_error(tmp_path):
-    assert run("train", "--data", "spirals", "--arch", "3-4-1",
+def test_train_dimension_mismatch_is_usage_error(tmp_path, capsys):
+    assert run("train", "--data", "spirals", "--arch", "3-4-1", "--kind", "NLW",
                "--iterations", 10, "--out", tmp_path / "m.json") == 1
+    assert "need one or more samples as rows of 3 args" in capsys.readouterr().err
 
 
-def test_train_bad_hyper_value_is_usage_error(tmp_path):
-    assert run("train", "--data", "spirals", "--arch", "2-4-1",
+def test_train_bad_hyper_value_is_usage_error(tmp_path, capsys):
+    assert run("train", "--data", "spirals", "--arch", "2-4-1", "--kind", "NLW",
                "--zeta", 1.5, "--iterations", 10,
                "--out", tmp_path / "m.json") == 1
+    assert "zeta must lie in [0, 1]" in capsys.readouterr().err
 
 
 def test_train_nan_abort_exits_2_and_names_location(tmp_path, capsys):

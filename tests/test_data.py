@@ -8,6 +8,7 @@ from lutnet.data import (
     BINARY_CLASSES,
     CsvSchema,
     Dataset,
+    _pixel_grid,
     complement,
     gen_circle,
     gen_md2,
@@ -58,6 +59,7 @@ def test_subset_copies_and_merges_provenance():
 def test_circle_full_grid_and_labels():
     train, full = gen_circle(64)
     assert len(full) == 64 * 64
+    assert np.array_equal(full.args, _pixel_grid(64))
     assert full.classes == BINARY_CLASSES
     d2 = full.args[:, 0] ** 2 + full.args[:, 1] ** 2
     assert np.array_equal(full.vals[:, 0] == 0.5, d2 <= 0.09)

@@ -7,7 +7,6 @@ import pytest
 from lutnet.core import forward_batch, forward_network, init_network
 from lutnet.data import Dataset, gen_two_spirals
 from lutnet.evaluate import (
-    SurfaceImage,
     accuracy,
     mse,
     quantize_gray,
@@ -125,8 +124,8 @@ def test_trained_spiral_net_scores_above_chance():
 
 def test_render_constant_surface():
     img = render_surface(_bias_net(0.25), resolution=16)
-    assert img.width == img.height == 16
-    assert np.allclose(img.values, 0.25, atol=1e-15)
+    assert img.shape == (16, 16)
+    assert np.allclose(img, 0.25, atol=1e-15)
 
 
 def test_render_vertical_gradient_from_second_input():
@@ -134,15 +133,15 @@ def test_render_vertical_gradient_from_second_input():
     net.layers[0].w[0, 1] = 1.0               # output depends on y only
     img = render_surface(net, resolution=8)
     # constant along each row, strictly increasing down the columns
-    assert np.all(img.values == img.values[:, :1])
-    assert np.all(np.diff(img.values[:, 0]) > 0)
+    assert np.all(img == img[:, :1])
+    assert np.all(np.diff(img[:, 0]) > 0)
 
 
 def test_render_upper_left_pixel_is_box_corner():
     net = init_network((2, 4, 1), "NLW", NLW, _rng([3, 0]))
     img = render_surface(net, resolution=32)
     y, _ = forward_network(net, np.array([-0.5, -0.5]))
-    assert img.values[0, 0] == y[0]
+    assert img[0, 0] == y[0]
 
 
 def test_render_matches_per_pixel_forwards():
@@ -152,7 +151,7 @@ def test_render_matches_per_pixel_forwards():
     for r in range(9):
         for c in range(9):
             y, _ = forward_network(net, np.array([coords[c], coords[r]]))
-            assert img.values[r, c] == y[0]
+            assert img[r, c] == y[0]
 
 
 def test_render_validates_arity_and_resolution():
@@ -162,11 +161,6 @@ def test_render_validates_arity_and_resolution():
         render_surface(_zero_net((2, 2)))
     with pytest.raises(ValueError):
         render_surface(_zero_net(), resolution=0)
-
-
-def test_surface_image_validates_grid_shape():
-    with pytest.raises(ValueError):
-        SurfaceImage(4, 3, np.zeros((4, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +187,18 @@ def test_pgm_round_trip(tmp_path):
     header = b"P5\n24 24\n255\n"
     blob = p.read_bytes()
     assert blob.startswith(header)
-    assert blob[len(header):] == quantize_gray(img.values).tobytes()
+    assert blob[len(header):] == quantize_gray(img).tobytes()
+
+
+def test_pgm_header_is_width_then_height(tmp_path):
+    p = tmp_path / "s.pgm"
+    write_pgm(np.zeros((2, 3)), p)
+    assert p.read_bytes() == b"P5\n3 2\n255\n" + bytes([128] * 6)
 
 
 def test_write_pgm_rejects_nonfinite(tmp_path):
-    img = SurfaceImage(2, 2, np.array([[0.0, np.nan], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        write_pgm(img, tmp_path / "x.pgm")
+    with pytest.raises(ValueError, match="non-finite"):
+        write_pgm(np.array([[0.0, np.nan], [0.0, 0.0]]), tmp_path / "x.pgm")
+    with pytest.raises(ValueError, match=r"2-D array, got shape \(4,\)"):
+        write_pgm(np.zeros(4), tmp_path / "x.pgm")
+    assert list(tmp_path.iterdir()) == []

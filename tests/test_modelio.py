@@ -270,6 +270,18 @@ def test_save_refuses_a_bad_scale_and_writes_nothing(tmp_path, scale):
     assert list(tmp_path.iterdir()) == []
 
 
+# what load_model refuses, so a saved file always loads
+@pytest.mark.parametrize("iteration,rng_state,message", [
+    (-1, None, "bad iteration counter -1"),
+    (0, [1, 2], "bad rng state"),
+    (0, "x", "bad rng state"),
+], ids=["negative-iteration", "rng-list", "rng-str"])
+def test_save_refuses_a_bad_run_state_and_writes_nothing(tmp_path, iteration, rng_state, message):
+    with pytest.raises(ValueError, match=message):
+        save_model(tmp_path / "m.json", _net("NLW"), iteration, rng_state)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_load_rejects_bad_hyperparameters(tmp_path):
     p = _corrupt(tmp_path, "v2", lambda d: d["hyperparameters"].update(r_res=1))
     with pytest.raises(ValueError):

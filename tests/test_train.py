@@ -50,6 +50,7 @@ def _rng(seed):
 
 def test_derivative_offsets_frozen_sequence():
     offs = derivative_offsets(NLW)
+    assert np.array_equal(init_network((2, 2, 1), "NLW", NLW, _rng([0])).probe_offsets, offs)
     assert len(offs) == 9
     assert offs[0] == 0.15
     assert offs[-1] == 0.3215383215000002
@@ -266,13 +267,12 @@ def test_iteration_matches_scalar_reference(kind, hp, sizes, iterations):
     net = init_network(sizes, kind, hp, _rng([21, 0]))
     params = extract_params(net)
     rng = np.random.default_rng(22)
-    offsets = derivative_offsets(hp)
     n_gate = net.lut_connection_count()
     for _ in range(iterations):
         x = rng.uniform(-1.2, 1.2, 2)
         target = rng.uniform(-0.9, 0.9, 2)
         gate_u = rng.random(n_gate)
-        err = _apply_iteration(net, x, target, gate_u, offsets)
+        err = _apply_iteration(net, x, target, gate_u)
         ref_err = ref_iteration(params, x, target, gate_u, hp, kind)
         assert abs(err - ref_err) < 1e-9
         assert max_param_difference(params, net) < 1e-9
@@ -286,13 +286,12 @@ def test_long_run_matches_scalar_reference_relatively(kind, hp):
     net = init_network((2, 4, 3, 2), kind, hp, _rng([21, 0]))
     params = extract_params(net)
     rng = np.random.default_rng(23)
-    offsets = derivative_offsets(hp)
     n_gate = net.lut_connection_count()
     for it in range(1, 2001):
         x = rng.uniform(-1.2, 1.2, 2)
         target = rng.uniform(-0.9, 0.9, 2)
         gate_u = rng.random(n_gate)
-        err = _apply_iteration(net, x, target, gate_u, offsets)
+        err = _apply_iteration(net, x, target, gate_u)
         assert relative_gap(ref_iteration(params, x, target, gate_u, hp, kind), err) <= 1e-9
         if it % 250 == 0:
             assert max_relative_param_difference(params, net) <= 1e-9
@@ -329,7 +328,7 @@ def test_layer_arrays_are_views_the_next_iteration_reads(tmp_path, source):
         x = rng.uniform(-1.0, 1.0, 2)
         target = rng.uniform(-0.9, 0.9, 2)
         gate_u = rng.random(net.lut_connection_count())
-        err = _apply_iteration(net, x, target, gate_u, derivative_offsets(hp))
+        err = _apply_iteration(net, x, target, gate_u)
         assert abs(err - ref_iteration(params, x, target, gate_u, hp, "NLW")) < 1e-12
         assert max_param_difference(params, net) < 1e-12
 
@@ -343,7 +342,7 @@ def test_ungated_iteration_changes_at_most_two_adjacent_lut_entries(seed, r_res,
     net = init_network((2, 3, 1), "NLW", hp, _rng([seed, 0]))
     before = net.luts.copy()
     _apply_iteration(net, np.array(x), np.array([target]),
-                     _rng([seed, 1]).random(net.lut_connection_count()), derivative_offsets(hp))
+                     _rng([seed, 1]).random(net.lut_connection_count()))
     for row_before, row_after in zip(before, net.luts):
         changed = np.flatnonzero(row_before != row_after)
         assert changed.size <= 2
@@ -360,7 +359,7 @@ def test_train_iteration_consumes_one_uniform_per_lut_connection():
     rng_b = np.random.default_rng(5)
     err_a = train_iteration(net, x, target, rng_a)
     gate_u = rng_b.random(net.lut_connection_count())
-    err_b = _apply_iteration(twin, x, target, gate_u, derivative_offsets(NLW))
+    err_b = _apply_iteration(twin, x, target, gate_u)
     assert err_a == err_b
     assert max_param_difference(extract_params(net), twin) == 0.0
     # both generators advanced identically
@@ -384,25 +383,24 @@ def test_fused_probe_reads_match_public_forward_and_backprop(monkeypatch, sizes,
     rows = np.array([[hp.i_min, 0.1], [hp.i_max, hp.i_min], [grid[5], grid[11]],
                      [hp.i_min - 0.7, hp.i_max + 1.4]])
     target = np.linspace(-0.5, 0.5, sizes[-1])
-    offsets = derivative_offsets(hp)
     cached = init_network(sizes, "NLW", hp, _rng([40, len(sizes)]))
     uncached, public = cached.clone(), cached.clone()
     lo, frac = segment_coords(rows, hp)
     gate_u = _rng([41]).random((len(rows), cached.lut_connection_count()))
     for i, x in enumerate(rows):
-        _, fused_trace = forward_network(cached, x, offsets, (lo[i], frac[i]))
+        _, fused_trace = forward_network(cached, x, (lo[i], frac[i]))
         _, public_trace = forward_network(cached, x)
         assert public_trace.layers[1].slope is None
-        for fused_delta, public_delta in zip(backprop(cached, fused_trace, target, offsets),
+        for fused_delta, public_delta in zip(backprop(cached, fused_trace, target),
                                              backprop(cached, public_trace, target)):
             assert np.array_equal(fused_delta, public_delta)
-        _apply_iteration(cached, x, target, gate_u[i], offsets, (lo[i], frac[i]))
-        _apply_iteration(uncached, x, target, gate_u[i], offsets)
+        _apply_iteration(cached, x, target, gate_u[i], (lo[i], frac[i]))
+        _apply_iteration(uncached, x, target, gate_u[i])
     # the same updates, with backprop estimating every slope from a public trace
     monkeypatch.setattr(train_module, "forward_network",
                         lambda net, x, *_: forward_network(net, x))
     for i, x in enumerate(rows):
-        _apply_iteration(public, x, target, gate_u[i], offsets)
+        _apply_iteration(public, x, target, gate_u[i])
     for net in (uncached, public):
         for name in ("params", "luts", "visits"):
             assert np.array_equal(getattr(net, name), getattr(cached, name))
@@ -606,13 +604,14 @@ def test_trainer_checkpoint_cadence_skips_final_iteration():
     assert marks == [200, 400]
 
 
-@pytest.mark.parametrize("cadence", [{"log_every": -5}, {"checkpoint_every": -1}])
+@pytest.mark.parametrize("cadence", [{"log_every": -5}, {"checkpoint_every": -1},
+                                     {"iterations": -5}])
 def test_trainer_rejects_negative_cadence(cadence):
     args, vals = _toy_data()
     net = init_network((2, 2, 1), "LW", LW, _rng([33, 1]))
     tr = Trainer(net, args, vals, seed=0)
-    with pytest.raises(ValueError, match=next(iter(cadence))):
-        tr.run(10, **cadence)
+    with pytest.raises(ValueError, match=f"{next(iter(cadence))} must be non-negative"):
+        tr.run(**{"iterations": 10, **cadence})
     assert tr.iteration == 0
 
 
