@@ -9,7 +9,10 @@ Connections come in two flavours. A plain linear connection multiplies
 its input by a scalar weight. A LUT connection adds a piecewise-linear
 interpolation over ``r_res`` equally spaced grid points to a linear
 term, and drags along a visit table of the same length that records how
-often each grid region has been traversed.
+often each grid region has been traversed. Every visit entry decays by
+the same factor each iteration, so the tables are stored divided by one
+shared scale, ``Network.visit_scale``, and an iteration rewrites only
+the entries it bumps or diffuses.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hyper import Hyperparameters, KIND_NLW, KINDS
+from .hyper import MAX_PROBE_OFFSETS, Hyperparameters, KIND_NLW, KINDS, probe_ladder
 
 # ---------------------------------------------------------------------------
 # LUT grid and interpolation
@@ -70,6 +73,19 @@ def segment_coords(x, hp: Hyperparameters):
     return lo_f.astype(np.intp), pos
 
 
+_ENDS = np.array([[0], [1]])
+
+
+def _segment_ends(lo, frac):
+    """Indices of the two entries bracketing each segment, and their interpolation shares.
+
+    Both results stack the low end over the high end, (2, *lo.shape):
+    ``lo + [[0], [1]]`` and ``(1 - frac, frac)``. The update steps of a
+    training iteration all address a LUT or visit table through them.
+    """
+    return lo + _ENDS, np.array((1.0 - frac, frac))
+
+
 def _lut_read(lut: np.ndarray, cols, lo, frac):
     """Piecewise-linear read of a (n_out, n_in, r) LUT tensor.
 
@@ -85,16 +101,9 @@ def derivative_offsets(hp: Hyperparameters) -> np.ndarray:
     """Probe offsets a_l, a_l*a_m, a_l*a_m^2, ... up to the last one <= a_h.
 
     Always non-empty; one more a_m step past the last entry would
-    exceed a_h.
+    exceed a_h. ``Hyperparameters`` caps its length at ``MAX_PROBE_OFFSETS``.
     """
-    out = []
-    a = hp.a_l
-    while True:
-        out.append(a)
-        if a * hp.a_m > hp.a_h:
-            break
-        a *= hp.a_m
-    return np.asarray(out)
+    return np.asarray(probe_ladder(hp.a_l, hp.a_h, hp.a_m, MAX_PROBE_OFFSETS))
 
 
 def _probed_read(lut: np.ndarray, cols, x: np.ndarray, offsets: np.ndarray,
@@ -162,10 +171,11 @@ class Layer:
 
     ``w`` holds the scalar weight of LW connections or the linear part of
     LUT connections. ``lut`` and ``visits`` are (n_out, n_in, r_res) and
-    present only in NLW networks. All four are views into the owning
-    network's buffers: write into them, never rebind them (an augmented
-    assignment such as ``lay.w *= 2`` writes in place). ``cols`` is the
-    source-index row for addressing LUT tensors.
+    present only in NLW networks; ``visits`` holds the stored entries,
+    which ``Network.settled_visits`` turns into visit values. All four are
+    views into the owning network's buffers: write into them, never
+    rebind them (an augmented assignment such as ``lay.w *= 2`` writes in
+    place). ``cols`` is the source-index row for addressing LUT tensors.
     """
 
     w: np.ndarray
@@ -217,6 +227,14 @@ class Network:
     destination, then source; for LW both are None. The layers' arrays
     are views into these buffers. A new network's parameters are zero.
     ``sizes`` must be two or more positive ints (no bool or float), ``kind`` in ``KINDS``.
+
+    ``visits`` is stored divided by ``visit_scale`` S, a number in (0, 1]:
+    an entry's visit value is ``max(visits * S, v_min)``, which
+    ``settled_visits`` returns. The per-iteration decay of every entry is
+    one multiplication of S; a training iteration writes only the two
+    entries each connection's read brackets and the rows a gate diffuses,
+    and folds S into the whole table once it falls below
+    ``VISIT_SCALE_MIN``. Stored entries are kept at or above ``v_min``.
     """
 
     def __init__(self, sizes, kind: str, hp: Hyperparameters):
@@ -234,6 +252,7 @@ class Network:
         self.params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in pairs))
         n_conn = sum(n_in * n_out for n_in, n_out in pairs)
         self.luts = self.visits = None
+        self.visit_scale = 1.0
         if kind == KIND_NLW:
             self.luts = np.zeros((n_conn, hp.r_res))
             self.visits = np.zeros((n_conn, hp.r_res))
@@ -293,13 +312,36 @@ class Network:
     def lut_connection_count(self) -> int:
         return 0 if self.luts is None else self.luts.shape[0]
 
+    def settled_visits(self, rows=slice(None)) -> np.ndarray:
+        """Visit values of the given rows of ``visits`` (all by default), a new array."""
+        return _settle_visits(self.visits[rows], self.visit_scale, self.hp)
+
+    def fold_visit_scale(self) -> None:
+        """Store every visit entry at scale 1: the values stay, the stored entries change."""
+        self.visits[...] = self.settled_visits()
+        self.visit_scale = 1.0
+
     def clone(self) -> "Network":
         twin = Network(self.sizes, self.kind, self.hp)
         np.copyto(twin.params, self.params)
         if self.luts is not None:
             np.copyto(twin.luts, self.luts)
             np.copyto(twin.visits, self.visits)
+            twin.visit_scale = self.visit_scale
         return twin
+
+
+# A training iteration folds the visit scale into the tables once it falls below this.
+# At the default r_c of 0.001 that is about every 44k iterations; from 2^-64 the next
+# scale is at least 2^-117, so stored entries (at most 1 / scale) stay far from overflow.
+VISIT_SCALE_MIN = 2.0 ** -64
+
+
+def _settle_visits(stored: np.ndarray, scale: float, hp: Hyperparameters,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Visit values ``max(stored * scale, v_min)`` of stored visit entries."""
+    out = np.multiply(stored, scale, out=out)
+    return np.maximum(out, hp.v_min, out=out)
 
 
 @dataclass
@@ -395,7 +437,8 @@ def init_network(sizes, kind: str, hp: Hyperparameters, rng: np.random.Generator
     NLW the LUT ramp intercepts and slopes. Linear weights and biases
     are uniform on [-0.5, 0.5]; each LUT starts as the affine ramp
     intercept + slope * grid with both coefficients uniform on
-    [-0.25, 0.25]; visit tables start filled with v_p.
+    [-0.25, 0.25]; visit tables start filled with v_p, or with v_min if
+    that is larger (visit entries never sit below v_min).
     """
     net = Network(sizes, kind, hp)
     grid = lut_grid(hp)
@@ -409,7 +452,7 @@ def init_network(sizes, kind: str, hp: Hyperparameters, rng: np.random.Generator
             np.multiply(slope, grid, out=lay.lut)
             lay.lut += intercept
     if net.visits is not None:
-        net.visits.fill(hp.v_p)
+        net.visits.fill(max(hp.v_p, hp.v_min))
     return net
 
 

@@ -18,6 +18,26 @@ KIND_LW = "LW"
 KIND_NLW = "NLW"
 KINDS = (KIND_LW, KIND_NLW)
 
+# Longest probe ladder accepted. Each offset adds two rows to every LUT layer's probe
+# block on every training iteration; the defaults give 9, and a_m = 1.001 with the
+# default a_l and a_h would give 848.
+MAX_PROBE_OFFSETS = 256
+
+
+def probe_ladder(a_l: float, a_h: float, a_m: float, limit: int) -> list[float]:
+    """Probe offsets a_l, a_l*a_m, a_l*a_m^2, ... up to the last one <= a_h.
+
+    Always non-empty; one more a_m step past the last entry would exceed
+    a_h. Stops after limit + 1 offsets, so a ladder longer than limit
+    shows as one of limit + 1 without being built in full.
+    """
+    out = [a_l]
+    a = a_l
+    while a * a_m <= a_h and len(out) <= limit:
+        a *= a_m
+        out.append(a)
+    return out
+
 
 @dataclass(frozen=True)
 class Hyperparameters:
@@ -30,14 +50,14 @@ class Hyperparameters:
     i_max   upper edge of the LUT input domain
     a_l     smallest probe offset of the derivative estimator
     a_h     largest allowed probe offset
-    a_m     geometric step between probe offsets (> 1)
+    a_m     geometric step between probe offsets (> 1; at most 256 offsets)
     zeta    probability that a LUT connection is regularized this iteration
     r_a     diffusion smoothing strength (0 selects the linear limit)
     r_b     diffusion visit-balance strength
     r_c     visit table decay/bump rate
     s_a     update gain coefficient (0 disables gain shaping)
     s_b     multiplicative weight decay per application
-    v_p     initial fill value of visit tables
+    v_p     initial fill value of visit tables (v_min if v_p is below it)
     v_min   hard floor of visit table entries, in (0, 0.5]
     """
 
@@ -78,6 +98,11 @@ class Hyperparameters:
             raise ValueError("need 0 < a_l <= a_h")
         if not self.a_m > 1:
             raise ValueError("a_m must exceed 1")
+        if len(probe_ladder(self.a_l, self.a_h, self.a_m, MAX_PROBE_OFFSETS)) > MAX_PROBE_OFFSETS:
+            about = math.floor(math.log(self.a_h / self.a_l) / math.log(self.a_m)) + 1
+            raise ValueError(f"a_l={self.a_l!r}, a_h={self.a_h!r} and a_m={self.a_m!r} give a "
+                             f"probe ladder of about {about} offsets, more than the "
+                             f"{MAX_PROBE_OFFSETS} allowed")
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError("zeta must lie in [0, 1]")
         if not 0.0 <= self.s_b < 1.0:

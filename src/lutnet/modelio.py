@@ -4,13 +4,17 @@ The file holds everything needed to continue training bit-exactly:
 architecture, kind, hyperparameters, the iteration counter, the
 training gate generator's state, and the network's flat parameter
 buffers (``Network.params`` and, for NLW, ``luts`` and ``visits``, in
-the layout ``Network`` documents). Format version 2 stores each buffer
+the layout ``Network`` documents). Format version 3 stores each buffer
 as one string: the padded base64 (RFC 4648) of its bytes as
 little-endian float64 in C order. The bytes are the values themselves,
 so save -> load -> save reproduces the file byte for byte, ``-0.0``
-included. Version 1 files, which list every layer's arrays as JSON
-numbers, still load; saves always write version 2. A model trained on
-min-max scaled inputs also stores that scale, under the optional key ``scale``.
+included. ``visits`` holds the stored visit entries, and an NLW file
+adds their shared scale as the JSON number ``visit_scale`` in (0, 1]
+(see ``Network``). Version 2 files are the same without that key, and
+version 1 files list every layer's arrays as JSON numbers; both still
+load, with visit scale 1. Saves always write version 3, which older
+readers refuse. A model trained on min-max scaled inputs also stores
+that scale, under the optional key ``scale``.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from .hyper import Hyperparameters, KIND_NLW
 __all__ = ["FORMAT_NAME", "FORMAT_VERSION", "LoadedModel", "save_model", "load_model"]
 
 FORMAT_NAME = "lutnet-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _DTYPE = "<f8"
 
 
@@ -63,7 +67,7 @@ def _buffers(net: Network) -> dict:
 
 def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = None,
                scale: dict | None = None) -> None:
-    """Write the model file atomically, in format version 2.
+    """Write the model file atomically, in format version 3.
 
     ``scale`` (the training inputs' ``scale_args`` record) goes under key ``scale``.
     What ``load_model`` would refuse (a non-finite parameter, a negative
@@ -92,6 +96,9 @@ def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = 
     if scale is not None:
         doc["scale"] = _plain(scale)
         _check_scale(doc["scale"], net.n_inputs, path)
+    if net.visits is not None:
+        doc["visit_scale"] = _plain(net.visit_scale)
+        _check_visit_scale(doc["visit_scale"], path)
     for key, buf in _buffers(net).items():
         doc[key] = base64.b64encode(buf.astype(_DTYPE, copy=False).tobytes()).decode("ascii")
     text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
@@ -128,6 +135,11 @@ def _check_scale(scale, n_inputs: int, path) -> None:
         and all(type(v) in (int, float) and math.isfinite(v) for v in col)
         for col in (scale.get("min"), scale.get("max"))),
         path, f"bad scale: need min and max lists of {n_inputs} finite numbers")
+
+
+def _check_visit_scale(visit_scale, path) -> None:
+    _require(type(visit_scale) in (int, float) and 0.0 < visit_scale <= 1.0, path,
+             f"bad visit_scale {visit_scale!r}: need a number in (0, 1]")
 
 
 def _fill(view: np.ndarray, value, path, what: str) -> None:
@@ -168,8 +180,9 @@ def _fill_v1(doc: dict, net: Network, path) -> None:
 
 
 def _fill_v2(doc: dict, net: Network, path) -> None:
-    """Decode version 2's base64 buffers into the network's own buffers."""
-    _require(net.kind == KIND_NLW or not ("luts" in doc or "visits" in doc), path,
+    """Decode the base64 buffers of versions 2 and 3 into the network's own buffers."""
+    _require(net.kind == KIND_NLW or not ("luts" in doc or "visits" in doc
+                                          or "visit_scale" in doc), path,
              "LUT tables in an LW model")
     for key, buf in _buffers(net).items():
         text = doc.get(key)
@@ -188,9 +201,10 @@ def _fill_v2(doc: dict, net: Network, path) -> None:
 def load_model(path) -> LoadedModel:
     """Read a model file back, validating it against its own header.
 
-    Both format versions fill the network's buffers, then pass the same
-    checks: finite values, visit entries at least ``v_min``, and the
-    optional scale that ``save_model`` checks.
+    Every format version fills the network's buffers, then passes the
+    same checks: finite values, stored visit entries at least ``v_min``,
+    and the optional scale that ``save_model`` checks. A version 3 NLW
+    file must give ``visit_scale``; older files load with visit scale 1.
     """
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
@@ -198,7 +212,7 @@ def load_model(path) -> LoadedModel:
     _require(doc.get("format") == FORMAT_NAME, path, "not a model file")
     # type(...) is int throughout: JSON true and false load as bool, an int subclass
     version = doc.get("version")
-    _require(type(version) is int and version in (1, FORMAT_VERSION), path,
+    _require(type(version) is int and version in (1, 2, FORMAT_VERSION), path,
              f"unsupported version {version!r}")
     sizes = doc.get("architecture")
     _require(isinstance(sizes, list), path, f"bad architecture {sizes!r}")
@@ -212,10 +226,14 @@ def load_model(path) -> LoadedModel:
         raise ValueError(f"{path}: {exc}") from None
 
     (_fill_v1 if version == 1 else _fill_v2)(doc, net, path)
+    if version == FORMAT_VERSION and net.visits is not None:
+        _require("visit_scale" in doc, path, "visit_scale is missing")
+        _check_visit_scale(doc["visit_scale"], path)
+        net.visit_scale = float(doc["visit_scale"])
     bad = find_nonfinite(net)
     _require(bad is None, path, bad)
     for li, lay in enumerate(net.layers):
-        # the diffusion divides by visit entries
+        # the diffusion divides by visit values; stored entries never fall below v_min
         _require(lay.visits is None or (lay.visits >= hp.v_min).all(), path,
                  f"layer {li}: visits entry below v_min")
 

@@ -10,12 +10,17 @@ The pair formulas are written once, in ``_visit_ratios``, ``_pair_core``
 and ``_assemble_pairs``; the scalar API and the training loop both
 call those three directly, and ``_gain_decay`` and
 ``_update_visits_tensor`` likewise serve both.
+
+Visit tables are stored divided by a shared scale (see ``Network``), so
+the per-iteration decay of a whole table is one multiplication of that
+scale, and the visit update writes only the two entries bracketing each
+traversed segment.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import segment_coords
+from .core import _segment_ends, _settle_visits, segment_coords
 from .hyper import Hyperparameters
 
 
@@ -48,23 +53,28 @@ def gain_decay(w: float, dw: float, hp: Hyperparameters) -> float:
 # ---------------------------------------------------------------------------
 # Visit tables
 
-def _update_visits_tensor(vis: np.ndarray, at, frac, hp: Hyperparameters) -> None:
-    """Decay-and-bump on a contiguous visit array, in place.
+def _update_visits_tensor(pair: np.ndarray, share: np.ndarray, scale: float,
+                          hp: Hyperparameters) -> float:
+    """Decay-and-bump of the visit entries bracketing each traversed segment.
 
-    at is the flat index of each traversed segment's lower entry and
-    frac the position within it. Every entry decays and is floored at
-    v_min; the two segment endpoints are then bumped in proportion to
-    their interpolation shares, each bump scaled by the entry's
-    pre-decay headroom below 1. A fraction of exactly 0 or 1 turns one
-    of the bumps into a multiplication by 1.
+    pair holds the stored entries at each segment's two ends, (2, C),
+    at visit scale ``scale``; share holds their interpolation shares
+    1 - frac and frac. Every entry of a table decays by 1 - r_c and is
+    floored at v_min; the pair is additionally bumped in proportion to
+    its share, each bump scaled by the entry's pre-decay headroom below
+    1. The decay of the entries outside the pair is the new scale,
+    scale * (1 - r_c), which is returned; pair is overwritten, in place,
+    with its updated entries stored at that scale. A share of exactly 0
+    turns a bump into a multiplication by 1.
     """
-    flat = vis.reshape(-1)
-    pre_lo = flat[at]
-    pre_hi = flat[at + 1]
-    vis *= 1.0 - hp.r_c
-    np.maximum(vis, hp.v_min, out=vis)
-    flat[at] *= 1.0 + (hp.r_c * (1.0 - frac)) * (1.0 - pre_lo)
-    flat[at + 1] *= 1.0 + (hp.r_c * frac) * (1.0 - pre_hi)
+    new_scale = scale * (1.0 - hp.r_c)
+    pre = _settle_visits(pair, scale, hp, out=pair)
+    bump = 1.0 + (hp.r_c * share) * (1.0 - pre)
+    pre *= 1.0 - hp.r_c
+    np.maximum(pre, hp.v_min, out=pre)
+    pre *= bump
+    pre /= new_scale
+    return new_scale
 
 
 def update_visits(visits, x: float, hp: Hyperparameters) -> np.ndarray:
@@ -72,9 +82,11 @@ def update_visits(visits, x: float, hp: Hyperparameters) -> np.ndarray:
     visits = np.array(visits, dtype=float)
     if visits.shape != (hp.r_res,):
         raise ValueError(f"expected {hp.r_res} visit entries, got shape {visits.shape}")
-    lo, frac = segment_coords(np.asarray([x], dtype=float), hp)
-    _update_visits_tensor(visits, lo, frac, hp)
-    return visits
+    ends, share = _segment_ends(*segment_coords(np.asarray([x], dtype=float), hp))
+    pair = visits[ends]
+    scale = _update_visits_tensor(pair, share, 1.0, hp)
+    visits[ends] = pair
+    return _settle_visits(visits, scale, hp, out=visits)
 
 
 # ---------------------------------------------------------------------------

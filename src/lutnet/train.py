@@ -4,7 +4,10 @@ One iteration processes one sample. The canonical order is: forward
 pass, error backpropagation, linear weight updates (plain weights, LUT
 linear parts, biases), LUT entry updates, visit table updates, and
 finally one gate draw per LUT connection that switches on decay of the
-touched entries plus diffusion of the LUT and its visit table.
+touched entries plus diffusion of the LUT and its visit table. Outside
+the gated rows, an iteration writes two LUT entries and two visit
+entries per LUT connection, whatever ``r_res``: the decay of the other
+visit entries is carried by ``Network.visit_scale``.
 
 The error function is half the summed squared output error, so output
 deltas are simply (y - d) times the tanh slope. Because LUTs are only
@@ -21,12 +24,14 @@ import math
 import numpy as np
 
 from .core import (
+    VISIT_SCALE_MIN,
     ForwardTrace,
     LutConnection,
     Network,
     _lut_read,
     _probed_read,
     _require_fit,
+    _segment_ends,
     derivative_offsets,
     find_nonfinite,
     forward_network,
@@ -90,34 +95,33 @@ def backprop(net: Network, trace: ForwardTrace, target) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # Update rules
 
-def _lut_entry_updates(lut: np.ndarray, at, frac, lut_value, step,
+def _lut_entry_updates(lut: np.ndarray, ends, share, lut_value, step,
                        hp: Hyperparameters) -> None:
     """Update the two entries bracketing each traversed segment, in place.
 
-    lut is a flat table array and at the flat index of each lower
-    entry; lut_value is the interpolated read there and step the
-    learning step times the error of the connection's destination. The
-    raw step is gain-shaped against the interpolated value itself (no
-    input factor). Splitting by s/(2s^2-2s+1) on each side makes the
-    interpolated value at the traversed point move by exactly the raw
-    step, and sends everything to a single entry when the position sits
-    on a grid point.
+    lut is a flat table array, ends (2, C) the flat indices of each
+    segment's low and high entry and share their interpolation shares
+    (``_segment_ends``); lut_value is the interpolated read there and
+    step the learning step times the error of the connection's
+    destination. The raw step is gain-shaped against the interpolated
+    value itself (no input factor). Splitting by s/(2s^2-2s+1) on each
+    side makes the interpolated value at the traversed point move by
+    exactly the raw step, and sends everything to a single entry when
+    the position sits on a grid point.
     """
     dwr = -_gain_decay(lut_value, step, hp)
+    frac = share[1]
     den = 2.0 * frac * frac - 2.0 * frac + 1.0
-    lut[at] += dwr * ((1.0 - frac) / den)
-    lut[at + 1] += dwr * (frac / den)
+    lut[ends] += dwr * (share / den)
 
 
-def _decay_touched(lut: np.ndarray, at, frac, hp: Hyperparameters) -> None:
-    """Gated decay of the entries a read at (at, frac) touched, in place.
+def _decay_touched(lut: np.ndarray, ends, share, hp: Hyperparameters) -> None:
+    """Gated decay of the entries a read at (ends, share) touched, in place.
 
-    Entries at and at + 1 of the flat table array shrink by s_b; one
-    whose interpolation share is zero (frac exactly 0 or 1) is left as
-    it is.
+    Entries ends of the flat table array shrink by s_b; one whose
+    interpolation share is zero (frac exactly 0 or 1) is left as it is.
     """
-    lut[at] *= np.where(frac < 1.0, 1.0 - hp.s_b, 1.0)
-    lut[at + 1] *= np.where(frac > 0.0, 1.0 - hp.s_b, 1.0)
+    lut[ends] *= np.where(share > 0.0, 1.0 - hp.s_b, 1.0)
 
 
 def update_lut_component(conn: LutConnection, e: float, x: float,
@@ -129,9 +133,10 @@ def update_lut_component(conn: LutConnection, e: float, x: float,
     """
     lo, frac = segment_coords(np.asarray([x], dtype=float), hp)
     value = _lut_read(conn.lut[None, None], 0, lo, frac)[0]
-    _lut_entry_updates(conn.lut, lo, frac, value, hp.mu * e, hp)
+    ends, share = _segment_ends(lo, frac)
+    _lut_entry_updates(conn.lut, ends, share, value, hp.mu * e, hp)
     if gate:
-        _decay_touched(conn.lut, lo, frac, hp)
+        _decay_touched(conn.lut, ends, share, hp)
     return conn.lut
 
 
@@ -172,22 +177,29 @@ def _apply_iteration(net: Network, x, target, gate_u: np.ndarray, coords=None) -
     frac = np.concatenate([tr.seg_frac for tr in trace.layers])[maps.conn_src]
     at = np.concatenate([tr.seg_lo for tr in trace.layers])[maps.conn_src]
     at += maps.row_starts
+    ends, share = _segment_ends(at, frac)
     lut_value = np.concatenate([tr.lut_values.reshape(-1) for tr in trace.layers])
     luts = net.luts.reshape(-1)
-    _lut_entry_updates(luts, at, frac, lut_value, step[maps.conn_dst], hp)
+    _lut_entry_updates(luts, ends, share, lut_value, step[maps.conn_dst], hp)
 
-    _update_visits_tensor(net.visits, at, frac, hp)
+    visits = net.visits.reshape(-1)
+    pair = visits[ends]
+    net.visit_scale = _update_visits_tensor(pair, share, net.visit_scale, hp)
+    visits[ends] = pair
 
     hit = np.flatnonzero(hp.zeta > gate_u)
     if hit.size:
-        _decay_touched(luts, at[hit], frac[hit], hp)
-        vvals = net.visits[hit]
+        _decay_touched(luts, ends[:, hit], share[:, hit], hp)
+        vvals = net.settled_visits(hit)
         den_lo, den_hi = _visit_ratios(vvals, hp)
         net.luts[hit] = _assemble_pairs(
             *_pair_core(net.luts[hit], den_lo, den_hi, hp, smooth=True))
         new_vis = _assemble_pairs(*_pair_core(vvals, den_lo, den_hi, hp, smooth=False))
         np.maximum(new_vis, hp.v_min, out=new_vis)
+        new_vis /= net.visit_scale
         net.visits[hit] = new_vis
+    if net.visit_scale < VISIT_SCALE_MIN:
+        net.fold_visit_scale()
     return sq_err
 
 

@@ -18,10 +18,26 @@ from lutnet.hyper import Hyperparameters, KIND_NLW
 # ---------------------------------------------------------------------------
 # Parameter extraction
 
+def _layer_visits(net: Network) -> list:
+    """Per layer, the visit values (n_out, n_in, r_res), or None for LW.
+
+    The network stores its visit tables scaled (see ``Network``); the
+    reference keeps the values themselves.
+    """
+    if net.visits is None:
+        return [None] * len(net.layers)
+    settled = net.settled_visits()
+    out, c = [], 0
+    for lay in net.layers:
+        out.append(settled[c:c + lay.lut.shape[0] * lay.lut.shape[1]].reshape(lay.lut.shape))
+        c += lay.lut.shape[0] * lay.lut.shape[1]
+    return out
+
+
 def extract_params(net: Network) -> list[dict]:
     """Deep-copy a network's parameters into plain Python structures."""
     layers = []
-    for lay in net.layers:
+    for lay, visits in zip(net.layers, _layer_visits(net)):
         entry = {
             "w": [[float(v) for v in row] for row in lay.w],
             "bias": [float(v) for v in lay.bias],
@@ -30,14 +46,14 @@ def extract_params(net: Network) -> list[dict]:
         }
         if lay.lut is not None:
             entry["lut"] = [[[float(v) for v in t] for t in row] for row in lay.lut]
-            entry["visits"] = [[[float(v) for v in t] for t in row] for row in lay.visits]
+            entry["visits"] = [[[float(v) for v in t] for t in row] for row in visits]
         layers.append(entry)
     return layers
 
 
 def _param_pairs(params: list[dict], net: Network):
     """Yield (reference, network) values of every parameter."""
-    for entry, lay in zip(params, net.layers):
+    for entry, lay, visits in zip(params, net.layers, _layer_visits(net)):
         for d in range(lay.n_out):
             yield entry["bias"][d], float(lay.bias[d])
             for s in range(lay.n_in):
@@ -45,7 +61,7 @@ def _param_pairs(params: list[dict], net: Network):
                 if entry["lut"] is not None:
                     for j in range(len(entry["lut"][d][s])):
                         yield entry["lut"][d][s][j], float(lay.lut[d, s, j])
-                        yield entry["visits"][d][s][j], float(lay.visits[d, s, j])
+                        yield entry["visits"][d][s][j], float(visits[d, s, j])
 
 
 def _worst(gaps) -> float:

@@ -437,6 +437,23 @@ def test_train_bad_hyper_value_is_usage_error(tmp_path, capsys):
     assert "zeta must lie in [0, 1]" in capsys.readouterr().err
 
 
+def test_train_rejects_an_overlong_probe_ladder(tmp_path, capsys):
+    assert run("train", "--data", "spirals", "--arch", "2-4-1", "--kind", "NLW",
+               "--a-m", "1.000000001", "--iterations", 10, "--out", tmp_path / "m.json") == 1
+    err = capsys.readouterr().err
+    assert "a_m=1.000000001" in err and "more than the 256 allowed" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_fresh_model_with_v_p_below_v_min_loads(tmp_path):
+    out = tmp_path / "m.json"
+    assert run("train", "--data", "spirals", "--arch", "2-3-1", "--kind", "NLW",
+               "--iterations", 0, "--seed", 1, "--v-p", 1e-20, "--out", out) == 0
+    assert run("train", "--resume", out, "--data", "spirals", "--iterations", 5,
+               "--out", tmp_path / "m2.json") == 0
+    assert run("eval", "--model", out, "--data", "spirals") == 0
+
+
 def test_train_nan_abort_exits_2_and_names_location(tmp_path, capsys):
     out = tmp_path / "m.json"
     assert run("train", "--data", "spirals", "--arch", "2-4-1", "--kind", "NLW",

@@ -1,7 +1,10 @@
 """Hyperparameter defaults and validation."""
+import re
+
 import pytest
 
-from lutnet.hyper import Hyperparameters, default_hyperparameters
+from lutnet.core import derivative_offsets
+from lutnet.hyper import MAX_PROBE_OFFSETS, Hyperparameters, default_hyperparameters
 
 
 def test_nlw_defaults():
@@ -67,3 +70,17 @@ def test_to_dict_round_trips():
 def test_validation_rejects_out_of_range(bad):
     with pytest.raises(ValueError):
         Hyperparameters(**bad)
+
+
+def test_probe_ladder_length_is_capped_where_derivative_offsets_ends():
+    # powers of two are exact: a_h = 2^(n-1) gives a ladder of exactly n offsets
+    longest = Hyperparameters(a_l=1.0, a_h=2.0 ** (MAX_PROBE_OFFSETS - 1), a_m=2.0)
+    assert len(derivative_offsets(longest)) == MAX_PROBE_OFFSETS
+    with pytest.raises(ValueError, match=re.escape(
+            f"a_l=1.0, a_h={2.0 ** MAX_PROBE_OFFSETS!r} and a_m=2.0 give a probe ladder of "
+            f"about {MAX_PROBE_OFFSETS + 1} offsets, more than the {MAX_PROBE_OFFSETS} allowed")):
+        longest.replace(a_h=2.0 ** MAX_PROBE_OFFSETS)
+    with pytest.raises(ValueError,
+                       match=r"a_m=1.000000001 give a probe ladder of about 8472\d{5} offsets"):
+        Hyperparameters(a_m=1.0 + 1e-9)
+    assert len(derivative_offsets(default_hyperparameters())) == 9

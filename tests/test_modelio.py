@@ -22,7 +22,7 @@ def _fixture_doc(kind="NLW"):
 
 
 def _patch(doc, key, edit):
-    """Decode buffer key of a format 2 document, apply edit in place, encode it back."""
+    """Decode buffer key of a format 2 or 3 document, apply edit in place, encode it back."""
     values = np.frombuffer(base64.b64decode(doc[key]), "<f8").copy()
     edit(values)
     doc[key] = base64.b64encode(values.tobytes()).decode("ascii")
@@ -68,6 +68,8 @@ def test_save_load_save_is_byte_identical(tmp_path):
     loaded = load_model(a)
     save_model(b, loaded.net, loaded.iteration, loaded.rng_state)
     assert a.read_bytes() == b.read_bytes()
+    assert loaded.net.visit_scale == net.visit_scale < 1.0           # 50 iterations of decay
+    assert loaded.net.visits.tobytes() == net.visits.tobytes()
     assert np.signbit(loaded.net.layers[0].w[0, 0])
     assert loaded.net.params.tobytes() == net.params.tobytes()
 
@@ -108,11 +110,12 @@ def test_saved_file_is_plain_ascii_json(tmp_path):
     save_model(p, _net("NLW"))
     doc = json.loads(p.read_text(encoding="ascii"))
     assert doc["format"] == "lutnet-model"
-    assert doc["version"] == 2
+    assert doc["version"] == 3
     assert doc["architecture"] == [2, 3, 1]
     assert doc["iteration"] == 0
     assert doc["rng"] is None
-    assert list(doc)[-3:] == ["params", "luts", "visits"]
+    assert list(doc)[-4:] == ["visit_scale", "params", "luts", "visits"]
+    assert doc["visit_scale"] == 1.0
     assert "layers" not in doc
     # 3*2+3 + 1*3+1 parameters, 9 tables of r_res 64, 8 bytes each
     assert len(base64.b64decode(doc["params"], validate=True)) == 13 * 8
@@ -124,16 +127,16 @@ def test_lw_file_has_no_tables(tmp_path):
     save_model(p, _net("LW"))
     doc = json.loads(p.read_text())
     assert "params" in doc
-    assert "luts" not in doc and "visits" not in doc
+    assert "luts" not in doc and "visits" not in doc and "visit_scale" not in doc
 
 
 def _corrupt(tmp_path, source, mutate):
-    """Write a mutated document: 'v1' is the format 1 fixture, 'v2' and 'v2-LW' fresh saves."""
+    """Write a mutated document: 'v1' is the format 1 fixture, 'v3' and 'v3-LW' fresh saves."""
     p = tmp_path / "m.json"
     if source == "v1":
         doc = _fixture_doc()
     else:
-        save_model(p, _net("LW" if source == "v2-LW" else "NLW"))
+        save_model(p, _net("LW" if source == "v3-LW" else "NLW"))
         doc = json.loads(p.read_text())
     mutate(doc)
     p.write_text(json.dumps(doc))
@@ -145,15 +148,15 @@ def _set(index, value):
 
 
 @pytest.mark.parametrize("source,mutate,phrase", [
-    ("v2", lambda d: d.update(format="other"), "not a model file"),
-    ("v2", lambda d: d.update(version=99), "version"),
-    ("v2", lambda d: d.update(kind="QW"), "kind"),
-    ("v2", lambda d: d.update(architecture=[2]), "architecture"),
+    ("v3", lambda d: d.update(format="other"), "not a model file"),
+    ("v3", lambda d: d.update(version=99), "version"),
+    ("v3", lambda d: d.update(kind="QW"), "kind"),
+    ("v3", lambda d: d.update(architecture=[2]), "architecture"),
     ("v1", lambda d: d["layers"].pop(), "layer"),
     ("v1", lambda d: d["layers"][0]["w"].pop(), "shape"),
     ("v1", lambda d: d["layers"][0]["lut"][0][0].pop(), "shape"),
     ("v1", lambda d: d["layers"][0].pop("visits"), "visits"),
-    ("v2", lambda d: d.update(iteration=-3), "iteration"),
+    ("v3", lambda d: d.update(iteration=-3), "iteration"),
     ("v1", lambda d: d["layers"][0]["w"][0].__setitem__(0, float("nan")), "non-finite w"),
     ("v1", lambda d: d["layers"][1]["bias"].__setitem__(0, float("inf")), "non-finite bias"),
     ("v1", lambda d: d["layers"][0]["lut"][0][0].__setitem__(3, float("nan")),
@@ -161,31 +164,40 @@ def _set(index, value):
     ("v1", lambda d: d["layers"][0]["visits"][0][0].__setitem__(3, float("inf")),
      "non-finite visits"),
     ("v1", lambda d: d["layers"][0]["visits"][0][0].__setitem__(3, 0.0), "below v_min"),
-    ("v2", lambda d: d["hyperparameters"].update(r_res=64.0), "r_res"),
-    ("v2", lambda d: d["hyperparameters"].update(r_b=-1.0), "r_b"),
-    ("v2", lambda d: d.update(params=d["params"][:8] + "*" + d["params"][9:]),
+    ("v3", lambda d: d["hyperparameters"].update(r_res=64.0), "r_res"),
+    ("v3", lambda d: d["hyperparameters"].update(r_b=-1.0), "r_b"),
+    ("v3", lambda d: d.update(params=d["params"][:8] + "*" + d["params"][9:]),
      "params is not valid base64"),
-    ("v2", lambda d: d.update(luts=base64.b64encode(base64.b64decode(d["luts"])[:-1])
+    ("v3", lambda d: d.update(luts=base64.b64encode(base64.b64decode(d["luts"])[:-1])
                               .decode("ascii")), "luts holds 4607 bytes, expected 4608"),
-    ("v2", lambda d: d.pop("visits"), "visits is missing"),
-    ("v2-LW", lambda d: d.update(luts="", visits=""), "LUT tables in an LW model"),
-    ("v2", lambda d: _patch(d, "params", _set(10, float("nan"))), "layer 1: non-finite w"),
-    ("v2", lambda d: _patch(d, "luts", _set(6 * 64 + 5, float("inf"))),
+    ("v3", lambda d: d.pop("visits"), "visits is missing"),
+    ("v3-LW", lambda d: d.update(luts="", visits=""), "LUT tables in an LW model"),
+    ("v3", lambda d: _patch(d, "params", _set(10, float("nan"))), "layer 1: non-finite w"),
+    ("v3", lambda d: _patch(d, "luts", _set(6 * 64 + 5, float("inf"))),
      "layer 1: non-finite lut"),
-    ("v2", lambda d: _patch(d, "visits", _set(3, 0.0)), "layer 0: visits entry below v_min"),
-    ("v2", lambda d: d.update(version=True), "unsupported version True"),
-    ("v2", lambda d: d.update(iteration=True), "bad iteration counter True"),
-    ("v2", lambda d: d.update(architecture=[2, 3, True]), "bad architecture"),
-    ("v2", lambda d: d["hyperparameters"].update(mu=True), "mu must be a number"),
-    ("v2", lambda d: d.update(architecture=[2, 3.0, 1]), "bad architecture"),
-    ("v2", lambda d: d.update(architecture=[2, 0, 1]), "bad architecture"),
-    ("v2", lambda d: d.update(architecture="2-3-1"), "bad architecture"),
-    ("v2", lambda d: d.update(scale={"min": [0.0], "max": [1.0, 2.0]}), "bad scale"),
-    ("v2", lambda d: d.update(scale={"min": [0.0, float("nan")], "max": [1.0, 2.0]}),
+    ("v3", lambda d: _patch(d, "visits", _set(3, 0.0)), "layer 0: visits entry below v_min"),
+    ("v3", lambda d: d.update(version=True), "unsupported version True"),
+    ("v3", lambda d: d.update(iteration=True), "bad iteration counter True"),
+    ("v3", lambda d: d.update(architecture=[2, 3, True]), "bad architecture"),
+    ("v3", lambda d: d["hyperparameters"].update(mu=True), "mu must be a number"),
+    ("v3", lambda d: d.update(architecture=[2, 3.0, 1]), "bad architecture"),
+    ("v3", lambda d: d.update(architecture=[2, 0, 1]), "bad architecture"),
+    ("v3", lambda d: d.update(architecture="2-3-1"), "bad architecture"),
+    ("v3", lambda d: d.update(scale={"min": [0.0], "max": [1.0, 2.0]}), "bad scale"),
+    ("v3", lambda d: d.update(scale={"min": [0.0, float("nan")], "max": [1.0, 2.0]}),
      "bad scale"),
-    ("v2", lambda d: d.update(scale={"min": [0.0, True], "max": [1.0, 2.0]}), "bad scale"),
-    ("v2", lambda d: d.update(scale={"max": [1.0, 2.0]}), "bad scale"),
-    ("v2", lambda d: d.update(scale=[0.0, 1.0]), "bad scale"),
+    ("v3", lambda d: d.update(scale={"min": [0.0, True], "max": [1.0, 2.0]}), "bad scale"),
+    ("v3", lambda d: d.update(scale={"max": [1.0, 2.0]}), "bad scale"),
+    ("v3", lambda d: d.update(scale=[0.0, 1.0]), "bad scale"),
+    ("v3", lambda d: d.pop("visit_scale"), "visit_scale is missing"),
+    ("v3", lambda d: d.update(visit_scale=float("nan")), "bad visit_scale nan"),
+    ("v3", lambda d: d.update(visit_scale=float("inf")), "bad visit_scale inf"),
+    ("v3", lambda d: d.update(visit_scale=0.0), r"bad visit_scale 0.0: need a number in \(0, 1\]"),
+    ("v3", lambda d: d.update(visit_scale=-0.5), "bad visit_scale -0.5"),
+    ("v3", lambda d: d.update(visit_scale=1.5), "bad visit_scale 1.5"),
+    ("v3", lambda d: d.update(visit_scale=True), "bad visit_scale True"),
+    ("v3", lambda d: d.update(visit_scale="0.5"), "bad visit_scale '0.5'"),
+    ("v3-LW", lambda d: d.update(visit_scale=1.0), "LUT tables in an LW model"),
 ], ids=["format", "version", "kind", "arch", "layers", "w-shape",
         "lut-shape", "missing-visits", "iteration", "nan-w", "inf-bias", "nan-lut",
         "inf-visits", "zero-visits", "float-r_res", "negative-r_b",
@@ -193,7 +205,10 @@ def _set(index, value):
         "v2-nan-params", "v2-inf-luts", "v2-zero-visits",
         "bool-version", "bool-iteration", "bool-arch", "bool-mu",
         "float-arch", "zero-node-arch", "string-arch", "scale-width", "scale-nan",
-        "scale-bool", "scale-no-min", "scale-not-object"])
+        "scale-bool", "scale-no-min", "scale-not-object", "visit-scale-missing",
+        "visit-scale-nan", "visit-scale-inf", "visit-scale-zero", "visit-scale-negative",
+        "visit-scale-above-one", "visit-scale-bool", "visit-scale-string",
+        "visit-scale-on-lw"])
 def test_load_rejects_corrupt_documents(tmp_path, source, mutate, phrase):
     p = _corrupt(tmp_path, source, mutate)
     with pytest.raises(ValueError, match=phrase):
@@ -227,17 +242,41 @@ def test_v1_file_loads_its_exact_values(kind):
 
 
 @pytest.mark.parametrize("kind", ["LW", "NLW"])
-def test_v1_file_resaves_as_v2_bit_for_bit(tmp_path, kind):
+def test_v1_file_resaves_in_the_current_version_bit_for_bit(tmp_path, kind):
     old = load_model(DATA / f"model_v1_{kind.lower()}.json")
+    assert old.net.visit_scale == 1.0
     p = tmp_path / "m.json"
     save_model(p, old.net, old.iteration, old.rng_state)
-    assert json.loads(p.read_text())["version"] == 2
+    assert json.loads(p.read_text())["version"] == modelio.FORMAT_VERSION == 3
     new = load_model(p)
     assert new.iteration == old.iteration
     assert new.rng_state == old.rng_state
+    assert new.net.visit_scale == 1.0
     for name in ("params", "luts", "visits"):
         a, b = getattr(old.net, name), getattr(new.net, name)
         assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["LW", "NLW"])
+def test_v2_file_loads_with_visit_scale_one(tmp_path, kind):
+    # a version 2 document is a version 3 one without visit_scale
+    net = _net(kind)
+    p = tmp_path / "m.json"
+    save_model(p, net, 7)
+    doc = json.loads(p.read_text())
+    doc["version"] = 2
+    doc.pop("visit_scale", None)
+    p.write_text(json.dumps(doc))
+    loaded = load_model(p)
+    assert loaded.net.visit_scale == 1.0
+    assert loaded.iteration == 7
+    assert max_param_difference(extract_params(net), loaded.net) == 0.0
+    if kind == "NLW":
+        assert loaded.net.visits.tobytes() == net.visits.tobytes()
+        # a stored visit_scale is not read from a version 2 document
+        doc["visit_scale"] = 0.5
+        p.write_text(json.dumps(doc))
+        assert load_model(p).net.visit_scale == 1.0
 
 
 def test_save_refuses_nonfinite_and_writes_nothing(tmp_path):

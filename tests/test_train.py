@@ -297,6 +297,26 @@ def test_long_run_matches_scalar_reference_relatively(kind, hp):
             assert max_relative_param_difference(params, net) <= 1e-9
 
 
+def test_parity_holds_across_visit_scale_folds():
+    # r_c 0.5 halves the visit scale every iteration: the tables fold at iterations
+    # 65 and 130, and the reference, which decays every entry, must not notice
+    hp = NLW.replace(r_res=8, r_c=0.5, zeta=0.3)
+    net = init_network((2, 4, 3, 2), "NLW", hp, _rng([24, 0]))
+    params = extract_params(net)
+    rng = np.random.default_rng(25)
+    folds = []
+    for it in range(1, 151):
+        x = rng.uniform(-1.2, 1.2, 2)
+        target = rng.uniform(-0.9, 0.9, 2)
+        gate_u = rng.random(net.lut_connection_count())
+        err = _apply_iteration(net, x, target, gate_u)
+        assert relative_gap(ref_iteration(params, x, target, gate_u, hp, "NLW"), err) <= 1e-9
+        assert max_relative_param_difference(params, net) <= 1e-9
+        if net.visit_scale == 1.0:
+            folds.append(it)
+    assert folds == [65, 130]
+
+
 def test_reference_comparisons_report_a_nan_parameter():
     net = init_network((2, 3, 2), "NLW", NLW.replace(r_res=8), _rng([21, 0]))
     params = extract_params(net)
@@ -334,20 +354,25 @@ def test_layer_arrays_are_views_the_next_iteration_reads(tmp_path, source):
 
 
 @settings(max_examples=60, deadline=None)
+@example(seed=3, r_res=16, x=[0.3, -0.7], target=0.5)
+@example(seed=4, r_res=256, x=[-0.2, 0.9], target=-0.4)
 @given(seed=st.integers(0, 2**32 - 1), r_res=st.integers(2, 40),
        x=st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2),
        target=st.floats(-0.9, 0.9))
 def test_ungated_iteration_changes_at_most_two_adjacent_lut_entries(seed, r_res, x, target):
+    # the stored visit tables too: their decay is the visit scale's
     hp = NLW.replace(r_res=r_res, zeta=0.0)
     net = init_network((2, 3, 1), "NLW", hp, _rng([seed, 0]))
-    before = net.luts.copy()
+    before = {"luts": net.luts.copy(), "visits": net.visits.copy()}
     _apply_iteration(net, np.array(x), np.array([target]),
                      _rng([seed, 1]).random(net.lut_connection_count()))
-    for row_before, row_after in zip(before, net.luts):
-        changed = np.flatnonzero(row_before != row_after)
-        assert changed.size <= 2
-        if changed.size == 2:
-            assert changed[1] == changed[0] + 1
+    assert net.visit_scale == 1.0 - hp.r_c
+    for name, table in before.items():
+        for row_before, row_after in zip(table, getattr(net, name)):
+            changed = np.flatnonzero(row_before != row_after)
+            assert changed.size <= 2
+            if changed.size == 2:
+                assert changed[1] == changed[0] + 1
 
 
 def test_train_iteration_consumes_one_uniform_per_lut_connection():
@@ -527,12 +552,15 @@ def test_trainer_restore_resumes_bit_exact():
 
 
 @settings(max_examples=30, deadline=None)
+# r_c 0.5 halves the visit scale every iteration, so the table folds at iteration 65
+@example(kind="NLW", seed=5, n=90, split=0.5, r_c=0.5)
+@example(kind="NLW", seed=5, n=90, split=0.75, r_c=0.5)
 @given(kind=st.sampled_from(["NLW", "LW"]), seed=st.integers(0, 2**16),
-       n=st.integers(1, 90), split=st.floats(0.0, 1.0))
-def test_resume_at_any_split_is_bit_exact(tmp_path_factory, kind, seed, n, split):
+       n=st.integers(1, 90), split=st.floats(0.0, 1.0), r_c=st.just(NLW.r_c))
+def test_resume_at_any_split_is_bit_exact(tmp_path_factory, kind, seed, n, split, r_c):
     # run(n) == run(k), save, load, restore, run(n - k): parameters and saved bytes
     k = int(split * n)
-    hp = {"NLW": NLW.replace(r_res=8, zeta=0.3), "LW": LW}[kind]
+    hp = {"NLW": NLW.replace(r_res=8, zeta=0.3, r_c=r_c), "LW": LW}[kind]
     args, vals = _toy_data(n=17, seed=seed)
     whole = init_network((2, 3, 1), kind, hp, _rng([seed, 0]))
     tr = Trainer(whole, args, vals, seed=seed)
@@ -658,13 +686,19 @@ def test_trainer_error_window_decreases_on_learnable_problem():
        iterations=st.integers(1, 40))
 def test_visit_entries_stay_finite_and_at_least_v_min(r_c, r_b, zeta, v_min, v_p, seed,
                                                       iterations):
-    # every valid setting; v_p below v_min is allowed and floored by the first update
+    # every valid setting; v_p below v_min is allowed and the tables start at v_min.
+    # Stored entries are written at or above v_min, and the visit values, which
+    # scale them down, are floored there.
     hp = NLW.replace(r_res=8, r_c=r_c, r_b=r_b, zeta=zeta, v_min=v_min, v_p=v_p)
     args, vals = _toy_data(n=13, seed=seed)
     args *= 2.4                                          # past the domain edges too
     net = init_network((2, 3, 2, 1), "NLW", hp, _rng([seed, 0]))
     tr = Trainer(net, args, vals, seed=seed)
     for _ in range(iterations):
+        assert (net.visits >= v_min).all()
         tr.run(1, log_every=0)
         assert np.isfinite(net.visits).all()
         assert (net.visits >= v_min).all()
+        settled = net.settled_visits()
+        assert np.isfinite(settled).all()
+        assert (settled >= v_min).all()
