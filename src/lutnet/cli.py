@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bench as bench_mod
-from .core import _require_fit, init_network
+from .core import _require_fit, forward_batch, init_network
 from .data import (
     CsvSchema,
     Dataset,
@@ -36,7 +36,7 @@ from .data import (
     scale_args,
     write_csv,
 )
-from .evaluate import accuracy, mse, render_surface, write_pgm
+from .evaluate import _accuracy, _mse, mse, render_surface, write_pgm
 from .hyper import Hyperparameters, KINDS, default_hyperparameters
 from .modelio import load_model, save_model
 from .train import Trainer, TrainingDiverged
@@ -366,9 +366,10 @@ def cmd_eval(ns) -> int:
     if ns.scale and loaded.scale is None:     # a test set's own min/max is the wrong scale
         raise UsageError(f"--scale: {ns.model} stores no training input scale")
     ds = _load_dataset(ns, loaded)
-    print(f"mse {mse(loaded.net, ds):.12g}")
+    outputs = forward_batch(loaded.net, ds.args)          # one pass scores both
+    print(f"mse {_mse(outputs, ds.vals):.12g}")
     if ds.classes is not None:
-        print(f"accuracy {accuracy(loaded.net, ds):.12g}")
+        print(f"accuracy {_accuracy(outputs, ds.vals):.12g}")
     return 0
 
 

@@ -372,8 +372,10 @@ class ForwardTrace:
     layers: list[LayerTrace]
 
 
-# rows that forward_batch runs through the layers at once
-BATCH_CHUNK = 4096
+# forward_batch runs as many rows at once as keep each (n_out, rows, n_in) temporary
+# of the widest layer within this many float64 entries (2 MiB): a chunk's working set
+# then stays in a core's L2 cache, and the memory it needs does not grow with the batch.
+BATCH_ENTRIES = 2 ** 18
 
 
 def _forward_layers(net: Network, act: np.ndarray, trace: list | None = None,
@@ -419,13 +421,17 @@ def forward_network(net: Network, x, coords=None) -> tuple[np.ndarray, ForwardTr
 
 
 def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:
-    """Forward many samples at once; rows of xs are individual inputs."""
+    """Forward many samples at once; rows of xs are individual inputs.
+
+    Rows go through the layers in chunks sized by ``BATCH_ENTRIES``.
+    """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != net.n_inputs:
         raise _misfit(net, "samples as rows", xs)
     out = np.empty((xs.shape[0], net.n_outputs))
-    for start in range(0, xs.shape[0], BATCH_CHUNK):
-        out[start:start + BATCH_CHUNK] = _forward_layers(net, xs[start:start + BATCH_CHUNK])
+    rows = max(1, BATCH_ENTRIES // max(lay.w.size for lay in net.layers))
+    for start in range(0, xs.shape[0], rows):
+        out[start:start + rows] = _forward_layers(net, xs[start:start + rows])
     return out
 
 

@@ -24,8 +24,11 @@ __all__ = [
 def mse(net: Network, ds: Dataset) -> float:
     """Mean over samples of the mean squared output error."""
     _require_fit(net, ds.args, ds.vals)
-    outputs = forward_batch(net, ds.args)
-    err = outputs - ds.vals
+    return _mse(forward_batch(net, ds.args), ds.vals)
+
+
+def _mse(outputs: np.ndarray, vals: np.ndarray) -> float:
+    err = outputs - vals
     return float(np.mean(np.mean(err * err, axis=1)))
 
 
@@ -39,12 +42,15 @@ def accuracy(net: Network, ds: Dataset) -> float:
     _require_fit(net, ds.args, ds.vals)
     if ds.classes is None:
         raise ValueError("accuracy needs a classification dataset")
-    outputs = forward_batch(net, ds.args)
-    if ds.n_vals == 1:
-        y, d = outputs[:, 0], ds.vals[:, 0]
+    return _accuracy(forward_batch(net, ds.args), ds.vals)
+
+
+def _accuracy(outputs: np.ndarray, vals: np.ndarray) -> float:
+    if vals.shape[1] == 1:
+        y, d = outputs[:, 0], vals[:, 0]
         correct = ((y > 0.0) & (d > 0.0)) | ((y < 0.0) & (d < 0.0))
     else:
-        correct = np.argmax(outputs, axis=1) == np.argmax(ds.vals, axis=1)
+        correct = np.argmax(outputs, axis=1) == np.argmax(vals, axis=1)
     return float(np.mean(correct))
 
 

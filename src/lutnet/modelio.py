@@ -99,16 +99,21 @@ def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = 
     if net.visits is not None:
         doc["visit_scale"] = _plain(net.visit_scale)
         _check_visit_scale(doc["visit_scale"], path)
-    for key, buf in _buffers(net).items():
-        doc[key] = base64.b64encode(buf.astype(_DTYPE, copy=False).tobytes()).decode("ascii")
-    text = json.dumps(doc, separators=(",", ":"), allow_nan=False)
+    # The buffers' base64 strings go straight to the file after the header: the
+    # base64 alphabet needs no JSON escaping, so the bytes are what json.dumps of
+    # the whole document would give, without its scan over every character.
+    header = json.dumps(doc, separators=(",", ":"), allow_nan=False).encode("ascii")
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{secrets.token_hex(4)}.tmp")
     try:
-        with open(tmp, "x", encoding="ascii") as fh:
-            fh.write(text)
-            fh.write("\n")
+        with open(tmp, "xb") as fh:
+            fh.write(header[:-1])
+            for key, buf in _buffers(net).items():
+                fh.write(f',"{key}":"'.encode("ascii"))
+                fh.write(base64.b64encode(buf.astype(_DTYPE, copy=False).tobytes()))
+                fh.write(b'"')
+            fh.write(b"}\n")
         os.replace(tmp, path)
     except BaseException:
         try:

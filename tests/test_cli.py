@@ -7,10 +7,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from lutnet import cli, evaluate
 from lutnet.cli import UsageError, main, parse_arch, parse_config_file
 from lutnet.core import forward_batch, forward_network
-from lutnet.data import CsvSchema, Dataset, load_csv, scale_args, write_csv
-from lutnet.evaluate import mse
+from lutnet.data import CsvSchema, Dataset, gen_two_spirals, load_csv, scale_args, write_csv
+from lutnet.evaluate import accuracy, mse
 from lutnet.hyper import Hyperparameters
 from lutnet.modelio import load_model, save_model
 from lutnet.train import Trainer
@@ -534,15 +535,24 @@ def _trained_model(tmp_path, iterations=300):
     return out
 
 
-def test_eval_prints_metrics_and_is_readonly(tmp_path, capsys):
+def test_eval_prints_metrics_and_is_readonly(tmp_path, capsys, monkeypatch):
     model = _trained_model(tmp_path)
     before = hashlib.sha256(model.read_bytes()).hexdigest()
+    net, ds = load_model(model).net, gen_two_spirals()
+    expected = [f"mse {mse(net, ds):.12g}", f"accuracy {accuracy(net, ds):.12g}"]
+    passes = []
+
+    def counted(*args):
+        passes.append(args)
+        return forward_batch(*args)
+
+    for module in (cli, evaluate):
+        monkeypatch.setattr(module, "forward_batch", counted)
     capsys.readouterr()
     assert run("eval", "--model", model, "--data", "spirals") == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("mse ")
-    assert lines[1].startswith("accuracy ")
-    assert 0.0 <= float(lines[1].split()[1]) <= 1.0
+    assert capsys.readouterr().out.splitlines() == expected
+    assert len(passes) == 1
+    assert 0.0 <= float(expected[1].split()[1]) <= 1.0
     assert hashlib.sha256(model.read_bytes()).hexdigest() == before
 
 

@@ -1,9 +1,11 @@
 """Structure, LUT interpolation, and forward-pass behaviour."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from lutnet import core
 from lutnet.core import (
-    BATCH_CHUNK,
     Network,
     find_nonfinite,
     forward_batch,
@@ -227,15 +229,18 @@ def test_forward_trace_lut_values_match_reads():
             assert abs(lt.lut_values[d, s] - expect) < 1e-14
 
 
-def test_forward_batch_equals_single_forwards():
-    n = BATCH_CHUNK + 43                      # the last rows fall in a second chunk
+def test_forward_batch_equals_single_forwards(monkeypatch):
+    # A budget of 20 rows of the widest layer's 12 connections puts chunk
+    # boundaries at rows 20 and 40 of a 43-row batch.
+    monkeypatch.setattr(core, "BATCH_ENTRIES", 20 * 12)
+    n, boundary = 43, 20
     for kind in ("LW", "NLW"):
         hp = default_hyperparameters(kind)
         net = init_network((3, 4, 2), kind, hp, np.random.default_rng(7))
         xs = np.random.default_rng(8).uniform(-1.5, 1.5, (n, 3))
-        # frac 0 and 1 edges: both domain edges and a grid point, either side
-        # of the chunk boundary
-        for i in (BATCH_CHUNK - 3, n - 3):
+        # frac 0 and 1 edges: both domain edges and a grid point, on both
+        # sides of a chunk boundary and in the short last chunk
+        for i in (boundary - 3, boundary, n - 3):
             xs[i] = hp.i_min
             xs[i + 1] = hp.i_max
             xs[i + 2] = lut_grid(hp)[hp.r_res // 3]
@@ -243,6 +248,19 @@ def test_forward_batch_equals_single_forwards():
         for i in range(n):
             y, _ = forward_network(net, xs[i])
             assert np.array_equal(batch[i], y)
+
+
+def test_forward_batch_memory_does_not_grow_with_the_batch():
+    # 4096 rows through the widest benchmark net: 4096-row chunks peaked at 101 MiB
+    net = init_network((2, 32, 32, 1), "NLW", HP.replace(r_res=256), np.random.default_rng(3))
+    xs = np.random.default_rng(4).uniform(-0.6, 0.6, (4096, 2))
+    tracemalloc.start()
+    try:
+        forward_batch(net, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 def test_forward_batch_matches_single_forwards_on_wide_layers():

@@ -122,6 +122,27 @@ def test_saved_file_is_plain_ascii_json(tmp_path):
     assert len(base64.b64decode(doc["luts"], validate=True)) == 9 * 64 * 8
 
 
+@pytest.mark.parametrize("kind", ["LW", "NLW"])
+def test_saved_bytes_are_json_dumps_of_the_whole_document(tmp_path, kind):
+    net = _net(kind, sizes=(2, 4, 1))
+    scale = {"min": [-1.5, 0.25], "max": [2.0, 3.0]}
+    if kind == "NLW":
+        net.visit_scale = 0.75
+    p = tmp_path / "m.json"
+    save_model(p, net, iteration=9, rng_state={"seed": 3}, scale=scale)
+    doc = {"format": "lutnet-model", "version": 3, "architecture": [2, 4, 1], "kind": kind,
+           "hyperparameters": net.hp.to_dict(), "iteration": 9, "rng": {"seed": 3},
+           "scale": scale}
+    buffers = {"params": net.params}
+    if kind == "NLW":
+        doc["visit_scale"] = 0.75
+        buffers.update(luts=net.luts, visits=net.visits)
+    for key, buf in buffers.items():
+        doc[key] = base64.b64encode(buf.astype("<f8").tobytes()).decode("ascii")
+    text = json.dumps(doc, separators=(",", ":"), allow_nan=False) + "\n"
+    assert p.read_bytes() == text.encode("ascii")
+
+
 def test_lw_file_has_no_tables(tmp_path):
     p = tmp_path / "m.json"
     save_model(p, _net("LW"))
