@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bench as bench_mod
+from . import kernel
 from .core import _require_fit, forward_batch, init_network
 from .data import (
     CsvSchema,
@@ -411,8 +412,11 @@ def cmd_bench(ns) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         reports.append(report)
+    if "NLW" in kinds:                        # only LUT layers read probes
+        print(f"probe read: {kernel.describe()}")
+    for report in reports:
         (train_a, train_b), (fwd_a, fwd_b) = report.train_fit, report.forward_fit
-        print(f"{kind}: train {train_a:.4g} + {train_b:.4g}*n ms, "
+        print(f"{report.kind}: train {train_a:.4g} + {train_b:.4g}*n ms, "
               f"forward {fwd_a:.4g} + {fwd_b:.4g}*n ms")
 
     if len(reports) == 2 and {r.kind for r in reports} == set(KINDS):

@@ -22,6 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import kernel
 from .hyper import MAX_PROBE_OFFSETS, Hyperparameters, KIND_NLW, KINDS, probe_ladder
 
 # ---------------------------------------------------------------------------
@@ -114,7 +115,17 @@ def _probed_read(lut: np.ndarray, cols, x: np.ndarray, offsets: np.ndarray,
     offsets a. Returns lo, frac and the read of row 0, then the mean of
     the k symmetric difference quotients (n_out, n_in); a pair whose
     clamped points coincide is left out of the mean (zero if all are).
+    Runs the compiled kernel (``lutnet.kernel``) when it loads and takes
+    the arguments, else ``_probed_read_numpy``; both give the same bits.
     """
+    kern = kernel.load()
+    out = None if kern is None else kern(lut, cols, x, offsets, hp)
+    return _probed_read_numpy(lut, cols, x, offsets, hp) if out is None else out
+
+
+def _probed_read_numpy(lut: np.ndarray, cols, x: np.ndarray, offsets: np.ndarray,
+                       hp: Hyperparameters):
+    """``_probed_read`` in numpy: the reference the kernel matches, and its fallback."""
     k = offsets.shape[0]
     block = np.empty((2 * k + 1, x.shape[0]))
     block[0] = x

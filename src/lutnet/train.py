@@ -49,7 +49,12 @@ from .regularize import (
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a parameter or output stops being finite."""
+    """Raised when a parameter or output stops being finite.
+
+    ``Trainer.run`` words it ``<location> at iteration N, training row i,
+    last window mse m``: the first non-finite parameter (``find_nonfinite``),
+    the row presented last and the window mse logged last in that run.
+    """
 
 
 def approx_lut_derivative(conn: LutConnection, x: float, hp: Hyperparameters) -> float:
@@ -263,6 +268,12 @@ class Trainer:
             self._order_epoch = epoch
         return self._order
 
+    def _diverged(self, where: str, idx, rows) -> TrainingDiverged:
+        """The error for a run that diverged at row idx, after logging rows."""
+        last = f"last window mse {rows[-1][1]!r}" if rows else "no window logged yet"
+        return TrainingDiverged(f"{where} at iteration {self.iteration}, training row {idx}, "
+                                f"{last}")
+
     def run(self, iterations: int, log_every: int = 1000, on_log=None,
             checkpoint_every: int | None = None, on_checkpoint=None,
             stop_when=None) -> list[tuple[int, float]]:
@@ -308,14 +319,14 @@ class Trainer:
                 window_n += 1
                 if not math.isfinite(err):
                     self.iteration += b + 1
-                    where = find_nonfinite(net) or "non-finite network output"
-                    raise TrainingDiverged(f"{where} at iteration {self.iteration}")
+                    raise self._diverged(find_nonfinite(net) or "non-finite network output",
+                                         idx, rows)
             self.iteration += block
             at_log = log_every and self.iteration % log_every == 0
             if at_log or self.iteration == end:
                 bad = find_nonfinite(net)
                 if bad is not None:
-                    raise TrainingDiverged(f"{bad} at iteration {self.iteration}")
+                    raise self._diverged(bad, idx, rows)
             if at_log:
                 rows.append((self.iteration, window_sum / max(window_n, 1)))
                 if on_log is not None:

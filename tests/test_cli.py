@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from lutnet import cli, evaluate
+from lutnet import cli, evaluate, kernel
 from lutnet.cli import UsageError, main, parse_arch, parse_config_file
 from lutnet.core import forward_batch, forward_network
 from lutnet.data import CsvSchema, Dataset, gen_two_spirals, load_csv, scale_args, write_csv
@@ -634,6 +634,18 @@ def test_bench_prints_no_ratio_for_a_falling_lw_fit(monkeypatch, capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("NLW/LW training slope ratio undefined: LW slope -")
     assert last.endswith(" ms per connection")
+
+
+@pytest.mark.parametrize("kinds", ["LW,NLW", "LW"])
+def test_bench_names_the_probe_read_before_its_fit_lines(monkeypatch, capsys, kinds):
+    monkeypatch.setattr("lutnet.bench._median_ms", lambda runs, reps: [1.0] * len(runs))
+    assert run("bench", "--archs", "2-2-1,2-4-1,2-8-1,2-12-1", "--kinds", kinds,
+               "--reps", 1) == 0
+    lines = capsys.readouterr().out.splitlines()
+    fits = [f"{kind}: train " for kind in kinds.split(",")]
+    if "NLW" in kinds:                         # only LUT layers read probes
+        assert lines.pop(0) == f"probe read: {kernel.describe()}"
+    assert [line[:len(fit)] for line, fit in zip(lines, fits)] == fits
 
 
 @pytest.mark.parametrize("flags,message", [

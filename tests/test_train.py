@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lutnet import kernel
 from lutnet import train as train_module
 from lutnet.core import (
     LutConnection,
@@ -254,16 +255,29 @@ PARITY_IDS = ["nlw-aggressive", "nlw-default", "nlw-gate-never", "nlw-gate-alway
 # iterations: there the aggressive profile grows the last-ulp gap between
 # the reference's summation order and numpy's about 1.5x per iteration,
 # and it passes 1e-9 after 57.
+# The NLW cases run once on the probe read the process selects (the compiled
+# kernel where it loads) and once more, with "-numpy" ids, on the numpy one.
 PARITY_CASES = (
-    [pytest.param(kind, hp, (2, 3, 2), 60, id=name)
+    [pytest.param(kind, hp, (2, 3, 2), 60, False, id=name)
      for (kind, hp), name in zip(PARITY_CONFIGS, PARITY_IDS)]
-    + [pytest.param(kind, hp, (2, 4, 3, 2), 40, id=f"{name}-3layer")
+    + [pytest.param(kind, hp, (2, 4, 3, 2), 40, False, id=f"{name}-3layer")
        for (kind, hp), name in zip(PARITY_CONFIGS, PARITY_IDS)]
+    + [pytest.param(kind, hp, sizes, iterations, True, id=f"{name}{suffix}-numpy")
+       for (kind, hp), name in zip(PARITY_CONFIGS, PARITY_IDS) if kind == "NLW"
+       for sizes, iterations, suffix in (((2, 3, 2), 60, ""), ((2, 4, 3, 2), 40, "-3layer"))]
 )
 
 
-@pytest.mark.parametrize("kind,hp,sizes,iterations", PARITY_CASES)
-def test_iteration_matches_scalar_reference(kind, hp, sizes, iterations):
+def _numpy_probe_read(monkeypatch):
+    """Run the probe reads through numpy, as where the kernel cannot load."""
+    monkeypatch.setattr(kernel, "_loaded", "numpy chosen by the test")
+
+
+@pytest.mark.parametrize("kind,hp,sizes,iterations,numpy_path", PARITY_CASES)
+def test_iteration_matches_scalar_reference(monkeypatch, kind, hp, sizes, iterations,
+                                            numpy_path):
+    if numpy_path:
+        _numpy_probe_read(monkeypatch)
     net = init_network(sizes, kind, hp, _rng([21, 0]))
     params = extract_params(net)
     rng = np.random.default_rng(22)
@@ -401,9 +415,15 @@ PROBE_PROFILES = [
 ]
 
 
-@pytest.mark.parametrize("sizes", [(2, 8, 1), (2, 4, 3, 2)], ids=["2-8-1", "2-4-3-2"])
-@pytest.mark.parametrize("hp", PROBE_PROFILES)
-def test_fused_probe_reads_match_public_forward_and_backprop(monkeypatch, sizes, hp):
+@pytest.mark.parametrize("sizes,hp,numpy_path", [
+    pytest.param(sizes, profile.values[0], numpy_path,
+                 id=f"{profile.id}-{'-'.join(map(str, sizes))}{'-numpy' * numpy_path}")
+    for numpy_path in (False, True) for profile in PROBE_PROFILES
+    for sizes in ((2, 8, 1), (2, 4, 3, 2))])
+def test_fused_probe_reads_match_public_forward_and_backprop(monkeypatch, sizes, hp,
+                                                             numpy_path):
+    if numpy_path:
+        _numpy_probe_read(monkeypatch)
     grid = lut_grid(hp)
     rows = np.array([[hp.i_min, 0.1], [hp.i_max, hp.i_min], [grid[5], grid[11]],
                      [hp.i_min - 0.7, hp.i_max + 1.4]])
@@ -667,6 +687,31 @@ def test_trainer_raises_on_nonfinite_with_location():
         tr.run(100, log_every=50)
     assert "layer 0" in str(exc.value)
     assert "iteration" in str(exc.value)
+
+
+@pytest.mark.parametrize("logs_before", [3, 0])
+def test_trainer_divergence_names_the_training_row_and_the_last_window(logs_before):
+    args, vals = _toy_data(n=12)
+    net = init_network((2, 2, 1), "NLW", NLW, _rng([35, 0]))
+    tr = Trainer(net, args, vals, seed=0)
+    tr.run(30, log_every=0)
+    windows = []
+
+    def on_log(trainer, window_mse):
+        windows.append(window_mse)
+        if len(windows) == logs_before:
+            net.layers[0].w[1, 0] = np.nan
+
+    if not logs_before:
+        net.layers[0].w[1, 0] = np.nan
+    with pytest.raises(TrainingDiverged) as exc, np.errstate(invalid="ignore"):
+        tr.run(100, log_every=10, on_log=on_log)
+    # the first iteration after the NaN presents row 30 + 10 * logs_before of the run
+    epoch, pos = divmod(30 + 10 * logs_before, 12)
+    last = f"last window mse {windows[-1]!r}" if windows else "no window logged yet"
+    assert str(exc.value).startswith("layer 0: non-finite w at ")
+    assert str(exc.value).endswith(f" at iteration {31 + 10 * logs_before}, "
+                                   f"training row {tr._epoch_order(epoch)[pos]}, {last}")
 
 
 def test_trainer_error_window_decreases_on_learnable_problem():
