@@ -4,12 +4,13 @@
  * Build with -ffp-contract=off and without -ffast-math: a fused multiply-add
  * or a reordered sum changes the last bits. The rules that numpy sets:
  *  - maximum and minimum against a bound return the bound on a tie and let a
- *    NaN input through; fmin turns a NaN position into the last segment;
+ *    NaN input through, so numpy's second clamp of a probe point changes no
+ *    bit and is left out; fmin turns a NaN position into the last segment;
  *  - a read is (1 - f) * t0 + f * t1;
  *  - the k quotients of a connection are summed from 0.0 in sequence: numpy's
  *    gather puts the destination axis innermost, so it adds whole (n_out, n_in)
- *    slices one after the other. A single connection leaves the probe axis
- *    contiguous, and numpy sums that pairwise;
+ *    slices one after the other. A 1x1 read (n_out = n_in = 1) leaves the probe
+ *    axis contiguous, and numpy sums that pairwise, so the kernel declines it;
  *  - a pair whose clamped points do not lie apart gives quotient diff * 0.0,
  *    and the sum is divided by the number of the other pairs (at least 1).
  */
@@ -20,43 +21,19 @@ static double max_bound(double a, double b) { return (a > b || a != a) ? a : b; 
 
 static double min_bound(double a, double b) { return (a < b || a != a) ? a : b; }
 
-/* numpy's pairwise summation of n doubles (8 partial sums per block of 128) */
-static double pairwise_sum(const double *a, ptrdiff_t n)
-{
-    if (n < 8) {
-        double s = 0.0;
-        for (ptrdiff_t i = 0; i < n; i++)
-            s += a[i];
-        return s;
-    }
-    if (n <= 128) {
-        double r[8];
-        ptrdiff_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = a[j];
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            s += a[i];
-        return s;
-    }
-    ptrdiff_t half = n / 2;
-    half -= half % 8;
-    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
-}
-
 /* lut is (n_out, n_cols, r) in C order; input j reads column cols[j].
  * Writes lo0 (n_in) and, one after the other in out, frac0 (n_in), then read0
  * and slope (n_out, n_in) in C order.
- * Returns 0, or -1 (nothing written) when a column lies outside the table. */
+ * Returns 0, or -1 (nothing written) when the read is 1x1 or a column lies
+ * outside the table. */
 int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t n_cols, ptrdiff_t r,
                 const ptrdiff_t *cols, const double *x, ptrdiff_t n_in,
                 const double *offsets, ptrdiff_t k, double i_min, double i_max, double span,
                 ptrdiff_t *lo0, double *out)
 {
     double *frac0 = out, *read0 = out + n_in, *slope = out + n_in + n_out * n_in;
+    if (n_out == 1 && n_in == 1)
+        return -1;
     for (ptrdiff_t j = 0; j < n_in; j++)
         if (cols[j] < -n_cols || cols[j] >= n_cols)
             return -1;
@@ -68,8 +45,7 @@ int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t n_cols, ptrdiff_t 
             double b = p == 0 ? x[j] : p <= k ? x[j] + offsets[p - 1] : x[j] - offsets[p - k - 1];
             b = min_bound(max_bound(b, i_min), i_max);
             pt[p] = b;
-            double pos = min_bound(max_bound(b, i_min), i_max);
-            pos = (pos - i_min) / span * (double)(r - 1);
+            double pos = (b - i_min) / span * (double)(r - 1);
             double lo_f = fmin(floor(pos), (double)(r - 2));
             lo[p] = (ptrdiff_t)lo_f;
             frac[p] = pos - lo_f;
@@ -91,14 +67,9 @@ int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t n_cols, ptrdiff_t 
                 double diff = reads[1 + i] - reads[k + 1 + i];
                 quot[i] = den[i] > 0.0 ? diff / den[i] : diff * 0.0;
             }
-            double s;
-            if (n_out == 1 && n_in == 1) {
-                s = 0.0 + pairwise_sum(quot, k);
-            } else {
-                s = 0.0;
-                for (ptrdiff_t i = 0; i < k; i++)
-                    s += quot[i];
-            }
+            double s = 0.0;
+            for (ptrdiff_t i = 0; i < k; i++)
+                s += quot[i];
             read0[d * n_in + j] = reads[0];
             slope[d * n_in + j] = s / count;
         }

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernel
-from .hyper import MAX_PROBE_OFFSETS, Hyperparameters, KIND_NLW, KINDS, probe_ladder
+from .hyper import Hyperparameters, KIND_NLW, KINDS
 
 # ---------------------------------------------------------------------------
 # LUT grid and interpolation
@@ -98,53 +98,38 @@ def _lut_read(lut: np.ndarray, cols, lo, frac):
     return (1.0 - frac) * lut[:, cols, lo] + frac * lut[:, cols, lo + 1]
 
 
-def derivative_offsets(hp: Hyperparameters) -> np.ndarray:
-    """Probe offsets a_l, a_l*a_m, a_l*a_m^2, ... up to the last one <= a_h.
-
-    Always non-empty; one more a_m step past the last entry would
-    exceed a_h. ``Hyperparameters`` caps its length at ``MAX_PROBE_OFFSETS``.
-    """
-    return np.asarray(probe_ladder(hp.a_l, hp.a_h, hp.a_m, MAX_PROBE_OFFSETS))
-
-
-def _probed_read(lut: np.ndarray, cols, x: np.ndarray, offsets: np.ndarray,
-                 hp: Hyperparameters):
+def _probed_read(lut: np.ndarray, cols, x: np.ndarray, hp: Hyperparameters):
     """``_lut_read`` at x and the LUT part's slope estimate, from one gather.
 
-    Reads the block [x; clamp(x + a); clamp(x - a)] over the k probe
-    offsets a. Returns lo, frac and the read of row 0, then the mean of
-    the k symmetric difference quotients (n_out, n_in); a pair whose
-    clamped points coincide is left out of the mean (zero if all are).
+    Reads the block [x; clamp(x + a); clamp(x - a)] over the k offsets a
+    of ``hp.probe_offsets``. Returns lo, frac and the read of row 0, then
+    the mean of the k symmetric difference quotients (n_out, n_in); a pair
+    whose clamped points coincide is left out of the mean (zero if all are).
     Runs the compiled kernel (``lutnet.kernel``) when it loads and takes
     the arguments, else ``_probed_read_numpy``; both give the same bits.
     """
     kern = kernel.load()
-    out = None if kern is None else kern(lut, cols, x, offsets, hp)
-    return _probed_read_numpy(lut, cols, x, offsets, hp) if out is None else out
+    out = None if kern is None else kern(lut, cols, x, hp)
+    return _probed_read_numpy(lut, cols, x, hp) if out is None else out
 
 
-def _probed_read_numpy(lut: np.ndarray, cols, x: np.ndarray, offsets: np.ndarray,
-                       hp: Hyperparameters):
+def _probed_read_numpy(lut: np.ndarray, cols, x: np.ndarray, hp: Hyperparameters):
     """``_probed_read`` in numpy: the reference the kernel matches, and its fallback."""
-    k = offsets.shape[0]
+    k = hp.probe_offsets.shape[0]
     block = np.empty((2 * k + 1, x.shape[0]))
     block[0] = x
-    np.add(x, offsets[:, None], out=block[1:k + 1])
-    np.subtract(x, offsets[:, None], out=block[k + 1:])
+    np.add(x, hp.probe_offsets[:, None], out=block[1:k + 1])
+    np.subtract(x, hp.probe_offsets[:, None], out=block[k + 1:])
     np.maximum(block, hp.i_min, out=block)
     np.minimum(block, hp.i_max, out=block)
     lo, frac = segment_coords(block, hp)
     reads = _lut_read(lut, cols, lo, frac)                    # (n_out, 2k + 1, n_in)
     den = block[1:k + 1] - block[k + 1:]
     diff = reads[:, 1:k + 1] - reads[:, k + 1:]
-    if den.min() > 0.0:
-        diff /= den
-        slope = diff.sum(axis=1) / k
-    else:
-        good = den > 0.0
-        diff /= np.where(good, den, 1.0)
-        diff *= good
-        slope = diff.sum(axis=1) / np.maximum(good.sum(axis=0), 1)
+    good = den > 0.0
+    diff /= np.where(good, den, 1.0)
+    diff *= good
+    slope = diff.sum(axis=1) / np.maximum(good.sum(axis=0), 1)
     return lo[0], frac[0], reads[:, 0], slope
 
 
@@ -303,11 +288,6 @@ class Network:
         return UpdateMaps(param_dst, param_src, param_dst[weight], param_src[weight],
                           row_starts, linear_rates)
 
-    @cached_property
-    def probe_offsets(self) -> np.ndarray:
-        """``derivative_offsets(hp)``, the LUT slope estimates' probes, built on first use."""
-        return derivative_offsets(self.hp)
-
     @property
     def n_inputs(self) -> int:
         return self.sizes[0]
@@ -403,8 +383,7 @@ def _forward_layers(net: Network, act: np.ndarray, trace: list | None = None,
         w, bias = (lay.w[:, None, :], lay.bias[:, None]) if batch else (lay.w, lay.bias)
         lo = frac = lut_vals = slope = None
         if lay.lut is not None and li and coords is not None:
-            lo, frac, lut_vals, slope = _probed_read(lay.lut, lay.cols, act, net.probe_offsets,
-                                                     net.hp)
+            lo, frac, lut_vals, slope = _probed_read(lay.lut, lay.cols, act, net.hp)
         elif lay.lut is not None:
             lo, frac = segment_coords(act, net.hp) if li or coords is None else coords
             lut_vals = _lut_read(lay.lut, lay.cols, lo, frac)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace, fields
 
+import numpy as np
+
 KIND_LW = "LW"
 KIND_NLW = "NLW"
 KINDS = (KIND_LW, KIND_NLW)
@@ -59,6 +61,8 @@ class Hyperparameters:
     s_b     multiplicative weight decay per application
     v_p     initial fill value of visit tables (v_min if v_p is below it)
     v_min   hard floor of visit table entries, in (0, 0.5]
+    probe_offsets  not a field: ``probe_ladder`` of a_l, a_h and a_m as a read-only
+            float64 array, the probes of every LUT slope estimate
     """
 
     mu: float = 0.02
@@ -98,11 +102,14 @@ class Hyperparameters:
             raise ValueError("need 0 < a_l <= a_h")
         if not self.a_m > 1:
             raise ValueError("a_m must exceed 1")
-        if len(probe_ladder(self.a_l, self.a_h, self.a_m, MAX_PROBE_OFFSETS)) > MAX_PROBE_OFFSETS:
+        offsets = np.array(probe_ladder(self.a_l, self.a_h, self.a_m, MAX_PROBE_OFFSETS))
+        if len(offsets) > MAX_PROBE_OFFSETS:
             about = math.floor(math.log(self.a_h / self.a_l) / math.log(self.a_m)) + 1
             raise ValueError(f"a_l={self.a_l!r}, a_h={self.a_h!r} and a_m={self.a_m!r} give a "
                              f"probe ladder of about {about} offsets, more than the "
                              f"{MAX_PROBE_OFFSETS} allowed")
+        offsets.flags.writeable = False
+        object.__setattr__(self, "probe_offsets", offsets)
         if not 0.0 <= self.zeta <= 1.0:
             raise ValueError("zeta must lie in [0, 1]")
         if not 0.0 <= self.s_b < 1.0:

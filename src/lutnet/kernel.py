@@ -11,6 +11,7 @@ the process and keeps the reason, which ``describe`` reports.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import tempfile
@@ -50,19 +51,18 @@ class Kernel:
         self._doubles = ffi.typeof("double[]")
         self._indices = ffi.typeof("ptrdiff_t[]")
 
-    def __call__(self, lut, cols, x, offsets, hp):
+    def __call__(self, lut, cols, x, hp):
         """lo, frac, read and slope as ``_probed_read`` returns them, in fresh arrays.
 
         Returns None, and leaves the read to numpy, unless lut is a C-contiguous
-        float64 (n_out, n_cols, r) table, x and offsets are contiguous float64
-        vectors with 1 to ``MAX_PROBE_OFFSETS`` offsets, and cols is an int or an
-        intp index array shaped like x, every index inside the table.
+        float64 (n_out, n_cols, r) table, x a contiguous float64 vector, cols an
+        intp index array shaped like x, every index inside the table, and the
+        read not 1x1 (n_out = n_in = 1, whose quotients numpy sums pairwise).
         """
-        if isinstance(cols, (int, np.integer)):
-            cols = np.full(x.shape, cols, dtype=np.intp)
+        offsets = hp.probe_offsets
         k = offsets.shape[0]
         if not (lut.ndim == 3 and x.ndim == 1 and cols.shape == x.shape
-                and 0 < k <= MAX_PROBE_OFFSETS and cols.dtype == np.intp
+                and k <= MAX_PROBE_OFFSETS and cols.dtype == np.intp
                 and lut.dtype == x.dtype == offsets.dtype == np.float64):
             return None
         n_out, n_cols, r = lut.shape
@@ -102,29 +102,34 @@ def _build() -> Path:
     """Compile the library into the cache, unless it is there; return its path.
 
     The file name hashes the source, the compiler and its flags, so a change
-    to any of them builds a new library.
+    to any of them builds a new library. Once it is in place, the cache's
+    other ``_probe-*.so`` files are removed; ``.tmp`` files are left to the
+    builds that may be writing them.
     """
     import subprocess               # here, so that a process that reads no probes never loads it
 
     tag = hashlib.sha256(SOURCE.read_bytes() + " ".join((COMPILER, *FLAGS)).encode())
     path = CACHE_DIR / f"_probe-{tag.hexdigest()[:16]}.so"
-    if path.exists():
-        return path
-    path.parent.mkdir(exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix="_probe-", suffix=".tmp", dir=path.parent)
-    os.close(fd)
-    try:
+    if not path.exists():
+        path.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix="_probe-", suffix=".tmp", dir=path.parent)
+        os.close(fd)
         try:
-            done = subprocess.run([COMPILER, *FLAGS, "-o", tmp, str(SOURCE)],
-                                  capture_output=True, text=True)
-        except FileNotFoundError:
-            raise OSError(f"compiler {COMPILER!r} not found") from None
-        if done.returncode:
-            lines = done.stderr.splitlines() or [""]
-            first = next((ln for ln in lines if "error" in ln), lines[0])
-            raise RuntimeError(f"{COMPILER} exited {done.returncode}: {first.strip()}")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+            try:
+                done = subprocess.run([COMPILER, *FLAGS, "-o", tmp, str(SOURCE)],
+                                      capture_output=True, text=True)
+            except FileNotFoundError:
+                raise OSError(f"compiler {COMPILER!r} not found") from None
+            if done.returncode:
+                lines = done.stderr.splitlines() or [""]
+                first = next((ln for ln in lines if "error" in ln), lines[0])
+                raise RuntimeError(f"{COMPILER} exited {done.returncode}: {first.strip()}")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    for old in path.parent.glob("_probe-*.so"):
+        if old != path:
+            with contextlib.suppress(OSError):      # gone already, or not ours to remove
+                old.unlink()
     return path

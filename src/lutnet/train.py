@@ -13,7 +13,7 @@ The error function is half the summed squared output error, so output
 deltas are simply (y - d) times the tanh slope. Because LUTs are only
 piecewise differentiable, the derivative carried through a LUT
 connection is estimated by averaging symmetric difference quotients at
-a geometric ladder of probe offsets, ``Network.probe_offsets``. A forward
+a geometric ladder of probe offsets, ``Hyperparameters.probe_offsets``. A forward
 pass given layer 0's grid coordinates is a training pass: it reads the
 probes in its LUT gather, so each training row is located just once.
 """
@@ -30,9 +30,9 @@ from .core import (
     Network,
     _lut_read,
     _probed_read,
+    _probed_read_numpy,
     _require_fit,
     _segment_ends,
-    derivative_offsets,
     find_nonfinite,
     forward_network,
     segment_coords,
@@ -59,8 +59,7 @@ class TrainingDiverged(RuntimeError):
 
 def approx_lut_derivative(conn: LutConnection, x: float, hp: Hyperparameters) -> float:
     """Estimated derivative of a LUT connection's weight function at x."""
-    slope = _probed_read(conn.lut[None, None], 0, np.asarray([x], dtype=float),
-                         derivative_offsets(hp), hp)[3]
+    slope = _probed_read_numpy(conn.lut[None, None], 0, np.asarray([x], dtype=float), hp)[3]
     return float(conn.linear + slope[0, 0])
 
 
@@ -73,7 +72,7 @@ def backprop(net: Network, trace: ForwardTrace, target) -> list[np.ndarray]:
     (y - d) * (1 - y^2); hidden deltas accumulate each downstream
     connection's error times its estimated weight-function derivative.
     Slope estimates come from the trace if the forward pass read them;
-    otherwise backprop reads them at ``net.probe_offsets``.
+    otherwise backprop reads them at ``hp.probe_offsets``.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (net.n_outputs,):
@@ -87,8 +86,7 @@ def backprop(net: Network, trace: ForwardTrace, target) -> list[np.ndarray]:
         lay = net.layers[li]
         slope = layers[li].slope
         if lay.lut is not None and slope is None:
-            slope = _probed_read(lay.lut, lay.cols, layers[li].inputs, net.probe_offsets,
-                                 net.hp)[3]
+            slope = _probed_read(lay.lut, lay.cols, layers[li].inputs, net.hp)[3]
         dodi = lay.w if slope is None else lay.w + slope
         back = (delta[:, None] * dodi).sum(axis=0)
         y_prev = layers[li - 1].activations

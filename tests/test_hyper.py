@@ -1,9 +1,10 @@
 """Hyperparameter defaults and validation."""
 import re
+from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from lutnet.core import derivative_offsets
 from lutnet.hyper import MAX_PROBE_OFFSETS, Hyperparameters, default_hyperparameters
 
 
@@ -41,6 +42,32 @@ def test_to_dict_round_trips():
     assert Hyperparameters(**hp.to_dict()) == hp
 
 
+def test_probe_offsets_are_the_frozen_default_ladder_read_only():
+    offsets = default_hyperparameters("NLW").probe_offsets
+    assert offsets.dtype == np.float64
+    # each offset is the one before times a_m, so the last bits are frozen too
+    assert offsets.tolist() == [
+        0.15, 0.165, 0.18150000000000002, 0.19965000000000005, 0.21961500000000006,
+        0.24157650000000008, 0.2657341500000001, 0.29230756500000016, 0.3215383215000002]
+    with pytest.raises(ValueError, match="read-only"):
+        offsets[0] = 0.2
+
+
+def test_replace_rebuilds_the_probe_offsets():
+    hp = default_hyperparameters("NLW")
+    assert hp.replace(a_m=1.2).probe_offsets.tolist() == [0.15, 0.18, 0.216, 0.2592, 0.31104]
+    assert hp.replace(a_l=0.3, a_m=1.2).probe_offsets.tolist() == [0.3]
+    assert len(hp.probe_offsets) == 9                   # the original keeps its ladder
+
+
+def test_probe_offsets_are_no_field_so_no_flag_config_or_model_key():
+    hp = default_hyperparameters("NLW")
+    assert "probe_offsets" not in {f.name for f in fields(hp)}
+    assert "probe_offsets" not in hp.to_dict()
+    # equality and hashing still see the fields alone
+    assert hp == hp.replace() and hash(hp) == hash(hp.replace())
+
+
 @pytest.mark.parametrize("bad", [
     {"r_res": 1},
     {"i_min": 1.0, "i_max": 1.0},
@@ -75,7 +102,7 @@ def test_validation_rejects_out_of_range(bad):
 def test_probe_ladder_length_is_capped_where_derivative_offsets_ends():
     # powers of two are exact: a_h = 2^(n-1) gives a ladder of exactly n offsets
     longest = Hyperparameters(a_l=1.0, a_h=2.0 ** (MAX_PROBE_OFFSETS - 1), a_m=2.0)
-    assert len(derivative_offsets(longest)) == MAX_PROBE_OFFSETS
+    assert len(longest.probe_offsets) == MAX_PROBE_OFFSETS
     with pytest.raises(ValueError, match=re.escape(
             f"a_l=1.0, a_h={2.0 ** MAX_PROBE_OFFSETS!r} and a_m=2.0 give a probe ladder of "
             f"about {MAX_PROBE_OFFSETS + 1} offsets, more than the {MAX_PROBE_OFFSETS} allowed")):
@@ -83,4 +110,4 @@ def test_probe_ladder_length_is_capped_where_derivative_offsets_ends():
     with pytest.raises(ValueError,
                        match=r"a_m=1.000000001 give a probe ladder of about 8472\d{5} offsets"):
         Hyperparameters(a_m=1.0 + 1e-9)
-    assert len(derivative_offsets(default_hyperparameters())) == 9
+    assert len(default_hyperparameters().probe_offsets) == 9

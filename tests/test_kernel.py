@@ -14,7 +14,6 @@ from lutnet import core, kernel
 from lutnet.core import (
     _probed_read,
     _probed_read_numpy,
-    derivative_offsets,
     init_network,
     lut_grid,
 )
@@ -35,9 +34,8 @@ def _bits(a):
 
 @st.composite
 def probe_reads(draw):
-    """(lut, cols, x, offsets, hp) as a LUT layer after the first, or as a single table."""
-    single = draw(st.booleans())
-    n_out, n_in = (1, 1) if single else (draw(st.integers(1, 33)), draw(st.integers(1, 33)))
+    """(lut, cols, x, hp) as a LUT layer after the first."""
+    n_out, n_in = draw(st.integers(1, 33)), draw(st.integers(1, 33))
     r_res = draw(st.integers(2, 256))
     i_min = draw(st.floats(-3.0, 1.0))
     i_max = i_min + draw(st.floats(1e-3, 5.0))
@@ -48,7 +46,7 @@ def probe_reads(draw):
     a_m = draw(st.floats(1.001, 1.5))
     hp = Hyperparameters(r_res=r_res, i_min=i_min, i_max=i_max, a_l=a_l, a_m=a_m,
                          a_h=a_l * a_m ** (k - 1) * (1.0 + 1e-9))
-    offsets = derivative_offsets(hp)
+    offsets = hp.probe_offsets
     grid = lut_grid(hp)
     point = st.one_of(
         st.floats(i_min - 2.0, i_max + 2.0),                       # inside and outside
@@ -60,19 +58,22 @@ def probe_reads(draw):
     x = np.array(draw(st.lists(point, min_size=n_in, max_size=n_in)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lut = rng.standard_normal((n_out, n_in, r_res)) * 10.0 ** rng.integers(-3, 4)
-    return lut, 0 if single else np.arange(n_in), x, offsets, hp
+    return lut, np.arange(n_in), x, hp
 
 
 @needs_kernel
 @settings(max_examples=300, deadline=None)
-@example(case=(np.linspace(-1.0, 1.0, 64)[None, None] ** 3, 0, np.array([0.3]),
-               derivative_offsets(NLW), NLW))
+@example(case=(np.linspace(-1.0, 1.0, 64)[None, None] ** 3, np.arange(1), np.array([0.3]),
+               NLW))
 @given(case=probe_reads())
 def test_kernel_matches_numpy_probe_read_bit_for_bit(case):
-    lut, cols, x, offsets, hp = case
+    lut, cols, x, hp = case
+    got = KERNEL(lut, cols, x, hp)
+    if lut.shape[0] == x.shape[0] == 1:         # numpy sums a 1x1 read pairwise: left to it
+        assert got is None
+        return
     with np.errstate(invalid="ignore"):
-        want = _probed_read_numpy(lut, cols, x, offsets, hp)
-    got = KERNEL(lut, cols, x, offsets, hp)
+        want = _probed_read_numpy(lut, cols, x, hp)
     assert got is not None
     assert np.array_equal(got[0], want[0])
     for g, w in zip(got[1:], want[1:]):
@@ -87,24 +88,61 @@ def test_probed_read_runs_the_kernel_when_it_loads(monkeypatch):
 
     monkeypatch.setattr(core, "_probed_read_numpy", numpy_read)
     lut = np.zeros((2, 3, 8))
-    lo, frac, read, slope = _probed_read(lut, np.arange(3), np.zeros(3), np.array([0.1]), NLW)
+    lo, frac, read, slope = _probed_read(lut, np.arange(3), np.zeros(3), NLW)
     assert read.shape == slope.shape == (2, 3)
 
 
 @needs_kernel
 @pytest.mark.parametrize("change", [
-    pytest.param(lambda lut, cols, x, offs: (lut[:, ::2], cols[:2], x[:2], offs),
-                 id="strided-table"),
-    pytest.param(lambda lut, cols, x, offs: (lut.astype(np.float32), cols, x, offs),
-                 id="float32"),
-    pytest.param(lambda lut, cols, x, offs: (lut, cols, x, offs[:0]), id="no-offsets"),
-    pytest.param(lambda lut, cols, x, offs: (lut, cols + 3, x, offs), id="column-outside"),
-    pytest.param(lambda lut, cols, x, offs: (lut, cols[:2], x, offs), id="cols-unlike-x"),
+    pytest.param(lambda lut, cols, x: (lut[:, ::2], cols[:2], x[:2]), id="strided-table"),
+    pytest.param(lambda lut, cols, x: (lut.astype(np.float32), cols, x), id="float32"),
+    pytest.param(lambda lut, cols, x: (lut, cols + 3, x), id="column-outside"),
+    pytest.param(lambda lut, cols, x: (lut, cols[:2], x), id="cols-unlike-x"),
 ])
 def test_kernel_declines_what_it_does_not_take(change):
     # numpy then reads them, or raises as it always did
-    args = change(np.ones((2, 3, 8)), np.arange(3), np.zeros(3), np.array([0.1, 0.2]))
+    args = change(np.ones((2, 3, 8)), np.arange(3), np.zeros(3))
     assert KERNEL(*args, NLW) is None
+
+
+# The perfbench nets (NLW 2-8-1 r64, NLW 2-32-32-1 r256, LW 5-32-32-1) read every
+# probe in C: one read per LUT layer after the first and iteration. 2-1-1's later
+# layer is a 1x1 read, which goes to numpy every time.
+@needs_kernel
+@pytest.mark.parametrize("sizes,kind,r_res,reads,declined", [
+    pytest.param((2, 8, 1), "NLW", 64, 1, 0, id="spirals-small"),
+    pytest.param((2, 32, 32, 1), "NLW", 256, 2, 0, id="spirals-wide-r256"),
+    pytest.param((5, 32, 32, 1), "LW", 64, 0, 0, id="md2-lw"),
+    pytest.param((2, 1, 1), "NLW", 64, 1, 1, id="one-by-one"),
+])
+def test_training_probe_reads_run_in_c_unless_they_are_1x1(monkeypatch, sizes, kind, r_res,
+                                                           reads, declined):
+    results, numpy_reads = [], []
+    call, numpy_read = kernel.Kernel.__call__, core._probed_read_numpy
+    monkeypatch.setattr(kernel.Kernel, "__call__",
+                        lambda *args: results.append(call(*args)) or results[-1])
+    monkeypatch.setattr(core, "_probed_read_numpy",
+                        lambda *args: numpy_reads.append(1) or numpy_read(*args))
+    rng = np.random.default_rng(6)
+    net = init_network(sizes, kind, default_hyperparameters(kind).replace(r_res=r_res), rng)
+    Trainer(net, rng.uniform(-1, 1, (16, sizes[0])), rng.uniform(-1, 1, (16, 1)), 7).run(50)
+    assert len(results) == 50 * reads
+    assert sum(out is None for out in results) == len(numpy_reads) == 50 * declined
+
+
+def test_build_removes_the_other_cached_libraries(monkeypatch, tmp_path):
+    monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path)
+    for name in ("_probe-0123456789abcdef.so", "_probe-fedcba9876543210.so",
+                 "_probe-x.tmp", "other.so"):
+        (tmp_path / name).write_bytes(b"")
+    try:
+        path = kernel._build()
+    except (OSError, RuntimeError) as exc:      # no compiler: nothing is built or removed
+        pytest.skip(f"the probe kernel cannot be built here: {exc}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [path.name, "_probe-x.tmp", "other.so"])
+    kernel._build()                             # found in place: the same cache is kept
+    assert len(list(tmp_path.iterdir())) == 3
 
 
 def _trained(sizes):
@@ -148,6 +186,7 @@ def test_compile_error_and_unwritable_cache_fall_back_with_the_reason(monkeypatc
 
 
 def test_lw_training_and_batch_evaluation_never_load_the_kernel():
+    # nor does approx_lut_derivative, whose single table is a 1x1 read
     script = (
         "import sys, numpy as np\n"
         "from lutnet import Trainer, forward_batch, init_network, default_hyperparameters\n"
@@ -156,6 +195,10 @@ def test_lw_training_and_batch_evaluation_never_load_the_kernel():
         "Trainer(net, rng.uniform(-1, 1, (8, 2)), rng.uniform(-1, 1, (8, 1)), 1).run(20)\n"
         "hp = default_hyperparameters('NLW')\n"
         "forward_batch(init_network((2, 3, 1), 'NLW', hp, rng), rng.uniform(-1, 1, (8, 2)))\n"
+        "from lutnet.core import LutConnection\n"
+        "from lutnet.train import approx_lut_derivative\n"
+        "conn = LutConnection(0.5, np.linspace(-1, 1, hp.r_res), np.full(hp.r_res, hp.v_p))\n"
+        "approx_lut_derivative(conn, 0.3, hp)\n"
         "from lutnet import kernel\n"
         "print('cffi' in sys.modules, kernel._loaded)\n"
     )

@@ -25,7 +25,6 @@ from lutnet.train import (
     _apply_iteration,
     approx_lut_derivative,
     backprop,
-    derivative_offsets,
     train_iteration,
     update_lut_component,
 )
@@ -50,8 +49,7 @@ def _rng(seed):
 # Derivative probes
 
 def test_derivative_offsets_frozen_sequence():
-    offs = derivative_offsets(NLW)
-    assert np.array_equal(init_network((2, 2, 1), "NLW", NLW, _rng([0])).probe_offsets, offs)
+    offs = NLW.probe_offsets
     assert len(offs) == 9
     assert offs[0] == 0.15
     assert offs[-1] == 0.3215383215000002
@@ -63,7 +61,7 @@ def test_derivative_offsets_frozen_sequence():
 
 def test_derivative_offsets_single_when_multiplier_overshoots():
     hp = Hyperparameters(a_l=0.3, a_h=0.35, a_m=1.2)
-    assert list(derivative_offsets(hp)) == [0.3]
+    assert list(hp.probe_offsets) == [0.3]
 
 
 def test_lut_derivative_exact_on_ramp():
@@ -97,7 +95,7 @@ def test_lut_derivative_is_mean_of_probe_quotients():
     conn = LutConnection(linear=0.0, lut=table, visits=np.full(NLW.r_res, NLW.v_p))
     x = 0.2
     total, count = 0.0, 0
-    for a in derivative_offsets(NLW):
+    for a in NLW.probe_offsets:
         hi = min(max(x + a, NLW.i_min), NLW.i_max)
         lo = min(max(x - a, NLW.i_min), NLW.i_max)
         if hi == lo:
@@ -257,14 +255,20 @@ PARITY_IDS = ["nlw-aggressive", "nlw-default", "nlw-gate-never", "nlw-gate-alway
 # and it passes 1e-9 after 57.
 # The NLW cases run once on the probe read the process selects (the compiled
 # kernel where it loads) and once more, with "-numpy" ids, on the numpy one.
+# 2-1-1's later layer is a 1x1 read, which the kernel leaves to numpy;
+# 2-1-3-1's middle layer has a single input, which the kernel takes.
+ONE_NODE_SIZES = (((2, 1, 1), 60, "-2-1-1"), ((2, 1, 3, 1), 40, "-2-1-3-1"))
 PARITY_CASES = (
     [pytest.param(kind, hp, (2, 3, 2), 60, False, id=name)
      for (kind, hp), name in zip(PARITY_CONFIGS, PARITY_IDS)]
     + [pytest.param(kind, hp, (2, 4, 3, 2), 40, False, id=f"{name}-3layer")
        for (kind, hp), name in zip(PARITY_CONFIGS, PARITY_IDS)]
-    + [pytest.param(kind, hp, sizes, iterations, True, id=f"{name}{suffix}-numpy")
+    + [pytest.param(kind, hp, sizes, iterations, numpy_path,
+                    id=f"{name}{suffix}{'-numpy' * numpy_path}")
        for (kind, hp), name in zip(PARITY_CONFIGS, PARITY_IDS) if kind == "NLW"
-       for sizes, iterations, suffix in (((2, 3, 2), 60, ""), ((2, 4, 3, 2), 40, "-3layer"))]
+       for sizes, iterations, suffix, numpy_path in (
+           [((2, 3, 2), 60, "", True), ((2, 4, 3, 2), 40, "-3layer", True)]
+           + [(*case, numpy_path) for case in ONE_NODE_SIZES for numpy_path in (False, True)])]
 )
 
 
@@ -284,7 +288,7 @@ def test_iteration_matches_scalar_reference(monkeypatch, kind, hp, sizes, iterat
     n_gate = net.lut_connection_count()
     for _ in range(iterations):
         x = rng.uniform(-1.2, 1.2, 2)
-        target = rng.uniform(-0.9, 0.9, 2)
+        target = rng.uniform(-0.9, 0.9, sizes[-1])
         gate_u = rng.random(n_gate)
         err = _apply_iteration(net, x, target, gate_u)
         ref_err = ref_iteration(params, x, target, gate_u, hp, kind)
@@ -419,7 +423,7 @@ PROBE_PROFILES = [
     pytest.param(sizes, profile.values[0], numpy_path,
                  id=f"{profile.id}-{'-'.join(map(str, sizes))}{'-numpy' * numpy_path}")
     for numpy_path in (False, True) for profile in PROBE_PROFILES
-    for sizes in ((2, 8, 1), (2, 4, 3, 2))])
+    for sizes in ((2, 8, 1), (2, 4, 3, 2), (2, 1, 1), (2, 1, 3, 1))])
 def test_fused_probe_reads_match_public_forward_and_backprop(monkeypatch, sizes, hp,
                                                              numpy_path):
     if numpy_path:
