@@ -109,7 +109,7 @@ def _probed_read(lut: np.ndarray, cols, x: np.ndarray, hp: Hyperparameters):
     the arguments, else ``_probed_read_numpy``; both give the same bits.
     """
     kern = kernel.load()
-    out = None if kern is None else kern(lut, cols, x, hp)
+    out = None if kern is None else kern.probed_read(lut, cols, x, hp)
     return _probed_read_numpy(lut, cols, x, hp) if out is None else out
 
 
@@ -131,6 +131,38 @@ def _probed_read_numpy(lut: np.ndarray, cols, x: np.ndarray, hp: Hyperparameters
     diff *= good
     slope = diff.sum(axis=1) / np.maximum(good.sum(axis=0), 1)
     return lo[0], frac[0], reads[:, 0], slope
+
+
+def _layer_outputs(lut: np.ndarray, cols, w: np.ndarray, act: np.ndarray,
+                   hp: Hyperparameters) -> np.ndarray:
+    """Every connection output of one LUT layer for a batch of rows (rows, n_in).
+
+    out[d, q, s] = w[d, s] * act[q, s] + the read of table (d, cols[s]) at
+    act[q, s], as one C-ordered (n_out, rows, n_in) array: each row of n_in
+    outputs is contiguous, so numpy sums it pairwise, in the order it sums a
+    single sample's (n_out, n_in) outputs, and a batch row equals
+    ``forward_network`` bit for bit. Runs the compiled kernel
+    (``lutnet.kernel``) when it loads and takes the arguments, else
+    ``_layer_outputs_numpy``; both give the same bits.
+    """
+    kern = kernel.load()
+    out = None if kern is None else kern.layer_outputs(lut, cols, w, act, hp)
+    return _layer_outputs_numpy(lut, cols, w, act, hp) if out is None else out
+
+
+def _layer_outputs_numpy(lut: np.ndarray, cols, w: np.ndarray, act: np.ndarray,
+                         hp: Hyperparameters) -> np.ndarray:
+    """``_layer_outputs`` in numpy: the reference the kernel matches, and its fallback."""
+    lo, frac = segment_coords(act, hp)
+    dst = np.arange(lut.shape[0])[:, None, None]
+    out = np.multiply(w[:, None, :], act, out=np.empty((lut.shape[0], *act.shape)))
+    # (n_out, rows, n_in) gathers in C order, unlike _lut_read's destination-innermost one
+    low, high = lut[dst, cols, lo], lut[dst, cols, lo + 1]
+    low *= 1.0 - frac           # (1 - frac) * t0 + frac * t1, as _lut_read blends
+    high *= frac
+    low += high
+    out += low
+    return out
 
 
 def interpolate(values, x: float, hp: Hyperparameters) -> float:
@@ -374,20 +406,27 @@ def _forward_layers(net: Network, act: np.ndarray, trace: list | None = None,
     """Run one sample (n_in,) or a batch of rows (ns, n_in) through every layer.
 
     A batch puts the samples on a middle axis, so a connection output
-    sits at [dst, sample, src]. One LayerTrace per layer is appended to
-    trace when it is given. coords, if given, is layer 0's (lo, frac) and
-    marks a training pass: LUT layers after the first use ``_probed_read``.
+    sits at [dst, sample, src], and its LUT layers go through
+    ``_layer_outputs``. One LayerTrace per layer of a single sample is
+    appended to trace when it is given. coords, if given, is layer 0's
+    (lo, frac) and marks a training pass: LUT layers after the first use
+    ``_probed_read``.
     """
     batch = act.ndim == 2
     for li, lay in enumerate(net.layers):
         w, bias = (lay.w[:, None, :], lay.bias[:, None]) if batch else (lay.w, lay.bias)
         lo = frac = lut_vals = slope = None
-        if lay.lut is not None and li and coords is not None:
-            lo, frac, lut_vals, slope = _probed_read(lay.lut, lay.cols, act, net.hp)
-        elif lay.lut is not None:
-            lo, frac = segment_coords(act, net.hp) if li or coords is None else coords
-            lut_vals = _lut_read(lay.lut, lay.cols, lo, frac)
-        outputs = w * act if lut_vals is None else w * act + lut_vals
+        if lay.lut is None:
+            outputs = w * act
+        elif batch:
+            outputs = _layer_outputs(lay.lut, lay.cols, lay.w, act, net.hp)
+        else:
+            if li and coords is not None:
+                lo, frac, lut_vals, slope = _probed_read(lay.lut, lay.cols, act, net.hp)
+            else:
+                lo, frac = segment_coords(act, net.hp) if li or coords is None else coords
+                lut_vals = _lut_read(lay.lut, lay.cols, lo, frac)
+            outputs = w * act + lut_vals
         y = np.tanh(outputs.sum(axis=-1) + bias)
         if trace is not None:
             trace.append(LayerTrace(act, lo, frac, lut_vals, y, slope))

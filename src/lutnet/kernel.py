@@ -1,13 +1,16 @@
-"""The compiled probe read: ``_probe.c``, built with gcc and loaded with cffi.
+"""The compiled LUT reads: ``_probe.c``, built with gcc and loaded with cffi.
 
-``core._probed_read`` runs this kernel when it loads and its numpy body
-otherwise; both give the same bits. The first probe read in a process
-builds the library, unless it is cached, and loads it, so LW training
-and batch evaluation never import cffi. The library is cached in the
-package's ``__pycache__`` under a name hashed from the source, the
-compiler and its flags. Any failure (no cffi, no compiler, a compile
-error, a directory that cannot be written) selects numpy for the rest of
-the process and keeps the reason, which ``describe`` reports.
+Two ``core`` functions run this kernel when it loads and their numpy body
+otherwise, and both bodies give the same bits: ``_probed_read``, the
+training probe read, and ``_layer_outputs``, a LUT layer of a batch pass
+(``forward_batch``, so ``mse``, ``accuracy`` and ``render_surface``). The
+first of them to run in a process builds the library, unless it is
+cached, and loads it, so LW training and LW batch evaluation never import
+cffi. The library is cached in the package's ``__pycache__`` under a name
+hashed from the source, the compiler and its flags. Any failure (no cffi,
+no compiler, a compile error, a directory that cannot be written) selects
+numpy for the rest of the process and keeps the reason, which
+``describe`` reports.
 """
 from __future__ import annotations
 
@@ -32,13 +35,17 @@ int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t n_cols, ptrdiff_t 
                 const ptrdiff_t *cols, const double *x, ptrdiff_t n_in,
                 const double *offsets, ptrdiff_t k, double i_min, double i_max, double span,
                 ptrdiff_t *lo0, double *out);
+int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t n_cols, ptrdiff_t r,
+                  const ptrdiff_t *cols, const double *w, const double *act,
+                  ptrdiff_t n_rows, ptrdiff_t n_in, double i_min, double i_max, double span,
+                  double *out);
 """
 
 _loaded = None          # after the first load(): the Kernel, or why there is none
 
 
 class Kernel:
-    """The loaded library; calling it is ``_probed_read`` on the arguments it takes."""
+    """The loaded library: one method per compiled ``core`` function."""
 
     def __init__(self, path: Path):
         import cffi
@@ -51,8 +58,8 @@ class Kernel:
         self._doubles = ffi.typeof("double[]")
         self._indices = ffi.typeof("ptrdiff_t[]")
 
-    def __call__(self, lut, cols, x, hp):
-        """lo, frac, read and slope as ``_probed_read`` returns them, in fresh arrays.
+    def probed_read(self, lut, cols, x, hp):
+        """lo, frac, read and slope as ``core._probed_read`` returns them, in fresh arrays.
 
         Returns None, and leaves the read to numpy, unless lut is a C-contiguous
         float64 (n_out, n_cols, r) table, x a contiguous float64 vector, cols an
@@ -80,6 +87,32 @@ class Kernel:
             return None
         return lo, out[0], out[1:n_out + 1], out[n_out + 1:]
 
+    def layer_outputs(self, lut, cols, w, act, hp):
+        """``core._layer_outputs`` on these arguments: a fresh (n_out, rows, n_in) array.
+
+        Returns None, and leaves the layer to numpy, unless lut is a C-contiguous
+        float64 (n_out, n_cols, r) table, w a C-contiguous float64 (n_out, n_in)
+        matrix, act float64 (rows, n_in) rows with n_in at most 4096, cols an intp
+        index per input, and every index inside the table.
+        """
+        act = np.ascontiguousarray(act)     # a later layer's rows are the transposed tanh
+        if not (lut.ndim == 3 and act.ndim == 2 and w.shape == (lut.shape[0], act.shape[1])
+                and cols.shape == act.shape[1:] and cols.dtype == np.intp
+                and lut.dtype == w.dtype == act.dtype == np.float64):
+            return None
+        n_out, n_cols, r = lut.shape
+        n_rows, n_in = act.shape
+        buf, doubles, indices = self._buffer, self._doubles, self._indices
+        try:
+            inputs = buf(doubles, lut), buf(indices, cols), buf(doubles, w), buf(doubles, act)
+        except ValueError:                      # an array that is not C-contiguous
+            return None
+        out = np.empty((n_out, n_rows, n_in))
+        if self._lib.layer_outputs(inputs[0], n_out, n_cols, r, *inputs[1:], n_rows, n_in,
+                                   hp.i_min, hp.i_max, hp.span, buf(doubles, out)):
+            return None
+        return out
+
 
 def load() -> Kernel | None:
     """The kernel, built and loaded on the first call in a process; None selects numpy."""
@@ -93,7 +126,7 @@ def load() -> Kernel | None:
 
 
 def describe() -> str:
-    """The active probe read: the kernel's library path, or numpy and why."""
+    """The active LUT reads: the kernel's library path, or numpy and why."""
     kern = load()
     return f"kernel {kern.path}" if kern is not None else f"numpy ({_loaded})"
 

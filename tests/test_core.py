@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lutnet import core
+from lutnet import core, kernel
 from lutnet.core import (
     Network,
     find_nonfinite,
@@ -263,15 +263,42 @@ def test_forward_batch_memory_does_not_grow_with_the_batch():
     assert peak <= 16 * 2 ** 20
 
 
-def test_forward_batch_matches_single_forwards_on_wide_layers():
-    # Not bit-exact: numpy sums a sample's contiguous row of connection
-    # outputs pairwise from 8 terms up, but a batch's strided rows in
-    # sequence, so with 32 inputs per node the last bits can differ.
+def _on_both_paths(monkeypatch):
+    """Yield on the path the process selects (the kernel where it loads), then on numpy."""
+    yield
+    monkeypatch.setattr(kernel, "_loaded", "numpy forced by the test")
+    yield
+
+
+def test_forward_batch_matches_single_forwards_on_wide_layers(monkeypatch):
+    # Bit-exact: each batch row's connection outputs lie contiguous in C order,
+    # so numpy sums them pairwise as it sums a single sample's. Built from the
+    # gather's destination-innermost layout, as w * act + lut_vals, they were
+    # summed in sequence, and with 8 or more inputs the last bits differed.
     net = init_network((2, 32, 32, 1), "NLW", HP, np.random.default_rng(18))
     xs = np.random.default_rng(19).uniform(-0.6, 0.6, (200, 2))
-    batch = forward_batch(net, xs)
     single = np.array([forward_network(net, x)[0] for x in xs])
-    assert np.abs(batch - single).max() <= 1e-12
+    for _ in _on_both_paths(monkeypatch):
+        assert np.array_equal(forward_batch(net, xs), single)
+
+
+@pytest.mark.parametrize("sizes,entries", [
+    pytest.param((2, 32, 32, 1), 20 * 32 * 32, id="2-32-32-1"),
+    pytest.param((2, 9, 1), 20 * 18, id="2-9-1"),
+])
+def test_forward_batch_bits_do_not_depend_on_the_chunk_size(monkeypatch, sizes, entries):
+    # 20-row chunks put boundaries at rows 20 and 40 of a 43-row batch; 9 and
+    # 32 inputs per node are enough for numpy's pairwise sum to show its order
+    net = init_network(sizes, "NLW", HP.replace(r_res=64), np.random.default_rng(20))
+    xs = np.random.default_rng(21).uniform(-1.5, 1.5, (43, 2))
+    xs[19:22] = [[HP.i_min], [HP.i_max], [lut_grid(net.hp)[21]]]   # both sides of row 20
+    single = np.array([forward_network(net, x)[0] for x in xs])
+    for _ in _on_both_paths(monkeypatch):
+        whole = forward_batch(net, xs)
+        with monkeypatch.context() as chunked:
+            chunked.setattr(core, "BATCH_ENTRIES", entries)
+            assert np.array_equal(forward_batch(net, xs), single)
+        assert np.array_equal(whole, single)
 
 
 def test_forward_output_bounded_by_tanh():

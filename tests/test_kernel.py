@@ -1,4 +1,4 @@
-"""The compiled probe read: bit-identity with numpy, the fallback, lazy loading."""
+"""The compiled LUT reads: bit-identity with numpy, the fallback, lazy loading."""
 import math
 import os
 import subprocess
@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 
 from lutnet import core, kernel
 from lutnet.core import (
+    _layer_outputs,
+    _layer_outputs_numpy,
     _probed_read,
     _probed_read_numpy,
+    forward_batch,
     init_network,
     lut_grid,
 )
@@ -68,7 +71,7 @@ def probe_reads(draw):
 @given(case=probe_reads())
 def test_kernel_matches_numpy_probe_read_bit_for_bit(case):
     lut, cols, x, hp = case
-    got = KERNEL(lut, cols, x, hp)
+    got = KERNEL.probed_read(lut, cols, x, hp)
     if lut.shape[0] == x.shape[0] == 1:         # numpy sums a 1x1 read pairwise: left to it
         assert got is None
         return
@@ -102,7 +105,91 @@ def test_probed_read_runs_the_kernel_when_it_loads(monkeypatch):
 def test_kernel_declines_what_it_does_not_take(change):
     # numpy then reads them, or raises as it always did
     args = change(np.ones((2, 3, 8)), np.arange(3), np.zeros(3))
-    assert KERNEL(*args, NLW) is None
+    assert KERNEL.probed_read(*args, NLW) is None
+
+
+@st.composite
+def layer_batches(draw):
+    """(lut, cols, w, act, hp) as a LUT layer of a batch pass."""
+    n_out, n_in = draw(st.integers(1, 33)), draw(st.integers(1, 33))
+    rows = draw(st.sampled_from([0, 1, draw(st.integers(2, 40))]))
+    r_res = draw(st.integers(2, 256))
+    i_min = draw(st.floats(-3.0, 1.0))
+    i_max = i_min + draw(st.floats(1e-3, 5.0))
+    hp = Hyperparameters(r_res=r_res, i_min=i_min, i_max=i_max, a_l=1e-3 * (i_max - i_min))
+    grid = lut_grid(hp)
+    point = st.one_of(
+        st.floats(i_min - 2.0, i_max + 2.0),                       # inside and outside
+        st.sampled_from([i_min, i_max, math.nan, math.inf, -math.inf, 0.0, -0.0]),
+        st.integers(0, r_res - 1).map(lambda j: grid[j]),           # grid points
+    )
+    act = np.array(draw(st.lists(point, min_size=rows * n_in, max_size=rows * n_in)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lut = rng.standard_normal((n_out, n_in, r_res)) * 10.0 ** rng.integers(-3, 4)
+    w = rng.standard_normal((n_out, n_in))
+    return lut, np.arange(n_in), w, act.reshape(rows, n_in), hp
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@given(case=layer_batches())
+def test_kernel_matches_numpy_layer_outputs_bit_for_bit(case):
+    lut, cols, w, act, hp = case
+    got = KERNEL.layer_outputs(lut, cols, w, act, hp)
+    with np.errstate(invalid="ignore"):
+        want = _layer_outputs_numpy(lut, cols, w, act, hp)
+    assert got is not None
+    assert got.shape == want.shape == (lut.shape[0], *act.shape)
+    assert got.flags.c_contiguous
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+R8 = NLW.replace(r_res=8)
+
+
+@needs_kernel
+def test_kernel_takes_a_later_layers_transposed_rows():
+    rng = np.random.default_rng(9)
+    lut, w = rng.standard_normal((2, 3, 8)), rng.standard_normal((2, 3))
+    act = np.tanh(np.linspace(-2.0, 2.0, 15)).reshape(3, 5).T   # as _forward_layers passes it
+    got = KERNEL.layer_outputs(lut, np.arange(3), w, act, R8)
+    assert np.array_equal(_bits(got), _bits(_layer_outputs_numpy(lut, np.arange(3), w, act, R8)))
+
+
+@needs_kernel
+def test_layer_outputs_run_the_kernel_when_it_loads(monkeypatch):
+    def numpy_layer(*_):
+        raise AssertionError("the numpy batch layer ran")
+
+    monkeypatch.setattr(core, "_layer_outputs_numpy", numpy_layer)
+    out = _layer_outputs(np.zeros((2, 3, 8)), np.arange(3), np.ones((2, 3)), np.zeros((4, 3)), R8)
+    assert out.shape == (2, 4, 3)
+
+
+@needs_kernel
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda lut, cols, w: (lut[:, ::2], cols[:2], w[:, :2]), id="strided-table"),
+    pytest.param(lambda lut, cols, w: (lut.astype(np.float32), cols, w), id="float32-table"),
+    pytest.param(lambda lut, cols, w: (lut, cols, np.asfortranarray(w)), id="strided-weights"),
+    pytest.param(lambda lut, cols, w: (lut, cols.astype(np.int32), w), id="int32-columns"),
+    pytest.param(lambda lut, cols, w: (np.tile(lut, (1, 1025, 1)), np.arange(4100),
+                                       np.tile(w, (1, 1025))), id="over-4096-inputs"),
+])
+def test_kernel_declines_a_batch_layer_it_does_not_take_and_numpy_reads_it(change):
+    rng = np.random.default_rng(10)
+    lut, cols, w = change(rng.standard_normal((3, 4, 8)), np.arange(4), rng.standard_normal((3, 4)))
+    act = rng.uniform(-1.5, 1.5, (5, cols.shape[0]))
+    assert KERNEL.layer_outputs(lut, cols, w, act, R8) is None
+    want = _layer_outputs_numpy(lut, cols, w, act, R8)
+    assert np.array_equal(_bits(_layer_outputs(lut, cols, w, act, R8)), _bits(want))
+
+
+@needs_kernel
+def test_kernel_declines_a_batch_column_outside_the_table():
+    lut, w, act = np.ones((2, 3, 8)), np.ones((2, 3)), np.zeros((4, 3))
+    assert KERNEL.layer_outputs(lut, np.arange(3) + 1, w, act, R8) is None
+    with pytest.raises(IndexError):                 # numpy then raises as it always did
+        _layer_outputs(lut, np.arange(3) + 1, w, act, R8)
 
 
 # The perfbench nets (NLW 2-8-1 r64, NLW 2-32-32-1 r256, LW 5-32-32-1) read every
@@ -118,8 +205,8 @@ def test_kernel_declines_what_it_does_not_take(change):
 def test_training_probe_reads_run_in_c_unless_they_are_1x1(monkeypatch, sizes, kind, r_res,
                                                            reads, declined):
     results, numpy_reads = [], []
-    call, numpy_read = kernel.Kernel.__call__, core._probed_read_numpy
-    monkeypatch.setattr(kernel.Kernel, "__call__",
+    call, numpy_read = kernel.Kernel.probed_read, core._probed_read_numpy
+    monkeypatch.setattr(kernel.Kernel, "probed_read",
                         lambda *args: results.append(call(*args)) or results[-1])
     monkeypatch.setattr(core, "_probed_read_numpy",
                         lambda *args: numpy_reads.append(1) or numpy_read(*args))
@@ -185,6 +272,14 @@ def test_compile_error_and_unwritable_cache_fall_back_with_the_reason(monkeypatc
     assert kernel.describe().startswith("numpy (NotADirectoryError: ")
 
 
+def _run(script):
+    """What a fresh interpreter that runs script prints, split into words."""
+    env = {**os.environ, "PYTHONPATH": str(Path(kernel.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    return done.stdout.split()
+
+
 def test_lw_training_and_batch_evaluation_never_load_the_kernel():
     # nor does approx_lut_derivative, whose single table is a 1x1 read
     script = (
@@ -193,8 +288,8 @@ def test_lw_training_and_batch_evaluation_never_load_the_kernel():
         "rng = np.random.default_rng(0)\n"
         "net = init_network((2, 3, 1), 'LW', default_hyperparameters('LW'), rng)\n"
         "Trainer(net, rng.uniform(-1, 1, (8, 2)), rng.uniform(-1, 1, (8, 1)), 1).run(20)\n"
+        "forward_batch(net, rng.uniform(-1, 1, (8, 2)))\n"
         "hp = default_hyperparameters('NLW')\n"
-        "forward_batch(init_network((2, 3, 1), 'NLW', hp, rng), rng.uniform(-1, 1, (8, 2)))\n"
         "from lutnet.core import LutConnection\n"
         "from lutnet.train import approx_lut_derivative\n"
         "conn = LutConnection(0.5, np.linspace(-1, 1, hp.r_res), np.full(hp.r_res, hp.v_p))\n"
@@ -202,7 +297,18 @@ def test_lw_training_and_batch_evaluation_never_load_the_kernel():
         "from lutnet import kernel\n"
         "print('cffi' in sys.modules, kernel._loaded)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(kernel.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, check=True)
-    assert done.stdout.split() == ["False", "None"]
+    assert _run(script) == ["False", "None"]
+
+
+def test_nlw_batch_evaluation_loads_the_kernel():
+    # the first LUT layer of a batch pass builds and loads it, where it can be loaded
+    script = (
+        "import numpy as np\n"
+        "from lutnet import forward_batch, init_network, default_hyperparameters, kernel\n"
+        "rng = np.random.default_rng(0)\n"
+        "net = init_network((2, 3, 1), 'NLW', default_hyperparameters('NLW'), rng)\n"
+        "print(kernel._loaded is None)\n"
+        "forward_batch(net, rng.uniform(-1, 1, (8, 2)))\n"
+        "print(kernel._loaded is None, kernel.load() is not None)\n"
+    )
+    assert _run(script) == ["True", "False", str(KERNEL is not None)]
