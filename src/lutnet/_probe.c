@@ -1,7 +1,7 @@
 /* The compiled LUT reads of ``core``, operation for operation as numpy runs
  * them, so that both give the same bits:
- *  - probed_read is the training probe read of one LUT layer,
- *    ``core._probed_read_numpy``;
+ *  - probed_read is one LUT layer of one sample, its slope estimates
+ *    included, ``core._probed_read_numpy``;
  *  - layer_outputs is every connection output of one LUT layer for a batch
  *    of rows, ``core._layer_outputs_numpy``.
  *
@@ -42,28 +42,16 @@ static double locate(double b, double i_min, double i_max, double span, ptrdiff_
     return b;
 }
 
-/* Whether every column index lies inside an n_cols-column table, counted
- * from the end when negative, as numpy indexes. */
-static int cols_inside(const ptrdiff_t *cols, ptrdiff_t n_in, ptrdiff_t n_cols)
-{
-    for (ptrdiff_t j = 0; j < n_in; j++)
-        if (cols[j] < -n_cols || cols[j] >= n_cols)
-            return 0;
-    return 1;
-}
-
-/* lut is (n_out, n_cols, r) in C order; input j reads column cols[j].
+/* lut is (n_out, n_in, r) in C order; input j reads table (d, j).
  * Writes lo0 (n_in) and, one after the other in out, frac0 (n_in), then read0
  * and slope (n_out, n_in) in C order.
- * Returns 0, or -1 (nothing written) when the read is 1x1 or a column lies
- * outside the table. */
-int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t n_cols, ptrdiff_t r,
-                const ptrdiff_t *cols, const double *x, ptrdiff_t n_in,
+ * Returns 0, or -1 (nothing written) when the read is 1x1. */
+int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x, ptrdiff_t n_in,
                 const double *offsets, ptrdiff_t k, double i_min, double i_max, double span,
                 ptrdiff_t *lo0, double *out)
 {
     double *frac0 = out, *read0 = out + n_in, *slope = out + n_in + n_out * n_in;
-    if ((n_out == 1 && n_in == 1) || !cols_inside(cols, n_in, n_cols))
+    if (n_out == 1 && n_in == 1)
         return -1;
     ptrdiff_t rows = 2 * k + 1;
     double pt[rows], frac[rows], reads[rows], den[k], quot[k];
@@ -81,9 +69,8 @@ int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t n_cols, ptrdiff_t 
         double count = (double)(apart > 0 ? apart : 1);
         lo0[j] = lo[0];
         frac0[j] = frac[0];
-        ptrdiff_t c = cols[j] < 0 ? cols[j] + n_cols : cols[j];
         for (ptrdiff_t d = 0; d < n_out; d++) {
-            const double *t = lut + (d * n_cols + c) * r;
+            const double *t = lut + (d * n_in + j) * r;
             for (ptrdiff_t p = 0; p < rows; p++)
                 reads[p] = (1.0 - frac[p]) * t[lo[p]] + frac[p] * t[lo[p] + 1];
             for (ptrdiff_t i = 0; i < k; i++) {
@@ -100,19 +87,18 @@ int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t n_cols, ptrdiff_t 
     return 0;
 }
 
-/* lut is (n_out, n_cols, r) and w (n_out, n_in) in C order; input s reads
- * column cols[s]. act holds the rows as (n_rows, n_in) in C order. Writes
- * out[d, q, s] = w[d, s] * act[q, s] + the read of table (d, cols[s]) at
- * act[q, s], an (n_out, n_rows, n_in) array in C order, so that numpy sums
- * each row of n_in outputs pairwise, as it sums a single sample's.
- * Returns 0, or -1 (nothing written) when a column lies outside the table or
- * a row has more than MAX_ROW_INPUTS inputs. */
-int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t n_cols, ptrdiff_t r,
-                  const ptrdiff_t *cols, const double *w, const double *act,
-                  ptrdiff_t n_rows, ptrdiff_t n_in, double i_min, double i_max, double span,
-                  double *out)
+/* lut is (n_out, n_in, r) and w (n_out, n_in) in C order. act holds the
+ * rows as (n_rows, n_in) in C order. Writes out[d, q, s] = w[d, s] * act[q, s]
+ * + the read of table (d, s) at act[q, s], an (n_out, n_rows, n_in) array in
+ * C order, so that numpy sums each row of n_in outputs pairwise, as it sums a
+ * single sample's.
+ * Returns 0, or -1 (nothing written) when a row has more than MAX_ROW_INPUTS
+ * inputs. */
+int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *w,
+                  const double *act, ptrdiff_t n_rows, ptrdiff_t n_in,
+                  double i_min, double i_max, double span, double *out)
 {
-    if (n_in > MAX_ROW_INPUTS || !cols_inside(cols, n_in, n_cols))
+    if (n_in > MAX_ROW_INPUTS)
         return -1;
     if (n_rows == 0 || n_in == 0)
         return 0;
@@ -123,10 +109,10 @@ int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t n_cols, ptrdiff_
         for (ptrdiff_t s = 0; s < n_in; s++) {
             ptrdiff_t lo;
             locate(x[s], i_min, i_max, span, r, &lo, &frac[s]);
-            at[s] = (cols[s] < 0 ? cols[s] + n_cols : cols[s]) * r + lo;
+            at[s] = s * r + lo;
         }
         for (ptrdiff_t d = 0; d < n_out; d++) {
-            const double *t = lut + d * n_cols * r, *wd = w + d * n_in;
+            const double *t = lut + d * n_in * r, *wd = w + d * n_in;
             double *o = out + (d * n_rows + q) * n_in;
             for (ptrdiff_t s = 0; s < n_in; s++) {
                 double f = frac[s];

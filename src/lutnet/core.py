@@ -16,7 +16,7 @@ the entries it bumps or diffuses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -87,34 +87,29 @@ def _segment_ends(lo, frac):
     return lo + _ENDS, np.array((1.0 - frac, frac))
 
 
-def _lut_read(lut: np.ndarray, cols, lo, frac):
-    """Piecewise-linear read of a (n_out, n_in, r) LUT tensor.
-
-    cols picks the source column of each input and broadcasts against
-    lo/frac, which locate the segment of each input; the result has one
-    read per destination row and input. This is the only place that
-    blends the two entries bracketing a segment.
-    """
-    return (1.0 - frac) * lut[:, cols, lo] + frac * lut[:, cols, lo + 1]
-
-
-def _probed_read(lut: np.ndarray, cols, x: np.ndarray, hp: Hyperparameters):
-    """``_lut_read`` at x and the LUT part's slope estimate, from one gather.
+def _probed_read(lut: np.ndarray, x: np.ndarray, hp: Hyperparameters):
+    """The read of a (n_out, n_in, r) LUT tensor at the inputs x and its slope estimate.
 
     Reads the block [x; clamp(x + a); clamp(x - a)] over the k offsets a
-    of ``hp.probe_offsets``. Returns lo, frac and the read of row 0, then
-    the mean of the k symmetric difference quotients (n_out, n_in); a pair
+    of ``hp.probe_offsets`` in one gather: input j reads table (d, j) of
+    every destination d. Returns lo, frac and the read of row 0, then the
+    mean of the k symmetric difference quotients (n_out, n_in); a pair
     whose clamped points coincide is left out of the mean (zero if all are).
-    Runs the compiled kernel (``lutnet.kernel``) when it loads and takes
-    the arguments, else ``_probed_read_numpy``; both give the same bits.
+    This is the only single-sample LUT read. Runs the compiled kernel
+    (``lutnet.kernel``) when it loads and takes the arguments, else
+    ``_probed_read_numpy``; both give the same bits.
     """
     kern = kernel.load()
-    out = None if kern is None else kern.probed_read(lut, cols, x, hp)
-    return _probed_read_numpy(lut, cols, x, hp) if out is None else out
+    out = None if kern is None else kern.probed_read(lut, x, hp)
+    return _probed_read_numpy(lut, x, hp) if out is None else out
 
 
-def _probed_read_numpy(lut: np.ndarray, cols, x: np.ndarray, hp: Hyperparameters):
-    """``_probed_read`` in numpy: the reference the kernel matches, and its fallback."""
+def _probed_read_numpy(lut: np.ndarray, x: np.ndarray, hp: Hyperparameters):
+    """``_probed_read`` in numpy: the reference the kernel matches, and its fallback.
+
+    A read blends the two entries bracketing its segment as
+    (1 - frac) * t[lo] + frac * t[lo + 1].
+    """
     k = hp.probe_offsets.shape[0]
     block = np.empty((2 * k + 1, x.shape[0]))
     block[0] = x
@@ -123,7 +118,8 @@ def _probed_read_numpy(lut: np.ndarray, cols, x: np.ndarray, hp: Hyperparameters
     np.maximum(block, hp.i_min, out=block)
     np.minimum(block, hp.i_max, out=block)
     lo, frac = segment_coords(block, hp)
-    reads = _lut_read(lut, cols, lo, frac)                    # (n_out, 2k + 1, n_in)
+    src = np.arange(x.shape[0])          # reads is (n_out, 2k + 1, n_in)
+    reads = (1.0 - frac) * lut[:, src, lo] + frac * lut[:, src, lo + 1]
     den = block[1:k + 1] - block[k + 1:]
     diff = reads[:, 1:k + 1] - reads[:, k + 1:]
     good = den > 0.0
@@ -133,11 +129,23 @@ def _probed_read_numpy(lut: np.ndarray, cols, x: np.ndarray, hp: Hyperparameters
     return lo[0], frac[0], reads[:, 0], slope
 
 
-def _layer_outputs(lut: np.ndarray, cols, w: np.ndarray, act: np.ndarray,
+def _table_read(table: np.ndarray, x: float, hp: Hyperparameters):
+    """``_probed_read_numpy`` of one r_res-entry table at the scalar x: lo, frac, read, slope.
+
+    The read of the one-table scalar forms (``interpolate``,
+    ``update_lut_component``, ``approx_lut_derivative``); a table of any
+    other shape raises ValueError.
+    """
+    if table.shape != (hp.r_res,):
+        raise ValueError(f"expected {hp.r_res} LUT entries, got shape {table.shape}")
+    return _probed_read_numpy(table[None, None], np.array([float(x)]), hp)
+
+
+def _layer_outputs(lut: np.ndarray, w: np.ndarray, act: np.ndarray,
                    hp: Hyperparameters) -> np.ndarray:
     """Every connection output of one LUT layer for a batch of rows (rows, n_in).
 
-    out[d, q, s] = w[d, s] * act[q, s] + the read of table (d, cols[s]) at
+    out[d, q, s] = w[d, s] * act[q, s] + the read of table (d, s) at
     act[q, s], as one C-ordered (n_out, rows, n_in) array: each row of n_in
     outputs is contiguous, so numpy sums it pairwise, in the order it sums a
     single sample's (n_out, n_in) outputs, and a batch row equals
@@ -146,19 +154,20 @@ def _layer_outputs(lut: np.ndarray, cols, w: np.ndarray, act: np.ndarray,
     ``_layer_outputs_numpy``; both give the same bits.
     """
     kern = kernel.load()
-    out = None if kern is None else kern.layer_outputs(lut, cols, w, act, hp)
-    return _layer_outputs_numpy(lut, cols, w, act, hp) if out is None else out
+    out = None if kern is None else kern.layer_outputs(lut, w, act, hp)
+    return _layer_outputs_numpy(lut, w, act, hp) if out is None else out
 
 
-def _layer_outputs_numpy(lut: np.ndarray, cols, w: np.ndarray, act: np.ndarray,
+def _layer_outputs_numpy(lut: np.ndarray, w: np.ndarray, act: np.ndarray,
                          hp: Hyperparameters) -> np.ndarray:
     """``_layer_outputs`` in numpy: the reference the kernel matches, and its fallback."""
     lo, frac = segment_coords(act, hp)
     dst = np.arange(lut.shape[0])[:, None, None]
+    src = np.arange(act.shape[1])
     out = np.multiply(w[:, None, :], act, out=np.empty((lut.shape[0], *act.shape)))
-    # (n_out, rows, n_in) gathers in C order, unlike _lut_read's destination-innermost one
-    low, high = lut[dst, cols, lo], lut[dst, cols, lo + 1]
-    low *= 1.0 - frac           # (1 - frac) * t0 + frac * t1, as _lut_read blends
+    # (n_out, rows, n_in) gathers in C order; _probed_read_numpy's put the destination innermost
+    low, high = lut[dst, src, lo], lut[dst, src, lo + 1]
+    low *= 1.0 - frac           # (1 - frac) * t0 + frac * t1, as _probed_read_numpy blends
     high *= frac
     low += high
     out += low
@@ -171,11 +180,7 @@ def interpolate(values, x: float, hp: Hyperparameters) -> float:
     Exact at grid points; x at the upper domain edge returns the last
     entry. Inputs outside the domain are clamped to the nearest edge.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (hp.r_res,):
-        raise ValueError(f"expected {hp.r_res} LUT entries, got shape {values.shape}")
-    lo, frac = segment_coords(float(x), hp)
-    return float(_lut_read(values[None, None], 0, lo, frac)[0])
+    return float(_table_read(np.asarray(values, dtype=float), x, hp)[2][0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +208,13 @@ class Layer:
     which ``Network.settled_visits`` turns into visit values. All four are
     views into the owning network's buffers: write into them, never
     rebind them (an augmented assignment such as ``lay.w *= 2`` writes in
-    place). ``cols`` is the source-index row for addressing LUT tensors.
+    place).
     """
 
     w: np.ndarray
     bias: np.ndarray
     lut: np.ndarray | None = None
     visits: np.ndarray | None = None
-    cols: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.cols = np.arange(self.n_in)
 
     @property
     def n_out(self) -> int:
@@ -376,7 +377,7 @@ class LayerTrace:
     seg_frac     fractional position within the segment, None for LW
     lut_values   interpolated LUT part of each connection output, None for LW
     activations  tanh of each node's summed connection outputs plus bias
-    slope        LUT slope estimate on a training pass; None for layer 0, LW, public passes
+    slope        LUT slope estimate per connection, None for LW
     """
 
     inputs: np.ndarray
@@ -401,31 +402,25 @@ class ForwardTrace:
 BATCH_ENTRIES = 2 ** 18
 
 
-def _forward_layers(net: Network, act: np.ndarray, trace: list | None = None,
-                    coords=None) -> np.ndarray:
+def _forward_layers(net: Network, act: np.ndarray, trace: list | None = None) -> np.ndarray:
     """Run one sample (n_in,) or a batch of rows (ns, n_in) through every layer.
 
     A batch puts the samples on a middle axis, so a connection output
     sits at [dst, sample, src], and its LUT layers go through
-    ``_layer_outputs``. One LayerTrace per layer of a single sample is
-    appended to trace when it is given. coords, if given, is layer 0's
-    (lo, frac) and marks a training pass: LUT layers after the first use
-    ``_probed_read``.
+    ``_layer_outputs``; a single sample's go through ``_probed_read``.
+    One LayerTrace per layer of a single sample is appended to trace when
+    it is given.
     """
     batch = act.ndim == 2
-    for li, lay in enumerate(net.layers):
+    for lay in net.layers:
         w, bias = (lay.w[:, None, :], lay.bias[:, None]) if batch else (lay.w, lay.bias)
         lo = frac = lut_vals = slope = None
         if lay.lut is None:
             outputs = w * act
         elif batch:
-            outputs = _layer_outputs(lay.lut, lay.cols, lay.w, act, net.hp)
+            outputs = _layer_outputs(lay.lut, lay.w, act, net.hp)
         else:
-            if li and coords is not None:
-                lo, frac, lut_vals, slope = _probed_read(lay.lut, lay.cols, act, net.hp)
-            else:
-                lo, frac = segment_coords(act, net.hp) if li or coords is None else coords
-                lut_vals = _lut_read(lay.lut, lay.cols, lo, frac)
+            lo, frac, lut_vals, slope = _probed_read(lay.lut, act, net.hp)
             outputs = w * act + lut_vals
         y = np.tanh(outputs.sum(axis=-1) + bias)
         if trace is not None:
@@ -434,19 +429,18 @@ def _forward_layers(net: Network, act: np.ndarray, trace: list | None = None,
     return act
 
 
-def forward_network(net: Network, x, coords=None) -> tuple[np.ndarray, ForwardTrace]:
+def forward_network(net: Network, x) -> tuple[np.ndarray, ForwardTrace]:
     """Run one input vector through the net.
 
     Input nodes are pass-through; the raw input is what the first layer's
-    connections see. Returns the output activations and a full trace.
-    Read-only on the network. Training passes ``segment_coords(x, net.hp)``
-    as coords, and the trace then carries the LUT slope estimates.
+    connections see. Returns the output activations and a full trace,
+    the LUT slope estimates included. Read-only on the network.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_inputs,):
         raise _misfit(net, "one sample", x)
     layers: list[LayerTrace] = []
-    return _forward_layers(net, x, layers, coords), ForwardTrace(x, layers)
+    return _forward_layers(net, x, layers), ForwardTrace(x, layers)
 
 
 def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """The compiled LUT reads: ``_probe.c``, built with gcc and loaded with cffi.
 
 Two ``core`` functions run this kernel when it loads and their numpy body
-otherwise, and both bodies give the same bits: ``_probed_read``, the
-training probe read, and ``_layer_outputs``, a LUT layer of a batch pass
+otherwise, and both bodies give the same bits: ``_probed_read``, a LUT
+layer of one sample with its slope estimates (``forward_network``, so
+every training iteration), and ``_layer_outputs``, a LUT layer of a batch pass
 (``forward_batch``, so ``mse``, ``accuracy`` and ``render_surface``). The
 first of them to run in a process builds the library, unless it is
 cached, and loads it, so LW training and LW batch evaluation never import
@@ -31,14 +32,12 @@ COMPILER = "gcc"
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 _CDEF = """
-int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t n_cols, ptrdiff_t r,
-                const ptrdiff_t *cols, const double *x, ptrdiff_t n_in,
+int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x, ptrdiff_t n_in,
                 const double *offsets, ptrdiff_t k, double i_min, double i_max, double span,
                 ptrdiff_t *lo0, double *out);
-int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t n_cols, ptrdiff_t r,
-                  const ptrdiff_t *cols, const double *w, const double *act,
-                  ptrdiff_t n_rows, ptrdiff_t n_in, double i_min, double i_max, double span,
-                  double *out);
+int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *w,
+                  const double *act, ptrdiff_t n_rows, ptrdiff_t n_in,
+                  double i_min, double i_max, double span, double *out);
 """
 
 _loaded = None          # after the first load(): the Kernel, or why there is none
@@ -58,57 +57,54 @@ class Kernel:
         self._doubles = ffi.typeof("double[]")
         self._indices = ffi.typeof("ptrdiff_t[]")
 
-    def probed_read(self, lut, cols, x, hp):
+    def probed_read(self, lut, x, hp):
         """lo, frac, read and slope as ``core._probed_read`` returns them, in fresh arrays.
 
         Returns None, and leaves the read to numpy, unless lut is a C-contiguous
-        float64 (n_out, n_cols, r) table, x a contiguous float64 vector, cols an
-        intp index array shaped like x, every index inside the table, and the
-        read not 1x1 (n_out = n_in = 1, whose quotients numpy sums pairwise).
+        float64 (n_out, n_in, r) table, x a contiguous float64 vector of its n_in
+        inputs, and the read not 1x1 (n_out = n_in = 1, whose quotients numpy
+        sums pairwise).
         """
         offsets = hp.probe_offsets
         k = offsets.shape[0]
-        if not (lut.ndim == 3 and x.ndim == 1 and cols.shape == x.shape
-                and k <= MAX_PROBE_OFFSETS and cols.dtype == np.intp
+        if not (lut.ndim == 3 and x.ndim == 1 and lut.shape[1] == x.shape[0]
+                and k <= MAX_PROBE_OFFSETS
                 and lut.dtype == x.dtype == offsets.dtype == np.float64):
             return None
-        n_out, n_cols, r = lut.shape
-        n_in = x.shape[0]
-        buf, doubles, indices = self._buffer, self._doubles, self._indices
+        n_out, n_in, r = lut.shape
+        buf, doubles = self._buffer, self._doubles
         try:
-            inputs = buf(doubles, lut), buf(indices, cols), buf(doubles, x), buf(doubles, offsets)
+            inputs = buf(doubles, lut), buf(doubles, x), buf(doubles, offsets)
         except ValueError:                      # an array that is not C-contiguous
             return None
         lo = np.empty(n_in, dtype=np.intp)
         out = np.empty((2 * n_out + 1, n_in))  # frac, then read, then slope
-        if self._lib.probed_read(inputs[0], n_out, n_cols, r, inputs[1], inputs[2], n_in,
-                                 inputs[3], k, hp.i_min, hp.i_max, hp.span,
-                                 buf(indices, lo), buf(doubles, out)):
+        if self._lib.probed_read(inputs[0], n_out, r, inputs[1], n_in, inputs[2], k,
+                                 hp.i_min, hp.i_max, hp.span,
+                                 buf(self._indices, lo), buf(doubles, out)):
             return None
         return lo, out[0], out[1:n_out + 1], out[n_out + 1:]
 
-    def layer_outputs(self, lut, cols, w, act, hp):
+    def layer_outputs(self, lut, w, act, hp):
         """``core._layer_outputs`` on these arguments: a fresh (n_out, rows, n_in) array.
 
         Returns None, and leaves the layer to numpy, unless lut is a C-contiguous
-        float64 (n_out, n_cols, r) table, w a C-contiguous float64 (n_out, n_in)
-        matrix, act float64 (rows, n_in) rows with n_in at most 4096, cols an intp
-        index per input, and every index inside the table.
+        float64 (n_out, n_in, r) table, w a C-contiguous float64 (n_out, n_in)
+        matrix and act float64 (rows, n_in) rows with n_in at most 4096.
         """
         act = np.ascontiguousarray(act)     # a later layer's rows are the transposed tanh
-        if not (lut.ndim == 3 and act.ndim == 2 and w.shape == (lut.shape[0], act.shape[1])
-                and cols.shape == act.shape[1:] and cols.dtype == np.intp
+        if not (lut.ndim == 3 and act.ndim == 2 and lut.shape[:2] == w.shape
+                and w.shape[1] == act.shape[1]
                 and lut.dtype == w.dtype == act.dtype == np.float64):
             return None
-        n_out, n_cols, r = lut.shape
-        n_rows, n_in = act.shape
-        buf, doubles, indices = self._buffer, self._doubles, self._indices
+        n_out, n_in, r = lut.shape
+        buf, doubles = self._buffer, self._doubles
         try:
-            inputs = buf(doubles, lut), buf(indices, cols), buf(doubles, w), buf(doubles, act)
+            inputs = buf(doubles, lut), buf(doubles, w), buf(doubles, act)
         except ValueError:                      # an array that is not C-contiguous
             return None
-        out = np.empty((n_out, n_rows, n_in))
-        if self._lib.layer_outputs(inputs[0], n_out, n_cols, r, *inputs[1:], n_rows, n_in,
+        out = np.empty((n_out, act.shape[0], n_in))
+        if self._lib.layer_outputs(inputs[0], n_out, r, *inputs[1:], act.shape[0], n_in,
                                    hp.i_min, hp.i_max, hp.span, buf(doubles, out)):
             return None
         return out

@@ -13,9 +13,9 @@ The error function is half the summed squared output error, so output
 deltas are simply (y - d) times the tanh slope. Because LUTs are only
 piecewise differentiable, the derivative carried through a LUT
 connection is estimated by averaging symmetric difference quotients at
-a geometric ladder of probe offsets, ``Hyperparameters.probe_offsets``. A forward
-pass given layer 0's grid coordinates is a training pass: it reads the
-probes in its LUT gather, so each training row is located just once.
+a geometric ladder of probe offsets, ``Hyperparameters.probe_offsets``. The
+forward pass reads the probes in its LUT gather, so its trace carries the
+slope estimates that backprop uses.
 """
 from __future__ import annotations
 
@@ -28,14 +28,11 @@ from .core import (
     ForwardTrace,
     LutConnection,
     Network,
-    _lut_read,
-    _probed_read,
-    _probed_read_numpy,
     _require_fit,
     _segment_ends,
+    _table_read,
     find_nonfinite,
     forward_network,
-    segment_coords,
 )
 from .data import _require_finite
 from .hyper import Hyperparameters
@@ -59,8 +56,7 @@ class TrainingDiverged(RuntimeError):
 
 def approx_lut_derivative(conn: LutConnection, x: float, hp: Hyperparameters) -> float:
     """Estimated derivative of a LUT connection's weight function at x."""
-    slope = _probed_read_numpy(conn.lut[None, None], 0, np.asarray([x], dtype=float), hp)[3]
-    return float(conn.linear + slope[0, 0])
+    return float(conn.linear + _table_read(conn.lut, x, hp)[3][0, 0])
 
 
 def backprop(net: Network, trace: ForwardTrace, target) -> list[np.ndarray]:
@@ -70,9 +66,8 @@ def backprop(net: Network, trace: ForwardTrace, target) -> list[np.ndarray]:
     its destination, so the returned list (indexed like net.layers)
     determines all connection errors. Output deltas are
     (y - d) * (1 - y^2); hidden deltas accumulate each downstream
-    connection's error times its estimated weight-function derivative.
-    Slope estimates come from the trace if the forward pass read them;
-    otherwise backprop reads them at ``hp.probe_offsets``.
+    connection's error times its estimated weight-function derivative,
+    whose LUT part is the slope estimate the trace carries.
     """
     target = np.asarray(target, dtype=float)
     if target.shape != (net.n_outputs,):
@@ -85,8 +80,6 @@ def backprop(net: Network, trace: ForwardTrace, target) -> list[np.ndarray]:
     for li in range(len(net.layers) - 1, 0, -1):
         lay = net.layers[li]
         slope = layers[li].slope
-        if lay.lut is not None and slope is None:
-            slope = _probed_read(lay.lut, lay.cols, layers[li].inputs, net.hp)[3]
         dodi = lay.w if slope is None else lay.w + slope
         back = (delta[:, None] * dodi).sum(axis=0)
         y_prev = layers[li - 1].activations
@@ -134,10 +127,9 @@ def update_lut_component(conn: LutConnection, e: float, x: float,
     With the gate on, the touched entries are additionally decayed.
     Returns the connection's LUT for convenience.
     """
-    lo, frac = segment_coords(np.asarray([x], dtype=float), hp)
-    value = _lut_read(conn.lut[None, None], 0, lo, frac)[0]
+    lo, frac, value, _ = _table_read(conn.lut, x, hp)
     ends, share = _segment_ends(lo, frac)
-    _lut_entry_updates(conn.lut, ends, share, value, hp.mu * e, hp)
+    _lut_entry_updates(conn.lut, ends, share, value[0], hp.mu * e, hp)
     if gate:
         _decay_touched(conn.lut, ends, share, hp)
     return conn.lut
@@ -146,20 +138,17 @@ def update_lut_component(conn: LutConnection, e: float, x: float,
 # ---------------------------------------------------------------------------
 # One full iteration
 
-def _apply_iteration(net: Network, x, target, gate_u: np.ndarray, coords=None) -> float:
+def _apply_iteration(net: Network, x, target, gate_u: np.ndarray) -> float:
     """Forward, backprop, and all updates for one sample.
 
     gate_u supplies one uniform draw per LUT connection in layer-major,
     destination-major, source-major order. Returns the sample's mean
     squared output error (from the pre-update forward pass). Every
     update step runs once over the network's flat buffers, all layers
-    at a time. coords, if given, is ``segment_coords(x, net.hp)``; an NLW
-    net without them computes it here.
+    at a time.
     """
     hp = net.hp
-    if coords is None and net.luts is not None:
-        coords = segment_coords(np.asarray(x, dtype=float), hp)
-    y, trace = forward_network(net, x, coords)
+    y, trace = forward_network(net, x)
     target = np.asarray(target, dtype=float)
     deltas = backprop(net, trace, target)
     err = y - target
@@ -229,8 +218,6 @@ class Trainer:
     gate generator is the only stateful stream; its state plus the
     iteration counter fully determine the rest of a run, which is what
     makes checkpoint resume bit-exact.
-    ``input_coords`` is ``segment_coords(args, hp)``, read-only, for NLW
-    (None for LW): layer 0's grid coordinates, so args must not change.
     """
 
     def __init__(self, net: Network, args: np.ndarray, vals: np.ndarray, seed: int):
@@ -245,9 +232,6 @@ class Trainer:
         self.iteration = 0
         self.gate_rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([self.seed, 1])))
-        self.input_coords = None if net.luts is None else segment_coords(args, net.hp)
-        for arr in self.input_coords or ():
-            arr.setflags(write=False)
         self._order = None
         self._order_epoch = -1
 
@@ -293,7 +277,6 @@ class Trainer:
         net = self.net
         n = len(self.args)
         n_gate = net.lut_connection_count()
-        coords = self.input_coords
         end = self.iteration + int(iterations)
         rows: list[tuple[int, float]] = []
         window_sum = 0.0
@@ -311,8 +294,7 @@ class Trainer:
             gate_u = self.gate_rng.random((block, n_gate))
             for b in range(block):
                 idx = order[pos + b]
-                at0 = None if coords is None else (coords[0][idx], coords[1][idx])
-                err = _apply_iteration(net, self.args[idx], self.vals[idx], gate_u[b], at0)
+                err = _apply_iteration(net, self.args[idx], self.vals[idx], gate_u[b])
                 window_sum += err
                 window_n += 1
                 if not math.isfinite(err):

@@ -4,12 +4,16 @@ The empirical criteria (4 through 8) run full training protocols and
 together take around ten minutes; everything is seeded, so reruns are
 bit-identical.
 """
+import os
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import lutnet
 from conftest import CRITERION_LINES
+from lutnet import kernel
 from lutnet.cli import main as cli_main
 from lutnet.core import (
     LutConnection,
@@ -214,6 +218,47 @@ def test_criterion_4_selective_parameter_scaling():
             f"r256/r16 train ratio {train_ratio:.3f} (< 2.0), "
             f"forward ratio {fwd_ratio:.3f} (within [0.8, 1.3]) "
             f"in {elapsed:.1f}s")
+
+
+def _lutnet_opcodes(run) -> int:
+    """How many bytecode instructions run() executes in lutnet's own frames."""
+    package = os.path.dirname(lutnet.__file__) + os.sep
+    count = 0
+
+    def count_opcodes(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return count_opcodes
+
+    def enter(frame, event, arg):
+        if not frame.f_code.co_filename.startswith(package):
+            return None
+        frame.f_trace_opcodes = True
+        return count_opcodes
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("numpy_path", [False, True], ids=["selected-read", "numpy-read"])
+def test_iteration_dispatch_count_does_not_depend_on_r_res(monkeypatch, numpy_path):
+    """Criterion 4's claim, exact: an iteration runs the same Python at any r_res."""
+    if numpy_path:
+        monkeypatch.setattr(kernel, "_loaded", "numpy chosen by the test")
+    args, vals = bench_dataset(2, 1, count=16, seed=0)
+    counts = []
+    for r_res in (16, 64, 256):
+        net = init_network((2, 8, 1), "NLW", NLW.replace(r_res=r_res, zeta=0.2), _seeded([405, 0]))
+        trainer = Trainer(net, args, vals, seed=1)
+        trainer.run(5, log_every=0)         # loads the kernel and builds the update maps
+        counts.append(_lutnet_opcodes(lambda: trainer.run(20, log_every=10)))
+    assert counts[0] > 0
+    assert counts == counts[:1] * 3, counts
 
 
 # ---------------------------------------------------------------------------

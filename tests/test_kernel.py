@@ -1,6 +1,7 @@
 """The compiled LUT reads: bit-identity with numpy, the fallback, lazy loading."""
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ needs_kernel = pytest.mark.skipif(
     KERNEL is None, reason=f"the probe kernel cannot be built here: {kernel.describe()}")
 
 NLW = default_hyperparameters("NLW")
+R8 = NLW.replace(r_res=8)
 
 
 def _bits(a):
@@ -37,7 +39,7 @@ def _bits(a):
 
 @st.composite
 def probe_reads(draw):
-    """(lut, cols, x, hp) as a LUT layer after the first."""
+    """(lut, x, hp) as one sample's LUT layer."""
     n_out, n_in = draw(st.integers(1, 33)), draw(st.integers(1, 33))
     r_res = draw(st.integers(2, 256))
     i_min = draw(st.floats(-3.0, 1.0))
@@ -61,22 +63,21 @@ def probe_reads(draw):
     x = np.array(draw(st.lists(point, min_size=n_in, max_size=n_in)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lut = rng.standard_normal((n_out, n_in, r_res)) * 10.0 ** rng.integers(-3, 4)
-    return lut, np.arange(n_in), x, hp
+    return lut, x, hp
 
 
 @needs_kernel
 @settings(max_examples=300, deadline=None)
-@example(case=(np.linspace(-1.0, 1.0, 64)[None, None] ** 3, np.arange(1), np.array([0.3]),
-               NLW))
+@example(case=(np.linspace(-1.0, 1.0, 64)[None, None] ** 3, np.array([0.3]), NLW))
 @given(case=probe_reads())
 def test_kernel_matches_numpy_probe_read_bit_for_bit(case):
-    lut, cols, x, hp = case
-    got = KERNEL.probed_read(lut, cols, x, hp)
+    lut, x, hp = case
+    got = KERNEL.probed_read(lut, x, hp)
     if lut.shape[0] == x.shape[0] == 1:         # numpy sums a 1x1 read pairwise: left to it
         assert got is None
         return
     with np.errstate(invalid="ignore"):
-        want = _probed_read_numpy(lut, cols, x, hp)
+        want = _probed_read_numpy(lut, x, hp)
     assert got is not None
     assert np.array_equal(got[0], want[0])
     for g, w in zip(got[1:], want[1:]):
@@ -91,26 +92,33 @@ def test_probed_read_runs_the_kernel_when_it_loads(monkeypatch):
 
     monkeypatch.setattr(core, "_probed_read_numpy", numpy_read)
     lut = np.zeros((2, 3, 8))
-    lo, frac, read, slope = _probed_read(lut, np.arange(3), np.zeros(3), NLW)
+    lo, frac, read, slope = _probed_read(lut, np.zeros(3), NLW)
     assert read.shape == slope.shape == (2, 3)
 
 
 @needs_kernel
 @pytest.mark.parametrize("change", [
-    pytest.param(lambda lut, cols, x: (lut[:, ::2], cols[:2], x[:2]), id="strided-table"),
-    pytest.param(lambda lut, cols, x: (lut.astype(np.float32), cols, x), id="float32"),
-    pytest.param(lambda lut, cols, x: (lut, cols + 3, x), id="column-outside"),
-    pytest.param(lambda lut, cols, x: (lut, cols[:2], x), id="cols-unlike-x"),
+    pytest.param(lambda lut, x: (lut[:, ::-1], x), id="strided-table"),
+    pytest.param(lambda lut, x: (lut.astype(np.float32), x), id="float32"),
+    pytest.param(lambda lut, x: (lut, x[:2]), id="cols-unlike-x"),
+    pytest.param(lambda lut, x: (np.ascontiguousarray(lut[:, :2]), x), id="column-outside"),
 ])
 def test_kernel_declines_what_it_does_not_take(change):
-    # numpy then reads them, or raises as it always did
-    args = change(np.ones((2, 3, 8)), np.arange(3), np.zeros(3))
-    assert KERNEL.probed_read(*args, NLW) is None
+    # numpy then reads them, input j from table column j, or raises as it always did
+    lut, x = change(np.random.default_rng(8).standard_normal((2, 3, 8)), np.linspace(-1, 1, 3))
+    assert KERNEL.probed_read(lut, x, R8) is None
+    if lut.shape[1] < x.shape[0]:               # an input with no table column
+        with pytest.raises(IndexError):
+            _probed_read(lut, x, R8)
+        return
+    got, want = _probed_read(lut, x, R8), _probed_read_numpy(lut, x, R8)
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
 
 
 @st.composite
 def layer_batches(draw):
-    """(lut, cols, w, act, hp) as a LUT layer of a batch pass."""
+    """(lut, w, act, hp) as a LUT layer of a batch pass."""
     n_out, n_in = draw(st.integers(1, 33)), draw(st.integers(1, 33))
     rows = draw(st.sampled_from([0, 1, draw(st.integers(2, 40))]))
     r_res = draw(st.integers(2, 256))
@@ -127,24 +135,22 @@ def layer_batches(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lut = rng.standard_normal((n_out, n_in, r_res)) * 10.0 ** rng.integers(-3, 4)
     w = rng.standard_normal((n_out, n_in))
-    return lut, np.arange(n_in), w, act.reshape(rows, n_in), hp
+    return lut, w, act.reshape(rows, n_in), hp
 
 
 @needs_kernel
 @settings(max_examples=300, deadline=None)
 @given(case=layer_batches())
 def test_kernel_matches_numpy_layer_outputs_bit_for_bit(case):
-    lut, cols, w, act, hp = case
-    got = KERNEL.layer_outputs(lut, cols, w, act, hp)
+    lut, w, act, hp = case
+    got = KERNEL.layer_outputs(lut, w, act, hp)
     with np.errstate(invalid="ignore"):
-        want = _layer_outputs_numpy(lut, cols, w, act, hp)
+        want = _layer_outputs_numpy(lut, w, act, hp)
     assert got is not None
     assert got.shape == want.shape == (lut.shape[0], *act.shape)
     assert got.flags.c_contiguous
     assert np.array_equal(_bits(got), _bits(want))
 
-
-R8 = NLW.replace(r_res=8)
 
 
 @needs_kernel
@@ -152,8 +158,8 @@ def test_kernel_takes_a_later_layers_transposed_rows():
     rng = np.random.default_rng(9)
     lut, w = rng.standard_normal((2, 3, 8)), rng.standard_normal((2, 3))
     act = np.tanh(np.linspace(-2.0, 2.0, 15)).reshape(3, 5).T   # as _forward_layers passes it
-    got = KERNEL.layer_outputs(lut, np.arange(3), w, act, R8)
-    assert np.array_equal(_bits(got), _bits(_layer_outputs_numpy(lut, np.arange(3), w, act, R8)))
+    got = KERNEL.layer_outputs(lut, w, act, R8)
+    assert np.array_equal(_bits(got), _bits(_layer_outputs_numpy(lut, w, act, R8)))
 
 
 @needs_kernel
@@ -162,45 +168,47 @@ def test_layer_outputs_run_the_kernel_when_it_loads(monkeypatch):
         raise AssertionError("the numpy batch layer ran")
 
     monkeypatch.setattr(core, "_layer_outputs_numpy", numpy_layer)
-    out = _layer_outputs(np.zeros((2, 3, 8)), np.arange(3), np.ones((2, 3)), np.zeros((4, 3)), R8)
+    out = _layer_outputs(np.zeros((2, 3, 8)), np.ones((2, 3)), np.zeros((4, 3)), R8)
     assert out.shape == (2, 4, 3)
 
 
 @needs_kernel
 @pytest.mark.parametrize("change", [
-    pytest.param(lambda lut, cols, w: (lut[:, ::2], cols[:2], w[:, :2]), id="strided-table"),
-    pytest.param(lambda lut, cols, w: (lut.astype(np.float32), cols, w), id="float32-table"),
-    pytest.param(lambda lut, cols, w: (lut, cols, np.asfortranarray(w)), id="strided-weights"),
-    pytest.param(lambda lut, cols, w: (lut, cols.astype(np.int32), w), id="int32-columns"),
-    pytest.param(lambda lut, cols, w: (np.tile(lut, (1, 1025, 1)), np.arange(4100),
-                                       np.tile(w, (1, 1025))), id="over-4096-inputs"),
+    pytest.param(lambda lut, w: (lut[:, ::-1], w), id="strided-table"),
+    pytest.param(lambda lut, w: (lut.astype(np.float32), w), id="float32-table"),
+    pytest.param(lambda lut, w: (lut, np.asfortranarray(w)), id="strided-weights"),
+    pytest.param(lambda lut, w: (lut, w.astype(np.int32)), id="int32-columns-of-weights"),
+    pytest.param(lambda lut, w: (np.tile(lut, (1, 2, 1)), w), id="table-unlike-weights"),
+    pytest.param(lambda lut, w: (np.tile(lut, (1, 1025, 1)), np.tile(w, (1, 1025))),
+                 id="over-4096-inputs"),
 ])
 def test_kernel_declines_a_batch_layer_it_does_not_take_and_numpy_reads_it(change):
     rng = np.random.default_rng(10)
-    lut, cols, w = change(rng.standard_normal((3, 4, 8)), np.arange(4), rng.standard_normal((3, 4)))
-    act = rng.uniform(-1.5, 1.5, (5, cols.shape[0]))
-    assert KERNEL.layer_outputs(lut, cols, w, act, R8) is None
-    want = _layer_outputs_numpy(lut, cols, w, act, R8)
-    assert np.array_equal(_bits(_layer_outputs(lut, cols, w, act, R8)), _bits(want))
+    lut, w = change(rng.standard_normal((3, 4, 8)), rng.standard_normal((3, 4)))
+    act = rng.uniform(-1.5, 1.5, (5, w.shape[1]))
+    assert KERNEL.layer_outputs(lut, w, act, R8) is None
+    want = _layer_outputs_numpy(lut, w, act, R8)
+    assert np.array_equal(_bits(_layer_outputs(lut, w, act, R8)), _bits(want))
 
 
 @needs_kernel
 def test_kernel_declines_a_batch_column_outside_the_table():
-    lut, w, act = np.ones((2, 3, 8)), np.ones((2, 3)), np.zeros((4, 3))
-    assert KERNEL.layer_outputs(lut, np.arange(3) + 1, w, act, R8) is None
+    # input 2 has no column in the table
+    lut, w, act = np.ones((2, 2, 8)), np.ones((2, 3)), np.zeros((4, 3))
+    assert KERNEL.layer_outputs(lut, w, act, R8) is None
     with pytest.raises(IndexError):                 # numpy then raises as it always did
-        _layer_outputs(lut, np.arange(3) + 1, w, act, R8)
+        _layer_outputs(lut, w, act, R8)
 
 
 # The perfbench nets (NLW 2-8-1 r64, NLW 2-32-32-1 r256, LW 5-32-32-1) read every
-# probe in C: one read per LUT layer after the first and iteration. 2-1-1's later
-# layer is a 1x1 read, which goes to numpy every time.
+# probe in C: one read per LUT layer and iteration. 2-1-1's later layer is a 1x1
+# read, which goes to numpy every time.
 @needs_kernel
 @pytest.mark.parametrize("sizes,kind,r_res,reads,declined", [
-    pytest.param((2, 8, 1), "NLW", 64, 1, 0, id="spirals-small"),
-    pytest.param((2, 32, 32, 1), "NLW", 256, 2, 0, id="spirals-wide-r256"),
+    pytest.param((2, 8, 1), "NLW", 64, 2, 0, id="spirals-small"),
+    pytest.param((2, 32, 32, 1), "NLW", 256, 3, 0, id="spirals-wide-r256"),
     pytest.param((5, 32, 32, 1), "LW", 64, 0, 0, id="md2-lw"),
-    pytest.param((2, 1, 1), "NLW", 64, 1, 1, id="one-by-one"),
+    pytest.param((2, 1, 1), "NLW", 64, 2, 1, id="one-by-one"),
 ])
 def test_training_probe_reads_run_in_c_unless_they_are_1x1(monkeypatch, sizes, kind, r_res,
                                                            reads, declined):
@@ -281,7 +289,7 @@ def _run(script):
 
 
 def test_lw_training_and_batch_evaluation_never_load_the_kernel():
-    # nor does approx_lut_derivative, whose single table is a 1x1 read
+    # nor does approx_lut_derivative, which reads its one table through the numpy reference
     script = (
         "import sys, numpy as np\n"
         "from lutnet import Trainer, forward_batch, init_network, default_hyperparameters\n"
@@ -312,3 +320,46 @@ def test_nlw_batch_evaluation_loads_the_kernel():
         "print(kernel._loaded is None, kernel.load() is not None)\n"
     )
     assert _run(script) == ["True", "False", str(KERNEL is not None)]
+
+
+def _dispatch_targets():
+    """numpy's CPU-dispatch targets above its baseline that this machine runs."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                         # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [t for t in getattr(umath, "__cpu_dispatch__", ()) if umath.__cpu_features__.get(t)]
+
+
+# Runs in a fresh interpreter: argv is this file, then the targets switched off.
+_LOWERED_CHECKS = """
+import sys
+import pytest
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+on = [t for t in sys.argv[2:] if umath.__cpu_features__.get(t)]
+if on:
+    sys.exit(f"numpy still dispatches {on}")
+sys.exit(pytest.main([sys.argv[1], "-q", "-p", "no:cacheprovider",
+                      "-k", "bit_for_bit or transposed_rows"]))
+"""
+
+
+@needs_kernel
+def test_kernel_matches_numpy_at_a_lower_cpu_dispatch_level():
+    # numpy picks some loops (np.tanh's, np.expm1's) by CPU feature, so the kernel's
+    # "same bits as numpy" is checked again with every dispatch target above numpy's
+    # baseline switched off. numpy ignores a name it does not know, so the child
+    # first shows that none of them is still on.
+    targets = _dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no target above its baseline on this machine")
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(Path(kernel.__file__).parents[1]),
+           "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+    done = subprocess.run([sys.executable, "-c", _LOWERED_CHECKS, __file__, *targets],
+                          capture_output=True, text=True, env=env, cwd=root)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert re.search(r"^3 passed", done.stdout, re.MULTILINE), done.stdout

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lutnet import kernel
-from lutnet import train as train_module
 from lutnet.core import (
     LutConnection,
     forward_network,
@@ -231,6 +230,26 @@ def test_gated_update_scales_only_touched_side():
     assert conn.lut[1] == 0.8                              # frac 0: untouched
 
 
+def _connection(table):
+    return LutConnection(linear=0.0, lut=table, visits=np.full(table.shape, NLW.v_p))
+
+
+@pytest.mark.parametrize("read", [
+    pytest.param(lambda table: interpolate(table, 0.3, NLW), id="interpolate"),
+    pytest.param(lambda table: update_lut_component(_connection(table), 0.4, 0.3, NLW, gate=True),
+                 id="update_lut_component"),
+    pytest.param(lambda table: approx_lut_derivative(_connection(table), 0.3, NLW),
+                 id="approx_lut_derivative"),
+])
+@pytest.mark.parametrize("entries", [100, 10], ids=["too-long", "too-short"])
+def test_one_table_forms_reject_a_table_of_the_wrong_length(read, entries):
+    table = np.arange(float(entries))
+    message = f"expected {NLW.r_res} LUT entries, got shape ({entries},)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read(table)
+    assert np.array_equal(table, np.arange(float(entries)))        # left as it was
+
+
 # ---------------------------------------------------------------------------
 # Scalar reference parity
 
@@ -372,24 +391,28 @@ def test_layer_arrays_are_views_the_next_iteration_reads(tmp_path, source):
 
 
 @settings(max_examples=60, deadline=None)
-@example(seed=3, r_res=16, x=[0.3, -0.7], target=0.5)
-@example(seed=4, r_res=256, x=[-0.2, 0.9], target=-0.4)
+@example(seed=3, r_res=16, x=[0.3, -0.7], target=0.5, zeta=0.0)
+@example(seed=4, r_res=256, x=[-0.2, 0.9], target=-0.4, zeta=0.0)
+@example(seed=5, r_res=256, x=[0.6, -1.2], target=0.1, zeta=0.5)
 @given(seed=st.integers(0, 2**32 - 1), r_res=st.integers(2, 40),
        x=st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2),
-       target=st.floats(-0.9, 0.9))
-def test_ungated_iteration_changes_at_most_two_adjacent_lut_entries(seed, r_res, x, target):
-    # the stored visit tables too: their decay is the visit scale's
-    hp = NLW.replace(r_res=r_res, zeta=0.0)
+       target=st.floats(-0.9, 0.9), zeta=st.sampled_from([0.0, 0.3, 1.0]))
+def test_ungated_iteration_changes_at_most_two_adjacent_lut_entries(seed, r_res, x, target,
+                                                                     zeta):
+    # the stored visit tables too: their decay is the visit scale's. A row whose gate
+    # fires (draw below zeta) is diffused whole, and the ungated rows beside it still
+    # change two adjacent entries at most
+    hp = NLW.replace(r_res=r_res, zeta=zeta)
     net = init_network((2, 3, 1), "NLW", hp, _rng([seed, 0]))
     before = {"luts": net.luts.copy(), "visits": net.visits.copy()}
-    _apply_iteration(net, np.array(x), np.array([target]),
-                     _rng([seed, 1]).random(net.lut_connection_count()))
+    gate_u = _rng([seed, 1]).random(net.lut_connection_count())
+    _apply_iteration(net, np.array(x), np.array([target]), gate_u)
     assert net.visit_scale == 1.0 - hp.r_c
     for name, table in before.items():
-        for row_before, row_after in zip(table, getattr(net, name)):
+        for row_before, row_after, gated in zip(table, getattr(net, name), zeta > gate_u):
             changed = np.flatnonzero(row_before != row_after)
-            assert changed.size <= 2
-            if changed.size == 2:
+            assert changed.size <= (r_res if gated else 2)
+            if changed.size == 2 and not gated:
                 assert changed[1] == changed[0] + 1
 
 
@@ -419,40 +442,77 @@ PROBE_PROFILES = [
 ]
 
 
+PROBE_SIZES = ((2, 8, 1), (2, 4, 3, 2), (2, 1, 1), (2, 1, 3, 1))
+
+
+def _probe_rows(hp):
+    """Rows on the domain edges, on grid points and outside the domain."""
+    grid = lut_grid(hp)
+    return np.array([[hp.i_min, 0.1], [hp.i_max, hp.i_min], [grid[5], grid[11]],
+                     [hp.i_min - 0.7, hp.i_max + 1.4]])
+
+
 @pytest.mark.parametrize("sizes,hp,numpy_path", [
     pytest.param(sizes, profile.values[0], numpy_path,
                  id=f"{profile.id}-{'-'.join(map(str, sizes))}{'-numpy' * numpy_path}")
-    for numpy_path in (False, True) for profile in PROBE_PROFILES
-    for sizes in ((2, 8, 1), (2, 4, 3, 2), (2, 1, 1), (2, 1, 3, 1))])
+    for numpy_path in (False, True) for profile in PROBE_PROFILES for sizes in PROBE_SIZES])
 def test_fused_probe_reads_match_public_forward_and_backprop(monkeypatch, sizes, hp,
                                                              numpy_path):
+    # forward_network reads a LUT layer and its probes in one gather. Each connection's
+    # read equals the public one-table read, interpolate, bit for bit; its derivative
+    # equals approx_lut_derivative, whose numpy sum over the probes may round otherwise;
+    # and backprop's deltas follow from those derivatives.
     if numpy_path:
         _numpy_probe_read(monkeypatch)
-    grid = lut_grid(hp)
-    rows = np.array([[hp.i_min, 0.1], [hp.i_max, hp.i_min], [grid[5], grid[11]],
-                     [hp.i_min - 0.7, hp.i_max + 1.4]])
+    rows = _probe_rows(hp)
     target = np.linspace(-0.5, 0.5, sizes[-1])
-    cached = init_network(sizes, "NLW", hp, _rng([40, len(sizes)]))
-    uncached, public = cached.clone(), cached.clone()
-    lo, frac = segment_coords(rows, hp)
-    gate_u = _rng([41]).random((len(rows), cached.lut_connection_count()))
+    net = init_network(sizes, "NLW", hp, _rng([40, len(sizes)]))
+    gate_u = _rng([41]).random((len(rows), net.lut_connection_count()))
     for i, x in enumerate(rows):
-        _, fused_trace = forward_network(cached, x, (lo[i], frac[i]))
-        _, public_trace = forward_network(cached, x)
-        assert public_trace.layers[1].slope is None
-        for fused_delta, public_delta in zip(backprop(cached, fused_trace, target),
-                                             backprop(cached, public_trace, target)):
-            assert np.array_equal(fused_delta, public_delta)
-        _apply_iteration(cached, x, target, gate_u[i], (lo[i], frac[i]))
-        _apply_iteration(uncached, x, target, gate_u[i])
-    # the same updates, with backprop estimating every slope from a public trace
-    monkeypatch.setattr(train_module, "forward_network",
-                        lambda net, x, *_: forward_network(net, x))
-    for i, x in enumerate(rows):
-        _apply_iteration(public, x, target, gate_u[i])
-    for net in (uncached, public):
-        for name in ("params", "luts", "visits"):
-            assert np.array_equal(getattr(net, name), getattr(cached, name))
+        _, trace = forward_network(net, x)
+        deltas = backprop(net, trace, target)
+        for li, (lay, layer) in enumerate(zip(net.layers, trace.layers)):
+            derivs = np.empty(lay.w.shape)
+            for d, s in np.ndindex(lay.w.shape):
+                at = float(layer.inputs[s])
+                assert layer.lut_values[d, s] == interpolate(lay.lut[d, s], at, hp)
+                derivs[d, s] = approx_lut_derivative(
+                    LutConnection(lay.w[d, s], lay.lut[d, s], lay.visits[d, s]), at, hp)
+            assert lay.w + layer.slope == pytest.approx(derivs, rel=1e-12, abs=1e-15)
+            if li:
+                y_prev = trace.layers[li - 1].activations
+                back = (deltas[li][:, None] * derivs).sum(axis=0) * (1.0 - y_prev * y_prev)
+                assert deltas[li - 1] == pytest.approx(back, rel=1e-12, abs=1e-15)
+        _apply_iteration(net, x, target, gate_u[i])
+
+
+@pytest.mark.skipif(kernel.load() is None, reason="the probe kernel cannot be built here")
+@pytest.mark.parametrize("sizes,hp", [
+    pytest.param(sizes, profile.values[0], id=f"{profile.id}-{'-'.join(map(str, sizes))}")
+    for profile in PROBE_PROFILES for sizes in PROBE_SIZES])
+def test_kernel_and_numpy_reads_give_the_same_traces(monkeypatch, sizes, hp):
+    # every layer's trace, slope included, with the net trained between rows
+    rows = _probe_rows(hp)
+    target = np.linspace(-0.5, 0.5, sizes[-1])
+    start = init_network(sizes, "NLW", hp, _rng([40, len(sizes)]))
+    gate_u = _rng([41]).random((len(rows), start.lut_connection_count()))
+    runs = []
+    for numpy_path in (False, True):
+        if numpy_path:
+            _numpy_probe_read(monkeypatch)
+        net, traces = start.clone(), []
+        for i, x in enumerate(rows):
+            traces.append(forward_network(net, x)[1])
+            _apply_iteration(net, x, target, gate_u[i])
+        runs.append((net, traces))
+    (net, traces), (numpy_net, numpy_traces) = runs
+    for trace, numpy_trace in zip(traces, numpy_traces):
+        for layer, numpy_layer in zip(trace.layers, numpy_trace.layers):
+            assert layer.slope is not None
+            for name in ("seg_lo", "seg_frac", "lut_values", "slope", "activations"):
+                assert np.array_equal(getattr(layer, name), getattr(numpy_layer, name))
+    for name in ("params", "luts", "visits"):
+        assert np.array_equal(getattr(net, name), getattr(numpy_net, name))
 
 
 def test_iteration_error_is_mean_squared_output_error():
@@ -504,29 +564,6 @@ def test_trainer_rejects_nonfinite_data_naming_the_row(bad):
     vals[9, 0] = np.nan                                  # a later bad row is not the one named
     with pytest.raises(ValueError, match=f"row {row} "):
         Trainer(net, args, vals, seed=0)
-
-
-def test_trainer_caches_read_only_layer0_coordinates_for_nlw_only():
-    args, vals = _toy_data()
-    args[:3] = [[NLW.i_min, NLW.i_max], [lut_grid(NLW)[9], 0.0], [-1.7, 2.4]]
-    tr = Trainer(init_network((2, 3, 1), "NLW", NLW, _rng([25, 2])), args, vals, seed=0)
-    lo, frac = tr.input_coords
-    for i, row in enumerate(args):
-        row_lo, row_frac = segment_coords(row, NLW)
-        assert np.array_equal(lo[i], row_lo) and np.array_equal(frac[i], row_frac)
-    for arr in (lo, frac):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0, 0] = 1
-    lw = Trainer(init_network((2, 3, 1), "LW", LW, _rng([25, 3])), args, vals, seed=0)
-    assert lw.input_coords is None
-    # without the cache every iteration locates its row itself: same run
-    uncached = Trainer(tr.net.clone(), args, vals, seed=0)
-    uncached.input_coords = None
-    tr.run(40, log_every=0)
-    uncached.run(40, log_every=0)
-    for name in ("params", "luts", "visits"):
-        assert np.array_equal(getattr(tr.net, name), getattr(uncached.net, name))
 
 
 def test_trainer_zero_iterations_is_identity():
