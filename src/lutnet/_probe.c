@@ -1,9 +1,13 @@
-/* The compiled LUT reads of ``core``, operation for operation as numpy runs
- * them, so that both give the same bits:
+/* The compiled kernels of ``core`` and ``regularize``, operation for operation
+ * as numpy runs them, so that both give the same bits:
  *  - probed_read is one LUT layer of one sample, its slope estimates
  *    included, ``core._probed_read_numpy``;
  *  - layer_outputs is every connection output of one LUT layer for a batch
- *    of rows, ``core._layer_outputs_numpy``.
+ *    of rows, ``core._layer_outputs_numpy``;
+ *  - diffusion_gaps and diffuse_rows are the gated diffusion of a training
+ *    iteration, ``regularize._diffuse_rows_numpy``. tanh is left to numpy,
+ *    whose bits differ from libm's and follow its CPU dispatch: the caller
+ *    runs np.tanh on the gaps between the two calls.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused multiply-add
  * or a reordered sum changes the last bits. The rules that numpy sets:
@@ -16,7 +20,9 @@
  *    slices one after the other. A 1x1 read (n_out = n_in = 1) leaves the probe
  *    axis contiguous, and numpy sums that pairwise, so the kernel declines it;
  *  - a pair whose clamped points do not lie apart gives quotient diff * 0.0,
- *    and the sum is divided by the number of the other pairs (at least 1).
+ *    and the sum is divided by the number of the other pairs (at least 1);
+ *  - the diffusion is elementwise, so each entry's chain of operations is
+ *    numpy's, pass by pass, and a row is rewritten in one sweep in place.
  */
 #include <math.h>
 #include <stddef.h>
@@ -119,6 +125,76 @@ int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double 
                 o[s] = wd[s] * x[s] + ((1.0 - f) * t[at[s]] + f * t[at[s] + 1]);
             }
         }
+    }
+    return 0;
+}
+
+
+/* 1 when the hit rows are strictly increasing and inside [0, n_rows), else 0:
+ * numpy's fancy index takes any others, and a row diffused twice in place
+ * would differ from numpy's one assignment. */
+static int rows_in_order(const ptrdiff_t *hit, ptrdiff_t n_hit, ptrdiff_t n_rows)
+{
+    for (ptrdiff_t h = 0; h < n_hit; h++)
+        if (hit[h] < (h ? hit[h - 1] + 1 : 0) || hit[h] >= n_rows)
+            return 0;
+    return 1;
+}
+
+/* luts is (n_rows, r) in C order. Writes r_a * (t[j + 1] - t[j]) of each hit
+ * row t into gap, (n_hit, r - 1) in C order: the argument of numpy's tanh.
+ * Returns 0, or -1 (nothing written) when the rows are not in order. */
+int diffusion_gaps(const double *luts, ptrdiff_t n_rows, ptrdiff_t r, const ptrdiff_t *hit,
+                   ptrdiff_t n_hit, double r_a, double *gap)
+{
+    if (!rows_in_order(hit, n_hit, n_rows))
+        return -1;
+    for (ptrdiff_t h = 0; h < n_hit; h++) {
+        const double *t = luts + hit[h] * r;
+        double *g = gap + h * (r - 1);
+        for (ptrdiff_t j = 0; j < r - 1; j++)
+            g[j] = r_a * (t[j + 1] - t[j]);
+    }
+    return 0;
+}
+
+/* luts and visits are (n_rows, r) in C order, visits stored at scale. Diffuses
+ * each hit row of both in place: pair j of a row settles its visit entries,
+ * takes the balance denominators of ``_visit_ratios`` and the low and high
+ * values of ``_pair_core``, whose LUT transfer is tanh_gap[j] / (2 r_a), or
+ * the half-gap when tanh_gap is NULL (r_a = 0). ``_assemble_pairs`` then
+ * averages pair j - 1's high value into entry j, and the visit entry is
+ * floored at v_min and stored back at scale. Pair j reads entries j and j + 1
+ * only, so entry j is written as soon as pair j is done.
+ * Returns 0, or -1 (nothing written) when the rows are not in order. */
+int diffuse_rows(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
+                 const ptrdiff_t *hit, ptrdiff_t n_hit, const double *tanh_gap,
+                 double r_a, double r_b, double v_min, double scale)
+{
+    if (!rows_in_order(hit, n_hit, n_rows))
+        return -1;
+    double two_r_a = 2.0 * r_a;
+    for (ptrdiff_t h = 0; h < n_hit; h++) {
+        double *t = luts + hit[h] * r, *v = visits + hit[h] * r;
+        const double *g = tanh_gap ? tanh_gap + h * (r - 1) : NULL;
+        double v_lo = max_bound(v[0] * scale, v_min);
+        double t_high = 0.0, v_high = 0.0;          /* the high values of pair j - 1 */
+        for (ptrdiff_t j = 0; j < r - 1; j++) {
+            double v_hi = max_bound(v[j + 1] * scale, v_min);
+            double den_lo = 1.0 + r_b * (v_hi / v_lo), den_hi = 1.0 + r_b * (v_lo / v_hi);
+            double a = t[j], b = t[j + 1];
+            double m = (a + b) * 0.5, s = g ? g[j] / two_r_a : (b - a) * 0.5;
+            double low = m - s / den_lo, high = m + s / den_hi;
+            double vm = (v_lo + v_hi) * 0.5, vs = (v_hi - v_lo) * 0.5;
+            double v_low = vm - vs / den_lo;
+            t[j] = j ? (low + t_high) * 0.5 : low;
+            v[j] = max_bound(j ? (v_low + v_high) * 0.5 : v_low, v_min) / scale;
+            t_high = high;
+            v_high = vm + vs / den_hi;
+            v_lo = v_hi;
+        }
+        t[r - 1] = t_high;
+        v[r - 1] = max_bound(v_high, v_min) / scale;
     }
     return 0;
 }

@@ -336,9 +336,9 @@ class Network:
     def lut_connection_count(self) -> int:
         return 0 if self.luts is None else self.luts.shape[0]
 
-    def settled_visits(self, rows=slice(None)) -> np.ndarray:
-        """Visit values of the given rows of ``visits`` (all by default), a new array."""
-        return _settle_visits(self.visits[rows], self.visit_scale, self.hp)
+    def settled_visits(self) -> np.ndarray:
+        """Visit values of every row of ``visits``, a new array."""
+        return _settle_visits(self.visits, self.visit_scale, self.hp)
 
     def fold_visit_scale(self) -> None:
         """Store every visit entry at scale 1: the values stay, the stored entries change."""

@@ -1,17 +1,18 @@
-"""The compiled LUT reads: ``_probe.c``, built with gcc and loaded with cffi.
+"""The compiled kernels: ``_probe.c``, built with gcc and loaded with cffi.
 
-Two ``core`` functions run this kernel when it loads and their numpy body
-otherwise, and both bodies give the same bits: ``_probed_read``, a LUT
+Three functions run this kernel when it loads and their numpy body
+otherwise, and both bodies give the same bits: ``core._probed_read``, a LUT
 layer of one sample with its slope estimates (``forward_network``, so
-every training iteration), and ``_layer_outputs``, a LUT layer of a batch pass
-(``forward_batch``, so ``mse``, ``accuracy`` and ``render_surface``). The
-first of them to run in a process builds the library, unless it is
-cached, and loads it, so LW training and LW batch evaluation never import
-cffi. The library is cached in the package's ``__pycache__`` under a name
-hashed from the source, the compiler and its flags. Any failure (no cffi,
-no compiler, a compile error, a directory that cannot be written) selects
-numpy for the rest of the process and keeps the reason, which
-``describe`` reports.
+every training iteration), ``core._layer_outputs``, a LUT layer of a batch
+pass (``forward_batch``, so ``mse``, ``accuracy`` and ``render_surface``), and
+``regularize._diffuse_rows``, the gated diffusion of a training iteration,
+which leaves its ``tanh`` to numpy between two C passes. The first of them
+to run in a process builds the library, unless it is cached, and loads it,
+so LW training and LW batch evaluation never import cffi. The library is
+cached in the package's ``__pycache__`` under a name hashed from the source,
+the compiler and its flags. Any failure (no cffi, no compiler, a compile
+error, a directory that cannot be written) selects numpy for the rest of the
+process and keeps the reason, which ``describe`` reports.
 """
 from __future__ import annotations
 
@@ -38,13 +39,18 @@ int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x
 int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *w,
                   const double *act, ptrdiff_t n_rows, ptrdiff_t n_in,
                   double i_min, double i_max, double span, double *out);
+int diffusion_gaps(const double *luts, ptrdiff_t n_rows, ptrdiff_t r, const ptrdiff_t *hit,
+                   ptrdiff_t n_hit, double r_a, double *gap);
+int diffuse_rows(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
+                 const ptrdiff_t *hit, ptrdiff_t n_hit, const double *tanh_gap,
+                 double r_a, double r_b, double v_min, double scale);
 """
 
 _loaded = None          # after the first load(): the Kernel, or why there is none
 
 
 class Kernel:
-    """The loaded library: one method per compiled ``core`` function."""
+    """The loaded library: one method per compiled ``core`` or ``regularize`` function."""
 
     def __init__(self, path: Path):
         import cffi
@@ -56,6 +62,7 @@ class Kernel:
         self._buffer = ffi.from_buffer
         self._doubles = ffi.typeof("double[]")
         self._indices = ffi.typeof("ptrdiff_t[]")
+        self._null = ffi.NULL
 
     def probed_read(self, lut, x, hp):
         """lo, frac, read and slope as ``core._probed_read`` returns them, in fresh arrays.
@@ -109,6 +116,33 @@ class Kernel:
             return None
         return out
 
+    def diffuse_rows(self, luts, visits, hit, scale, hp):
+        """``regularize._diffuse_rows`` on these arguments, in place; True when it ran.
+
+        Returns False, and leaves the rows to numpy, unless luts and visits are
+        writable C-contiguous float64 tables of one (rows, r) shape and hit a
+        contiguous intp vector of rows, strictly increasing, inside the table.
+        """
+        if not (luts.ndim == 2 and luts.shape == visits.shape and hit.ndim == 1
+                and luts.dtype == visits.dtype == np.float64 and hit.dtype == np.intp
+                and luts.flags.writeable and visits.flags.writeable):
+            return False
+        n_rows, r = luts.shape
+        n_hit = hit.shape[0]
+        buf, doubles, lib = self._buffer, self._doubles, self._lib
+        try:
+            tables, rows = (buf(doubles, luts), buf(doubles, visits)), buf(self._indices, hit)
+        except ValueError:                      # an array that is not C-contiguous
+            return False
+        gap = self._null
+        if hp.r_a != 0.0:                       # numpy's tanh of the scaled gaps, in place
+            gaps = np.empty((n_hit, r - 1))
+            gap = buf(doubles, gaps)
+            if lib.diffusion_gaps(tables[0], n_rows, r, rows, n_hit, hp.r_a, gap):
+                return False
+            np.tanh(gaps, out=gaps)
+        return not lib.diffuse_rows(*tables, n_rows, r, rows, n_hit, gap,
+                                    hp.r_a, hp.r_b, hp.v_min, scale)
 
 def load() -> Kernel | None:
     """The kernel, built and loaded on the first call in a process; None selects numpy."""
@@ -116,13 +150,13 @@ def load() -> Kernel | None:
     if _loaded is None:
         try:
             _loaded = Kernel(_build())
-        except Exception as exc:        # any failure leaves numpy as the probe read
+        except Exception as exc:        # any failure leaves numpy to do the work
             _loaded = f"{type(exc).__name__}: {exc}"
     return _loaded if isinstance(_loaded, Kernel) else None
 
 
 def describe() -> str:
-    """The active LUT reads: the kernel's library path, or numpy and why."""
+    """The active kernels: the library's path, or numpy and why."""
     kern = load()
     return f"kernel {kern.path}" if kern is not None else f"numpy ({_loaded})"
 
@@ -135,7 +169,7 @@ def _build() -> Path:
     other ``_probe-*.so`` files are removed; ``.tmp`` files are left to the
     builds that may be writing them.
     """
-    import subprocess               # here, so that a process that reads no probes never loads it
+    import subprocess               # here, so that only a process that builds the kernel loads it
 
     tag = hashlib.sha256(SOURCE.read_bytes() + " ".join((COMPILER, *FLAGS)).encode())
     path = CACHE_DIR / f"_probe-{tag.hexdigest()[:16]}.so"

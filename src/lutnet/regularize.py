@@ -7,9 +7,11 @@ entries' visit counts: the rarely visited side moves further. Visit
 tables themselves diffuse the same way, minus the smooth bound.
 
 The pair formulas are written once, in ``_visit_ratios``, ``_pair_core``
-and ``_assemble_pairs``; the scalar API and the training loop both
-call those three directly, and ``_gain_decay`` and
-``_update_visits_tensor`` likewise serve both.
+and ``_assemble_pairs``: the scalar API calls those three, and so does
+``_diffuse_rows_numpy``, the numpy form of the training loop's gated
+diffusion. ``_diffuse_rows`` runs the compiled kernel (``lutnet.kernel``)
+in its place when it loads; both give the same bits. ``_gain_decay`` and
+``_update_visits_tensor`` serve the scalar API and the loop alike.
 
 Visit tables are stored divided by a shared scale (see ``Network``), so
 the per-iteration decay of a whole table is one multiplication of that
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernel
 from .core import _segment_ends, _settle_visits, segment_coords
 from .hyper import Hyperparameters
 
@@ -162,3 +165,31 @@ def diffuse_visits(visits, hp: Hyperparameters) -> np.ndarray:
     out = _assemble_pairs(*_pair_core(visits, *_visit_ratios(visits, hp), hp, smooth=False))
     np.maximum(out, hp.v_min, out=out)
     return out
+
+
+def _diffuse_rows(luts: np.ndarray, visits: np.ndarray, hit: np.ndarray, scale: float,
+                  hp: Hyperparameters) -> None:
+    """Diffuse rows hit of the (C, r_res) LUT and visit tables in place.
+
+    visits is stored at visit scale ``scale``. Each row's LUT diffuses
+    smoothly and its visit table linearly, both with the balance
+    denominators of its settled visits; the new visits are floored at
+    v_min and stored back at ``scale``. Runs the compiled kernel when it
+    loads and takes the arguments, else ``_diffuse_rows_numpy``; both give
+    the same bits.
+    """
+    kern = kernel.load()
+    if kern is None or not kern.diffuse_rows(luts, visits, hit, scale, hp):
+        _diffuse_rows_numpy(luts, visits, hit, scale, hp)
+
+
+def _diffuse_rows_numpy(luts: np.ndarray, visits: np.ndarray, hit: np.ndarray, scale: float,
+                        hp: Hyperparameters) -> None:
+    """``_diffuse_rows`` in numpy: the reference the kernel matches, and its fallback."""
+    vvals = _settle_visits(visits[hit], scale, hp)
+    den_lo, den_hi = _visit_ratios(vvals, hp)
+    luts[hit] = _assemble_pairs(*_pair_core(luts[hit], den_lo, den_hi, hp, smooth=True))
+    new_vis = _assemble_pairs(*_pair_core(vvals, den_lo, den_hi, hp, smooth=False))
+    np.maximum(new_vis, hp.v_min, out=new_vis)
+    new_vis /= scale
+    visits[hit] = new_vis

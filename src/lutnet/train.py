@@ -36,13 +36,7 @@ from .core import (
 )
 from .data import _require_finite
 from .hyper import Hyperparameters
-from .regularize import (
-    _assemble_pairs,
-    _gain_decay,
-    _pair_core,
-    _update_visits_tensor,
-    _visit_ratios,
-)
+from .regularize import _diffuse_rows, _gain_decay, _update_visits_tensor
 
 
 class TrainingDiverged(RuntimeError):
@@ -182,14 +176,7 @@ def _apply_iteration(net: Network, x, target, gate_u: np.ndarray) -> float:
     hit = np.flatnonzero(hp.zeta > gate_u)
     if hit.size:
         _decay_touched(luts, ends[:, hit], share[:, hit], hp)
-        vvals = net.settled_visits(hit)
-        den_lo, den_hi = _visit_ratios(vvals, hp)
-        net.luts[hit] = _assemble_pairs(
-            *_pair_core(net.luts[hit], den_lo, den_hi, hp, smooth=True))
-        new_vis = _assemble_pairs(*_pair_core(vvals, den_lo, den_hi, hp, smooth=False))
-        np.maximum(new_vis, hp.v_min, out=new_vis)
-        new_vis /= net.visit_scale
-        net.visits[hit] = new_vis
+        _diffuse_rows(net.luts, net.visits, hit, net.visit_scale, hp)
     if net.visit_scale < VISIT_SCALE_MIN:
         net.fold_visit_scale()
     return sq_err

@@ -1,4 +1,4 @@
-"""The compiled LUT reads: bit-identity with numpy, the fallback, lazy loading."""
+"""The compiled kernels: bit-identity with numpy, the fallback, lazy loading."""
 import math
 import os
 import re
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from lutnet import core, kernel
 from lutnet.core import (
+    VISIT_SCALE_MIN,
     _layer_outputs,
     _layer_outputs_numpy,
     _probed_read,
@@ -22,6 +23,7 @@ from lutnet.core import (
     lut_grid,
 )
 from lutnet.hyper import MAX_PROBE_OFFSETS, Hyperparameters, default_hyperparameters
+from lutnet.regularize import _diffuse_rows, _diffuse_rows_numpy
 from lutnet.train import Trainer
 
 KERNEL = kernel.load()
@@ -225,6 +227,98 @@ def test_training_probe_reads_run_in_c_unless_they_are_1x1(monkeypatch, sizes, k
     assert sum(out is None for out in results) == len(numpy_reads) == 50 * declined
 
 
+@st.composite
+def gated_rows(draw):
+    """(luts, visits, hit, scale, hp) as the gated diffusion of one iteration."""
+    rows, r_res = draw(st.integers(1, 12)), draw(st.integers(2, 256))
+    strength = st.one_of(st.just(0.0), st.floats(1e-6, 50.0))
+    hp = Hyperparameters(r_res=r_res, r_a=draw(strength), r_b=draw(strength),
+                         v_min=draw(st.sampled_from([1e-16, 0.5, draw(st.floats(1e-300, 0.5))])))
+    scale = draw(st.one_of(st.sampled_from([1.0, VISIT_SCALE_MIN]),
+                           st.floats(1.0, 4.0).map(lambda f: f * VISIT_SCALE_MIN),
+                           st.floats(VISIT_SCALE_MIN, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    luts = rng.standard_normal((rows, r_res)) * 10.0 ** rng.integers(-3, 4)
+    # visit values from 0 up, so that some settle below v_min, and some rows at v_min
+    values = rng.uniform(0.0, 1.0, (rows, r_res)) ** rng.integers(1, 40)
+    values[rng.random(rows) < 0.3] = hp.v_min
+    if draw(st.booleans()):                     # a non-finite entry passes through as numpy's
+        table = draw(st.sampled_from([luts, values]))
+        table[tuple(rng.integers(0, table.shape))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    hit = np.flatnonzero(rng.random(rows) < draw(st.floats(0.0, 1.0)))
+    return luts, values / scale, hit, scale, hp
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@given(case=gated_rows())
+def test_kernel_matches_numpy_diffusion_bit_for_bit(case):
+    luts, visits, hit, scale, hp = case
+    got_luts, got_visits = luts.copy(), visits.copy()
+    assert KERNEL.diffuse_rows(got_luts, got_visits, hit, scale, hp)
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        _diffuse_rows_numpy(luts, visits, hit, scale, hp)
+    assert np.array_equal(_bits(got_luts), _bits(luts))    # rows outside hit as well
+    assert np.array_equal(_bits(got_visits), _bits(visits))
+
+
+def _diffusion_case():
+    rng = np.random.default_rng(11)
+    return (rng.standard_normal((5, 8)), rng.uniform(1e-3, 1.0, (5, 8)),
+            np.array([0, 2, 3]), 0.25, R8.replace(r_a=2.0, r_b=0.5))
+
+
+@needs_kernel
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda luts, visits, hit: (np.asfortranarray(luts), visits, hit),
+                 id="strided-table"),
+    pytest.param(lambda luts, visits, hit: (luts.astype(np.float32), visits, hit), id="float32"),
+    pytest.param(lambda luts, visits, hit: (luts, np.vstack([visits, visits]), hit),
+                 id="visits-unlike-table"),
+    pytest.param(lambda luts, visits, hit: (luts, visits, hit[::-1].copy()), id="rows-descending"),
+    pytest.param(lambda luts, visits, hit: (luts, visits, hit - 3), id="negative-rows"),
+    pytest.param(lambda luts, visits, hit: (luts, visits, hit.astype(np.int32)), id="int32-rows"),
+])
+def test_kernel_declines_diffusion_it_does_not_take_and_numpy_diffuses(change):
+    luts, visits, hit, scale, hp = _diffusion_case()
+    luts, visits, hit = change(luts, visits, hit)
+    want_luts, want_visits = luts.copy(order="K"), visits.copy(order="K")
+    _diffuse_rows_numpy(want_luts, want_visits, hit, scale, hp)
+    assert not KERNEL.diffuse_rows(luts.copy(order="K"), visits.copy(order="K"), hit, scale, hp)
+    _diffuse_rows(luts, visits, hit, scale, hp)
+    assert np.array_equal(_bits(luts), _bits(want_luts))
+    assert np.array_equal(_bits(visits), _bits(want_visits))
+
+
+@needs_kernel
+def test_kernel_declines_diffusion_of_a_row_outside_the_table():
+    luts, visits, hit, scale, hp = _diffusion_case()
+    hit = np.array([1, 5])
+    assert not KERNEL.diffuse_rows(luts, visits, hit, scale, hp)
+    with pytest.raises(IndexError):                 # numpy then raises as it always did
+        _diffuse_rows(luts, visits, hit, scale, hp)
+
+
+@needs_kernel
+def test_gated_training_at_a_million_entries_per_table_gives_the_same_bits_on_both_paths(
+        monkeypatch):
+    # r_res has no upper bound, so no kernel may size a stack array by it
+    hp = NLW.replace(r_res=2 ** 20, zeta=1.0)
+    rng = np.random.default_rng(12)
+    args, vals = rng.uniform(-1.2, 1.2, (4, 2)), rng.uniform(-0.5, 0.5, (4, 1))
+    start = init_network((2, 1), "NLW", hp, np.random.default_rng(13))
+    nets = []
+    for loaded in (KERNEL, "numpy chosen by the test"):
+        monkeypatch.setattr(kernel, "_loaded", loaded)
+        net = start.clone()
+        Trainer(net, args, vals, seed=14).run(3)
+        nets.append(net)
+    for name in ("params", "luts", "visits"):
+        assert np.array_equal(_bits(getattr(nets[0], name)), _bits(getattr(nets[1], name)))
+    assert nets[0].visit_scale == nets[1].visit_scale
+
+
 def test_build_removes_the_other_cached_libraries(monkeypatch, tmp_path):
     monkeypatch.setattr(kernel, "CACHE_DIR", tmp_path)
     for name in ("_probe-0123456789abcdef.so", "_probe-fedcba9876543210.so",
@@ -362,4 +456,4 @@ def test_kernel_matches_numpy_at_a_lower_cpu_dispatch_level():
     done = subprocess.run([sys.executable, "-c", _LOWERED_CHECKS, __file__, *targets],
                           capture_output=True, text=True, env=env, cwd=root)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert re.search(r"^3 passed", done.stdout, re.MULTILINE), done.stdout
+    assert re.search(r"^4 passed", done.stdout, re.MULTILINE), done.stdout

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lutnet import kernel
+from lutnet import kernel, regularize
 from lutnet.core import (
     LutConnection,
+    Network,
     forward_network,
     init_network,
     interpolate,
@@ -513,6 +514,42 @@ def test_kernel_and_numpy_reads_give_the_same_traces(monkeypatch, sizes, hp):
                 assert np.array_equal(getattr(layer, name), getattr(numpy_layer, name))
     for name in ("params", "luts", "visits"):
         assert np.array_equal(getattr(net, name), getattr(numpy_net, name))
+
+
+@pytest.mark.skipif(kernel.load() is None, reason="the probe kernel cannot be built here")
+@pytest.mark.parametrize("hp", [
+    pytest.param(NLW.replace(r_res=16, zeta=0.5), id="zeta-0.5"),
+    pytest.param(NLW.replace(r_res=64, zeta=1.0), id="zeta-1"),
+    pytest.param(NLW.replace(r_res=16, zeta=0.5, r_a=0.0), id="r_a-0"),
+    pytest.param(NLW.replace(r_res=16, zeta=0.5, r_c=0.5), id="r_c-0.5"),
+])
+def test_kernel_and_numpy_diffusion_train_the_same_bits(monkeypatch, hp):
+    # r_c = 0.5 halves visit_scale every iteration, so the scale folds every 65 iterations
+    rng = _rng([42])
+    args = rng.uniform(-1.3, 1.3, (40, 2))
+    vals = np.tanh(args[:, :1] * args[:, 1:])
+    start = init_network((2, 8, 4, 1), "NLW", hp, _rng([43]))
+    folds, numpy_rows = [], []
+    fold, numpy_diffusion = Network.fold_visit_scale, regularize._diffuse_rows_numpy
+    monkeypatch.setattr(Network, "fold_visit_scale", lambda net: folds.append(1) or fold(net))
+    monkeypatch.setattr(regularize, "_diffuse_rows_numpy",
+                        lambda *args: numpy_rows.append(1) or numpy_diffusion(*args))
+    runs = []
+    for numpy_path in (False, True):
+        if numpy_path:
+            _numpy_probe_read(monkeypatch)
+        net = start.clone()
+        runs.append((Trainer(net, args, vals, seed=44).run(300, log_every=50), net,
+                     len(folds), len(numpy_rows)))
+    (rows, net, kernel_folds, kernel_numpy_rows), (numpy_log, numpy_net, _, _) = runs
+    assert kernel_numpy_rows == 0 < len(numpy_rows)     # each path diffused its own way
+    assert (kernel_folds > 0) == (hp.r_c == 0.5)
+    assert len(folds) == 2 * kernel_folds
+    assert rows == numpy_log
+    for name in ("params", "luts", "visits"):
+        assert np.array_equal(getattr(net, name).view(np.int64),
+                              getattr(numpy_net, name).view(np.int64))
+    assert net.visit_scale == numpy_net.visit_scale
 
 
 def test_iteration_error_is_mean_squared_output_error():
