@@ -160,10 +160,10 @@ int diffusion_gaps(const double *luts, ptrdiff_t n_rows, ptrdiff_t r, const ptrd
 
 /* luts and visits are (n_rows, r) in C order, visits stored at scale. Diffuses
  * each hit row of both in place: pair j of a row settles its visit entries,
- * takes the balance denominators of ``_visit_ratios`` and the low and high
- * values of ``_pair_core``, whose LUT transfer is tanh_gap[j] / (2 r_a), or
- * the half-gap when tanh_gap is NULL (r_a = 0). ``_assemble_pairs`` then
- * averages pair j - 1's high value into entry j, and the visit entry is
+ * takes the balance denominators and the low and high values of
+ * ``_diffuse_rows_numpy``, whose LUT transfer is tanh_gap[j] / (2 r_a), or
+ * the half-gap when tanh_gap is NULL (r_a = 0). Entry j then averages pair
+ * j - 1's high value with pair j's low value, and the visit entry is
  * floored at v_min and stored back at scale. Pair j reads entries j and j + 1
  * only, so entry j is written as soon as pair j is done.
  * Returns 0, or -1 (nothing written) when the rows are not in order. */

@@ -412,8 +412,8 @@ def cmd_bench(ns) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         reports.append(report)
-    if "NLW" in kinds:                        # only LUT layers read probes
-        print(f"probe read: {kernel.describe()}")
+    if "NLW" in kinds:                        # only LUT layers run the kernel
+        print(f"kernel: {kernel.describe()}")
     for report in reports:
         (train_a, train_b), (fwd_a, fwd_b) = report.train_fit, report.forward_fit
         print(f"{report.kind}: train {train_a:.4g} + {train_b:.4g}*n ms, "

@@ -144,6 +144,7 @@ class Kernel:
         return not lib.diffuse_rows(*tables, n_rows, r, rows, n_hit, gap,
                                     hp.r_a, hp.r_b, hp.v_min, scale)
 
+
 def load() -> Kernel | None:
     """The kernel, built and loaded on the first call in a process; None selects numpy."""
     global _loaded

@@ -6,12 +6,14 @@ smoothly bounded and split asymmetrically by the ratio of the two
 entries' visit counts: the rarely visited side moves further. Visit
 tables themselves diffuse the same way, minus the smooth bound.
 
-The pair formulas are written once, in ``_visit_ratios``, ``_pair_core``
-and ``_assemble_pairs``: the scalar API calls those three, and so does
-``_diffuse_rows_numpy``, the numpy form of the training loop's gated
-diffusion. ``_diffuse_rows`` runs the compiled kernel (``lutnet.kernel``)
-in its place when it loads; both give the same bits. ``_gain_decay`` and
-``_update_visits_tensor`` serve the scalar API and the loop alike.
+``_diffuse_rows_numpy`` is the one numpy statement of the rule, the
+training loop's gated diffusion in numpy. ``_diffuse_rows`` runs the
+compiled kernel (``lutnet.kernel``) in its place when it loads; both give
+the same bits. The scalar forms (``diffuse_lut``, ``diffuse_visits``,
+``diffusion_pair``) run it on a one-row table at visit scale 1 and
+refuse visit values that are not finite or fall below v_min.
+``_gain_decay`` and ``_update_visits_tensor`` serve the scalar API and
+the loop alike.
 
 Visit tables are stored divided by a shared scale (see ``Network``), so
 the per-iteration decay of a whole table is one multiplication of that
@@ -56,6 +58,20 @@ def gain_decay(w: float, dw: float, hp: Hyperparameters) -> float:
 # ---------------------------------------------------------------------------
 # Visit tables
 
+def _table(values, n: int, what: str, hp: Hyperparameters) -> np.ndarray:
+    """One-row (1, n) float copy of a scalar form's table; what is "LUT" or "visit".
+
+    Visit entries must be finite and at least v_min, as ``load_model``
+    requires of stored ones: the diffusion divides by them.
+    """
+    row = np.array(values, dtype=float)
+    if row.shape != (n,):
+        raise ValueError(f"expected {n} {what} entries, got shape {row.shape}")
+    if what == "visit" and not (np.isfinite(row) & (row >= hp.v_min)).all():
+        raise ValueError(f"visit entries must be finite and at least v_min={hp.v_min!r}")
+    return row[None]
+
+
 def _update_visits_tensor(pair: np.ndarray, share: np.ndarray, scale: float,
                           hp: Hyperparameters) -> float:
     """Decay-and-bump of the visit entries bracketing each traversed segment.
@@ -82,9 +98,7 @@ def _update_visits_tensor(pair: np.ndarray, share: np.ndarray, scale: float,
 
 def update_visits(visits, x: float, hp: Hyperparameters) -> np.ndarray:
     """Updated copy of one visit table after traversing it at input x."""
-    visits = np.array(visits, dtype=float)
-    if visits.shape != (hp.r_res,):
-        raise ValueError(f"expected {hp.r_res} visit entries, got shape {visits.shape}")
+    visits = _table(visits, hp.r_res, "visit", hp)[0]
     ends, share = _segment_ends(*segment_coords(np.asarray([x], dtype=float), hp))
     pair = visits[ends]
     scale = _update_visits_tensor(pair, share, 1.0, hp)
@@ -95,76 +109,26 @@ def update_visits(visits, x: float, hp: Hyperparameters) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Diffusion
 
-def _pair_core(vals: np.ndarray, den_lo: np.ndarray, den_hi: np.ndarray,
-               hp: Hyperparameters, smooth: bool):
-    """Low/high replacement values for every adjacent pair along the last axis.
-
-    For pair j the low side L[j] replaces entry j and the high side
-    H[j] replaces entry j+1. The transfer toward the pair mean is the
-    smoothly bounded gap (or the raw half-gap when smoothing is off or
-    its coefficient is zero), divided on each side by that side's
-    balance denominator from ``_visit_ratios``.
-    """
-    a = vals[..., :-1]
-    b = vals[..., 1:]
-    d = b - a
-    m = (a + b) * 0.5
-    if smooth and hp.r_a != 0.0:
-        t = np.tanh(hp.r_a * d) / (2.0 * hp.r_a)
-    else:
-        t = d * 0.5
-    low = m - t / den_lo
-    high = m + t / den_hi
-    return low, high
-
-
-def _visit_ratios(vis: np.ndarray, hp: Hyperparameters):
-    """Balance denominators 1 + r_b*p of every adjacent pair along the last axis.
-
-    p is the ratio of the high entry's visit count to the low one's on
-    the low side, and the directly computed inverse ratio on the high
-    side. A LUT and its visit table diffuse with the same denominators.
-    """
-    lo = vis[..., :-1]
-    hi = vis[..., 1:]
-    return 1.0 + hp.r_b * (hi / lo), 1.0 + hp.r_b * (lo / hi)
-
-
-def _assemble_pairs(low: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """Recombine pair values: edges keep their single side, interiors average."""
-    shape = low.shape[:-1] + (low.shape[-1] + 1,)
-    out = np.empty(shape)
-    out[..., 0] = low[..., 0]
-    out[..., -1] = high[..., -1]
-    out[..., 1:-1] = (low[..., 1:] + high[..., :-1]) * 0.5
-    return out
-
-
 def diffusion_pair(w_lo: float, w_hi: float, v_lo: float, v_hi: float,
-                   hp: Hyperparameters, smooth: bool = True) -> tuple[float, float]:
+                   hp: Hyperparameters) -> tuple[float, float]:
     """Replacement pair for two adjacent entries with given visit counts."""
-    den_lo, den_hi = _visit_ratios(np.array([v_lo, v_hi]), hp)
-    low, high = _pair_core(np.array([w_lo, w_hi]), den_lo, den_hi, hp, smooth)
-    return float(low[0]), float(high[0])
+    lut = np.array([[w_lo, w_hi]], dtype=float)
+    _diffuse_rows_numpy(lut, _table([v_lo, v_hi], 2, "visit", hp), [0], 1.0, hp)
+    return float(lut[0, 0]), float(lut[0, 1])
 
 
 def diffuse_lut(values, visits, hp: Hyperparameters) -> np.ndarray:
     """Diffused copy of a LUT, driven by its visit table."""
-    values = np.asarray(values, dtype=float)
-    visits = np.asarray(visits, dtype=float)
-    if values.shape != (hp.r_res,) or visits.shape != (hp.r_res,):
-        raise ValueError("LUT and visit table must both have r_res entries")
-    return _assemble_pairs(*_pair_core(values, *_visit_ratios(visits, hp), hp, smooth=True))
+    lut = _table(values, hp.r_res, "LUT", hp)
+    _diffuse_rows_numpy(lut, _table(visits, hp.r_res, "visit", hp), [0], 1.0, hp)
+    return lut[0]
 
 
 def diffuse_visits(visits, hp: Hyperparameters) -> np.ndarray:
     """Diffused copy of a visit table, re-floored at v_min."""
-    visits = np.asarray(visits, dtype=float)
-    if visits.shape != (hp.r_res,):
-        raise ValueError(f"expected {hp.r_res} visit entries, got shape {visits.shape}")
-    out = _assemble_pairs(*_pair_core(visits, *_visit_ratios(visits, hp), hp, smooth=False))
-    np.maximum(out, hp.v_min, out=out)
-    return out
+    vis = _table(visits, hp.r_res, "visit", hp)
+    _diffuse_rows_numpy(np.zeros_like(vis), vis, [0], 1.0, hp)
+    return vis[0]
 
 
 def _diffuse_rows(luts: np.ndarray, visits: np.ndarray, hit: np.ndarray, scale: float,
@@ -185,11 +149,39 @@ def _diffuse_rows(luts: np.ndarray, visits: np.ndarray, hit: np.ndarray, scale: 
 
 def _diffuse_rows_numpy(luts: np.ndarray, visits: np.ndarray, hit: np.ndarray, scale: float,
                         hp: Hyperparameters) -> None:
-    """``_diffuse_rows`` in numpy: the reference the kernel matches, and its fallback."""
-    vvals = _settle_visits(visits[hit], scale, hp)
-    den_lo, den_hi = _visit_ratios(vvals, hp)
-    luts[hit] = _assemble_pairs(*_pair_core(luts[hit], den_lo, den_hi, hp, smooth=True))
-    new_vis = _assemble_pairs(*_pair_core(vvals, den_lo, den_hi, hp, smooth=False))
-    np.maximum(new_vis, hp.v_min, out=new_vis)
-    new_vis /= scale
-    visits[hit] = new_vis
+    """``_diffuse_rows`` in numpy: the reference the kernel matches, and its fallback.
+
+    Pair j's balance denominators are 1 + r_b * p low and 1 + r_b / p high,
+    p = v[j + 1] / v[j] (its inverse taken directly), for both tables.
+    """
+    vis = _settle_visits(visits[hit], scale, hp)
+    lo, hi = vis[:, :-1], vis[:, 1:]
+    den_lo = 1.0 + hp.r_b * (hi / lo)
+    den_hi = 1.0 + hp.r_b * (lo / hi)
+    luts[hit] = _diffuse_pairs(luts[hit], den_lo, den_hi, hp.r_a)
+    vis = _diffuse_pairs(vis, den_lo, den_hi, 0.0)
+    np.maximum(vis, hp.v_min, out=vis)
+    vis /= scale
+    visits[hit] = vis
+
+
+def _diffuse_pairs(rows: np.ndarray, den_lo, den_hi, r_a: float) -> np.ndarray:
+    """Rows with every adjacent pair moved toward its mean, then recombined.
+
+    Pair j, gap d and mean m, gives m - t / den_lo[j] and m + t / den_hi[j],
+    with t = tanh(r_a * d) / (2 r_a), or d / 2 at r_a = 0. The end entries
+    keep their one pair's value; every other entry averages its two.
+    """
+    a, b = rows[:, :-1], rows[:, 1:]
+    d = b - a
+    m = (a + b) * 0.5
+    t = np.tanh(r_a * d) / (2.0 * r_a) if r_a != 0.0 else d * 0.5
+    high = t / den_hi                   # in place where numpy can: fewer live temporaries
+    high += m
+    t /= den_lo
+    low = np.subtract(m, t, out=m)
+    out = np.empty_like(rows)
+    out[:, 0] = low[:, 0]
+    out[:, -1] = high[:, -1]
+    out[:, 1:-1] = (low[:, 1:] + high[:, :-1]) * 0.5
+    return out

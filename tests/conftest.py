@@ -6,8 +6,8 @@ CRITERION_LINES: list[str] = []
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     from lutnet import kernel
 
-    # whether the compiled probe read was tested, or numpy alone and why
-    terminalreporter.write_line(f"probe read: {kernel.describe()}")
+    # whether the compiled kernel was tested, or numpy alone and why
+    terminalreporter.write_line(f"kernel: {kernel.describe()}")
     if CRITERION_LINES:
         terminalreporter.section("acceptance criteria")
         for line in CRITERION_LINES:

@@ -643,8 +643,8 @@ def test_bench_names_the_probe_read_before_its_fit_lines(monkeypatch, capsys, ki
                "--reps", 1) == 0
     lines = capsys.readouterr().out.splitlines()
     fits = [f"{kind}: train " for kind in kinds.split(",")]
-    if "NLW" in kinds:                         # only LUT layers read probes
-        assert lines.pop(0) == f"probe read: {kernel.describe()}"
+    if "NLW" in kinds:                         # only LUT layers run the kernel
+        assert lines.pop(0) == f"kernel: {kernel.describe()}"
     assert [line[:len(fit)] for line, fit in zip(lines, fits)] == fits
 
 

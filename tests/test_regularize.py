@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lutnet.hyper import Hyperparameters, default_hyperparameters
 from lutnet.regularize import (
@@ -12,6 +14,7 @@ from lutnet.regularize import (
     gain_decay,
     update_visits,
 )
+from reference import _ref_diffuse
 
 
 NLW = default_hyperparameters("NLW")
@@ -163,8 +166,8 @@ def test_diffusion_smoothing_shrinks_transfer():
     gap = high - low
     assert gap < 1.0                       # tanh bound is strict
     assert 1.0 - gap < 1e-7                # but nearly the full gap at this scale
-    # smoothing off reproduces the raw half-gap exactly
-    low, high = diffusion_pair(0.0, 1.0, 0.5, 0.5, hp, smooth=False)
+    # smoothing off (r_a = 0) reproduces the raw half-gap exactly
+    low, high = diffusion_pair(0.0, 1.0, 0.5, 0.5, hp.replace(r_a=0.0))
     assert (low, high) == (0.0, 1.0)
 
 
@@ -210,3 +213,40 @@ def test_diffuse_shape_validation():
         diffuse_lut(np.zeros(8), np.full(NLW.r_res, 0.1), NLW)
     with pytest.raises(ValueError):
         diffuse_visits(np.full(8, 0.1), NLW)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("form", [
+    pytest.param(lambda vis: diffuse_lut(np.zeros(NLW.r_res), vis, NLW), id="diffuse_lut"),
+    pytest.param(lambda vis: diffuse_visits(vis, NLW), id="diffuse_visits"),
+    pytest.param(lambda vis: diffusion_pair(0.0, 1.0, vis[0], vis[1], NLW), id="diffusion_pair"),
+    pytest.param(lambda vis: update_visits(vis, 0.3, NLW), id="update_visits"),
+])
+def test_scalar_forms_reject_bad_visit_values(form, bad):
+    vis = np.full(NLW.r_res, 0.5)
+    vis[1] = bad
+    with pytest.raises(ValueError, match="visit entries must be finite and at least v_min"):
+        form(vis)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r_res=st.integers(2, 64),
+       r_a=st.one_of(st.just(0.0), st.floats(1e-6, 5.0)),
+       r_b=st.one_of(st.just(0.0), st.floats(0.0, 2.0, exclude_min=True)),
+       seed=st.integers(0, 2**32 - 1))
+def test_diffusion_forms_match_the_float_by_float_reference(r_res, r_a, r_b, seed):
+    hp = NLW.replace(r_res=r_res, r_a=r_a, r_b=r_b)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(r_res) * 10.0 ** rng.integers(-3, 4)
+    vis = rng.uniform(hp.v_min, 1.0, r_res) ** rng.integers(1, 40)
+    vis[rng.random(r_res) < 0.2] = hp.v_min
+    np.maximum(vis, hp.v_min, out=vis)
+    want_vis = np.maximum(_ref_diffuse(vis.tolist(), vis.tolist(), hp, smooth=False), hp.v_min)
+    assert np.array_equal(diffuse_visits(vis, hp), want_vis)
+    want = np.array(_ref_diffuse(vals.tolist(), vis.tolist(), hp, smooth=True))
+    got = diffuse_lut(vals, vis, hp)
+    if r_a == 0.0:
+        assert np.array_equal(got, want)
+    else:                   # math.tanh and np.tanh may differ in the last bit of a transfer
+        assert np.all(np.abs(got - want) <= 1e-14 * max(1.0, np.abs(want).max()))
