@@ -50,7 +50,8 @@ static double locate(double b, double i_min, double i_max, double span, ptrdiff_
 
 /* lut is (n_out, n_in, r) in C order; input j reads table (d, j).
  * Writes lo0 (n_in) and, one after the other in out, frac0 (n_in), then read0
- * and slope (n_out, n_in) in C order.
+ * and slope (n_out, n_in) in C order. Each quotient of a connection joins its
+ * sum as soon as it is formed, in numpy's order.
  * Returns 0, or -1 (nothing written) when the read is 1x1. */
 int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x, ptrdiff_t n_in,
                 const double *offsets, ptrdiff_t k, double i_min, double i_max, double span,
@@ -60,7 +61,7 @@ int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x
     if (n_out == 1 && n_in == 1)
         return -1;
     ptrdiff_t rows = 2 * k + 1;
-    double pt[rows], frac[rows], reads[rows], den[k], quot[k];
+    double pt[rows], frac[rows], reads[rows], den[k];
     ptrdiff_t lo[rows];
     for (ptrdiff_t j = 0; j < n_in; j++) {
         for (ptrdiff_t p = 0; p < rows; p++) {
@@ -79,13 +80,11 @@ int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x
             const double *t = lut + (d * n_in + j) * r;
             for (ptrdiff_t p = 0; p < rows; p++)
                 reads[p] = (1.0 - frac[p]) * t[lo[p]] + frac[p] * t[lo[p] + 1];
+            double s = 0.0;
             for (ptrdiff_t i = 0; i < k; i++) {
                 double diff = reads[1 + i] - reads[k + 1 + i];
-                quot[i] = den[i] > 0.0 ? diff / den[i] : diff * 0.0;
+                s += den[i] > 0.0 ? diff / den[i] : diff * 0.0;
             }
-            double s = 0.0;
-            for (ptrdiff_t i = 0; i < k; i++)
-                s += quot[i];
             read0[d * n_in + j] = reads[0];
             slope[d * n_in + j] = s / count;
         }

@@ -388,6 +388,8 @@ def cmd_render(ns) -> int:
 def cmd_bench(ns) -> int:
     archs = [parse_arch(text) for text in ns.archs.split(",") if text.strip()]
     kinds = [_value("kind", k.strip(), "--kinds") for k in ns.kinds.split(",") if k.strip()]
+    if not kinds or len(set(kinds)) < len(kinds):
+        raise UsageError(f"--kinds must name one or more kinds, each once, got {ns.kinds!r}")
     try:
         rres_values = tuple(int(t) for t in (ns.rres_values or "").split(",") if t.strip())
     except ValueError:
@@ -412,6 +414,7 @@ def cmd_bench(ns) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         reports.append(report)
+    print(kernel.describe_numpy())
     if "NLW" in kinds:                        # only LUT layers run the kernel
         print(f"kernel: {kernel.describe()}")
     for report in reports:

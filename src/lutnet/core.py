@@ -29,15 +29,8 @@ from .hyper import Hyperparameters, KIND_NLW, KINDS
 # LUT grid and interpolation
 
 
-def lut_grid_point(j: int, hp: Hyperparameters) -> float:
-    """Location of grid point j, with points 0 and r_res-1 on the domain edges."""
-    if not 0 <= j < hp.r_res:
-        raise ValueError(f"grid index {j} outside [0, {hp.r_res})")
-    return hp.i_min + j / (hp.r_res - 1) * hp.span
-
-
 def lut_grid(hp: Hyperparameters) -> np.ndarray:
-    """Every grid point, each computed as ``lut_grid_point`` computes it."""
+    """The r_res grid points: point j is i_min + j / (r_res - 1) * span, the ends on the edges."""
     return hp.i_min + np.arange(hp.r_res) / (hp.r_res - 1) * hp.span
 
 
@@ -129,16 +122,26 @@ def _probed_read_numpy(lut: np.ndarray, x: np.ndarray, hp: Hyperparameters):
     return lo[0], frac[0], reads[:, 0], slope
 
 
-def _table_read(table: np.ndarray, x: float, hp: Hyperparameters):
-    """``_probed_read_numpy`` of one r_res-entry table at the scalar x: lo, frac, read, slope.
+def _table(values, n: int, what: str, hp: Hyperparameters) -> np.ndarray:
+    """One-row (1, n) float copy of a scalar form's table; what is "LUT" or "visit".
 
-    The read of the one-table scalar forms (``interpolate``,
-    ``update_lut_component``, ``approx_lut_derivative``); a table of any
-    other shape raises ValueError.
+    Visit entries must be finite and at least v_min, as ``load_model``
+    requires of stored ones: the diffusion divides by them.
     """
-    if table.shape != (hp.r_res,):
-        raise ValueError(f"expected {hp.r_res} LUT entries, got shape {table.shape}")
-    return _probed_read_numpy(table[None, None], np.array([float(x)]), hp)
+    row = np.array(values, dtype=float)
+    if row.shape != (n,):
+        raise ValueError(f"expected {n} {what} entries, got shape {row.shape}")
+    if what == "visit" and not (np.isfinite(row) & (row >= hp.v_min)).all():
+        raise ValueError(f"visit entries must be finite and at least v_min={hp.v_min!r}")
+    return row[None]
+
+
+def _table_read(table, x: float, hp: Hyperparameters):
+    """``_probed_read_numpy`` of ``_table``'s copy of a LUT at the scalar x: lo, frac, read, slope.
+
+    The read of ``interpolate``, ``update_lut_component`` and ``approx_lut_derivative``.
+    """
+    return _probed_read_numpy(_table(table, hp.r_res, "LUT", hp)[None], np.array([float(x)]), hp)
 
 
 def _layer_outputs(lut: np.ndarray, w: np.ndarray, act: np.ndarray,
@@ -180,7 +183,7 @@ def interpolate(values, x: float, hp: Hyperparameters) -> float:
     Exact at grid points; x at the upper domain edge returns the last
     entry. Inputs outside the domain are clamped to the nearest edge.
     """
-    return float(_table_read(np.asarray(values, dtype=float), x, hp)[2][0, 0])
+    return float(_table_read(values, x, hp)[2][0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +477,7 @@ def init_network(sizes, kind: str, hp: Hyperparameters, rng: np.random.Generator
     start = 0
     for lay in net.layers:
         end = start + lay.w.size + lay.bias.size
-        _uniform(rng, -0.5, 0.5, net.params[start:end])        # w, then bias
+        net.params[start:end] = rng.uniform(-0.5, 0.5, end - start)      # w, then bias
         start = end
         if lay.lut is not None:
             intercept, slope = rng.uniform(-0.25, 0.25, (2, *lay.w.shape, 1))
@@ -483,13 +486,6 @@ def init_network(sizes, kind: str, hp: Hyperparameters, rng: np.random.Generator
     if net.visits is not None:
         net.visits.fill(max(hp.v_p, hp.v_min))
     return net
-
-
-def _uniform(rng: np.random.Generator, low: float, high: float, out: np.ndarray) -> None:
-    """Fill out in place with the draws ``rng.uniform(low, high, out.shape)`` returns."""
-    rng.random(out=out)
-    out *= high - low
-    out += low
 
 
 def find_nonfinite(net: Network) -> str | None:

@@ -162,6 +162,16 @@ def describe() -> str:
     return f"kernel {kern.path}" if kern is not None else f"numpy ({_loaded})"
 
 
+def describe_numpy() -> str:
+    """numpy's version and its dispatch targets above baseline that are on: bits follow them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                         # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    on = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return f"numpy: {np.__version__}, dispatch {' '.join(on) or 'baseline'}"
+
+
 def _build() -> Path:
     """Compile the library into the cache, unless it is there; return its path.
 

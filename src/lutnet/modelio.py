@@ -148,31 +148,21 @@ def _check_visit_scale(visit_scale, path) -> None:
 
 
 def _fill(view: np.ndarray, value, path, what: str) -> None:
-    """Copy a nested list from the file straight into a parameter view.
-
-    The lengths along the first element at each depth must match the
-    view's shape; numpy rejects a ragged list, so a list that passes
-    both has exactly the view's shape.
-    """
-    probe = value
-    for n in view.shape:
-        _require(isinstance(probe, list) and len(probe) == n, path,
-                 f"{what} shape is not {view.shape}")
-        probe = probe[0]
+    """Parse a nested list from the file as floats; copy it into a view of exactly its shape."""
     try:
-        view[...] = value
-    except (TypeError, ValueError):
+        values = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{path}: {what} is not a numeric array of shape {view.shape}") from None
+    # checked, as the copy would broadcast a smaller shape
+    _require(values.shape == view.shape, path, f"{what} shape is not {view.shape}")
+    view[...] = values
 
 
 def _fill_v1(doc: dict, net: Network, path) -> None:
     """Copy version 1's per-layer JSON arrays into the network's views."""
     raw_layers = doc.get("layers")
-    _require(
-        isinstance(raw_layers, list) and len(raw_layers) == len(net.layers),
-        path,
-        f"expected {len(net.layers)} layers",
-    )
+    _require(isinstance(raw_layers, list) and len(raw_layers) == len(net.layers), path,
+             f"expected {len(net.layers)} layers")
     for li, (entry, lay) in enumerate(zip(raw_layers, net.layers)):
         _require(isinstance(entry, dict), path, f"layer {li}: not a JSON object")
         arrays = {"w": lay.w, "bias": lay.bias}

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernel
-from .core import _segment_ends, _settle_visits, segment_coords
+from .core import _segment_ends, _settle_visits, _table, segment_coords
 from .hyper import Hyperparameters
 
 
@@ -57,20 +57,6 @@ def gain_decay(w: float, dw: float, hp: Hyperparameters) -> float:
 
 # ---------------------------------------------------------------------------
 # Visit tables
-
-def _table(values, n: int, what: str, hp: Hyperparameters) -> np.ndarray:
-    """One-row (1, n) float copy of a scalar form's table; what is "LUT" or "visit".
-
-    Visit entries must be finite and at least v_min, as ``load_model``
-    requires of stored ones: the diffusion divides by them.
-    """
-    row = np.array(values, dtype=float)
-    if row.shape != (n,):
-        raise ValueError(f"expected {n} {what} entries, got shape {row.shape}")
-    if what == "visit" and not (np.isfinite(row) & (row >= hp.v_min)).all():
-        raise ValueError(f"visit entries must be finite and at least v_min={hp.v_min!r}")
-    return row[None]
-
 
 def _update_visits_tensor(pair: np.ndarray, share: np.ndarray, scale: float,
                           hp: Hyperparameters) -> float:

@@ -643,6 +643,7 @@ def test_bench_names_the_probe_read_before_its_fit_lines(monkeypatch, capsys, ki
                "--reps", 1) == 0
     lines = capsys.readouterr().out.splitlines()
     fits = [f"{kind}: train " for kind in kinds.split(",")]
+    assert lines.pop(0) == kernel.describe_numpy()
     if "NLW" in kinds:                         # only LUT layers run the kernel
         assert lines.pop(0) == f"kernel: {kernel.describe()}"
     assert [line[:len(fit)] for line, fit in zip(lines, fits)] == fits
@@ -659,6 +660,19 @@ def test_bench_bad_table_length_is_usage_error(capsys, flags, message):
                "--reps", 1, *flags) == 1
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("kinds", ["", ",", "LW,NLW,LW"], ids=["empty", "comma", "repeated"])
+def test_bench_kinds_naming_no_kind_or_one_twice_is_usage_error(monkeypatch, capsys, kinds):
+    def no_timing(runs, reps):
+        raise AssertionError("timed before --kinds was checked")
+
+    monkeypatch.setattr("lutnet.bench._median_ms", no_timing)
+    assert run("bench", "--archs", "2-2-1,2-4-1,2-8-1,2-12-1", "--kinds", kinds,
+               "--reps", 1) == 1
+    captured = capsys.readouterr()
+    assert f"--kinds must name one or more kinds, each once, got {kinds!r}" in captured.err
     assert captured.out == ""
 
 

@@ -14,7 +14,6 @@ from lutnet.core import (
     init_network,
     interpolate,
     lut_grid,
-    lut_grid_point,
     segment_coords,
 )
 from lutnet.hyper import Hyperparameters, default_hyperparameters
@@ -35,14 +34,8 @@ def test_grid_spans_domain_with_equal_spacing():
     steps = np.diff(grid)
     assert np.allclose(steps, steps[0], atol=1e-15)
     for hp in (HP, HP.replace(r_res=255, i_min=-0.3, i_max=0.7)):
-        assert lut_grid(hp).tolist() == [lut_grid_point(j, hp) for j in range(hp.r_res)]
-
-
-def test_grid_point_bounds_checked():
-    with pytest.raises(ValueError):
-        lut_grid_point(-1, HP)
-    with pytest.raises(ValueError):
-        lut_grid_point(HP.r_res, HP)
+        formula = [hp.i_min + j / (hp.r_res - 1) * hp.span for j in range(hp.r_res)]
+        assert lut_grid(hp).tolist() == formula         # in Python floats, bit for bit
 
 
 def test_grid_position_clamps_out_of_domain():
@@ -96,7 +89,7 @@ def test_interpolate_exact_at_grid_points_and_bounded_between():
     for _ in range(200):
         table = rng.normal(size=HP.r_res)
         j = rng.integers(0, HP.r_res)
-        x = lut_grid_point(int(j), HP)
+        x = lut_grid(HP)[j]
         assert abs(interpolate(table, x, HP) - table[j]) < 1e-12
         x = rng.uniform(HP.i_min, HP.i_max)
         v = interpolate(table, x, HP)
@@ -107,8 +100,7 @@ def test_interpolate_exact_at_grid_points_and_bounded_between():
 
 def test_interpolate_linear_within_a_segment():
     table = np.random.default_rng(3).normal(size=HP.r_res)
-    a = lut_grid_point(5, HP)
-    b = lut_grid_point(6, HP)
+    a, b = lut_grid(HP)[5:7]
     mid = interpolate(table, (a + b) / 2, HP)
     assert abs(mid - (table[5] + table[6]) / 2) < 1e-12
 
@@ -126,6 +118,17 @@ def test_init_shapes_and_ranges():
         assert np.all(np.abs(lay.bias) <= 0.5)
         assert lay.lut.shape == (lay.n_out, lay.n_in, HP.r_res)
         assert np.all(lay.visits == HP.v_p)
+
+
+@pytest.mark.parametrize("kind", ["NLW", "LW"])
+def test_init_draws_weights_then_biases_as_numpy_uniform(kind):
+    hp = default_hyperparameters(kind)
+    net = init_network((3, 5, 2), kind, hp, np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(4))))
+    twin = np.random.Generator(np.random.PCG64(np.random.SeedSequence(4)))
+    lay = net.layers[0]
+    assert np.array_equal(lay.w.reshape(-1), twin.uniform(-0.5, 0.5, lay.w.size))
+    assert np.array_equal(lay.bias, twin.uniform(-0.5, 0.5, lay.bias.size))
 
 
 def test_init_lut_tables_are_affine_ramps():

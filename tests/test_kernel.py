@@ -436,6 +436,10 @@ except ImportError:
 on = [t for t in sys.argv[2:] if umath.__cpu_features__.get(t)]
 if on:
     sys.exit(f"numpy still dispatches {on}")
+from lutnet import kernel
+line = kernel.describe_numpy()
+if set(line.split("dispatch ")[1].split()) & set(sys.argv[2:]):
+    sys.exit(f"{line!r} lists a target that is off")
 sys.exit(pytest.main([sys.argv[1], "-q", "-p", "no:cacheprovider",
                       "-k", "bit_for_bit or transposed_rows"]))
 """

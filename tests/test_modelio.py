@@ -176,6 +176,10 @@ def _set(index, value):
     ("v1", lambda d: d["layers"].pop(), "layer"),
     ("v1", lambda d: d["layers"][0]["w"].pop(), "shape"),
     ("v1", lambda d: d["layers"][0]["lut"][0][0].pop(), "shape"),
+    ("v1", lambda d: d["layers"][0].update(w=d["layers"][0]["w"][0]), "layer 0: w shape"),
+    ("v1", lambda d: d["layers"][0]["w"][0].__setitem__(0, None), "non-finite w"),
+    ("v1", lambda d: d["layers"][0]["w"][0].__setitem__(0, 10 ** 400),
+     "layer 0: w is not a numeric array of shape"),
     ("v1", lambda d: d["layers"][0].pop("visits"), "visits"),
     ("v3", lambda d: d.update(iteration=-3), "iteration"),
     ("v1", lambda d: d["layers"][0]["w"][0].__setitem__(0, float("nan")), "non-finite w"),
@@ -220,7 +224,8 @@ def _set(index, value):
     ("v3", lambda d: d.update(visit_scale="0.5"), "bad visit_scale '0.5'"),
     ("v3-LW", lambda d: d.update(visit_scale=1.0), "LUT tables in an LW model"),
 ], ids=["format", "version", "kind", "arch", "layers", "w-shape",
-        "lut-shape", "missing-visits", "iteration", "nan-w", "inf-bias", "nan-lut",
+        "lut-shape", "w-first-row", "none-w", "huge-int-w", "missing-visits", "iteration",
+        "nan-w", "inf-bias", "nan-lut",
         "inf-visits", "zero-visits", "float-r_res", "negative-r_b",
         "v2-not-base64", "v2-byte-short", "v2-missing-visits", "v2-luts-on-lw",
         "v2-nan-params", "v2-inf-luts", "v2-zero-visits",
@@ -260,6 +265,14 @@ def test_v1_file_loads_its_exact_values(kind):
         for name in names:
             assert getattr(lay, name).tolist() == entry[name]
     assert (loaded.net.luts is None) == (kind == "LW")
+
+
+def test_v1_file_reads_a_number_written_as_a_string(tmp_path):
+    doc = _fixture_doc()
+    doc["layers"][0]["w"][1][0] = "0.5"
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(doc))
+    assert load_model(p).net.layers[0].w[1, 0] == 0.5
 
 
 @pytest.mark.parametrize("kind", ["LW", "NLW"])

@@ -19,6 +19,7 @@ from lutnet.core import (
 )
 from lutnet.hyper import Hyperparameters, default_hyperparameters
 from lutnet.modelio import load_model, save_model
+from lutnet.regularize import diffuse_lut, diffuse_visits, update_visits
 from lutnet.train import (
     Trainer,
     TrainingDiverged,
@@ -235,17 +236,24 @@ def _connection(table):
     return LutConnection(linear=0.0, lut=table, visits=np.full(table.shape, NLW.v_p))
 
 
-@pytest.mark.parametrize("read", [
-    pytest.param(lambda table: interpolate(table, 0.3, NLW), id="interpolate"),
-    pytest.param(lambda table: update_lut_component(_connection(table), 0.4, 0.3, NLW, gate=True),
+@pytest.mark.parametrize("what,read", [
+    pytest.param("LUT", lambda table: interpolate(table, 0.3, NLW), id="interpolate"),
+    pytest.param("LUT", lambda table: update_lut_component(_connection(table), 0.4, 0.3, NLW,
+                                                           gate=True),
                  id="update_lut_component"),
-    pytest.param(lambda table: approx_lut_derivative(_connection(table), 0.3, NLW),
+    pytest.param("LUT", lambda table: approx_lut_derivative(_connection(table), 0.3, NLW),
                  id="approx_lut_derivative"),
+    pytest.param("LUT", lambda table: diffuse_lut(table, np.full(NLW.r_res, NLW.v_p), NLW),
+                 id="diffuse_lut-lut"),
+    pytest.param("visit", lambda table: diffuse_lut(np.zeros(NLW.r_res), table, NLW),
+                 id="diffuse_lut-visits"),
+    pytest.param("visit", lambda table: diffuse_visits(table, NLW), id="diffuse_visits"),
+    pytest.param("visit", lambda table: update_visits(table, 0.3, NLW), id="update_visits"),
 ])
 @pytest.mark.parametrize("entries", [100, 10], ids=["too-long", "too-short"])
-def test_one_table_forms_reject_a_table_of_the_wrong_length(read, entries):
+def test_one_table_forms_reject_a_table_of_the_wrong_length(what, read, entries):
     table = np.arange(float(entries))
-    message = f"expected {NLW.r_res} LUT entries, got shape ({entries},)"
+    message = f"expected {NLW.r_res} {what} entries, got shape ({entries},)"
     with pytest.raises(ValueError, match=re.escape(message)):
         read(table)
     assert np.array_equal(table, np.arange(float(entries)))        # left as it was
