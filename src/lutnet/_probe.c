@@ -4,6 +4,10 @@
  *    included, ``core._probed_read_numpy``;
  *  - layer_outputs is every connection output of one LUT layer for a batch
  *    of rows, ``core._layer_outputs_numpy``;
+ *  - update_tables is a training iteration's table writes, the LUT entry
+ *    steps, the visit decay-and-bump and the gated decay of the touched
+ *    entries, ``train._update_tables_numpy``. The gain (np.expm1) and the gate
+ *    draw stay with numpy: the caller passes the shaped steps and the hit rows;
  *  - diffusion_gaps and diffuse_rows are the gated diffusion of a training
  *    iteration, ``regularize._diffuse_rows_numpy``. tanh is left to numpy,
  *    whose bits differ from libm's and follow its CPU dispatch: the caller
@@ -21,8 +25,9 @@
  *    axis contiguous, and numpy sums that pairwise, so the kernel declines it;
  *  - a pair whose clamped points do not lie apart gives quotient diff * 0.0,
  *    and the sum is divided by the number of the other pairs (at least 1);
- *  - the diffusion is elementwise, so each entry's chain of operations is
- *    numpy's, pass by pass, and a row is rewritten in one sweep in place.
+ *  - the table writes and the diffusion are elementwise, so each entry's chain
+ *    of operations is numpy's, pass by pass, and a row is rewritten in one
+ *    sweep in place.
  */
 #include <math.h>
 #include <stddef.h>
@@ -194,6 +199,50 @@ int diffuse_rows(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
         }
         t[r - 1] = t_high;
         v[r - 1] = max_bound(v_high, v_min) / scale;
+    }
+    return 0;
+}
+
+/* luts and visits are (n_rows, r) in C order, visits stored at scale; row c is
+ * LUT connection c, which reads source src[c] at segment lo[src[c]], fraction
+ * frac[src[c]]. For each row, as ``train._update_tables_numpy`` does it: the
+ * two entries bracketing the segment take dwr[c] split by their shares
+ * (1 - f, f) over 2f^2 - 2f + 1; their visit entries settle, take the bump
+ * 1 + r_c * share * (1 - v), decay by 1 - r_c, are floored at v_min, bumped
+ * and stored at new_scale; and on a row in hit, each touched LUT entry whose
+ * share is above 0 decays by 1 - s_b.
+ * Returns 0, or -1 (nothing written) when a src is not an index of lo, an lo
+ * lies outside [0, r - 2] or the hit rows are not in order. */
+int update_tables(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
+                  const ptrdiff_t *src, const ptrdiff_t *lo, const double *frac, ptrdiff_t n_src,
+                  const double *dwr, const ptrdiff_t *hit, ptrdiff_t n_hit,
+                  double r_c, double v_min, double s_b, double scale, double new_scale)
+{
+    for (ptrdiff_t c = 0; c < n_rows; c++)
+        if (src[c] < 0 || src[c] >= n_src)
+            return -1;
+    for (ptrdiff_t j = 0; j < n_src; j++)
+        if (lo[j] < 0 || lo[j] > r - 2)
+            return -1;
+    if (!rows_in_order(hit, n_hit, n_rows))
+        return -1;
+    double keep = 1.0 - r_c, shrink = 1.0 - s_b;
+    ptrdiff_t h = 0;
+    for (ptrdiff_t c = 0; c < n_rows; c++) {
+        double f = frac[src[c]];
+        double share[2] = {1.0 - f, f};
+        double den = 2.0 * f * f - 2.0 * f + 1.0;
+        ptrdiff_t at = c * r + lo[src[c]];
+        int gated = h < n_hit && hit[h] == c;
+        h += gated;
+        for (int e = 0; e < 2; e++) {
+            double pre = max_bound(visits[at + e] * scale, v_min);
+            double bump = 1.0 + (r_c * share[e]) * (1.0 - pre);
+            visits[at + e] = max_bound(pre * keep, v_min) * bump / new_scale;
+            luts[at + e] += dwr[c] * (share[e] / den);
+            if (gated && share[e] > 0.0)
+                luts[at + e] *= shrink;
+        }
     }
     return 0;
 }

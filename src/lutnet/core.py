@@ -235,8 +235,7 @@ class UpdateMaps(NamedTuple):
     and the inputs layers read likewise, followed by one constant-1 bias
     input per layer. Entry i of ``Network.params`` runs from input
     ``param_src[i]`` to node ``param_dst[i]``; LUT row c from input
-    ``conn_src[c]`` to node ``conn_dst[c]``, and ``row_starts[c]`` is the
-    flat index of its first entry. ``linear_rates`` scales each entry's
+    ``conn_src[c]`` to node ``conn_dst[c]``. ``linear_rates`` scales each entry's
     linear update: nu on the linear part of a LUT connection, 1 on a bias
     (None for LW, where every rate is 1).
     """
@@ -245,7 +244,6 @@ class UpdateMaps(NamedTuple):
     param_src: np.ndarray
     conn_dst: np.ndarray
     conn_src: np.ndarray
-    row_starts: np.ndarray | None
     linear_rates: np.ndarray | None
 
 
@@ -317,12 +315,9 @@ class Network:
         param_dst = np.concatenate(dst)
         param_src = np.concatenate(src)
         weight = param_src < n_src
-        row_starts = linear_rates = None
-        if self.luts is not None:
-            row_starts = np.arange(self.luts.shape[0]) * self.hp.r_res
-            linear_rates = np.where(weight, self.hp.nu, 1.0)
+        linear_rates = None if self.luts is None else np.where(weight, self.hp.nu, 1.0)
         return UpdateMaps(param_dst, param_src, param_dst[weight], param_src[weight],
-                          row_starts, linear_rates)
+                          linear_rates)
 
     @property
     def n_inputs(self) -> int:

@@ -1,18 +1,21 @@
 """The compiled kernels: ``_probe.c``, built with gcc and loaded with cffi.
 
-Three functions run this kernel when it loads and their numpy body
+Four functions run this kernel when it loads and their numpy body
 otherwise, and both bodies give the same bits: ``core._probed_read``, a LUT
 layer of one sample with its slope estimates (``forward_network``, so
 every training iteration), ``core._layer_outputs``, a LUT layer of a batch
-pass (``forward_batch``, so ``mse``, ``accuracy`` and ``render_surface``), and
-``regularize._diffuse_rows``, the gated diffusion of a training iteration,
-which leaves its ``tanh`` to numpy between two C passes. The first of them
-to run in a process builds the library, unless it is cached, and loads it,
-so LW training and LW batch evaluation never import cffi. The library is
-cached in the package's ``__pycache__`` under a name hashed from the source,
-the compiler and its flags. Any failure (no cffi, no compiler, a compile
-error, a directory that cannot be written) selects numpy for the rest of the
-process and keeps the reason, which ``describe`` reports.
+pass (``forward_batch``, so ``mse``, ``accuracy`` and ``render_surface``),
+``train._update_tables``, the LUT entry steps, visit updates and gated decay
+of a training iteration in one sweep, whose gain (``np.expm1``) and gate draw
+(``np.flatnonzero``) numpy computes first, and ``regularize._diffuse_rows``,
+the gated diffusion of a training iteration, which leaves its ``tanh`` to
+numpy between two C passes. The first of them to run in a process builds
+the library, unless it is cached, and loads it, so LW training and LW batch
+evaluation never import cffi. The library is cached in the package's
+``__pycache__`` under a name hashed from the source, the compiler and its
+flags. Any failure (no cffi, no compiler, a compile error, a directory that
+cannot be written) selects numpy for the rest of the process and keeps the
+reason, which ``describe`` reports.
 """
 from __future__ import annotations
 
@@ -39,6 +42,10 @@ int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x
 int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *w,
                   const double *act, ptrdiff_t n_rows, ptrdiff_t n_in,
                   double i_min, double i_max, double span, double *out);
+int update_tables(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
+                  const ptrdiff_t *src, const ptrdiff_t *lo, const double *frac, ptrdiff_t n_src,
+                  const double *dwr, const ptrdiff_t *hit, ptrdiff_t n_hit,
+                  double r_c, double v_min, double s_b, double scale, double new_scale);
 int diffusion_gaps(const double *luts, ptrdiff_t n_rows, ptrdiff_t r, const ptrdiff_t *hit,
                    ptrdiff_t n_hit, double r_a, double *gap);
 int diffuse_rows(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
@@ -50,7 +57,8 @@ _loaded = None          # after the first load(): the Kernel, or why there is no
 
 
 class Kernel:
-    """The loaded library: one method per compiled ``core`` or ``regularize`` function."""
+    """The loaded library: one method per compiled function of ``core``, ``train`` or
+    ``regularize``."""
 
     def __init__(self, path: Path):
         import cffi
@@ -115,6 +123,34 @@ class Kernel:
                                    hp.i_min, hp.i_max, hp.span, buf(doubles, out)):
             return None
         return out
+
+    def update_tables(self, luts, visits, src, lo, frac, dwr, hit, scale, new_scale, hp):
+        """``train._update_tables_numpy`` on these arguments, in place; True when it ran.
+
+        Returns False, and leaves the tables to numpy, unless luts and visits are
+        writable C-contiguous float64 tables of one (rows, r) shape, src, lo and
+        hit contiguous intp vectors, frac a contiguous float64 vector of lo's length
+        and dwr one of src's, with one entry per row. The kernel also declines, having
+        written nothing, a src outside lo, an lo outside [0, r - 2] and hit rows
+        that are not strictly increasing inside the table.
+        """
+        if not (luts.ndim == 2 and luts.shape == visits.shape and lo.ndim == 1
+                and src.shape == dwr.shape == luts.shape[:1] and frac.shape == lo.shape
+                and hit.ndim == 1
+                and luts.dtype == visits.dtype == frac.dtype == dwr.dtype == np.float64
+                and src.dtype == lo.dtype == hit.dtype == np.intp
+                and luts.flags.writeable and visits.flags.writeable):
+            return False
+        buf, doubles, indices = self._buffer, self._doubles, self._indices
+        try:
+            tables = buf(doubles, luts), buf(doubles, visits)
+            rows = buf(indices, src), buf(indices, lo), buf(doubles, frac)
+            steps = buf(doubles, dwr), buf(indices, hit)
+        except ValueError:                      # an array that is not C-contiguous
+            return False
+        return not self._lib.update_tables(*tables, *luts.shape, *rows, lo.shape[0], *steps,
+                                           hit.shape[0], hp.r_c, hp.v_min, hp.s_b, scale,
+                                           new_scale)
 
     def diffuse_rows(self, luts, visits, hit, scale, hp):
         """``regularize._diffuse_rows`` on these arguments, in place; True when it ran.

@@ -59,7 +59,7 @@ def gain_decay(w: float, dw: float, hp: Hyperparameters) -> float:
 # Visit tables
 
 def _update_visits_tensor(pair: np.ndarray, share: np.ndarray, scale: float,
-                          hp: Hyperparameters) -> float:
+                          new_scale: float, hp: Hyperparameters) -> None:
     """Decay-and-bump of the visit entries bracketing each traversed segment.
 
     pair holds the stored entries at each segment's two ends, (2, C),
@@ -68,18 +68,16 @@ def _update_visits_tensor(pair: np.ndarray, share: np.ndarray, scale: float,
     floored at v_min; the pair is additionally bumped in proportion to
     its share, each bump scaled by the entry's pre-decay headroom below
     1. The decay of the entries outside the pair is the new scale,
-    scale * (1 - r_c), which is returned; pair is overwritten, in place,
-    with its updated entries stored at that scale. A share of exactly 0
-    turns a bump into a multiplication by 1.
+    new_scale = scale * (1 - r_c), which the caller keeps; pair is
+    overwritten, in place, with its updated entries stored at that scale. A
+    share of exactly 0 turns a bump into a multiplication by 1.
     """
-    new_scale = scale * (1.0 - hp.r_c)
     pre = _settle_visits(pair, scale, hp, out=pair)
     bump = 1.0 + (hp.r_c * share) * (1.0 - pre)
     pre *= 1.0 - hp.r_c
     np.maximum(pre, hp.v_min, out=pre)
     pre *= bump
     pre /= new_scale
-    return new_scale
 
 
 def update_visits(visits, x: float, hp: Hyperparameters) -> np.ndarray:
@@ -87,7 +85,8 @@ def update_visits(visits, x: float, hp: Hyperparameters) -> np.ndarray:
     visits = _table(visits, hp.r_res, "visit", hp)[0]
     ends, share = _segment_ends(*segment_coords(np.asarray([x], dtype=float), hp))
     pair = visits[ends]
-    scale = _update_visits_tensor(pair, share, 1.0, hp)
+    scale = 1.0 - hp.r_c
+    _update_visits_tensor(pair, share, 1.0, scale, hp)
     visits[ends] = pair
     return _settle_visits(visits, scale, hp, out=visits)
 

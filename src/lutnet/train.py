@@ -7,7 +7,11 @@ finally one gate draw per LUT connection that switches on decay of the
 touched entries plus diffusion of the LUT and its visit table. Outside
 the gated rows, an iteration writes two LUT entries and two visit
 entries per LUT connection, whatever ``r_res``: the decay of the other
-visit entries is carried by ``Network.visit_scale``.
+visit entries is carried by ``Network.visit_scale``. Those writes and the
+gated decay of the touched entries are one step, ``_update_tables``, which
+runs the compiled kernel (``lutnet.kernel``) when it loads and its numpy
+body, ``_update_tables_numpy``, otherwise; numpy computes the gain-shaped
+steps and the gate draw before it. Both give the same bits.
 
 The error function is half the summed squared output error, so output
 deltas are simply (y - d) times the tanh slope. Because LUTs are only
@@ -23,6 +27,7 @@ import math
 
 import numpy as np
 
+from . import kernel
 from .core import (
     VISIT_SCALE_MIN,
     ForwardTrace,
@@ -85,21 +90,16 @@ def backprop(net: Network, trace: ForwardTrace, target) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # Update rules
 
-def _lut_entry_updates(lut: np.ndarray, ends, share, lut_value, step,
-                       hp: Hyperparameters) -> None:
+def _lut_entry_updates(lut: np.ndarray, ends, share, dwr) -> None:
     """Update the two entries bracketing each traversed segment, in place.
 
-    lut is a flat table array, ends (2, C) the flat indices of each
-    segment's low and high entry and share their interpolation shares
-    (``_segment_ends``); lut_value is the interpolated read there and
-    step the learning step times the error of the connection's
-    destination. The raw step is gain-shaped against the interpolated
-    value itself (no input factor). Splitting by s/(2s^2-2s+1) on each
-    side makes the interpolated value at the traversed point move by
-    exactly the raw step, and sends everything to a single entry when
-    the position sits on a grid point.
+    lut[ends] holds each segment's low and high entry, (2, C), and share
+    their interpolation shares (``_segment_ends``); dwr is each connection's
+    gain-shaped step, ``-_gain_decay(read, step, hp)`` against the
+    interpolated read itself (no input factor). Splitting by s/(2s^2-2s+1) on each side makes the
+    interpolated value at the traversed point move by exactly dwr, and sends
+    everything to a single entry when the position sits on a grid point.
     """
-    dwr = -_gain_decay(lut_value, step, hp)
     frac = share[1]
     den = 2.0 * frac * frac - 2.0 * frac + 1.0
     lut[ends] += dwr * (share / den)
@@ -108,8 +108,8 @@ def _lut_entry_updates(lut: np.ndarray, ends, share, lut_value, step,
 def _decay_touched(lut: np.ndarray, ends, share, hp: Hyperparameters) -> None:
     """Gated decay of the entries a read at (ends, share) touched, in place.
 
-    Entries ends of the flat table array shrink by s_b; one whose
-    interpolation share is zero (frac exactly 0 or 1) is left as it is.
+    Entries lut[ends] shrink by s_b; one whose interpolation share is zero
+    (frac exactly 0 or 1) is left as it is.
     """
     lut[ends] *= np.where(share > 0.0, 1.0 - hp.s_b, 1.0)
 
@@ -119,14 +119,58 @@ def update_lut_component(conn: LutConnection, e: float, x: float,
     """Update the (at most two) LUT entries addressed by input x, in place.
 
     With the gate on, the touched entries are additionally decayed.
-    Returns the connection's LUT for convenience.
+    conn.lut must be a writable float64 array of r_res entries. Returns the
+    connection's LUT for convenience.
     """
-    lo, frac, value, _ = _table_read(conn.lut, x, hp)
+    lut = conn.lut
+    if not (isinstance(lut, np.ndarray) and lut.dtype == np.float64 and lut.flags.writeable):
+        got = (f"{lut.dtype}{'' if lut.flags.writeable else ', read-only'}"
+               if isinstance(lut, np.ndarray) else type(lut).__name__)
+        raise ValueError(f"the LUT is updated in place: it must be a writable float64 array "
+                         f"of {hp.r_res} entries, got {got}")
+    lo, frac, value, _ = _table_read(lut, x, hp)
     ends, share = _segment_ends(lo, frac)
-    _lut_entry_updates(conn.lut, ends, share, value[0], hp.mu * e, hp)
+    _lut_entry_updates(lut, ends, share, -_gain_decay(value[0], hp.mu * e, hp))
     if gate:
-        _decay_touched(conn.lut, ends, share, hp)
-    return conn.lut
+        _decay_touched(lut, ends, share, hp)
+    return lut
+
+
+def _update_tables(luts: np.ndarray, visits: np.ndarray, src: np.ndarray, lo: np.ndarray,
+                   frac: np.ndarray, dwr: np.ndarray, hit: np.ndarray, scale: float,
+                   hp: Hyperparameters) -> float:
+    """A training iteration's table writes, in place; returns the new visit scale.
+
+    luts and visits are the (C, r_res) tables, visits stored at visit scale
+    ``scale``. LUT row c reads source src[c] of the iteration's segments
+    (lo, frac): its two bracketing entries take the gain-shaped step dwr[c]
+    (``_lut_entry_updates``), their visit entries decay and bump
+    (``_update_visits_tensor``) and are stored at the new scale
+    scale * (1 - r_c), and on a row in hit, the gated rows, the touched
+    entries decay (``_decay_touched``). Runs the compiled kernel when it loads
+    and takes the arguments, else ``_update_tables_numpy``; both give the same
+    bits.
+    """
+    new_scale = scale * (1.0 - hp.r_c)
+    kern = kernel.load()
+    if kern is None or not kern.update_tables(luts, visits, src, lo, frac, dwr, hit, scale,
+                                              new_scale, hp):
+        _update_tables_numpy(luts, visits, src, lo, frac, dwr, hit, scale, new_scale, hp)
+    return new_scale
+
+
+def _update_tables_numpy(luts: np.ndarray, visits: np.ndarray, src: np.ndarray,
+                         lo: np.ndarray, frac: np.ndarray, dwr: np.ndarray, hit: np.ndarray,
+                         scale: float, new_scale: float, hp: Hyperparameters) -> None:
+    """``_update_tables`` in numpy: the reference the kernel matches, and its fallback."""
+    cols, share = _segment_ends(lo[src], frac[src])
+    ends = np.arange(src.shape[0]), cols        # row c's entries cols[:, c]
+    _lut_entry_updates(luts, ends, share, dwr)
+    pair = visits[ends]
+    _update_visits_tensor(pair, share, scale, new_scale, hp)
+    visits[ends] = pair
+    if hit.size:
+        _decay_touched(luts, (hit, cols[:, hit]), share[:, hit], hp)
 
 
 # ---------------------------------------------------------------------------
@@ -160,22 +204,14 @@ def _apply_iteration(net: Network, x, target, gate_u: np.ndarray) -> float:
     if net.luts is None:
         return sq_err
 
-    frac = np.concatenate([tr.seg_frac for tr in trace.layers])[maps.conn_src]
-    at = np.concatenate([tr.seg_lo for tr in trace.layers])[maps.conn_src]
-    at += maps.row_starts
-    ends, share = _segment_ends(at, frac)
+    lo = np.concatenate([tr.seg_lo for tr in trace.layers])
+    frac = np.concatenate([tr.seg_frac for tr in trace.layers])
     lut_value = np.concatenate([tr.lut_values.reshape(-1) for tr in trace.layers])
-    luts = net.luts.reshape(-1)
-    _lut_entry_updates(luts, ends, share, lut_value, step[maps.conn_dst], hp)
-
-    visits = net.visits.reshape(-1)
-    pair = visits[ends]
-    net.visit_scale = _update_visits_tensor(pair, share, net.visit_scale, hp)
-    visits[ends] = pair
-
+    dwr = -_gain_decay(lut_value, step[maps.conn_dst], hp)
     hit = np.flatnonzero(hp.zeta > gate_u)
+    net.visit_scale = _update_tables(net.luts, net.visits, maps.conn_src, lo, frac, dwr, hit,
+                                     net.visit_scale, hp)
     if hit.size:
-        _decay_touched(luts, ends[:, hit], share[:, hit], hp)
         _diffuse_rows(net.luts, net.visits, hit, net.visit_scale, hp)
     if net.visit_scale < VISIT_SCALE_MIN:
         net.fold_visit_scale()

@@ -215,8 +215,10 @@ def test_criterion_4_selective_parameter_scaling():
     elapsed = time.perf_counter() - start
     ok = train_ratio < 2.0 and 0.8 <= fwd_ratio <= 1.3
     _report(4, ok,
-            f"r256/r16 train ratio {train_ratio:.3f} (< 2.0), "
-            f"forward ratio {fwd_ratio:.3f} (within [0.8, 1.3]) "
+            f"r256/r16 train ratio {train_ratio:.3f} (< 2.0; "
+            f"{train256:.4f}/{train16:.4f} ms/iter), "
+            f"forward ratio {fwd_ratio:.3f} (within [0.8, 1.3]; "
+            f"{fwd256:.4f}/{fwd16:.4f} ms/iter) "
             f"in {elapsed:.1f}s")
 
 

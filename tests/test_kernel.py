@@ -24,7 +24,7 @@ from lutnet.core import (
 )
 from lutnet.hyper import MAX_PROBE_OFFSETS, Hyperparameters, default_hyperparameters
 from lutnet.regularize import _diffuse_rows, _diffuse_rows_numpy
-from lutnet.train import Trainer
+from lutnet.train import Trainer, _update_tables, _update_tables_numpy
 
 KERNEL = kernel.load()
 needs_kernel = pytest.mark.skipif(
@@ -300,6 +300,118 @@ def test_kernel_declines_diffusion_of_a_row_outside_the_table():
         _diffuse_rows(luts, visits, hit, scale, hp)
 
 
+@st.composite
+def table_writes(draw):
+    """(luts, visits, src, lo, frac, dwr, hit, scale, hp) as one iteration's table writes."""
+    rows, n_src = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    r_res = draw(st.integers(2, 256))
+    rate = st.sampled_from([0.0, 1e-9, 0.001, 0.5, draw(st.floats(0.0, 0.99))])
+    hp = Hyperparameters(r_res=r_res, r_c=draw(rate), s_b=draw(rate),
+                         v_min=draw(st.sampled_from([1e-16, 0.5, draw(st.floats(1e-300, 0.5))])))
+    scale = draw(st.one_of(st.sampled_from([1.0, VISIT_SCALE_MIN]),
+                           st.floats(1.0, 4.0).map(lambda f: f * VISIT_SCALE_MIN),
+                           st.floats(VISIT_SCALE_MIN, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    luts = rng.standard_normal((rows, r_res)) * 10.0 ** rng.integers(-3, 4)
+    # visit values from 0 up, so that some settle below v_min, and some rows at v_min
+    values = rng.uniform(0.0, 1.0, (rows, r_res)) ** rng.integers(1, 40)
+    values[rng.random(rows) < 0.3] = hp.v_min
+    src, lo = rng.integers(0, n_src, rows), rng.integers(0, r_res - 1, n_src)
+    frac = rng.random(n_src)
+    frac[rng.random(n_src) < 0.2] = 0.0         # grid points: one entry takes it all
+    frac[rng.random(n_src) < 0.2] = 1.0
+    if draw(st.booleans()):                     # a NaN input, as segment_coords places it
+        lo[0], frac[0] = r_res - 2, math.nan
+    dwr = rng.standard_normal(rows) * 10.0 ** rng.integers(-6, 1)
+    hit = draw(st.sampled_from([np.arange(0), np.arange(rows),
+                                np.flatnonzero(rng.random(rows) < 0.5)]))
+    return luts, values / scale, src, lo, frac, dwr, hit, scale, hp
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@given(case=table_writes())
+def test_kernel_matches_numpy_table_updates_bit_for_bit(case):
+    luts, visits, *rows, scale, hp = case
+    new_scale = scale * (1.0 - hp.r_c)
+    got_luts, got_visits = luts.copy(), visits.copy()
+    assert KERNEL.update_tables(got_luts, got_visits, *rows, scale, new_scale, hp)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _update_tables_numpy(luts, visits, *rows, scale, new_scale, hp)
+    assert np.array_equal(_bits(got_luts), _bits(luts))    # untouched entries as well
+    assert np.array_equal(_bits(got_visits), _bits(visits))
+
+
+def _table_case():
+    """luts, visits, src, lo, frac, dwr, hit of 5 rows at r 8 that the kernel takes."""
+    rng = np.random.default_rng(15)
+    return (rng.standard_normal((5, 8)), rng.uniform(1e-3, 1.0, (5, 8)),
+            np.array([0, 1, 2, 0, 1]), np.array([0, 3, 6]), np.array([0.25, 0.0, 0.5]),
+            rng.standard_normal(5) * 1e-2, np.array([1, 3, 4]))
+
+
+TABLE_HP = R8.replace(r_c=0.05, s_b=1e-3)
+
+
+def _changed(position, change):
+    """A change of _table_case's argument at position: a fresh case on each call."""
+    def case():
+        args = _table_case()
+        return args[:position] + (change(args[position]),) + args[position + 1:]
+    return case
+
+
+def _read_only(table):
+    table.flags.writeable = False
+    return table
+
+
+def _declined(case):
+    """Asserts the kernel declines a case, writing nothing, and returns the case."""
+    args, untouched = case(), case()
+    assert not KERNEL.update_tables(*args, 0.25, 0.25 * 0.95, TABLE_HP)
+    for table, want in zip(args[:2], untouched[:2]):
+        assert np.array_equal(_bits(table), _bits(want))
+    return args
+
+
+@needs_kernel
+@pytest.mark.parametrize("case", [
+    pytest.param(_changed(0, np.asfortranarray), id="strided-table"),
+    pytest.param(_changed(1, lambda v: v[:, ::-1]), id="strided-visits"),
+    pytest.param(_changed(0, lambda t: t.astype(np.float32)), id="float32-table"),
+    pytest.param(_changed(4, lambda f: f.astype(np.float32)), id="float32-frac"),
+    pytest.param(_changed(2, lambda s: s.astype(np.int32)), id="int32-src"),
+    pytest.param(_changed(3, lambda lo: lo.astype(np.int32)), id="int32-lo"),
+    pytest.param(_changed(6, lambda h: h.astype(np.int32)), id="int32-rows"),
+    pytest.param(_changed(3, lambda lo: lo - 1), id="lo-negative"),
+    pytest.param(_changed(2, lambda s: s - 1), id="src-negative"),
+    pytest.param(_changed(6, lambda h: h[::-1].copy()), id="rows-descending"),
+])
+def test_kernel_declines_table_writes_it_does_not_take_and_numpy_writes_them(case):
+    want = case()
+    _update_tables_numpy(*want, 0.25, 0.25 * 0.95, TABLE_HP)
+    got = _declined(case)
+    assert _update_tables(*got, 0.25, TABLE_HP) == 0.25 * 0.95
+    for table, want_table in zip(got[:2], want[:2]):
+        assert np.array_equal(_bits(table), _bits(want_table))
+
+
+@needs_kernel
+@pytest.mark.parametrize("case,error", [
+    pytest.param(_changed(3, lambda lo: lo + 1), IndexError, id="lo-past-the-last-segment"),
+    pytest.param(_changed(2, lambda s: s + 1), IndexError, id="src-outside-lo"),
+    pytest.param(_changed(6, lambda h: h + 1), IndexError, id="row-outside-the-table"),
+    pytest.param(_changed(5, lambda d: d[:4]), ValueError, id="steps-unlike-rows"),
+    pytest.param(_changed(0, _read_only), ValueError, id="read-only-table"),
+    pytest.param(_changed(1, _read_only), ValueError, id="read-only-visits"),
+])
+def test_kernel_declines_table_writes_that_numpy_refuses(case, error):
+    args = _declined(case)
+    with pytest.raises(error):                  # numpy then raises as it always did
+        _update_tables(*args, 0.25, TABLE_HP)
+
+
 @needs_kernel
 def test_gated_training_at_a_million_entries_per_table_gives_the_same_bits_on_both_paths(
         monkeypatch):
@@ -460,4 +572,4 @@ def test_kernel_matches_numpy_at_a_lower_cpu_dispatch_level():
     done = subprocess.run([sys.executable, "-c", _LOWERED_CHECKS, __file__, *targets],
                           capture_output=True, text=True, env=env, cwd=root)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert re.search(r"^4 passed", done.stdout, re.MULTILINE), done.stdout
+    assert re.search(r"^5 passed", done.stdout, re.MULTILINE), done.stdout

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lutnet import kernel, regularize
+from lutnet import kernel, regularize, train
 from lutnet.core import (
     LutConnection,
     Network,
@@ -233,7 +233,29 @@ def test_gated_update_scales_only_touched_side():
 
 
 def _connection(table):
-    return LutConnection(linear=0.0, lut=table, visits=np.full(table.shape, NLW.v_p))
+    return LutConnection(linear=0.0, lut=table, visits=np.full(len(table), NLW.v_p))
+
+
+def _read_only_table(table):
+    table.flags.writeable = False
+    return table
+
+
+@pytest.mark.parametrize("table,got", [
+    pytest.param(np.arange(16, dtype=np.int64), "int64", id="int64"),
+    pytest.param(list(np.linspace(-1.0, 1.0, 16)), "list", id="list"),
+    pytest.param(np.linspace(-1.0, 1.0, 16, dtype=np.float32), "float32", id="float32"),
+    pytest.param(_read_only_table(np.linspace(-1.0, 1.0, 16)), "float64, read-only",
+                 id="read-only"),
+])
+def test_update_lut_component_refuses_a_table_it_cannot_write_in_place(table, got):
+    hp = NLW.replace(r_res=16)
+    before = np.array(table)
+    message = (f"the LUT is updated in place: it must be a writable float64 array "
+               f"of 16 entries, got {got}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        update_lut_component(_connection(table), 0.4, 0.3, hp, gate=True)
+    assert np.array_equal(np.array(table), before)                  # left as it was
 
 
 @pytest.mark.parametrize("what,read", [
@@ -399,6 +421,7 @@ def test_layer_arrays_are_views_the_next_iteration_reads(tmp_path, source):
         assert max_param_difference(params, net) < 1e-12
 
 
+@pytest.mark.parametrize("numpy_path", [False, True], ids=["selected-read", "numpy-read"])
 @settings(max_examples=60, deadline=None)
 @example(seed=3, r_res=16, x=[0.3, -0.7], target=0.5, zeta=0.0)
 @example(seed=4, r_res=256, x=[-0.2, 0.9], target=-0.4, zeta=0.0)
@@ -406,16 +429,20 @@ def test_layer_arrays_are_views_the_next_iteration_reads(tmp_path, source):
 @given(seed=st.integers(0, 2**32 - 1), r_res=st.integers(2, 40),
        x=st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2),
        target=st.floats(-0.9, 0.9), zeta=st.sampled_from([0.0, 0.3, 1.0]))
-def test_ungated_iteration_changes_at_most_two_adjacent_lut_entries(seed, r_res, x, target,
-                                                                     zeta):
+def test_ungated_iteration_changes_at_most_two_adjacent_lut_entries(numpy_path, seed, r_res, x,
+                                                                     target, zeta):
     # the stored visit tables too: their decay is the visit scale's. A row whose gate
     # fires (draw below zeta) is diffused whole, and the ungated rows beside it still
-    # change two adjacent entries at most
+    # change two adjacent entries at most. The table writes have a kernel and a numpy
+    # body, so both are checked
     hp = NLW.replace(r_res=r_res, zeta=zeta)
     net = init_network((2, 3, 1), "NLW", hp, _rng([seed, 0]))
     before = {"luts": net.luts.copy(), "visits": net.visits.copy()}
     gate_u = _rng([seed, 1]).random(net.lut_connection_count())
-    _apply_iteration(net, np.array(x), np.array([target]), gate_u)
+    with pytest.MonkeyPatch.context() as patch:
+        if numpy_path:
+            _numpy_probe_read(patch)
+        _apply_iteration(net, np.array(x), np.array([target]), gate_u)
     assert net.visit_scale == 1.0 - hp.r_c
     for name, table in before.items():
         for row_before, row_after, gated in zip(table, getattr(net, name), zeta > gate_u):
@@ -530,27 +557,36 @@ def test_kernel_and_numpy_reads_give_the_same_traces(monkeypatch, sizes, hp):
     pytest.param(NLW.replace(r_res=64, zeta=1.0), id="zeta-1"),
     pytest.param(NLW.replace(r_res=16, zeta=0.5, r_a=0.0), id="r_a-0"),
     pytest.param(NLW.replace(r_res=16, zeta=0.5, r_c=0.5), id="r_c-0.5"),
+    pytest.param(NLW.replace(r_res=16, zeta=0.5, s_a=0.0), id="s_a-0"),
+    pytest.param(NLW.replace(r_res=16, zeta=0.5, s_b=0.0), id="s_b-0"),
 ])
 def test_kernel_and_numpy_diffusion_train_the_same_bits(monkeypatch, hp):
-    # r_c = 0.5 halves visit_scale every iteration, so the scale folds every 65 iterations
+    # the table writes as well; r_c = 0.5 halves visit_scale every iteration, so the
+    # scale folds every 65 iterations
     rng = _rng([42])
     args = rng.uniform(-1.3, 1.3, (40, 2))
     vals = np.tanh(args[:, :1] * args[:, 1:])
     start = init_network((2, 8, 4, 1), "NLW", hp, _rng([43]))
-    folds, numpy_rows = [], []
+    folds, numpy_rows, numpy_writes = [], [], []
     fold, numpy_diffusion = Network.fold_visit_scale, regularize._diffuse_rows_numpy
+    numpy_tables = train._update_tables_numpy
     monkeypatch.setattr(Network, "fold_visit_scale", lambda net: folds.append(1) or fold(net))
     monkeypatch.setattr(regularize, "_diffuse_rows_numpy",
                         lambda *args: numpy_rows.append(1) or numpy_diffusion(*args))
+    monkeypatch.setattr(train, "_update_tables_numpy",
+                        lambda *args: numpy_writes.append(1) or numpy_tables(*args))
     runs = []
     for numpy_path in (False, True):
         if numpy_path:
             _numpy_probe_read(monkeypatch)
         net = start.clone()
         runs.append((Trainer(net, args, vals, seed=44).run(300, log_every=50), net,
-                     len(folds), len(numpy_rows)))
-    (rows, net, kernel_folds, kernel_numpy_rows), (numpy_log, numpy_net, _, _) = runs
-    assert kernel_numpy_rows == 0 < len(numpy_rows)     # each path diffused its own way
+                     len(folds), len(numpy_rows), len(numpy_writes)))
+    (rows, net, kernel_folds, kernel_numpy_rows, kernel_numpy_writes), \
+        (numpy_log, numpy_net, _, _, _) = runs
+    # each path diffused and wrote its own way
+    assert kernel_numpy_rows == 0 < len(numpy_rows)
+    assert kernel_numpy_writes == 0 and len(numpy_writes) == 300
     assert (kernel_folds > 0) == (hp.r_c == 0.5)
     assert len(folds) == 2 * kernel_folds
     assert rows == numpy_log
