@@ -13,6 +13,9 @@
  *    whose bits differ from libm's and follow its CPU dispatch: the caller
  *    runs np.tanh on the gaps between the two calls.
  *
+ * A training iteration binds each function's arrays once (``core.Workspace``),
+ * so their arguments come first and what changes per call comes last.
+ *
  * Build with -ffp-contract=off and without -ffast-math: a fused multiply-add
  * or a reordered sum changes the last bits. The rules that numpy sets:
  *  - maximum and minimum against a bound return the bound on a tie and let a
@@ -54,15 +57,15 @@ static double locate(double b, double i_min, double i_max, double span, ptrdiff_
 }
 
 /* lut is (n_out, n_in, r) in C order; input j reads table (d, j).
- * Writes lo0 (n_in) and, one after the other in out, frac0 (n_in), then read0
- * and slope (n_out, n_in) in C order. Each quotient of a connection joins its
- * sum as soon as it is formed, in numpy's order.
+ * Writes lo0 and frac0 (n_in), then read0 and slope (n_out, n_in) in C order,
+ * each through its own pointer, so that a caller can point them into its flat
+ * buffers. Each quotient of a connection joins its sum as soon as it is
+ * formed, in numpy's order.
  * Returns 0, or -1 (nothing written) when the read is 1x1. */
 int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x, ptrdiff_t n_in,
                 const double *offsets, ptrdiff_t k, double i_min, double i_max, double span,
-                ptrdiff_t *lo0, double *out)
+                ptrdiff_t *lo0, double *frac0, double *read0, double *slope)
 {
-    double *frac0 = out, *read0 = out + n_in, *slope = out + n_in + n_out * n_in;
     if (n_out == 1 && n_in == 1)
         return -1;
     ptrdiff_t rows = 2 * k + 1;
@@ -149,7 +152,7 @@ static int rows_in_order(const ptrdiff_t *hit, ptrdiff_t n_hit, ptrdiff_t n_rows
  * row t into gap, (n_hit, r - 1) in C order: the argument of numpy's tanh.
  * Returns 0, or -1 (nothing written) when the rows are not in order. */
 int diffusion_gaps(const double *luts, ptrdiff_t n_rows, ptrdiff_t r, const ptrdiff_t *hit,
-                   ptrdiff_t n_hit, double r_a, double *gap)
+                   double r_a, ptrdiff_t n_hit, double *gap)
 {
     if (!rows_in_order(hit, n_hit, n_rows))
         return -1;
@@ -162,6 +165,61 @@ int diffusion_gaps(const double *luts, ptrdiff_t n_rows, ptrdiff_t r, const ptrd
     return 0;
 }
 
+/* Two lanes of doubles: GCC's vector types, SSE2 on every x86-64, where one
+ * divpd divides both lanes at about the cost of one scalar division. Each
+ * lane is IEEE double arithmetic, operation for operation as the scalar code. */
+typedef double lanes __attribute__((vector_size(16)));
+typedef long long lane_mask __attribute__((vector_size(16)));
+
+/* max_bound(a, v_floor) lane by lane, for a positive v_floor (v_min): SSE2's
+ * maxpd(v_floor, a) returns a unless v_floor > a, so a NaN a is kept, and an
+ * a equal to v_floor has its bits. */
+static lanes floor2(lanes a, lanes v_floor)
+{
+#ifdef __SSE2__
+    return __builtin_ia32_maxpd(v_floor, a);
+#else
+    lane_mask keep = (lane_mask)(a > v_floor) | (lane_mask)(a != a);
+    return (lanes)(((lane_mask)a & keep) | ((lane_mask)v_floor & ~keep));
+#endif
+}
+
+/* Diffuses row 0 (t0, v0, g0) in lane 0 and row 1 in lane 1, in place; see
+ * diffuse_rows. An odd row is passed as both rows: the lanes then compute
+ * the same values and store them to the same entries. */
+static void diffuse_two_rows(double *t0, double *t1, double *v0, double *v1,
+                             const double *g0, const double *g1, ptrdiff_t r,
+                             double r_a, double r_b, double v_min, double scale)
+{
+    const lanes half = {0.5, 0.5}, one = {1.0, 1.0}, rb = {r_b, r_b}, v_floor = {v_min, v_min};
+    const lanes at = {scale, scale}, two_r_a = {2.0 * r_a, 2.0 * r_a};
+    lanes v_lo = floor2((lanes){v0[0], v1[0]} * at, v_floor);
+    lanes t_high = {0.0, 0.0}, v_high = {0.0, 0.0};     /* the high values of pair j - 1 */
+    for (ptrdiff_t j = 0; j < r - 1; j++) {
+        lanes v_hi = floor2((lanes){v0[j + 1], v1[j + 1]} * at, v_floor);
+        lanes den_lo = one + rb * (v_hi / v_lo), den_hi = one + rb * (v_lo / v_hi);
+        lanes a = {t0[j], t1[j]}, b = {t0[j + 1], t1[j + 1]};
+        lanes m = (a + b) * half, s = g0 ? (lanes){g0[j], g1[j]} / two_r_a : (b - a) * half;
+        lanes low = m - s / den_lo, high = m + s / den_hi;
+        lanes vm = (v_lo + v_hi) * half, vs = (v_hi - v_lo) * half;
+        lanes v_low = vm - vs / den_lo;
+        lanes t = j ? (low + t_high) * half : low;
+        lanes v = floor2(j ? (v_low + v_high) * half : v_low, v_floor) / at;
+        t0[j] = t[0];
+        t1[j] = t[1];
+        v0[j] = v[0];
+        v1[j] = v[1];
+        t_high = high;
+        v_high = vm + vs / den_hi;
+        v_lo = v_hi;
+    }
+    lanes v = floor2(v_high, v_floor) / at;
+    t0[r - 1] = t_high[0];
+    t1[r - 1] = t_high[1];
+    v0[r - 1] = v[0];
+    v1[r - 1] = v[1];
+}
+
 /* luts and visits are (n_rows, r) in C order, visits stored at scale. Diffuses
  * each hit row of both in place: pair j of a row settles its visit entries,
  * takes the balance denominators and the low and high values of
@@ -169,36 +227,21 @@ int diffusion_gaps(const double *luts, ptrdiff_t n_rows, ptrdiff_t r, const ptrd
  * the half-gap when tanh_gap is NULL (r_a = 0). Entry j then averages pair
  * j - 1's high value with pair j's low value, and the visit entry is
  * floored at v_min and stored back at scale. Pair j reads entries j and j + 1
- * only, so entry j is written as soon as pair j is done.
+ * only, so entry j is written as soon as pair j is done. The rows go two at a
+ * time, one per lane.
  * Returns 0, or -1 (nothing written) when the rows are not in order. */
 int diffuse_rows(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
-                 const ptrdiff_t *hit, ptrdiff_t n_hit, const double *tanh_gap,
-                 double r_a, double r_b, double v_min, double scale)
+                 const ptrdiff_t *hit, double r_a, double r_b, double v_min,
+                 ptrdiff_t n_hit, const double *tanh_gap, double scale)
 {
     if (!rows_in_order(hit, n_hit, n_rows))
         return -1;
-    double two_r_a = 2.0 * r_a;
-    for (ptrdiff_t h = 0; h < n_hit; h++) {
-        double *t = luts + hit[h] * r, *v = visits + hit[h] * r;
-        const double *g = tanh_gap ? tanh_gap + h * (r - 1) : NULL;
-        double v_lo = max_bound(v[0] * scale, v_min);
-        double t_high = 0.0, v_high = 0.0;          /* the high values of pair j - 1 */
-        for (ptrdiff_t j = 0; j < r - 1; j++) {
-            double v_hi = max_bound(v[j + 1] * scale, v_min);
-            double den_lo = 1.0 + r_b * (v_hi / v_lo), den_hi = 1.0 + r_b * (v_lo / v_hi);
-            double a = t[j], b = t[j + 1];
-            double m = (a + b) * 0.5, s = g ? g[j] / two_r_a : (b - a) * 0.5;
-            double low = m - s / den_lo, high = m + s / den_hi;
-            double vm = (v_lo + v_hi) * 0.5, vs = (v_hi - v_lo) * 0.5;
-            double v_low = vm - vs / den_lo;
-            t[j] = j ? (low + t_high) * 0.5 : low;
-            v[j] = max_bound(j ? (v_low + v_high) * 0.5 : v_low, v_min) / scale;
-            t_high = high;
-            v_high = vm + vs / den_hi;
-            v_lo = v_hi;
-        }
-        t[r - 1] = t_high;
-        v[r - 1] = max_bound(v_high, v_min) / scale;
+    for (ptrdiff_t h = 0; h < n_hit; h += 2) {
+        ptrdiff_t h1 = h + 1 < n_hit ? h + 1 : h;
+        const double *g0 = tanh_gap ? tanh_gap + h * (r - 1) : NULL;
+        const double *g1 = tanh_gap ? tanh_gap + h1 * (r - 1) : NULL;
+        diffuse_two_rows(luts + hit[h] * r, luts + hit[h1] * r, visits + hit[h] * r,
+                         visits + hit[h1] * r, g0, g1, r, r_a, r_b, v_min, scale);
     }
     return 0;
 }
@@ -209,14 +252,14 @@ int diffuse_rows(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
  * two entries bracketing the segment take dwr[c] split by their shares
  * (1 - f, f) over 2f^2 - 2f + 1; their visit entries settle, take the bump
  * 1 + r_c * share * (1 - v), decay by 1 - r_c, are floored at v_min, bumped
- * and stored at new_scale; and on a row in hit, each touched LUT entry whose
- * share is above 0 decays by 1 - s_b.
+ * and stored at new_scale; and on a row among the first n_hit of hit, each
+ * touched LUT entry whose share is above 0 decays by 1 - s_b.
  * Returns 0, or -1 (nothing written) when a src is not an index of lo, an lo
  * lies outside [0, r - 2] or the hit rows are not in order. */
 int update_tables(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
                   const ptrdiff_t *src, const ptrdiff_t *lo, const double *frac, ptrdiff_t n_src,
-                  const double *dwr, const ptrdiff_t *hit, ptrdiff_t n_hit,
-                  double r_c, double v_min, double s_b, double scale, double new_scale)
+                  const double *dwr, const ptrdiff_t *hit, double r_c, double v_min, double s_b,
+                  ptrdiff_t n_hit, double scale, double new_scale)
 {
     for (ptrdiff_t c = 0; c < n_rows; c++)
         if (src[c] < 0 || src[c] >= n_src)

@@ -17,7 +17,6 @@ the entries it bumps or diffuses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -80,7 +79,7 @@ def _segment_ends(lo, frac):
     return lo + _ENDS, np.array((1.0 - frac, frac))
 
 
-def _probed_read(lut: np.ndarray, x: np.ndarray, hp: Hyperparameters):
+def _probed_read_numpy(lut: np.ndarray, x: np.ndarray, hp: Hyperparameters, out=None):
     """The read of a (n_out, n_in, r) LUT tensor at the inputs x and its slope estimate.
 
     Reads the block [x; clamp(x + a); clamp(x - a)] over the k offsets a
@@ -88,20 +87,13 @@ def _probed_read(lut: np.ndarray, x: np.ndarray, hp: Hyperparameters):
     every destination d. Returns lo, frac and the read of row 0, then the
     mean of the k symmetric difference quotients (n_out, n_in); a pair
     whose clamped points coincide is left out of the mean (zero if all are).
-    This is the only single-sample LUT read. Runs the compiled kernel
-    (``lutnet.kernel``) when it loads and takes the arguments, else
-    ``_probed_read_numpy``; both give the same bits.
-    """
-    kern = kernel.load()
-    out = None if kern is None else kern.probed_read(lut, x, hp)
-    return _probed_read_numpy(lut, x, hp) if out is None else out
-
-
-def _probed_read_numpy(lut: np.ndarray, x: np.ndarray, hp: Hyperparameters):
-    """``_probed_read`` in numpy: the reference the kernel matches, and its fallback.
-
     A read blends the two entries bracketing its segment as
-    (1 - frac) * t[lo] + frac * t[lo + 1].
+    (1 - frac) * t[lo] + frac * t[lo + 1]. With out, four arrays of those
+    shapes, the results are written into them and out is returned.
+
+    This is the single-sample read in numpy: the reference that the kernel's
+    ``probed_read`` matches bit for bit, the fallback of a ``Workspace`` layer
+    the kernel does not take, and the read of the one-table scalar forms.
     """
     k = hp.probe_offsets.shape[0]
     block = np.empty((2 * k + 1, x.shape[0]))
@@ -119,7 +111,11 @@ def _probed_read_numpy(lut: np.ndarray, x: np.ndarray, hp: Hyperparameters):
     diff /= np.where(good, den, 1.0)
     diff *= good
     slope = diff.sum(axis=1) / np.maximum(good.sum(axis=0), 1)
-    return lo[0], frac[0], reads[:, 0], slope
+    if out is None:
+        return lo[0], frac[0], reads[:, 0], slope
+    for dst, got in zip(out, (lo[0], frac[0], reads[:, 0], slope)):
+        dst[...] = got
+    return out
 
 
 def _table(values, n: int, what: str, hp: Hyperparameters) -> np.ndarray:
@@ -228,6 +224,29 @@ class Layer:
         return self.w.shape[1]
 
 
+def _layer_views(sizes, params, luts, visits):
+    """(w, bias, lut, visits) of every layer, as views into the network's flat buffers.
+
+    Layer after layer, params holds the (n_out, n_in) weights then the
+    n_out biases, and luts and visits the layer's (n_out, n_in, r) rows; lut
+    and visits are None for LW (luts None).
+    """
+    views = []
+    p = c = 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        n = n_in * n_out
+        w = params[p:p + n].reshape(n_out, n_in)
+        bias = params[p + n:p + n + n_out]
+        lut = vis = None
+        if luts is not None:
+            lut = luts[c:c + n].reshape(n_out, n_in, luts.shape[1])
+            vis = visits[c:c + n].reshape(n_out, n_in, luts.shape[1])
+        views.append((w, bias, lut, vis))
+        p += n + n_out
+        c += n
+    return views
+
+
 class UpdateMaps(NamedTuple):
     """Index maps that let one update pass cover every layer of a network.
 
@@ -245,6 +264,25 @@ class UpdateMaps(NamedTuple):
     conn_dst: np.ndarray
     conn_src: np.ndarray
     linear_rates: np.ndarray | None
+
+
+def _update_maps(sizes, hp: Hyperparameters, nlw: bool) -> UpdateMaps:
+    """The index maps of the parameter layout of a net of these sizes."""
+    dst, src = [], []
+    n_src = sum(sizes[:-1])
+    d0 = s0 = 0
+    for li, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
+        nodes = np.arange(d0, d0 + n_out)
+        dst += [np.repeat(nodes, n_in), nodes]
+        src += [np.tile(np.arange(s0, s0 + n_in), n_out), np.full(n_out, n_src + li)]
+        d0 += n_out
+        s0 += n_in
+    param_dst = np.concatenate(dst)
+    param_src = np.concatenate(src)
+    weight = param_src < n_src
+    linear_rates = np.where(weight, hp.nu, 1.0) if nlw else None
+    return UpdateMaps(param_dst, param_src, param_dst[weight], param_src[weight],
+                      linear_rates)
 
 
 class Network:
@@ -265,6 +303,12 @@ class Network:
     entries each connection's read brackets and the rows a gate diffuses,
     and folds S into the whole table once it falls below
     ``VISIT_SCALE_MIN``. Stored entries are kept at or above ``v_min``.
+
+    Training and ``forward_network`` bind a ``Workspace`` to ``params``,
+    ``luts`` and ``visits`` on first use. A buffer rebound since then is
+    bound anew at the next block of ``Trainer.run`` (the layers' views keep
+    the old one, so do not rebind them); one the workspace cannot bind
+    raises ValueError.
     """
 
     def __init__(self, sizes, kind: str, hp: Hyperparameters):
@@ -286,38 +330,9 @@ class Network:
         if kind == KIND_NLW:
             self.luts = np.zeros((n_conn, hp.r_res))
             self.visits = np.zeros((n_conn, hp.r_res))
-        self.layers = []
-        p = c = 0
-        for n_in, n_out in pairs:
-            n = n_in * n_out
-            w = self.params[p:p + n].reshape(n_out, n_in)
-            bias = self.params[p + n:p + n + n_out]
-            lut = vis = None
-            if self.luts is not None:
-                lut = self.luts[c:c + n].reshape(n_out, n_in, hp.r_res)
-                vis = self.visits[c:c + n].reshape(n_out, n_in, hp.r_res)
-            self.layers.append(Layer(w, bias, lut, vis))
-            p += n + n_out
-            c += n
-
-    @cached_property
-    def update_maps(self) -> UpdateMaps:
-        """The index maps of the parameter layout, built on first use."""
-        dst, src = [], []
-        n_src = sum(self.sizes[:-1])
-        d0 = s0 = 0
-        for li, (n_in, n_out) in enumerate(zip(self.sizes, self.sizes[1:])):
-            nodes = np.arange(d0, d0 + n_out)
-            dst += [np.repeat(nodes, n_in), nodes]
-            src += [np.tile(np.arange(s0, s0 + n_in), n_out), np.full(n_out, n_src + li)]
-            d0 += n_out
-            s0 += n_in
-        param_dst = np.concatenate(dst)
-        param_src = np.concatenate(src)
-        weight = param_src < n_src
-        linear_rates = None if self.luts is None else np.where(weight, self.hp.nu, 1.0)
-        return UpdateMaps(param_dst, param_src, param_dst[weight], param_src[weight],
-                          linear_rates)
+        self.layers = [Layer(*views) for views in
+                       _layer_views(self.sizes, self.params, self.luts, self.visits)]
+        self._ws = None                 # the Workspace, bound on first use (_workspace)
 
     @property
     def n_inputs(self) -> int:
@@ -368,7 +383,7 @@ def _settle_visits(stored: np.ndarray, scale: float, hp: Hyperparameters,
 
 @dataclass
 class LayerTrace:
-    """Per-layer record of one forward pass, as backprop and the updates read it.
+    """Per-layer record of one forward pass, as ``forward_network`` returns it.
 
     inputs       source activations, one per incoming connection column
     seg_lo       lower LUT grid index per source input, None for LW
@@ -400,30 +415,126 @@ class ForwardTrace:
 BATCH_ENTRIES = 2 ** 18
 
 
-def _forward_layers(net: Network, act: np.ndarray, trace: list | None = None) -> np.ndarray:
-    """Run one sample (n_in,) or a batch of rows (ns, n_in) through every layer.
+class Workspace:
+    """One network's single-sample buffers, with the kernel's calls bound to them.
 
-    A batch puts the samples on a middle axis, so a connection output
-    sits at [dst, sample, src], and its LUT layers go through
-    ``_layer_outputs``; a single sample's go through ``_probed_read``.
-    One LayerTrace per layer of a single sample is appended to trace when
-    it is given.
+    Flat arrays in the order ``UpdateMaps`` indexes: ``inputs`` (every
+    layer's inputs, then a 1 per bias), their segments ``lo`` and ``frac``,
+    ``read``, ``slope`` and ``dwr`` per LUT connection, ``delta`` and ``step``
+    per fed node, the gated rows ``hit`` and the outputs ``y``. A layer reads
+    its slice of ``inputs`` and writes its segments, reads and slopes into its
+    slices and its tanh into the next layer's inputs: nothing is concatenated.
+
+    Checked and bound once, here: the network's ``params``, ``luts`` and
+    ``visits`` (a ValueError names one that is not a writable C-contiguous
+    float64 array of the network's shape), the ``UpdateMaps`` with the rates
+    of the bound hyperparameters, and for NLW the kernel's calls on them, None
+    where numpy does the work. ``_workspace`` binds a new one when
+    the network's buffers, hyperparameters or selected kernel change.
     """
-    batch = act.ndim == 2
+
+    def __init__(self, net: Network):
+        sizes, hp = net.sizes, net.hp
+        n_conn = sum(n_in * n_out for n_in, n_out in zip(sizes, sizes[1:]))
+        self.params = _bound_buffer(net, "params", (sum(sizes[1:]) + n_conn,))
+        self.luts = self.visits = self.kern = None
+        if net.luts is not None:
+            self.luts = _bound_buffer(net, "luts", (n_conn, hp.r_res))
+            self.visits = _bound_buffer(net, "visits", (n_conn, hp.r_res))
+            self.kern = kernel.load()
+        self.hp = hp
+        self.maps = _update_maps(sizes, hp, self.luts is not None)
+        n_src, n_layers = sum(sizes[:-1]), len(sizes) - 1
+        self.inputs = np.ones(n_src + n_layers)
+        self.x = self.inputs[:sizes[0]]
+        self.y = np.empty(sizes[-1])
+        self.delta, self.step = np.empty(sum(sizes[1:])), np.empty(sum(sizes[1:]))
+        views = _layer_views(sizes, self.params, self.luts, self.visits)
+        self.weights = [w for w, _, _, _ in views]
+        self.slopes = [None] * n_layers
+        self.acts, self.deltas, self.steps = [], [], []
+        if self.luts is not None:
+            self.src = self.maps.conn_src
+            self.lo, self.frac = np.zeros(n_src, dtype=np.intp), np.zeros(n_src)
+            self.read, self.slope, self.dwr = np.zeros(n_conn), np.zeros(n_conn), np.zeros(n_conn)
+            self.hit = np.zeros(n_conn, dtype=np.intp)
+        s = c = d = 0
+        for li, (w, bias, lut, _) in enumerate(views):
+            n_out, n_in = w.shape
+            x = self.inputs[s:s + n_in]
+            act = self.y if li == n_layers - 1 else self.inputs[s + n_in:s + n_in + n_out]
+            read = out = None
+            if lut is not None:
+                out = (self.lo[s:s + n_in], self.frac[s:s + n_in],
+                       self.read[c:c + n_in * n_out].reshape(n_out, n_in),
+                       self.slope[c:c + n_in * n_out].reshape(n_out, n_in))
+                self.slopes[li] = out[3]
+                if self.kern is not None:
+                    read = self.kern.bind_read(lut, x, hp, *out)
+            self.steps.append((w, bias, lut, x, act, read, out))
+            self.acts.append(act)
+            self.deltas.append(self.delta[d:d + n_out])
+            s, c, d = s + n_in, c + n_in * n_out, d + n_out
+        self.write_tables = self.diffuse = None
+        if self.kern is not None:
+            self.write_tables = self.kern.bind_table_writes(
+                self.luts, self.visits, self.src, self.lo, self.frac, self.dwr, self.hit, hp)
+            self.diffuse = self.kern.bind_diffusion(self.luts, self.visits, self.hit, hp)
+
+    def fits(self, net: Network) -> bool:
+        """Whether net's buffers, hyperparameters and selected kernel are the bound ones."""
+        return (net.params is self.params and net.luts is self.luts
+                and net.visits is self.visits and net.hp is self.hp
+                and (self.luts is None or kernel.load() is self.kern))
+
+    def forward(self, x) -> np.ndarray:
+        """Run one sample through every layer, in place; returns ``y``, the outputs."""
+        self.x[...] = x
+        hp = self.hp
+        for w, bias, lut, inputs, act, read, out in self.steps:
+            outputs = w * inputs
+            if lut is not None:
+                if read is None or read():
+                    _probed_read_numpy(lut, inputs, hp, out=out)
+                outputs += out[2]
+            total = np.add.reduce(outputs, -1)      # ndarray.sum without its wrapper
+            total += bias
+            np.tanh(total, out=act)
+        return self.y
+
+
+def _bound_buffer(net: Network, name: str, shape: tuple) -> np.ndarray:
+    """net's buffer name, if it is a writable C-contiguous float64 array of shape."""
+    buf = getattr(net, name)
+    if not (isinstance(buf, np.ndarray) and buf.dtype == np.float64 and buf.shape == shape
+            and buf.flags.c_contiguous and buf.flags.writeable):
+        got = (f"{buf.dtype} {buf.shape}" if isinstance(buf, np.ndarray)
+               else type(buf).__name__)
+        raise ValueError(f"the network's {name} must be a writable C-contiguous float64 "
+                         f"array of shape {shape}, got {got}")
+    return buf
+
+
+def _workspace(net: Network) -> Workspace:
+    """net's Workspace: the one bound before, unless it no longer fits net."""
+    ws = net._ws
+    if ws is None or not ws.fits(net):
+        ws = net._ws = Workspace(net)
+    return ws
+
+
+def _forward_layers(net: Network, act: np.ndarray) -> np.ndarray:
+    """Run a batch of rows (ns, n_in) through every layer.
+
+    The samples sit on a middle axis, so a connection output sits at
+    [dst, sample, src]; LUT layers go through ``_layer_outputs``.
+    """
     for lay in net.layers:
-        w, bias = (lay.w[:, None, :], lay.bias[:, None]) if batch else (lay.w, lay.bias)
-        lo = frac = lut_vals = slope = None
         if lay.lut is None:
-            outputs = w * act
-        elif batch:
-            outputs = _layer_outputs(lay.lut, lay.w, act, net.hp)
+            outputs = lay.w[:, None, :] * act
         else:
-            lo, frac, lut_vals, slope = _probed_read(lay.lut, act, net.hp)
-            outputs = w * act + lut_vals
-        y = np.tanh(outputs.sum(axis=-1) + bias)
-        if trace is not None:
-            trace.append(LayerTrace(act, lo, frac, lut_vals, y, slope))
-        act = y.T if batch else y
+            outputs = _layer_outputs(lay.lut, lay.w, act, net.hp)
+        act = np.tanh(outputs.sum(axis=-1) + lay.bias[:, None]).T
     return act
 
 
@@ -432,13 +543,20 @@ def forward_network(net: Network, x) -> tuple[np.ndarray, ForwardTrace]:
 
     Input nodes are pass-through; the raw input is what the first layer's
     connections see. Returns the output activations and a full trace,
-    the LUT slope estimates included. Read-only on the network.
+    the LUT slope estimates included, as copies of what the network's
+    ``Workspace`` holds after the pass a training iteration runs. Writes
+    nothing but that workspace.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_inputs,):
         raise _misfit(net, "one sample", x)
-    layers: list[LayerTrace] = []
-    return _forward_layers(net, x, layers), ForwardTrace(x, layers)
+    ws = _workspace(net)
+    ws.forward(x)
+    layers = []
+    for _, _, lut, inputs, act, _, out in ws.steps:
+        lo, frac, read, slope = (None,) * 4 if lut is None else (a.copy() for a in out)
+        layers.append(LayerTrace(inputs.copy(), lo, frac, read, act.copy(), slope))
+    return layers[-1].activations, ForwardTrace(x, layers)
 
 
 def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:

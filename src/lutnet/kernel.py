@@ -1,21 +1,27 @@
 """The compiled kernels: ``_probe.c``, built with gcc and loaded with cffi.
 
-Four functions run this kernel when it loads and their numpy body
-otherwise, and both bodies give the same bits: ``core._probed_read``, a LUT
-layer of one sample with its slope estimates (``forward_network``, so
-every training iteration), ``core._layer_outputs``, a LUT layer of a batch
-pass (``forward_batch``, so ``mse``, ``accuracy`` and ``render_surface``),
-``train._update_tables``, the LUT entry steps, visit updates and gated decay
-of a training iteration in one sweep, whose gain (``np.expm1``) and gate draw
-(``np.flatnonzero``) numpy computes first, and ``regularize._diffuse_rows``,
-the gated diffusion of a training iteration, which leaves its ``tanh`` to
-numpy between two C passes. The first of them to run in a process builds
-the library, unless it is cached, and loads it, so LW training and LW batch
-evaluation never import cffi. The library is cached in the package's
-``__pycache__`` under a name hashed from the source, the compiler and its
-flags. Any failure (no cffi, no compiler, a compile error, a directory that
-cannot be written) selects numpy for the rest of the process and keeps the
-reason, which ``describe`` reports.
+Four operations run this kernel when it loads and their numpy body
+otherwise, and both bodies give the same bits: the single-sample read of a
+LUT layer with its slope estimates (``core.Workspace``, so
+``forward_network`` and every training iteration), ``core._layer_outputs``,
+a LUT layer of a batch pass (``forward_batch``, so ``mse``, ``accuracy`` and
+``render_surface``), ``train._update_tables``, the LUT entry steps, visit
+updates and gated decay of a training iteration in one sweep, whose gain
+(``np.expm1``) and gate draw (``np.flatnonzero``) numpy computes first, and
+``regularize._diffuse_rows``, the gated diffusion of a training iteration,
+which leaves its ``tanh`` to numpy between two C passes.
+
+The single-sample operations run through a network's workspace: the
+``bind_*`` methods check a set of arrays once (dtype, shape, contiguity,
+writability) and return a call with their pointers bound, which then runs
+with no further check on the Python side. The C functions keep their own
+index checks. The first of them to run in a process builds the library,
+unless it is cached, and loads it, so LW training and LW batch evaluation
+never import cffi. The library is cached in the package's ``__pycache__``
+under a name hashed from the source, the compiler and its flags. Any
+failure (no cffi, no compiler, a compile error, a directory that cannot be
+written) selects numpy for the rest of the process and keeps the reason,
+which ``describe`` reports.
 """
 from __future__ import annotations
 
@@ -23,6 +29,7 @@ import contextlib
 import hashlib
 import os
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,27 +45,34 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _CDEF = """
 int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x, ptrdiff_t n_in,
                 const double *offsets, ptrdiff_t k, double i_min, double i_max, double span,
-                ptrdiff_t *lo0, double *out);
+                ptrdiff_t *lo0, double *frac0, double *read0, double *slope);
 int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *w,
                   const double *act, ptrdiff_t n_rows, ptrdiff_t n_in,
                   double i_min, double i_max, double span, double *out);
 int update_tables(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
                   const ptrdiff_t *src, const ptrdiff_t *lo, const double *frac, ptrdiff_t n_src,
-                  const double *dwr, const ptrdiff_t *hit, ptrdiff_t n_hit,
-                  double r_c, double v_min, double s_b, double scale, double new_scale);
+                  const double *dwr, const ptrdiff_t *hit, double r_c, double v_min, double s_b,
+                  ptrdiff_t n_hit, double scale, double new_scale);
 int diffusion_gaps(const double *luts, ptrdiff_t n_rows, ptrdiff_t r, const ptrdiff_t *hit,
-                   ptrdiff_t n_hit, double r_a, double *gap);
+                   double r_a, ptrdiff_t n_hit, double *gap);
 int diffuse_rows(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
-                 const ptrdiff_t *hit, ptrdiff_t n_hit, const double *tanh_gap,
-                 double r_a, double r_b, double v_min, double scale);
+                 const ptrdiff_t *hit, double r_a, double r_b, double v_min,
+                 ptrdiff_t n_hit, const double *tanh_gap, double scale);
 """
 
 _loaded = None          # after the first load(): the Kernel, or why there is none
 
 
+def _is(dtype, *arrays) -> bool:
+    return all(isinstance(a, np.ndarray) and a.dtype == dtype for a in arrays)
+
+
 class Kernel:
-    """The loaded library: one method per compiled function of ``core``, ``train`` or
-    ``regularize``."""
+    """The loaded library. Each ``bind_*`` method checks its arrays once and returns
+    a call on their bound pointers that gives the C function's status, 0 when it
+    ran; or None, leaving the work to numpy, when the arrays are not what the C
+    function reads (float64 or intp, C-contiguous, of matching shapes, the written
+    ones writable). A bound call keeps its arrays alive."""
 
     def __init__(self, path: Path):
         import cffi
@@ -72,33 +86,93 @@ class Kernel:
         self._indices = ffi.typeof("ptrdiff_t[]")
         self._null = ffi.NULL
 
-    def probed_read(self, lut, x, hp):
-        """lo, frac, read and slope as ``core._probed_read`` returns them, in fresh arrays.
+    def _pointers(self, *arrays, written=0):
+        """cffi pointers to arrays, the first ``written`` of them writable; None
+        when one is not C-contiguous or not writable."""
+        buf, doubles, indices = self._buffer, self._doubles, self._indices
+        try:
+            return [buf(indices if a.dtype == np.intp else doubles, a,
+                        require_writable=i < written) for i, a in enumerate(arrays)]
+        except (ValueError, TypeError, BufferError):
+            return None
 
-        Returns None, and leaves the read to numpy, unless lut is a C-contiguous
-        float64 (n_out, n_in, r) table, x a contiguous float64 vector of its n_in
-        inputs, and the read not 1x1 (n_out = n_in = 1, whose quotients numpy
-        sums pairwise).
+    def bind_read(self, lut, x, hp, lo, frac, read, slope):
+        """``() -> status``: the LUT layer lut read at x into lo, frac, read and slope.
+
+        lut is a (n_out, n_in, r) table and x its n_in inputs; the call writes
+        ``core._probed_read_numpy``'s four results in place: lo and frac (n_in)
+        and read and slope (n_out, n_in). None for a 1x1 read (n_out = n_in = 1),
+        whose quotients numpy sums pairwise.
         """
         offsets = hp.probe_offsets
         k = offsets.shape[0]
-        if not (lut.ndim == 3 and x.ndim == 1 and lut.shape[1] == x.shape[0]
-                and k <= MAX_PROBE_OFFSETS
-                and lut.dtype == x.dtype == offsets.dtype == np.float64):
+        if not (_is(np.float64, lut, x, frac, read, slope, offsets) and _is(np.intp, lo)
+                and lut.ndim == 3 and lut.shape[1:2] == x.shape == lo.shape == frac.shape
+                and read.shape == slope.shape == lut.shape[:2] and lut.shape[:2] != (1, 1)
+                and k <= MAX_PROBE_OFFSETS):
+            return None
+        ptrs = self._pointers(lo, frac, read, slope, lut, x, offsets, written=4)
+        if ptrs is None:
             return None
         n_out, n_in, r = lut.shape
+        return partial(self._lib.probed_read, ptrs[4], n_out, r, ptrs[5], n_in, ptrs[6], k,
+                       hp.i_min, hp.i_max, hp.span, *ptrs[:4])
+
+    def bind_table_writes(self, luts, visits, src, lo, frac, dwr, hit, hp):
+        """``(n_hit, scale, new_scale) -> status``: ``train._update_tables_numpy``
+        in place, on the gated rows hit[:n_hit].
+
+        luts and visits are (rows, r) tables stored at visit scale ``scale``; src
+        and dwr have one entry per row, frac one per lo entry, and hit is a
+        buffer of at least n_hit rows. The C function declines, writing nothing,
+        a src outside lo, an lo outside [0, r - 2] and hit rows that are not
+        strictly increasing inside the table.
+        """
+        if not (_is(np.float64, luts, visits, frac, dwr) and _is(np.intp, src, lo, hit)
+                and luts.ndim == 2 and luts.shape == visits.shape and lo.ndim == hit.ndim == 1
+                and src.shape == dwr.shape == luts.shape[:1] and frac.shape == lo.shape):
+            return None
+        ptrs = self._pointers(luts, visits, src, lo, frac, dwr, hit, written=2)
+        if ptrs is None:
+            return None
+        return partial(self._lib.update_tables, *ptrs[:2], *luts.shape, *ptrs[2:5],
+                       lo.shape[0], *ptrs[5:], hp.r_c, hp.v_min, hp.s_b)
+
+    def bind_diffusion(self, luts, visits, hit, hp):
+        """``(n_hit, scale) -> status``: ``regularize._diffuse_rows_numpy`` in place,
+        on the rows hit[:n_hit] of the (rows, r) tables luts and visits.
+
+        numpy's tanh runs on the scaled gaps between the two C passes.
+        """
+        if not (_is(np.float64, luts, visits) and _is(np.intp, hit)
+                and luts.ndim == 2 and luts.shape == visits.shape and hit.ndim == 1):
+            return None
+        ptrs = self._pointers(luts, visits, hit, written=2)
+        if ptrs is None:
+            return None
+        n_rows, r = luts.shape
+        rows = partial(self._lib.diffuse_rows, *ptrs[:2], n_rows, r, ptrs[2], hp.r_a, hp.r_b,
+                       hp.v_min)
+        if hp.r_a == 0.0:
+            null = self._null
+            return lambda n_hit, scale: rows(n_hit, null, scale)
+        gaps_of = partial(self._lib.diffusion_gaps, ptrs[0], n_rows, r, ptrs[2], hp.r_a)
         buf, doubles = self._buffer, self._doubles
-        try:
-            inputs = buf(doubles, lut), buf(doubles, x), buf(doubles, offsets)
-        except ValueError:                      # an array that is not C-contiguous
-            return None
-        lo = np.empty(n_in, dtype=np.intp)
-        out = np.empty((2 * n_out + 1, n_in))  # frac, then read, then slope
-        if self._lib.probed_read(inputs[0], n_out, r, inputs[1], n_in, inputs[2], k,
-                                 hp.i_min, hp.i_max, hp.span,
-                                 buf(self._indices, lo), buf(doubles, out)):
-            return None
-        return lo, out[0], out[1:n_out + 1], out[n_out + 1:]
+
+        def diffuse(n_hit, scale):
+            gaps = np.empty((n_hit, r - 1))
+            gap = buf(doubles, gaps)
+            if gaps_of(n_hit, gap):
+                return -1
+            np.tanh(gaps, out=gaps)             # numpy's tanh of the scaled gaps, in place
+            return rows(n_hit, gap, scale)
+
+        return diffuse
+
+    def diffuse_rows(self, luts, visits, hit, scale, hp):
+        """``bind_diffusion`` run once on all of hit's rows; True when it ran."""
+        diffuse = self.bind_diffusion(luts, visits, hit, hp)
+        return diffuse is not None and not diffuse(hit.shape[0], scale)
 
     def layer_outputs(self, lut, w, act, hp):
         """``core._layer_outputs`` on these arguments: a fresh (n_out, rows, n_in) array.
@@ -123,62 +197,6 @@ class Kernel:
                                    hp.i_min, hp.i_max, hp.span, buf(doubles, out)):
             return None
         return out
-
-    def update_tables(self, luts, visits, src, lo, frac, dwr, hit, scale, new_scale, hp):
-        """``train._update_tables_numpy`` on these arguments, in place; True when it ran.
-
-        Returns False, and leaves the tables to numpy, unless luts and visits are
-        writable C-contiguous float64 tables of one (rows, r) shape, src, lo and
-        hit contiguous intp vectors, frac a contiguous float64 vector of lo's length
-        and dwr one of src's, with one entry per row. The kernel also declines, having
-        written nothing, a src outside lo, an lo outside [0, r - 2] and hit rows
-        that are not strictly increasing inside the table.
-        """
-        if not (luts.ndim == 2 and luts.shape == visits.shape and lo.ndim == 1
-                and src.shape == dwr.shape == luts.shape[:1] and frac.shape == lo.shape
-                and hit.ndim == 1
-                and luts.dtype == visits.dtype == frac.dtype == dwr.dtype == np.float64
-                and src.dtype == lo.dtype == hit.dtype == np.intp
-                and luts.flags.writeable and visits.flags.writeable):
-            return False
-        buf, doubles, indices = self._buffer, self._doubles, self._indices
-        try:
-            tables = buf(doubles, luts), buf(doubles, visits)
-            rows = buf(indices, src), buf(indices, lo), buf(doubles, frac)
-            steps = buf(doubles, dwr), buf(indices, hit)
-        except ValueError:                      # an array that is not C-contiguous
-            return False
-        return not self._lib.update_tables(*tables, *luts.shape, *rows, lo.shape[0], *steps,
-                                           hit.shape[0], hp.r_c, hp.v_min, hp.s_b, scale,
-                                           new_scale)
-
-    def diffuse_rows(self, luts, visits, hit, scale, hp):
-        """``regularize._diffuse_rows`` on these arguments, in place; True when it ran.
-
-        Returns False, and leaves the rows to numpy, unless luts and visits are
-        writable C-contiguous float64 tables of one (rows, r) shape and hit a
-        contiguous intp vector of rows, strictly increasing, inside the table.
-        """
-        if not (luts.ndim == 2 and luts.shape == visits.shape and hit.ndim == 1
-                and luts.dtype == visits.dtype == np.float64 and hit.dtype == np.intp
-                and luts.flags.writeable and visits.flags.writeable):
-            return False
-        n_rows, r = luts.shape
-        n_hit = hit.shape[0]
-        buf, doubles, lib = self._buffer, self._doubles, self._lib
-        try:
-            tables, rows = (buf(doubles, luts), buf(doubles, visits)), buf(self._indices, hit)
-        except ValueError:                      # an array that is not C-contiguous
-            return False
-        gap = self._null
-        if hp.r_a != 0.0:                       # numpy's tanh of the scaled gaps, in place
-            gaps = np.empty((n_hit, r - 1))
-            gap = buf(doubles, gaps)
-            if lib.diffusion_gaps(tables[0], n_rows, r, rows, n_hit, hp.r_a, gap):
-                return False
-            np.tanh(gaps, out=gaps)
-        return not lib.diffuse_rows(*tables, n_rows, r, rows, n_hit, gap,
-                                    hp.r_a, hp.r_b, hp.v_min, scale)
 
 
 def load() -> Kernel | None:

@@ -8,10 +8,11 @@ tables themselves diffuse the same way, minus the smooth bound.
 
 ``_diffuse_rows_numpy`` is the one numpy statement of the rule, the
 training loop's gated diffusion in numpy. ``_diffuse_rows`` runs the
-compiled kernel (``lutnet.kernel``) in its place when it loads; both give
-the same bits. The scalar forms (``diffuse_lut``, ``diffuse_visits``,
-``diffusion_pair``) run it on a one-row table at visit scale 1 and
-refuse visit values that are not finite or fall below v_min.
+compiled kernel's call bound in the network's workspace in its place when
+the kernel loads; both give the same bits. The scalar forms
+(``diffuse_lut``, ``diffuse_visits``, ``diffusion_pair``) run it on a
+one-row table at visit scale 1 and refuse visit values that are not
+finite or fall below v_min.
 ``_gain_decay`` and ``_update_visits_tensor`` serve the scalar API and
 the loop alike.
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernel
 from .core import _segment_ends, _settle_visits, _table, segment_coords
 from .hyper import Hyperparameters
 
@@ -44,8 +44,8 @@ def _gain_decay(w, dw, hp: Hyperparameters):
     arg = np.maximum(den * dw, -50.0)
     np.minimum(arg, 50.0, out=arg)
     num = np.expm1(arg, out=arg)
-    zero = den == 0.0
-    if zero.any():
+    if np.count_nonzero(den) < den.size:     # a zero weight takes the raw update
+        zero = den == 0.0
         return np.where(zero, dw, num / np.where(zero, 1.0, den))
     num /= den
     return num
@@ -116,20 +116,18 @@ def diffuse_visits(visits, hp: Hyperparameters) -> np.ndarray:
     return vis[0]
 
 
-def _diffuse_rows(luts: np.ndarray, visits: np.ndarray, hit: np.ndarray, scale: float,
-                  hp: Hyperparameters) -> None:
-    """Diffuse rows hit of the (C, r_res) LUT and visit tables in place.
+def _diffuse_rows(ws, n_hit: int, scale: float, hp: Hyperparameters) -> None:
+    """Diffuse the gated rows ws.hit[:n_hit] of a network's tables in place.
 
-    visits is stored at visit scale ``scale``. Each row's LUT diffuses
-    smoothly and its visit table linearly, both with the balance
-    denominators of its settled visits; the new visits are floored at
-    v_min and stored back at ``scale``. Runs the compiled kernel when it
-    loads and takes the arguments, else ``_diffuse_rows_numpy``; both give
-    the same bits.
+    ws is the network's ``core.Workspace``; its visits are stored at visit
+    scale ``scale``. Each row's LUT diffuses smoothly and its visit table
+    linearly, both with the balance denominators of its settled visits; the
+    new visits are floored at v_min and stored back at ``scale``. Runs the
+    kernel's call bound in ws when there is one and it takes the rows, else
+    ``_diffuse_rows_numpy``; both give the same bits.
     """
-    kern = kernel.load()
-    if kern is None or not kern.diffuse_rows(luts, visits, hit, scale, hp):
-        _diffuse_rows_numpy(luts, visits, hit, scale, hp)
+    if ws.diffuse is None or ws.diffuse(n_hit, scale):
+        _diffuse_rows_numpy(ws.luts, ws.visits, ws.hit[:n_hit], scale, hp)
 
 
 def _diffuse_rows_numpy(luts: np.ndarray, visits: np.ndarray, hit: np.ndarray, scale: float,

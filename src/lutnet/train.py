@@ -8,18 +8,24 @@ touched entries plus diffusion of the LUT and its visit table. Outside
 the gated rows, an iteration writes two LUT entries and two visit
 entries per LUT connection, whatever ``r_res``: the decay of the other
 visit entries is carried by ``Network.visit_scale``. Those writes and the
-gated decay of the touched entries are one step, ``_update_tables``, which
-runs the compiled kernel (``lutnet.kernel``) when it loads and its numpy
-body, ``_update_tables_numpy``, otherwise; numpy computes the gain-shaped
-steps and the gate draw before it. Both give the same bits.
+gated decay of the touched entries are one step, ``_update_tables``;
+numpy computes the gain-shaped steps and the gate draw before it.
+
+Every step works in the network's ``core.Workspace``, which is bound once
+and checked once per block of ``Trainer.run``: the forward pass leaves each
+layer's inputs, segments, reads and slopes in its flat buffers, backprop
+writes the deltas beside them, and the updates index them all at once.
+The probe reads, the table writes and the diffusion run the compiled
+kernel's calls bound there (``lutnet.kernel``) when it loads, and their
+numpy bodies otherwise; both give the same bits.
 
 The error function is half the summed squared output error, so output
 deltas are simply (y - d) times the tanh slope. Because LUTs are only
 piecewise differentiable, the derivative carried through a LUT
 connection is estimated by averaging symmetric difference quotients at
 a geometric ladder of probe offsets, ``Hyperparameters.probe_offsets``. The
-forward pass reads the probes in its LUT gather, so its trace carries the
-slope estimates that backprop uses.
+forward pass reads the probes in its LUT gather, so it leaves the slope
+estimates that backprop uses.
 """
 from __future__ import annotations
 
@@ -27,17 +33,18 @@ import math
 
 import numpy as np
 
-from . import kernel
 from .core import (
     VISIT_SCALE_MIN,
     ForwardTrace,
     LutConnection,
     Network,
+    Workspace,
+    _misfit,
     _require_fit,
     _segment_ends,
     _table_read,
+    _workspace,
     find_nonfinite,
-    forward_network,
 )
 from .data import _require_finite
 from .hyper import Hyperparameters
@@ -71,20 +78,28 @@ def backprop(net: Network, trace: ForwardTrace, target) -> list[np.ndarray]:
     target = np.asarray(target, dtype=float)
     if target.shape != (net.n_outputs,):
         raise ValueError(f"expected {net.n_outputs} target values, got shape {target.shape}")
-    layers = trace.layers
-    y = layers[-1].activations
-    delta = (y - target) * (1.0 - y * y)
-    deltas = [np.empty(0)] * len(net.layers)
-    deltas[-1] = delta
-    for li in range(len(net.layers) - 1, 0, -1):
-        lay = net.layers[li]
-        slope = layers[li].slope
-        dodi = lay.w if slope is None else lay.w + slope
-        back = (delta[:, None] * dodi).sum(axis=0)
-        y_prev = layers[li - 1].activations
-        delta = back * (1.0 - y_prev * y_prev)
-        deltas[li - 1] = delta
+    acts = [layer.activations for layer in trace.layers]
+    deltas = [np.empty(n) for n in net.sizes[1:]]
+    y = acts[-1]
+    np.multiply(y - target, 1.0 - y * y, out=deltas[-1])
+    _backprop_hidden(deltas, [lay.w for lay in net.layers],
+                     [layer.slope for layer in trace.layers], acts)
     return deltas
+
+
+def _backprop_hidden(deltas: list, weights: list, slopes: list, acts: list) -> None:
+    """Fill deltas[li - 1] from deltas[li], from the output layer down, in place.
+
+    Layer li's weights, its slope estimates (None for LW) and activations
+    are weights[li], slopes[li] and acts[li].
+    """
+    delta = deltas[-1]
+    for li in range(len(deltas) - 1, 0, -1):
+        slope = slopes[li]
+        dodi = weights[li] if slope is None else weights[li] + slope
+        back = np.add.reduce(delta[:, None] * dodi, 0)
+        y_prev = acts[li - 1]
+        delta = np.multiply(back, 1.0 - y_prev * y_prev, out=deltas[li - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -136,26 +151,23 @@ def update_lut_component(conn: LutConnection, e: float, x: float,
     return lut
 
 
-def _update_tables(luts: np.ndarray, visits: np.ndarray, src: np.ndarray, lo: np.ndarray,
-                   frac: np.ndarray, dwr: np.ndarray, hit: np.ndarray, scale: float,
-                   hp: Hyperparameters) -> float:
+def _update_tables(ws: Workspace, n_hit: int, scale: float, hp: Hyperparameters) -> float:
     """A training iteration's table writes, in place; returns the new visit scale.
 
-    luts and visits are the (C, r_res) tables, visits stored at visit scale
-    ``scale``. LUT row c reads source src[c] of the iteration's segments
-    (lo, frac): its two bracketing entries take the gain-shaped step dwr[c]
-    (``_lut_entry_updates``), their visit entries decay and bump
-    (``_update_visits_tensor``) and are stored at the new scale
-    scale * (1 - r_c), and on a row in hit, the gated rows, the touched
-    entries decay (``_decay_touched``). Runs the compiled kernel when it loads
-    and takes the arguments, else ``_update_tables_numpy``; both give the same
-    bits.
+    ws holds the network's (C, r_res) tables, visits stored at visit scale
+    ``scale``, and the iteration's segments (lo, frac), steps dwr and gated
+    rows hit[:n_hit]. LUT row c reads source src[c]: its two bracketing
+    entries take the gain-shaped step dwr[c] (``_lut_entry_updates``), their
+    visit entries decay and bump (``_update_visits_tensor``) and are stored at
+    the new scale scale * (1 - r_c), and on a gated row the touched entries
+    decay (``_decay_touched``). Runs the kernel's call bound in ws when there
+    is one and it takes the indices, else ``_update_tables_numpy``; both give
+    the same bits.
     """
     new_scale = scale * (1.0 - hp.r_c)
-    kern = kernel.load()
-    if kern is None or not kern.update_tables(luts, visits, src, lo, frac, dwr, hit, scale,
-                                              new_scale, hp):
-        _update_tables_numpy(luts, visits, src, lo, frac, dwr, hit, scale, new_scale, hp)
+    if ws.write_tables is None or ws.write_tables(n_hit, scale, new_scale):
+        _update_tables_numpy(ws.luts, ws.visits, ws.src, ws.lo, ws.frac, ws.dwr,
+                             ws.hit[:n_hit], scale, new_scale, hp)
     return new_scale
 
 
@@ -176,43 +188,47 @@ def _update_tables_numpy(luts: np.ndarray, visits: np.ndarray, src: np.ndarray,
 # ---------------------------------------------------------------------------
 # One full iteration
 
-def _apply_iteration(net: Network, x, target, gate_u: np.ndarray) -> float:
+def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
+                     ws: Workspace | None = None) -> float:
     """Forward, backprop, and all updates for one sample.
 
     gate_u supplies one uniform draw per LUT connection in layer-major,
     destination-major, source-major order. Returns the sample's mean
-    squared output error (from the pre-update forward pass). Every
-    update step runs once over the network's flat buffers, all layers
-    at a time.
+    squared output error (from the pre-update forward pass). ws is net's
+    ``Workspace``; ``Trainer.run`` passes the one it checked, and without
+    it the iteration looks it up. Every step reads and writes ws's flat
+    buffers, all layers at a time: the forward pass leaves each layer's
+    inputs, segments, reads and slopes there, backprop writes the deltas
+    beside them, and the updates index them with ``ws.maps``.
     """
+    if ws is None:
+        ws = _workspace(net)
     hp = net.hp
-    y, trace = forward_network(net, x)
-    target = np.asarray(target, dtype=float)
-    deltas = backprop(net, trace, target)
+    y = ws.forward(x)
     err = y - target
+    np.multiply(err, 1.0 - y * y, out=ws.deltas[-1])
+    _backprop_hidden(ws.deltas, ws.weights, ws.slopes, ws.acts)
     sq_err = float(err @ err) / err.shape[0]
 
-    maps = net.update_maps
-    step = hp.mu * np.concatenate(deltas)
-    inputs = np.concatenate([tr.inputs for tr in trace.layers] + [np.ones(len(deltas))])
-    grad = step[maps.param_dst] * inputs[maps.param_src]
-    dw = _gain_decay(net.params, grad, hp)
+    maps = ws.maps
+    step = np.multiply(ws.delta, hp.mu, out=ws.step)
+    grad = step[maps.param_dst] * ws.inputs[maps.param_src]
+    dw = _gain_decay(ws.params, grad, hp)
     if maps.linear_rates is not None:
         dw *= maps.linear_rates
-    net.params -= dw
-    net.params *= 1.0 - hp.s_b
-    if net.luts is None:
+    ws.params -= dw
+    ws.params *= 1.0 - hp.s_b
+    if ws.luts is None:
         return sq_err
 
-    lo = np.concatenate([tr.seg_lo for tr in trace.layers])
-    frac = np.concatenate([tr.seg_frac for tr in trace.layers])
-    lut_value = np.concatenate([tr.lut_values.reshape(-1) for tr in trace.layers])
-    dwr = -_gain_decay(lut_value, step[maps.conn_dst], hp)
-    hit = np.flatnonzero(hp.zeta > gate_u)
-    net.visit_scale = _update_tables(net.luts, net.visits, maps.conn_src, lo, frac, dwr, hit,
-                                     net.visit_scale, hp)
-    if hit.size:
-        _diffuse_rows(net.luts, net.visits, hit, net.visit_scale, hp)
+    np.negative(_gain_decay(ws.read, step[maps.conn_dst], hp), out=ws.dwr)
+    hit = (hp.zeta > gate_u).nonzero()[0]
+    n_hit = hit.shape[0]
+    if n_hit:
+        ws.hit[:n_hit] = hit
+    net.visit_scale = _update_tables(ws, n_hit, net.visit_scale, hp)
+    if n_hit:
+        _diffuse_rows(ws, n_hit, net.visit_scale, hp)
     if net.visit_scale < VISIT_SCALE_MIN:
         net.fold_visit_scale()
     return sq_err
@@ -225,6 +241,9 @@ def train_iteration(net: Network, x, target, rng: np.random.Generator) -> float:
     (the regularization gates), drawn as a single layer-major block.
     Returns the sample's mean squared output error.
     """
+    x, target = np.asarray(x, dtype=float), np.asarray(target, dtype=float)
+    if x.shape != (net.n_inputs,) or target.shape != (net.n_outputs,):
+        raise _misfit(net, "one sample", x, target)
     gate_u = rng.random(net.lut_connection_count())
     return _apply_iteration(net, x, target, gate_u)
 
@@ -315,9 +334,12 @@ class Trainer:
                 next_ck = checkpoint_every - self.iteration % checkpoint_every
                 block = min(block, next_ck)
             gate_u = self.gate_rng.random((block, n_gate))
+            # bound on the first run; checked once per block, so a rebinding between
+            # runs or in a callback is seen, and never inside a block
+            ws = _workspace(net)
             for b in range(block):
                 idx = order[pos + b]
-                err = _apply_iteration(net, self.args[idx], self.vals[idx], gate_u[b])
+                err = _apply_iteration(net, self.args[idx], self.vals[idx], gate_u[b], ws)
                 window_sum += err
                 window_n += 1
                 if not math.isfinite(err):

@@ -36,7 +36,7 @@ from lutnet.evaluate import accuracy, mse
 from lutnet.hyper import Hyperparameters, default_hyperparameters
 from lutnet.bench import bench_dataset, time_in_turn_ms
 from lutnet.regularize import diffusion_pair, gain_decay
-from lutnet.train import Trainer, backprop, update_lut_component
+from lutnet.train import Trainer, _apply_iteration, backprop, update_lut_component
 
 
 NLW = default_hyperparameters("NLW")
@@ -220,6 +220,33 @@ def test_criterion_4_selective_parameter_scaling():
             f"forward ratio {fwd_ratio:.3f} (within [0.8, 1.3]; "
             f"{fwd256:.4f}/{fwd16:.4f} ms/iter) "
             f"in {elapsed:.1f}s")
+
+
+@pytest.mark.parametrize("numpy_path", [False, True], ids=["selected-read", "numpy-read"])
+def test_iteration_table_writes_do_not_depend_on_r_res(monkeypatch, numpy_path):
+    """Criterion 4's claim, exact: an iteration changes at most two LUT and two visit
+    entries of an ungated connection, adjacent ones, and r_res of a gated row."""
+    if numpy_path:
+        monkeypatch.setattr(kernel, "_loaded", "numpy chosen by the test")
+    args, vals = bench_dataset(5, 1, count=64, seed=0)
+    for r_res in (16, 64, 256):
+        net = init_network((5, 16, 16, 1), "NLW", NLW.replace(r_res=r_res), _seeded([404, 0]))
+        gates = _seeded([406, r_res])
+        ungated_changes = 0
+        for it in range(12):
+            gate_u = gates.random(net.lut_connection_count())
+            gated = NLW.zeta > gate_u
+            before = net.luts.copy(), net.visits.copy()
+            _apply_iteration(net, args[it], vals[it], gate_u)
+            for table, old in zip((net.luts, net.visits), before):
+                changed = table != old
+                per_row = changed.sum(axis=1)
+                assert (per_row[~gated] <= 2).all(), (r_res, it, per_row[~gated].max())
+                pairs = changed[~gated][per_row[~gated] == 2]
+                assert (np.diff(np.argwhere(pairs)[:, 1])[::2] == 1).all()
+                assert per_row.sum() <= 2 * (~gated).sum() + r_res * gated.sum()
+                ungated_changes += per_row[~gated].sum()
+        assert ungated_changes > 0
 
 
 def _lutnet_opcodes(run) -> int:

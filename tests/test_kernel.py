@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from lutnet.core import (
     VISIT_SCALE_MIN,
     _layer_outputs,
     _layer_outputs_numpy,
-    _probed_read,
     _probed_read_numpy,
     forward_batch,
+    forward_network,
     init_network,
     lut_grid,
 )
@@ -37,6 +38,29 @@ R8 = NLW.replace(r_res=8)
 def _bits(a):
     """An int64 view of a float array, so that -0.0 and NaN payloads compare too."""
     return np.ascontiguousarray(a).view(np.int64)
+
+
+def _kernel_read(lut, x, hp):
+    """The kernel's read of lut at x as fresh (lo, frac, read, slope), or None when
+    ``bind_read`` declines the arrays."""
+    n_out, n_in = lut.shape[0], x.shape[0]
+    out = (np.empty(n_in, dtype=np.intp), np.empty(n_in), np.empty((n_out, n_in)),
+           np.empty((n_out, n_in)))
+    read = KERNEL.bind_read(lut, x, hp, *out)
+    if read is None:
+        return None
+    assert read() == 0
+    return out
+
+
+def _bound(luts, visits, hit, hp, src=None, lo=None, frac=None, dwr=None):
+    """What ``train._update_tables`` and ``regularize._diffuse_rows`` read of a
+    ``core.Workspace``, with the kernel's calls bound to these arrays where it
+    takes them."""
+    return SimpleNamespace(
+        luts=luts, visits=visits, src=src, lo=lo, frac=frac, dwr=dwr, hit=hit,
+        write_tables=KERNEL.bind_table_writes(luts, visits, src, lo, frac, dwr, hit, hp),
+        diffuse=KERNEL.bind_diffusion(luts, visits, hit, hp))
 
 
 @st.composite
@@ -74,7 +98,7 @@ def probe_reads(draw):
 @given(case=probe_reads())
 def test_kernel_matches_numpy_probe_read_bit_for_bit(case):
     lut, x, hp = case
-    got = KERNEL.probed_read(lut, x, hp)
+    got = _kernel_read(lut, x, hp)
     if lut.shape[0] == x.shape[0] == 1:         # numpy sums a 1x1 read pairwise: left to it
         assert got is None
         return
@@ -89,13 +113,13 @@ def test_kernel_matches_numpy_probe_read_bit_for_bit(case):
 
 @needs_kernel
 def test_probed_read_runs_the_kernel_when_it_loads(monkeypatch):
-    def numpy_read(*_):
+    def numpy_read(*_, **__):
         raise AssertionError("the numpy probe read ran")
 
     monkeypatch.setattr(core, "_probed_read_numpy", numpy_read)
-    lut = np.zeros((2, 3, 8))
-    lo, frac, read, slope = _probed_read(lut, np.zeros(3), NLW)
-    assert read.shape == slope.shape == (2, 3)
+    net = init_network((3, 2), "NLW", R8, np.random.default_rng(8))
+    layer = forward_network(net, np.zeros(3))[1].layers[0]
+    assert layer.lut_values.shape == layer.slope.shape == (2, 3)
 
 
 @needs_kernel
@@ -108,13 +132,16 @@ def test_probed_read_runs_the_kernel_when_it_loads(monkeypatch):
 def test_kernel_declines_what_it_does_not_take(change):
     # numpy then reads them, input j from table column j, or raises as it always did
     lut, x = change(np.random.default_rng(8).standard_normal((2, 3, 8)), np.linspace(-1, 1, 3))
-    assert KERNEL.probed_read(lut, x, R8) is None
+    assert _kernel_read(lut, x, R8) is None
     if lut.shape[1] < x.shape[0]:               # an input with no table column
         with pytest.raises(IndexError):
-            _probed_read(lut, x, R8)
+            _probed_read_numpy(lut, x, R8)
         return
-    got, want = _probed_read(lut, x, R8), _probed_read_numpy(lut, x, R8)
-    for g, w in zip(got, want):
+    # a workspace layer's fallback writes numpy's read into its slices
+    got = (np.empty(3, dtype=np.intp), np.empty(3), np.empty((2, 3)), np.empty((2, 3)))
+    got = tuple(a[..., :x.shape[0]] for a in got)
+    assert _probed_read_numpy(lut, x, R8, out=got) is got
+    for g, w in zip(got, _probed_read_numpy(lut, x, R8)):
         assert np.array_equal(_bits(g), _bits(w))
 
 
@@ -203,8 +230,8 @@ def test_kernel_declines_a_batch_column_outside_the_table():
 
 
 # The perfbench nets (NLW 2-8-1 r64, NLW 2-32-32-1 r256, LW 5-32-32-1) read every
-# probe in C: one read per LUT layer and iteration. 2-1-1's later layer is a 1x1
-# read, which goes to numpy every time.
+# probe in C: one read per LUT layer and iteration, bound once. 2-1-1's later layer
+# is a 1x1 read, which the kernel declines to bind, so it goes to numpy every time.
 @needs_kernel
 @pytest.mark.parametrize("sizes,kind,r_res,reads,declined", [
     pytest.param((2, 8, 1), "NLW", 64, 2, 0, id="spirals-small"),
@@ -214,17 +241,26 @@ def test_kernel_declines_a_batch_column_outside_the_table():
 ])
 def test_training_probe_reads_run_in_c_unless_they_are_1x1(monkeypatch, sizes, kind, r_res,
                                                            reads, declined):
-    results, numpy_reads = [], []
-    call, numpy_read = kernel.Kernel.probed_read, core._probed_read_numpy
-    monkeypatch.setattr(kernel.Kernel, "probed_read",
-                        lambda *args: results.append(call(*args)) or results[-1])
+    binds, c_reads, numpy_reads = [], [], []
+    bind, numpy_read = kernel.Kernel.bind_read, core._probed_read_numpy
+
+    def counted_bind(*args):
+        read = bind(*args)
+        binds.append(read)
+        return read and (lambda: c_reads.append(1) or read())
+
+    monkeypatch.setattr(kernel.Kernel, "bind_read", counted_bind)
     monkeypatch.setattr(core, "_probed_read_numpy",
-                        lambda *args: numpy_reads.append(1) or numpy_read(*args))
+                        lambda *args, **kw: numpy_reads.append(1) or numpy_read(*args, **kw))
     rng = np.random.default_rng(6)
     net = init_network(sizes, kind, default_hyperparameters(kind).replace(r_res=r_res), rng)
-    Trainer(net, rng.uniform(-1, 1, (16, sizes[0])), rng.uniform(-1, 1, (16, 1)), 7).run(50)
-    assert len(results) == 50 * reads
-    assert sum(out is None for out in results) == len(numpy_reads) == 50 * declined
+    trainer = Trainer(net, rng.uniform(-1, 1, (16, sizes[0])), rng.uniform(-1, 1, (16, 1)), 7)
+    trainer.run(20)
+    trainer.run(30)                             # the same workspace: bound once
+    assert len(binds) == reads
+    assert sum(read is None for read in binds) == declined
+    assert len(c_reads) == 50 * (reads - declined)
+    assert len(numpy_reads) == 50 * declined
 
 
 @st.composite
@@ -286,7 +322,7 @@ def test_kernel_declines_diffusion_it_does_not_take_and_numpy_diffuses(change):
     want_luts, want_visits = luts.copy(order="K"), visits.copy(order="K")
     _diffuse_rows_numpy(want_luts, want_visits, hit, scale, hp)
     assert not KERNEL.diffuse_rows(luts.copy(order="K"), visits.copy(order="K"), hit, scale, hp)
-    _diffuse_rows(luts, visits, hit, scale, hp)
+    _diffuse_rows(_bound(luts, visits, hit, hp), hit.shape[0], scale, hp)
     assert np.array_equal(_bits(luts), _bits(want_luts))
     assert np.array_equal(_bits(visits), _bits(want_visits))
 
@@ -297,7 +333,7 @@ def test_kernel_declines_diffusion_of_a_row_outside_the_table():
     hit = np.array([1, 5])
     assert not KERNEL.diffuse_rows(luts, visits, hit, scale, hp)
     with pytest.raises(IndexError):                 # numpy then raises as it always did
-        _diffuse_rows(luts, visits, hit, scale, hp)
+        _diffuse_rows(_bound(luts, visits, hit, hp), hit.shape[0], scale, hp)
 
 
 @st.composite
@@ -332,10 +368,12 @@ def table_writes(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=table_writes())
 def test_kernel_matches_numpy_table_updates_bit_for_bit(case):
-    luts, visits, *rows, scale, hp = case
+    luts, visits, src, lo, frac, dwr, hit, scale, hp = case
     new_scale = scale * (1.0 - hp.r_c)
     got_luts, got_visits = luts.copy(), visits.copy()
-    assert KERNEL.update_tables(got_luts, got_visits, *rows, scale, new_scale, hp)
+    write = KERNEL.bind_table_writes(got_luts, got_visits, src, lo, frac, dwr, hit, hp)
+    assert write(hit.shape[0], scale, new_scale) == 0
+    rows = src, lo, frac, dwr, hit
     with np.errstate(invalid="ignore", over="ignore"):
         _update_tables_numpy(luts, visits, *rows, scale, new_scale, hp)
     assert np.array_equal(_bits(got_luts), _bits(luts))    # untouched entries as well
@@ -367,12 +405,16 @@ def _read_only(table):
 
 
 def _declined(case):
-    """Asserts the kernel declines a case, writing nothing, and returns the case."""
+    """Asserts the kernel declines a case, at bind time or writing nothing, and
+    returns the case's arrays bound as ``_update_tables`` reads them."""
     args, untouched = case(), case()
-    assert not KERNEL.update_tables(*args, 0.25, 0.25 * 0.95, TABLE_HP)
+    luts, visits, src, lo, frac, dwr, hit = args
+    bound = _bound(luts, visits, hit, TABLE_HP, src, lo, frac, dwr)
+    write = bound.write_tables
+    assert write is None or write(hit.shape[0], 0.25, 0.25 * 0.95) != 0
     for table, want in zip(args[:2], untouched[:2]):
         assert np.array_equal(_bits(table), _bits(want))
-    return args
+    return bound
 
 
 @needs_kernel
@@ -392,8 +434,8 @@ def test_kernel_declines_table_writes_it_does_not_take_and_numpy_writes_them(cas
     want = case()
     _update_tables_numpy(*want, 0.25, 0.25 * 0.95, TABLE_HP)
     got = _declined(case)
-    assert _update_tables(*got, 0.25, TABLE_HP) == 0.25 * 0.95
-    for table, want_table in zip(got[:2], want[:2]):
+    assert _update_tables(got, got.hit.shape[0], 0.25, TABLE_HP) == 0.25 * 0.95
+    for table, want_table in zip((got.luts, got.visits), want[:2]):
         assert np.array_equal(_bits(table), _bits(want_table))
 
 
@@ -407,9 +449,9 @@ def test_kernel_declines_table_writes_it_does_not_take_and_numpy_writes_them(cas
     pytest.param(_changed(1, _read_only), ValueError, id="read-only-visits"),
 ])
 def test_kernel_declines_table_writes_that_numpy_refuses(case, error):
-    args = _declined(case)
+    bound = _declined(case)
     with pytest.raises(error):                  # numpy then raises as it always did
-        _update_tables(*args, 0.25, TABLE_HP)
+        _update_tables(bound, bound.hit.shape[0], 0.25, TABLE_HP)
 
 
 @needs_kernel
@@ -495,13 +537,16 @@ def _run(script):
 
 
 def test_lw_training_and_batch_evaluation_never_load_the_kernel():
-    # nor does approx_lut_derivative, which reads its one table through the numpy reference
+    # nor do an LW net's workspace, which forward_network uses as well, and
+    # approx_lut_derivative, which reads its one table through the numpy reference
     script = (
         "import sys, numpy as np\n"
-        "from lutnet import Trainer, forward_batch, init_network, default_hyperparameters\n"
+        "from lutnet import (Trainer, forward_batch, forward_network, init_network,\n"
+        "                    default_hyperparameters)\n"
         "rng = np.random.default_rng(0)\n"
         "net = init_network((2, 3, 1), 'LW', default_hyperparameters('LW'), rng)\n"
         "Trainer(net, rng.uniform(-1, 1, (8, 2)), rng.uniform(-1, 1, (8, 1)), 1).run(20)\n"
+        "forward_network(net, rng.uniform(-1, 1, 2))\n"
         "forward_batch(net, rng.uniform(-1, 1, (8, 2)))\n"
         "hp = default_hyperparameters('NLW')\n"
         "from lutnet.core import LutConnection\n"

@@ -596,6 +596,93 @@ def test_kernel_and_numpy_diffusion_train_the_same_bits(monkeypatch, hp):
     assert net.visit_scale == numpy_net.visit_scale
 
 
+@pytest.mark.parametrize("sizes", [(1, 1), (2, 1, 1)], ids=["1-1", "2-1-1"])
+def test_a_net_with_a_1x1_lut_layer_trains_the_same_bits_on_both_paths(monkeypatch, sizes):
+    # the kernel declines to bind a 1x1 read, so the workspace reads that layer in numpy
+    hp = NLW.replace(r_res=16, zeta=0.3)
+    args, vals = _toy_data(n=20, seed=6)
+    start = init_network(sizes, "NLW", hp, _rng([45]))
+    runs = []
+    for numpy_path in (False, True):
+        if numpy_path:
+            _numpy_probe_read(monkeypatch)
+        net = start.clone()
+        rows = Trainer(net, args[:, :sizes[0]], vals, seed=46).run(300, log_every=50)
+        runs.append((rows, net))
+    (rows, net), (numpy_rows, numpy_net) = runs
+    assert rows == numpy_rows
+    for name in ("params", "luts", "visits"):
+        assert np.array_equal(getattr(net, name).view(np.int64),
+                              getattr(numpy_net, name).view(np.int64))
+    assert net.visit_scale == numpy_net.visit_scale
+
+
+@pytest.mark.parametrize("name", ["params", "luts", "visits"])
+@pytest.mark.parametrize("when", ["between-runs", "in-on_log"])
+def test_a_rebound_buffer_is_bound_anew_and_the_old_one_is_not_written(name, when):
+    # the workspace binds the network's flat buffers; training follows a buffer that
+    # was rebound to an equal copy, and leaves the one it replaced as it was
+    hp = NLW.replace(r_res=16, zeta=0.3)
+    args, vals = _toy_data(n=20, seed=7)
+    straight = init_network((2, 4, 1), "NLW", hp, _rng([47]))
+    net = straight.clone()
+    Trainer(straight, args, vals, seed=48).run(60, log_every=10)
+    old = []
+
+    def rebind(trainer, _=None):
+        if trainer.iteration == 30:
+            old.append(getattr(net, name))
+            setattr(net, name, old[-1].copy())
+            old.append(old[-1].copy())      # the replaced buffer's entries, to compare
+
+    trainer = Trainer(net, args, vals, seed=48)
+    if when == "between-runs":
+        trainer.run(30, log_every=10)
+        rebind(trainer)
+        trainer.run(30, log_every=10)
+    else:
+        trainer.run(60, log_every=10, on_log=rebind)
+    replaced, entries = old
+    assert getattr(net, name) is not replaced
+    assert np.array_equal(replaced, entries)
+    for buf in ("params", "luts", "visits"):
+        assert np.array_equal(getattr(net, buf), getattr(straight, buf))
+
+
+def test_rebound_hyperparameters_are_bound_with_their_rates():
+    # the workspace holds the update maps, whose LUT linear rates are nu; forward_network
+    # binds it, and training after net.hp is rebound must use the new nu
+    hp, new = NLW.replace(r_res=16), NLW.replace(r_res=16, nu=0.5)
+    args, vals = _toy_data(n=20, seed=9)
+    net = init_network((2, 4, 1), "NLW", hp, _rng([51]))
+    twin = net.clone()
+    forward_network(net, args[0])
+    net.hp = twin.hp = new
+    for each in (net, twin):
+        Trainer(each, args, vals, seed=52).run(40)
+    for name in ("params", "luts", "visits"):
+        assert np.array_equal(getattr(net, name), getattr(twin, name))
+
+
+@pytest.mark.parametrize("name,change", [
+    ("params", lambda a: a.astype(np.float32)),
+    ("luts", lambda a: np.asfortranarray(a)),
+    ("visits", lambda a: a[:-1]),
+    ("luts", lambda a: a[None]),
+])
+def test_a_buffer_rebound_to_an_array_the_workspace_cannot_bind_is_refused(name, change):
+    net = init_network((2, 4, 1), "NLW", NLW.replace(r_res=16), _rng([49]))
+    args, vals = _toy_data(n=20, seed=8)
+    trainer = Trainer(net, args, vals, seed=50)
+    trainer.run(5)
+    setattr(net, name, change(getattr(net, name)))
+    for run in (lambda: trainer.run(5), lambda: forward_network(net, args[0])):
+        with pytest.raises(ValueError, match=f"the network's {name} must be a writable "
+                                             f"C-contiguous float64 array"):
+            run()
+    assert trainer.iteration == 5
+
+
 def test_iteration_error_is_mean_squared_output_error():
     net = init_network((2, 1, 3), "LW", LW, _rng([24, 0]))
     x = np.array([0.1, 0.2])
@@ -722,6 +809,29 @@ def test_resume_at_any_split_is_bit_exact(tmp_path_factory, kind, seed, n, split
     save_model(tmp / "whole.json", whole, tr.iteration, tr.gate_state())
     save_model(tmp / "resumed.json", loaded.net, resumed.iteration, resumed.gate_state())
     assert (tmp / "whole.json").read_bytes() == (tmp / "resumed.json").read_bytes()
+
+
+@pytest.mark.parametrize("numpy_path", [False, True], ids=["selected-read", "numpy-read"])
+def test_a_loaded_model_resumed_saves_the_bytes_of_the_straight_run(tmp_path, monkeypatch,
+                                                                   numpy_path):
+    # the loaded net binds a workspace of its own; the straight one keeps its own
+    if numpy_path:
+        _numpy_probe_read(monkeypatch)
+    args, vals = _toy_data(n=30, seed=10)
+    hp = NLW.replace(r_res=64, zeta=0.3)
+    straight = Trainer(init_network((2, 8, 1), "NLW", hp, _rng([53])), args, vals, seed=54)
+    straight.run(70, log_every=20)
+    half = Trainer(init_network((2, 8, 1), "NLW", hp, _rng([53])), args, vals, seed=54)
+    half.run(33, log_every=20)
+    save_model(tmp_path / "half.json", half.net, half.iteration, half.gate_state())
+    loaded = load_model(tmp_path / "half.json")
+    resumed = Trainer(loaded.net, args, vals, seed=54)
+    resumed.restore(loaded.iteration, loaded.rng_state)
+    resumed.run(37, log_every=20)
+    for name, trainer in (("straight", straight), ("resumed", resumed)):
+        save_model(tmp_path / f"{name}.json", trainer.net, trainer.iteration,
+                   trainer.gate_state())
+    assert (tmp_path / "straight.json").read_bytes() == (tmp_path / "resumed.json").read_bytes()
 
 
 def test_trainer_log_rows_cadence_and_partial_tail():
