@@ -4,10 +4,12 @@
  *    included, ``core._probed_read_numpy``;
  *  - layer_outputs is every connection output of one LUT layer for a batch
  *    of rows, ``core._layer_outputs_numpy``;
- *  - update_tables is a training iteration's table writes, the LUT entry
- *    steps, the visit decay-and-bump and the gated decay of the touched
- *    entries, ``train._update_tables_numpy``. The gain (np.expm1) and the gate
- *    draw stay with numpy: the caller passes the shaped steps and the hit rows;
+ *  - update_args and update_apply are a training iteration's update steps,
+ *    ``train._updates_numpy``: the linear updates with their gain and decay,
+ *    the LUT rows' gain-shaped steps, the gate draw and the table writes (the
+ *    LUT entry steps, the visit decay-and-bump and the gated decay of the
+ *    touched entries). np.expm1 is left to numpy, which runs it on the
+ *    arguments update_args writes, before update_apply;
  *  - diffusion_gaps and diffuse_rows are the gated diffusion of a training
  *    iteration, ``regularize._diffuse_rows_numpy``. tanh is left to numpy,
  *    whose bits differ from libm's and follow its CPU dispatch: the caller
@@ -28,7 +30,7 @@
  *    axis contiguous, and numpy sums that pairwise, so the kernel declines it;
  *  - a pair whose clamped points do not lie apart gives quotient diff * 0.0,
  *    and the sum is divided by the number of the other pairs (at least 1);
- *  - the table writes and the diffusion are elementwise, so each entry's chain
+ *  - the updates and the diffusion are elementwise, so each entry's chain
  *    of operations is numpy's, pass by pass, and a row is rewritten in one
  *    sweep in place.
  */
@@ -246,46 +248,108 @@ int diffuse_rows(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
     return 0;
 }
 
-/* luts and visits are (n_rows, r) in C order, visits stored at scale; row c is
- * LUT connection c, which reads source src[c] at segment lo[src[c]], fraction
- * frac[src[c]]. For each row, as ``train._update_tables_numpy`` does it: the
- * two entries bracketing the segment take dwr[c] split by their shares
- * (1 - f, f) over 2f^2 - 2f + 1; their visit entries settle, take the bump
- * 1 + r_c * share * (1 - v), decay by 1 - r_c, are floored at v_min, bumped
- * and stored at new_scale; and on a row among the first n_hit of hit, each
- * touched LUT entry whose share is above 0 decays by 1 - s_b.
- * Returns 0, or -1 (nothing written) when a src is not an index of lo, an lo
- * lies outside [0, r - 2] or the hit rows are not in order. */
-int update_tables(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
-                  const ptrdiff_t *src, const ptrdiff_t *lo, const double *frac, ptrdiff_t n_src,
-                  const double *dwr, const ptrdiff_t *hit, double r_c, double v_min, double s_b,
-                  ptrdiff_t n_hit, double scale, double new_scale)
+/* The update steps of a training iteration, in two calls around numpy's
+ * np.expm1, in place of ``train._updates_numpy``. Entry i < n_params of the
+ * flat steps runs from input param_src[i] to node param_dst[i]; entry
+ * n_params + c is LUT row c, which feeds node conn_dst[c]. */
+
+/* The gain of ``regularize._gain_decay`` from its expm1 e: the raw step g at
+ * s_a = 0 or where s_a * w is 0, else e / (s_a * w). */
+static double gain(double w, double g, double e, double s_a)
 {
+    if (s_a == 0.0)
+        return g;
+    double den = s_a * w;
+    return den == 0.0 ? g : e / den;
+}
+
+/* Writes step = delta * mu (n_nodes), each parameter's raw step
+ * step[param_dst[i]] * inputs[param_src[i]] and each LUT row's
+ * step[conn_dst[c]] into grad (n_params + n_rows), and, unless s_a is 0, the
+ * argument of numpy's expm1, (s_a * w) * grad clamped into [-50, 50], into arg,
+ * with w the parameter or the row's read.
+ * Returns 0, or -1 (nothing written) when a map index lies outside the nodes
+ * or the inputs. */
+int update_args(const double *params, ptrdiff_t n_params, const ptrdiff_t *param_dst,
+                const ptrdiff_t *param_src, const double *read, ptrdiff_t n_rows,
+                const ptrdiff_t *conn_dst, const double *delta, ptrdiff_t n_nodes,
+                const double *inputs, ptrdiff_t n_inputs, double mu, double s_a,
+                double *step, double *grad, double *arg)
+{
+    for (ptrdiff_t i = 0; i < n_params; i++)
+        if (param_dst[i] < 0 || param_dst[i] >= n_nodes
+            || param_src[i] < 0 || param_src[i] >= n_inputs)
+            return -1;
+    for (ptrdiff_t c = 0; c < n_rows; c++)
+        if (conn_dst[c] < 0 || conn_dst[c] >= n_nodes)
+            return -1;
+    for (ptrdiff_t d = 0; d < n_nodes; d++)
+        step[d] = delta[d] * mu;
+    for (ptrdiff_t i = 0; i < n_params; i++)
+        grad[i] = step[param_dst[i]] * inputs[param_src[i]];
+    for (ptrdiff_t c = 0; c < n_rows; c++)
+        grad[n_params + c] = step[conn_dst[c]];
+    if (s_a != 0.0)
+        for (ptrdiff_t i = 0; i < n_params + n_rows; i++) {
+            double w = i < n_params ? params[i] : read[i - n_params];
+            arg[i] = min_bound(max_bound((s_a * w) * grad[i], -50.0), 50.0);
+        }
+    return 0;
+}
+
+/* Finishes the updates from update_args' grad and the expm1 of its arg (unused
+ * at s_a = 0). Each parameter takes its gain times its rate, then decays by
+ * 1 - s_b. LUT row c's step is dwr[c] = -gain; the row is gated when
+ * zeta > u[c], u being row ``row`` of the (n_gates, n_rows) gate uniforms, and
+ * the gated rows go to hit in order. luts and visits are (n_rows, r) in C
+ * order, visits stored at scale; row c reads source src[c] at segment
+ * lo[src[c]], fraction frac[src[c]]. Its two entries bracketing the segment
+ * take dwr[c] split by their shares (1 - f, f) over 2f^2 - 2f + 1; their visit
+ * entries settle, take the bump 1 + r_c * share * (1 - v), decay by 1 - r_c,
+ * are floored at v_min, bumped and stored at new_scale; and on a gated row each
+ * of them whose share is above 0 decays by 1 - s_b.
+ * Returns the number of gated rows, or -1 (nothing written) when row is not a
+ * row of the gates, a src is not an index of lo or an lo lies outside
+ * [0, r - 2]. */
+ptrdiff_t update_apply(double *params, ptrdiff_t n_params, const double *rates,
+                       double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
+                       const ptrdiff_t *src, const ptrdiff_t *lo, const double *frac,
+                       ptrdiff_t n_src, const double *read, const double *grad,
+                       const double *arg, double *dwr, ptrdiff_t *hit, double s_a, double s_b,
+                       double zeta, double r_c, double v_min, const double *gates,
+                       ptrdiff_t n_gates, ptrdiff_t row, double scale, double new_scale)
+{
+    if (row < 0 || row >= n_gates)
+        return -1;
     for (ptrdiff_t c = 0; c < n_rows; c++)
         if (src[c] < 0 || src[c] >= n_src)
             return -1;
     for (ptrdiff_t j = 0; j < n_src; j++)
         if (lo[j] < 0 || lo[j] > r - 2)
             return -1;
-    if (!rows_in_order(hit, n_hit, n_rows))
-        return -1;
     double keep = 1.0 - r_c, shrink = 1.0 - s_b;
-    ptrdiff_t h = 0;
+    for (ptrdiff_t i = 0; i < n_params; i++)
+        params[i] = (params[i] - gain(params[i], grad[i], arg[i], s_a) * rates[i]) * shrink;
+    const double *u = gates + row * n_rows;
+    ptrdiff_t n_hit = 0;
     for (ptrdiff_t c = 0; c < n_rows; c++) {
+        double step = -gain(read[c], grad[n_params + c], arg[n_params + c], s_a);
+        dwr[c] = step;
+        int gated = zeta > u[c];
+        if (gated)
+            hit[n_hit++] = c;
         double f = frac[src[c]];
         double share[2] = {1.0 - f, f};
         double den = 2.0 * f * f - 2.0 * f + 1.0;
         ptrdiff_t at = c * r + lo[src[c]];
-        int gated = h < n_hit && hit[h] == c;
-        h += gated;
         for (int e = 0; e < 2; e++) {
             double pre = max_bound(visits[at + e] * scale, v_min);
             double bump = 1.0 + (r_c * share[e]) * (1.0 - pre);
             visits[at + e] = max_bound(pre * keep, v_min) * bump / new_scale;
-            luts[at + e] += dwr[c] * (share[e] / den);
+            luts[at + e] += step * (share[e] / den);
             if (gated && share[e] > 0.0)
                 luts[at + e] *= shrink;
         }
     }
-    return 0;
+    return n_hit;
 }

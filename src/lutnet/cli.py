@@ -283,6 +283,21 @@ def _require_dims(net, ds: Dataset) -> None:
         raise UsageError(str(exc)) from None
 
 
+def _resume_rng(path, state) -> tuple[int, dict]:
+    """The run seed and gate state of a model's rng descriptor.
+
+    A descriptor without both, or with a seed that is not a non-negative int
+    (a bool is not one), raises ValueError naming the file: a runtime error,
+    as for any malformed model file. ``Trainer.restore`` checks the gate state.
+    """
+    if not (isinstance(state, dict) and "seed" in state and "gate" in state):
+        raise ValueError(f"{path}: model has no resumable rng state")
+    seed = state["seed"]
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"{path}: rng seed must be a non-negative integer, got {seed!r}")
+    return seed, state["gate"]
+
+
 def cmd_train(ns) -> int:
     loaded = load_model(ns.resume) if ns.resume else None
     ds = _load_dataset(ns, loaded)
@@ -295,10 +310,7 @@ def cmd_train(ns) -> int:
 
     if loaded is not None:
         net = loaded.net
-        state = loaded.rng_state or {}
-        if "seed" not in state or "gate" not in state:
-            raise UsageError(f"{ns.resume}: model has no resumable rng state")
-        seed = int(state["seed"])
+        seed, gate = _resume_rng(ns.resume, loaded.rng_state)
         fixed = {"arch": "-".join(map(str, net.sizes)), "kind": net.kind, "seed": seed,
                  **net.hp.to_dict()}
         for key, value in ns.given.items():   # a setting the model fixes may only repeat it
@@ -306,7 +318,10 @@ def cmd_train(ns) -> int:
             if key in fixed and same != fixed[key]:
                 raise UsageError(f"--resume: {key} {value} differs from the model's {fixed[key]}")
         trainer = Trainer(net, ds.args, ds.vals, seed=seed)
-        trainer.restore(loaded.iteration, state["gate"])
+        try:
+            trainer.restore(loaded.iteration, gate)
+        except ValueError as exc:
+            raise ValueError(f"{ns.resume}: {exc}") from None
     else:
         sizes = parse_arch(ns.arch, n_args=ds.n_args)
         hp = _build_hyper(ns, ns.kind)

@@ -421,7 +421,9 @@ class Workspace:
     Flat arrays in the order ``UpdateMaps`` indexes: ``inputs`` (every
     layer's inputs, then a 1 per bias), their segments ``lo`` and ``frac``,
     ``read``, ``slope`` and ``dwr`` per LUT connection, ``delta`` and ``step``
-    per fed node, the gated rows ``hit`` and the outputs ``y``. A layer reads
+    per fed node, the gated rows ``hit``, the outputs ``y``, and for the
+    kernel's updates call the raw steps ``grad`` and gain arguments ``arg``
+    of every parameter, then every LUT connection. A layer reads
     its slice of ``inputs`` and writes its segments, reads and slopes into its
     slices and its tanh into the next layer's inputs: nothing is concatenated.
 
@@ -458,6 +460,8 @@ class Workspace:
             self.lo, self.frac = np.zeros(n_src, dtype=np.intp), np.zeros(n_src)
             self.read, self.slope, self.dwr = np.zeros(n_conn), np.zeros(n_conn), np.zeros(n_conn)
             self.hit = np.zeros(n_conn, dtype=np.intp)
+            n_steps = self.params.shape[0] + n_conn
+            self.grad, self.arg = np.zeros(n_steps), np.zeros(n_steps)
         s = c = d = 0
         for li, (w, bias, lut, _) in enumerate(views):
             n_out, n_in = w.shape
@@ -475,11 +479,18 @@ class Workspace:
             self.acts.append(act)
             self.deltas.append(self.delta[d:d + n_out])
             s, c, d = s + n_in, c + n_in * n_out, d + n_out
-        self.write_tables = self.diffuse = None
+        self.updates = self.diffuse = None
         if self.kern is not None:
-            self.write_tables = self.kern.bind_table_writes(
-                self.luts, self.visits, self.src, self.lo, self.frac, self.dwr, self.hit, hp)
+            self.updates = self.kern.bind_updates(self, hp)
             self.diffuse = self.kern.bind_diffusion(self.luts, self.visits, self.hit, hp)
+
+    def bind_gates(self, gate_u: np.ndarray):
+        """The kernel's updates call on the (rows, C) gate uniforms gate_u:
+        ``(row, scale, new_scale) -> n_hit``, -1 when it declines; None where
+        numpy runs the updates (LW, no kernel, or a block it does not take)."""
+        if self.updates is None:
+            return None
+        return self.kern.bind_gates(self.updates, gate_u, self.luts.shape[0])
 
     def fits(self, net: Network) -> bool:
         """Whether net's buffers, hyperparameters and selected kernel are the bound ones."""

@@ -5,11 +5,11 @@ otherwise, and both bodies give the same bits: the single-sample read of a
 LUT layer with its slope estimates (``core.Workspace``, so
 ``forward_network`` and every training iteration), ``core._layer_outputs``,
 a LUT layer of a batch pass (``forward_batch``, so ``mse``, ``accuracy`` and
-``render_surface``), ``train._update_tables``, the LUT entry steps, visit
-updates and gated decay of a training iteration in one sweep, whose gain
-(``np.expm1``) and gate draw (``np.flatnonzero``) numpy computes first, and
-``regularize._diffuse_rows``, the gated diffusion of a training iteration,
-which leaves its ``tanh`` to numpy between two C passes.
+``render_surface``), the update steps of a training iteration
+(``train._updates_numpy``: the linear updates, the LUT steps, the gate draw
+and the table writes), two C passes around numpy's ``np.expm1`` of the gain
+arguments, and ``regularize._diffuse_rows``, the gated diffusion of a
+training iteration, which leaves its ``tanh`` to numpy between two C passes.
 
 The single-sample operations run through a network's workspace: the
 ``bind_*`` methods check a set of arrays once (dtype, shape, contiguity,
@@ -49,10 +49,18 @@ int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x
 int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *w,
                   const double *act, ptrdiff_t n_rows, ptrdiff_t n_in,
                   double i_min, double i_max, double span, double *out);
-int update_tables(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
-                  const ptrdiff_t *src, const ptrdiff_t *lo, const double *frac, ptrdiff_t n_src,
-                  const double *dwr, const ptrdiff_t *hit, double r_c, double v_min, double s_b,
-                  ptrdiff_t n_hit, double scale, double new_scale);
+int update_args(const double *params, ptrdiff_t n_params, const ptrdiff_t *param_dst,
+                const ptrdiff_t *param_src, const double *read, ptrdiff_t n_rows,
+                const ptrdiff_t *conn_dst, const double *delta, ptrdiff_t n_nodes,
+                const double *inputs, ptrdiff_t n_inputs, double mu, double s_a,
+                double *step, double *grad, double *arg);
+ptrdiff_t update_apply(double *params, ptrdiff_t n_params, const double *rates,
+                       double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
+                       const ptrdiff_t *src, const ptrdiff_t *lo, const double *frac,
+                       ptrdiff_t n_src, const double *read, const double *grad,
+                       const double *arg, double *dwr, ptrdiff_t *hit, double s_a, double s_b,
+                       double zeta, double r_c, double v_min, const double *gates,
+                       ptrdiff_t n_gates, ptrdiff_t row, double scale, double new_scale);
 int diffusion_gaps(const double *luts, ptrdiff_t n_rows, ptrdiff_t r, const ptrdiff_t *hit,
                    double r_a, ptrdiff_t n_hit, double *gap);
 int diffuse_rows(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
@@ -65,6 +73,11 @@ _loaded = None          # after the first load(): the Kernel, or why there is no
 
 def _is(dtype, *arrays) -> bool:
     return all(isinstance(a, np.ndarray) and a.dtype == dtype for a in arrays)
+
+
+def _lengths(n, *arrays) -> bool:
+    """Whether every one of arrays has the shape (n,)."""
+    return all(a.shape == (n,) for a in arrays)
 
 
 class Kernel:
@@ -118,25 +131,68 @@ class Kernel:
         return partial(self._lib.probed_read, ptrs[4], n_out, r, ptrs[5], n_in, ptrs[6], k,
                        hp.i_min, hp.i_max, hp.span, *ptrs[:4])
 
-    def bind_table_writes(self, luts, visits, src, lo, frac, dwr, hit, hp):
-        """``(n_hit, scale, new_scale) -> status``: ``train._update_tables_numpy``
-        in place, on the gated rows hit[:n_hit].
+    def bind_updates(self, ws, hp):
+        """``(gates, n_gates, row, scale, new_scale) -> n_hit``: ``train._updates_numpy``
+        on ws, in place, with the gate uniforms of row ``row`` of a (n_gates, rows)
+        block whose pointer ``bind_gates`` makes; -1 when the C functions decline.
 
-        luts and visits are (rows, r) tables stored at visit scale ``scale``; src
-        and dwr have one entry per row, frac one per lo entry, and hit is a
-        buffer of at least n_hit rows. The C function declines, writing nothing,
-        a src outside lo, an lo outside [0, r - 2] and hit rows that are not
-        strictly increasing inside the table.
+        ws is a ``core.Workspace`` of an NLW network, or anything with its
+        attributes. update_args writes the steps and the gain arguments, numpy's
+        expm1 runs on the arguments in place (not at s_a = 0), and update_apply
+        writes the parameters, dwr, hit and the tables, visits stored at visit
+        scale ``scale`` and written at ``new_scale``. The C functions check every
+        index they read (a map index outside the nodes or inputs, a src outside
+        lo, an lo outside [0, r - 2], a row outside the gates) before they write.
         """
-        if not (_is(np.float64, luts, visits, frac, dwr) and _is(np.intp, src, lo, hit)
-                and luts.ndim == 2 and luts.shape == visits.shape and lo.ndim == hit.ndim == 1
-                and src.shape == dwr.shape == luts.shape[:1] and frac.shape == lo.shape):
+        maps, luts = ws.maps, ws.luts
+        if not (_is(np.float64, ws.params, maps.linear_rates, luts, ws.visits, ws.read, ws.frac,
+                    ws.dwr, ws.grad, ws.arg, ws.inputs, ws.delta, ws.step)
+                and _is(np.intp, maps.param_dst, maps.param_src, maps.conn_dst, ws.src, ws.lo,
+                        ws.hit)
+                and luts.ndim == 2 and luts.shape == ws.visits.shape and ws.params.ndim == 1):
             return None
-        ptrs = self._pointers(luts, visits, src, lo, frac, dwr, hit, written=2)
+        n_params, n_rows = ws.params.shape[0], luts.shape[0]
+        if not (_lengths(n_params, maps.linear_rates, maps.param_dst, maps.param_src)
+                and _lengths(n_rows, ws.read, ws.dwr, ws.hit, maps.conn_dst, ws.src)
+                and _lengths(n_params + n_rows, ws.grad, ws.arg)
+                and _lengths(ws.frac.size, ws.lo, ws.frac)
+                and _lengths(ws.delta.size, ws.delta, ws.step) and ws.inputs.ndim == 1):
+            return None
+        ptrs = self._pointers(ws.params, luts, ws.visits, ws.dwr, ws.hit, ws.step, ws.grad,
+                              ws.arg, maps.linear_rates, ws.src, ws.lo, ws.frac, ws.read,
+                              maps.param_dst, maps.param_src, maps.conn_dst, ws.delta,
+                              ws.inputs, written=8)
         if ptrs is None:
             return None
-        return partial(self._lib.update_tables, *ptrs[:2], *luts.shape, *ptrs[2:5],
-                       lo.shape[0], *ptrs[5:], hp.r_c, hp.v_min, hp.s_b)
+        (params, luts_p, visits, dwr, hit, step, grad, arg, rates, src, lo, frac, read,
+         param_dst, param_src, conn_dst, delta, inputs) = ptrs
+        args = partial(self._lib.update_args, params, n_params, param_dst, param_src, read,
+                       n_rows, conn_dst, delta, ws.delta.size, inputs, ws.inputs.size,
+                       hp.mu, hp.s_a, step, grad, arg)
+        apply = partial(self._lib.update_apply, params, n_params, rates, luts_p, visits, n_rows,
+                        luts.shape[1], src, lo, frac, ws.lo.size, read, grad, arg, dwr, hit,
+                        hp.s_a, hp.s_b, hp.zeta, hp.r_c, hp.v_min)
+        if hp.s_a == 0.0:                   # the raw steps: no gain, so no expm1
+            return lambda *row: -1 if args() else apply(*row)
+        gain_args, expm1 = ws.arg, np.expm1
+
+        def updates(*row):
+            if args():
+                return -1
+            expm1(gain_args, out=gain_args)     # numpy's expm1 of the gain arguments, in place
+            return apply(*row)
+
+        return updates
+
+    def bind_gates(self, updates, gate_u, n_rows):
+        """``(row, scale, new_scale) -> n_hit``: ``updates``, the call ``bind_updates``
+        returned for a net of n_rows LUT rows, on the gate uniforms of row ``row``
+        of the block gate_u; None unless gate_u is a C-contiguous float64
+        (rows, n_rows) array."""
+        if not (_is(np.float64, gate_u) and gate_u.ndim == 2 and gate_u.shape[1] == n_rows):
+            return None
+        ptrs = self._pointers(gate_u)
+        return None if ptrs is None else partial(updates, ptrs[0], gate_u.shape[0])
 
     def bind_diffusion(self, luts, visits, hit, hp):
         """``(n_hit, scale) -> status``: ``regularize._diffuse_rows_numpy`` in place,
@@ -168,11 +224,6 @@ class Kernel:
             return rows(n_hit, gap, scale)
 
         return diffuse
-
-    def diffuse_rows(self, luts, visits, hit, scale, hp):
-        """``bind_diffusion`` run once on all of hit's rows; True when it ran."""
-        diffuse = self.bind_diffusion(luts, visits, hit, hp)
-        return diffuse is not None and not diffuse(hit.shape[0], scale)
 
     def layer_outputs(self, lut, w, act, hp):
         """``core._layer_outputs`` on these arguments: a fresh (n_out, rows, n_in) array.

@@ -7,17 +7,18 @@ finally one gate draw per LUT connection that switches on decay of the
 touched entries plus diffusion of the LUT and its visit table. Outside
 the gated rows, an iteration writes two LUT entries and two visit
 entries per LUT connection, whatever ``r_res``: the decay of the other
-visit entries is carried by ``Network.visit_scale``. Those writes and the
-gated decay of the touched entries are one step, ``_update_tables``;
-numpy computes the gain-shaped steps and the gate draw before it.
+visit entries is carried by ``Network.visit_scale``. Everything between
+backprop and the diffusion, the gate draw included, is one step, the
+updates (``_updates_numpy``).
 
-Every step works in the network's ``core.Workspace``, which is bound once
-and checked once per block of ``Trainer.run``: the forward pass leaves each
-layer's inputs, segments, reads and slopes in its flat buffers, backprop
-writes the deltas beside them, and the updates index them all at once.
-The probe reads, the table writes and the diffusion run the compiled
-kernel's calls bound there (``lutnet.kernel``) when it loads, and their
-numpy bodies otherwise; both give the same bits.
+So an iteration is four steps, forward, backprop, updates and diffusion,
+and every one works in the network's ``core.Workspace``, which is bound
+once and checked once per block of ``Trainer.run``: the forward pass
+leaves each layer's inputs, segments, reads and slopes in its flat
+buffers, backprop writes the deltas beside them, and the updates index
+them all at once. The probe reads, the updates and the diffusion run the
+compiled kernel's calls bound there (``lutnet.kernel``) when it loads, and
+their numpy bodies otherwise; both give the same bits.
 
 The error function is half the summed squared output error, so output
 deltas are simply (y - d) times the tanh slope. Because LUTs are only
@@ -151,65 +152,21 @@ def update_lut_component(conn: LutConnection, e: float, x: float,
     return lut
 
 
-def _update_tables(ws: Workspace, n_hit: int, scale: float, hp: Hyperparameters) -> float:
-    """A training iteration's table writes, in place; returns the new visit scale.
+def _updates_numpy(ws: Workspace, gate_u: np.ndarray, scale: float, new_scale: float,
+                   hp: Hyperparameters) -> int:
+    """An iteration's update steps in numpy, in place; returns the number of gated rows.
 
-    ws holds the network's (C, r_res) tables, visits stored at visit scale
-    ``scale``, and the iteration's segments (lo, frac), steps dwr and gated
-    rows hit[:n_hit]. LUT row c reads source src[c]: its two bracketing
-    entries take the gain-shaped step dwr[c] (``_lut_entry_updates``), their
-    visit entries decay and bump (``_update_visits_tensor``) and are stored at
-    the new scale scale * (1 - r_c), and on a gated row the touched entries
-    decay (``_decay_touched``). Runs the kernel's call bound in ws when there
-    is one and it takes the indices, else ``_update_tables_numpy``; both give
-    the same bits.
+    ws holds the network's buffers and the iteration's deltas, inputs and
+    reads. Each parameter steps by its gain-shaped step (``_gain_decay``)
+    times its linear rate and then decays by 1 - s_b. For NLW, LUT row c,
+    which reads source src[c], gets the gain-shaped step dwr[c] of its read;
+    it is gated where zeta > gate_u[c], and the gated rows go to hit. Its two
+    bracketing entries take dwr[c] (``_lut_entry_updates``), their visit
+    entries decay and bump (``_update_visits_tensor``) from visit scale
+    ``scale`` to ``new_scale``, and on a gated row the touched entries decay
+    (``_decay_touched``). The reference the kernel's updates call matches, its
+    fallback, and LW's only path.
     """
-    new_scale = scale * (1.0 - hp.r_c)
-    if ws.write_tables is None or ws.write_tables(n_hit, scale, new_scale):
-        _update_tables_numpy(ws.luts, ws.visits, ws.src, ws.lo, ws.frac, ws.dwr,
-                             ws.hit[:n_hit], scale, new_scale, hp)
-    return new_scale
-
-
-def _update_tables_numpy(luts: np.ndarray, visits: np.ndarray, src: np.ndarray,
-                         lo: np.ndarray, frac: np.ndarray, dwr: np.ndarray, hit: np.ndarray,
-                         scale: float, new_scale: float, hp: Hyperparameters) -> None:
-    """``_update_tables`` in numpy: the reference the kernel matches, and its fallback."""
-    cols, share = _segment_ends(lo[src], frac[src])
-    ends = np.arange(src.shape[0]), cols        # row c's entries cols[:, c]
-    _lut_entry_updates(luts, ends, share, dwr)
-    pair = visits[ends]
-    _update_visits_tensor(pair, share, scale, new_scale, hp)
-    visits[ends] = pair
-    if hit.size:
-        _decay_touched(luts, (hit, cols[:, hit]), share[:, hit], hp)
-
-
-# ---------------------------------------------------------------------------
-# One full iteration
-
-def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
-                     ws: Workspace | None = None) -> float:
-    """Forward, backprop, and all updates for one sample.
-
-    gate_u supplies one uniform draw per LUT connection in layer-major,
-    destination-major, source-major order. Returns the sample's mean
-    squared output error (from the pre-update forward pass). ws is net's
-    ``Workspace``; ``Trainer.run`` passes the one it checked, and without
-    it the iteration looks it up. Every step reads and writes ws's flat
-    buffers, all layers at a time: the forward pass leaves each layer's
-    inputs, segments, reads and slopes there, backprop writes the deltas
-    beside them, and the updates index them with ``ws.maps``.
-    """
-    if ws is None:
-        ws = _workspace(net)
-    hp = net.hp
-    y = ws.forward(x)
-    err = y - target
-    np.multiply(err, 1.0 - y * y, out=ws.deltas[-1])
-    _backprop_hidden(ws.deltas, ws.weights, ws.slopes, ws.acts)
-    sq_err = float(err @ err) / err.shape[0]
-
     maps = ws.maps
     step = np.multiply(ws.delta, hp.mu, out=ws.step)
     grad = step[maps.param_dst] * ws.inputs[maps.param_src]
@@ -219,17 +176,63 @@ def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
     ws.params -= dw
     ws.params *= 1.0 - hp.s_b
     if ws.luts is None:
-        return sq_err
-
-    np.negative(_gain_decay(ws.read, step[maps.conn_dst], hp), out=ws.dwr)
+        return 0
+    dwr = np.negative(_gain_decay(ws.read, step[maps.conn_dst], hp), out=ws.dwr)
     hit = (hp.zeta > gate_u).nonzero()[0]
-    n_hit = hit.shape[0]
+    ws.hit[:hit.shape[0]] = hit
+    cols, share = _segment_ends(ws.lo[ws.src], ws.frac[ws.src])
+    ends = np.arange(ws.src.shape[0]), cols         # row c's entries cols[:, c]
+    _lut_entry_updates(ws.luts, ends, share, dwr)
+    pair = ws.visits[ends]
+    _update_visits_tensor(pair, share, scale, new_scale, hp)
+    ws.visits[ends] = pair
+    if hit.size:
+        _decay_touched(ws.luts, (hit, cols[:, hit]), share[:, hit], hp)
+    return hit.shape[0]
+
+
+# ---------------------------------------------------------------------------
+# One full iteration
+
+def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
+                     ws: Workspace | None = None, row: int | None = None, gates=None) -> float:
+    """Forward, backprop, the updates and the diffusion for one sample.
+
+    gate_u supplies one uniform per LUT connection in layer-major,
+    destination-major, source-major order: the iteration's row, or with
+    ``row`` a (rows, C) block whose row ``row`` it draws, with ``gates`` the
+    block's ``Workspace.bind_gates`` (``Trainer.run`` binds each block once).
+    Returns the sample's mean squared output error (from the pre-update
+    forward pass). ws is net's ``Workspace``; without it the iteration looks
+    it up. Every step reads and writes ws's flat buffers, all layers at a
+    time: the forward pass leaves each layer's inputs, segments, reads and
+    slopes there, backprop writes the deltas beside them, the updates index
+    them with ``ws.maps`` and leave the gated rows in ``ws.hit``, and the
+    diffusion runs on those rows.
+    """
+    if ws is None:
+        ws = _workspace(net)
+    if row is None:
+        gate_u, row = gate_u[None], 0
+        gates = ws.bind_gates(gate_u)
+    hp = net.hp
+    y = ws.forward(x)
+    err = y - target
+    np.multiply(err, 1.0 - y * y, out=ws.deltas[-1])
+    _backprop_hidden(ws.deltas, ws.weights, ws.slopes, ws.acts)
+    sq_err = float(err @ err) / err.shape[0]
+
+    scale = net.visit_scale
+    new_scale = scale * (1.0 - hp.r_c)
+    n_hit = -1 if gates is None else gates(row, scale, new_scale)
+    if n_hit < 0:
+        n_hit = _updates_numpy(ws, gate_u[row], scale, new_scale, hp)
+    if ws.luts is None:
+        return sq_err
+    net.visit_scale = new_scale
     if n_hit:
-        ws.hit[:n_hit] = hit
-    net.visit_scale = _update_tables(ws, n_hit, net.visit_scale, hp)
-    if n_hit:
-        _diffuse_rows(ws, n_hit, net.visit_scale, hp)
-    if net.visit_scale < VISIT_SCALE_MIN:
+        _diffuse_rows(ws, n_hit, new_scale, hp)
+    if new_scale < VISIT_SCALE_MIN:
         net.fold_visit_scale()
     return sq_err
 
@@ -281,8 +284,17 @@ class Trainer:
         return self.gate_rng.bit_generator.state
 
     def restore(self, iteration: int, gate_state: dict) -> None:
+        """Continue from iteration with the gate generator in gate_state.
+
+        Raises ValueError, and changes nothing, for a state the PCG64 bit
+        generator refuses.
+        """
+        try:
+            self.gate_rng.bit_generator.state = gate_state
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
+            raise ValueError(f"the gate state is not a PCG64 state: "
+                             f"{type(exc).__name__}: {exc}") from None
         self.iteration = int(iteration)
-        self.gate_rng.bit_generator.state = gate_state
 
     def _epoch_order(self, epoch: int) -> np.ndarray:
         if epoch != self._order_epoch:
@@ -337,9 +349,10 @@ class Trainer:
             # bound on the first run; checked once per block, so a rebinding between
             # runs or in a callback is seen, and never inside a block
             ws = _workspace(net)
+            gates = ws.bind_gates(gate_u)
             for b in range(block):
                 idx = order[pos + b]
-                err = _apply_iteration(net, self.args[idx], self.vals[idx], gate_u[b], ws)
+                err = _apply_iteration(net, self.args[idx], self.vals[idx], gate_u, ws, b, gates)
                 window_sum += err
                 window_n += 1
                 if not math.isfinite(err):

@@ -286,6 +286,8 @@ def test_iteration_dispatch_count_does_not_depend_on_r_res(monkeypatch, numpy_pa
         trainer = Trainer(net, args, vals, seed=1)
         trainer.run(5, log_every=0)         # loads the kernel and builds the update maps
         counts.append(_lutnet_opcodes(lambda: trainer.run(20, log_every=10)))
+        # the fused updates call where the kernel loads, numpy's updates otherwise
+        assert (net._ws.updates is None) == (numpy_path or kernel.load() is None)
     assert counts[0] > 0
     assert counts == counts[:1] * 3, counts
 

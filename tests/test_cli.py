@@ -9,7 +9,7 @@ import pytest
 
 from lutnet import cli, evaluate, kernel
 from lutnet.cli import UsageError, main, parse_arch, parse_config_file
-from lutnet.core import forward_batch, forward_network
+from lutnet.core import forward_batch, forward_network, init_network
 from lutnet.data import CsvSchema, Dataset, gen_two_spirals, load_csv, scale_args, write_csv
 from lutnet.evaluate import accuracy, mse
 from lutnet.hyper import Hyperparameters
@@ -270,6 +270,67 @@ def test_resume_refuses_a_setting_the_model_fixes(tmp_path, capsys, extra, messa
     assert run(*resume, *extra, "--out", out) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _key_paths(doc, at=()):
+    """Every key path of a JSON object, parents before their children."""
+    for key, value in doc.items():
+        yield at + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, at + (key,))
+
+
+def test_resume_checks_every_rng_entry_of_the_model(tmp_path, capsys):
+    # each entry of the saved rng descriptor deleted or replaced: the run resumes and
+    # eval scores, or each exits 2 with one error line that names the file, never
+    # with a traceback
+    saved = tmp_path / "saved.json"
+    assert run("train", "--data", "spirals", "--arch", "2-4-1", "--kind", "NLW",
+               "--iterations", 20, "--out", saved) == 0
+    doc = json.loads(saved.read_text())
+    paths = [("rng",) + at for at in _key_paths(doc["rng"])]
+    assert ("rng", "seed") in paths and ("rng", "gate", "state", "inc") in paths
+    model, out = tmp_path / "model.json", tmp_path / "out.json"
+    codes = {}
+    for at in [("rng",)] + paths:
+        for value in ("deleted", None, -1, "x", True, [1, 2]):
+            bad = json.loads(saved.read_text())
+            owner = bad
+            for key in at[:-1]:
+                owner = owner[key]
+            if value == "deleted":
+                del owner[at[-1]]
+            else:
+                owner[at[-1]] = value
+            model.write_text(json.dumps(bad))
+            for argv in (("train", "--resume", model, "--iterations", 5, "--out", out),
+                         ("eval", "--model", model)):
+                capsys.readouterr()
+                code = run(*argv, "--data", "spirals")
+                err = capsys.readouterr().err
+                case = f"{argv[0]} {'.'.join(at)} {value!r}: exit {code}, {err!r}"
+                assert code in (0, 2), case
+                if code == 2:
+                    assert err.startswith(f"lutnet: error: {model}: "), case
+                    assert err.count("\n") == 1, case
+                codes[argv[0], ".".join(at), repr(value)] = code
+    # the seed must be a non-negative int, not a bool; the gate a state PCG64 takes
+    for value in ("None", "-1", "'x'", "True", "[1, 2]", "'deleted'"):
+        assert codes["train", "rng.seed", value] == codes["train", "rng.gate", value] == 2
+    assert codes["train", "rng.gate.uinteger", "-1"] == 2
+    assert codes["train", "rng.gate.state", "None"] == 2
+    assert codes["eval", "rng.seed", "'x'"] == 0        # eval reads no run state
+
+
+def test_restore_refuses_a_gate_state_pcg64_refuses():
+    trainer = Trainer(init_network((2, 1), "LW", Hyperparameters(), np.random.default_rng(0)),
+                      np.zeros((3, 2)), np.zeros((3, 1)), seed=1)
+    state = trainer.gate_state()
+    for bad in (None, {**state, "uinteger": -1}, {**state, "bit_generator": "MT19937"},
+                {k: v for k, v in state.items() if k != "state"}):
+        with pytest.raises(ValueError, match="the gate state is not a PCG64 state"):
+            trainer.restore(7, bad)
+        assert trainer.iteration == 0 and trainer.gate_state() == state
 
 
 def test_train_writes_log_with_expected_cadence(tmp_path):

@@ -25,7 +25,7 @@ from lutnet.core import (
 )
 from lutnet.hyper import MAX_PROBE_OFFSETS, Hyperparameters, default_hyperparameters
 from lutnet.regularize import _diffuse_rows, _diffuse_rows_numpy
-from lutnet.train import Trainer, _update_tables, _update_tables_numpy
+from lutnet.train import Trainer, _updates_numpy
 
 KERNEL = kernel.load()
 needs_kernel = pytest.mark.skipif(
@@ -53,14 +53,11 @@ def _kernel_read(lut, x, hp):
     return out
 
 
-def _bound(luts, visits, hit, hp, src=None, lo=None, frac=None, dwr=None):
-    """What ``train._update_tables`` and ``regularize._diffuse_rows`` read of a
-    ``core.Workspace``, with the kernel's calls bound to these arrays where it
-    takes them."""
-    return SimpleNamespace(
-        luts=luts, visits=visits, src=src, lo=lo, frac=frac, dwr=dwr, hit=hit,
-        write_tables=KERNEL.bind_table_writes(luts, visits, src, lo, frac, dwr, hit, hp),
-        diffuse=KERNEL.bind_diffusion(luts, visits, hit, hp))
+def _bound(luts, visits, hit, hp):
+    """What ``regularize._diffuse_rows`` reads of a ``core.Workspace``, with the
+    kernel's diffusion bound to these arrays where it takes them."""
+    return SimpleNamespace(luts=luts, visits=visits, hit=hit,
+                           diffuse=KERNEL.bind_diffusion(luts, visits, hit, hp))
 
 
 @st.composite
@@ -286,13 +283,18 @@ def gated_rows(draw):
     return luts, values / scale, hit, scale, hp
 
 
+def _diffused(bound, n_hit, scale):
+    """Whether the kernel's bound diffusion took the rows and ran."""
+    return bound.diffuse is not None and bound.diffuse(n_hit, scale) == 0
+
+
 @needs_kernel
 @settings(max_examples=300, deadline=None)
 @given(case=gated_rows())
 def test_kernel_matches_numpy_diffusion_bit_for_bit(case):
     luts, visits, hit, scale, hp = case
     got_luts, got_visits = luts.copy(), visits.copy()
-    assert KERNEL.diffuse_rows(got_luts, got_visits, hit, scale, hp)
+    assert _diffused(_bound(got_luts, got_visits, hit, hp), hit.shape[0], scale)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         _diffuse_rows_numpy(luts, visits, hit, scale, hp)
     assert np.array_equal(_bits(got_luts), _bits(luts))    # rows outside hit as well
@@ -303,6 +305,14 @@ def _diffusion_case():
     rng = np.random.default_rng(11)
     return (rng.standard_normal((5, 8)), rng.uniform(1e-3, 1.0, (5, 8)),
             np.array([0, 2, 3]), 0.25, R8.replace(r_a=2.0, r_b=0.5))
+
+
+def _declines_diffusion(luts, visits, hit, scale, hp):
+    """Asserts the kernel declines to diffuse these rows, writing nothing."""
+    got_luts, got_visits = luts.copy(order="K"), visits.copy(order="K")
+    assert not _diffused(_bound(got_luts, got_visits, hit, hp), hit.shape[0], scale)
+    assert np.array_equal(_bits(got_luts), _bits(luts))
+    assert np.array_equal(_bits(got_visits), _bits(visits))
 
 
 @needs_kernel
@@ -321,7 +331,7 @@ def test_kernel_declines_diffusion_it_does_not_take_and_numpy_diffuses(change):
     luts, visits, hit = change(luts, visits, hit)
     want_luts, want_visits = luts.copy(order="K"), visits.copy(order="K")
     _diffuse_rows_numpy(want_luts, want_visits, hit, scale, hp)
-    assert not KERNEL.diffuse_rows(luts.copy(order="K"), visits.copy(order="K"), hit, scale, hp)
+    _declines_diffusion(luts, visits, hit, scale, hp)
     _diffuse_rows(_bound(luts, visits, hit, hp), hit.shape[0], scale, hp)
     assert np.array_equal(_bits(luts), _bits(want_luts))
     assert np.array_equal(_bits(visits), _bits(want_visits))
@@ -331,23 +341,76 @@ def test_kernel_declines_diffusion_it_does_not_take_and_numpy_diffuses(change):
 def test_kernel_declines_diffusion_of_a_row_outside_the_table():
     luts, visits, hit, scale, hp = _diffusion_case()
     hit = np.array([1, 5])
-    assert not KERNEL.diffuse_rows(luts, visits, hit, scale, hp)
+    _declines_diffusion(luts, visits, hit, scale, hp)
     with pytest.raises(IndexError):                 # numpy then raises as it always did
         _diffuse_rows(_bound(luts, visits, hit, hp), hit.shape[0], scale, hp)
 
 
-@st.composite
-def table_writes(draw):
-    """(luts, visits, src, lo, frac, dwr, hit, scale, hp) as one iteration's table writes."""
-    rows, n_src = draw(st.integers(1, 12)), draw(st.integers(1, 6))
-    r_res = draw(st.integers(2, 256))
-    rate = st.sampled_from([0.0, 1e-9, 0.001, 0.5, draw(st.floats(0.0, 0.99))])
-    hp = Hyperparameters(r_res=r_res, r_c=draw(rate), s_b=draw(rate),
-                         v_min=draw(st.sampled_from([1e-16, 0.5, draw(st.floats(1e-300, 0.5))])))
-    scale = draw(st.one_of(st.sampled_from([1.0, VISIT_SCALE_MIN]),
-                           st.floats(1.0, 4.0).map(lambda f: f * VISIT_SCALE_MIN),
-                           st.floats(VISIT_SCALE_MIN, 1.0)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+# An iteration's update steps, as the kernel's bound call and ``_updates_numpy`` read
+# them from a ``core.Workspace``: a net's parameters (P) and LUT rows (C), the index
+# maps, the forward and backward values, and the buffers both write.
+def _space(case, hp):
+    """A workspace of an update case, with the kernel's updates call bound to its
+    gate row. case maps the workspace's names (the maps' names and linear_rates
+    among them) to arrays, and gate_u to the row of gate uniforms; the buffers
+    the updates write are made unless case has them."""
+    n_rows, n_steps = case["luts"].shape[0], case["params"].shape[0] + case["luts"].shape[0]
+    ws = SimpleNamespace(**{"dwr": np.zeros(n_rows), "hit": np.zeros(n_rows, dtype=np.intp),
+                            "step": np.zeros(case["delta"].shape), "grad": np.zeros(n_steps),
+                            "arg": np.zeros(n_steps), **case})
+    ws.maps = SimpleNamespace(param_dst=ws.param_dst, param_src=ws.param_src,
+                              conn_dst=ws.conn_dst, linear_rates=ws.linear_rates)
+    updates = KERNEL.bind_updates(ws, hp)
+    ws.updates = updates and KERNEL.bind_gates(updates, case["gate_u"][None], n_rows)
+    return ws
+
+
+def _state(ws):
+    """The network state an update writes: params, LUTs and visits, as fresh arrays."""
+    return [np.array(getattr(ws, name)) for name in ("params", "luts", "visits")]
+
+
+def _updated(case, scale, hp, numpy):
+    """The workspace after the kernel's updates call, or numpy's, and n_hit."""
+    ws = _space({k: np.copy(v) for k, v in case.items()}, hp)
+    new_scale = scale * (1.0 - hp.r_c)
+    if numpy:
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            return ws, _updates_numpy(ws, case["gate_u"], scale, new_scale, hp)
+    assert ws.updates is not None
+    return ws, ws.updates(0, scale, new_scale)
+
+
+def _same_bits(got, want):
+    """Equal bits, except that a NaN matches any NaN. Where both operands are NaN,
+    the result's sign follows the operand order, and numpy's SIMD loops keep one
+    operand's NaN while their scalar tails keep the other's."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(_bits(got[~nan]), _bits(want[~nan])))
+
+
+def _assert_same_updates(case, scale, hp):
+    (got, n_hit), (want, want_hit) = (_updated(case, scale, hp, numpy) for numpy in (0, 1))
+    assert n_hit == want_hit
+    assert np.array_equal(got.hit[:n_hit], want.hit[:n_hit])
+    for name in ("params", "dwr", "luts", "visits"):       # untouched entries as well
+        assert _same_bits(getattr(got, name), getattr(want, name)), name
+
+
+def _rates(draw):
+    return st.sampled_from([0.0, 1e-9, 0.001, 0.5, draw(st.floats(0.0, 0.99))])
+
+
+def _scales():
+    return st.one_of(st.sampled_from([1.0, VISIT_SCALE_MIN]),
+                     st.floats(1.0, 4.0).map(lambda f: f * VISIT_SCALE_MIN),
+                     st.floats(VISIT_SCALE_MIN, 1.0))
+
+
+def _tables(draw, rng, rows, n_src, hp, scale):
+    """luts, visits (stored at scale), src, lo and frac of an update case."""
+    r_res = hp.r_res
     luts = rng.standard_normal((rows, r_res)) * 10.0 ** rng.integers(-3, 4)
     # visit values from 0 up, so that some settle below v_min, and some rows at v_min
     values = rng.uniform(0.0, 1.0, (rows, r_res)) ** rng.integers(1, 40)
@@ -358,44 +421,97 @@ def table_writes(draw):
     frac[rng.random(n_src) < 0.2] = 1.0
     if draw(st.booleans()):                     # a NaN input, as segment_coords places it
         lo[0], frac[0] = r_res - 2, math.nan
-    dwr = rng.standard_normal(rows) * 10.0 ** rng.integers(-6, 1)
-    hit = draw(st.sampled_from([np.arange(0), np.arange(rows),
-                                np.flatnonzero(rng.random(rows) < 0.5)]))
-    return luts, values / scale, src, lo, frac, dwr, hit, scale, hp
+    return dict(luts=luts, visits=values / scale, src=src, lo=lo, frac=frac)
+
+
+def _linear(rng, rows, n_src, hp):
+    """The linear part of an update case: P parameters over n_src inputs plus a bias
+    input, and the nodes LUT rows feed, with small steps."""
+    n_nodes, n_params = int(rng.integers(1, 6)), int(rng.integers(1, 20))
+    return dict(params=rng.uniform(-0.5, 0.5, n_params),
+                linear_rates=np.where(rng.random(n_params) < 0.5, hp.nu, 1.0),
+                param_dst=rng.integers(0, n_nodes, n_params),
+                param_src=rng.integers(0, n_src + 1, n_params),
+                inputs=np.append(rng.uniform(-1.0, 1.0, n_src), 1.0),
+                delta=rng.standard_normal(n_nodes) * 1e-2,
+                conn_dst=rng.integers(0, n_nodes, rows),
+                read=rng.standard_normal(rows))
+
+
+@st.composite
+def table_writes(draw):
+    """(case, scale, hp) as one iteration's updates, drawn for its table writes."""
+    rows, n_src = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    hp = Hyperparameters(r_res=draw(st.integers(2, 256)), r_c=draw(_rates(draw)),
+                         s_b=draw(_rates(draw)), zeta=draw(st.sampled_from([0.0, 0.5, 1.0])),
+                         v_min=draw(st.sampled_from([1e-16, 0.5, draw(st.floats(1e-300, 0.5))])))
+    scale = draw(_scales())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    case = {**_tables(draw, rng, rows, n_src, hp, scale), **_linear(rng, rows, n_src, hp)}
+    case["gate_u"] = rng.random(rows)
+    return case, scale, hp
 
 
 @needs_kernel
 @settings(max_examples=300, deadline=None)
 @given(case=table_writes())
 def test_kernel_matches_numpy_table_updates_bit_for_bit(case):
-    luts, visits, src, lo, frac, dwr, hit, scale, hp = case
-    new_scale = scale * (1.0 - hp.r_c)
-    got_luts, got_visits = luts.copy(), visits.copy()
-    write = KERNEL.bind_table_writes(got_luts, got_visits, src, lo, frac, dwr, hit, hp)
-    assert write(hit.shape[0], scale, new_scale) == 0
-    rows = src, lo, frac, dwr, hit
-    with np.errstate(invalid="ignore", over="ignore"):
-        _update_tables_numpy(luts, visits, *rows, scale, new_scale, hp)
-    assert np.array_equal(_bits(got_luts), _bits(luts))    # untouched entries as well
-    assert np.array_equal(_bits(got_visits), _bits(visits))
+    _assert_same_updates(*case)
+
+
+@st.composite
+def gained_updates(draw):
+    """(case, scale, hp) as one iteration's updates, drawn for the gain and the gate."""
+    rows, n_src = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    hp = Hyperparameters(
+        r_res=draw(st.integers(2, 64)), r_c=draw(_rates(draw)), s_b=draw(_rates(draw)),
+        s_a=draw(st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.5, 5.0, 1e6,
+                                  draw(st.floats(0.0, 100.0))])),
+        mu=draw(st.sampled_from([0.0, 0.02, 1.0, draw(st.floats(0.0, 1e3))])),
+        nu=draw(st.sampled_from([0.0, 1.0, 0.25, draw(st.floats(-2.0, 2.0))])),
+        zeta=draw(st.sampled_from([0.0, 1.0, draw(st.floats(0.0, 1.0))])))
+    scale = draw(_scales())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    case = {**_tables(draw, rng, rows, n_src, hp, scale), **_linear(rng, rows, n_src, hp)}
+    special = [0.0, -0.0, 1e-310, -1e-310, math.inf, -math.inf, math.nan]
+    for name in ("params", "read", "delta", "inputs"):
+        values = case[name]
+        values *= 10.0 ** rng.integers(-3, 7, values.shape)     # gain arguments past 50
+        picks = rng.random(values.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+        # non-finite weights and reads, as in a diverged net, and non-finite steps
+        values[picks] = rng.choice(special if name != "params" else special[:4], picks.sum())
+    gate_u = rng.random(rows)
+    gate_u[rng.random(rows) < 0.3] = draw(st.sampled_from([0.0, hp.zeta]))   # ties
+    case["gate_u"] = gate_u
+    return case, scale, hp
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@given(case=gained_updates())
+def test_kernel_matches_numpy_updates_bit_for_bit(case):
+    _assert_same_updates(*case)
 
 
 def _table_case():
-    """luts, visits, src, lo, frac, dwr, hit of 5 rows at r 8 that the kernel takes."""
+    """An update case of 5 rows at r 8 over 3 sources that the kernel takes, with
+    the buffers it writes."""
     rng = np.random.default_rng(15)
-    return (rng.standard_normal((5, 8)), rng.uniform(1e-3, 1.0, (5, 8)),
-            np.array([0, 1, 2, 0, 1]), np.array([0, 3, 6]), np.array([0.25, 0.0, 0.5]),
-            rng.standard_normal(5) * 1e-2, np.array([1, 3, 4]))
+    return dict(luts=rng.standard_normal((5, 8)), visits=rng.uniform(1e-3, 1.0, (5, 8)),
+                src=np.array([0, 1, 2, 0, 1]), lo=np.array([0, 3, 6]),
+                frac=np.array([0.25, 0.0, 0.5]), gate_u=np.array([0.9, 0.1, 0.9, 0.2, 0.3]),
+                dwr=np.zeros(5), hit=np.zeros(5, dtype=np.intp), **_linear(rng, 5, 3, TABLE_HP))
 
 
-TABLE_HP = R8.replace(r_c=0.05, s_b=1e-3)
+TABLE_HP = R8.replace(r_c=0.05, s_b=1e-3, zeta=0.5)
 
 
-def _changed(position, change):
-    """A change of _table_case's argument at position: a fresh case on each call."""
+def _changed(name, change):
+    """A change of _table_case's array name: a fresh case on each call."""
     def case():
         args = _table_case()
-        return args[:position] + (change(args[position]),) + args[position + 1:]
+        args[name] = change(args[name])
+        return args
     return case
 
 
@@ -405,53 +521,64 @@ def _read_only(table):
 
 
 def _declined(case):
-    """Asserts the kernel declines a case, at bind time or writing nothing, and
-    returns the case's arrays bound as ``_update_tables`` reads them."""
-    args, untouched = case(), case()
-    luts, visits, src, lo, frac, dwr, hit = args
-    bound = _bound(luts, visits, hit, TABLE_HP, src, lo, frac, dwr)
-    write = bound.write_tables
-    assert write is None or write(hit.shape[0], 0.25, 0.25 * 0.95) != 0
-    for table, want in zip(args[:2], untouched[:2]):
-        assert np.array_equal(_bits(table), _bits(want))
-    return bound
+    """Asserts the kernel declines a case, at bind time or writing nothing to the
+    params or the tables, and returns the case as ``_updates_numpy`` reads it."""
+    ws, untouched = _space(case(), TABLE_HP), _state(_space(case(), TABLE_HP))
+    assert ws.updates is None or ws.updates(0, 0.25, 0.25 * 0.95) == -1
+    for got, want in zip(_state(ws), untouched):
+        assert np.array_equal(_bits(got), _bits(want))
+    return ws
+
+
+def _numpy_updates(ws, case):
+    return _updates_numpy(ws, case()["gate_u"], 0.25, 0.25 * 0.95, TABLE_HP)
 
 
 @needs_kernel
 @pytest.mark.parametrize("case", [
-    pytest.param(_changed(0, np.asfortranarray), id="strided-table"),
-    pytest.param(_changed(1, lambda v: v[:, ::-1]), id="strided-visits"),
-    pytest.param(_changed(0, lambda t: t.astype(np.float32)), id="float32-table"),
-    pytest.param(_changed(4, lambda f: f.astype(np.float32)), id="float32-frac"),
-    pytest.param(_changed(2, lambda s: s.astype(np.int32)), id="int32-src"),
-    pytest.param(_changed(3, lambda lo: lo.astype(np.int32)), id="int32-lo"),
-    pytest.param(_changed(6, lambda h: h.astype(np.int32)), id="int32-rows"),
-    pytest.param(_changed(3, lambda lo: lo - 1), id="lo-negative"),
-    pytest.param(_changed(2, lambda s: s - 1), id="src-negative"),
-    pytest.param(_changed(6, lambda h: h[::-1].copy()), id="rows-descending"),
+    pytest.param(_changed("luts", np.asfortranarray), id="strided-table"),
+    pytest.param(_changed("visits", lambda v: v[:, ::-1]), id="strided-visits"),
+    pytest.param(_changed("luts", lambda t: t.astype(np.float32)), id="float32-table"),
+    pytest.param(_changed("frac", lambda f: f.astype(np.float32)), id="float32-frac"),
+    pytest.param(_changed("src", lambda s: s.astype(np.int32)), id="int32-src"),
+    pytest.param(_changed("lo", lambda lo: lo.astype(np.int32)), id="int32-lo"),
+    pytest.param(_changed("hit", lambda h: h.astype(np.int32)), id="int32-rows"),
+    pytest.param(_changed("lo", lambda lo: lo - 1), id="lo-negative"),
+    pytest.param(_changed("src", lambda s: s - 1), id="src-negative"),
+    pytest.param(_changed("param_dst", lambda d: d - 1), id="node-negative"),
+    pytest.param(_changed("gate_u", lambda g: np.asfortranarray(g[:, None])[:, 0][::-1]),
+                 id="strided-gates"),
 ])
 def test_kernel_declines_table_writes_it_does_not_take_and_numpy_writes_them(case):
-    want = case()
-    _update_tables_numpy(*want, 0.25, 0.25 * 0.95, TABLE_HP)
+    want = _space(case(), TABLE_HP)
+    want_hit = _numpy_updates(want, case)
     got = _declined(case)
-    assert _update_tables(got, got.hit.shape[0], 0.25, TABLE_HP) == 0.25 * 0.95
-    for table, want_table in zip((got.luts, got.visits), want[:2]):
+    assert _numpy_updates(got, case) == want_hit > 0
+    assert np.array_equal(got.hit[:want_hit], want.hit[:want_hit])
+    for table, want_table in zip(_state(got) + [got.dwr], _state(want) + [want.dwr]):
         assert np.array_equal(_bits(table), _bits(want_table))
 
 
 @needs_kernel
 @pytest.mark.parametrize("case,error", [
-    pytest.param(_changed(3, lambda lo: lo + 1), IndexError, id="lo-past-the-last-segment"),
-    pytest.param(_changed(2, lambda s: s + 1), IndexError, id="src-outside-lo"),
-    pytest.param(_changed(6, lambda h: h + 1), IndexError, id="row-outside-the-table"),
-    pytest.param(_changed(5, lambda d: d[:4]), ValueError, id="steps-unlike-rows"),
-    pytest.param(_changed(0, _read_only), ValueError, id="read-only-table"),
-    pytest.param(_changed(1, _read_only), ValueError, id="read-only-visits"),
+    pytest.param(_changed("lo", lambda lo: lo + 1), IndexError, id="lo-past-the-last-segment"),
+    pytest.param(_changed("src", lambda s: s + 1), IndexError, id="src-outside-lo"),
+    pytest.param(_changed("gate_u", lambda g: np.append(g, 0.0)), IndexError,
+                 id="row-outside-the-table"),
+    pytest.param(_changed("dwr", lambda d: d[:4]), ValueError, id="steps-unlike-rows"),
+    pytest.param(_changed("luts", _read_only), ValueError, id="read-only-table"),
+    pytest.param(_changed("visits", _read_only), ValueError, id="read-only-visits"),
+    pytest.param(_changed("param_src", lambda s: s + 1), IndexError,
+                 id="input-outside-the-inputs"),
+    pytest.param(_changed("conn_dst", lambda d: d + 10), IndexError,
+                 id="row-node-outside-the-nodes"),
+    pytest.param(_changed("linear_rates", lambda r: r[1:]), ValueError,
+                 id="rates-unlike-params"),
 ])
 def test_kernel_declines_table_writes_that_numpy_refuses(case, error):
-    bound = _declined(case)
+    ws = _declined(case)
     with pytest.raises(error):                  # numpy then raises as it always did
-        _update_tables(bound, bound.hit.shape[0], 0.25, TABLE_HP)
+        _numpy_updates(ws, case)
 
 
 @needs_kernel
@@ -617,4 +744,4 @@ def test_kernel_matches_numpy_at_a_lower_cpu_dispatch_level():
     done = subprocess.run([sys.executable, "-c", _LOWERED_CHECKS, __file__, *targets],
                           capture_output=True, text=True, env=env, cwd=root)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert re.search(r"^5 passed", done.stdout, re.MULTILINE), done.stdout
+    assert re.search(r"^6 passed", done.stdout, re.MULTILINE), done.stdout

@@ -569,12 +569,12 @@ def test_kernel_and_numpy_diffusion_train_the_same_bits(monkeypatch, hp):
     start = init_network((2, 8, 4, 1), "NLW", hp, _rng([43]))
     folds, numpy_rows, numpy_writes = [], [], []
     fold, numpy_diffusion = Network.fold_visit_scale, regularize._diffuse_rows_numpy
-    numpy_tables = train._update_tables_numpy
+    numpy_updates = train._updates_numpy
     monkeypatch.setattr(Network, "fold_visit_scale", lambda net: folds.append(1) or fold(net))
     monkeypatch.setattr(regularize, "_diffuse_rows_numpy",
                         lambda *args: numpy_rows.append(1) or numpy_diffusion(*args))
-    monkeypatch.setattr(train, "_update_tables_numpy",
-                        lambda *args: numpy_writes.append(1) or numpy_tables(*args))
+    monkeypatch.setattr(train, "_updates_numpy",
+                        lambda *args: numpy_writes.append(1) or numpy_updates(*args))
     runs = []
     for numpy_path in (False, True):
         if numpy_path:
@@ -590,6 +590,40 @@ def test_kernel_and_numpy_diffusion_train_the_same_bits(monkeypatch, hp):
     assert (kernel_folds > 0) == (hp.r_c == 0.5)
     assert len(folds) == 2 * kernel_folds
     assert rows == numpy_log
+    for name in ("params", "luts", "visits"):
+        assert np.array_equal(getattr(net, name).view(np.int64),
+                              getattr(numpy_net, name).view(np.int64))
+    assert net.visit_scale == numpy_net.visit_scale
+
+
+@pytest.mark.skipif(kernel.load() is None, reason="the probe kernel cannot be built here")
+@pytest.mark.parametrize("sizes,hp", [
+    pytest.param((2, 8, 1), NLW.replace(r_res=64), id="2-8-1"),
+    pytest.param((2, 4, 3, 2), NLW.replace(r_res=32, s_a=0.0, r_a=0.0), id="s_a-0"),
+    pytest.param((2, 3, 1), NLW.replace(r_res=32, s_a=5.0, s_b=0.0), id="s_a-5"),
+    pytest.param((2, 1), NLW.replace(r_res=16, zeta=1.0, nu=0.5), id="zeta-1"),
+    pytest.param((1, 1), NLW.replace(r_res=16, zeta=0.0, r_c=0.5), id="zeta-0"),
+])
+def test_kernel_and_numpy_updates_train_the_same_bits(monkeypatch, sizes, hp):
+    # the kernel's updates call on one gate block per Trainer.run block, against numpy's
+    rng = _rng([53])
+    args = rng.uniform(-1.3, 1.3, (30, sizes[0]))
+    vals = np.tanh(args[:, :1] - 0.5 * args[:, -1:]).repeat(sizes[-1], axis=1)
+    start = init_network(sizes, "NLW", hp, _rng([54]))
+    numpy_updates, calls = train._updates_numpy, []
+    monkeypatch.setattr(train, "_updates_numpy",
+                        lambda *args: calls.append(1) or numpy_updates(*args))
+    runs = []
+    for numpy_path in (False, True):
+        if numpy_path:
+            _numpy_probe_read(monkeypatch)
+        net = start.clone()
+        trainer = Trainer(net, args, vals, seed=55)
+        rows = trainer.run(200, log_every=40) + trainer.run(57, log_every=0)
+        runs.append((rows, net, len(calls)))
+    (rows, net, kernel_calls), (numpy_rows, numpy_net, all_calls) = runs
+    assert kernel_calls == 0 and all_calls == 257
+    assert rows == numpy_rows
     for name in ("params", "luts", "visits"):
         assert np.array_equal(getattr(net, name).view(np.int64),
                               getattr(numpy_net, name).view(np.int64))
