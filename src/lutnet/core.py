@@ -479,18 +479,18 @@ class Workspace:
             self.acts.append(act)
             self.deltas.append(self.delta[d:d + n_out])
             s, c, d = s + n_in, c + n_in * n_out, d + n_out
-        self.updates = self.diffuse = None
+        self.updates = self.diffuse = self.gates = None
         if self.kern is not None:
             self.updates = self.kern.bind_updates(self, hp)
             self.diffuse = self.kern.bind_diffusion(self.luts, self.visits, self.hit, hp)
 
-    def bind_gates(self, gate_u: np.ndarray):
-        """The kernel's updates call on the (rows, C) gate uniforms gate_u:
-        ``(row, scale, new_scale) -> n_hit``, -1 when it declines; None where
-        numpy runs the updates (LW, no kernel, or a block it does not take)."""
-        if self.updates is None:
-            return None
-        return self.kern.bind_gates(self.updates, gate_u, self.luts.shape[0])
+    def bind_gates(self, gate_u: np.ndarray) -> None:
+        """Bind the kernel's updates call to the (rows, C) gate uniforms gate_u as
+        ``self.gates``: ``(row, scale, new_scale) -> n_hit``, -1 when it declines;
+        None where numpy runs the updates (LW, no kernel, or a block it does not
+        take)."""
+        self.gates = (None if self.updates is None
+                      else self.kern.bind_gates(self.updates, gate_u, self.luts.shape[0]))
 
     def fits(self, net: Network) -> bool:
         """Whether net's buffers, hyperparameters and selected kernel are the bound ones."""

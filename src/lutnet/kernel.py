@@ -172,14 +172,13 @@ class Kernel:
         apply = partial(self._lib.update_apply, params, n_params, rates, luts_p, visits, n_rows,
                         luts.shape[1], src, lo, frac, ws.lo.size, read, grad, arg, dwr, hit,
                         hp.s_a, hp.s_b, hp.zeta, hp.r_c, hp.v_min)
-        if hp.s_a == 0.0:                   # the raw steps: no gain, so no expm1
-            return lambda *row: -1 if args() else apply(*row)
-        gain_args, expm1 = ws.arg, np.expm1
+        gain_on, gain_args, expm1 = hp.s_a != 0.0, ws.arg, np.expm1
 
         def updates(*row):
             if args():
                 return -1
-            expm1(gain_args, out=gain_args)     # numpy's expm1 of the gain arguments, in place
+            if gain_on:                         # at s_a = 0 the raw steps: no gain, no expm1
+                expm1(gain_args, out=gain_args)     # numpy's expm1 of the arguments, in place
             return apply(*row)
 
         return updates

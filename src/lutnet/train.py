@@ -195,13 +195,13 @@ def _updates_numpy(ws: Workspace, gate_u: np.ndarray, scale: float, new_scale: f
 # One full iteration
 
 def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
-                     ws: Workspace | None = None, row: int | None = None, gates=None) -> float:
+                     ws: Workspace | None = None, row: int | None = None) -> float:
     """Forward, backprop, the updates and the diffusion for one sample.
 
     gate_u supplies one uniform per LUT connection in layer-major,
     destination-major, source-major order: the iteration's row, or with
-    ``row`` a (rows, C) block whose row ``row`` it draws, with ``gates`` the
-    block's ``Workspace.bind_gates`` (``Trainer.run`` binds each block once).
+    ``row`` a (rows, C) block whose row ``row`` it draws, bound to ws by
+    ``Workspace.bind_gates`` (``Trainer.run`` binds each block once).
     Returns the sample's mean squared output error (from the pre-update
     forward pass). ws is net's ``Workspace``; without it the iteration looks
     it up. Every step reads and writes ws's flat buffers, all layers at a
@@ -214,7 +214,7 @@ def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
         ws = _workspace(net)
     if row is None:
         gate_u, row = gate_u[None], 0
-        gates = ws.bind_gates(gate_u)
+        ws.bind_gates(gate_u)
     hp = net.hp
     y = ws.forward(x)
     err = y - target
@@ -224,7 +224,7 @@ def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
 
     scale = net.visit_scale
     new_scale = scale * (1.0 - hp.r_c)
-    n_hit = -1 if gates is None else gates(row, scale, new_scale)
+    n_hit = -1 if ws.gates is None else ws.gates(row, scale, new_scale)
     if n_hit < 0:
         n_hit = _updates_numpy(ws, gate_u[row], scale, new_scale, hp)
     if ws.luts is None:
@@ -349,10 +349,10 @@ class Trainer:
             # bound on the first run; checked once per block, so a rebinding between
             # runs or in a callback is seen, and never inside a block
             ws = _workspace(net)
-            gates = ws.bind_gates(gate_u)
+            ws.bind_gates(gate_u)
             for b in range(block):
                 idx = order[pos + b]
-                err = _apply_iteration(net, self.args[idx], self.vals[idx], gate_u, ws, b, gates)
+                err = _apply_iteration(net, self.args[idx], self.vals[idx], gate_u, ws, b)
                 window_sum += err
                 window_n += 1
                 if not math.isfinite(err):

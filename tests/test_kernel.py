@@ -390,12 +390,18 @@ def _same_bits(got, want):
             and np.array_equal(_bits(got[~nan]), _bits(want[~nan])))
 
 
-def _assert_same_updates(case, scale, hp):
+def _assert_same_updates(case, scale, hp, exact=True):
+    """The kernel's updates and numpy's write the same bits; with exact=False a NaN
+    matches any NaN (``_same_bits``), for cases whose NaN reads meet NaN steps."""
     (got, n_hit), (want, want_hit) = (_updated(case, scale, hp, numpy) for numpy in (0, 1))
     assert n_hit == want_hit
     assert np.array_equal(got.hit[:n_hit], want.hit[:n_hit])
     for name in ("params", "dwr", "luts", "visits"):       # untouched entries as well
-        assert _same_bits(getattr(got, name), getattr(want, name)), name
+        got_a, want_a = getattr(got, name), getattr(want, name)
+        if exact:
+            assert np.array_equal(_bits(got_a), _bits(want_a)), name
+        else:
+            assert _same_bits(got_a, want_a), name
 
 
 def _rates(draw):
@@ -490,7 +496,7 @@ def gained_updates(draw):
 @settings(max_examples=300, deadline=None)
 @given(case=gained_updates())
 def test_kernel_matches_numpy_updates_bit_for_bit(case):
-    _assert_same_updates(*case)
+    _assert_same_updates(*case, exact=False)
 
 
 def _table_case():
