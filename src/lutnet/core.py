@@ -17,7 +17,7 @@ the entries it bumps or diffuses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -197,7 +197,24 @@ class LutConnection:
 # ---------------------------------------------------------------------------
 # Network
 
-@dataclass
+class _Fixed:
+    """An attribute fixed when its object is built, at its first assignment.
+
+    Assigning it another object raises AttributeError naming it; assigning the
+    object it holds passes, as an augmented assignment does after writing in
+    place (``lay.w *= 2``). The class defines no ``__get__``, so a read finds the
+    value in the instance dict, with no Python call.
+    """
+
+    def __set_name__(self, owner, name):
+        self.key, self.name = name, f"{owner.__name__}.{name}"
+
+    def __set__(self, obj, value):
+        if obj.__dict__.setdefault(self.key, value) is not value:
+            raise AttributeError(f"{self.name} is fixed when the network is built: "
+                                 f"write into its arrays in place")
+
+
 class Layer:
     """Dense layer parameters, connection (dst, src) at matrix position [dst, src].
 
@@ -205,15 +222,16 @@ class Layer:
     LUT connections. ``lut`` and ``visits`` are (n_out, n_in, r_res) and
     present only in NLW networks; ``visits`` holds the stored entries,
     which ``Network.settled_visits`` turns into visit values. All four are
-    views into the owning network's buffers: write into them, never
-    rebind them (an augmented assignment such as ``lay.w *= 2`` writes in
-    place).
+    views into the owning network's buffers, fixed when it is built: write
+    into them (an augmented assignment such as ``lay.w *= 2`` writes in
+    place); rebinding one raises AttributeError.
     """
 
-    w: np.ndarray
-    bias: np.ndarray
-    lut: np.ndarray | None = None
-    visits: np.ndarray | None = None
+    w, bias, lut, visits = _Fixed(), _Fixed(), _Fixed(), _Fixed()
+
+    def __init__(self, w: np.ndarray, bias: np.ndarray, lut: np.ndarray | None = None,
+                 visits: np.ndarray | None = None):
+        self.w, self.bias, self.lut, self.visits = w, bias, lut, visits
 
     @property
     def n_out(self) -> int:
@@ -247,27 +265,18 @@ def _layer_views(sizes, params, luts, visits):
     return views
 
 
-class UpdateMaps(NamedTuple):
-    """Index maps that let one update pass cover every layer of a network.
+def _update_maps(sizes, hp: Hyperparameters, nlw: bool):
+    """param_dst, param_src, conn_dst, src and rates: the index maps that let one
+    update pass cover every layer of a net of these sizes.
 
-    Number the nodes that layers feed (their deltas) layer after layer,
-    and the inputs layers read likewise, followed by one constant-1 bias
-    input per layer. Entry i of ``Network.params`` runs from input
-    ``param_src[i]`` to node ``param_dst[i]``; LUT row c from input
-    ``conn_src[c]`` to node ``conn_dst[c]``. ``linear_rates`` scales each entry's
-    linear update: nu on the linear part of a LUT connection, 1 on a bias
-    (None for LW, where every rate is 1).
+    Number the nodes that layers feed (their deltas) layer after layer, and
+    the inputs layers read likewise, followed by one constant-1 bias input per
+    layer. Entry i of ``Network.params`` runs from input ``param_src[i]`` to
+    node ``param_dst[i]``; LUT row c from input ``src[c]`` to node
+    ``conn_dst[c]``. ``rates`` scales each entry's linear update: nu on the
+    linear part of a LUT connection, 1 on a bias (None for LW, where every
+    rate is 1).
     """
-
-    param_dst: np.ndarray
-    param_src: np.ndarray
-    conn_dst: np.ndarray
-    conn_src: np.ndarray
-    linear_rates: np.ndarray | None
-
-
-def _update_maps(sizes, hp: Hyperparameters, nlw: bool) -> UpdateMaps:
-    """The index maps of the parameter layout of a net of these sizes."""
     dst, src = [], []
     n_src = sum(sizes[:-1])
     d0 = s0 = 0
@@ -280,9 +289,8 @@ def _update_maps(sizes, hp: Hyperparameters, nlw: bool) -> UpdateMaps:
     param_dst = np.concatenate(dst)
     param_src = np.concatenate(src)
     weight = param_src < n_src
-    linear_rates = np.where(weight, hp.nu, 1.0) if nlw else None
-    return UpdateMaps(param_dst, param_src, param_dst[weight], param_src[weight],
-                      linear_rates)
+    rates = np.where(weight, hp.nu, 1.0) if nlw else None
+    return param_dst, param_src, param_dst[weight], param_src[weight], rates
 
 
 class Network:
@@ -304,12 +312,15 @@ class Network:
     and folds S into the whole table once it falls below
     ``VISIT_SCALE_MIN``. Stored entries are kept at or above ``v_min``.
 
-    Training and ``forward_network`` bind a ``Workspace`` to ``params``,
-    ``luts`` and ``visits`` on first use. A buffer rebound since then is
-    bound anew at the next block of ``Trainer.run`` (the layers' views keep
-    the old one, so do not rebind them); one the workspace cannot bind
-    raises ValueError.
+    ``sizes``, ``kind``, ``hp``, the three buffers and the tuple ``layers``
+    are fixed when the network is built: rebinding one raises AttributeError,
+    so the layers' views, the ``Workspace`` that training and
+    ``forward_network`` bind on first use and the batch pass all read the
+    same buffers for the network's lifetime.
     """
+
+    sizes, kind, hp = _Fixed(), _Fixed(), _Fixed()
+    params, luts, visits, layers = _Fixed(), _Fixed(), _Fixed(), _Fixed()
 
     def __init__(self, sizes, kind: str, hp: Hyperparameters):
         sizes = tuple(sizes)
@@ -324,15 +335,17 @@ class Network:
         self.hp = hp
         pairs = list(zip(self.sizes, self.sizes[1:]))
         self.params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in pairs))
-        n_conn = sum(n_in * n_out for n_in, n_out in pairs)
-        self.luts = self.visits = None
+        tables = (sum(n_in * n_out for n_in, n_out in pairs), hp.r_res)
+        self.luts = np.zeros(tables) if kind == KIND_NLW else None
+        self.visits = np.zeros(tables) if kind == KIND_NLW else None
         self.visit_scale = 1.0
-        if kind == KIND_NLW:
-            self.luts = np.zeros((n_conn, hp.r_res))
-            self.visits = np.zeros((n_conn, hp.r_res))
-        self.layers = [Layer(*views) for views in
-                       _layer_views(self.sizes, self.params, self.luts, self.visits)]
-        self._ws = None                 # the Workspace, bound on first use (_workspace)
+        self.layers = tuple(Layer(*views) for views in
+                            _layer_views(self.sizes, self.params, self.luts, self.visits))
+
+    @cached_property
+    def _workspace(self) -> "Workspace":
+        """The network's ``Workspace``, bound on first use and kept for its lifetime."""
+        return Workspace(self)
 
     @property
     def n_inputs(self) -> int:
@@ -418,64 +431,58 @@ BATCH_ENTRIES = 2 ** 18
 class Workspace:
     """One network's single-sample buffers, with the kernel's calls bound to them.
 
-    Flat arrays in the order ``UpdateMaps`` indexes: ``inputs`` (every
-    layer's inputs, then a 1 per bias), their segments ``lo`` and ``frac``,
-    ``read``, ``slope`` and ``dwr`` per LUT connection, ``delta`` and ``step``
-    per fed node, the gated rows ``hit``, the outputs ``y``, and for the
-    kernel's updates call the raw steps ``grad`` and gain arguments ``arg``
-    of every parameter, then every LUT connection. A layer reads
-    its slice of ``inputs`` and writes its segments, reads and slopes into its
+    Flat arrays in the order the index maps of ``_update_maps`` number them:
+    ``inputs`` (every layer's inputs, then a 1 per bias), their segments ``lo``
+    and ``frac``, ``read``, ``slope`` and ``dwr`` per LUT connection, ``delta``
+    and ``step`` per fed node, the gated rows ``hit``, the outputs ``y``, and
+    for the kernel's updates call the raw steps ``grad`` and gain arguments
+    ``arg`` of every parameter, then every LUT connection. A layer reads its
+    slice of ``inputs`` and writes its segments, reads and slopes into its
     slices and its tanh into the next layer's inputs: nothing is concatenated.
 
-    Checked and bound once, here: the network's ``params``, ``luts`` and
-    ``visits`` (a ValueError names one that is not a writable C-contiguous
-    float64 array of the network's shape), the ``UpdateMaps`` with the rates
-    of the bound hyperparameters, and for NLW the kernel's calls on them, None
-    where numpy does the work. ``_workspace`` binds a new one when
-    the network's buffers, hyperparameters or selected kernel change.
+    Bound once, for the network's lifetime (``Network._workspace``): the
+    network's ``params``, ``luts``, ``visits`` and ``hp``, which are fixed
+    when it is built, the index maps ``param_dst``, ``param_src``,
+    ``conn_dst``, ``src`` and ``rates`` with the rates of those
+    hyperparameters, and for NLW the kernel loaded then and its calls on the
+    buffers, None where numpy does the work.
     """
 
     def __init__(self, net: Network):
         sizes, hp = net.sizes, net.hp
-        n_conn = sum(n_in * n_out for n_in, n_out in zip(sizes, sizes[1:]))
-        self.params = _bound_buffer(net, "params", (sum(sizes[1:]) + n_conn,))
-        self.luts = self.visits = self.kern = None
-        if net.luts is not None:
-            self.luts = _bound_buffer(net, "luts", (n_conn, hp.r_res))
-            self.visits = _bound_buffer(net, "visits", (n_conn, hp.r_res))
-            self.kern = kernel.load()
-        self.hp = hp
-        self.maps = _update_maps(sizes, hp, self.luts is not None)
+        self.params, self.luts, self.visits, self.hp = net.params, net.luts, net.visits, hp
+        self.kern = None if self.luts is None else kernel.load()
+        (self.param_dst, self.param_src, self.conn_dst, self.src,
+         self.rates) = _update_maps(sizes, hp, self.luts is not None)
         n_src, n_layers = sum(sizes[:-1]), len(sizes) - 1
         self.inputs = np.ones(n_src + n_layers)
         self.x = self.inputs[:sizes[0]]
         self.y = np.empty(sizes[-1])
         self.delta, self.step = np.empty(sum(sizes[1:])), np.empty(sum(sizes[1:]))
-        views = _layer_views(sizes, self.params, self.luts, self.visits)
-        self.weights = [w for w, _, _, _ in views]
+        self.weights = [lay.w for lay in net.layers]
         self.slopes = [None] * n_layers
         self.acts, self.deltas, self.steps = [], [], []
         if self.luts is not None:
-            self.src = self.maps.conn_src
+            n_conn = self.luts.shape[0]
             self.lo, self.frac = np.zeros(n_src, dtype=np.intp), np.zeros(n_src)
             self.read, self.slope, self.dwr = np.zeros(n_conn), np.zeros(n_conn), np.zeros(n_conn)
             self.hit = np.zeros(n_conn, dtype=np.intp)
             n_steps = self.params.shape[0] + n_conn
             self.grad, self.arg = np.zeros(n_steps), np.zeros(n_steps)
         s = c = d = 0
-        for li, (w, bias, lut, _) in enumerate(views):
-            n_out, n_in = w.shape
+        for li, lay in enumerate(net.layers):
+            n_out, n_in = lay.w.shape
             x = self.inputs[s:s + n_in]
             act = self.y if li == n_layers - 1 else self.inputs[s + n_in:s + n_in + n_out]
             read = out = None
-            if lut is not None:
+            if lay.lut is not None:
                 out = (self.lo[s:s + n_in], self.frac[s:s + n_in],
                        self.read[c:c + n_in * n_out].reshape(n_out, n_in),
                        self.slope[c:c + n_in * n_out].reshape(n_out, n_in))
                 self.slopes[li] = out[3]
                 if self.kern is not None:
-                    read = self.kern.bind_read(lut, x, hp, *out)
-            self.steps.append((w, bias, lut, x, act, read, out))
+                    read = self.kern.bind_read(lay.lut, x, hp, *out)
+            self.steps.append((lay.w, lay.bias, lay.lut, x, act, read, out))
             self.acts.append(act)
             self.deltas.append(self.delta[d:d + n_out])
             s, c, d = s + n_in, c + n_in * n_out, d + n_out
@@ -492,12 +499,6 @@ class Workspace:
         self.gates = (None if self.updates is None
                       else self.kern.bind_gates(self.updates, gate_u, self.luts.shape[0]))
 
-    def fits(self, net: Network) -> bool:
-        """Whether net's buffers, hyperparameters and selected kernel are the bound ones."""
-        return (net.params is self.params and net.luts is self.luts
-                and net.visits is self.visits and net.hp is self.hp
-                and (self.luts is None or kernel.load() is self.kern))
-
     def forward(self, x) -> np.ndarray:
         """Run one sample through every layer, in place; returns ``y``, the outputs."""
         self.x[...] = x
@@ -512,26 +513,6 @@ class Workspace:
             total += bias
             np.tanh(total, out=act)
         return self.y
-
-
-def _bound_buffer(net: Network, name: str, shape: tuple) -> np.ndarray:
-    """net's buffer name, if it is a writable C-contiguous float64 array of shape."""
-    buf = getattr(net, name)
-    if not (isinstance(buf, np.ndarray) and buf.dtype == np.float64 and buf.shape == shape
-            and buf.flags.c_contiguous and buf.flags.writeable):
-        got = (f"{buf.dtype} {buf.shape}" if isinstance(buf, np.ndarray)
-               else type(buf).__name__)
-        raise ValueError(f"the network's {name} must be a writable C-contiguous float64 "
-                         f"array of shape {shape}, got {got}")
-    return buf
-
-
-def _workspace(net: Network) -> Workspace:
-    """net's Workspace: the one bound before, unless it no longer fits net."""
-    ws = net._ws
-    if ws is None or not ws.fits(net):
-        ws = net._ws = Workspace(net)
-    return ws
 
 
 def _forward_layers(net: Network, act: np.ndarray) -> np.ndarray:
@@ -561,7 +542,7 @@ def forward_network(net: Network, x) -> tuple[np.ndarray, ForwardTrace]:
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_inputs,):
         raise _misfit(net, "one sample", x)
-    ws = _workspace(net)
+    ws = net._workspace
     ws.forward(x)
     layers = []
     for _, _, lut, inputs, act, _, out in ws.steps:

@@ -144,24 +144,22 @@ class Kernel:
         index they read (a map index outside the nodes or inputs, a src outside
         lo, an lo outside [0, r - 2], a row outside the gates) before they write.
         """
-        maps, luts = ws.maps, ws.luts
-        if not (_is(np.float64, ws.params, maps.linear_rates, luts, ws.visits, ws.read, ws.frac,
-                    ws.dwr, ws.grad, ws.arg, ws.inputs, ws.delta, ws.step)
-                and _is(np.intp, maps.param_dst, maps.param_src, maps.conn_dst, ws.src, ws.lo,
-                        ws.hit)
+        luts = ws.luts
+        if not (_is(np.float64, ws.params, ws.rates, luts, ws.visits, ws.read, ws.frac, ws.dwr,
+                    ws.grad, ws.arg, ws.inputs, ws.delta, ws.step)
+                and _is(np.intp, ws.param_dst, ws.param_src, ws.conn_dst, ws.src, ws.lo, ws.hit)
                 and luts.ndim == 2 and luts.shape == ws.visits.shape and ws.params.ndim == 1):
             return None
         n_params, n_rows = ws.params.shape[0], luts.shape[0]
-        if not (_lengths(n_params, maps.linear_rates, maps.param_dst, maps.param_src)
-                and _lengths(n_rows, ws.read, ws.dwr, ws.hit, maps.conn_dst, ws.src)
+        if not (_lengths(n_params, ws.rates, ws.param_dst, ws.param_src)
+                and _lengths(n_rows, ws.read, ws.dwr, ws.hit, ws.conn_dst, ws.src)
                 and _lengths(n_params + n_rows, ws.grad, ws.arg)
                 and _lengths(ws.frac.size, ws.lo, ws.frac)
                 and _lengths(ws.delta.size, ws.delta, ws.step) and ws.inputs.ndim == 1):
             return None
         ptrs = self._pointers(ws.params, luts, ws.visits, ws.dwr, ws.hit, ws.step, ws.grad,
-                              ws.arg, maps.linear_rates, ws.src, ws.lo, ws.frac, ws.read,
-                              maps.param_dst, maps.param_src, maps.conn_dst, ws.delta,
-                              ws.inputs, written=8)
+                              ws.arg, ws.rates, ws.src, ws.lo, ws.frac, ws.read, ws.param_dst,
+                              ws.param_src, ws.conn_dst, ws.delta, ws.inputs, written=8)
         if ptrs is None:
             return None
         (params, luts_p, visits, dwr, hit, step, grad, arg, rates, src, lo, frac, read,
@@ -208,13 +206,12 @@ class Kernel:
         n_rows, r = luts.shape
         rows = partial(self._lib.diffuse_rows, *ptrs[:2], n_rows, r, ptrs[2], hp.r_a, hp.r_b,
                        hp.v_min)
-        if hp.r_a == 0.0:
-            null = self._null
-            return lambda n_hit, scale: rows(n_hit, null, scale)
         gaps_of = partial(self._lib.diffusion_gaps, ptrs[0], n_rows, r, ptrs[2], hp.r_a)
-        buf, doubles = self._buffer, self._doubles
+        smooth, null, buf, doubles = hp.r_a != 0.0, self._null, self._buffer, self._doubles
 
         def diffuse(n_hit, scale):
+            if not smooth:                      # at r_a = 0 the LUT rows take no tanh
+                return rows(n_hit, null, scale)
             gaps = np.empty((n_hit, r - 1))
             gap = buf(doubles, gaps)
             if gaps_of(n_hit, gap):

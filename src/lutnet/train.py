@@ -12,13 +12,14 @@ backprop and the diffusion, the gate draw included, is one step, the
 updates (``_updates_numpy``).
 
 So an iteration is four steps, forward, backprop, updates and diffusion,
-and every one works in the network's ``core.Workspace``, which is bound
-once and checked once per block of ``Trainer.run``: the forward pass
-leaves each layer's inputs, segments, reads and slopes in its flat
-buffers, backprop writes the deltas beside them, and the updates index
-them all at once. The probe reads, the updates and the diffusion run the
-compiled kernel's calls bound there (``lutnet.kernel``) when it loads, and
-their numpy bodies otherwise; both give the same bits.
+and every one works in the network's ``core.Workspace``, bound on first
+use and kept for the network's lifetime, as its buffers and
+hyperparameters are fixed when it is built: the forward pass leaves each
+layer's inputs, segments, reads and slopes in its flat buffers, backprop
+writes the deltas beside them, and the updates index them all at once.
+The probe reads, the updates and the diffusion run the compiled kernel's
+calls bound there (``lutnet.kernel``) when it loads, and their numpy
+bodies otherwise; both give the same bits.
 
 The error function is half the summed squared output error, so output
 deltas are simply (y - d) times the tanh slope. Because LUTs are only
@@ -44,7 +45,6 @@ from .core import (
     _require_fit,
     _segment_ends,
     _table_read,
-    _workspace,
     find_nonfinite,
 )
 from .data import _require_finite
@@ -167,17 +167,16 @@ def _updates_numpy(ws: Workspace, gate_u: np.ndarray, scale: float, new_scale: f
     (``_decay_touched``). The reference the kernel's updates call matches, its
     fallback, and LW's only path.
     """
-    maps = ws.maps
     step = np.multiply(ws.delta, hp.mu, out=ws.step)
-    grad = step[maps.param_dst] * ws.inputs[maps.param_src]
+    grad = step[ws.param_dst] * ws.inputs[ws.param_src]
     dw = _gain_decay(ws.params, grad, hp)
-    if maps.linear_rates is not None:
-        dw *= maps.linear_rates
+    if ws.rates is not None:
+        dw *= ws.rates
     ws.params -= dw
     ws.params *= 1.0 - hp.s_b
     if ws.luts is None:
         return 0
-    dwr = np.negative(_gain_decay(ws.read, step[maps.conn_dst], hp), out=ws.dwr)
+    dwr = np.negative(_gain_decay(ws.read, step[ws.conn_dst], hp), out=ws.dwr)
     hit = (hp.zeta > gate_u).nonzero()[0]
     ws.hit[:hit.shape[0]] = hit
     cols, share = _segment_ends(ws.lo[ws.src], ws.frac[ws.src])
@@ -195,27 +194,25 @@ def _updates_numpy(ws: Workspace, gate_u: np.ndarray, scale: float, new_scale: f
 # One full iteration
 
 def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
-                     ws: Workspace | None = None, row: int | None = None) -> float:
+                     row: int | None = None) -> float:
     """Forward, backprop, the updates and the diffusion for one sample.
 
     gate_u supplies one uniform per LUT connection in layer-major,
     destination-major, source-major order: the iteration's row, or with
-    ``row`` a (rows, C) block whose row ``row`` it draws, bound to ws by
-    ``Workspace.bind_gates`` (``Trainer.run`` binds each block once).
-    Returns the sample's mean squared output error (from the pre-update
-    forward pass). ws is net's ``Workspace``; without it the iteration looks
-    it up. Every step reads and writes ws's flat buffers, all layers at a
-    time: the forward pass leaves each layer's inputs, segments, reads and
-    slopes there, backprop writes the deltas beside them, the updates index
-    them with ``ws.maps`` and leave the gated rows in ``ws.hit``, and the
-    diffusion runs on those rows.
+    ``row`` a (rows, C) block whose row ``row`` it draws, bound to net's
+    ``Workspace`` by ``Workspace.bind_gates`` (``Trainer.run`` binds each
+    block once). Returns the sample's mean squared output error (from the
+    pre-update forward pass). Every step reads and writes the workspace's
+    flat buffers, all layers at a time: the forward pass leaves each layer's
+    inputs, segments, reads and slopes there, backprop writes the deltas
+    beside them, the updates index them with the workspace's maps and leave
+    the gated rows in ``ws.hit``, and the diffusion runs on those rows.
     """
-    if ws is None:
-        ws = _workspace(net)
+    ws = net._workspace
     if row is None:
         gate_u, row = gate_u[None], 0
         ws.bind_gates(gate_u)
-    hp = net.hp
+    hp = ws.hp
     y = ws.forward(x)
     err = y - target
     np.multiply(err, 1.0 - y * y, out=ws.deltas[-1])
@@ -287,9 +284,16 @@ class Trainer:
         """Continue from iteration with the gate generator in gate_state.
 
         Raises ValueError, and changes nothing, for a state the PCG64 bit
-        generator refuses.
+        generator refuses, and for one it would coerce: state.state,
+        state.inc, uinteger and has_uint32 must be ints (a bool is not one),
+        has_uint32 0 or 1.
         """
         try:
+            words = (gate_state["state"]["state"], gate_state["state"]["inc"],
+                     gate_state["uinteger"], gate_state["has_uint32"])
+            if not (all(type(word) is int for word in words) and words[3] in (0, 1)):
+                raise ValueError("state.state, state.inc, uinteger and has_uint32 must be "
+                                 "ints, has_uint32 0 or 1")
             self.gate_rng.bit_generator.state = gate_state
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ValueError(f"the gate state is not a PCG64 state: "
@@ -332,6 +336,7 @@ class Trainer:
         n = len(self.args)
         n_gate = net.lut_connection_count()
         end = self.iteration + int(iterations)
+        ws = net._workspace
         rows: list[tuple[int, float]] = []
         window_sum = 0.0
         window_n = 0
@@ -346,13 +351,10 @@ class Trainer:
                 next_ck = checkpoint_every - self.iteration % checkpoint_every
                 block = min(block, next_ck)
             gate_u = self.gate_rng.random((block, n_gate))
-            # bound on the first run; checked once per block, so a rebinding between
-            # runs or in a callback is seen, and never inside a block
-            ws = _workspace(net)
             ws.bind_gates(gate_u)
             for b in range(block):
                 idx = order[pos + b]
-                err = _apply_iteration(net, self.args[idx], self.vals[idx], gate_u, ws, b)
+                err = _apply_iteration(net, self.args[idx], self.vals[idx], gate_u, b)
                 window_sum += err
                 window_n += 1
                 if not math.isfinite(err):

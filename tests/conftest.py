@@ -1,6 +1,43 @@
-"""Shared reporting: collect acceptance-criterion lines for the summary."""
+"""Shared fixtures and reporting: numpy in place of the compiled kernel, and the
+acceptance-criterion lines for the summary."""
+import pytest
 
 CRITERION_LINES: list[str] = []
+
+
+class NumpyOnly:
+    """Selects numpy in place of the compiled kernel, as where it cannot load.
+
+    ``force(True)`` switches for the rest of the test (``force(False)`` keeps
+    the kernel the process selects). A batch pass looks the kernel up on
+    every call, but a network's workspace keeps the kernel it was bound with
+    for the network's lifetime, so a net meant to run on numpy must first run
+    after ``force(True)``; ``check(*nets)`` asserts that each net ran, and on
+    numpy once numpy is forced.
+    """
+
+    def __init__(self, monkeypatch):
+        self._monkeypatch = monkeypatch
+        self.forced = False
+
+    def force(self, on: bool) -> None:
+        if on:
+            from lutnet import kernel
+
+            self._monkeypatch.setattr(kernel, "_loaded", "numpy forced by the test")
+            self.forced = True
+
+    def check(self, *nets) -> None:
+        for net in nets:
+            ws = vars(net).get("_workspace")
+            assert ws is not None, "the net's workspace was never bound"
+            if self.forced:
+                assert ws.kern is None and ws.updates is None and ws.diffuse is None
+
+
+@pytest.fixture
+def numpy_only(monkeypatch):
+    return NumpyOnly(monkeypatch)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

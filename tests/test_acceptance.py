@@ -223,11 +223,10 @@ def test_criterion_4_selective_parameter_scaling():
 
 
 @pytest.mark.parametrize("numpy_path", [False, True], ids=["selected-read", "numpy-read"])
-def test_iteration_table_writes_do_not_depend_on_r_res(monkeypatch, numpy_path):
+def test_iteration_table_writes_do_not_depend_on_r_res(numpy_only, numpy_path):
     """Criterion 4's claim, exact: an iteration changes at most two LUT and two visit
     entries of an ungated connection, adjacent ones, and r_res of a gated row."""
-    if numpy_path:
-        monkeypatch.setattr(kernel, "_loaded", "numpy chosen by the test")
+    numpy_only.force(numpy_path)
     args, vals = bench_dataset(5, 1, count=64, seed=0)
     for r_res in (16, 64, 256):
         net = init_network((5, 16, 16, 1), "NLW", NLW.replace(r_res=r_res), _seeded([404, 0]))
@@ -247,6 +246,7 @@ def test_iteration_table_writes_do_not_depend_on_r_res(monkeypatch, numpy_path):
                 assert per_row.sum() <= 2 * (~gated).sum() + r_res * gated.sum()
                 ungated_changes += per_row[~gated].sum()
         assert ungated_changes > 0
+        numpy_only.check(net)
 
 
 def _lutnet_opcodes(run) -> int:
@@ -275,10 +275,9 @@ def _lutnet_opcodes(run) -> int:
 
 
 @pytest.mark.parametrize("numpy_path", [False, True], ids=["selected-read", "numpy-read"])
-def test_iteration_dispatch_count_does_not_depend_on_r_res(monkeypatch, numpy_path):
+def test_iteration_dispatch_count_does_not_depend_on_r_res(numpy_only, numpy_path):
     """Criterion 4's claim, exact: an iteration runs the same Python at any r_res."""
-    if numpy_path:
-        monkeypatch.setattr(kernel, "_loaded", "numpy chosen by the test")
+    numpy_only.force(numpy_path)
     args, vals = bench_dataset(2, 1, count=16, seed=0)
     counts = []
     for r_res in (16, 64, 256):
@@ -287,7 +286,8 @@ def test_iteration_dispatch_count_does_not_depend_on_r_res(monkeypatch, numpy_pa
         trainer.run(5, log_every=0)         # loads the kernel and builds the update maps
         counts.append(_lutnet_opcodes(lambda: trainer.run(20, log_every=10)))
         # the fused updates call where the kernel loads, numpy's updates otherwise
-        assert (net._ws.updates is None) == (numpy_path or kernel.load() is None)
+        numpy_only.check(net)
+        assert (net._workspace.updates is None) == (kernel.load() is None)
     assert counts[0] > 0
     assert counts == counts[:1] * 3, counts
 

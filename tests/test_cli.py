@@ -293,7 +293,7 @@ def test_resume_checks_every_rng_entry_of_the_model(tmp_path, capsys):
     model, out = tmp_path / "model.json", tmp_path / "out.json"
     codes = {}
     for at in [("rng",)] + paths:
-        for value in ("deleted", None, -1, "x", True, [1, 2]):
+        for value in ("deleted", None, -1, "x", True, [1, 2], 7):
             bad = json.loads(saved.read_text())
             owner = bad
             for key in at[:-1]:
@@ -319,6 +319,11 @@ def test_resume_checks_every_rng_entry_of_the_model(tmp_path, capsys):
         assert codes["train", "rng.seed", value] == codes["train", "rng.gate", value] == 2
     assert codes["train", "rng.gate.uinteger", "-1"] == 2
     assert codes["train", "rng.gate.state", "None"] == 2
+    # and no entry PCG64 would coerce: a bool for an int, has_uint32 outside {0, 1}
+    for at in ("state.state", "state.inc", "uinteger", "has_uint32"):
+        assert codes["train", f"rng.gate.{at}", "True"] == 2, at
+    assert codes["train", "rng.gate.has_uint32", "-1"] == codes["train", "rng.gate.has_uint32",
+                                                                 "7"] == 2
     assert codes["eval", "rng.seed", "'x'"] == 0        # eval reads no run state
 
 
@@ -326,11 +331,16 @@ def test_restore_refuses_a_gate_state_pcg64_refuses():
     trainer = Trainer(init_network((2, 1), "LW", Hyperparameters(), np.random.default_rng(0)),
                       np.zeros((3, 2)), np.zeros((3, 1)), seed=1)
     state = trainer.gate_state()
-    for bad in (None, {**state, "uinteger": -1}, {**state, "bit_generator": "MT19937"},
-                {k: v for k, v in state.items() if k != "state"}):
+    coerced = [{**state, "state": {**state["state"], key: True}} for key in ("state", "inc")]
+    coerced += [{**state, "uinteger": True}]
+    coerced += [{**state, "has_uint32": value} for value in (-1, 7, True, 1.0)]
+    for bad in [None, {**state, "uinteger": -1}, {**state, "bit_generator": "MT19937"},
+                {k: v for k, v in state.items() if k != "state"}] + coerced:
         with pytest.raises(ValueError, match="the gate state is not a PCG64 state"):
             trainer.restore(7, bad)
         assert trainer.iteration == 0 and trainer.gate_state() == state
+    trainer.restore(7, {**state, "has_uint32": 1, "uinteger": 5})
+    assert trainer.iteration == 7 and trainer.gate_state()["uinteger"] == 5
 
 
 def test_train_writes_log_with_expected_cadence(tmp_path):

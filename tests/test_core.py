@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lutnet import core, kernel
+from lutnet import core
 from lutnet.core import (
     Network,
     find_nonfinite,
@@ -266,14 +266,7 @@ def test_forward_batch_memory_does_not_grow_with_the_batch():
     assert peak <= 16 * 2 ** 20
 
 
-def _on_both_paths(monkeypatch):
-    """Yield on the path the process selects (the kernel where it loads), then on numpy."""
-    yield
-    monkeypatch.setattr(kernel, "_loaded", "numpy forced by the test")
-    yield
-
-
-def test_forward_batch_matches_single_forwards_on_wide_layers(monkeypatch):
+def test_forward_batch_matches_single_forwards_on_wide_layers(numpy_only):
     # Bit-exact: each batch row's connection outputs lie contiguous in C order,
     # so numpy sums them pairwise as it sums a single sample's. Built from the
     # gather's destination-innermost layout, as w * act + lut_vals, they were
@@ -281,7 +274,8 @@ def test_forward_batch_matches_single_forwards_on_wide_layers(monkeypatch):
     net = init_network((2, 32, 32, 1), "NLW", HP, np.random.default_rng(18))
     xs = np.random.default_rng(19).uniform(-0.6, 0.6, (200, 2))
     single = np.array([forward_network(net, x)[0] for x in xs])
-    for _ in _on_both_paths(monkeypatch):
+    for numpy_path in (False, True):        # the batch pass looks the kernel up per call
+        numpy_only.force(numpy_path)
         assert np.array_equal(forward_batch(net, xs), single)
 
 
@@ -289,14 +283,16 @@ def test_forward_batch_matches_single_forwards_on_wide_layers(monkeypatch):
     pytest.param((2, 32, 32, 1), 20 * 32 * 32, id="2-32-32-1"),
     pytest.param((2, 9, 1), 20 * 18, id="2-9-1"),
 ])
-def test_forward_batch_bits_do_not_depend_on_the_chunk_size(monkeypatch, sizes, entries):
+def test_forward_batch_bits_do_not_depend_on_the_chunk_size(monkeypatch, numpy_only, sizes,
+                                                            entries):
     # 20-row chunks put boundaries at rows 20 and 40 of a 43-row batch; 9 and
     # 32 inputs per node are enough for numpy's pairwise sum to show its order
     net = init_network(sizes, "NLW", HP.replace(r_res=64), np.random.default_rng(20))
     xs = np.random.default_rng(21).uniform(-1.5, 1.5, (43, 2))
     xs[19:22] = [[HP.i_min], [HP.i_max], [lut_grid(net.hp)[21]]]   # both sides of row 20
     single = np.array([forward_network(net, x)[0] for x in xs])
-    for _ in _on_both_paths(monkeypatch):
+    for numpy_path in (False, True):
+        numpy_only.force(numpy_path)
         whole = forward_batch(net, xs)
         with monkeypatch.context() as chunked:
             chunked.setattr(core, "BATCH_ENTRIES", entries)

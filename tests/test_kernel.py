@@ -351,15 +351,13 @@ def test_kernel_declines_diffusion_of_a_row_outside_the_table():
 # maps, the forward and backward values, and the buffers both write.
 def _space(case, hp):
     """A workspace of an update case, with the kernel's updates call bound to its
-    gate row. case maps the workspace's names (the maps' names and linear_rates
-    among them) to arrays, and gate_u to the row of gate uniforms; the buffers
-    the updates write are made unless case has them."""
+    gate row. case maps the workspace's names (its index maps among them) to
+    arrays, and gate_u to the row of gate uniforms; the buffers the updates
+    write are made unless case has them."""
     n_rows, n_steps = case["luts"].shape[0], case["params"].shape[0] + case["luts"].shape[0]
     ws = SimpleNamespace(**{"dwr": np.zeros(n_rows), "hit": np.zeros(n_rows, dtype=np.intp),
                             "step": np.zeros(case["delta"].shape), "grad": np.zeros(n_steps),
                             "arg": np.zeros(n_steps), **case})
-    ws.maps = SimpleNamespace(param_dst=ws.param_dst, param_src=ws.param_src,
-                              conn_dst=ws.conn_dst, linear_rates=ws.linear_rates)
     updates = KERNEL.bind_updates(ws, hp)
     ws.updates = updates and KERNEL.bind_gates(updates, case["gate_u"][None], n_rows)
     return ws
@@ -435,7 +433,7 @@ def _linear(rng, rows, n_src, hp):
     input, and the nodes LUT rows feed, with small steps."""
     n_nodes, n_params = int(rng.integers(1, 6)), int(rng.integers(1, 20))
     return dict(params=rng.uniform(-0.5, 0.5, n_params),
-                linear_rates=np.where(rng.random(n_params) < 0.5, hp.nu, 1.0),
+                rates=np.where(rng.random(n_params) < 0.5, hp.nu, 1.0),
                 param_dst=rng.integers(0, n_nodes, n_params),
                 param_src=rng.integers(0, n_src + 1, n_params),
                 inputs=np.append(rng.uniform(-1.0, 1.0, n_src), 1.0),
@@ -578,7 +576,7 @@ def test_kernel_declines_table_writes_it_does_not_take_and_numpy_writes_them(cas
                  id="input-outside-the-inputs"),
     pytest.param(_changed("conn_dst", lambda d: d + 10), IndexError,
                  id="row-node-outside-the-nodes"),
-    pytest.param(_changed("linear_rates", lambda r: r[1:]), ValueError,
+    pytest.param(_changed("rates", lambda r: r[1:]), ValueError,
                  id="rates-unlike-params"),
 ])
 def test_kernel_declines_table_writes_that_numpy_refuses(case, error):
@@ -589,17 +587,19 @@ def test_kernel_declines_table_writes_that_numpy_refuses(case, error):
 
 @needs_kernel
 def test_gated_training_at_a_million_entries_per_table_gives_the_same_bits_on_both_paths(
-        monkeypatch):
+        numpy_only):
     # r_res has no upper bound, so no kernel may size a stack array by it
     hp = NLW.replace(r_res=2 ** 20, zeta=1.0)
     rng = np.random.default_rng(12)
     args, vals = rng.uniform(-1.2, 1.2, (4, 2)), rng.uniform(-0.5, 0.5, (4, 1))
     start = init_network((2, 1), "NLW", hp, np.random.default_rng(13))
     nets = []
-    for loaded in (KERNEL, "numpy chosen by the test"):
-        monkeypatch.setattr(kernel, "_loaded", loaded)
+    for numpy_path in (False, True):
+        numpy_only.force(numpy_path)
         net = start.clone()
         Trainer(net, args, vals, seed=14).run(3)
+        numpy_only.check(net)
+        assert (net._workspace.kern is KERNEL) != numpy_path
         nets.append(net)
     for name in ("params", "luts", "visits"):
         assert np.array_equal(_bits(getattr(nets[0], name)), _bits(getattr(nets[1], name)))

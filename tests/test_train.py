@@ -11,6 +11,7 @@ from lutnet import kernel, regularize, train
 from lutnet.core import (
     LutConnection,
     Network,
+    forward_batch,
     forward_network,
     init_network,
     interpolate,
@@ -29,6 +30,7 @@ from lutnet.train import (
     train_iteration,
     update_lut_component,
 )
+from conftest import NumpyOnly
 from reference import (
     extract_params,
     max_param_difference,
@@ -322,16 +324,10 @@ PARITY_CASES = (
 )
 
 
-def _numpy_probe_read(monkeypatch):
-    """Run the probe reads through numpy, as where the kernel cannot load."""
-    monkeypatch.setattr(kernel, "_loaded", "numpy chosen by the test")
-
-
 @pytest.mark.parametrize("kind,hp,sizes,iterations,numpy_path", PARITY_CASES)
-def test_iteration_matches_scalar_reference(monkeypatch, kind, hp, sizes, iterations,
+def test_iteration_matches_scalar_reference(numpy_only, kind, hp, sizes, iterations,
                                             numpy_path):
-    if numpy_path:
-        _numpy_probe_read(monkeypatch)
+    numpy_only.force(numpy_path)
     net = init_network(sizes, kind, hp, _rng([21, 0]))
     params = extract_params(net)
     rng = np.random.default_rng(22)
@@ -344,6 +340,7 @@ def test_iteration_matches_scalar_reference(monkeypatch, kind, hp, sizes, iterat
         ref_err = ref_iteration(params, x, target, gate_u, hp, kind)
         assert abs(err - ref_err) < 1e-9
         assert max_param_difference(params, net) < 1e-9
+    numpy_only.check(net)
 
 
 # Last-ulp summation differences compound over a long run, so it is held
@@ -439,10 +436,11 @@ def test_ungated_iteration_changes_at_most_two_adjacent_lut_entries(numpy_path, 
     net = init_network((2, 3, 1), "NLW", hp, _rng([seed, 0]))
     before = {"luts": net.luts.copy(), "visits": net.visits.copy()}
     gate_u = _rng([seed, 1]).random(net.lut_connection_count())
-    with pytest.MonkeyPatch.context() as patch:
-        if numpy_path:
-            _numpy_probe_read(patch)
+    with pytest.MonkeyPatch.context() as patch:     # hypothesis takes no function fixture
+        numpy_only = NumpyOnly(patch)
+        numpy_only.force(numpy_path)
         _apply_iteration(net, np.array(x), np.array([target]), gate_u)
+        numpy_only.check(net)
     assert net.visit_scale == 1.0 - hp.r_c
     for name, table in before.items():
         for row_before, row_after, gated in zip(table, getattr(net, name), zeta > gate_u):
@@ -492,14 +490,13 @@ def _probe_rows(hp):
     pytest.param(sizes, profile.values[0], numpy_path,
                  id=f"{profile.id}-{'-'.join(map(str, sizes))}{'-numpy' * numpy_path}")
     for numpy_path in (False, True) for profile in PROBE_PROFILES for sizes in PROBE_SIZES])
-def test_fused_probe_reads_match_public_forward_and_backprop(monkeypatch, sizes, hp,
+def test_fused_probe_reads_match_public_forward_and_backprop(numpy_only, sizes, hp,
                                                              numpy_path):
     # forward_network reads a LUT layer and its probes in one gather. Each connection's
     # read equals the public one-table read, interpolate, bit for bit; its derivative
     # equals approx_lut_derivative, whose numpy sum over the probes may round otherwise;
     # and backprop's deltas follow from those derivatives.
-    if numpy_path:
-        _numpy_probe_read(monkeypatch)
+    numpy_only.force(numpy_path)
     rows = _probe_rows(hp)
     target = np.linspace(-0.5, 0.5, sizes[-1])
     net = init_network(sizes, "NLW", hp, _rng([40, len(sizes)]))
@@ -520,13 +517,14 @@ def test_fused_probe_reads_match_public_forward_and_backprop(monkeypatch, sizes,
                 back = (deltas[li][:, None] * derivs).sum(axis=0) * (1.0 - y_prev * y_prev)
                 assert deltas[li - 1] == pytest.approx(back, rel=1e-12, abs=1e-15)
         _apply_iteration(net, x, target, gate_u[i])
+    numpy_only.check(net)
 
 
 @pytest.mark.skipif(kernel.load() is None, reason="the probe kernel cannot be built here")
 @pytest.mark.parametrize("sizes,hp", [
     pytest.param(sizes, profile.values[0], id=f"{profile.id}-{'-'.join(map(str, sizes))}")
     for profile in PROBE_PROFILES for sizes in PROBE_SIZES])
-def test_kernel_and_numpy_reads_give_the_same_traces(monkeypatch, sizes, hp):
+def test_kernel_and_numpy_reads_give_the_same_traces(numpy_only, sizes, hp):
     # every layer's trace, slope included, with the net trained between rows
     rows = _probe_rows(hp)
     target = np.linspace(-0.5, 0.5, sizes[-1])
@@ -534,12 +532,12 @@ def test_kernel_and_numpy_reads_give_the_same_traces(monkeypatch, sizes, hp):
     gate_u = _rng([41]).random((len(rows), start.lut_connection_count()))
     runs = []
     for numpy_path in (False, True):
-        if numpy_path:
-            _numpy_probe_read(monkeypatch)
+        numpy_only.force(numpy_path)
         net, traces = start.clone(), []
         for i, x in enumerate(rows):
             traces.append(forward_network(net, x)[1])
             _apply_iteration(net, x, target, gate_u[i])
+        numpy_only.check(net)
         runs.append((net, traces))
     (net, traces), (numpy_net, numpy_traces) = runs
     for trace, numpy_trace in zip(traces, numpy_traces):
@@ -560,7 +558,7 @@ def test_kernel_and_numpy_reads_give_the_same_traces(monkeypatch, sizes, hp):
     pytest.param(NLW.replace(r_res=16, zeta=0.5, s_a=0.0), id="s_a-0"),
     pytest.param(NLW.replace(r_res=16, zeta=0.5, s_b=0.0), id="s_b-0"),
 ])
-def test_kernel_and_numpy_diffusion_train_the_same_bits(monkeypatch, hp):
+def test_kernel_and_numpy_diffusion_train_the_same_bits(monkeypatch, numpy_only, hp):
     # the table writes as well; r_c = 0.5 halves visit_scale every iteration, so the
     # scale folds every 65 iterations
     rng = _rng([42])
@@ -577,11 +575,11 @@ def test_kernel_and_numpy_diffusion_train_the_same_bits(monkeypatch, hp):
                         lambda *args: numpy_writes.append(1) or numpy_updates(*args))
     runs = []
     for numpy_path in (False, True):
-        if numpy_path:
-            _numpy_probe_read(monkeypatch)
+        numpy_only.force(numpy_path)
         net = start.clone()
         runs.append((Trainer(net, args, vals, seed=44).run(300, log_every=50), net,
                      len(folds), len(numpy_rows), len(numpy_writes)))
+        numpy_only.check(net)
     (rows, net, kernel_folds, kernel_numpy_rows, kernel_numpy_writes), \
         (numpy_log, numpy_net, _, _, _) = runs
     # each path diffused and wrote its own way
@@ -604,7 +602,7 @@ def test_kernel_and_numpy_diffusion_train_the_same_bits(monkeypatch, hp):
     pytest.param((2, 1), NLW.replace(r_res=16, zeta=1.0, nu=0.5), id="zeta-1"),
     pytest.param((1, 1), NLW.replace(r_res=16, zeta=0.0, r_c=0.5), id="zeta-0"),
 ])
-def test_kernel_and_numpy_updates_train_the_same_bits(monkeypatch, sizes, hp):
+def test_kernel_and_numpy_updates_train_the_same_bits(monkeypatch, numpy_only, sizes, hp):
     # the kernel's updates call on one gate block per Trainer.run block, against numpy's
     rng = _rng([53])
     args = rng.uniform(-1.3, 1.3, (30, sizes[0]))
@@ -615,11 +613,11 @@ def test_kernel_and_numpy_updates_train_the_same_bits(monkeypatch, sizes, hp):
                         lambda *args: calls.append(1) or numpy_updates(*args))
     runs = []
     for numpy_path in (False, True):
-        if numpy_path:
-            _numpy_probe_read(monkeypatch)
+        numpy_only.force(numpy_path)
         net = start.clone()
         trainer = Trainer(net, args, vals, seed=55)
         rows = trainer.run(200, log_every=40) + trainer.run(57, log_every=0)
+        numpy_only.check(net)
         runs.append((rows, net, len(calls)))
     (rows, net, kernel_calls), (numpy_rows, numpy_net, all_calls) = runs
     assert kernel_calls == 0 and all_calls == 257
@@ -631,17 +629,17 @@ def test_kernel_and_numpy_updates_train_the_same_bits(monkeypatch, sizes, hp):
 
 
 @pytest.mark.parametrize("sizes", [(1, 1), (2, 1, 1)], ids=["1-1", "2-1-1"])
-def test_a_net_with_a_1x1_lut_layer_trains_the_same_bits_on_both_paths(monkeypatch, sizes):
+def test_a_net_with_a_1x1_lut_layer_trains_the_same_bits_on_both_paths(numpy_only, sizes):
     # the kernel declines to bind a 1x1 read, so the workspace reads that layer in numpy
     hp = NLW.replace(r_res=16, zeta=0.3)
     args, vals = _toy_data(n=20, seed=6)
     start = init_network(sizes, "NLW", hp, _rng([45]))
     runs = []
     for numpy_path in (False, True):
-        if numpy_path:
-            _numpy_probe_read(monkeypatch)
+        numpy_only.force(numpy_path)
         net = start.clone()
         rows = Trainer(net, args[:, :sizes[0]], vals, seed=46).run(300, log_every=50)
+        numpy_only.check(net)
         runs.append((rows, net))
     (rows, net), (numpy_rows, numpy_net) = runs
     assert rows == numpy_rows
@@ -651,23 +649,36 @@ def test_a_net_with_a_1x1_lut_layer_trains_the_same_bits_on_both_paths(monkeypat
     assert net.visit_scale == numpy_net.visit_scale
 
 
-@pytest.mark.parametrize("name", ["params", "luts", "visits"])
+FIXED = [("net", name) for name in ("sizes", "kind", "hp", "params", "luts", "visits",
+                                    "layers")]
+FIXED += [("layer", name) for name in ("w", "bias", "lut", "visits")]
+# another object of the kind each attribute holds (an array's is its copy)
+OTHER = {"sizes": lambda s: tuple(list(s)), "kind": lambda _: "LW", "hp": lambda hp: hp.replace(),
+         "layers": lambda layers: tuple(list(layers))}
+
+
+@pytest.mark.parametrize("owner,name", FIXED, ids=[f"{o}-{n}" for o, n in FIXED])
 @pytest.mark.parametrize("when", ["between-runs", "in-on_log"])
-def test_a_rebound_buffer_is_bound_anew_and_the_old_one_is_not_written(name, when):
-    # the workspace binds the network's flat buffers; training follows a buffer that
-    # was rebound to an equal copy, and leaves the one it replaced as it was
+def test_a_fixed_attribute_refuses_rebinding(owner, name, when):
+    # a network's arrays, hyperparameters and layers are fixed when it is built, so the
+    # layers' views, the workspace and the batch pass read the same buffers for good
     hp = NLW.replace(r_res=16, zeta=0.3)
     args, vals = _toy_data(n=20, seed=7)
     straight = init_network((2, 4, 1), "NLW", hp, _rng([47]))
     net = straight.clone()
     Trainer(straight, args, vals, seed=48).run(60, log_every=10)
-    old = []
+    refused = []
 
     def rebind(trainer, _=None):
         if trainer.iteration == 30:
-            old.append(getattr(net, name))
-            setattr(net, name, old[-1].copy())
-            old.append(old[-1].copy())      # the replaced buffer's entries, to compare
+            target = net if owner == "net" else net.layers[-1]
+            held = getattr(target, name)
+            other = OTHER.get(name, np.copy)(held)
+            assert other is not held
+            with pytest.raises(AttributeError, match=rf"\b{name} is fixed") as caught:
+                setattr(target, name, other)
+            assert getattr(target, name) is held
+            refused.append(str(caught.value))
 
     trainer = Trainer(net, args, vals, seed=48)
     if when == "between-runs":
@@ -676,45 +687,31 @@ def test_a_rebound_buffer_is_bound_anew_and_the_old_one_is_not_written(name, whe
         trainer.run(30, log_every=10)
     else:
         trainer.run(60, log_every=10, on_log=rebind)
-    replaced, entries = old
-    assert getattr(net, name) is not replaced
-    assert np.array_equal(replaced, entries)
+    assert refused == [f"{'Network' if owner == 'net' else 'Layer'}.{name} is fixed when "
+                       f"the network is built: write into its arrays in place"]
     for buf in ("params", "luts", "visits"):
-        assert np.array_equal(getattr(net, buf), getattr(straight, buf))
+        assert np.array_equal(getattr(net, buf).view(np.int64),
+                              getattr(straight, buf).view(np.int64))
+    assert net.visit_scale == straight.visit_scale
+    assert np.array_equal(forward_batch(net, args), forward_batch(straight, args))
 
 
-def test_rebound_hyperparameters_are_bound_with_their_rates():
-    # the workspace holds the update maps, whose LUT linear rates are nu; forward_network
-    # binds it, and training after net.hp is rebound must use the new nu
-    hp, new = NLW.replace(r_res=16), NLW.replace(r_res=16, nu=0.5)
-    args, vals = _toy_data(n=20, seed=9)
-    net = init_network((2, 4, 1), "NLW", hp, _rng([51]))
-    twin = net.clone()
-    forward_network(net, args[0])
-    net.hp = twin.hp = new
-    for each in (net, twin):
-        Trainer(each, args, vals, seed=52).run(40)
-    for name in ("params", "luts", "visits"):
-        assert np.array_equal(getattr(net, name), getattr(twin, name))
-
-
-@pytest.mark.parametrize("name,change", [
-    ("params", lambda a: a.astype(np.float32)),
-    ("luts", lambda a: np.asfortranarray(a)),
-    ("visits", lambda a: a[:-1]),
-    ("luts", lambda a: a[None]),
-])
-def test_a_buffer_rebound_to_an_array_the_workspace_cannot_bind_is_refused(name, change):
+def test_fixed_arrays_still_take_writes_in_place():
+    # an augmented assignment writes in place and then assigns the same object back
     net = init_network((2, 4, 1), "NLW", NLW.replace(r_res=16), _rng([49]))
-    args, vals = _toy_data(n=20, seed=8)
-    trainer = Trainer(net, args, vals, seed=50)
-    trainer.run(5)
-    setattr(net, name, change(getattr(net, name)))
-    for run in (lambda: trainer.run(5), lambda: forward_network(net, args[0])):
-        with pytest.raises(ValueError, match=f"the network's {name} must be a writable "
-                                             f"C-contiguous float64 array"):
-            run()
-    assert trainer.iteration == 5
+    params, lay = net.params, net.layers[0]
+    before = params.copy()
+    net.params *= 1.0
+    lay.w *= 2.0
+    lay.lut += 0.5
+    assert net.params is params
+    assert np.array_equal(net.params, np.concatenate([2.0 * before[:8], before[8:]]))
+    assert np.shares_memory(lay.w, net.params) and np.shares_memory(lay.lut, net.luts)
+    assert isinstance(net.layers, tuple)
+    with pytest.raises(TypeError):
+        net.layers[0] = lay
+    net.visit_scale = 0.5                   # training writes the visit scale every iteration
+    assert net.visit_scale == 0.5
 
 
 def test_iteration_error_is_mean_squared_output_error():
@@ -846,11 +843,10 @@ def test_resume_at_any_split_is_bit_exact(tmp_path_factory, kind, seed, n, split
 
 
 @pytest.mark.parametrize("numpy_path", [False, True], ids=["selected-read", "numpy-read"])
-def test_a_loaded_model_resumed_saves_the_bytes_of_the_straight_run(tmp_path, monkeypatch,
+def test_a_loaded_model_resumed_saves_the_bytes_of_the_straight_run(tmp_path, numpy_only,
                                                                    numpy_path):
     # the loaded net binds a workspace of its own; the straight one keeps its own
-    if numpy_path:
-        _numpy_probe_read(monkeypatch)
+    numpy_only.force(numpy_path)
     args, vals = _toy_data(n=30, seed=10)
     hp = NLW.replace(r_res=64, zeta=0.3)
     straight = Trainer(init_network((2, 8, 1), "NLW", hp, _rng([53])), args, vals, seed=54)
@@ -862,6 +858,7 @@ def test_a_loaded_model_resumed_saves_the_bytes_of_the_straight_run(tmp_path, mo
     resumed = Trainer(loaded.net, args, vals, seed=54)
     resumed.restore(loaded.iteration, loaded.rng_state)
     resumed.run(37, log_every=20)
+    numpy_only.check(straight.net, half.net, resumed.net)
     for name, trainer in (("straight", straight), ("resumed", resumed)):
         save_model(tmp_path / f"{name}.json", trainer.net, trainer.iteration,
                    trainer.gate_state())
