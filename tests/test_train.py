@@ -693,7 +693,9 @@ def test_a_fixed_attribute_refuses_rebinding(owner, name, when):
         assert np.array_equal(getattr(net, buf).view(np.int64),
                               getattr(straight, buf).view(np.int64))
     assert net.visit_scale == straight.visit_scale
-    assert np.array_equal(forward_batch(net, args), forward_batch(straight, args))
+    batch = forward_batch(net, args)        # the layers' views read the trained buffers
+    assert np.array_equal(batch, forward_batch(straight, args))
+    assert np.array_equal(batch, np.array([forward_network(net, x)[0] for x in args]))
 
 
 def test_fixed_arrays_still_take_writes_in_place():
