@@ -200,10 +200,10 @@ class LutConnection:
 class _Fixed:
     """An attribute fixed when its object is built, at its first assignment.
 
-    Assigning it another object raises AttributeError naming it; assigning the
-    object it holds passes, as an augmented assignment does after writing in
-    place (``lay.w *= 2``). The class defines no ``__get__``, so a read finds the
-    value in the instance dict, with no Python call.
+    Assigning it another object, or deleting it, raises AttributeError naming
+    it; assigning the object it holds passes, as an augmented assignment does
+    after writing in place (``lay.w *= 2``). The class defines no ``__get__``,
+    so a read finds the value in the instance dict, with no Python call.
     """
 
     def __set_name__(self, owner, name):
@@ -211,8 +211,11 @@ class _Fixed:
 
     def __set__(self, obj, value):
         if obj.__dict__.setdefault(self.key, value) is not value:
-            raise AttributeError(f"{self.name} is fixed when the network is built: "
-                                 f"write into its arrays in place")
+            self.__delete__(obj)
+
+    def __delete__(self, obj):
+        raise AttributeError(f"{self.name} is fixed when the network is built: "
+                             f"write into its arrays in place")
 
 
 class Layer:

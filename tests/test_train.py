@@ -712,6 +712,8 @@ def test_fixed_arrays_still_take_writes_in_place():
     assert isinstance(net.layers, tuple)
     with pytest.raises(TypeError):
         net.layers[0] = lay
+    with pytest.raises(AttributeError, match=r"Network\.luts is fixed"):
+        del net.luts
     net.visit_scale = 0.5                   # training writes the visit scale every iteration
     assert net.visit_scale == 0.5
 
