@@ -410,6 +410,8 @@ def cmd_bench(ns) -> int:
     except ValueError:
         raise UsageError(f"--rres-values must be a comma list of integers, "
                          f"got {ns.rres_values!r}") from None
+    if rres_values and "NLW" not in kinds:    # LW has no table to sweep
+        raise UsageError(f"--rres-values sweeps NLW's r_res: --kinds {ns.kinds!r} names no NLW")
     # table lengths are checked here, before the first timing run
     for flag, r_res in [("--r-res", ns.r_res)] + [("--rres-values", r) for r in rres_values]:
         try:

@@ -429,6 +429,9 @@ class ForwardTrace:
 # of the widest layer within this many float64 entries (2 MiB): a chunk's working set
 # then stays in a core's L2 cache, and the memory it needs does not grow with the batch.
 BATCH_ENTRIES = 2 ** 18
+# A workspace's gate block holds as many rows of gate uniforms, one per LUT connection,
+# as fit in this many float64 entries (128 KiB); a block of Trainer.run fills at most that.
+GATE_ENTRIES = 2 ** 14
 
 
 class Workspace:
@@ -437,18 +440,20 @@ class Workspace:
     Flat arrays in the order the index maps of ``_update_maps`` number them:
     ``inputs`` (every layer's inputs, then a 1 per bias), their segments ``lo``
     and ``frac``, ``read``, ``slope`` and ``dwr`` per LUT connection, ``delta``
-    and ``step`` per fed node, the gated rows ``hit``, the outputs ``y``, and
-    for the kernel's updates call the raw steps ``grad`` and gain arguments
-    ``arg`` of every parameter, then every LUT connection. A layer reads its
-    slice of ``inputs`` and writes its segments, reads and slopes into its
-    slices and its tanh into the next layer's inputs: nothing is concatenated.
+    and ``step`` per fed node, the gated rows ``hit``, the outputs ``y``, the
+    gate block ``gate_u``, rows of one uniform per LUT connection
+    (``GATE_ENTRIES`` in all, at least one row), and for the kernel's updates
+    call the raw steps ``grad`` and gain arguments ``arg`` of every
+    parameter, then every LUT connection. A layer reads its slice of
+    ``inputs`` and writes its segments, reads and slopes into its slices and
+    its tanh into the next layer's inputs: nothing is concatenated.
 
     Bound once, for the network's lifetime (``Network._workspace``): the
     network's ``params``, ``luts``, ``visits`` and ``hp``, which are fixed
     when it is built, the index maps ``param_dst``, ``param_src``,
     ``conn_dst``, ``src`` and ``rates`` with the rates of those
     hyperparameters, and for NLW the kernel loaded then and its calls on the
-    buffers, None where numpy does the work.
+    buffers, the gate block among them, None where numpy does the work.
     """
 
     def __init__(self, net: Network):
@@ -465,8 +470,9 @@ class Workspace:
         self.weights = [lay.w for lay in net.layers]
         self.slopes = [None] * n_layers
         self.acts, self.deltas, self.steps = [], [], []
+        n_conn = 0 if self.luts is None else self.luts.shape[0]
+        self.gate_u = np.zeros((max(1, GATE_ENTRIES // max(n_conn, 1)), n_conn))
         if self.luts is not None:
-            n_conn = self.luts.shape[0]
             self.lo, self.frac = np.zeros(n_src, dtype=np.intp), np.zeros(n_src)
             self.read, self.slope, self.dwr = np.zeros(n_conn), np.zeros(n_conn), np.zeros(n_conn)
             self.hit = np.zeros(n_conn, dtype=np.intp)
@@ -489,18 +495,10 @@ class Workspace:
             self.acts.append(act)
             self.deltas.append(self.delta[d:d + n_out])
             s, c, d = s + n_in, c + n_in * n_out, d + n_out
-        self.updates = self.diffuse = self.gates = None
+        self.updates = self.diffuse = None
         if self.kern is not None:
             self.updates = self.kern.bind_updates(self, hp)
             self.diffuse = self.kern.bind_diffusion(self.luts, self.visits, self.hit, hp)
-
-    def bind_gates(self, gate_u: np.ndarray) -> None:
-        """Bind the kernel's updates call to the (rows, C) gate uniforms gate_u as
-        ``self.gates``: ``(row, scale, new_scale) -> n_hit``, -1 when it declines;
-        None where numpy runs the updates (LW, no kernel, or a block it does not
-        take)."""
-        self.gates = (None if self.updates is None
-                      else self.kern.bind_gates(self.updates, gate_u, self.luts.shape[0]))
 
     def forward(self, x) -> np.ndarray:
         """Run one sample through every layer, in place; returns ``y``, the outputs."""

@@ -132,9 +132,9 @@ class Kernel:
                        hp.i_min, hp.i_max, hp.span, *ptrs[:4])
 
     def bind_updates(self, ws, hp):
-        """``(gates, n_gates, row, scale, new_scale) -> n_hit``: ``train._updates_numpy``
-        on ws, in place, with the gate uniforms of row ``row`` of a (n_gates, rows)
-        block whose pointer ``bind_gates`` makes; -1 when the C functions decline.
+        """``(row, scale, new_scale) -> n_hit``: ``train._updates_numpy`` on ws, in
+        place, with the gate uniforms of row ``row`` of the (n_gates, rows) block
+        ``ws.gate_u``; -1 when the C functions decline.
 
         ws is a ``core.Workspace`` of an NLW network, or anything with its
         attributes. update_args writes the steps and the gain arguments, numpy's
@@ -144,14 +144,15 @@ class Kernel:
         index they read (a map index outside the nodes or inputs, a src outside
         lo, an lo outside [0, r - 2], a row outside the gates) before they write.
         """
-        luts = ws.luts
+        luts, gate_u = ws.luts, ws.gate_u
         if not (_is(np.float64, ws.params, ws.rates, luts, ws.visits, ws.read, ws.frac, ws.dwr,
-                    ws.grad, ws.arg, ws.inputs, ws.delta, ws.step)
+                    ws.grad, ws.arg, ws.inputs, ws.delta, ws.step, gate_u)
                 and _is(np.intp, ws.param_dst, ws.param_src, ws.conn_dst, ws.src, ws.lo, ws.hit)
                 and luts.ndim == 2 and luts.shape == ws.visits.shape and ws.params.ndim == 1):
             return None
         n_params, n_rows = ws.params.shape[0], luts.shape[0]
         if not (_lengths(n_params, ws.rates, ws.param_dst, ws.param_src)
+                and gate_u.ndim == 2 and gate_u.shape[1] == n_rows
                 and _lengths(n_rows, ws.read, ws.dwr, ws.hit, ws.conn_dst, ws.src)
                 and _lengths(n_params + n_rows, ws.grad, ws.arg)
                 and _lengths(ws.frac.size, ws.lo, ws.frac)
@@ -159,37 +160,27 @@ class Kernel:
             return None
         ptrs = self._pointers(ws.params, luts, ws.visits, ws.dwr, ws.hit, ws.step, ws.grad,
                               ws.arg, ws.rates, ws.src, ws.lo, ws.frac, ws.read, ws.param_dst,
-                              ws.param_src, ws.conn_dst, ws.delta, ws.inputs, written=8)
+                              ws.param_src, ws.conn_dst, ws.delta, ws.inputs, gate_u, written=8)
         if ptrs is None:
             return None
         (params, luts_p, visits, dwr, hit, step, grad, arg, rates, src, lo, frac, read,
-         param_dst, param_src, conn_dst, delta, inputs) = ptrs
+         param_dst, param_src, conn_dst, delta, inputs, gates) = ptrs
         args = partial(self._lib.update_args, params, n_params, param_dst, param_src, read,
                        n_rows, conn_dst, delta, ws.delta.size, inputs, ws.inputs.size,
                        hp.mu, hp.s_a, step, grad, arg)
         apply = partial(self._lib.update_apply, params, n_params, rates, luts_p, visits, n_rows,
                         luts.shape[1], src, lo, frac, ws.lo.size, read, grad, arg, dwr, hit,
-                        hp.s_a, hp.s_b, hp.zeta, hp.r_c, hp.v_min)
+                        hp.s_a, hp.s_b, hp.zeta, hp.r_c, hp.v_min, gates, gate_u.shape[0])
         gain_on, gain_args, expm1 = hp.s_a != 0.0, ws.arg, np.expm1
 
-        def updates(*row):
+        def updates(row, scale, new_scale):
             if args():
                 return -1
             if gain_on:                         # at s_a = 0 the raw steps: no gain, no expm1
                 expm1(gain_args, out=gain_args)     # numpy's expm1 of the arguments, in place
-            return apply(*row)
+            return apply(row, scale, new_scale)
 
         return updates
-
-    def bind_gates(self, updates, gate_u, n_rows):
-        """``(row, scale, new_scale) -> n_hit``: ``updates``, the call ``bind_updates``
-        returned for a net of n_rows LUT rows, on the gate uniforms of row ``row``
-        of the block gate_u; None unless gate_u is a C-contiguous float64
-        (rows, n_rows) array."""
-        if not (_is(np.float64, gate_u) and gate_u.ndim == 2 and gate_u.shape[1] == n_rows):
-            return None
-        ptrs = self._pointers(gate_u)
-        return None if ptrs is None else partial(updates, ptrs[0], gate_u.shape[0])
 
     def bind_diffusion(self, luts, visits, hit, hp):
         """``(n_hit, scale) -> status``: ``regularize._diffuse_rows_numpy`` in place,

@@ -193,25 +193,20 @@ def _updates_numpy(ws: Workspace, gate_u: np.ndarray, scale: float, new_scale: f
 # ---------------------------------------------------------------------------
 # One full iteration
 
-def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
-                     row: int | None = None) -> float:
+def _apply_iteration(net: Network, x, target, row: int) -> float:
     """Forward, backprop, the updates and the diffusion for one sample.
 
-    gate_u supplies one uniform per LUT connection in layer-major,
-    destination-major, source-major order: the iteration's row, or with
-    ``row`` a (rows, C) block whose row ``row`` it draws, bound to net's
-    ``Workspace`` by ``Workspace.bind_gates`` (``Trainer.run`` binds each
-    block once). Returns the sample's mean squared output error (from the
-    pre-update forward pass). Every step reads and writes the workspace's
-    flat buffers, all layers at a time: the forward pass leaves each layer's
-    inputs, segments, reads and slopes there, backprop writes the deltas
-    beside them, the updates index them with the workspace's maps and leave
-    the gated rows in ``ws.hit``, and the diffusion runs on those rows.
+    Row ``row`` of the gate block ``gate_u`` of net's ``Workspace``, filled
+    by the caller, supplies one uniform per LUT connection in layer-major,
+    destination-major, source-major order. Returns the sample's mean squared
+    output error (from the pre-update forward pass). Every step reads and
+    writes the workspace's flat buffers, all layers at a time: the forward
+    pass leaves each layer's inputs, segments, reads and slopes there,
+    backprop writes the deltas beside them, the updates index them with the
+    workspace's maps and leave the gated rows in ``ws.hit``, and the
+    diffusion runs on those rows.
     """
     ws = net._workspace
-    if row is None:
-        gate_u, row = gate_u[None], 0
-        ws.bind_gates(gate_u)
     hp = ws.hp
     y = ws.forward(x)
     err = y - target
@@ -221,9 +216,9 @@ def _apply_iteration(net: Network, x, target, gate_u: np.ndarray,
 
     scale = net.visit_scale
     new_scale = scale * (1.0 - hp.r_c)
-    n_hit = -1 if ws.gates is None else ws.gates(row, scale, new_scale)
+    n_hit = -1 if ws.updates is None else ws.updates(row, scale, new_scale)
     if n_hit < 0:
-        n_hit = _updates_numpy(ws, gate_u[row], scale, new_scale, hp)
+        n_hit = _updates_numpy(ws, ws.gate_u[row], scale, new_scale, hp)
     if ws.luts is None:
         return sq_err
     net.visit_scale = new_scale
@@ -244,12 +239,20 @@ def train_iteration(net: Network, x, target, rng: np.random.Generator) -> float:
     x, target = np.asarray(x, dtype=float), np.asarray(target, dtype=float)
     if x.shape != (net.n_inputs,) or target.shape != (net.n_outputs,):
         raise _misfit(net, "one sample", x, target)
-    gate_u = rng.random(net.lut_connection_count())
-    return _apply_iteration(net, x, target, gate_u)
+    rng.random(out=net._workspace.gate_u[0])
+    return _apply_iteration(net, x, target, 0)
 
 
 # ---------------------------------------------------------------------------
 # Run loop
+
+def _count(name: str, value) -> int:
+    """value as an int; ValueError naming it unless a non-negative int (numpy's, not bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be non-negative and an int (a bool is not one), "
+                         f"got {value!r}")
+    return int(value)
+
 
 class Trainer:
     """Drives training over a dataset with reproducible sample order.
@@ -270,7 +273,7 @@ class Trainer:
         self.net = net
         self.args = args
         self.vals = vals
-        self.seed = int(seed)
+        self.seed = _count("seed", seed)
         self.iteration = 0
         self.gate_rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence([self.seed, 1])))
@@ -283,11 +286,12 @@ class Trainer:
     def restore(self, iteration: int, gate_state: dict) -> None:
         """Continue from iteration with the gate generator in gate_state.
 
-        Raises ValueError, and changes nothing, for a state the PCG64 bit
-        generator refuses, and for one it would coerce: state.state,
-        state.inc, uinteger and has_uint32 must be ints (a bool is not one),
-        has_uint32 0 or 1.
+        Raises ValueError, and changes nothing, for an iteration that is not a
+        non-negative int, for a state the PCG64 bit generator refuses, and for
+        one it would coerce: state.state, state.inc, uinteger and has_uint32
+        must be ints (a bool is not one), has_uint32 0 or 1.
         """
+        iteration = _count("iteration", iteration)
         try:
             words = (gate_state["state"]["state"], gate_state["state"]["inc"],
                      gate_state["uinteger"], gate_state["has_uint32"])
@@ -298,7 +302,7 @@ class Trainer:
         except (TypeError, ValueError, KeyError, OverflowError) as exc:
             raise ValueError(f"the gate state is not a PCG64 state: "
                              f"{type(exc).__name__}: {exc}") from None
-        self.iteration = int(iteration)
+        self.iteration = iteration
 
     def _epoch_order(self, epoch: int) -> np.ndarray:
         if epoch != self._order_epoch:
@@ -326,35 +330,35 @@ class Trainer:
         on_checkpoint(trainer) fires every checkpoint_every iterations.
         stop_when(trainer), polled at log points, ends the run early.
         Returns the log rows as (iteration, window mse) pairs, one per
-        on_log call.
+        on_log call. iterations, log_every and checkpoint_every (unless None)
+        must be non-negative ints. A block of iterations ends at an epoch, log
+        or checkpoint boundary, or where the network's ``Workspace.gate_u``
+        is full: its gate uniforms are drawn into those rows in one call.
         """
-        for name, count in (("iterations", iterations), ("log_every", log_every),
-                            ("checkpoint_every", checkpoint_every)):
-            if count is not None and count < 0:
-                raise ValueError(f"{name} must be non-negative, got {count}")
+        iterations, log_every = _count("iterations", iterations), _count("log_every", log_every)
+        if checkpoint_every is not None:
+            checkpoint_every = _count("checkpoint_every", checkpoint_every)
         net = self.net
         n = len(self.args)
-        n_gate = net.lut_connection_count()
-        end = self.iteration + int(iterations)
-        ws = net._workspace
+        end = self.iteration + iterations
+        gate_u = net._workspace.gate_u
         rows: list[tuple[int, float]] = []
         window_sum = 0.0
         window_n = 0
         while self.iteration < end:
             epoch, pos = divmod(self.iteration, n)
             order = self._epoch_order(epoch)
-            block = min(end - self.iteration, n - pos)
+            block = min(end - self.iteration, n - pos, gate_u.shape[0])
             if log_every:
                 next_log = log_every - self.iteration % log_every
                 block = min(block, next_log)
             if checkpoint_every:
                 next_ck = checkpoint_every - self.iteration % checkpoint_every
                 block = min(block, next_ck)
-            gate_u = self.gate_rng.random((block, n_gate))
-            ws.bind_gates(gate_u)
+            self.gate_rng.random(out=gate_u[:block])
             for b in range(block):
                 idx = order[pos + b]
-                err = _apply_iteration(net, self.args[idx], self.vals[idx], gate_u, b)
+                err = _apply_iteration(net, self.args[idx], self.vals[idx], b)
                 window_sum += err
                 window_n += 1
                 if not math.isfinite(err):

@@ -1,5 +1,6 @@
-"""Shared fixtures and reporting: numpy in place of the compiled kernel, and the
-acceptance-criterion lines for the summary."""
+"""Shared fixtures, helpers and reporting: numpy in place of the compiled kernel, one
+training iteration on given gate uniforms, and the acceptance-criterion lines for the
+summary."""
 import pytest
 
 CRITERION_LINES: list[str] = []
@@ -38,6 +39,15 @@ class NumpyOnly:
 @pytest.fixture
 def numpy_only(monkeypatch):
     return NumpyOnly(monkeypatch)
+
+
+def iterate(net, x, target, gate_u) -> float:
+    """One training iteration of net on the gate uniforms gate_u, one per LUT
+    connection, written to row 0 of its workspace's gate block."""
+    from lutnet.train import _apply_iteration
+
+    net._workspace.gate_u[0] = gate_u
+    return _apply_iteration(net, x, target, 0)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

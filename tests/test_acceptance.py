@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import lutnet
-from conftest import CRITERION_LINES
+from conftest import CRITERION_LINES, iterate
 from lutnet import kernel
 from lutnet.cli import main as cli_main
 from lutnet.core import (
@@ -36,7 +36,7 @@ from lutnet.evaluate import accuracy, mse
 from lutnet.hyper import Hyperparameters, default_hyperparameters
 from lutnet.bench import bench_dataset, time_in_turn_ms
 from lutnet.regularize import diffusion_pair, gain_decay
-from lutnet.train import Trainer, _apply_iteration, backprop, update_lut_component
+from lutnet.train import Trainer, backprop, update_lut_component
 
 
 NLW = default_hyperparameters("NLW")
@@ -236,7 +236,7 @@ def test_iteration_table_writes_do_not_depend_on_r_res(numpy_only, numpy_path):
             gate_u = gates.random(net.lut_connection_count())
             gated = NLW.zeta > gate_u
             before = net.luts.copy(), net.visits.copy()
-            _apply_iteration(net, args[it], vals[it], gate_u)
+            iterate(net, args[it], vals[it], gate_u)
             for table, old in zip((net.luts, net.visits), before):
                 changed = table != old
                 per_row = changed.sum(axis=1)

@@ -734,6 +734,19 @@ def test_bench_bad_table_length_is_usage_error(capsys, flags, message):
     assert captured.out == ""
 
 
+def test_bench_rres_values_with_no_nlw_kind_is_usage_error(monkeypatch, capsys):
+    # before, LW dropped the sweep: exit 0 and no sweep row
+    def no_timing(runs, reps):
+        raise AssertionError("timed before --rres-values was checked")
+
+    monkeypatch.setattr("lutnet.bench._median_ms", no_timing)
+    assert run("bench", "--archs", "2-2-1,2-4-1,2-8-1,2-12-1", "--kinds", "LW",
+               "--rres-values", "16,64", "--reps", 1) == 1
+    captured = capsys.readouterr()
+    assert "--rres-values sweeps NLW's r_res: --kinds 'LW' names no NLW" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("kinds", ["", ",", "LW,NLW,LW"], ids=["empty", "comma", "repeated"])
 def test_bench_kinds_naming_no_kind_or_one_twice_is_usage_error(monkeypatch, capsys, kinds):
     def no_timing(runs, reps):

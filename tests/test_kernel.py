@@ -350,16 +350,15 @@ def test_kernel_declines_diffusion_of_a_row_outside_the_table():
 # them from a ``core.Workspace``: a net's parameters (P) and LUT rows (C), the index
 # maps, the forward and backward values, and the buffers both write.
 def _space(case, hp):
-    """A workspace of an update case, with the kernel's updates call bound to its
-    gate row. case maps the workspace's names (its index maps among them) to
-    arrays, and gate_u to the row of gate uniforms; the buffers the updates
-    write are made unless case has them."""
+    """A workspace of an update case, with the kernel's updates call bound to it.
+    case maps the workspace's names (its index maps among them) to arrays, and
+    gate_u to the row of gate uniforms, the one row of the workspace's gate
+    block; the buffers the updates write are made unless case has them."""
     n_rows, n_steps = case["luts"].shape[0], case["params"].shape[0] + case["luts"].shape[0]
     ws = SimpleNamespace(**{"dwr": np.zeros(n_rows), "hit": np.zeros(n_rows, dtype=np.intp),
                             "step": np.zeros(case["delta"].shape), "grad": np.zeros(n_steps),
-                            "arg": np.zeros(n_steps), **case})
-    updates = KERNEL.bind_updates(ws, hp)
-    ws.updates = updates and KERNEL.bind_gates(updates, case["gate_u"][None], n_rows)
+                            "arg": np.zeros(n_steps), **case, "gate_u": case["gate_u"][None]})
+    ws.updates = KERNEL.bind_updates(ws, hp)
     return ws
 
 

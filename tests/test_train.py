@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lutnet import kernel, regularize, train
+from lutnet import core, kernel, regularize, train
 from lutnet.core import (
     LutConnection,
     Network,
@@ -24,13 +24,12 @@ from lutnet.regularize import diffuse_lut, diffuse_visits, update_visits
 from lutnet.train import (
     Trainer,
     TrainingDiverged,
-    _apply_iteration,
     approx_lut_derivative,
     backprop,
     train_iteration,
     update_lut_component,
 )
-from conftest import NumpyOnly
+from conftest import NumpyOnly, iterate
 from reference import (
     extract_params,
     max_param_difference,
@@ -336,7 +335,7 @@ def test_iteration_matches_scalar_reference(numpy_only, kind, hp, sizes, iterati
         x = rng.uniform(-1.2, 1.2, 2)
         target = rng.uniform(-0.9, 0.9, sizes[-1])
         gate_u = rng.random(n_gate)
-        err = _apply_iteration(net, x, target, gate_u)
+        err = iterate(net, x, target, gate_u)
         ref_err = ref_iteration(params, x, target, gate_u, hp, kind)
         assert abs(err - ref_err) < 1e-9
         assert max_param_difference(params, net) < 1e-9
@@ -356,7 +355,7 @@ def test_long_run_matches_scalar_reference_relatively(kind, hp):
         x = rng.uniform(-1.2, 1.2, 2)
         target = rng.uniform(-0.9, 0.9, 2)
         gate_u = rng.random(n_gate)
-        err = _apply_iteration(net, x, target, gate_u)
+        err = iterate(net, x, target, gate_u)
         assert relative_gap(ref_iteration(params, x, target, gate_u, hp, kind), err) <= 1e-9
         if it % 250 == 0:
             assert max_relative_param_difference(params, net) <= 1e-9
@@ -374,7 +373,7 @@ def test_parity_holds_across_visit_scale_folds():
         x = rng.uniform(-1.2, 1.2, 2)
         target = rng.uniform(-0.9, 0.9, 2)
         gate_u = rng.random(net.lut_connection_count())
-        err = _apply_iteration(net, x, target, gate_u)
+        err = iterate(net, x, target, gate_u)
         assert relative_gap(ref_iteration(params, x, target, gate_u, hp, "NLW"), err) <= 1e-9
         assert max_relative_param_difference(params, net) <= 1e-9
         if net.visit_scale == 1.0:
@@ -413,7 +412,7 @@ def test_layer_arrays_are_views_the_next_iteration_reads(tmp_path, source):
         x = rng.uniform(-1.0, 1.0, 2)
         target = rng.uniform(-0.9, 0.9, 2)
         gate_u = rng.random(net.lut_connection_count())
-        err = _apply_iteration(net, x, target, gate_u)
+        err = iterate(net, x, target, gate_u)
         assert abs(err - ref_iteration(params, x, target, gate_u, hp, "NLW")) < 1e-12
         assert max_param_difference(params, net) < 1e-12
 
@@ -439,7 +438,7 @@ def test_ungated_iteration_changes_at_most_two_adjacent_lut_entries(numpy_path, 
     with pytest.MonkeyPatch.context() as patch:     # hypothesis takes no function fixture
         numpy_only = NumpyOnly(patch)
         numpy_only.force(numpy_path)
-        _apply_iteration(net, np.array(x), np.array([target]), gate_u)
+        iterate(net, np.array(x), np.array([target]), gate_u)
         numpy_only.check(net)
     assert net.visit_scale == 1.0 - hp.r_c
     for name, table in before.items():
@@ -459,7 +458,7 @@ def test_train_iteration_consumes_one_uniform_per_lut_connection():
     rng_b = np.random.default_rng(5)
     err_a = train_iteration(net, x, target, rng_a)
     gate_u = rng_b.random(net.lut_connection_count())
-    err_b = _apply_iteration(twin, x, target, gate_u)
+    err_b = iterate(twin, x, target, gate_u)
     assert err_a == err_b
     assert max_param_difference(extract_params(net), twin) == 0.0
     # both generators advanced identically
@@ -516,7 +515,7 @@ def test_fused_probe_reads_match_public_forward_and_backprop(numpy_only, sizes, 
                 y_prev = trace.layers[li - 1].activations
                 back = (deltas[li][:, None] * derivs).sum(axis=0) * (1.0 - y_prev * y_prev)
                 assert deltas[li - 1] == pytest.approx(back, rel=1e-12, abs=1e-15)
-        _apply_iteration(net, x, target, gate_u[i])
+        iterate(net, x, target, gate_u[i])
     numpy_only.check(net)
 
 
@@ -536,7 +535,7 @@ def test_kernel_and_numpy_reads_give_the_same_traces(numpy_only, sizes, hp):
         net, traces = start.clone(), []
         for i, x in enumerate(rows):
             traces.append(forward_network(net, x)[1])
-            _apply_iteration(net, x, target, gate_u[i])
+            iterate(net, x, target, gate_u[i])
         numpy_only.check(net)
         runs.append((net, traces))
     (net, traces), (numpy_net, numpy_traces) = runs
@@ -626,6 +625,61 @@ def test_kernel_and_numpy_updates_train_the_same_bits(monkeypatch, numpy_only, s
         assert np.array_equal(getattr(net, name).view(np.int64),
                               getattr(numpy_net, name).view(np.int64))
     assert net.visit_scale == numpy_net.visit_scale
+
+
+def _assert_same_training(runs):
+    """runs holds two (log rows, net) pairs with equal rows and bits."""
+    (rows, net), (want_rows, want_net) = runs
+    assert rows == want_rows
+    for name in ("params", "luts", "visits"):
+        assert np.array_equal(getattr(net, name).view(np.int64),
+                              getattr(want_net, name).view(np.int64))
+    assert net.visit_scale == want_net.visit_scale
+
+
+def test_bound_calls_that_decline_leave_training_to_numpy(numpy_only):
+    # an updates call and a diffusion call that decline (-1), as the kernel's do on an
+    # index they refuse: the iteration's numpy updates and _diffuse_rows' numpy
+    # diffusion then run, and give the bits of a run on numpy alone
+    hp = NLW.replace(r_res=16, zeta=0.3)
+    args, vals = _toy_data(n=20, seed=7)
+    start = init_network((2, 4, 3, 1), "NLW", hp, _rng([56]))
+    declined = {"updates": 0, "diffuse": 0}
+
+    def decline(name):
+        def call(*args):
+            declined[name] += 1
+            return -1
+        return call
+
+    runs = []
+    for numpy_path in (False, True):
+        numpy_only.force(numpy_path)
+        net = start.clone()
+        if not numpy_path:
+            for name in declined:
+                setattr(net._workspace, name, decline(name))
+        runs.append((Trainer(net, args, vals, seed=57).run(300, log_every=50), net))
+    numpy_only.check(runs[1][1])
+    assert declined["updates"] == 300 and declined["diffuse"] > 0
+    _assert_same_training(runs)
+
+
+def test_a_gate_block_with_fewer_rows_trains_the_same_bits(monkeypatch):
+    # a block of Trainer.run ends where the workspace's gate block is full, and the gate
+    # generator gives the same uniforms however the blocks split its stream
+    hp = NLW.replace(r_res=16, zeta=0.3)
+    args, vals = _toy_data(n=20, seed=8)
+    start = init_network((2, 4, 3, 1), "NLW", hp, _rng([58]))
+    n_conn, runs = start.lut_connection_count(), []
+    for entries in (core.GATE_ENTRIES, 3 * n_conn):
+        monkeypatch.setattr(core, "GATE_ENTRIES", entries)
+        net = start.clone()
+        trainer = Trainer(net, args, vals, seed=59)
+        runs.append((trainer.run(130, log_every=50) + trainer.run(11, log_every=0), net))
+        assert net._workspace.gate_u.shape == (entries // n_conn, n_conn)
+    assert runs[1][1]._workspace.gate_u.shape[0] == 3
+    _assert_same_training(runs)
 
 
 @pytest.mark.parametrize("sizes", [(1, 1), (2, 1, 1)], ids=["1-1", "2-1-1"])
@@ -928,6 +982,58 @@ def test_trainer_rejects_negative_cadence(cadence):
     with pytest.raises(ValueError, match=f"{next(iter(cadence))} must be non-negative"):
         tr.run(**{"iterations": 10, **cadence})
     assert tr.iteration == 0
+
+
+def _new_trainer(tr, seed):
+    return Trainer(tr.net, tr.args, tr.vals, seed=seed)
+
+
+@pytest.mark.parametrize("call,name", [
+    pytest.param(lambda tr: tr.restore(-5, tr.gate_state()), "iteration", id="restore-negative"),
+    pytest.param(lambda tr: tr.restore(np.int64(-1), tr.gate_state()), "iteration",
+                 id="restore-negative-numpy"),
+    pytest.param(lambda tr: tr.restore(3.0, tr.gate_state()), "iteration", id="restore-float"),
+    pytest.param(lambda tr: tr.restore(True, tr.gate_state()), "iteration", id="restore-bool"),
+    pytest.param(lambda tr: _new_trainer(tr, -1), "seed", id="seed-negative"),
+    pytest.param(lambda tr: _new_trainer(tr, 1.9), "seed", id="seed-float"),
+    pytest.param(lambda tr: _new_trainer(tr, True), "seed", id="seed-bool"),
+    pytest.param(lambda tr: _new_trainer(tr, "1"), "seed", id="seed-str"),
+    pytest.param(lambda tr: tr.run(2.5), "iterations", id="iterations-float"),
+    pytest.param(lambda tr: tr.run(True), "iterations", id="iterations-bool"),
+    pytest.param(lambda tr: tr.run(5, log_every=2.5), "log_every", id="log-every-float"),
+    pytest.param(lambda tr: tr.run(5, log_every=None), "log_every", id="log-every-none"),
+    pytest.param(lambda tr: tr.run(5, checkpoint_every=2.0), "checkpoint_every",
+                 id="checkpoint-every-float"),
+])
+def test_trainer_refuses_inputs_that_are_not_non_negative_ints(call, name):
+    # before, restore(-5) was taken and the next run failed on a missing epoch order,
+    # and a float or bool was truncated, or failed with an error naming no argument
+    args, vals = _toy_data()
+    net = init_network((2, 3, 1), "NLW", NLW.replace(r_res=8), _rng([33, 2]))
+    tr = Trainer(net, args, vals, seed=0)
+    state, params = tr.gate_state(), net.params.copy()
+    with pytest.raises(ValueError, match=f"^{name} must be non-negative and an int"):
+        call(tr)
+    assert tr.iteration == 0 and tr.gate_state() == state
+    assert np.array_equal(net.params, params)
+    tr.run(3)                                   # the trainer is still whole
+    assert tr.iteration == 3
+
+
+def test_trainer_takes_numpy_integers_as_ints():
+    args, vals = _toy_data()
+    start = init_network((2, 3, 1), "NLW", NLW.replace(r_res=8), _rng([33, 3]))
+    runs = []
+    for to_int in (int, np.int64):
+        net = start.clone()
+        tr = Trainer(net, args, vals, seed=to_int(4))
+        tr.run(to_int(7), log_every=to_int(3), checkpoint_every=to_int(5))
+        tr.restore(to_int(20), tr.gate_state())
+        runs.append((tr.run(to_int(9), log_every=to_int(4)), net.params.copy(), tr.iteration))
+        assert type(tr.iteration) is int
+    (rows, params, at), (rows_np, params_np, at_np) = runs
+    assert rows == rows_np and at == at_np == 29
+    assert np.array_equal(params, params_np)
 
 
 def test_trainer_epoch_reshuffle_changes_order():
