@@ -4,11 +4,12 @@
  *    included, ``core._probed_read_numpy``;
  *  - layer_outputs is every connection output of one LUT layer for a batch
  *    of rows, ``core._layer_outputs_numpy``;
- *  - update_args and update_apply are a training iteration's update steps,
- *    ``train._updates_numpy``: the linear updates with their gain and decay,
- *    the LUT rows' gain-shaped steps, the gate draw and the table writes (the
- *    LUT entry steps, the visit decay-and-bump and the gated decay of the
- *    touched entries). np.expm1 is left to numpy, which runs it on the
+ *  - update_args and update_apply are a training iteration's backprop and
+ *    update steps, ``train._backprop_numpy`` and ``train._updates_numpy``: the
+ *    output error and every layer's deltas, the linear updates with their gain
+ *    and decay, the LUT rows' gain-shaped steps, the gate draw and the table
+ *    writes (the LUT entry steps, the visit decay-and-bump and the gated decay
+ *    of the touched entries). np.expm1 is left to numpy, which runs it on the
  *    arguments update_args writes, before update_apply;
  *  - diffusion_gaps and diffuse_rows are the gated diffusion of a training
  *    iteration, ``regularize._diffuse_rows_numpy``. tanh is left to numpy,
@@ -30,6 +31,12 @@
  *    axis contiguous, and numpy sums that pairwise, so the kernel declines it;
  *  - a pair whose clamped points do not lie apart gives quotient diff * 0.0,
  *    and the sum is divided by the number of the other pairs (at least 1);
+ *  - backprop's sum over a layer's outputs starts from 0.0 and adds the rows
+ *    of the (n_out, n_in) products one after the other: numpy reduces a
+ *    C-ordered block over its rows so. A layer with one input leaves that
+ *    column contiguous, and numpy sums it pairwise, so update_args declines a
+ *    layer after the first with one input and more than one output (the first
+ *    layer's deltas are not needed);
  *  - the updates and the diffusion are elementwise, so each entry's chain
  *    of operations is numpy's, pass by pass, and a row is rewritten in one
  *    sweep in place.
@@ -263,19 +270,81 @@ static double gain(double w, double g, double e, double s_a)
     return den == 0.0 ? g : e / den;
 }
 
-/* Writes step = delta * mu (n_nodes), each parameter's raw step
- * step[param_dst[i]] * inputs[param_src[i]] and each LUT row's
- * step[conn_dst[c]] into grad (n_params + n_rows), and, unless s_a is 0, the
- * argument of numpy's expm1, (s_a * w) * grad clamped into [-50, 50], into arg,
- * with w the parameter or the row's read.
- * Returns 0, or -1 (nothing written) when a map index lies outside the nodes
- * or the inputs. */
-int update_args(const double *params, ptrdiff_t n_params, const ptrdiff_t *param_dst,
-                const ptrdiff_t *param_src, const double *read, ptrdiff_t n_rows,
-                const ptrdiff_t *conn_dst, const double *delta, ptrdiff_t n_nodes,
-                const double *inputs, ptrdiff_t n_inputs, double mu, double s_a,
-                double *step, double *grad, double *arg)
+/* 1 when the n_layers + 1 layer widths in sizes give n_params parameters, n_rows
+ * LUT rows, n_nodes fed nodes and n_inputs inputs (a 1 per bias among them) and
+ * no layer after the first has one input and more than one output, else 0:
+ * numpy sums such a layer's one-column block pairwise, not row after row. */
+static int layers_fit(const ptrdiff_t *sizes, ptrdiff_t n_layers, ptrdiff_t n_params,
+                      ptrdiff_t n_rows, ptrdiff_t n_nodes, ptrdiff_t n_inputs)
 {
+    ptrdiff_t params = 0, rows = 0, nodes = 0, inputs = n_layers;
+    for (ptrdiff_t li = 0; li < n_layers; li++) {
+        ptrdiff_t n_in = sizes[li], n_out = sizes[li + 1];
+        if (n_in < 1 || n_out < 1 || (li > 0 && n_in == 1 && n_out > 1))
+            return 0;
+        params += (n_in + 1) * n_out;
+        rows += n_in * n_out;
+        nodes += n_out;
+        inputs += n_in;
+    }
+    return n_layers >= 1 && params == n_params && rows == n_rows && nodes == n_nodes
+           && inputs == n_inputs;
+}
+
+/* Writes err = y - target (n_out) and the deltas (n_nodes), as
+ * ``train._backprop_numpy``: the output deltas err * (1 - y * y), then from the
+ * last layer down the deltas of each layer's inputs, back[j] * (1 - a[j] * a[j]),
+ * where back[j] is the sum over k of delta[k] * (w[k, j] + slope[k, j]), taken
+ * from 0.0 row after row, as numpy reduces a C-ordered (n_out, n_in) block over
+ * its rows, and a is the layer's slice of inputs. Layer after layer,
+ * a layer's w is its (n_out, n_in) block of params (its biases follow), its
+ * slopes its block of slope and its inputs its slice of inputs. */
+static void backprop(const double *params, ptrdiff_t n_params, const double *slope,
+                     ptrdiff_t n_rows, const ptrdiff_t *sizes, ptrdiff_t n_layers,
+                     const double *y, const double *target, double *err, double *delta,
+                     ptrdiff_t n_nodes, const double *inputs, ptrdiff_t n_inputs)
+{
+    ptrdiff_t n_out = sizes[n_layers], d = n_nodes - n_out;
+    ptrdiff_t p = n_params, c = n_rows, s = n_inputs - n_layers;
+    for (ptrdiff_t k = 0; k < n_out; k++) {
+        err[k] = y[k] - target[k];
+        delta[d + k] = err[k] * (1.0 - y[k] * y[k]);
+    }
+    for (ptrdiff_t li = n_layers - 1; li > 0; li--) {
+        ptrdiff_t n_in = sizes[li];
+        n_out = sizes[li + 1];
+        p -= (n_in + 1) * n_out;
+        c -= n_in * n_out;
+        s -= n_in;
+        const double *w = params + p, *sl = slope + c, *dk = delta + d, *a = inputs + s;
+        double *back = delta + d - n_in;
+        for (ptrdiff_t j = 0; j < n_in; j++)
+            back[j] = 0.0;
+        for (ptrdiff_t k = 0; k < n_out; k++)
+            for (ptrdiff_t j = 0; j < n_in; j++)
+                back[j] += dk[k] * (w[k * n_in + j] + sl[k * n_in + j]);
+        for (ptrdiff_t j = 0; j < n_in; j++)
+            back[j] *= 1.0 - a[j] * a[j];
+        d -= n_in;
+    }
+}
+
+/* Writes err and the deltas (backprop), then step = delta * mu (n_nodes), each
+ * parameter's raw step step[param_dst[i]] * inputs[param_src[i]] and each LUT
+ * row's step[conn_dst[c]] into grad (n_params + n_rows), and, unless s_a is 0,
+ * the argument of numpy's expm1, (s_a * w) * grad clamped into [-50, 50], into
+ * arg, with w the parameter or the row's read.
+ * Returns 0, or -1 (nothing written) when the sizes do not fit (layers_fit) or
+ * a map index lies outside the nodes or the inputs. */
+int update_args(const double *params, ptrdiff_t n_params, const ptrdiff_t *param_dst,
+                const ptrdiff_t *param_src, const double *read, const double *slope,
+                ptrdiff_t n_rows, const ptrdiff_t *conn_dst, const ptrdiff_t *sizes,
+                ptrdiff_t n_layers, const double *y, const double *target, double *err,
+                double *delta, ptrdiff_t n_nodes, const double *inputs, ptrdiff_t n_inputs,
+                double mu, double s_a, double *step, double *grad, double *arg)
+{
+    if (!layers_fit(sizes, n_layers, n_params, n_rows, n_nodes, n_inputs))
+        return -1;
     for (ptrdiff_t i = 0; i < n_params; i++)
         if (param_dst[i] < 0 || param_dst[i] >= n_nodes
             || param_src[i] < 0 || param_src[i] >= n_inputs)
@@ -283,6 +352,8 @@ int update_args(const double *params, ptrdiff_t n_params, const ptrdiff_t *param
     for (ptrdiff_t c = 0; c < n_rows; c++)
         if (conn_dst[c] < 0 || conn_dst[c] >= n_nodes)
             return -1;
+    backprop(params, n_params, slope, n_rows, sizes, n_layers, y, target, err, delta, n_nodes,
+             inputs, n_inputs);
     for (ptrdiff_t d = 0; d < n_nodes; d++)
         step[d] = delta[d] * mu;
     for (ptrdiff_t i = 0; i < n_params; i++)

@@ -441,9 +441,10 @@ class Workspace:
     ``inputs`` (every layer's inputs, then a 1 per bias), their segments ``lo``
     and ``frac``, ``read``, ``slope`` and ``dwr`` per LUT connection, ``delta``
     and ``step`` per fed node, the gated rows ``hit``, the outputs ``y``, the
-    gate block ``gate_u``, rows of one uniform per LUT connection
-    (``GATE_ENTRIES`` in all, at least one row), and for the kernel's updates
-    call the raw steps ``grad`` and gain arguments ``arg`` of every
+    sample's ``target`` and the output error ``err``, the gate block
+    ``gate_u``, rows of one uniform per LUT connection (``GATE_ENTRIES`` in
+    all, at least one row), and for the kernel's updates call the layer widths
+    ``sizes`` and the raw steps ``grad`` and gain arguments ``arg`` of every
     parameter, then every LUT connection. A layer reads its slice of
     ``inputs`` and writes its segments, reads and slopes into its slices and
     its tanh into the next layer's inputs: nothing is concatenated.
@@ -463,9 +464,11 @@ class Workspace:
         (self.param_dst, self.param_src, self.conn_dst, self.src,
          self.rates) = _update_maps(sizes, hp, self.luts is not None)
         n_src, n_layers = sum(sizes[:-1]), len(sizes) - 1
+        self.sizes = np.array(sizes, dtype=np.intp)
         self.inputs = np.ones(n_src + n_layers)
         self.x = self.inputs[:sizes[0]]
-        self.y = np.empty(sizes[-1])
+        n_out = sizes[-1]
+        self.y, self.target, self.err = np.empty(n_out), np.empty(n_out), np.empty(n_out)
         self.delta, self.step = np.empty(sum(sizes[1:])), np.empty(sum(sizes[1:]))
         self.weights = [lay.w for lay in net.layers]
         self.slopes = [None] * n_layers

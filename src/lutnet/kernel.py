@@ -5,11 +5,14 @@ otherwise, and both bodies give the same bits: the single-sample read of a
 LUT layer with its slope estimates (``core.Workspace``, so
 ``forward_network`` and every training iteration), ``core._layer_outputs``,
 a LUT layer of a batch pass (``forward_batch``, so ``mse``, ``accuracy`` and
-``render_surface``), the update steps of a training iteration
-(``train._updates_numpy``: the linear updates, the LUT steps, the gate draw
-and the table writes), two C passes around numpy's ``np.expm1`` of the gain
-arguments, and ``regularize._diffuse_rows``, the gated diffusion of a
-training iteration, which leaves its ``tanh`` to numpy between two C passes.
+``render_surface``), the backprop and update steps of a training iteration
+(``train._backprop_numpy``: the output error and the deltas, computed
+inside the call; ``train._updates_numpy``: the linear updates, the LUT
+steps, the gate draw and the table writes), two C passes around numpy's
+``np.expm1`` of the gain arguments, and ``regularize._diffuse_rows``, the
+gated diffusion of a training iteration, which leaves its ``tanh`` to numpy
+between two C passes. On the kernel path a training iteration leaves only
+the forward sum, ``tanh`` and ``expm1`` to numpy.
 
 The single-sample operations run through a network's workspace: the
 ``bind_*`` methods check a set of arrays once (dtype, shape, contiguity,
@@ -50,10 +53,11 @@ int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double 
                   const double *act, ptrdiff_t n_rows, ptrdiff_t n_in,
                   double i_min, double i_max, double span, double *out);
 int update_args(const double *params, ptrdiff_t n_params, const ptrdiff_t *param_dst,
-                const ptrdiff_t *param_src, const double *read, ptrdiff_t n_rows,
-                const ptrdiff_t *conn_dst, const double *delta, ptrdiff_t n_nodes,
-                const double *inputs, ptrdiff_t n_inputs, double mu, double s_a,
-                double *step, double *grad, double *arg);
+                const ptrdiff_t *param_src, const double *read, const double *slope,
+                ptrdiff_t n_rows, const ptrdiff_t *conn_dst, const ptrdiff_t *sizes,
+                ptrdiff_t n_layers, const double *y, const double *target, double *err,
+                double *delta, ptrdiff_t n_nodes, const double *inputs, ptrdiff_t n_inputs,
+                double mu, double s_a, double *step, double *grad, double *arg);
 ptrdiff_t update_apply(double *params, ptrdiff_t n_params, const double *rates,
                        double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
                        const ptrdiff_t *src, const ptrdiff_t *lo, const double *frac,
@@ -132,42 +136,53 @@ class Kernel:
                        hp.i_min, hp.i_max, hp.span, *ptrs[:4])
 
     def bind_updates(self, ws, hp):
-        """``(row, scale, new_scale) -> n_hit``: ``train._updates_numpy`` on ws, in
-        place, with the gate uniforms of row ``row`` of the (n_gates, rows) block
-        ``ws.gate_u``; -1 when the C functions decline.
+        """``(row, scale, new_scale) -> n_hit``: ``train._backprop_numpy`` and
+        ``train._updates_numpy`` on ws, in place, with the gate uniforms of row
+        ``row`` of the (n_gates, rows) block ``ws.gate_u``; -1 when the C
+        functions decline.
 
         ws is a ``core.Workspace`` of an NLW network, or anything with its
-        attributes. update_args writes the steps and the gain arguments, numpy's
-        expm1 runs on the arguments in place (not at s_a = 0), and update_apply
-        writes the parameters, dwr, hit and the tables, visits stored at visit
-        scale ``scale`` and written at ``new_scale``. The C functions check every
-        index they read (a map index outside the nodes or inputs, a src outside
-        lo, an lo outside [0, r - 2], a row outside the gates) before they write.
+        attributes. update_args writes the output error ``err`` (y - target),
+        the deltas, the steps and the gain arguments, numpy's expm1 runs on the
+        arguments in place (not at s_a = 0), and update_apply writes the
+        parameters, dwr, hit and the tables, visits stored at visit scale
+        ``scale`` and written at ``new_scale``. None for a net with a layer after
+        the first that has one input and more than one output, whose backward
+        sum numpy takes pairwise. The C functions check the layer sizes against
+        the buffers and every index they read (a map index outside the nodes or
+        inputs, a src outside lo, an lo outside [0, r - 2], a row outside the
+        gates) before they write.
         """
-        luts, gate_u = ws.luts, ws.gate_u
-        if not (_is(np.float64, ws.params, ws.rates, luts, ws.visits, ws.read, ws.frac, ws.dwr,
-                    ws.grad, ws.arg, ws.inputs, ws.delta, ws.step, gate_u)
-                and _is(np.intp, ws.param_dst, ws.param_src, ws.conn_dst, ws.src, ws.lo, ws.hit)
-                and luts.ndim == 2 and luts.shape == ws.visits.shape and ws.params.ndim == 1):
+        luts, gate_u, sizes = ws.luts, ws.gate_u, ws.sizes
+        if not (_is(np.float64, ws.params, ws.rates, luts, ws.visits, ws.read, ws.slope, ws.frac,
+                    ws.dwr, ws.grad, ws.arg, ws.inputs, ws.y, ws.target, ws.err, ws.delta,
+                    ws.step, gate_u)
+                and _is(np.intp, sizes, ws.param_dst, ws.param_src, ws.conn_dst, ws.src, ws.lo,
+                        ws.hit)
+                and luts.ndim == 2 and luts.shape == ws.visits.shape and ws.params.ndim == 1
+                and sizes.ndim == 1 and sizes.size >= 2):
             return None
-        n_params, n_rows = ws.params.shape[0], luts.shape[0]
+        n_params, n_rows, n_out = ws.params.shape[0], luts.shape[0], sizes[-1]
         if not (_lengths(n_params, ws.rates, ws.param_dst, ws.param_src)
                 and gate_u.ndim == 2 and gate_u.shape[1] == n_rows
-                and _lengths(n_rows, ws.read, ws.dwr, ws.hit, ws.conn_dst, ws.src)
+                and _lengths(n_rows, ws.read, ws.slope, ws.dwr, ws.hit, ws.conn_dst, ws.src)
                 and _lengths(n_params + n_rows, ws.grad, ws.arg)
                 and _lengths(ws.frac.size, ws.lo, ws.frac)
-                and _lengths(ws.delta.size, ws.delta, ws.step) and ws.inputs.ndim == 1):
+                and _lengths(n_out, ws.y, ws.target, ws.err)
+                and _lengths(ws.delta.size, ws.delta, ws.step) and ws.inputs.ndim == 1
+                and not any(n_in == 1 < fed for n_in, fed in zip(sizes[1:-1], sizes[2:]))):
             return None
         ptrs = self._pointers(ws.params, luts, ws.visits, ws.dwr, ws.hit, ws.step, ws.grad,
-                              ws.arg, ws.rates, ws.src, ws.lo, ws.frac, ws.read, ws.param_dst,
-                              ws.param_src, ws.conn_dst, ws.delta, ws.inputs, gate_u, written=8)
+                              ws.arg, ws.err, ws.delta, ws.rates, ws.src, ws.lo, ws.frac,
+                              ws.read, ws.slope, ws.param_dst, ws.param_src, ws.conn_dst, sizes,
+                              ws.y, ws.target, ws.inputs, gate_u, written=10)
         if ptrs is None:
             return None
-        (params, luts_p, visits, dwr, hit, step, grad, arg, rates, src, lo, frac, read,
-         param_dst, param_src, conn_dst, delta, inputs, gates) = ptrs
-        args = partial(self._lib.update_args, params, n_params, param_dst, param_src, read,
-                       n_rows, conn_dst, delta, ws.delta.size, inputs, ws.inputs.size,
-                       hp.mu, hp.s_a, step, grad, arg)
+        (params, luts_p, visits, dwr, hit, step, grad, arg, err, delta, rates, src, lo, frac,
+         read, slope, param_dst, param_src, conn_dst, sizes_p, y, target, inputs, gates) = ptrs
+        args = partial(self._lib.update_args, params, n_params, param_dst, param_src, read, slope,
+                       n_rows, conn_dst, sizes_p, sizes.size - 1, y, target, err, delta,
+                       ws.delta.size, inputs, ws.inputs.size, hp.mu, hp.s_a, step, grad, arg)
         apply = partial(self._lib.update_apply, params, n_params, rates, luts_p, visits, n_rows,
                         luts.shape[1], src, lo, frac, ws.lo.size, read, grad, arg, dwr, hit,
                         hp.s_a, hp.s_b, hp.zeta, hp.r_c, hp.v_min, gates, gate_u.shape[0])

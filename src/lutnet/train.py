@@ -16,10 +16,13 @@ and every one works in the network's ``core.Workspace``, bound on first
 use and kept for the network's lifetime, as its buffers and
 hyperparameters are fixed when it is built: the forward pass leaves each
 layer's inputs, segments, reads and slopes in its flat buffers, backprop
-writes the deltas beside them, and the updates index them all at once.
-The probe reads, the updates and the diffusion run the compiled kernel's
-calls bound there (``lutnet.kernel``) when it loads, and their numpy
-bodies otherwise; both give the same bits.
+writes the output error and the deltas beside them, and the updates index
+them all at once. The probe reads and the diffusion run the compiled
+kernel's calls bound there (``lutnet.kernel``) when it loads, and so do
+backprop and the updates, as one call that computes the deltas before it
+writes the steps; their numpy bodies run otherwise (``_backprop_numpy``
+and ``_updates_numpy``), and both give the same bits. On the kernel path
+only the forward sum, ``tanh`` and ``expm1`` stay in numpy.
 
 The error function is half the summed squared output error, so output
 deltas are simply (y - d) times the tanh slope. Because LUTs are only
@@ -86,6 +89,18 @@ def backprop(net: Network, trace: ForwardTrace, target) -> list[np.ndarray]:
     _backprop_hidden(deltas, [lay.w for lay in net.layers],
                      [layer.slope for layer in trace.layers], acts)
     return deltas
+
+
+def _backprop_numpy(ws: Workspace) -> None:
+    """An iteration's backprop in numpy, in place: ``err`` = y - target, then the deltas.
+
+    The reference the kernel's updates call matches, its fallback, and LW's
+    only path.
+    """
+    y = ws.y
+    err = np.subtract(y, ws.target, out=ws.err)
+    np.multiply(err, 1.0 - y * y, out=ws.deltas[-1])
+    _backprop_hidden(ws.deltas, ws.weights, ws.slopes, ws.acts)
 
 
 def _backprop_hidden(deltas: list, weights: list, slopes: list, acts: list) -> None:
@@ -201,24 +216,25 @@ def _apply_iteration(net: Network, x, target, row: int) -> float:
     destination-major, source-major order. Returns the sample's mean squared
     output error (from the pre-update forward pass). Every step reads and
     writes the workspace's flat buffers, all layers at a time: the forward
-    pass leaves each layer's inputs, segments, reads and slopes there,
-    backprop writes the deltas beside them, the updates index them with the
-    workspace's maps and leave the gated rows in ``ws.hit``, and the
-    diffusion runs on those rows.
+    pass leaves each layer's inputs, segments, reads and slopes there, the
+    target is copied beside the outputs, backprop writes the output error and
+    the deltas, the updates index them with the workspace's maps and leave
+    the gated rows in ``ws.hit``, and the diffusion runs on those rows.
+    Backprop and the updates are one bound call where the kernel takes the
+    net, and ``_backprop_numpy`` then ``_updates_numpy`` otherwise.
     """
     ws = net._workspace
     hp = ws.hp
-    y = ws.forward(x)
-    err = y - target
-    np.multiply(err, 1.0 - y * y, out=ws.deltas[-1])
-    _backprop_hidden(ws.deltas, ws.weights, ws.slopes, ws.acts)
-    sq_err = float(err @ err) / err.shape[0]
-
+    ws.forward(x)
+    ws.target[...] = target
     scale = net.visit_scale
     new_scale = scale * (1.0 - hp.r_c)
     n_hit = -1 if ws.updates is None else ws.updates(row, scale, new_scale)
     if n_hit < 0:
+        _backprop_numpy(ws)
         n_hit = _updates_numpy(ws, ws.gate_u[row], scale, new_scale, hp)
+    err = ws.err
+    sq_err = float(err @ err) / err.shape[0]
     if ws.luts is None:
         return sq_err
     net.visit_scale = new_scale
@@ -234,11 +250,16 @@ def train_iteration(net: Network, x, target, rng: np.random.Generator) -> float:
 
     The generator is consumed for exactly one uniform per LUT connection
     (the regularization gates), drawn as a single layer-major block.
-    Returns the sample's mean squared output error.
+    Returns the sample's mean squared output error. A sample that does not
+    fit the net or holds a NaN or infinity raises ValueError before the
+    generator or the net is touched.
     """
     x, target = np.asarray(x, dtype=float), np.asarray(target, dtype=float)
     if x.shape != (net.n_inputs,) or target.shape != (net.n_outputs,):
         raise _misfit(net, "one sample", x, target)
+    for name, values in (("x", x), ("target", target)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} has a non-finite value")
     rng.random(out=net._workspace.gate_u[0])
     return _apply_iteration(net, x, target, 0)
 

@@ -25,7 +25,7 @@ from lutnet.core import (
 )
 from lutnet.hyper import MAX_PROBE_OFFSETS, Hyperparameters, default_hyperparameters
 from lutnet.regularize import _diffuse_rows, _diffuse_rows_numpy
-from lutnet.train import Trainer, _updates_numpy
+from lutnet.train import Trainer, _backprop_numpy, _updates_numpy
 
 KERNEL = kernel.load()
 needs_kernel = pytest.mark.skipif(
@@ -346,20 +346,40 @@ def test_kernel_declines_diffusion_of_a_row_outside_the_table():
         _diffuse_rows(_bound(luts, visits, hit, hp), hit.shape[0], scale, hp)
 
 
-# An iteration's update steps, as the kernel's bound call and ``_updates_numpy`` read
-# them from a ``core.Workspace``: a net's parameters (P) and LUT rows (C), the index
-# maps, the forward and backward values, and the buffers both write.
+# An iteration's backprop and update steps, as the kernel's bound call and numpy's
+# (``_backprop_numpy``, then ``_updates_numpy``) read them from a ``core.Workspace``: a
+# net's layer widths, parameters (P) and LUT rows (C), the index maps, the forward
+# values and the target, and the buffers both write.
 def _space(case, hp):
     """A workspace of an update case, with the kernel's updates call bound to it.
-    case maps the workspace's names (its index maps among them) to arrays, and
-    gate_u to the row of gate uniforms, the one row of the workspace's gate
-    block; the buffers the updates write are made unless case has them."""
+    case maps the workspace's names (sizes and the index maps among them) to arrays,
+    and gate_u to the row of gate uniforms, the one row of the workspace's gate
+    block; the buffers backprop and the updates write are made unless case has them."""
     n_rows, n_steps = case["luts"].shape[0], case["params"].shape[0] + case["luts"].shape[0]
+    n_nodes, n_out = int(case["sizes"][1:].sum()), int(case["sizes"][-1])
     ws = SimpleNamespace(**{"dwr": np.zeros(n_rows), "hit": np.zeros(n_rows, dtype=np.intp),
-                            "step": np.zeros(case["delta"].shape), "grad": np.zeros(n_steps),
+                            "err": np.zeros(n_out), "delta": np.zeros(n_nodes),
+                            "step": np.zeros(n_nodes), "grad": np.zeros(n_steps),
                             "arg": np.zeros(n_steps), **case, "gate_u": case["gate_u"][None]})
     ws.updates = KERNEL.bind_updates(ws, hp)
     return ws
+
+
+def _numpy_iteration(ws, gate_u, scale, new_scale, hp):
+    """numpy's backprop and updates on ws, with the per-layer views ``_backprop_numpy``
+    reads cut from its flat arrays as ``core.Workspace`` cuts them; returns n_hit."""
+    ws.weights, ws.slopes, ws.acts, ws.deltas = [], [], [], []
+    sizes = ws.sizes.tolist()
+    p = c = s = d = 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        ws.weights.append(ws.params[p:p + n_in * n_out].reshape(n_out, n_in))
+        ws.slopes.append(ws.slope[c:c + n_in * n_out].reshape(n_out, n_in))
+        ws.acts.append(ws.inputs[s + n_in:s + n_in + n_out])
+        ws.deltas.append(ws.delta[d:d + n_out])
+        p, c, s, d = p + (n_in + 1) * n_out, c + n_in * n_out, s + n_in, d + n_out
+    ws.acts[-1] = ws.y
+    _backprop_numpy(ws)
+    return _updates_numpy(ws, gate_u, scale, new_scale, hp)
 
 
 def _state(ws):
@@ -373,7 +393,7 @@ def _updated(case, scale, hp, numpy):
     new_scale = scale * (1.0 - hp.r_c)
     if numpy:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            return ws, _updates_numpy(ws, case["gate_u"], scale, new_scale, hp)
+            return ws, _numpy_iteration(ws, case["gate_u"], scale, new_scale, hp)
     assert ws.updates is not None
     return ws, ws.updates(0, scale, new_scale)
 
@@ -388,12 +408,14 @@ def _same_bits(got, want):
 
 
 def _assert_same_updates(case, scale, hp, exact=True):
-    """The kernel's updates and numpy's write the same bits; with exact=False a NaN
-    matches any NaN (``_same_bits``), for cases whose NaN reads meet NaN steps."""
+    """The kernel's backprop and updates and numpy's write the same bits; with
+    exact=False a NaN matches any NaN (``_same_bits``), for cases whose NaN reads
+    meet NaN steps."""
     (got, n_hit), (want, want_hit) = (_updated(case, scale, hp, numpy) for numpy in (0, 1))
     assert n_hit == want_hit
     assert np.array_equal(got.hit[:n_hit], want.hit[:n_hit])
-    for name in ("params", "dwr", "luts", "visits"):       # untouched entries as well
+    # untouched entries as well
+    for name in ("err", "delta", "params", "dwr", "luts", "visits"):
         got_a, want_a = getattr(got, name), getattr(want, name)
         if exact:
             assert np.array_equal(_bits(got_a), _bits(want_a)), name
@@ -411,48 +433,70 @@ def _scales():
                      st.floats(VISIT_SCALE_MIN, 1.0))
 
 
-def _tables(draw, rng, rows, n_src, hp, scale):
-    """luts, visits (stored at scale), src, lo and frac of an update case."""
+def _tables(rng, rows, n_src, hp, scale, nan_input):
+    """luts, visits (stored at scale), lo and frac of an update case; with nan_input,
+    source 0 is a NaN input, as segment_coords places it."""
     r_res = hp.r_res
     luts = rng.standard_normal((rows, r_res)) * 10.0 ** rng.integers(-3, 4)
     # visit values from 0 up, so that some settle below v_min, and some rows at v_min
     values = rng.uniform(0.0, 1.0, (rows, r_res)) ** rng.integers(1, 40)
     values[rng.random(rows) < 0.3] = hp.v_min
-    src, lo = rng.integers(0, n_src, rows), rng.integers(0, r_res - 1, n_src)
-    frac = rng.random(n_src)
+    lo, frac = rng.integers(0, r_res - 1, n_src), rng.random(n_src)
     frac[rng.random(n_src) < 0.2] = 0.0         # grid points: one entry takes it all
     frac[rng.random(n_src) < 0.2] = 1.0
-    if draw(st.booleans()):                     # a NaN input, as segment_coords places it
+    if nan_input:
         lo[0], frac[0] = r_res - 2, math.nan
-    return dict(luts=luts, visits=values / scale, src=src, lo=lo, frac=frac)
+    return dict(luts=luts, visits=values / scale, lo=lo, frac=frac)
 
 
-def _linear(rng, rows, n_src, hp):
-    """The linear part of an update case: P parameters over n_src inputs plus a bias
-    input, and the nodes LUT rows feed, with small steps."""
-    n_nodes, n_params = int(rng.integers(1, 6)), int(rng.integers(1, 20))
-    return dict(params=rng.uniform(-0.5, 0.5, n_params),
-                rates=np.where(rng.random(n_params) < 0.5, hp.nu, 1.0),
-                param_dst=rng.integers(0, n_nodes, n_params),
-                param_src=rng.integers(0, n_src + 1, n_params),
-                inputs=np.append(rng.uniform(-1.0, 1.0, n_src), 1.0),
-                delta=rng.standard_normal(n_nodes) * 1e-2,
-                conn_dst=rng.integers(0, n_nodes, rows),
-                read=rng.standard_normal(rows))
+def _layers(rng, sizes, hp):
+    """The layer part of an update case: a net of these sizes' parameters, its index
+    maps and rates (``core._update_maps``), and its forward values: every layer's
+    inputs with a 1 per bias after them, the outputs y, the LUT rows' reads and
+    slopes, and the target."""
+    param_dst, param_src, conn_dst, src, rates = core._update_maps(sizes, hp, True)
+    n_src, n_rows, n_out = sum(sizes[:-1]), src.shape[0], sizes[-1]
+    return dict(sizes=np.array(sizes, dtype=np.intp),
+                params=rng.uniform(-0.5, 0.5, param_dst.shape[0]), rates=rates,
+                param_dst=param_dst, param_src=param_src, conn_dst=conn_dst, src=src,
+                inputs=np.append(rng.uniform(-1.0, 1.0, n_src), np.ones(len(sizes) - 1)),
+                y=rng.uniform(-1.0, 1.0, n_out), target=rng.uniform(-1.0, 1.0, n_out),
+                read=rng.standard_normal(n_rows), slope=rng.standard_normal(n_rows))
+
+
+def _pairwise_sum(sizes) -> bool:
+    """Whether the updates call declines a net of these sizes: a layer after the
+    first with one input and more than one output, whose column numpy sums pairwise."""
+    return any(n_in == 1 < fed for n_in, fed in zip(sizes[1:-1], sizes[2:]))
+
+
+def _sizes(widest):
+    """Layer widths of a net of 1 to 3 layers, each 1 to widest wide."""
+    return st.lists(st.integers(1, widest), min_size=2, max_size=4).map(tuple)
+
+
+def _update_case(rng, sizes, hp, scale, nan_input=False):
+    """An update case of a net of these sizes, with its gate uniforms."""
+    layers = _layers(rng, sizes, hp)
+    rows = layers["src"].shape[0]
+    return {**_tables(rng, rows, sum(sizes[:-1]), hp, scale, nan_input), **layers,
+            "gate_u": rng.random(rows)}
+
+
+def _taken(draw):
+    """Layer widths, up to 4 a layer, of a net that the updates call takes."""
+    return draw(_sizes(4).filter(lambda sizes: not _pairwise_sum(sizes)))
 
 
 @st.composite
 def table_writes(draw):
     """(case, scale, hp) as one iteration's updates, drawn for its table writes."""
-    rows, n_src = draw(st.integers(1, 12)), draw(st.integers(1, 6))
     hp = Hyperparameters(r_res=draw(st.integers(2, 256)), r_c=draw(_rates(draw)),
                          s_b=draw(_rates(draw)), zeta=draw(st.sampled_from([0.0, 0.5, 1.0])),
                          v_min=draw(st.sampled_from([1e-16, 0.5, draw(st.floats(1e-300, 0.5))])))
     scale = draw(_scales())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    case = {**_tables(draw, rng, rows, n_src, hp, scale), **_linear(rng, rows, n_src, hp)}
-    case["gate_u"] = rng.random(rows)
-    return case, scale, hp
+    return _update_case(rng, _taken(draw), hp, scale, draw(st.booleans())), scale, hp
 
 
 @needs_kernel
@@ -465,7 +509,6 @@ def test_kernel_matches_numpy_table_updates_bit_for_bit(case):
 @st.composite
 def gained_updates(draw):
     """(case, scale, hp) as one iteration's updates, drawn for the gain and the gate."""
-    rows, n_src = draw(st.integers(1, 12)), draw(st.integers(1, 6))
     hp = Hyperparameters(
         r_res=draw(st.integers(2, 64)), r_c=draw(_rates(draw)), s_b=draw(_rates(draw)),
         s_a=draw(st.sampled_from([0.0, 5e-324, 1e-300, 1e-9, 0.5, 5.0, 1e6,
@@ -475,17 +518,17 @@ def gained_updates(draw):
         zeta=draw(st.sampled_from([0.0, 1.0, draw(st.floats(0.0, 1.0))])))
     scale = draw(_scales())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    case = {**_tables(draw, rng, rows, n_src, hp, scale), **_linear(rng, rows, n_src, hp)}
+    case = _update_case(rng, _taken(draw), hp, scale, draw(st.booleans()))
     special = [0.0, -0.0, 1e-310, -1e-310, math.inf, -math.inf, math.nan]
-    for name in ("params", "read", "delta", "inputs"):
+    for name in ("params", "read", "slope", "inputs", "y", "target"):
         values = case[name]
         values *= 10.0 ** rng.integers(-3, 7, values.shape)     # gain arguments past 50
         picks = rng.random(values.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))
-        # non-finite weights and reads, as in a diverged net, and non-finite steps
+        # non-finite reads, slopes and outputs, as in a diverged net, and non-finite steps
         values[picks] = rng.choice(special if name != "params" else special[:4], picks.sum())
-    gate_u = rng.random(rows)
+    rows = case["luts"].shape[0]
+    gate_u = case["gate_u"]
     gate_u[rng.random(rows) < 0.3] = draw(st.sampled_from([0.0, hp.zeta]))   # ties
-    case["gate_u"] = gate_u
     return case, scale, hp
 
 
@@ -496,14 +539,50 @@ def test_kernel_matches_numpy_updates_bit_for_bit(case):
     _assert_same_updates(*case, exact=False)
 
 
+def _decades(rng, shape, special):
+    """Values of either sign over 600 decades, some of them the special values."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    picks = rng.random(shape) < 0.2
+    values[picks] = rng.choice(special, picks.sum())
+    return values
+
+
+def _backprop_case(sizes, seed, nan_input=False):
+    """(case, scale, hp) of a backprop case on a net of these sizes at r_res 8, its
+    values over many decades (``_decades``)."""
+    rng = np.random.default_rng(seed)
+    case = _update_case(rng, sizes, R8, 1.0, nan_input)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf]
+    for name in ("params", "slope", "inputs", "y", "target"):
+        if rng.random() < 0.5:
+            case[name] = _decades(rng, case[name].shape, special)
+    return case, 1.0, R8
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@example(case=_backprop_case((2, 1, 9), 0))     # declined: numpy sums the 9 rows pairwise
+@example(case=_backprop_case((3, 1, 1, 1), 1))  # taken: one-input layers feeding one node
+@example(case=_backprop_case((1, 12, 12, 12), 2))
+@given(case=st.builds(_backprop_case, _sizes(12), st.integers(0, 2**32 - 1), st.booleans()))
+def test_kernel_matches_numpy_backprop_bit_for_bit(case):
+    # err, the deltas and what the updates write from them, on nets of 1 to 3 layers
+    # of 1 to 12 nodes; one with a layer after the first that has one input and more
+    # than one output is left to numpy
+    if _pairwise_sum(tuple(case[0]["sizes"])):
+        assert _space(case[0], case[2]).updates is None
+        return
+    _assert_same_updates(*case, exact=False)
+
+
 def _table_case():
-    """An update case of 5 rows at r 8 over 3 sources that the kernel takes, with
-    the buffers it writes."""
-    rng = np.random.default_rng(15)
-    return dict(luts=rng.standard_normal((5, 8)), visits=rng.uniform(1e-3, 1.0, (5, 8)),
-                src=np.array([0, 1, 2, 0, 1]), lo=np.array([0, 3, 6]),
-                frac=np.array([0.25, 0.0, 0.5]), gate_u=np.array([0.9, 0.1, 0.9, 0.2, 0.3]),
-                dwr=np.zeros(5), hit=np.zeros(5, dtype=np.intp), **_linear(rng, 5, 3, TABLE_HP))
+    """An update case of a 3-2-1 net at r 8 (8 rows over 5 sources) that the kernel
+    takes, with the buffers it writes."""
+    case = _update_case(np.random.default_rng(15), (3, 2, 1), TABLE_HP, 1.0)
+    case.update(lo=np.array([0, 3, 6, 2, 5]), frac=np.array([0.25, 0.0, 0.5, 1.0, 0.75]),
+                gate_u=np.array([0.9, 0.1, 0.9, 0.2, 0.3, 0.6, 0.4, 0.8]),
+                dwr=np.zeros(8), hit=np.zeros(8, dtype=np.intp))
+    return case
 
 
 TABLE_HP = R8.replace(r_c=0.05, s_b=1e-3, zeta=0.5)
@@ -534,7 +613,7 @@ def _declined(case):
 
 
 def _numpy_updates(ws, case):
-    return _updates_numpy(ws, case()["gate_u"], 0.25, 0.25 * 0.95, TABLE_HP)
+    return _numpy_iteration(ws, case()["gate_u"], 0.25, 0.25 * 0.95, TABLE_HP)
 
 
 @needs_kernel
@@ -749,4 +828,4 @@ def test_kernel_matches_numpy_at_a_lower_cpu_dispatch_level():
     done = subprocess.run([sys.executable, "-c", _LOWERED_CHECKS, __file__, *targets],
                           capture_output=True, text=True, env=env, cwd=root)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert re.search(r"^6 passed", done.stdout, re.MULTILINE), done.stdout
+    assert re.search(r"^7 passed", done.stdout, re.MULTILINE), done.stdout

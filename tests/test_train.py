@@ -11,6 +11,7 @@ from lutnet import core, kernel, regularize, train
 from lutnet.core import (
     LutConnection,
     Network,
+    find_nonfinite,
     forward_batch,
     forward_network,
     init_network,
@@ -465,6 +466,39 @@ def test_train_iteration_consumes_one_uniform_per_lut_connection():
     assert rng_a.random() == rng_b.random()
 
 
+def _raw(arrays):
+    """Fresh byte copies of arrays, so that NaN payloads and -0.0 compare too."""
+    return [np.array(a).view(np.uint8) for a in arrays]
+
+
+@pytest.mark.parametrize("kind", ["NLW", "LW"])
+@pytest.mark.parametrize("x,target,name", [
+    pytest.param([np.nan, 0.1], [0.2], "x", id="x-nan"),
+    pytest.param([0.3, -np.inf], [0.2], "x", id="x-inf"),
+    pytest.param([0.3, 0.1], [np.inf], "target", id="target-inf"),
+    pytest.param([0.3, 0.1], [np.nan], "target", id="target-nan"),
+    pytest.param([np.nan, 0.1], [np.inf], "x", id="both"),
+])
+def test_train_iteration_refuses_a_non_finite_sample(kind, x, target, name):
+    # before it draws a gate or writes the net: a NaN there used to train into the
+    # weights and come back as a nan error
+    hp = default_hyperparameters(kind).replace(r_res=16)
+    net = init_network((2, 3, 1), kind, hp, _rng([60, 0]))
+    rng = np.random.default_rng(61)
+    train_iteration(net, [0.3, 0.1], [0.2], rng)            # binds the workspace
+    ws = net._workspace
+    buffers = [net.params] + ([] if net.luts is None else [net.luts, net.visits])
+    buffers += [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+    before, state, scale = _raw(buffers), rng.bit_generator.state, net.visit_scale
+    with pytest.raises(ValueError, match=f"^{name} has a non-finite value$"):
+        train_iteration(net, x, target, rng)
+    assert rng.bit_generator.state == state
+    assert net.visit_scale == scale
+    for got, want in zip(_raw(buffers), before):
+        assert np.array_equal(got, want)
+    assert find_nonfinite(net) is None
+
+
 # Probe pairs as the default ladder, wide enough to clamp at both edges, and
 # on a domain narrower than tanh's range, where pairs of one input clamp to
 # the same edge and drop out of the average.
@@ -607,7 +641,9 @@ def test_kernel_and_numpy_updates_train_the_same_bits(monkeypatch, numpy_only, s
     args = rng.uniform(-1.3, 1.3, (30, sizes[0]))
     vals = np.tanh(args[:, :1] - 0.5 * args[:, -1:]).repeat(sizes[-1], axis=1)
     start = init_network(sizes, "NLW", hp, _rng([54]))
-    numpy_updates, calls = train._updates_numpy, []
+    numpy_backprop, numpy_updates, calls = train._backprop_numpy, train._updates_numpy, []
+    monkeypatch.setattr(train, "_backprop_numpy",
+                        lambda *args: calls.append(1) or numpy_backprop(*args))
     monkeypatch.setattr(train, "_updates_numpy",
                         lambda *args: calls.append(1) or numpy_updates(*args))
     runs = []
@@ -619,7 +655,7 @@ def test_kernel_and_numpy_updates_train_the_same_bits(monkeypatch, numpy_only, s
         numpy_only.check(net)
         runs.append((rows, net, len(calls)))
     (rows, net, kernel_calls), (numpy_rows, numpy_net, all_calls) = runs
-    assert kernel_calls == 0 and all_calls == 257
+    assert kernel_calls == 0 and all_calls == 2 * 257
     assert rows == numpy_rows
     for name in ("params", "luts", "visits"):
         assert np.array_equal(getattr(net, name).view(np.int64),
@@ -701,6 +737,28 @@ def test_a_net_with_a_1x1_lut_layer_trains_the_same_bits_on_both_paths(numpy_onl
         assert np.array_equal(getattr(net, name).view(np.int64),
                               getattr(numpy_net, name).view(np.int64))
     assert net.visit_scale == numpy_net.visit_scale
+
+
+@pytest.mark.skipif(kernel.load() is None, reason="the probe kernel cannot be built here")
+def test_a_one_input_layer_feeding_many_nodes_trains_the_same_bits_on_numpy_updates(
+        numpy_only):
+    # numpy sums the backward column of a one-input layer after the first pairwise, and
+    # from 8 rows on that differs from the kernel's sum row after row: the kernel binds
+    # no updates call for such a net (2-1-9), and its reads and diffusion stay in C
+    hp = NLW.replace(r_res=16, zeta=0.3)
+    rng = _rng([62])
+    args = rng.uniform(-1.3, 1.3, (30, 2))
+    vals = np.tanh(args[:, :1] * np.linspace(-1.0, 1.0, 9) - 0.5 * args[:, 1:])
+    start = init_network((2, 1, 9), "NLW", hp, _rng([63]))
+    runs = []
+    for numpy_path in (False, True):
+        numpy_only.force(numpy_path)
+        net = start.clone()
+        runs.append((Trainer(net, args, vals, seed=64).run(300, log_every=50), net))
+        numpy_only.check(net)
+    ws = runs[0][1]._workspace
+    assert ws.kern is not None and ws.updates is None and ws.diffuse is not None
+    _assert_same_training(runs)
 
 
 FIXED = [("net", name) for name in ("sizes", "kind", "hp", "params", "luts", "visits",
