@@ -16,8 +16,10 @@
  *    whose bits differ from libm's and follow its CPU dispatch: the caller
  *    runs np.tanh on the gaps between the two calls.
  *
- * A training iteration binds each function's arrays once (``core.Workspace``),
- * so their arguments come first and what changes per call comes last.
+ * A training iteration binds each function's arrays once (``core.Workspace``)
+ * into one struct per operation, so a call passes that struct and then what
+ * changes per call. The block between the ``cffi cdef`` markers below is
+ * cffi's cdef, as ``kernel.py`` reads it, so it holds plain declarations only.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused multiply-add
  * or a reordered sum changes the last bits. The rules that numpy sets:
@@ -44,6 +46,45 @@
 #include <math.h>
 #include <stddef.h>
 
+/* cffi cdef begins */
+
+/* The arguments of the bound calls, each field named after the array or size of
+ * ``core.Workspace`` that a bind fills it with. */
+struct read_call {              /* probed_read's: one LUT layer of one sample */
+    const double *lut, *x, *offsets;
+    ptrdiff_t n_out, n_in, r, k;
+    double i_min, i_max, span;
+    ptrdiff_t *lo;
+    double *frac, *read, *slope;
+};
+struct updates_call {           /* update_args' and update_apply's */
+    double *params, *luts, *visits, *dwr, *step, *grad, *arg, *err, *delta;
+    ptrdiff_t *hit;
+    const double *rates, *frac, *read, *slope, *y, *target, *inputs, *gate_u;
+    const ptrdiff_t *param_dst, *param_src, *conn_dst, *src, *lo, *sizes;
+    ptrdiff_t n_params, n_rows, r, n_src, n_layers, n_nodes, n_inputs, n_gates;
+    double mu, s_a, s_b, zeta, r_c, v_min;
+};
+struct diffusion_call {         /* diffusion_gaps' and diffuse_rows' */
+    double *luts, *visits;
+    const ptrdiff_t *hit;
+    ptrdiff_t n_rows, r;
+    double r_a, r_b, v_min;
+};
+
+int probed_read(const struct read_call *call);
+int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *w,
+                  const double *act, ptrdiff_t n_rows, ptrdiff_t n_in,
+                  double i_min, double i_max, double span, double *out);
+int update_args(const struct updates_call *call);
+ptrdiff_t update_apply(const struct updates_call *call, ptrdiff_t row, double scale,
+                       double new_scale);
+int diffusion_gaps(const struct diffusion_call *call, ptrdiff_t n_hit, double *gap);
+int diffuse_rows(const struct diffusion_call *call, ptrdiff_t n_hit, const double *tanh_gap,
+                 double scale);
+
+/* cffi cdef ends */
+
 /* layer_outputs keeps a row's segment of every input on the stack */
 #define MAX_ROW_INPUTS 4096
 
@@ -66,15 +107,15 @@ static double locate(double b, double i_min, double i_max, double span, ptrdiff_
 }
 
 /* lut is (n_out, n_in, r) in C order; input j reads table (d, j).
- * Writes lo0 and frac0 (n_in), then read0 and slope (n_out, n_in) in C order,
+ * Writes lo and frac (n_in), then read and slope (n_out, n_in) in C order,
  * each through its own pointer, so that a caller can point them into its flat
  * buffers. Each quotient of a connection joins its sum as soon as it is
  * formed, in numpy's order.
  * Returns 0, or -1 (nothing written) when the read is 1x1. */
-int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x, ptrdiff_t n_in,
-                const double *offsets, ptrdiff_t k, double i_min, double i_max, double span,
-                ptrdiff_t *lo0, double *frac0, double *read0, double *slope)
+int probed_read(const struct read_call *call)
 {
+    ptrdiff_t n_out = call->n_out, n_in = call->n_in, r = call->r, k = call->k;
+    const double *x = call->x, *offsets = call->offsets;
     if (n_out == 1 && n_in == 1)
         return -1;
     ptrdiff_t rows = 2 * k + 1;
@@ -83,7 +124,7 @@ int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x
     for (ptrdiff_t j = 0; j < n_in; j++) {
         for (ptrdiff_t p = 0; p < rows; p++) {
             double b = p == 0 ? x[j] : p <= k ? x[j] + offsets[p - 1] : x[j] - offsets[p - k - 1];
-            pt[p] = locate(b, i_min, i_max, span, r, &lo[p], &frac[p]);
+            pt[p] = locate(b, call->i_min, call->i_max, call->span, r, &lo[p], &frac[p]);
         }
         ptrdiff_t apart = 0;
         for (ptrdiff_t i = 0; i < k; i++) {
@@ -91,10 +132,10 @@ int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x
             apart += den[i] > 0.0;
         }
         double count = (double)(apart > 0 ? apart : 1);
-        lo0[j] = lo[0];
-        frac0[j] = frac[0];
+        call->lo[j] = lo[0];
+        call->frac[j] = frac[0];
         for (ptrdiff_t d = 0; d < n_out; d++) {
-            const double *t = lut + (d * n_in + j) * r;
+            const double *t = call->lut + (d * n_in + j) * r;
             for (ptrdiff_t p = 0; p < rows; p++)
                 reads[p] = (1.0 - frac[p]) * t[lo[p]] + frac[p] * t[lo[p] + 1];
             double s = 0.0;
@@ -102,8 +143,8 @@ int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x
                 double diff = reads[1 + i] - reads[k + 1 + i];
                 s += den[i] > 0.0 ? diff / den[i] : diff * 0.0;
             }
-            read0[d * n_in + j] = reads[0];
-            slope[d * n_in + j] = s / count;
+            call->read[d * n_in + j] = reads[0];
+            call->slope[d * n_in + j] = s / count;
         }
     }
     return 0;
@@ -160,16 +201,16 @@ static int rows_in_order(const ptrdiff_t *hit, ptrdiff_t n_hit, ptrdiff_t n_rows
 /* luts is (n_rows, r) in C order. Writes r_a * (t[j + 1] - t[j]) of each hit
  * row t into gap, (n_hit, r - 1) in C order: the argument of numpy's tanh.
  * Returns 0, or -1 (nothing written) when the rows are not in order. */
-int diffusion_gaps(const double *luts, ptrdiff_t n_rows, ptrdiff_t r, const ptrdiff_t *hit,
-                   double r_a, ptrdiff_t n_hit, double *gap)
+int diffusion_gaps(const struct diffusion_call *call, ptrdiff_t n_hit, double *gap)
 {
-    if (!rows_in_order(hit, n_hit, n_rows))
+    ptrdiff_t r = call->r;
+    if (!rows_in_order(call->hit, n_hit, call->n_rows))
         return -1;
     for (ptrdiff_t h = 0; h < n_hit; h++) {
-        const double *t = luts + hit[h] * r;
+        const double *t = call->luts + call->hit[h] * r;
         double *g = gap + h * (r - 1);
         for (ptrdiff_t j = 0; j < r - 1; j++)
-            g[j] = r_a * (t[j + 1] - t[j]);
+            g[j] = call->r_a * (t[j + 1] - t[j]);
     }
     return 0;
 }
@@ -195,23 +236,41 @@ static lanes floor2(lanes a, lanes v_floor)
 
 /* Diffuses row 0 (t0, v0, g0) in lane 0 and row 1 in lane 1, in place; see
  * diffuse_rows. An odd row is passed as both rows: the lanes then compute
- * the same values and store them to the same entries. */
-static void diffuse_two_rows(double *t0, double *t1, double *v0, double *v1,
-                             const double *g0, const double *g1, ptrdiff_t r,
-                             double r_a, double r_b, double v_min, double scale)
+ * the same values and store them to the same entries. Where both lanes'
+ * settled visit pairs are equal and finite (so at least v_min, above 0), both
+ * visit ratios are exactly 1: the two balance denominators are one 1 + r_b,
+ * the LUT transfer s / den is taken once, and the visit transfer is +0.0,
+ * which leaves vm's bits as they are. That path gives the same bits as the
+ * other with three of its eight divisions; a NaN fails the equality. */
+static void diffuse_two_rows(const struct diffusion_call *call, double *t0, double *t1,
+                             double *v0, double *v1, const double *g0, const double *g1,
+                             double scale)
 {
-    const lanes half = {0.5, 0.5}, one = {1.0, 1.0}, rb = {r_b, r_b}, v_floor = {v_min, v_min};
-    const lanes at = {scale, scale}, two_r_a = {2.0 * r_a, 2.0 * r_a};
+    ptrdiff_t r = call->r;
+    const lanes half = {0.5, 0.5}, one = {1.0, 1.0}, rb = {call->r_b, call->r_b};
+    const lanes at = {scale, scale}, two_r_a = {2.0 * call->r_a, 2.0 * call->r_a};
+    const lanes v_floor = {call->v_min, call->v_min}, huge = {HUGE_VAL, HUGE_VAL};
+    const lanes den_even = one + rb;
     lanes v_lo = floor2((lanes){v0[0], v1[0]} * at, v_floor);
     lanes t_high = {0.0, 0.0}, v_high = {0.0, 0.0};     /* the high values of pair j - 1 */
     for (ptrdiff_t j = 0; j < r - 1; j++) {
         lanes v_hi = floor2((lanes){v0[j + 1], v1[j + 1]} * at, v_floor);
-        lanes den_lo = one + rb * (v_hi / v_lo), den_hi = one + rb * (v_lo / v_hi);
         lanes a = {t0[j], t1[j]}, b = {t0[j + 1], t1[j + 1]};
         lanes m = (a + b) * half, s = g0 ? (lanes){g0[j], g1[j]} / two_r_a : (b - a) * half;
-        lanes low = m - s / den_lo, high = m + s / den_hi;
-        lanes vm = (v_lo + v_hi) * half, vs = (v_hi - v_lo) * half;
-        lanes v_low = vm - vs / den_lo;
+        lanes vm = (v_lo + v_hi) * half, vs = (v_hi - v_lo) * half, low, high, v_low, v_up;
+        lane_mask even = (v_lo == v_hi) & (v_hi < huge);
+        if (even[0] && even[1]) {
+            lanes shift = s / den_even;
+            low = m - shift;
+            high = m + shift;
+            v_low = v_up = vm;
+        } else {
+            lanes den_lo = one + rb * (v_hi / v_lo), den_hi = one + rb * (v_lo / v_hi);
+            low = m - s / den_lo;
+            high = m + s / den_hi;
+            v_low = vm - vs / den_lo;
+            v_up = vm + vs / den_hi;
+        }
         lanes t = j ? (low + t_high) * half : low;
         lanes v = floor2(j ? (v_low + v_high) * half : v_low, v_floor) / at;
         t0[j] = t[0];
@@ -219,7 +278,7 @@ static void diffuse_two_rows(double *t0, double *t1, double *v0, double *v1,
         v0[j] = v[0];
         v1[j] = v[1];
         t_high = high;
-        v_high = vm + vs / den_hi;
+        v_high = v_up;
         v_lo = v_hi;
     }
     lanes v = floor2(v_high, v_floor) / at;
@@ -239,18 +298,20 @@ static void diffuse_two_rows(double *t0, double *t1, double *v0, double *v1,
  * only, so entry j is written as soon as pair j is done. The rows go two at a
  * time, one per lane.
  * Returns 0, or -1 (nothing written) when the rows are not in order. */
-int diffuse_rows(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
-                 const ptrdiff_t *hit, double r_a, double r_b, double v_min,
-                 ptrdiff_t n_hit, const double *tanh_gap, double scale)
+int diffuse_rows(const struct diffusion_call *call, ptrdiff_t n_hit, const double *tanh_gap,
+                 double scale)
 {
-    if (!rows_in_order(hit, n_hit, n_rows))
+    ptrdiff_t r = call->r;
+    const ptrdiff_t *hit = call->hit;
+    double *luts = call->luts, *visits = call->visits;
+    if (!rows_in_order(hit, n_hit, call->n_rows))
         return -1;
     for (ptrdiff_t h = 0; h < n_hit; h += 2) {
         ptrdiff_t h1 = h + 1 < n_hit ? h + 1 : h;
         const double *g0 = tanh_gap ? tanh_gap + h * (r - 1) : NULL;
         const double *g1 = tanh_gap ? tanh_gap + h1 * (r - 1) : NULL;
-        diffuse_two_rows(luts + hit[h] * r, luts + hit[h1] * r, visits + hit[h] * r,
-                         visits + hit[h1] * r, g0, g1, r, r_a, r_b, v_min, scale);
+        diffuse_two_rows(call, luts + hit[h] * r, luts + hit[h1] * r, visits + hit[h] * r,
+                         visits + hit[h1] * r, g0, g1, scale);
     }
     return 0;
 }
@@ -274,12 +335,11 @@ static double gain(double w, double g, double e, double s_a)
  * LUT rows, n_nodes fed nodes and n_inputs inputs (a 1 per bias among them) and
  * no layer after the first has one input and more than one output, else 0:
  * numpy sums such a layer's one-column block pairwise, not row after row. */
-static int layers_fit(const ptrdiff_t *sizes, ptrdiff_t n_layers, ptrdiff_t n_params,
-                      ptrdiff_t n_rows, ptrdiff_t n_nodes, ptrdiff_t n_inputs)
+static int layers_fit(const struct updates_call *call)
 {
-    ptrdiff_t params = 0, rows = 0, nodes = 0, inputs = n_layers;
-    for (ptrdiff_t li = 0; li < n_layers; li++) {
-        ptrdiff_t n_in = sizes[li], n_out = sizes[li + 1];
+    ptrdiff_t params = 0, rows = 0, nodes = 0, inputs = call->n_layers;
+    for (ptrdiff_t li = 0; li < call->n_layers; li++) {
+        ptrdiff_t n_in = call->sizes[li], n_out = call->sizes[li + 1];
         if (n_in < 1 || n_out < 1 || (li > 0 && n_in == 1 && n_out > 1))
             return 0;
         params += (n_in + 1) * n_out;
@@ -287,8 +347,8 @@ static int layers_fit(const ptrdiff_t *sizes, ptrdiff_t n_layers, ptrdiff_t n_pa
         nodes += n_out;
         inputs += n_in;
     }
-    return n_layers >= 1 && params == n_params && rows == n_rows && nodes == n_nodes
-           && inputs == n_inputs;
+    return call->n_layers >= 1 && params == call->n_params && rows == call->n_rows
+           && nodes == call->n_nodes && inputs == call->n_inputs;
 }
 
 /* Writes err = y - target (n_out) and the deltas (n_nodes), as
@@ -299,16 +359,16 @@ static int layers_fit(const ptrdiff_t *sizes, ptrdiff_t n_layers, ptrdiff_t n_pa
  * its rows, and a is the layer's slice of inputs. Layer after layer,
  * a layer's w is its (n_out, n_in) block of params (its biases follow), its
  * slopes its block of slope and its inputs its slice of inputs. */
-static void backprop(const double *params, ptrdiff_t n_params, const double *slope,
-                     ptrdiff_t n_rows, const ptrdiff_t *sizes, ptrdiff_t n_layers,
-                     const double *y, const double *target, double *err, double *delta,
-                     ptrdiff_t n_nodes, const double *inputs, ptrdiff_t n_inputs)
+static void backprop(const struct updates_call *call)
 {
-    ptrdiff_t n_out = sizes[n_layers], d = n_nodes - n_out;
-    ptrdiff_t p = n_params, c = n_rows, s = n_inputs - n_layers;
+    const ptrdiff_t *sizes = call->sizes;
+    const double *y = call->y;
+    double *delta = call->delta;
+    ptrdiff_t n_layers = call->n_layers, n_out = sizes[n_layers], d = call->n_nodes - n_out;
+    ptrdiff_t p = call->n_params, c = call->n_rows, s = call->n_inputs - n_layers;
     for (ptrdiff_t k = 0; k < n_out; k++) {
-        err[k] = y[k] - target[k];
-        delta[d + k] = err[k] * (1.0 - y[k] * y[k]);
+        call->err[k] = y[k] - call->target[k];
+        delta[d + k] = call->err[k] * (1.0 - y[k] * y[k]);
     }
     for (ptrdiff_t li = n_layers - 1; li > 0; li--) {
         ptrdiff_t n_in = sizes[li];
@@ -316,7 +376,8 @@ static void backprop(const double *params, ptrdiff_t n_params, const double *slo
         p -= (n_in + 1) * n_out;
         c -= n_in * n_out;
         s -= n_in;
-        const double *w = params + p, *sl = slope + c, *dk = delta + d, *a = inputs + s;
+        const double *w = call->params + p, *sl = call->slope + c, *a = call->inputs + s;
+        const double *dk = delta + d;
         double *back = delta + d - n_in;
         for (ptrdiff_t j = 0; j < n_in; j++)
             back[j] = 0.0;
@@ -336,34 +397,32 @@ static void backprop(const double *params, ptrdiff_t n_params, const double *slo
  * arg, with w the parameter or the row's read.
  * Returns 0, or -1 (nothing written) when the sizes do not fit (layers_fit) or
  * a map index lies outside the nodes or the inputs. */
-int update_args(const double *params, ptrdiff_t n_params, const ptrdiff_t *param_dst,
-                const ptrdiff_t *param_src, const double *read, const double *slope,
-                ptrdiff_t n_rows, const ptrdiff_t *conn_dst, const ptrdiff_t *sizes,
-                ptrdiff_t n_layers, const double *y, const double *target, double *err,
-                double *delta, ptrdiff_t n_nodes, const double *inputs, ptrdiff_t n_inputs,
-                double mu, double s_a, double *step, double *grad, double *arg)
+int update_args(const struct updates_call *call)
 {
-    if (!layers_fit(sizes, n_layers, n_params, n_rows, n_nodes, n_inputs))
+    ptrdiff_t n_params = call->n_params, n_rows = call->n_rows, n_nodes = call->n_nodes;
+    const ptrdiff_t *param_dst = call->param_dst, *param_src = call->param_src;
+    const ptrdiff_t *conn_dst = call->conn_dst;
+    double *step = call->step, *grad = call->grad;
+    if (!layers_fit(call))
         return -1;
     for (ptrdiff_t i = 0; i < n_params; i++)
         if (param_dst[i] < 0 || param_dst[i] >= n_nodes
-            || param_src[i] < 0 || param_src[i] >= n_inputs)
+            || param_src[i] < 0 || param_src[i] >= call->n_inputs)
             return -1;
     for (ptrdiff_t c = 0; c < n_rows; c++)
         if (conn_dst[c] < 0 || conn_dst[c] >= n_nodes)
             return -1;
-    backprop(params, n_params, slope, n_rows, sizes, n_layers, y, target, err, delta, n_nodes,
-             inputs, n_inputs);
+    backprop(call);
     for (ptrdiff_t d = 0; d < n_nodes; d++)
-        step[d] = delta[d] * mu;
+        step[d] = call->delta[d] * call->mu;
     for (ptrdiff_t i = 0; i < n_params; i++)
-        grad[i] = step[param_dst[i]] * inputs[param_src[i]];
+        grad[i] = step[param_dst[i]] * call->inputs[param_src[i]];
     for (ptrdiff_t c = 0; c < n_rows; c++)
         grad[n_params + c] = step[conn_dst[c]];
-    if (s_a != 0.0)
+    if (call->s_a != 0.0)
         for (ptrdiff_t i = 0; i < n_params + n_rows; i++) {
-            double w = i < n_params ? params[i] : read[i - n_params];
-            arg[i] = min_bound(max_bound((s_a * w) * grad[i], -50.0), 50.0);
+            double w = i < n_params ? call->params[i] : call->read[i - n_params];
+            call->arg[i] = min_bound(max_bound((call->s_a * w) * grad[i], -50.0), 50.0);
         }
     return 0;
 }
@@ -382,15 +441,14 @@ int update_args(const double *params, ptrdiff_t n_params, const ptrdiff_t *param
  * Returns the number of gated rows, or -1 (nothing written) when row is not a
  * row of the gates, a src is not an index of lo or an lo lies outside
  * [0, r - 2]. */
-ptrdiff_t update_apply(double *params, ptrdiff_t n_params, const double *rates,
-                       double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
-                       const ptrdiff_t *src, const ptrdiff_t *lo, const double *frac,
-                       ptrdiff_t n_src, const double *read, const double *grad,
-                       const double *arg, double *dwr, ptrdiff_t *hit, double s_a, double s_b,
-                       double zeta, double r_c, double v_min, const double *gates,
-                       ptrdiff_t n_gates, ptrdiff_t row, double scale, double new_scale)
+ptrdiff_t update_apply(const struct updates_call *call, ptrdiff_t row, double scale,
+                       double new_scale)
 {
-    if (row < 0 || row >= n_gates)
+    ptrdiff_t n_params = call->n_params, n_rows = call->n_rows, r = call->r, n_src = call->n_src;
+    const ptrdiff_t *src = call->src, *lo = call->lo;
+    const double *grad = call->grad, *arg = call->arg;
+    double *params = call->params, *luts = call->luts, *visits = call->visits;
+    if (row < 0 || row >= call->n_gates)
         return -1;
     for (ptrdiff_t c = 0; c < n_rows; c++)
         if (src[c] < 0 || src[c] >= n_src)
@@ -398,18 +456,19 @@ ptrdiff_t update_apply(double *params, ptrdiff_t n_params, const double *rates,
     for (ptrdiff_t j = 0; j < n_src; j++)
         if (lo[j] < 0 || lo[j] > r - 2)
             return -1;
-    double keep = 1.0 - r_c, shrink = 1.0 - s_b;
+    double s_a = call->s_a, r_c = call->r_c, v_min = call->v_min;
+    double keep = 1.0 - r_c, shrink = 1.0 - call->s_b;
     for (ptrdiff_t i = 0; i < n_params; i++)
-        params[i] = (params[i] - gain(params[i], grad[i], arg[i], s_a) * rates[i]) * shrink;
-    const double *u = gates + row * n_rows;
+        params[i] = (params[i] - gain(params[i], grad[i], arg[i], s_a) * call->rates[i]) * shrink;
+    const double *u = call->gate_u + row * n_rows;
     ptrdiff_t n_hit = 0;
     for (ptrdiff_t c = 0; c < n_rows; c++) {
-        double step = -gain(read[c], grad[n_params + c], arg[n_params + c], s_a);
-        dwr[c] = step;
-        int gated = zeta > u[c];
+        double step = -gain(call->read[c], grad[n_params + c], arg[n_params + c], s_a);
+        call->dwr[c] = step;
+        int gated = call->zeta > u[c];
         if (gated)
-            hit[n_hit++] = c;
-        double f = frac[src[c]];
+            call->hit[n_hit++] = c;
+        double f = call->frac[src[c]];
         double share[2] = {1.0 - f, f};
         double den = 2.0 * f * f - 2.0 * f + 1.0;
         ptrdiff_t at = c * r + lo[src[c]];

@@ -87,6 +87,9 @@ class Hyperparameters:
             raise ValueError(f"r_res must be an int, got {self.r_res!r}")
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(value, np.generic):   # stored as the Python number it holds, so it saves
+                value = value.item()
+                object.__setattr__(self, f.name, value)
             if isinstance(value, bool):
                 raise ValueError(f"{f.name} must be a number, got {value!r}")
             if not math.isfinite(value):

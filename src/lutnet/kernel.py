@@ -16,15 +16,18 @@ the forward sum, ``tanh`` and ``expm1`` to numpy.
 
 The single-sample operations run through a network's workspace: the
 ``bind_*`` methods check a set of arrays once (dtype, shape, contiguity,
-writability) and return a call with their pointers bound, which then runs
-with no further check on the Python side. The C functions keep their own
-index checks. The first of them to run in a process builds the library,
-unless it is cached, and loads it, so LW training and LW batch evaluation
-never import cffi. The library is cached in the package's ``__pycache__``
-under a name hashed from the source, the compiler and its flags. Any
-failure (no cffi, no compiler, a compile error, a directory that cannot be
-written) selects numpy for the rest of the process and keeps the reason,
-which ``describe`` reports.
+writability) and fill one C struct with their pointers and sizes, and the
+call they return passes that struct and then only what changes per call,
+with no further check on the Python side. The structs and the functions
+are declared once, in the block of ``_probe.c`` between ``CDEF_BEGINS``
+and ``CDEF_ENDS``, which gcc compiles and cffi reads as its cdef. The C
+functions keep their own index checks. The first of them to run in a
+process builds the library, unless it is cached, and loads it, so LW
+training and LW batch evaluation never import cffi. The library is cached
+in the package's ``__pycache__`` under a name hashed from the source, the
+compiler and its flags. Any failure (no cffi, no compiler, a compile
+error, a directory that cannot be written) selects numpy for the rest of
+the process and keeps the reason, which ``describe`` reports.
 """
 from __future__ import annotations
 
@@ -45,38 +48,16 @@ COMPILER = "gcc"
 # no -ffast-math and no -march: a fused multiply-add or a reordered sum changes the bits
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-_CDEF = """
-int probed_read(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *x, ptrdiff_t n_in,
-                const double *offsets, ptrdiff_t k, double i_min, double i_max, double span,
-                ptrdiff_t *lo0, double *frac0, double *read0, double *slope);
-int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *w,
-                  const double *act, ptrdiff_t n_rows, ptrdiff_t n_in,
-                  double i_min, double i_max, double span, double *out);
-int update_args(const double *params, ptrdiff_t n_params, const ptrdiff_t *param_dst,
-                const ptrdiff_t *param_src, const double *read, const double *slope,
-                ptrdiff_t n_rows, const ptrdiff_t *conn_dst, const ptrdiff_t *sizes,
-                ptrdiff_t n_layers, const double *y, const double *target, double *err,
-                double *delta, ptrdiff_t n_nodes, const double *inputs, ptrdiff_t n_inputs,
-                double mu, double s_a, double *step, double *grad, double *arg);
-ptrdiff_t update_apply(double *params, ptrdiff_t n_params, const double *rates,
-                       double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
-                       const ptrdiff_t *src, const ptrdiff_t *lo, const double *frac,
-                       ptrdiff_t n_src, const double *read, const double *grad,
-                       const double *arg, double *dwr, ptrdiff_t *hit, double s_a, double s_b,
-                       double zeta, double r_c, double v_min, const double *gates,
-                       ptrdiff_t n_gates, ptrdiff_t row, double scale, double new_scale);
-int diffusion_gaps(const double *luts, ptrdiff_t n_rows, ptrdiff_t r, const ptrdiff_t *hit,
-                   double r_a, ptrdiff_t n_hit, double *gap);
-int diffuse_rows(double *luts, double *visits, ptrdiff_t n_rows, ptrdiff_t r,
-                 const ptrdiff_t *hit, double r_a, double r_b, double v_min,
-                 ptrdiff_t n_hit, const double *tanh_gap, double scale);
-"""
+# the lines of SOURCE that open and close its declarations, which are cffi's cdef
+CDEF_BEGINS, CDEF_ENDS = "/* cffi cdef begins */", "/* cffi cdef ends */"
+# the fields of each struct that its calls write: cffi's types drop const
+WRITTEN = {"read_call": {"lo", "frac", "read", "slope"},
+           "updates_call": {"params", "luts", "visits", "dwr", "hit", "step", "grad", "arg",
+                            "err", "delta"},
+           "diffusion_call": {"luts", "visits"}}
+_DTYPES = {"double": np.float64, "ptrdiff_t": np.intp}
 
 _loaded = None          # after the first load(): the Kernel, or why there is none
-
-
-def _is(dtype, *arrays) -> bool:
-    return all(isinstance(a, np.ndarray) and a.dtype == dtype for a in arrays)
 
 
 def _lengths(n, *arrays) -> bool:
@@ -86,32 +67,47 @@ def _lengths(n, *arrays) -> bool:
 
 class Kernel:
     """The loaded library. Each ``bind_*`` method checks its arrays once and returns
-    a call on their bound pointers that gives the C function's status, 0 when it
-    ran; or None, leaving the work to numpy, when the arrays are not what the C
-    function reads (float64 or intp, C-contiguous, of matching shapes, the written
-    ones writable). A bound call keeps its arrays alive."""
+    a call on one struct of their pointers that gives the C function's status, 0
+    when it ran; or None, leaving the work to numpy, when the arrays are not what
+    the C function reads (float64 or intp, C-contiguous, of matching shapes, the
+    written ones writable). A bound call keeps its arrays alive."""
 
     def __init__(self, path: Path):
         import cffi
 
         self.path = path
         ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
+        source = SOURCE.read_text()
+        ffi.cdef(source[source.index(CDEF_BEGINS):source.index(CDEF_ENDS)])
         self._lib = ffi.dlopen(str(path))
-        self._buffer = ffi.from_buffer
+        self._ffi = ffi
         self._doubles = ffi.typeof("double[]")
-        self._indices = ffi.typeof("ptrdiff_t[]")
-        self._null = ffi.NULL
 
-    def _pointers(self, *arrays, written=0):
-        """cffi pointers to arrays, the first ``written`` of them writable; None
-        when one is not C-contiguous or not writable."""
-        buf, doubles, indices = self._buffer, self._doubles, self._indices
-        try:
-            return [buf(indices if a.dtype == np.intp else doubles, a,
-                        require_writable=i < written) for i, a in enumerate(arrays)]
-        except (ValueError, TypeError, BufferError):
-            return None
+    def _bind(self, struct, functions, values):
+        """The named functions, each bound to one new ``struct`` filled from values
+        by field name; None unless each pointer field's array has the field's dtype
+        (``double`` float64, ``ptrdiff_t`` intp), is C-contiguous, and writable
+        where the calls write it. A field is a raw pointer, so each call holds the
+        arrays."""
+        ffi = self._ffi
+        call, arrays = ffi.new(f"struct {struct} *"), []
+        for name, field in ffi.typeof(f"struct {struct}").fields:
+            value = values[name]
+            if field.type.kind == "pointer":
+                if not (isinstance(value, np.ndarray)
+                        and value.dtype == _DTYPES[field.type.item.cname]):
+                    return None
+                try:
+                    value = ffi.from_buffer(field.type, value,
+                                            require_writable=name in WRITTEN[struct])
+                except (ValueError, TypeError, BufferError):
+                    return None
+                arrays.append(value)        # a from_buffer pointer keeps its array alive
+            setattr(call, name, value)
+        bound = [partial(getattr(self._lib, fn), call) for fn in functions]
+        for fn in bound:
+            fn.arrays = arrays
+        return bound
 
     def bind_read(self, lut, x, hp, lo, frac, read, slope):
         """``() -> status``: the LUT layer lut read at x into lo, frac, read and slope.
@@ -123,17 +119,15 @@ class Kernel:
         """
         offsets = hp.probe_offsets
         k = offsets.shape[0]
-        if not (_is(np.float64, lut, x, frac, read, slope, offsets) and _is(np.intp, lo)
-                and lut.ndim == 3 and lut.shape[1:2] == x.shape == lo.shape == frac.shape
+        if not (lut.ndim == 3 and lut.shape[1:2] == x.shape == lo.shape == frac.shape
                 and read.shape == slope.shape == lut.shape[:2] and lut.shape[:2] != (1, 1)
                 and k <= MAX_PROBE_OFFSETS):
             return None
-        ptrs = self._pointers(lo, frac, read, slope, lut, x, offsets, written=4)
-        if ptrs is None:
-            return None
         n_out, n_in, r = lut.shape
-        return partial(self._lib.probed_read, ptrs[4], n_out, r, ptrs[5], n_in, ptrs[6], k,
-                       hp.i_min, hp.i_max, hp.span, *ptrs[:4])
+        bound = self._bind("read_call", ["probed_read"], dict(
+            lut=lut, x=x, offsets=offsets, n_out=n_out, n_in=n_in, r=r, k=k, i_min=hp.i_min,
+            i_max=hp.i_max, span=hp.span, lo=lo, frac=frac, read=read, slope=slope))
+        return None if bound is None else bound[0]
 
     def bind_updates(self, ws, hp):
         """``(row, scale, new_scale) -> n_hit``: ``train._backprop_numpy`` and
@@ -154,12 +148,7 @@ class Kernel:
         gates) before they write.
         """
         luts, gate_u, sizes = ws.luts, ws.gate_u, ws.sizes
-        if not (_is(np.float64, ws.params, ws.rates, luts, ws.visits, ws.read, ws.slope, ws.frac,
-                    ws.dwr, ws.grad, ws.arg, ws.inputs, ws.y, ws.target, ws.err, ws.delta,
-                    ws.step, gate_u)
-                and _is(np.intp, sizes, ws.param_dst, ws.param_src, ws.conn_dst, ws.src, ws.lo,
-                        ws.hit)
-                and luts.ndim == 2 and luts.shape == ws.visits.shape and ws.params.ndim == 1
+        if not (luts.ndim == 2 and luts.shape == ws.visits.shape and ws.params.ndim == 1
                 and sizes.ndim == 1 and sizes.size >= 2):
             return None
         n_params, n_rows, n_out = ws.params.shape[0], luts.shape[0], sizes[-1]
@@ -172,20 +161,13 @@ class Kernel:
                 and _lengths(ws.delta.size, ws.delta, ws.step) and ws.inputs.ndim == 1
                 and not any(n_in == 1 < fed for n_in, fed in zip(sizes[1:-1], sizes[2:]))):
             return None
-        ptrs = self._pointers(ws.params, luts, ws.visits, ws.dwr, ws.hit, ws.step, ws.grad,
-                              ws.arg, ws.err, ws.delta, ws.rates, ws.src, ws.lo, ws.frac,
-                              ws.read, ws.slope, ws.param_dst, ws.param_src, ws.conn_dst, sizes,
-                              ws.y, ws.target, ws.inputs, gate_u, written=10)
-        if ptrs is None:
+        bound = self._bind("updates_call", ["update_args", "update_apply"], {
+            **vars(ws), **hp.to_dict(), "n_params": n_params, "n_rows": n_rows,
+            "r": luts.shape[1], "n_src": ws.lo.size, "n_layers": sizes.size - 1,
+            "n_nodes": ws.delta.size, "n_inputs": ws.inputs.size, "n_gates": gate_u.shape[0]})
+        if bound is None:
             return None
-        (params, luts_p, visits, dwr, hit, step, grad, arg, err, delta, rates, src, lo, frac,
-         read, slope, param_dst, param_src, conn_dst, sizes_p, y, target, inputs, gates) = ptrs
-        args = partial(self._lib.update_args, params, n_params, param_dst, param_src, read, slope,
-                       n_rows, conn_dst, sizes_p, sizes.size - 1, y, target, err, delta,
-                       ws.delta.size, inputs, ws.inputs.size, hp.mu, hp.s_a, step, grad, arg)
-        apply = partial(self._lib.update_apply, params, n_params, rates, luts_p, visits, n_rows,
-                        luts.shape[1], src, lo, frac, ws.lo.size, read, grad, arg, dwr, hit,
-                        hp.s_a, hp.s_b, hp.zeta, hp.r_c, hp.v_min, gates, gate_u.shape[0])
+        args, apply = bound
         gain_on, gain_args, expm1 = hp.s_a != 0.0, ws.arg, np.expm1
 
         def updates(row, scale, new_scale):
@@ -203,17 +185,17 @@ class Kernel:
 
         numpy's tanh runs on the scaled gaps between the two C passes.
         """
-        if not (_is(np.float64, luts, visits) and _is(np.intp, hit)
-                and luts.ndim == 2 and luts.shape == visits.shape and hit.ndim == 1):
-            return None
-        ptrs = self._pointers(luts, visits, hit, written=2)
-        if ptrs is None:
+        if not (luts.ndim == 2 and luts.shape == visits.shape and hit.ndim == 1):
             return None
         n_rows, r = luts.shape
-        rows = partial(self._lib.diffuse_rows, *ptrs[:2], n_rows, r, ptrs[2], hp.r_a, hp.r_b,
-                       hp.v_min)
-        gaps_of = partial(self._lib.diffusion_gaps, ptrs[0], n_rows, r, ptrs[2], hp.r_a)
-        smooth, null, buf, doubles = hp.r_a != 0.0, self._null, self._buffer, self._doubles
+        bound = self._bind("diffusion_call", ["diffusion_gaps", "diffuse_rows"], dict(
+            luts=luts, visits=visits, hit=hit, n_rows=n_rows, r=r, r_a=hp.r_a, r_b=hp.r_b,
+            v_min=hp.v_min))
+        if bound is None:
+            return None
+        gaps_of, rows = bound
+        smooth, doubles = hp.r_a != 0.0, self._doubles
+        null, buf = self._ffi.NULL, self._ffi.from_buffer
 
         def diffuse(n_hit, scale):
             if not smooth:                      # at r_a = 0 the LUT rows take no tanh
@@ -240,7 +222,7 @@ class Kernel:
                 and lut.dtype == w.dtype == act.dtype == np.float64):
             return None
         n_out, n_in, r = lut.shape
-        buf, doubles = self._buffer, self._doubles
+        buf, doubles = self._ffi.from_buffer, self._doubles
         try:
             inputs = buf(doubles, lut), buf(doubles, w), buf(doubles, act)
         except ValueError:                      # an array that is not C-contiguous

@@ -70,19 +70,19 @@ def save_model(path, net: Network, iteration: int = 0, rng_state: dict | None = 
     """Write the model file atomically, in format version 3.
 
     ``scale`` (the training inputs' ``scale_args`` record) goes under key ``scale``.
-    What ``load_model`` would refuse (a non-finite parameter, a negative
-    iteration, an rng state that is no dict, a scale without ``n_inputs``
-    finite numbers under each of ``min`` and ``max``) raises ValueError
-    before any file is opened. The document goes to a temporary file in
-    the target's directory, which then replaces the target in one step:
-    a save that fails leaves any earlier file at path as it was and
-    removes its temporary file. A killed process may leave the temporary
+    What ``load_model`` would refuse (a non-finite parameter, an iteration
+    that is no non-negative int, an rng state that is no dict, a scale
+    without ``n_inputs`` finite numbers under each of ``min`` and ``max``)
+    raises ValueError before any file is opened. The document goes to a
+    temporary file in the target's directory, which then replaces the target
+    in one step: a save that fails leaves any earlier file at path as it was
+    and removes its temporary file. A killed process may leave the temporary
     file, never a partial target. No fsync: durable once the OS flushes.
     """
     bad = find_nonfinite(net)
     if bad is not None:
         raise ValueError(f"{os.fspath(path)}: cannot save, {bad}")
-    iteration, rng_state = int(iteration), _plain(rng_state)
+    iteration, rng_state = _plain(iteration), _plain(rng_state)
     _check_run_state(iteration, rng_state, path)
     doc = {
         "format": FORMAT_NAME,

@@ -5,7 +5,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from lutnet.core import init_network
 from lutnet.hyper import MAX_PROBE_OFFSETS, Hyperparameters, default_hyperparameters
+from lutnet.modelio import load_model, save_model
 
 
 def test_nlw_defaults():
@@ -40,6 +42,22 @@ def test_span_and_replace():
 def test_to_dict_round_trips():
     hp = default_hyperparameters("NLW").replace(r_res=16, zeta=0.2)
     assert Hyperparameters(**hp.to_dict()) == hp
+
+
+def test_numpy_scalars_are_stored_as_python_numbers_and_save(tmp_path):
+    hp = Hyperparameters(zeta=np.float32(0.1), mu=np.int64(1), r_a=np.float64(2e-4))
+    assert (hp.zeta, hp.mu, hp.r_a) == (float(np.float32(0.1)), 1, 2e-4)
+    assert all(type(v) in (int, float) for v in hp.to_dict().values())
+    net = init_network((2, 3, 1), "NLW", hp, np.random.default_rng(0))
+    save_model(tmp_path / "m.json", net)
+    assert load_model(tmp_path / "m.json").net.hp == hp
+
+
+def test_numpy_bool_and_int_r_res_are_still_refused():
+    with pytest.raises(ValueError, match="zeta must be a number"):
+        Hyperparameters(zeta=np.bool_(True))
+    with pytest.raises(ValueError, match="r_res must be an int"):
+        Hyperparameters(r_res=np.int64(8))
 
 
 def test_probe_offsets_are_the_frozen_default_ladder_read_only():

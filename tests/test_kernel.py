@@ -1,9 +1,11 @@
 """The compiled kernels: bit-identity with numpy, the fallback, lazy loading."""
+import gc
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -275,7 +277,14 @@ def gated_rows(draw):
     # visit values from 0 up, so that some settle below v_min, and some rows at v_min
     values = rng.uniform(0.0, 1.0, (rows, r_res)) ** rng.integers(1, 40)
     values[rng.random(rows) < 0.3] = hp.v_min
-    if draw(st.booleans()):                     # a non-finite entry passes through as numpy's
+    # a run of equal visits at the same columns of about half the rows, so that both
+    # lanes of two rows meet equal pairs together, or an equal inf or NaN run. Such a
+    # run stands in for the one non-finite entry below: where NaNs of both signs meet,
+    # the result's sign follows the operand order, which gcc may swap in an addition
+    run = draw(st.sampled_from([rng.uniform(hp.v_min, 1.0), 1.0, math.inf, math.nan]))
+    first, stop = np.sort(rng.integers(0, r_res + 1, 2))
+    values[rng.random(rows) < 0.5, first:stop] = run
+    if math.isfinite(run) and draw(st.booleans()):  # a non-finite entry passes through as numpy's
         table = draw(st.sampled_from([luts, values]))
         table[tuple(rng.integers(0, table.shape))] = draw(
             st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -737,6 +746,65 @@ def test_compile_error_and_unwritable_cache_fall_back_with_the_reason(monkeypatc
     monkeypatch.setattr(kernel, "_loaded", None)
     assert kernel.load() is None
     assert kernel.describe().startswith("numpy (NotADirectoryError: ")
+
+
+@needs_kernel
+def test_the_declared_functions_resolve_in_the_library():
+    # cffi reads the declarations from _probe.c, where gcc checks them against the code
+    names = set(dir(KERNEL._lib))
+    assert names == {"probed_read", "layer_outputs", "update_args", "update_apply",
+                     "diffusion_gaps", "diffuse_rows"}
+    for name in names:
+        assert callable(getattr(KERNEL._lib, name))
+    for struct, written in kernel.WRITTEN.items():
+        pointers = {name for name, field in KERNEL._ffi.typeof(f"struct {struct}").fields
+                    if field.type.kind == "pointer"}
+        assert written <= pointers, struct
+
+
+def _held_alone(arrays):
+    """Weak references to arrays, which the caller then drops: only a bound call
+    may keep them. Asserts, after a collection, that each of them is still there."""
+    refs = [weakref.ref(a) for a in arrays]
+    arrays.clear()
+    gc.collect()
+    assert all(ref() is not None for ref in refs)
+    return [ref() for ref in refs]
+
+
+@needs_kernel
+def test_bound_calls_keep_their_arrays_alive():
+    # a struct field is a raw pointer, so each call must hold the arrays it reads and writes
+    rng = np.random.default_rng(16)
+    lut, x = rng.standard_normal((3, 4, 8)), rng.uniform(-1.2, 1.2, 4)
+    want = _probed_read_numpy(lut, x, R8)
+    arrays = [lut.copy(), x.copy(), np.empty(4, dtype=np.intp), np.empty(4), np.empty((3, 4)),
+              np.empty((3, 4))]
+    read = KERNEL.bind_read(*arrays[:2], R8, *arrays[2:])
+    got = _held_alone(arrays)[2:]
+    assert read() == 0
+    for g, w in zip(got, want):
+        assert np.array_equal(_bits(g), _bits(w))
+
+    luts, visits, hit, scale, hp = _diffusion_case()
+    arrays = [luts.copy(), visits.copy(), hit.copy()]
+    diffuse = KERNEL.bind_diffusion(*arrays, hp)
+    got = _held_alone(arrays)
+    _diffuse_rows_numpy(luts, visits, hit, scale, hp)
+    assert diffuse(hit.shape[0], scale) == 0
+    assert np.array_equal(_bits(got[0]), _bits(luts))
+    assert np.array_equal(_bits(got[1]), _bits(visits))
+
+    case = _table_case()
+    want, want_hit = _updated(case, 0.25, TABLE_HP, numpy=True)
+    ws = _space({k: np.copy(v) for k, v in case.items()}, TABLE_HP)
+    updates, arrays = ws.updates, [ws.params, ws.luts, ws.visits, ws.hit]
+    del ws
+    got = _held_alone(arrays)
+    assert updates(0, 0.25, 0.25 * (1.0 - TABLE_HP.r_c)) == want_hit > 0
+    assert np.array_equal(got[3][:want_hit], want.hit[:want_hit])
+    for g, w in zip(got[:3], _state(want)):
+        assert np.array_equal(_bits(g), _bits(w))
 
 
 def _run(script):

@@ -346,13 +346,23 @@ def test_save_refuses_a_bad_scale_and_writes_nothing(tmp_path, scale):
 # what load_model refuses, so a saved file always loads
 @pytest.mark.parametrize("iteration,rng_state,message", [
     (-1, None, "bad iteration counter -1"),
+    (3.7, None, "bad iteration counter 3.7"),
+    (True, None, "bad iteration counter True"),
+    ("5", None, "bad iteration counter '5'"),
     (0, [1, 2], "bad rng state"),
     (0, "x", "bad rng state"),
-], ids=["negative-iteration", "rng-list", "rng-str"])
+], ids=["negative-iteration", "float-iteration", "bool-iteration", "str-iteration", "rng-list",
+        "rng-str"])
 def test_save_refuses_a_bad_run_state_and_writes_nothing(tmp_path, iteration, rng_state, message):
     with pytest.raises(ValueError, match=message):
         save_model(tmp_path / "m.json", _net("NLW"), iteration, rng_state)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_save_takes_a_numpy_iteration_counter(tmp_path):
+    save_model(tmp_path / "m.json", _net("NLW"), np.int64(5))
+    loaded = load_model(tmp_path / "m.json").iteration
+    assert type(loaded) is int and loaded == 5
 
 
 def test_load_rejects_bad_hyperparameters(tmp_path):
