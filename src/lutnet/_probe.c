@@ -5,12 +5,14 @@
  *  - layer_outputs is every connection output of one LUT layer for a batch
  *    of rows, ``core._layer_outputs_numpy``;
  *  - update_args and update_apply are a training iteration's backprop and
- *    update steps, ``train._backprop_numpy`` and ``train._updates_numpy``: the
- *    output error and every layer's deltas, the linear updates with their gain
- *    and decay, the LUT rows' gain-shaped steps, the gate draw and the table
- *    writes (the LUT entry steps, the visit decay-and-bump and the gated decay
- *    of the touched entries). np.expm1 is left to numpy, which runs it on the
- *    arguments update_args writes, before update_apply;
+ *    update steps, ``train._backprop_numpy`` and ``train._updates_numpy``, for
+ *    both kinds of net: the output error and every layer's deltas, the linear
+ *    updates with their gain and decay, and for NLW the LUT rows' gain-shaped
+ *    steps, the gate draw and the table writes (the LUT entry steps, the visit
+ *    decay-and-bump and the gated decay of the touched entries). An LW net has
+ *    no LUT rows, and its slope, rates, luts and visits are NULL. np.expm1 is
+ *    left to numpy, which runs it on the arguments update_args writes, before
+ *    update_apply;
  *  - diffusion_gaps and diffuse_rows are the gated diffusion of a training
  *    iteration, ``regularize._diffuse_rows_numpy``. tanh is left to numpy,
  *    whose bits differ from libm's and follow its CPU dispatch: the caller
@@ -36,9 +38,10 @@
  *  - backprop's sum over a layer's outputs starts from 0.0 and adds the rows
  *    of the (n_out, n_in) products one after the other: numpy reduces a
  *    C-ordered block over its rows so. A layer with one input leaves that
- *    column contiguous, and numpy sums it pairwise, so update_args declines a
- *    layer after the first with one input and more than one output (the first
- *    layer's deltas are not needed);
+ *    column contiguous, and numpy sums it pairwise, so a net with a layer
+ *    after the first with one input and more than one output (the first
+ *    layer's deltas are not needed) takes numpy's err and deltas, and its
+ *    call skips backprop (run_backprop 0);
  *  - the updates and the diffusion are elementwise, so each entry's chain
  *    of operations is numpy's, pass by pass, and a row is rewritten in one
  *    sweep in place.
@@ -63,6 +66,7 @@ struct updates_call {           /* update_args' and update_apply's */
     const double *rates, *frac, *read, *slope, *y, *target, *inputs, *gate_u;
     const ptrdiff_t *param_dst, *param_src, *conn_dst, *src, *lo, *sizes;
     ptrdiff_t n_params, n_rows, r, n_src, n_layers, n_nodes, n_inputs, n_gates;
+    ptrdiff_t run_backprop;     /* 0: err and the deltas are numpy's, written before */
     double mu, s_a, s_b, zeta, r_c, v_min;
 };
 struct diffusion_call {         /* diffusion_gaps' and diffuse_rows' */
@@ -332,33 +336,36 @@ static double gain(double w, double g, double e, double s_a)
 }
 
 /* 1 when the n_layers + 1 layer widths in sizes give n_params parameters, n_rows
- * LUT rows, n_nodes fed nodes and n_inputs inputs (a 1 per bias among them) and
- * no layer after the first has one input and more than one output, else 0:
- * numpy sums such a layer's one-column block pairwise, not row after row. */
+ * LUT rows (none where slope is NULL, an LW net), n_nodes fed nodes and n_inputs
+ * inputs (a 1 per bias among them), and, where backprop runs, no layer after the
+ * first has one input and more than one output, else 0: numpy sums such a
+ * layer's one-column block pairwise, not row after row. */
 static int layers_fit(const struct updates_call *call)
 {
     ptrdiff_t params = 0, rows = 0, nodes = 0, inputs = call->n_layers;
     for (ptrdiff_t li = 0; li < call->n_layers; li++) {
         ptrdiff_t n_in = call->sizes[li], n_out = call->sizes[li + 1];
-        if (n_in < 1 || n_out < 1 || (li > 0 && n_in == 1 && n_out > 1))
+        if (n_in < 1 || n_out < 1 || (call->run_backprop && li > 0 && n_in == 1 && n_out > 1))
             return 0;
         params += (n_in + 1) * n_out;
         rows += n_in * n_out;
         nodes += n_out;
         inputs += n_in;
     }
-    return call->n_layers >= 1 && params == call->n_params && rows == call->n_rows
+    return call->n_layers >= 1 && params == call->n_params
+           && (call->slope ? rows : 0) == call->n_rows
            && nodes == call->n_nodes && inputs == call->n_inputs;
 }
 
 /* Writes err = y - target (n_out) and the deltas (n_nodes), as
  * ``train._backprop_numpy``: the output deltas err * (1 - y * y), then from the
  * last layer down the deltas of each layer's inputs, back[j] * (1 - a[j] * a[j]),
- * where back[j] is the sum over k of delta[k] * (w[k, j] + slope[k, j]), taken
- * from 0.0 row after row, as numpy reduces a C-ordered (n_out, n_in) block over
- * its rows, and a is the layer's slice of inputs. Layer after layer,
- * a layer's w is its (n_out, n_in) block of params (its biases follow), its
- * slopes its block of slope and its inputs its slice of inputs. */
+ * where back[j] is the sum over k of delta[k] * (w[k, j] + slope[k, j]), or of
+ * delta[k] * w[k, j] where slope is NULL (LW), taken from 0.0 row after row, as
+ * numpy reduces a C-ordered (n_out, n_in) block over its rows, and a is the
+ * layer's slice of inputs. Layer after layer, a layer's w is its (n_out, n_in)
+ * block of params (its biases follow), its slopes its block of slope and its
+ * inputs its slice of inputs. */
 static void backprop(const struct updates_call *call)
 {
     const ptrdiff_t *sizes = call->sizes;
@@ -376,21 +383,28 @@ static void backprop(const struct updates_call *call)
         p -= (n_in + 1) * n_out;
         c -= n_in * n_out;
         s -= n_in;
-        const double *w = call->params + p, *sl = call->slope + c, *a = call->inputs + s;
-        const double *dk = delta + d;
+        const double *w = call->params + p, *a = call->inputs + s, *dk = delta + d;
         double *back = delta + d - n_in;
         for (ptrdiff_t j = 0; j < n_in; j++)
             back[j] = 0.0;
-        for (ptrdiff_t k = 0; k < n_out; k++)
-            for (ptrdiff_t j = 0; j < n_in; j++)
-                back[j] += dk[k] * (w[k * n_in + j] + sl[k * n_in + j]);
+        if (call->slope) {
+            const double *sl = call->slope + c;
+            for (ptrdiff_t k = 0; k < n_out; k++)
+                for (ptrdiff_t j = 0; j < n_in; j++)
+                    back[j] += dk[k] * (w[k * n_in + j] + sl[k * n_in + j]);
+        } else {
+            for (ptrdiff_t k = 0; k < n_out; k++)
+                for (ptrdiff_t j = 0; j < n_in; j++)
+                    back[j] += dk[k] * w[k * n_in + j];
+        }
         for (ptrdiff_t j = 0; j < n_in; j++)
             back[j] *= 1.0 - a[j] * a[j];
         d -= n_in;
     }
 }
 
-/* Writes err and the deltas (backprop), then step = delta * mu (n_nodes), each
+/* Writes err and the deltas (backprop, unless run_backprop is 0 and they are
+ * numpy's), then step = delta * mu (n_nodes), each
  * parameter's raw step step[param_dst[i]] * inputs[param_src[i]] and each LUT
  * row's step[conn_dst[c]] into grad (n_params + n_rows), and, unless s_a is 0,
  * the argument of numpy's expm1, (s_a * w) * grad clamped into [-50, 50], into
@@ -412,7 +426,8 @@ int update_args(const struct updates_call *call)
     for (ptrdiff_t c = 0; c < n_rows; c++)
         if (conn_dst[c] < 0 || conn_dst[c] >= n_nodes)
             return -1;
-    backprop(call);
+    if (call->run_backprop)
+        backprop(call);
     for (ptrdiff_t d = 0; d < n_nodes; d++)
         step[d] = call->delta[d] * call->mu;
     for (ptrdiff_t i = 0; i < n_params; i++)
@@ -428,8 +443,8 @@ int update_args(const struct updates_call *call)
 }
 
 /* Finishes the updates from update_args' grad and the expm1 of its arg (unused
- * at s_a = 0). Each parameter takes its gain times its rate, then decays by
- * 1 - s_b. LUT row c's step is dwr[c] = -gain; the row is gated when
+ * at s_a = 0). Each parameter takes its gain times its rate (its gain alone
+ * where rates is NULL, LW), then decays by 1 - s_b. LUT row c's step is dwr[c] = -gain; the row is gated when
  * zeta > u[c], u being row ``row`` of the (n_gates, n_rows) gate uniforms, and
  * the gated rows go to hit in order. luts and visits are (n_rows, r) in C
  * order, visits stored at scale; row c reads source src[c] at segment
@@ -458,8 +473,13 @@ ptrdiff_t update_apply(const struct updates_call *call, ptrdiff_t row, double sc
             return -1;
     double s_a = call->s_a, r_c = call->r_c, v_min = call->v_min;
     double keep = 1.0 - r_c, shrink = 1.0 - call->s_b;
-    for (ptrdiff_t i = 0; i < n_params; i++)
-        params[i] = (params[i] - gain(params[i], grad[i], arg[i], s_a) * call->rates[i]) * shrink;
+    if (call->rates)
+        for (ptrdiff_t i = 0; i < n_params; i++)
+            params[i] = (params[i] - gain(params[i], grad[i], arg[i], s_a) * call->rates[i])
+                        * shrink;
+    else
+        for (ptrdiff_t i = 0; i < n_params; i++)
+            params[i] = (params[i] - gain(params[i], grad[i], arg[i], s_a)) * shrink;
     const double *u = call->gate_u + row * n_rows;
     ptrdiff_t n_hit = 0;
     for (ptrdiff_t c = 0; c < n_rows; c++) {

@@ -432,8 +432,7 @@ def cmd_bench(ns) -> int:
             raise UsageError(str(exc)) from None
         reports.append(report)
     print(kernel.describe_numpy())
-    if "NLW" in kinds:                        # only LUT layers run the kernel
-        print(f"kernel: {kernel.describe()}")
+    print(f"kernel: {kernel.describe()}")     # training runs it, of either kind
     for report in reports:
         (train_a, train_b), (fwd_a, fwd_b) = report.train_fit, report.forward_fit
         print(f"{report.kind}: train {train_a:.4g} + {train_b:.4g}*n ms, "

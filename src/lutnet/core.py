@@ -277,8 +277,8 @@ def _update_maps(sizes, hp: Hyperparameters, nlw: bool):
     layer. Entry i of ``Network.params`` runs from input ``param_src[i]`` to
     node ``param_dst[i]``; LUT row c from input ``src[c]`` to node
     ``conn_dst[c]``. ``rates`` scales each entry's linear update: nu on the
-    linear part of a LUT connection, 1 on a bias (None for LW, where every
-    rate is 1).
+    linear part of a LUT connection, 1 on a bias. LW has no LUT rows, so its
+    ``conn_dst`` and ``src`` are empty, and its rates are None: every rate is 1.
     """
     dst, src = [], []
     n_src = sum(sizes[:-1])
@@ -291,9 +291,11 @@ def _update_maps(sizes, hp: Hyperparameters, nlw: bool):
         s0 += n_in
     param_dst = np.concatenate(dst)
     param_src = np.concatenate(src)
+    if not nlw:
+        none = np.zeros(0, dtype=np.intp)
+        return param_dst, param_src, none, none, None
     weight = param_src < n_src
-    rates = np.where(weight, hp.nu, 1.0) if nlw else None
-    return param_dst, param_src, param_dst[weight], param_src[weight], rates
+    return param_dst, param_src, param_dst[weight], param_src[weight], np.where(weight, hp.nu, 1.0)
 
 
 class Network:
@@ -447,22 +449,31 @@ class Workspace:
     ``sizes`` and the raw steps ``grad`` and gain arguments ``arg`` of every
     parameter, then every LUT connection. A layer reads its slice of
     ``inputs`` and writes its segments, reads and slopes into its slices and
-    its tanh into the next layer's inputs: nothing is concatenated.
+    its tanh into the next layer's inputs: nothing is concatenated. An LW net
+    has no LUT connection: its LUT-side arrays are empty, and its ``slope``,
+    like its ``luts``, ``visits`` and ``rates``, is None.
 
     Bound once, for the network's lifetime (``Network._workspace``): the
     network's ``params``, ``luts``, ``visits`` and ``hp``, which are fixed
     when it is built, the index maps ``param_dst``, ``param_src``,
     ``conn_dst``, ``src`` and ``rates`` with the rates of those
-    hyperparameters, and for NLW the kernel loaded then and its calls on the
-    buffers, the gate block among them, None where numpy does the work.
+    hyperparameters, and the kernel loaded then and its calls on the buffers,
+    the gate block among them, None where numpy does the work: the reads of
+    the LUT layers and for NLW the diffusion, and the backprop-and-updates
+    call of either kind. ``numpy_backprop`` is set for a net with a layer
+    after the first that has one input and more than one output: numpy sums
+    that one-column block pairwise, not row after row as the C does, so the
+    iteration runs numpy's backprop and the bound call skips its own.
     """
 
     def __init__(self, net: Network):
         sizes, hp = net.sizes, net.hp
         self.params, self.luts, self.visits, self.hp = net.params, net.luts, net.visits, hp
-        self.kern = None if self.luts is None else kernel.load()
+        self.kern = kernel.load()
+        nlw = self.luts is not None
         (self.param_dst, self.param_src, self.conn_dst, self.src,
-         self.rates) = _update_maps(sizes, hp, self.luts is not None)
+         self.rates) = _update_maps(sizes, hp, nlw)
+        self.numpy_backprop = any(n_in == 1 < fed for n_in, fed in zip(sizes[1:-1], sizes[2:]))
         n_src, n_layers = sum(sizes[:-1]), len(sizes) - 1
         self.sizes = np.array(sizes, dtype=np.intp)
         self.inputs = np.ones(n_src + n_layers)
@@ -473,14 +484,14 @@ class Workspace:
         self.weights = [lay.w for lay in net.layers]
         self.slopes = [None] * n_layers
         self.acts, self.deltas, self.steps = [], [], []
-        n_conn = 0 if self.luts is None else self.luts.shape[0]
+        n_conn, n_seg = (self.luts.shape[0], n_src) if nlw else (0, 0)
         self.gate_u = np.zeros((max(1, GATE_ENTRIES // max(n_conn, 1)), n_conn))
-        if self.luts is not None:
-            self.lo, self.frac = np.zeros(n_src, dtype=np.intp), np.zeros(n_src)
-            self.read, self.slope, self.dwr = np.zeros(n_conn), np.zeros(n_conn), np.zeros(n_conn)
-            self.hit = np.zeros(n_conn, dtype=np.intp)
-            n_steps = self.params.shape[0] + n_conn
-            self.grad, self.arg = np.zeros(n_steps), np.zeros(n_steps)
+        self.lo, self.frac = np.zeros(n_seg, dtype=np.intp), np.zeros(n_seg)
+        self.read, self.dwr = np.zeros(n_conn), np.zeros(n_conn)
+        self.slope = np.zeros(n_conn) if nlw else None
+        self.hit = np.zeros(n_conn, dtype=np.intp)
+        n_steps = self.params.shape[0] + n_conn
+        self.grad, self.arg = np.zeros(n_steps), np.zeros(n_steps)
         s = c = d = 0
         for li, lay in enumerate(net.layers):
             n_out, n_in = lay.w.shape
@@ -501,7 +512,8 @@ class Workspace:
         self.updates = self.diffuse = None
         if self.kern is not None:
             self.updates = self.kern.bind_updates(self, hp)
-            self.diffuse = self.kern.bind_diffusion(self.luts, self.visits, self.hit, hp)
+            if nlw:
+                self.diffuse = self.kern.bind_diffusion(self.luts, self.visits, self.hit, hp)
 
     def forward(self, x) -> np.ndarray:
         """Run one sample through every layer, in place; returns ``y``, the outputs."""

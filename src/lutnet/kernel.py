@@ -6,13 +6,15 @@ LUT layer with its slope estimates (``core.Workspace``, so
 ``forward_network`` and every training iteration), ``core._layer_outputs``,
 a LUT layer of a batch pass (``forward_batch``, so ``mse``, ``accuracy`` and
 ``render_surface``), the backprop and update steps of a training iteration
-(``train._backprop_numpy``: the output error and the deltas, computed
-inside the call; ``train._updates_numpy``: the linear updates, the LUT
-steps, the gate draw and the table writes), two C passes around numpy's
-``np.expm1`` of the gain arguments, and ``regularize._diffuse_rows``, the
-gated diffusion of a training iteration, which leaves its ``tanh`` to numpy
-between two C passes. On the kernel path a training iteration leaves only
-the forward sum, ``tanh`` and ``expm1`` to numpy.
+of either kind of net (``train._backprop_numpy``: the output error and the
+deltas, computed inside the call; ``train._updates_numpy``: the linear
+updates and, for NLW, the LUT steps, the gate draw and the table writes),
+two C passes around numpy's ``np.expm1`` of the gain arguments, and
+``regularize._diffuse_rows``, the gated diffusion of a training iteration,
+which leaves its ``tanh`` to numpy between two C passes. On the kernel path
+a training iteration leaves only the forward sum, ``tanh`` and ``expm1`` to
+numpy, and the backward sum of a net whose call takes numpy's deltas
+(``bind_updates``).
 
 The single-sample operations run through a network's workspace: the
 ``bind_*`` methods check a set of arrays once (dtype, shape, contiguity,
@@ -22,12 +24,14 @@ with no further check on the Python side. The structs and the functions
 are declared once, in the block of ``_probe.c`` between ``CDEF_BEGINS``
 and ``CDEF_ENDS``, which gcc compiles and cffi reads as its cdef. The C
 functions keep their own index checks. The first of them to run in a
-process builds the library, unless it is cached, and loads it, so LW
-training and LW batch evaluation never import cffi. The library is cached
-in the package's ``__pycache__`` under a name hashed from the source, the
-compiler and its flags. Any failure (no cffi, no compiler, a compile
-error, a directory that cannot be written) selects numpy for the rest of
-the process and keeps the reason, which ``describe`` reports.
+process builds the library, unless it is cached, and loads it. A
+network's workspace loads it, so training and ``forward_network`` of
+either kind do; an LW batch pass has no LUT layer, so LW ``forward_batch``
+never imports cffi. The library is cached in the package's
+``__pycache__`` under a name hashed from the source, the compiler and its
+flags. Any failure (no cffi, no compiler, a compile error, a directory that
+cannot be written) selects numpy for the rest of the process and keeps the
+reason, which ``describe`` reports.
 """
 from __future__ import annotations
 
@@ -55,6 +59,9 @@ WRITTEN = {"read_call": {"lo", "frac", "read", "slope"},
            "updates_call": {"params", "luts", "visits", "dwr", "hit", "step", "grad", "arg",
                             "err", "delta"},
            "diffusion_call": {"luts", "visits"}}
+# the pointer fields a bind may leave NULL (None): an LW net's LUT side, which the
+# calls read only behind a NULL test or over its 0 rows
+NULLABLE = {"updates_call": {"slope", "rates", "luts", "visits"}}
 _DTYPES = {"double": np.float64, "ptrdiff_t": np.intp}
 
 _loaded = None          # after the first load(): the Kernel, or why there is none
@@ -87,12 +94,14 @@ class Kernel:
         """The named functions, each bound to one new ``struct`` filled from values
         by field name; None unless each pointer field's array has the field's dtype
         (``double`` float64, ``ptrdiff_t`` intp), is C-contiguous, and writable
-        where the calls write it. A field is a raw pointer, so each call holds the
-        arrays."""
+        where the calls write it, or is None, which leaves a ``NULLABLE`` field
+        NULL. A field is a raw pointer, so each call holds the arrays."""
         ffi = self._ffi
-        call, arrays = ffi.new(f"struct {struct} *"), []
+        call, arrays = ffi.new(f"struct {struct} *"), []     # ffi.new fills it with zeros
         for name, field in ffi.typeof(f"struct {struct}").fields:
             value = values[name]
+            if value is None and name in NULLABLE.get(struct, ()):
+                continue
             if field.type.kind == "pointer":
                 if not (isinstance(value, np.ndarray)
                         and value.dtype == _DTYPES[field.type.item.cname]):
@@ -135,36 +144,44 @@ class Kernel:
         ``row`` of the (n_gates, rows) block ``ws.gate_u``; -1 when the C
         functions decline.
 
-        ws is a ``core.Workspace`` of an NLW network, or anything with its
-        attributes. update_args writes the output error ``err`` (y - target),
-        the deltas, the steps and the gain arguments, numpy's expm1 runs on the
-        arguments in place (not at s_a = 0), and update_apply writes the
-        parameters, dwr, hit and the tables, visits stored at visit scale
-        ``scale`` and written at ``new_scale``. None for a net with a layer after
-        the first that has one input and more than one output, whose backward
-        sum numpy takes pairwise. The C functions check the layer sizes against
-        the buffers and every index they read (a map index outside the nodes or
+        ws is a ``core.Workspace`` of a network of either kind, or anything with
+        its attributes. An LW net has no LUT rows: its ``luts``, ``visits``,
+        ``slope`` and ``rates`` are None, which the call takes as NULL, and its
+        other LUT-side arrays are empty. update_args writes the output error
+        ``err`` (y - target), the deltas, the steps and the gain arguments,
+        numpy's expm1 runs on the arguments in place (not at s_a = 0), and
+        update_apply writes the parameters, dwr, hit and the tables, visits
+        stored at visit scale ``scale`` and written at ``new_scale``. Where
+        ``ws.numpy_backprop`` is set (a net with a layer after the first that
+        has one input and more than one output, whose backward sum numpy takes
+        pairwise) the call skips backprop and reads the err and deltas the
+        caller wrote first. The C functions check the layer sizes against the
+        buffers and every index they read (a map index outside the nodes or
         inputs, a src outside lo, an lo outside [0, r - 2], a row outside the
         gates) before they write.
         """
         luts, gate_u, sizes = ws.luts, ws.gate_u, ws.sizes
-        if not (luts.ndim == 2 and luts.shape == ws.visits.shape and ws.params.ndim == 1
-                and sizes.ndim == 1 and sizes.size >= 2):
-            return None
-        n_params, n_rows, n_out = ws.params.shape[0], luts.shape[0], sizes[-1]
-        if not (_lengths(n_params, ws.rates, ws.param_dst, ws.param_src)
+        n_params, n_rows = ws.params.shape[0], ws.read.shape[0]
+        if luts is None:                        # LW: no LUT rows, every rate 1
+            lut_side = n_rows == 0 and all(a is None for a in (ws.visits, ws.slope, ws.rates))
+        else:
+            lut_side = (luts.ndim == 2 and luts.shape[0] == n_rows
+                        and luts.shape == ws.visits.shape and _lengths(n_rows, ws.slope)
+                        and _lengths(n_params, ws.rates))
+        if not (lut_side and ws.params.ndim == 1 and sizes.ndim == 1 and sizes.size >= 2
+                and _lengths(n_params, ws.param_dst, ws.param_src)
                 and gate_u.ndim == 2 and gate_u.shape[1] == n_rows
-                and _lengths(n_rows, ws.read, ws.slope, ws.dwr, ws.hit, ws.conn_dst, ws.src)
+                and _lengths(n_rows, ws.read, ws.dwr, ws.hit, ws.conn_dst, ws.src)
                 and _lengths(n_params + n_rows, ws.grad, ws.arg)
                 and _lengths(ws.frac.size, ws.lo, ws.frac)
-                and _lengths(n_out, ws.y, ws.target, ws.err)
-                and _lengths(ws.delta.size, ws.delta, ws.step) and ws.inputs.ndim == 1
-                and not any(n_in == 1 < fed for n_in, fed in zip(sizes[1:-1], sizes[2:]))):
+                and _lengths(sizes[-1], ws.y, ws.target, ws.err)
+                and _lengths(ws.delta.size, ws.delta, ws.step) and ws.inputs.ndim == 1):
             return None
         bound = self._bind("updates_call", ["update_args", "update_apply"], {
             **vars(ws), **hp.to_dict(), "n_params": n_params, "n_rows": n_rows,
-            "r": luts.shape[1], "n_src": ws.lo.size, "n_layers": sizes.size - 1,
-            "n_nodes": ws.delta.size, "n_inputs": ws.inputs.size, "n_gates": gate_u.shape[0]})
+            "r": 0 if luts is None else luts.shape[1], "n_src": ws.lo.size,
+            "n_layers": sizes.size - 1, "n_nodes": ws.delta.size, "n_inputs": ws.inputs.size,
+            "n_gates": gate_u.shape[0], "run_backprop": int(not ws.numpy_backprop)})
         if bound is None:
             return None
         args, apply = bound

@@ -19,10 +19,12 @@ layer's inputs, segments, reads and slopes in its flat buffers, backprop
 writes the output error and the deltas beside them, and the updates index
 them all at once. The probe reads and the diffusion run the compiled
 kernel's calls bound there (``lutnet.kernel``) when it loads, and so do
-backprop and the updates, as one call that computes the deltas before it
-writes the steps; their numpy bodies run otherwise (``_backprop_numpy``
-and ``_updates_numpy``), and both give the same bits. On the kernel path
-only the forward sum, ``tanh`` and ``expm1`` stay in numpy.
+backprop and the updates, of either kind of net, as one call that computes
+the deltas before it writes the steps; their numpy bodies run otherwise
+(``_backprop_numpy`` and ``_updates_numpy``), and both give the same bits.
+On the kernel path only the forward sum, ``tanh`` and ``expm1`` stay in
+numpy, and the backward sum of a net with a later one-input layer that
+feeds more than one node (``Workspace.numpy_backprop``).
 
 The error function is half the summed squared output error, so output
 deltas are simply (y - d) times the tanh slope. Because LUTs are only
@@ -94,8 +96,9 @@ def backprop(net: Network, trace: ForwardTrace, target) -> list[np.ndarray]:
 def _backprop_numpy(ws: Workspace) -> None:
     """An iteration's backprop in numpy, in place: ``err`` = y - target, then the deltas.
 
-    The reference the kernel's updates call matches, its fallback, and LW's
-    only path.
+    The reference the kernel's updates call matches and its fallback, for
+    both kinds, and the backprop of a net whose call takes numpy's deltas
+    (``Workspace.numpy_backprop``).
     """
     y = ws.y
     err = np.subtract(y, ws.target, out=ws.err)
@@ -179,8 +182,8 @@ def _updates_numpy(ws: Workspace, gate_u: np.ndarray, scale: float, new_scale: f
     bracketing entries take dwr[c] (``_lut_entry_updates``), their visit
     entries decay and bump (``_update_visits_tensor``) from visit scale
     ``scale`` to ``new_scale``, and on a gated row the touched entries decay
-    (``_decay_touched``). The reference the kernel's updates call matches, its
-    fallback, and LW's only path.
+    (``_decay_touched``). The reference the kernel's updates call matches and
+    its fallback, for both kinds.
     """
     step = np.multiply(ws.delta, hp.mu, out=ws.step)
     grad = step[ws.param_dst] * ws.inputs[ws.param_src]
@@ -221,7 +224,8 @@ def _apply_iteration(net: Network, x, target, row: int) -> float:
     the deltas, the updates index them with the workspace's maps and leave
     the gated rows in ``ws.hit``, and the diffusion runs on those rows.
     Backprop and the updates are one bound call where the kernel takes the
-    net, and ``_backprop_numpy`` then ``_updates_numpy`` otherwise.
+    net, after ``_backprop_numpy`` where the call takes numpy's deltas, and
+    ``_backprop_numpy`` then ``_updates_numpy`` otherwise.
     """
     ws = net._workspace
     hp = ws.hp
@@ -229,7 +233,11 @@ def _apply_iteration(net: Network, x, target, row: int) -> float:
     ws.target[...] = target
     scale = net.visit_scale
     new_scale = scale * (1.0 - hp.r_c)
-    n_hit = -1 if ws.updates is None else ws.updates(row, scale, new_scale)
+    n_hit = -1
+    if ws.updates is not None:
+        if ws.numpy_backprop:
+            _backprop_numpy(ws)
+        n_hit = ws.updates(row, scale, new_scale)
     if n_hit < 0:
         _backprop_numpy(ws)
         n_hit = _updates_numpy(ws, ws.gate_u[row], scale, new_scale, hp)

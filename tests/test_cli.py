@@ -715,8 +715,7 @@ def test_bench_names_the_probe_read_before_its_fit_lines(monkeypatch, capsys, ki
     lines = capsys.readouterr().out.splitlines()
     fits = [f"{kind}: train " for kind in kinds.split(",")]
     assert lines.pop(0) == kernel.describe_numpy()
-    if "NLW" in kinds:                         # only LUT layers run the kernel
-        assert lines.pop(0) == f"kernel: {kernel.describe()}"
+    assert lines.pop(0) == f"kernel: {kernel.describe()}"     # LW training runs it too
     assert [line[:len(fit)] for line, fit in zip(lines, fits)] == fits
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lutnet import core, kernel
+from lutnet import core, kernel, train
 from lutnet.core import (
     VISIT_SCALE_MIN,
     _layer_outputs,
@@ -357,37 +357,47 @@ def test_kernel_declines_diffusion_of_a_row_outside_the_table():
 
 # An iteration's backprop and update steps, as the kernel's bound call and numpy's
 # (``_backprop_numpy``, then ``_updates_numpy``) read them from a ``core.Workspace``: a
-# net's layer widths, parameters (P) and LUT rows (C), the index maps, the forward
-# values and the target, and the buffers both write.
+# net's layer widths, parameters (P) and LUT rows (C, none for LW), the index maps, the
+# forward values and the target, and the buffers both write.
 def _space(case, hp):
     """A workspace of an update case, with the kernel's updates call bound to it.
     case maps the workspace's names (sizes and the index maps among them) to arrays,
-    and gate_u to the row of gate uniforms, the one row of the workspace's gate
-    block; the buffers backprop and the updates write are made unless case has them."""
-    n_rows, n_steps = case["luts"].shape[0], case["params"].shape[0] + case["luts"].shape[0]
+    or to None for an LW net's tables, slopes and rates, and gate_u to the row of gate
+    uniforms, the one row of the workspace's gate block; the buffers backprop and the
+    updates write are made unless case has them. As in ``core.Workspace``, a net with
+    a later one-input layer that feeds more than one node takes numpy's deltas."""
+    n_rows, n_params = case["read"].shape[0], case["params"].shape[0]
     n_nodes, n_out = int(case["sizes"][1:].sum()), int(case["sizes"][-1])
     ws = SimpleNamespace(**{"dwr": np.zeros(n_rows), "hit": np.zeros(n_rows, dtype=np.intp),
                             "err": np.zeros(n_out), "delta": np.zeros(n_nodes),
-                            "step": np.zeros(n_nodes), "grad": np.zeros(n_steps),
-                            "arg": np.zeros(n_steps), **case, "gate_u": case["gate_u"][None]})
+                            "step": np.zeros(n_nodes), "grad": np.zeros(n_params + n_rows),
+                            "arg": np.zeros(n_params + n_rows), **case,
+                            "gate_u": case["gate_u"][None],
+                            "numpy_backprop": _pairwise_sum(tuple(case["sizes"]))})
     ws.updates = KERNEL.bind_updates(ws, hp)
     return ws
 
 
-def _numpy_iteration(ws, gate_u, scale, new_scale, hp):
-    """numpy's backprop and updates on ws, with the per-layer views ``_backprop_numpy``
-    reads cut from its flat arrays as ``core.Workspace`` cuts them; returns n_hit."""
+def _numpy_backprop(ws):
+    """numpy's backprop on ws, with the per-layer views ``_backprop_numpy`` reads cut
+    from its flat arrays as ``core.Workspace`` cuts them."""
     ws.weights, ws.slopes, ws.acts, ws.deltas = [], [], [], []
     sizes = ws.sizes.tolist()
     p = c = s = d = 0
     for n_in, n_out in zip(sizes, sizes[1:]):
         ws.weights.append(ws.params[p:p + n_in * n_out].reshape(n_out, n_in))
-        ws.slopes.append(ws.slope[c:c + n_in * n_out].reshape(n_out, n_in))
+        ws.slopes.append(None if ws.slope is None
+                         else ws.slope[c:c + n_in * n_out].reshape(n_out, n_in))
         ws.acts.append(ws.inputs[s + n_in:s + n_in + n_out])
         ws.deltas.append(ws.delta[d:d + n_out])
         p, c, s, d = p + (n_in + 1) * n_out, c + n_in * n_out, s + n_in, d + n_out
     ws.acts[-1] = ws.y
     _backprop_numpy(ws)
+
+
+def _numpy_iteration(ws, gate_u, scale, new_scale, hp):
+    """numpy's backprop and updates on ws; returns n_hit."""
+    _numpy_backprop(ws)
     return _updates_numpy(ws, gate_u, scale, new_scale, hp)
 
 
@@ -396,14 +406,22 @@ def _state(ws):
     return [np.array(getattr(ws, name)) for name in ("params", "luts", "visits")]
 
 
+def _copied(case):
+    """A fresh copy of each array of case; None stays None."""
+    return {k: None if v is None else np.copy(v) for k, v in case.items()}
+
+
 def _updated(case, scale, hp, numpy):
-    """The workspace after the kernel's updates call, or numpy's, and n_hit."""
-    ws = _space({k: np.copy(v) for k, v in case.items()}, hp)
+    """The workspace after the kernel's updates call, or numpy's, and n_hit. The
+    kernel's call on a net that takes numpy's deltas runs after numpy's backprop."""
+    ws = _space(_copied(case), hp)
     new_scale = scale * (1.0 - hp.r_c)
-    if numpy:
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if numpy:
             return ws, _numpy_iteration(ws, case["gate_u"], scale, new_scale, hp)
-    assert ws.updates is not None
+        assert ws.updates is not None
+        if ws.numpy_backprop:
+            _numpy_backprop(ws)
     return ws, ws.updates(0, scale, new_scale)
 
 
@@ -426,7 +444,9 @@ def _assert_same_updates(case, scale, hp, exact=True):
     # untouched entries as well
     for name in ("err", "delta", "params", "dwr", "luts", "visits"):
         got_a, want_a = getattr(got, name), getattr(want, name)
-        if exact:
+        if want_a is None:                      # an LW net's tables
+            assert got_a is None, name
+        elif exact:
             assert np.array_equal(_bits(got_a), _bits(want_a)), name
         else:
             assert _same_bits(got_a, want_a), name
@@ -458,24 +478,26 @@ def _tables(rng, rows, n_src, hp, scale, nan_input):
     return dict(luts=luts, visits=values / scale, lo=lo, frac=frac)
 
 
-def _layers(rng, sizes, hp):
+def _layers(rng, sizes, hp, nlw):
     """The layer part of an update case: a net of these sizes' parameters, its index
     maps and rates (``core._update_maps``), and its forward values: every layer's
     inputs with a 1 per bias after them, the outputs y, the LUT rows' reads and
-    slopes, and the target."""
-    param_dst, param_src, conn_dst, src, rates = core._update_maps(sizes, hp, True)
+    slopes (none for LW, whose slopes are None), and the target."""
+    param_dst, param_src, conn_dst, src, rates = core._update_maps(sizes, hp, nlw)
     n_src, n_rows, n_out = sum(sizes[:-1]), src.shape[0], sizes[-1]
     return dict(sizes=np.array(sizes, dtype=np.intp),
                 params=rng.uniform(-0.5, 0.5, param_dst.shape[0]), rates=rates,
                 param_dst=param_dst, param_src=param_src, conn_dst=conn_dst, src=src,
                 inputs=np.append(rng.uniform(-1.0, 1.0, n_src), np.ones(len(sizes) - 1)),
                 y=rng.uniform(-1.0, 1.0, n_out), target=rng.uniform(-1.0, 1.0, n_out),
-                read=rng.standard_normal(n_rows), slope=rng.standard_normal(n_rows))
+                read=rng.standard_normal(n_rows),
+                slope=rng.standard_normal(n_rows) if nlw else None)
 
 
 def _pairwise_sum(sizes) -> bool:
-    """Whether the updates call declines a net of these sizes: a layer after the
-    first with one input and more than one output, whose column numpy sums pairwise."""
+    """Whether the updates call on a net of these sizes takes numpy's deltas: a layer
+    after the first with one input and more than one output, whose column numpy sums
+    pairwise."""
     return any(n_in == 1 < fed for n_in, fed in zip(sizes[1:-1], sizes[2:]))
 
 
@@ -484,17 +506,14 @@ def _sizes(widest):
     return st.lists(st.integers(1, widest), min_size=2, max_size=4).map(tuple)
 
 
-def _update_case(rng, sizes, hp, scale, nan_input=False):
-    """An update case of a net of these sizes, with its gate uniforms."""
-    layers = _layers(rng, sizes, hp)
+def _update_case(rng, sizes, hp, scale, nan_input=False, nlw=True):
+    """An update case of an NLW or LW net of these sizes, with its gate uniforms. An
+    LW net has no LUT rows: no tables, segments or gate uniforms."""
+    layers = _layers(rng, sizes, hp, nlw)
     rows = layers["src"].shape[0]
-    return {**_tables(rng, rows, sum(sizes[:-1]), hp, scale, nan_input), **layers,
-            "gate_u": rng.random(rows)}
-
-
-def _taken(draw):
-    """Layer widths, up to 4 a layer, of a net that the updates call takes."""
-    return draw(_sizes(4).filter(lambda sizes: not _pairwise_sum(sizes)))
+    tables = (_tables(rng, rows, sum(sizes[:-1]), hp, scale, nan_input) if nlw else
+              dict(luts=None, visits=None, lo=np.zeros(0, dtype=np.intp), frac=np.zeros(0)))
+    return {**tables, **layers, "gate_u": rng.random(rows)}
 
 
 @st.composite
@@ -505,7 +524,7 @@ def table_writes(draw):
                          v_min=draw(st.sampled_from([1e-16, 0.5, draw(st.floats(1e-300, 0.5))])))
     scale = draw(_scales())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return _update_case(rng, _taken(draw), hp, scale, draw(st.booleans())), scale, hp
+    return _update_case(rng, draw(_sizes(4)), hp, scale, draw(st.booleans())), scale, hp
 
 
 @needs_kernel
@@ -527,22 +546,33 @@ def gained_updates(draw):
         zeta=draw(st.sampled_from([0.0, 1.0, draw(st.floats(0.0, 1.0))])))
     scale = draw(_scales())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    case = _update_case(rng, _taken(draw), hp, scale, draw(st.booleans()))
+    case = _update_case(rng, draw(_sizes(4)), hp, scale, draw(st.booleans()),
+                        nlw=draw(st.booleans()))
     special = [0.0, -0.0, 1e-310, -1e-310, math.inf, -math.inf, math.nan]
     for name in ("params", "read", "slope", "inputs", "y", "target"):
         values = case[name]
+        if values is None:                      # an LW net's slopes
+            continue
         values *= 10.0 ** rng.integers(-3, 7, values.shape)     # gain arguments past 50
         picks = rng.random(values.shape) < draw(st.sampled_from([0.0, 0.2, 0.6]))
         # non-finite reads, slopes and outputs, as in a diverged net, and non-finite steps
         values[picks] = rng.choice(special if name != "params" else special[:4], picks.sum())
-    rows = case["luts"].shape[0]
+    rows = case["read"].shape[0]
     gate_u = case["gate_u"]
     gate_u[rng.random(rows) < 0.3] = draw(st.sampled_from([0.0, hp.zeta]))   # ties
     return case, scale, hp
 
 
+# LW's gain path: s_a > 0, so numpy's expm1 runs on the arguments between the C passes
+LW_GAIN = Hyperparameters(r_res=8, s_a=5.0, s_b=1e-3)
+
+
 @needs_kernel
 @settings(max_examples=300, deadline=None)
+@example(case=(_update_case(np.random.default_rng(17), (2, 3, 1), LW_GAIN, 1.0, nlw=False),
+               1.0, LW_GAIN))
+@example(case=(_update_case(np.random.default_rng(18), (2, 1, 4, 1), LW_GAIN, 1.0, nlw=False),
+               1.0, LW_GAIN))
 @given(case=gained_updates())
 def test_kernel_matches_numpy_updates_bit_for_bit(case):
     _assert_same_updates(*case, exact=False)
@@ -556,31 +586,35 @@ def _decades(rng, shape, special):
     return values
 
 
-def _backprop_case(sizes, seed, nan_input=False):
-    """(case, scale, hp) of a backprop case on a net of these sizes at r_res 8, its
-    values over many decades (``_decades``)."""
+def _backprop_case(sizes, seed, nan_input=False, nlw=True):
+    """(case, scale, hp) of a backprop case on an NLW or LW net of these sizes at
+    r_res 8, its values over many decades (``_decades``)."""
     rng = np.random.default_rng(seed)
-    case = _update_case(rng, sizes, R8, 1.0, nan_input)
+    case = _update_case(rng, sizes, R8, 1.0, nan_input, nlw)
     special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, math.inf, -math.inf]
     for name in ("params", "slope", "inputs", "y", "target"):
-        if rng.random() < 0.5:
+        if case[name] is not None and rng.random() < 0.5:
             case[name] = _decades(rng, case[name].shape, special)
     return case, 1.0, R8
 
 
 @needs_kernel
 @settings(max_examples=300, deadline=None)
-@example(case=_backprop_case((2, 1, 9), 0))     # declined: numpy sums the 9 rows pairwise
-@example(case=_backprop_case((3, 1, 1, 1), 1))  # taken: one-input layers feeding one node
+# numpy sums the 9 rows pairwise, and on these plain values the C's sequential sum
+# would differ: the call must take numpy's deltas
+@example(case=(_update_case(np.random.default_rng(0), (2, 1, 9), R8, 1.0), 1.0, R8))
+@example(case=(_update_case(np.random.default_rng(0), (2, 1, 9), R8, 1.0, nlw=False), 1.0, R8))
+@example(case=_backprop_case((3, 1, 1, 1), 1))  # one-input layers feeding one node: C's
+@example(case=_backprop_case((3, 1, 1, 1), 4, nlw=False))
 @example(case=_backprop_case((1, 12, 12, 12), 2))
-@given(case=st.builds(_backprop_case, _sizes(12), st.integers(0, 2**32 - 1), st.booleans()))
+@example(case=_backprop_case((5, 12, 12, 1), 5, nlw=False))
+@given(case=st.builds(_backprop_case, _sizes(12), st.integers(0, 2**32 - 1), st.booleans(),
+                      st.booleans()))
 def test_kernel_matches_numpy_backprop_bit_for_bit(case):
-    # err, the deltas and what the updates write from them, on nets of 1 to 3 layers
-    # of 1 to 12 nodes; one with a layer after the first that has one input and more
-    # than one output is left to numpy
-    if _pairwise_sum(tuple(case[0]["sizes"])):
-        assert _space(case[0], case[2]).updates is None
-        return
+    # err, the deltas and what the updates write from them, on NLW and LW nets of 1 to
+    # 3 layers of 1 to 12 nodes; one with a layer after the first that has one input
+    # and more than one output runs numpy's backprop, and the bound call the rest
+    assert _space(case[0], case[2]).updates is not None
     _assert_same_updates(*case, exact=False)
 
 
@@ -797,7 +831,7 @@ def test_bound_calls_keep_their_arrays_alive():
 
     case = _table_case()
     want, want_hit = _updated(case, 0.25, TABLE_HP, numpy=True)
-    ws = _space({k: np.copy(v) for k, v in case.items()}, TABLE_HP)
+    ws = _space(_copied(case), TABLE_HP)
     updates, arrays = ws.updates, [ws.params, ws.luts, ws.visits, ws.hit]
     del ws
     got = _held_alone(arrays)
@@ -815,27 +849,52 @@ def _run(script):
     return done.stdout.split()
 
 
-def test_lw_training_and_batch_evaluation_never_load_the_kernel():
-    # nor do an LW net's workspace, which forward_network uses as well, and
-    # approx_lut_derivative, which reads its one table through the numpy reference
+def test_lw_batch_evaluation_and_the_scalar_forms_never_load_the_kernel():
+    # an LW batch pass has no LUT layer, and the one-table scalar forms read through
+    # the numpy reference; an LW net's workspace, which training and forward_network
+    # bind, loads it (test_lw_training_runs_the_bound_updates_call)
     script = (
         "import sys, numpy as np\n"
-        "from lutnet import (Trainer, forward_batch, forward_network, init_network,\n"
-        "                    default_hyperparameters)\n"
+        "from lutnet import forward_batch, init_network, default_hyperparameters\n"
+        "from lutnet.core import LutConnection, interpolate\n"
+        "from lutnet.train import approx_lut_derivative, update_lut_component\n"
         "rng = np.random.default_rng(0)\n"
         "net = init_network((2, 3, 1), 'LW', default_hyperparameters('LW'), rng)\n"
-        "Trainer(net, rng.uniform(-1, 1, (8, 2)), rng.uniform(-1, 1, (8, 1)), 1).run(20)\n"
-        "forward_network(net, rng.uniform(-1, 1, 2))\n"
         "forward_batch(net, rng.uniform(-1, 1, (8, 2)))\n"
         "hp = default_hyperparameters('NLW')\n"
-        "from lutnet.core import LutConnection\n"
-        "from lutnet.train import approx_lut_derivative\n"
         "conn = LutConnection(0.5, np.linspace(-1, 1, hp.r_res), np.full(hp.r_res, hp.v_p))\n"
+        "interpolate(conn.lut, 0.3, hp)\n"
         "approx_lut_derivative(conn, 0.3, hp)\n"
+        "update_lut_component(conn, 0.2, 0.3, hp, gate=True)\n"
         "from lutnet import kernel\n"
         "print('cffi' in sys.modules, kernel._loaded)\n"
     )
     assert _run(script) == ["False", "None"]
+
+
+@needs_kernel
+@pytest.mark.parametrize("sizes,changes", [
+    pytest.param((5, 32, 32, 1), {}, id="md2-lw"),
+    pytest.param((2, 3, 1), {"s_a": 5.0}, id="gain"),
+    pytest.param((2, 1, 9), {}, id="numpy-deltas"),
+])
+def test_lw_training_runs_the_bound_updates_call(monkeypatch, sizes, changes):
+    # bound, and taken on every iteration: a call that declined (-1) each time would
+    # leave numpy to run after it, with the same bits and no faster
+    rng = np.random.default_rng(19)
+    net = init_network(sizes, "LW", default_hyperparameters("LW").replace(**changes), rng)
+    ws = net._workspace
+    assert ws.kern is KERNEL and ws.updates is not None and ws.diffuse is None
+    bound, hits = ws.updates, []
+    ws.updates = lambda *args: hits.append(bound(*args)) or hits[-1]
+
+    def refused(*args):
+        raise AssertionError("numpy's updates ran")
+
+    monkeypatch.setattr(train, "_updates_numpy", refused)
+    args, vals = rng.uniform(-1.2, 1.2, (16, sizes[0])), rng.uniform(-0.5, 0.5, (16, sizes[-1]))
+    Trainer(net, args, vals, seed=20).run(40)
+    assert hits == [0] * 40                     # no LUT row, so no gated row
 
 
 def test_nlw_batch_evaluation_loads_the_kernel():

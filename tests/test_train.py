@@ -487,8 +487,7 @@ def test_train_iteration_refuses_a_non_finite_sample(kind, x, target, name):
     rng = np.random.default_rng(61)
     train_iteration(net, [0.3, 0.1], [0.2], rng)            # binds the workspace
     ws = net._workspace
-    buffers = [net.params] + ([] if net.luts is None else [net.luts, net.visits])
-    buffers += [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
+    buffers = _buffers(net) + [a for a in vars(ws).values() if isinstance(a, np.ndarray)]
     before, state, scale = _raw(buffers), rng.bit_generator.state, net.visit_scale
     with pytest.raises(ValueError, match=f"^{name} has a non-finite value$"):
         train_iteration(net, x, target, rng)
@@ -628,19 +627,24 @@ def test_kernel_and_numpy_diffusion_train_the_same_bits(monkeypatch, numpy_only,
 
 
 @pytest.mark.skipif(kernel.load() is None, reason="the probe kernel cannot be built here")
-@pytest.mark.parametrize("sizes,hp", [
-    pytest.param((2, 8, 1), NLW.replace(r_res=64), id="2-8-1"),
-    pytest.param((2, 4, 3, 2), NLW.replace(r_res=32, s_a=0.0, r_a=0.0), id="s_a-0"),
-    pytest.param((2, 3, 1), NLW.replace(r_res=32, s_a=5.0, s_b=0.0), id="s_a-5"),
-    pytest.param((2, 1), NLW.replace(r_res=16, zeta=1.0, nu=0.5), id="zeta-1"),
-    pytest.param((1, 1), NLW.replace(r_res=16, zeta=0.0, r_c=0.5), id="zeta-0"),
+@pytest.mark.parametrize("sizes,kind,hp", [
+    pytest.param((2, 8, 1), "NLW", NLW.replace(r_res=64), id="2-8-1"),
+    pytest.param((2, 4, 3, 2), "NLW", NLW.replace(r_res=32, s_a=0.0, r_a=0.0), id="s_a-0"),
+    pytest.param((2, 3, 1), "NLW", NLW.replace(r_res=32, s_a=5.0, s_b=0.0), id="s_a-5"),
+    pytest.param((2, 1), "NLW", NLW.replace(r_res=16, zeta=1.0, nu=0.5), id="zeta-1"),
+    pytest.param((1, 1), "NLW", NLW.replace(r_res=16, zeta=0.0, r_c=0.5), id="zeta-0"),
+    pytest.param((5, 32, 32, 1), "LW", LW, id="lw-5-32-32-1"),
+    pytest.param((2, 3, 1), "LW", LW.replace(s_a=5.0), id="lw-s_a-5"),
+    pytest.param((3, 1, 1, 1), "LW", LW.replace(s_a=0.5), id="lw-one-input"),
 ])
-def test_kernel_and_numpy_updates_train_the_same_bits(monkeypatch, numpy_only, sizes, hp):
-    # the kernel's updates call on one gate block per Trainer.run block, against numpy's
+def test_kernel_and_numpy_updates_train_the_same_bits(monkeypatch, numpy_only, sizes, kind,
+                                                      hp):
+    # the kernel's updates call on one gate block per Trainer.run block, against numpy's;
+    # an LW net's call has no LUT rows, slopes or rates
     rng = _rng([53])
     args = rng.uniform(-1.3, 1.3, (30, sizes[0]))
     vals = np.tanh(args[:, :1] - 0.5 * args[:, -1:]).repeat(sizes[-1], axis=1)
-    start = init_network(sizes, "NLW", hp, _rng([54]))
+    start = init_network(sizes, kind, hp, _rng([54]))
     numpy_backprop, numpy_updates, calls = train._backprop_numpy, train._updates_numpy, []
     monkeypatch.setattr(train, "_backprop_numpy",
                         lambda *args: calls.append(1) or numpy_backprop(*args))
@@ -656,20 +660,20 @@ def test_kernel_and_numpy_updates_train_the_same_bits(monkeypatch, numpy_only, s
         runs.append((rows, net, len(calls)))
     (rows, net, kernel_calls), (numpy_rows, numpy_net, all_calls) = runs
     assert kernel_calls == 0 and all_calls == 2 * 257
-    assert rows == numpy_rows
-    for name in ("params", "luts", "visits"):
-        assert np.array_equal(getattr(net, name).view(np.int64),
-                              getattr(numpy_net, name).view(np.int64))
-    assert net.visit_scale == numpy_net.visit_scale
+    _assert_same_training([(rows, net), (numpy_rows, numpy_net)])
+
+
+def _buffers(net):
+    """net's parameter buffers: params, then for NLW luts and visits."""
+    return [net.params] if net.luts is None else [net.params, net.luts, net.visits]
 
 
 def _assert_same_training(runs):
     """runs holds two (log rows, net) pairs with equal rows and bits."""
     (rows, net), (want_rows, want_net) = runs
     assert rows == want_rows
-    for name in ("params", "luts", "visits"):
-        assert np.array_equal(getattr(net, name).view(np.int64),
-                              getattr(want_net, name).view(np.int64))
+    for buf, want_buf in zip(_buffers(net), _buffers(want_net)):
+        assert np.array_equal(buf.view(np.int64), want_buf.view(np.int64))
     assert net.visit_scale == want_net.visit_scale
 
 
@@ -740,24 +744,32 @@ def test_a_net_with_a_1x1_lut_layer_trains_the_same_bits_on_both_paths(numpy_onl
 
 
 @pytest.mark.skipif(kernel.load() is None, reason="the probe kernel cannot be built here")
-def test_a_one_input_layer_feeding_many_nodes_trains_the_same_bits_on_numpy_updates(
-        numpy_only):
+@pytest.mark.parametrize("kind,hp", [("NLW", NLW.replace(r_res=16, zeta=0.3)),
+                                     ("LW", LW.replace(s_a=0.5))], ids=["NLW", "LW"])
+def test_a_one_input_layer_feeding_many_nodes_trains_on_numpy_deltas(
+        monkeypatch, numpy_only, kind, hp):
     # numpy sums the backward column of a one-input layer after the first pairwise, and
-    # from 8 rows on that differs from the kernel's sum row after row: the kernel binds
-    # no updates call for such a net (2-1-9), and its reads and diffusion stay in C
-    hp = NLW.replace(r_res=16, zeta=0.3)
+    # from 8 rows on that differs from the kernel's sum row after row: such a net
+    # (2-1-9) runs numpy's backprop, then the bound call's updates, which skip the C
+    # backprop; its reads and diffusion stay in C
     rng = _rng([62])
     args = rng.uniform(-1.3, 1.3, (30, 2))
     vals = np.tanh(args[:, :1] * np.linspace(-1.0, 1.0, 9) - 0.5 * args[:, 1:])
-    start = init_network((2, 1, 9), "NLW", hp, _rng([63]))
+    start = init_network((2, 1, 9), kind, hp, _rng([63]))
+    numpy_updates, calls = train._updates_numpy, []
+    monkeypatch.setattr(train, "_updates_numpy",
+                        lambda *args: calls.append(1) or numpy_updates(*args))
     runs = []
     for numpy_path in (False, True):
         numpy_only.force(numpy_path)
         net = start.clone()
         runs.append((Trainer(net, args, vals, seed=64).run(300, log_every=50), net))
         numpy_only.check(net)
-    ws = runs[0][1]._workspace
-    assert ws.kern is not None and ws.updates is None and ws.diffuse is not None
+        if not numpy_path:
+            ws = net._workspace
+            assert ws.numpy_backprop and ws.updates is not None and calls == []
+            assert (ws.diffuse is not None) == (kind == "NLW")
+    assert len(calls) == 300
     _assert_same_training(runs)
 
 

@@ -9,9 +9,10 @@ paths give the same bits, and it exits 1 when they do not. Run it in two
 checkouts on one machine to check that a change keeps the bits. pytest does not
 collect this file.
 
-The protocol, on public calls only: twelve nets (NLW 2-8-1 r64, 2-32-32-1 r256,
+The protocol, on public calls only: fifteen nets (NLW 2-8-1 r64, 2-32-32-1 r256,
 5-16-16-1 r16 and r256, 2-1, 2-1-1, 2-4-3-2 at s_a = r_a = 0, 2-3-1 at s_a = 5,
-s_b = 0, 1-1 at r_c = 0.5; LW 5-32-32-1, 2-8-1 and 2-4-3-2 at s_a = 0), each
+s_b = 0, 1-1 at r_c = 0.5, 2-1-9 r64; LW 5-32-32-1, 2-8-1, 2-4-3-2 at s_a = 0,
+2-3-1 at s_a = 5 and 2-1-9), each
 initialised from ``default_rng(7)`` and trained by ``Trainer.run`` with seed 3 for
 700 then 800 iterations at log_every 100 on ``bench_dataset`` inputs scaled by
 1.3, some outside the domain; then 40 ``train_iteration`` calls. The digest takes
@@ -46,9 +47,12 @@ NETS = [
     ("NLW", (2, 4, 3, 2), {"s_a": 0.0, "r_a": 0.0}),
     ("NLW", (2, 3, 1), {"s_a": 5.0, "s_b": 0.0}),
     ("NLW", (1, 1), {"r_c": 0.5}),
+    ("NLW", (2, 1, 9), {"r_res": 64}),
     ("LW", (5, 32, 32, 1), {}),
     ("LW", (2, 8, 1), {}),
     ("LW", (2, 4, 3, 2), {"s_a": 0.0}),
+    ("LW", (2, 3, 1), {"s_a": 5.0}),
+    ("LW", (2, 1, 9), {}),
 ]
 
 
