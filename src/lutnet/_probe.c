@@ -20,8 +20,12 @@
  *
  * A training iteration binds each function's arrays once (``core.Workspace``)
  * into one struct per operation, so a call passes that struct and then what
- * changes per call. The block between the ``cffi cdef`` markers below is
- * cffi's cdef, as ``kernel.py`` reads it, so it holds plain declarations only.
+ * changes per call. The bind checks what it fixes: the dtypes, shapes and
+ * lengths, the layer widths against the buffers and the range of every index
+ * map, which the workspace keeps read-only. A function checks only the
+ * indices that change per call, and declines, writing nothing, when one
+ * fails. The block between the ``cffi cdef`` markers below is cffi's cdef,
+ * as ``kernel.py`` reads it, so it holds plain declarations only.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused multiply-add
  * or a reordered sum changes the last bits. The rules that numpy sets:
@@ -32,7 +36,7 @@
  *  - the k quotients of a connection are summed from 0.0 in sequence: numpy's
  *    gather puts the destination axis innermost, so it adds whole (n_out, n_in)
  *    slices one after the other. A 1x1 read (n_out = n_in = 1) leaves the probe
- *    axis contiguous, and numpy sums that pairwise, so the kernel declines it;
+ *    axis contiguous, and numpy sums that pairwise, so ``bind_read`` binds none;
  *  - a pair whose clamped points do not lie apart gives quotient diff * 0.0,
  *    and the sum is divided by the number of the other pairs (at least 1);
  *  - backprop's sum over a layer's outputs starts from 0.0 and adds the rows
@@ -40,8 +44,9 @@
  *    C-ordered block over its rows so. A layer with one input leaves that
  *    column contiguous, and numpy sums it pairwise, so a net with a layer
  *    after the first with one input and more than one output (the first
- *    layer's deltas are not needed) takes numpy's err and deltas, and its
- *    call skips backprop (run_backprop 0);
+ *    layer's deltas are not needed) takes numpy's err and deltas
+ *    (``Workspace.numpy_backprop``), and its call skips backprop
+ *    (run_backprop 0);
  *  - the updates and the diffusion are elementwise, so each entry's chain
  *    of operations is numpy's, pass by pass, and a row is rewritten in one
  *    sweep in place.
@@ -61,7 +66,7 @@ struct read_call {              /* probed_read's: one LUT layer of one sample */
     double *frac, *read, *slope;
 };
 struct updates_call {           /* update_args' and update_apply's */
-    double *params, *luts, *visits, *dwr, *step, *grad, *arg, *err, *delta;
+    double *params, *luts, *visits, *step, *grad, *arg, *err, *delta;
     ptrdiff_t *hit;
     const double *rates, *frac, *read, *slope, *y, *target, *inputs, *gate_u;
     const ptrdiff_t *param_dst, *param_src, *conn_dst, *src, *lo, *sizes;
@@ -76,11 +81,11 @@ struct diffusion_call {         /* diffusion_gaps' and diffuse_rows' */
     double r_a, r_b, v_min;
 };
 
-int probed_read(const struct read_call *call);
+void probed_read(const struct read_call *call);
 int layer_outputs(const double *lut, ptrdiff_t n_out, ptrdiff_t r, const double *w,
                   const double *act, ptrdiff_t n_rows, ptrdiff_t n_in,
                   double i_min, double i_max, double span, double *out);
-int update_args(const struct updates_call *call);
+void update_args(const struct updates_call *call);
 ptrdiff_t update_apply(const struct updates_call *call, ptrdiff_t row, double scale,
                        double new_scale);
 int diffusion_gaps(const struct diffusion_call *call, ptrdiff_t n_hit, double *gap);
@@ -114,14 +119,11 @@ static double locate(double b, double i_min, double i_max, double span, ptrdiff_
  * Writes lo and frac (n_in), then read and slope (n_out, n_in) in C order,
  * each through its own pointer, so that a caller can point them into its flat
  * buffers. Each quotient of a connection joins its sum as soon as it is
- * formed, in numpy's order.
- * Returns 0, or -1 (nothing written) when the read is 1x1. */
-int probed_read(const struct read_call *call)
+ * formed, in numpy's order. */
+void probed_read(const struct read_call *call)
 {
     ptrdiff_t n_out = call->n_out, n_in = call->n_in, r = call->r, k = call->k;
     const double *x = call->x, *offsets = call->offsets;
-    if (n_out == 1 && n_in == 1)
-        return -1;
     ptrdiff_t rows = 2 * k + 1;
     double pt[rows], frac[rows], reads[rows], den[k];
     ptrdiff_t lo[rows];
@@ -151,7 +153,6 @@ int probed_read(const struct read_call *call)
             call->slope[d * n_in + j] = s / count;
         }
     }
-    return 0;
 }
 
 /* lut is (n_out, n_in, r) and w (n_out, n_in) in C order. act holds the
@@ -335,28 +336,6 @@ static double gain(double w, double g, double e, double s_a)
     return den == 0.0 ? g : e / den;
 }
 
-/* 1 when the n_layers + 1 layer widths in sizes give n_params parameters, n_rows
- * LUT rows (none where slope is NULL, an LW net), n_nodes fed nodes and n_inputs
- * inputs (a 1 per bias among them), and, where backprop runs, no layer after the
- * first has one input and more than one output, else 0: numpy sums such a
- * layer's one-column block pairwise, not row after row. */
-static int layers_fit(const struct updates_call *call)
-{
-    ptrdiff_t params = 0, rows = 0, nodes = 0, inputs = call->n_layers;
-    for (ptrdiff_t li = 0; li < call->n_layers; li++) {
-        ptrdiff_t n_in = call->sizes[li], n_out = call->sizes[li + 1];
-        if (n_in < 1 || n_out < 1 || (call->run_backprop && li > 0 && n_in == 1 && n_out > 1))
-            return 0;
-        params += (n_in + 1) * n_out;
-        rows += n_in * n_out;
-        nodes += n_out;
-        inputs += n_in;
-    }
-    return call->n_layers >= 1 && params == call->n_params
-           && (call->slope ? rows : 0) == call->n_rows
-           && nodes == call->n_nodes && inputs == call->n_inputs;
-}
-
 /* Writes err = y - target (n_out) and the deltas (n_nodes), as
  * ``train._backprop_numpy``: the output deltas err * (1 - y * y), then from the
  * last layer down the deltas of each layer's inputs, back[j] * (1 - a[j] * a[j]),
@@ -408,24 +387,14 @@ static void backprop(const struct updates_call *call)
  * parameter's raw step step[param_dst[i]] * inputs[param_src[i]] and each LUT
  * row's step[conn_dst[c]] into grad (n_params + n_rows), and, unless s_a is 0,
  * the argument of numpy's expm1, (s_a * w) * grad clamped into [-50, 50], into
- * arg, with w the parameter or the row's read.
- * Returns 0, or -1 (nothing written) when the sizes do not fit (layers_fit) or
- * a map index lies outside the nodes or the inputs. */
-int update_args(const struct updates_call *call)
+ * arg, with w the parameter or the row's read. The bind has checked the widths
+ * and the maps. */
+void update_args(const struct updates_call *call)
 {
     ptrdiff_t n_params = call->n_params, n_rows = call->n_rows, n_nodes = call->n_nodes;
     const ptrdiff_t *param_dst = call->param_dst, *param_src = call->param_src;
     const ptrdiff_t *conn_dst = call->conn_dst;
     double *step = call->step, *grad = call->grad;
-    if (!layers_fit(call))
-        return -1;
-    for (ptrdiff_t i = 0; i < n_params; i++)
-        if (param_dst[i] < 0 || param_dst[i] >= n_nodes
-            || param_src[i] < 0 || param_src[i] >= call->n_inputs)
-            return -1;
-    for (ptrdiff_t c = 0; c < n_rows; c++)
-        if (conn_dst[c] < 0 || conn_dst[c] >= n_nodes)
-            return -1;
     if (call->run_backprop)
         backprop(call);
     for (ptrdiff_t d = 0; d < n_nodes; d++)
@@ -439,23 +408,23 @@ int update_args(const struct updates_call *call)
             double w = i < n_params ? call->params[i] : call->read[i - n_params];
             call->arg[i] = min_bound(max_bound((call->s_a * w) * grad[i], -50.0), 50.0);
         }
-    return 0;
 }
 
 /* Finishes the updates from update_args' grad and the expm1 of its arg (unused
  * at s_a = 0). Each parameter takes its gain times its rate (its gain alone
- * where rates is NULL, LW), then decays by 1 - s_b. LUT row c's step is dwr[c] = -gain; the row is gated when
- * zeta > u[c], u being row ``row`` of the (n_gates, n_rows) gate uniforms, and
- * the gated rows go to hit in order. luts and visits are (n_rows, r) in C
- * order, visits stored at scale; row c reads source src[c] at segment
- * lo[src[c]], fraction frac[src[c]]. Its two entries bracketing the segment
- * take dwr[c] split by their shares (1 - f, f) over 2f^2 - 2f + 1; their visit
- * entries settle, take the bump 1 + r_c * share * (1 - v), decay by 1 - r_c,
- * are floored at v_min, bumped and stored at new_scale; and on a gated row each
- * of them whose share is above 0 decays by 1 - s_b.
+ * where rates is NULL, LW), then decays by 1 - s_b. LUT row c's step is -gain;
+ * the row is gated when zeta > u[c], u being row ``row`` of the (n_gates,
+ * n_rows) gate uniforms, and the gated rows go to hit in order. luts and visits
+ * are (n_rows, r) in C order, visits stored at scale; row c reads source src[c]
+ * (the bind has checked that it indexes lo) at segment lo[src[c]], fraction
+ * frac[src[c]]. Its two entries bracketing the segment take the step split by
+ * their shares (1 - f, f) over 2f^2 - 2f + 1; their visit entries settle, take
+ * the bump 1 + r_c * share * (1 - v), decay by 1 - r_c, are floored at v_min,
+ * bumped and stored at new_scale; and on a gated row each of them whose share
+ * is above 0 decays by 1 - s_b.
  * Returns the number of gated rows, or -1 (nothing written) when row is not a
- * row of the gates, a src is not an index of lo or an lo lies outside
- * [0, r - 2]. */
+ * row of the gates or an lo, which the forward pass rewrites each iteration,
+ * lies outside [0, r - 2]. */
 ptrdiff_t update_apply(const struct updates_call *call, ptrdiff_t row, double scale,
                        double new_scale)
 {
@@ -465,9 +434,6 @@ ptrdiff_t update_apply(const struct updates_call *call, ptrdiff_t row, double sc
     double *params = call->params, *luts = call->luts, *visits = call->visits;
     if (row < 0 || row >= call->n_gates)
         return -1;
-    for (ptrdiff_t c = 0; c < n_rows; c++)
-        if (src[c] < 0 || src[c] >= n_src)
-            return -1;
     for (ptrdiff_t j = 0; j < n_src; j++)
         if (lo[j] < 0 || lo[j] > r - 2)
             return -1;
@@ -484,7 +450,6 @@ ptrdiff_t update_apply(const struct updates_call *call, ptrdiff_t row, double sc
     ptrdiff_t n_hit = 0;
     for (ptrdiff_t c = 0; c < n_rows; c++) {
         double step = -gain(call->read[c], grad[n_params + c], arg[n_params + c], s_a);
-        call->dwr[c] = step;
         int gated = call->zeta > u[c];
         if (gated)
             call->hit[n_hit++] = c;

@@ -441,8 +441,8 @@ class Workspace:
 
     Flat arrays in the order the index maps of ``_update_maps`` number them:
     ``inputs`` (every layer's inputs, then a 1 per bias), their segments ``lo``
-    and ``frac``, ``read``, ``slope`` and ``dwr`` per LUT connection, ``delta``
-    and ``step`` per fed node, the gated rows ``hit``, the outputs ``y``, the
+    and ``frac``, ``read`` and ``slope`` per LUT connection, ``delta`` and
+    ``step`` per fed node, the gated rows ``hit``, the outputs ``y``, the
     sample's ``target`` and the output error ``err``, the gate block
     ``gate_u``, rows of one uniform per LUT connection (``GATE_ENTRIES`` in
     all, at least one row), and for the kernel's updates call the layer widths
@@ -460,7 +460,9 @@ class Workspace:
     hyperparameters, and the kernel loaded then and its calls on the buffers,
     the gate block among them, None where numpy does the work: the reads of
     the LUT layers and for NLW the diffusion, and the backprop-and-updates
-    call of either kind. ``numpy_backprop`` is set for a net with a layer
+    call of either kind. The layer widths ``sizes`` and the four maps are
+    read-only once built, so the ranges the updates bind checks hold for the
+    workspace's lifetime. ``numpy_backprop`` is set for a net with a layer
     after the first that has one input and more than one output: numpy sums
     that one-column block pairwise, not row after row as the C does, so the
     iteration runs numpy's backprop and the bound call skips its own.
@@ -476,6 +478,8 @@ class Workspace:
         self.numpy_backprop = any(n_in == 1 < fed for n_in, fed in zip(sizes[1:-1], sizes[2:]))
         n_src, n_layers = sum(sizes[:-1]), len(sizes) - 1
         self.sizes = np.array(sizes, dtype=np.intp)
+        for fixed in (self.sizes, self.param_dst, self.param_src, self.conn_dst, self.src):
+            fixed.flags.writeable = False
         self.inputs = np.ones(n_src + n_layers)
         self.x = self.inputs[:sizes[0]]
         n_out = sizes[-1]
@@ -487,7 +491,7 @@ class Workspace:
         n_conn, n_seg = (self.luts.shape[0], n_src) if nlw else (0, 0)
         self.gate_u = np.zeros((max(1, GATE_ENTRIES // max(n_conn, 1)), n_conn))
         self.lo, self.frac = np.zeros(n_seg, dtype=np.intp), np.zeros(n_seg)
-        self.read, self.dwr = np.zeros(n_conn), np.zeros(n_conn)
+        self.read = np.zeros(n_conn)
         self.slope = np.zeros(n_conn) if nlw else None
         self.hit = np.zeros(n_conn, dtype=np.intp)
         n_steps = self.params.shape[0] + n_conn
@@ -522,8 +526,10 @@ class Workspace:
         for w, bias, lut, inputs, act, read, out in self.steps:
             outputs = w * inputs
             if lut is not None:
-                if read is None or read():
+                if read is None:
                     _probed_read_numpy(lut, inputs, hp, out=out)
+                else:
+                    read()
                 outputs += out[2]
             total = np.add.reduce(outputs, -1)      # ndarray.sum without its wrapper
             total += bias

@@ -22,9 +22,10 @@ writability) and fill one C struct with their pointers and sizes, and the
 call they return passes that struct and then only what changes per call,
 with no further check on the Python side. The structs and the functions
 are declared once, in the block of ``_probe.c`` between ``CDEF_BEGINS``
-and ``CDEF_ENDS``, which gcc compiles and cffi reads as its cdef. The C
-functions keep their own index checks. The first of them to run in a
-process builds the library, unless it is cached, and loads it. A
+and ``CDEF_ENDS``, which gcc compiles and cffi reads as its cdef. A bind
+checks what it fixes, the layer widths and index maps among them; a C
+function checks only the indices that change per call. The first of them
+to run in a process builds the library, unless it is cached, and loads it. A
 network's workspace loads it, so training and ``forward_network`` of
 either kind do; an LW batch pass has no LUT layer, so LW ``forward_batch``
 never imports cffi. The library is cached in the package's
@@ -56,8 +57,8 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 CDEF_BEGINS, CDEF_ENDS = "/* cffi cdef begins */", "/* cffi cdef ends */"
 # the fields of each struct that its calls write: cffi's types drop const
 WRITTEN = {"read_call": {"lo", "frac", "read", "slope"},
-           "updates_call": {"params", "luts", "visits", "dwr", "hit", "step", "grad", "arg",
-                            "err", "delta"},
+           "updates_call": {"params", "luts", "visits", "hit", "step", "grad", "arg", "err",
+                            "delta"},
            "diffusion_call": {"luts", "visits"}}
 # the pointer fields a bind may leave NULL (None): an LW net's LUT side, which the
 # calls read only behind a NULL test or over its 0 rows
@@ -72,12 +73,17 @@ def _lengths(n, *arrays) -> bool:
     return all(a.shape == (n,) for a in arrays)
 
 
+def _within(n, *maps) -> bool:
+    """Whether every entry of each of maps is an index of n entries."""
+    return all(m.size == 0 or 0 <= m.min() <= m.max() < n for m in maps)
+
+
 class Kernel:
     """The loaded library. Each ``bind_*`` method checks its arrays once and returns
-    a call on one struct of their pointers that gives the C function's status, 0
-    when it ran; or None, leaving the work to numpy, when the arrays are not what
-    the C function reads (float64 or intp, C-contiguous, of matching shapes, the
-    written ones writable). A bound call keeps its arrays alive."""
+    a call on one struct of their pointers; or None, leaving the work to numpy,
+    when the arrays are not what the C function reads (float64 or intp,
+    C-contiguous, of matching shapes, the written ones writable). A bound call
+    keeps its arrays alive."""
 
     def __init__(self, path: Path):
         import cffi
@@ -119,7 +125,7 @@ class Kernel:
         return bound
 
     def bind_read(self, lut, x, hp, lo, frac, read, slope):
-        """``() -> status``: the LUT layer lut read at x into lo, frac, read and slope.
+        """``() -> None``: the LUT layer lut read at x into lo, frac, read and slope.
 
         lut is a (n_out, n_in, r) table and x its n_in inputs; the call writes
         ``core._probed_read_numpy``'s four results in place: lo and frac (n_in)
@@ -150,37 +156,47 @@ class Kernel:
         other LUT-side arrays are empty. update_args writes the output error
         ``err`` (y - target), the deltas, the steps and the gain arguments,
         numpy's expm1 runs on the arguments in place (not at s_a = 0), and
-        update_apply writes the parameters, dwr, hit and the tables, visits
+        update_apply writes the parameters, hit and the tables, visits
         stored at visit scale ``scale`` and written at ``new_scale``. Where
         ``ws.numpy_backprop`` is set (a net with a layer after the first that
         has one input and more than one output, whose backward sum numpy takes
         pairwise) the call skips backprop and reads the err and deltas the
-        caller wrote first. The C functions check the layer sizes against the
-        buffers and every index they read (a map index outside the nodes or
-        inputs, a src outside lo, an lo outside [0, r - 2], a row outside the
-        gates) before they write.
+        caller wrote first.
+
+        The bind checks what the call reads but never writes, once: the layer
+        widths in ``ws.sizes`` against the params, the LUT rows, the deltas and
+        the inputs, and the range of each index map (param_dst and conn_dst in
+        the nodes, param_src in the inputs, src in lo), which ``core.Workspace``
+        keeps read-only. The call checks what changes per call, the gate row
+        and every lo in [0, r - 2], before it writes the params or the tables.
         """
         luts, gate_u, sizes = ws.luts, ws.gate_u, ws.sizes
-        n_params, n_rows = ws.params.shape[0], ws.read.shape[0]
+        n_params, n_rows, n_nodes = ws.params.shape[0], ws.read.shape[0], ws.delta.size
+        if not (sizes.ndim == 1 and sizes.size >= 2 and sizes.min() >= 1):
+            return None
+        n_in, n_out = sizes[:-1], sizes[1:]
         if luts is None:                        # LW: no LUT rows, every rate 1
             lut_side = n_rows == 0 and all(a is None for a in (ws.visits, ws.slope, ws.rates))
         else:
-            lut_side = (luts.ndim == 2 and luts.shape[0] == n_rows
-                        and luts.shape == ws.visits.shape and _lengths(n_rows, ws.slope)
-                        and _lengths(n_params, ws.rates))
-        if not (lut_side and ws.params.ndim == 1 and sizes.ndim == 1 and sizes.size >= 2
+            lut_side = (n_rows == (n_in * n_out).sum() and luts.ndim == 2
+                        and luts.shape[0] == n_rows and luts.shape == ws.visits.shape
+                        and _lengths(n_rows, ws.slope) and _lengths(n_params, ws.rates))
+        if not (lut_side and ws.params.ndim == 1 and n_params == ((n_in + 1) * n_out).sum()
+                and n_nodes == n_out.sum() and _lengths(n_in.sum() + n_in.size, ws.inputs)
                 and _lengths(n_params, ws.param_dst, ws.param_src)
                 and gate_u.ndim == 2 and gate_u.shape[1] == n_rows
-                and _lengths(n_rows, ws.read, ws.dwr, ws.hit, ws.conn_dst, ws.src)
+                and _lengths(n_rows, ws.read, ws.hit, ws.conn_dst, ws.src)
                 and _lengths(n_params + n_rows, ws.grad, ws.arg)
                 and _lengths(ws.frac.size, ws.lo, ws.frac)
                 and _lengths(sizes[-1], ws.y, ws.target, ws.err)
-                and _lengths(ws.delta.size, ws.delta, ws.step) and ws.inputs.ndim == 1):
+                and _lengths(n_nodes, ws.delta, ws.step)
+                and _within(n_nodes, ws.param_dst, ws.conn_dst)
+                and _within(ws.inputs.size, ws.param_src) and _within(ws.lo.size, ws.src)):
             return None
         bound = self._bind("updates_call", ["update_args", "update_apply"], {
             **vars(ws), **hp.to_dict(), "n_params": n_params, "n_rows": n_rows,
             "r": 0 if luts is None else luts.shape[1], "n_src": ws.lo.size,
-            "n_layers": sizes.size - 1, "n_nodes": ws.delta.size, "n_inputs": ws.inputs.size,
+            "n_layers": sizes.size - 1, "n_nodes": n_nodes, "n_inputs": ws.inputs.size,
             "n_gates": gate_u.shape[0], "run_backprop": int(not ws.numpy_backprop)})
         if bound is None:
             return None
@@ -188,8 +204,7 @@ class Kernel:
         gain_on, gain_args, expm1 = hp.s_a != 0.0, ws.arg, np.expm1
 
         def updates(row, scale, new_scale):
-            if args():
-                return -1
+            args()
             if gain_on:                         # at s_a = 0 the raw steps: no gain, no expm1
                 expm1(gain_args, out=gain_args)     # numpy's expm1 of the arguments, in place
             return apply(row, scale, new_scale)

@@ -194,7 +194,8 @@ def _updates_numpy(ws: Workspace, gate_u: np.ndarray, scale: float, new_scale: f
     ws.params *= 1.0 - hp.s_b
     if ws.luts is None:
         return 0
-    dwr = np.negative(_gain_decay(ws.read, step[ws.conn_dst], hp), out=ws.dwr)
+    dwr = _gain_decay(ws.read, step[ws.conn_dst], hp)
+    np.negative(dwr, out=dwr)
     hit = (hp.zeta > gate_u).nonzero()[0]
     ws.hit[:hit.shape[0]] = hit
     cols, share = _segment_ends(ws.lo[ws.src], ws.frac[ws.src])
