@@ -1,7 +1,9 @@
 /* The compiled kernels of ``core`` and ``regularize``, operation for operation
  * as numpy runs them, so that both give the same bits:
- *  - probed_read is one LUT layer of one sample, its slope estimates
- *    included, ``core._probed_read_numpy``;
+ *  - probed_read is one layer of one sample: the read of its tables with
+ *    their slope estimates, ``core._probed_read_numpy``, and its connection
+ *    outputs w * x + read, or w * x for a layer with no tables (LW), which
+ *    numpy's forward sum, bias add and tanh then take (``core.Workspace``);
  *  - layer_outputs is every connection output of one LUT layer for a batch
  *    of rows, ``core._layer_outputs_numpy``;
  *  - update_args and update_apply are a training iteration's backprop and
@@ -32,11 +34,13 @@
  *  - maximum and minimum against a bound return the bound on a tie and let a
  *    NaN input through, so numpy's second clamp of a probe point changes no
  *    bit and is left out; fmin turns a NaN position into the last segment;
- *  - a read is (1 - f) * t0 + f * t1, and a connection output w * x + read;
+ *  - a read is (1 - f) * t0 + f * t1, and a connection output (w * x) + read,
+ *    numpy's w * x followed by += read;
  *  - the k quotients of a connection are summed from 0.0 in sequence: numpy's
  *    gather puts the destination axis innermost, so it adds whole (n_out, n_in)
  *    slices one after the other. A 1x1 read (n_out = n_in = 1) leaves the probe
- *    axis contiguous, and numpy sums that pairwise, so ``bind_read`` binds none;
+ *    axis contiguous, and numpy sums that pairwise, so ``bind_read`` binds no
+ *    1x1 layer with a table (an LW one has no quotients, and binds);
  *  - a pair whose clamped points do not lie apart gives quotient diff * 0.0,
  *    and the sum is divided by the number of the other pairs (at least 1);
  *  - backprop's sum over a layer's outputs starts from 0.0 and adds the rows
@@ -58,12 +62,12 @@
 
 /* The arguments of the bound calls, each field named after the array or size of
  * ``core.Workspace`` that a bind fills it with. */
-struct read_call {              /* probed_read's: one LUT layer of one sample */
-    const double *lut, *x, *offsets;
+struct read_call {              /* probed_read's: one layer of one sample */
+    const double *lut, *w, *x, *offsets;
     ptrdiff_t n_out, n_in, r, k;
     double i_min, i_max, span;
     ptrdiff_t *lo;
-    double *frac, *read, *slope;
+    double *frac, *read, *slope, *outputs;
 };
 struct updates_call {           /* update_args' and update_apply's */
     double *params, *luts, *visits, *step, *grad, *arg, *err, *delta;
@@ -115,15 +119,24 @@ static double locate(double b, double i_min, double i_max, double span, ptrdiff_
     return b;
 }
 
-/* lut is (n_out, n_in, r) in C order; input j reads table (d, j).
- * Writes lo and frac (n_in), then read and slope (n_out, n_in) in C order,
- * each through its own pointer, so that a caller can point them into its flat
- * buffers. Each quotient of a connection joins its sum as soon as it is
- * formed, in numpy's order. */
+/* w is (n_out, n_in) and lut (n_out, n_in, r) in C order; input j reads
+ * table (d, j). Writes lo and frac (n_in), then read, slope and the connection
+ * outputs w[d, j] * x[j] + read[d, j] (n_out, n_in) in C order, each through
+ * its own pointer, so that a caller can point them into its flat buffers. Each
+ * quotient of a connection joins its sum as soon as it is formed, in numpy's
+ * order. A layer with no tables (LW: lut, lo, frac, read and slope NULL) writes
+ * the outputs w[d, j] * x[j] alone. */
 void probed_read(const struct read_call *call)
 {
     ptrdiff_t n_out = call->n_out, n_in = call->n_in, r = call->r, k = call->k;
-    const double *x = call->x, *offsets = call->offsets;
+    const double *w = call->w, *x = call->x, *offsets = call->offsets;
+    double *outputs = call->outputs;
+    if (!call->lut) {
+        for (ptrdiff_t d = 0; d < n_out; d++)
+            for (ptrdiff_t j = 0; j < n_in; j++)
+                outputs[d * n_in + j] = w[d * n_in + j] * x[j];
+        return;
+    }
     ptrdiff_t rows = 2 * k + 1;
     double pt[rows], frac[rows], reads[rows], den[k];
     ptrdiff_t lo[rows];
@@ -149,8 +162,10 @@ void probed_read(const struct read_call *call)
                 double diff = reads[1 + i] - reads[k + 1 + i];
                 s += den[i] > 0.0 ? diff / den[i] : diff * 0.0;
             }
-            call->read[d * n_in + j] = reads[0];
-            call->slope[d * n_in + j] = s / count;
+            ptrdiff_t at = d * n_in + j;
+            call->read[at] = reads[0];
+            call->slope[at] = s / count;
+            outputs[at] = w[at] * x[j] + reads[0];
         }
     }
 }

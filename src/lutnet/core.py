@@ -17,7 +17,7 @@ the entries it bumps or diffuses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -441,26 +441,32 @@ class Workspace:
 
     Flat arrays in the order the index maps of ``_update_maps`` number them:
     ``inputs`` (every layer's inputs, then a 1 per bias), their segments ``lo``
-    and ``frac``, ``read`` and ``slope`` per LUT connection, ``delta`` and
-    ``step`` per fed node, the gated rows ``hit``, the outputs ``y``, the
-    sample's ``target`` and the output error ``err``, the gate block
-    ``gate_u``, rows of one uniform per LUT connection (``GATE_ENTRIES`` in
-    all, at least one row), and for the kernel's updates call the layer widths
-    ``sizes`` and the raw steps ``grad`` and gain arguments ``arg`` of every
-    parameter, then every LUT connection. A layer reads its slice of
-    ``inputs`` and writes its segments, reads and slopes into its slices and
-    its tanh into the next layer's inputs: nothing is concatenated. An LW net
-    has no LUT connection: its LUT-side arrays are empty, and its ``slope``,
-    like its ``luts``, ``visits`` and ``rates``, is None.
+    and ``frac``, ``read`` and ``slope`` per LUT connection, the connection
+    outputs ``outputs`` of every layer, ``delta`` and ``step`` per fed node,
+    the gated rows ``hit``, the outputs ``y``, the sample's ``target`` and the
+    output error ``err``, the gate block ``gate_u``, rows of one uniform per
+    LUT connection (``GATE_ENTRIES`` in all, at least one row), and for the
+    kernel's updates call the layer widths ``sizes`` and the raw steps
+    ``grad`` and gain arguments ``arg`` of every parameter, then every LUT
+    connection. A layer reads its slice of ``inputs``, writes its segments,
+    reads, slopes and connection outputs into its slices, (n_out, n_in) views
+    where a connection has one, and its tanh into the next layer's inputs:
+    nothing is concatenated or allocated. An LW net has no LUT connection: its
+    LUT-side arrays are empty, and its ``slope``, like its ``luts``,
+    ``visits`` and ``rates``, is None.
 
     Bound once, for the network's lifetime (``Network._workspace``): the
     network's ``params``, ``luts``, ``visits`` and ``hp``, which are fixed
     when it is built, the index maps ``param_dst``, ``param_src``,
     ``conn_dst``, ``src`` and ``rates`` with the rates of those
-    hyperparameters, and the kernel loaded then and its calls on the buffers,
-    the gate block among them, None where numpy does the work: the reads of
-    the LUT layers and for NLW the diffusion, and the backprop-and-updates
-    call of either kind. The layer widths ``sizes`` and the four maps are
+    hyperparameters, the kernel loaded then and its calls on the buffers, the
+    gate block among them, and one outputs step per layer: the bound read,
+    which writes the layer's connection outputs (for an LW layer those alone),
+    or where the kernel declines it, or does not load, its numpy form
+    ``_connection_outputs_numpy``. The forward pass runs, per layer, that
+    step, then numpy's sum of the outputs, the bias add and ``tanh``. The
+    diffusion (NLW) and the backprop-and-updates call of either kind are None
+    where numpy does the work. The layer widths ``sizes`` and the four maps are
     read-only once built, so the ranges the updates bind checks hold for the
     workspace's lifetime. ``numpy_backprop`` is set for a net with a layer
     after the first that has one input and more than one output: numpy sums
@@ -486,13 +492,14 @@ class Workspace:
         self.y, self.target, self.err = np.empty(n_out), np.empty(n_out), np.empty(n_out)
         self.delta, self.step = np.empty(sum(sizes[1:])), np.empty(sum(sizes[1:]))
         self.weights = [lay.w for lay in net.layers]
-        self.slopes = [None] * n_layers
-        self.acts, self.deltas, self.steps = [], [], []
+        self.slopes, self.reads = [None] * n_layers, [None] * n_layers
+        self.layer_inputs, self.acts, self.deltas, self.layer_passes = [], [], [], []
         n_conn, n_seg = (self.luts.shape[0], n_src) if nlw else (0, 0)
         self.gate_u = np.zeros((max(1, GATE_ENTRIES // max(n_conn, 1)), n_conn))
         self.lo, self.frac = np.zeros(n_seg, dtype=np.intp), np.zeros(n_seg)
         self.read = np.zeros(n_conn)
         self.slope = np.zeros(n_conn) if nlw else None
+        self.outputs = np.zeros(sum(lay.w.size for lay in net.layers))
         self.hit = np.zeros(n_conn, dtype=np.intp)
         n_steps = self.params.shape[0] + n_conn
         self.grad, self.arg = np.zeros(n_steps), np.zeros(n_steps)
@@ -501,15 +508,20 @@ class Workspace:
             n_out, n_in = lay.w.shape
             x = self.inputs[s:s + n_in]
             act = self.y if li == n_layers - 1 else self.inputs[s + n_in:s + n_in + n_out]
-            read = out = None
-            if lay.lut is not None:
+            outputs = self.outputs[c:c + n_in * n_out].reshape(n_out, n_in)
+            out = (None,) * 4
+            if nlw:
                 out = (self.lo[s:s + n_in], self.frac[s:s + n_in],
                        self.read[c:c + n_in * n_out].reshape(n_out, n_in),
                        self.slope[c:c + n_in * n_out].reshape(n_out, n_in))
-                self.slopes[li] = out[3]
-                if self.kern is not None:
-                    read = self.kern.bind_read(lay.lut, x, hp, *out)
-            self.steps.append((lay.w, lay.bias, lay.lut, x, act, read, out))
+                self.reads[li], self.slopes[li] = out, out[3]
+            outputs_of = None if self.kern is None else self.kern.bind_read(
+                lay.lut, lay.w, x, hp, *out, outputs)
+            if outputs_of is None:
+                outputs_of = partial(_connection_outputs_numpy, lay.lut, lay.w, x, hp, out,
+                                     outputs)
+            self.layer_passes.append((outputs_of, outputs, lay.bias, act))
+            self.layer_inputs.append(x)
             self.acts.append(act)
             self.deltas.append(self.delta[d:d + n_out])
             s, c, d = s + n_in, c + n_in * n_out, d + n_out
@@ -522,19 +534,25 @@ class Workspace:
     def forward(self, x) -> np.ndarray:
         """Run one sample through every layer, in place; returns ``y``, the outputs."""
         self.x[...] = x
-        hp = self.hp
-        for w, bias, lut, inputs, act, read, out in self.steps:
-            outputs = w * inputs
-            if lut is not None:
-                if read is None:
-                    _probed_read_numpy(lut, inputs, hp, out=out)
-                else:
-                    read()
-                outputs += out[2]
-            total = np.add.reduce(outputs, -1)      # ndarray.sum without its wrapper
-            total += bias
-            np.tanh(total, out=act)
+        for outputs_of, outputs, bias, act in self.layer_passes:
+            outputs_of()
+            np.add.reduce(outputs, -1, out=act)     # ndarray.sum without its wrapper
+            act += bias
+            np.tanh(act, out=act)
         return self.y
+
+
+def _connection_outputs_numpy(lut, w, x, hp: Hyperparameters, out, outputs) -> None:
+    """A ``Workspace`` layer's connection outputs in numpy, in place: the fallback of
+    its bound read and the reference that the kernel's ``probed_read`` matches.
+
+    Writes w * x into outputs, and for a LUT layer (lut not None) reads the tables
+    at x into out, the layer's (lo, frac, read, slope), and adds the read.
+    """
+    np.multiply(w, x, out=outputs)
+    if lut is not None:
+        _probed_read_numpy(lut, x, hp, out=out)
+        outputs += out[2]
 
 
 def _forward_layers(net: Network, act: np.ndarray) -> np.ndarray:
@@ -567,8 +585,8 @@ def forward_network(net: Network, x) -> tuple[np.ndarray, ForwardTrace]:
     ws = net._workspace
     ws.forward(x)
     layers = []
-    for _, _, lut, inputs, act, _, out in ws.steps:
-        lo, frac, read, slope = (None,) * 4 if lut is None else (a.copy() for a in out)
+    for inputs, out, act in zip(ws.layer_inputs, ws.reads, ws.acts):
+        lo, frac, read, slope = (None,) * 4 if out is None else (a.copy() for a in out)
         layers.append(LayerTrace(inputs.copy(), lo, frac, read, act.copy(), slope))
     return layers[-1].activations, ForwardTrace(x, layers)
 

@@ -89,6 +89,14 @@ def _require_finite(args: np.ndarray, vals: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} row {int(np.argmin(finite))} has a non-finite value")
 
 
+def _count(name: str, value, least: int = 0) -> int:
+    """value as an int; ValueError naming it unless an int (numpy's, not bool) of at least least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound} and an int (a bool is not one), got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Generators
 
@@ -115,8 +123,7 @@ def gen_circle(
     set keeps a seeded random subset of round(fraction * pixels) pixels,
     standing in for a sparse sampling mask of the image.
     """
-    if resolution < 8:
-        raise ValueError(f"resolution {resolution} < 8")
+    resolution = _count("resolution", resolution, 8)
     if not 0.0 < sampling_fraction <= 1.0:
         raise ValueError(f"sampling fraction {sampling_fraction} outside (0, 1]")
     args = _pixel_grid(resolution)

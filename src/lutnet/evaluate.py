@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Network, _require_fit, forward_batch
-from .data import Dataset, _pixel_grid
+from .data import Dataset, _count, _pixel_grid
 
 __all__ = [
     "mse",
@@ -69,8 +69,7 @@ def render_surface(net: Network, resolution: int = 64) -> np.ndarray:
             f"rendering needs a 2-input 1-output network, got "
             f"{net.n_inputs} -> {net.n_outputs}"
         )
-    if resolution < 1:
-        raise ValueError(f"resolution {resolution} < 1")
+    resolution = _count("resolution", resolution, 1)
     return forward_batch(net, _pixel_grid(resolution))[:, 0].reshape(resolution, resolution)
 
 

@@ -1,20 +1,22 @@
 """The compiled kernels: ``_probe.c``, built with gcc and loaded with cffi.
 
 Four operations run this kernel when it loads and their numpy body
-otherwise, and both bodies give the same bits: the single-sample read of a
-LUT layer with its slope estimates (``core.Workspace``, so
-``forward_network`` and every training iteration), ``core._layer_outputs``,
-a LUT layer of a batch pass (``forward_batch``, so ``mse``, ``accuracy`` and
-``render_surface``), the backprop and update steps of a training iteration
-of either kind of net (``train._backprop_numpy``: the output error and the
-deltas, computed inside the call; ``train._updates_numpy``: the linear
-updates and, for NLW, the LUT steps, the gate draw and the table writes),
-two C passes around numpy's ``np.expm1`` of the gain arguments, and
+otherwise, and both bodies give the same bits: the single-sample pass of a
+layer of either kind, the read of its tables with their slope estimates and
+its connection outputs ``w * x + read`` (NLW), or ``w * x`` alone (LW)
+(``core.Workspace``, so ``forward_network`` and every training iteration);
+``core._layer_outputs``, a LUT layer of a batch pass (``forward_batch``, so
+``mse``, ``accuracy`` and ``render_surface``); the backprop and update steps
+of a training iteration of either kind of net (``train._backprop_numpy``:
+the output error and the deltas, computed inside the call;
+``train._updates_numpy``: the linear updates and, for NLW, the LUT steps,
+the gate draw and the table writes), two C passes around numpy's
+``np.expm1`` of the gain arguments, and
 ``regularize._diffuse_rows``, the gated diffusion of a training iteration,
 which leaves its ``tanh`` to numpy between two C passes. On the kernel path
-a training iteration leaves only the forward sum, ``tanh`` and ``expm1`` to
-numpy, and the backward sum of a net whose call takes numpy's deltas
-(``bind_updates``).
+a training iteration leaves only the forward sum, the bias add, ``tanh`` and
+``expm1`` to numpy, and the backward sum of a net whose call takes numpy's
+deltas (``bind_updates``).
 
 The single-sample operations run through a network's workspace: the
 ``bind_*`` methods check a set of arrays once (dtype, shape, contiguity,
@@ -56,13 +58,14 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 # the lines of SOURCE that open and close its declarations, which are cffi's cdef
 CDEF_BEGINS, CDEF_ENDS = "/* cffi cdef begins */", "/* cffi cdef ends */"
 # the fields of each struct that its calls write: cffi's types drop const
-WRITTEN = {"read_call": {"lo", "frac", "read", "slope"},
+WRITTEN = {"read_call": {"lo", "frac", "read", "slope", "outputs"},
            "updates_call": {"params", "luts", "visits", "hit", "step", "grad", "arg", "err",
                             "delta"},
            "diffusion_call": {"luts", "visits"}}
 # the pointer fields a bind may leave NULL (None): an LW net's LUT side, which the
 # calls read only behind a NULL test or over its 0 rows
-NULLABLE = {"updates_call": {"slope", "rates", "luts", "visits"}}
+NULLABLE = {"read_call": {"lut", "lo", "frac", "read", "slope"},
+            "updates_call": {"slope", "rates", "luts", "visits"}}
 _DTYPES = {"double": np.float64, "ptrdiff_t": np.intp}
 
 _loaded = None          # after the first load(): the Kernel, or why there is none
@@ -124,24 +127,33 @@ class Kernel:
             fn.arrays = arrays
         return bound
 
-    def bind_read(self, lut, x, hp, lo, frac, read, slope):
-        """``() -> None``: the LUT layer lut read at x into lo, frac, read and slope.
+    def bind_read(self, lut, w, x, hp, lo, frac, read, slope, outputs):
+        """``() -> None``: one layer of one sample, its table lut read at x into lo,
+        frac, read and slope, and its connection outputs written into outputs.
 
-        lut is a (n_out, n_in, r) table and x its n_in inputs; the call writes
-        ``core._probed_read_numpy``'s four results in place: lo and frac (n_in)
-        and read and slope (n_out, n_in). None for a 1x1 read (n_out = n_in = 1),
-        whose quotients numpy sums pairwise.
+        w is the layer's (n_out, n_in) weights, x its n_in inputs and lut its
+        (n_out, n_in, r) tables; the call writes ``core._probed_read_numpy``'s four
+        results in place, lo and frac (n_in) and read and slope (n_out, n_in), and
+        the outputs ``w * x + read`` (n_out, n_in). An LW layer has no tables: lut,
+        lo, frac, read and slope are None, which the call takes as NULL, and it
+        writes the outputs ``w * x`` alone. None for a 1x1 layer with a table
+        (n_out = n_in = 1), whose quotients numpy sums pairwise.
         """
         offsets = hp.probe_offsets
         k = offsets.shape[0]
-        if not (lut.ndim == 3 and lut.shape[1:2] == x.shape == lo.shape == frac.shape
-                and read.shape == slope.shape == lut.shape[:2] and lut.shape[:2] != (1, 1)
-                and k <= MAX_PROBE_OFFSETS):
+        if lut is None:
+            tables = all(a is None for a in (lo, frac, read, slope))
+        else:
+            tables = (lut.ndim == 3 and lut.shape[:2] == w.shape != (1, 1)
+                      and lo.shape == frac.shape == x.shape
+                      and read.shape == slope.shape == w.shape and k <= MAX_PROBE_OFFSETS)
+        if not (tables and w.ndim == 2 and w.shape[1:] == x.shape and outputs.shape == w.shape):
             return None
-        n_out, n_in, r = lut.shape
+        n_out, n_in = w.shape
         bound = self._bind("read_call", ["probed_read"], dict(
-            lut=lut, x=x, offsets=offsets, n_out=n_out, n_in=n_in, r=r, k=k, i_min=hp.i_min,
-            i_max=hp.i_max, span=hp.span, lo=lo, frac=frac, read=read, slope=slope))
+            lut=lut, w=w, x=x, offsets=offsets, n_out=n_out, n_in=n_in,
+            r=0 if lut is None else lut.shape[2], k=k, i_min=hp.i_min, i_max=hp.i_max,
+            span=hp.span, lo=lo, frac=frac, read=read, slope=slope, outputs=outputs))
         return None if bound is None else bound[0]
 
     def bind_updates(self, ws, hp):

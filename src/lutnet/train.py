@@ -15,16 +15,17 @@ So an iteration is four steps, forward, backprop, updates and diffusion,
 and every one works in the network's ``core.Workspace``, bound on first
 use and kept for the network's lifetime, as its buffers and
 hyperparameters are fixed when it is built: the forward pass leaves each
-layer's inputs, segments, reads and slopes in its flat buffers, backprop
-writes the output error and the deltas beside them, and the updates index
-them all at once. The probe reads and the diffusion run the compiled
-kernel's calls bound there (``lutnet.kernel``) when it loads, and so do
-backprop and the updates, of either kind of net, as one call that computes
-the deltas before it writes the steps; their numpy bodies run otherwise
-(``_backprop_numpy`` and ``_updates_numpy``), and both give the same bits.
-On the kernel path only the forward sum, ``tanh`` and ``expm1`` stay in
-numpy, and the backward sum of a net with a later one-input layer that
-feeds more than one node (``Workspace.numpy_backprop``).
+layer's inputs, segments, reads, slopes and connection outputs in its flat
+buffers, backprop writes the output error and the deltas beside them, and
+the updates index them all at once. Each layer's probe read and connection
+outputs and the diffusion run the compiled kernel's calls bound there
+(``lutnet.kernel``) when it loads, and so do backprop and the updates, of
+either kind of net, as one call that computes the deltas before it writes
+the steps; their numpy bodies run otherwise (``_backprop_numpy`` and
+``_updates_numpy``), and both give the same bits. On the kernel path only
+the forward sum, the bias add, ``tanh`` and ``expm1`` stay in numpy, and the
+backward sum of a net with a later one-input layer that feeds more than one
+node (``Workspace.numpy_backprop``).
 
 The error function is half the summed squared output error, so output
 deltas are simply (y - d) times the tanh slope. Because LUTs are only
@@ -52,7 +53,7 @@ from .core import (
     _table_read,
     find_nonfinite,
 )
-from .data import _require_finite
+from .data import _count, _require_finite
 from .hyper import Hyperparameters
 from .regularize import _diffuse_rows, _gain_decay, _update_visits_tensor
 
@@ -275,14 +276,6 @@ def train_iteration(net: Network, x, target, rng: np.random.Generator) -> float:
 
 # ---------------------------------------------------------------------------
 # Run loop
-
-def _count(name: str, value) -> int:
-    """value as an int; ValueError naming it unless a non-negative int (numpy's, not bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValueError(f"{name} must be non-negative and an int (a bool is not one), "
-                         f"got {value!r}")
-    return int(value)
-
 
 class Trainer:
     """Drives training over a dataset with reproducible sample order.

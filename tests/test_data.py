@@ -106,6 +106,19 @@ def test_circle_validates_parameters():
         gen_circle(64, sampling_fraction=0.0)
 
 
+@pytest.mark.parametrize("resolution", [8.5, 64.0, True, "64", None, 7, -8])
+def test_circle_refuses_a_resolution_that_is_not_an_int_of_at_least_8(resolution):
+    with pytest.raises(ValueError, match=r"^resolution must be at least 8 and an int "
+                                         r"\(a bool is not one\), got "):
+        gen_circle(resolution)
+
+
+def test_circle_takes_a_numpy_integer_resolution():
+    train, full = gen_circle(np.int64(8))
+    assert len(full) == 64
+    assert type(full.provenance["resolution"]) is int
+
+
 # ---------------------------------------------------------------------------
 # Spirals
 

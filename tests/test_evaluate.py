@@ -163,6 +163,17 @@ def test_render_validates_arity_and_resolution():
         render_surface(_zero_net(), resolution=0)
 
 
+@pytest.mark.parametrize("resolution", [2.5, 16.0, True, "16", None, 0, -3])
+def test_render_refuses_a_resolution_that_is_not_a_positive_int(resolution):
+    with pytest.raises(ValueError, match=r"^resolution must be at least 1 and an int "
+                                         r"\(a bool is not one\), got "):
+        render_surface(_zero_net(), resolution)
+
+
+def test_render_takes_a_numpy_integer_resolution():
+    assert render_surface(_zero_net(), np.int32(3)).shape == (3, 3)
+
+
 # ---------------------------------------------------------------------------
 # PGM quantization and files
 

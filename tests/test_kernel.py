@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 from types import SimpleNamespace
@@ -43,17 +44,20 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-def _kernel_read(lut, x, hp):
-    """The kernel's read of lut at x as fresh (lo, frac, read, slope), or None when
-    ``bind_read`` declines the arrays."""
-    n_out, n_in = lut.shape[0], x.shape[0]
-    out = (np.empty(n_in, dtype=np.intp), np.empty(n_in), np.empty((n_out, n_in)),
-           np.empty((n_out, n_in)))
-    read = KERNEL.bind_read(lut, x, hp, *out)
+def _kernel_read(lut, w, x, hp):
+    """The kernel's pass of a layer with weights w and tables lut (None for LW) at x
+    as fresh (lo, frac, read, slope, outputs), the first four None for LW, or None
+    when ``bind_read`` declines the arrays."""
+    n_out, n_in = w.shape[0], x.shape[0]
+    out = (None,) * 4 if lut is None else (
+        np.empty(n_in, dtype=np.intp), np.empty(n_in), np.empty((n_out, n_in)),
+        np.empty((n_out, n_in)))
+    outputs = np.empty((n_out, n_in))
+    read = KERNEL.bind_read(lut, w, x, hp, *out, outputs)
     if read is None:
         return None
     read()
-    return out
+    return (*out, outputs)
 
 
 def _bound(luts, visits, hit, hp):
@@ -65,7 +69,7 @@ def _bound(luts, visits, hit, hp):
 
 @st.composite
 def probe_reads(draw):
-    """(lut, x, hp) as one sample's LUT layer."""
+    """(lut, w, x, hp) as one sample's layer, lut None for an LW layer."""
     n_out, n_in = draw(st.integers(1, 33)), draw(st.integers(1, 33))
     r_res = draw(st.integers(2, 256))
     i_min = draw(st.floats(-3.0, 1.0))
@@ -88,27 +92,37 @@ def probe_reads(draw):
     )
     x = np.array(draw(st.lists(point, min_size=n_in, max_size=n_in)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lut = rng.standard_normal((n_out, n_in, r_res)) * 10.0 ** rng.integers(-3, 4)
-    return lut, x, hp
+    w = rng.standard_normal((n_out, n_in)) * 10.0 ** rng.integers(-3, 4)
+    lut = None
+    if draw(st.booleans()):                     # NLW, else an LW layer: no table
+        lut = rng.standard_normal((n_out, n_in, r_res)) * 10.0 ** rng.integers(-3, 4)
+    return lut, w, x, hp
 
 
 @needs_kernel
 @settings(max_examples=300, deadline=None)
-@example(case=(np.linspace(-1.0, 1.0, 64)[None, None] ** 3, np.array([0.3]), NLW))
+@example(case=(np.linspace(-1.0, 1.0, 64)[None, None] ** 3, np.array([[0.5]]),
+               np.array([0.3]), NLW))
+@example(case=(None, np.array([[0.5]]), np.array([0.3]), NLW))
 @given(case=probe_reads())
 def test_kernel_matches_numpy_probe_read_bit_for_bit(case):
-    lut, x, hp = case
-    got = _kernel_read(lut, x, hp)
-    if lut.shape[0] == x.shape[0] == 1:         # numpy sums a 1x1 read pairwise: left to it
+    lut, w, x, hp = case
+    got = _kernel_read(lut, w, x, hp)
+    if lut is None:                             # LW: the outputs w * x alone
+        assert got is not None and got[:4] == (None,) * 4
+        assert np.array_equal(_bits(got[4]), _bits(w * x))
+        return
+    if w.shape == (1, 1):                       # numpy sums a 1x1 read pairwise: left to it
         assert got is None
         return
     with np.errstate(invalid="ignore"):
         want = _probed_read_numpy(lut, x, hp)
+        want = (*want, w * x + want[2])         # the connection outputs, as numpy adds them
     assert got is not None
     assert np.array_equal(got[0], want[0])
-    for g, w in zip(got[1:], want[1:]):
-        assert g.shape == w.shape
-        assert np.array_equal(_bits(g), _bits(w))
+    for mine, ref in zip(got[1:], want[1:]):
+        assert mine.shape == ref.shape
+        assert np.array_equal(_bits(mine), _bits(ref))
 
 
 @needs_kernel
@@ -124,15 +138,23 @@ def test_probed_read_runs_the_kernel_when_it_loads(monkeypatch):
 
 @needs_kernel
 @pytest.mark.parametrize("change", [
-    pytest.param(lambda lut, x: (lut[:, ::-1], x), id="strided-table"),
-    pytest.param(lambda lut, x: (lut.astype(np.float32), x), id="float32"),
-    pytest.param(lambda lut, x: (lut, x[:2]), id="cols-unlike-x"),
-    pytest.param(lambda lut, x: (np.ascontiguousarray(lut[:, :2]), x), id="column-outside"),
+    pytest.param(lambda lut, w, x: (lut[:, ::-1], w, x), id="strided-table"),
+    pytest.param(lambda lut, w, x: (lut.astype(np.float32), w, x), id="float32"),
+    pytest.param(lambda lut, w, x: (lut, w, x[:2]), id="cols-unlike-x"),
+    pytest.param(lambda lut, w, x: (np.ascontiguousarray(lut[:, :2]), w, x),
+                 id="column-outside"),
+    pytest.param(lambda lut, w, x: (lut, np.asfortranarray(w), x), id="strided-weights"),
+    pytest.param(lambda lut, w, x: (lut, w[:1], x), id="weights-unlike-table"),
+    pytest.param(lambda lut, w, x: (None, w, x[:2]), id="lw-cols-unlike-x"),
 ])
 def test_kernel_declines_what_it_does_not_take(change):
     # numpy then reads them, input j from table column j, or raises as it always did
-    lut, x = change(np.random.default_rng(8).standard_normal((2, 3, 8)), np.linspace(-1, 1, 3))
-    assert _kernel_read(lut, x, R8) is None
+    rng = np.random.default_rng(8)
+    lut, w, x = change(rng.standard_normal((2, 3, 8)), rng.standard_normal((2, 3)),
+                       np.linspace(-1, 1, 3))
+    assert _kernel_read(lut, w, x, R8) is None
+    if lut is None:                             # an LW layer has nothing to read
+        return
     if lut.shape[1] < x.shape[0]:               # an input with no table column
         with pytest.raises(IndexError):
             _probed_read_numpy(lut, x, R8)
@@ -229,15 +251,17 @@ def test_kernel_declines_a_batch_column_outside_the_table():
         _layer_outputs(lut, w, act, R8)
 
 
-# The perfbench nets (NLW 2-8-1 r64, NLW 2-32-32-1 r256, LW 5-32-32-1) read every
-# probe in C: one read per LUT layer and iteration, bound once. 2-1-1's later layer
-# is a 1x1 read, which the kernel declines to bind, so it goes to numpy every time.
+# The perfbench nets (NLW 2-8-1 r64, NLW 2-32-32-1 r256, LW 5-32-32-1) write every
+# layer's connection outputs in C: one read per layer and iteration, bound once, an LW
+# layer's with no table. NLW 2-1-1's later layer is a 1x1 read, which the kernel
+# declines to bind, so it goes to numpy every time; LW 2-1-1's has no table, and binds.
 @needs_kernel
 @pytest.mark.parametrize("sizes,kind,r_res,reads,declined", [
     pytest.param((2, 8, 1), "NLW", 64, 2, 0, id="spirals-small"),
     pytest.param((2, 32, 32, 1), "NLW", 256, 3, 0, id="spirals-wide-r256"),
-    pytest.param((5, 32, 32, 1), "LW", 64, 0, 0, id="md2-lw"),
+    pytest.param((5, 32, 32, 1), "LW", 64, 3, 0, id="md2-lw"),
     pytest.param((2, 1, 1), "NLW", 64, 2, 1, id="one-by-one"),
+    pytest.param((2, 1, 1), "LW", 64, 2, 0, id="lw-one-by-one"),
 ])
 def test_training_probe_reads_run_in_c_unless_they_are_1x1(monkeypatch, sizes, kind, r_res,
                                                            reads, declined):
@@ -261,6 +285,30 @@ def test_training_probe_reads_run_in_c_unless_they_are_1x1(monkeypatch, sizes, k
     assert sum(read is None for read in binds) == declined
     assert len(c_reads) == 50 * (reads - declined)
     assert len(numpy_reads) == 50 * declined
+
+
+@needs_kernel
+@pytest.mark.parametrize("sizes,kind,r_res", [
+    pytest.param((2, 32, 32, 1), "NLW", 256, id="spirals-wide-r256"),
+    pytest.param((5, 32, 32, 1), "LW", 64, id="md2-lw"),
+])
+def test_a_forward_pass_allocates_nothing_on_the_kernel_path(sizes, kind, r_res):
+    # each layer's bound read writes its connection outputs into the workspace, and
+    # numpy's sum, bias add and tanh write into the next layer's inputs
+    rng = np.random.default_rng(22)
+    net = init_network(sizes, kind, default_hyperparameters(kind).replace(r_res=r_res), rng)
+    ws = net._workspace
+    assert all(hasattr(step, "arrays") for step, *_ in ws.layer_passes)    # bound calls
+    x = rng.uniform(-1.0, 1.0, sizes[0])
+    ws.forward(x)
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            ws.forward(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, peak
 
 
 @st.composite
@@ -845,14 +893,16 @@ def test_bound_calls_keep_their_arrays_alive():
     # a struct field is a raw pointer, so each call must hold the arrays it reads and writes
     rng = np.random.default_rng(16)
     lut, x = rng.standard_normal((3, 4, 8)), rng.uniform(-1.2, 1.2, 4)
+    w = rng.standard_normal((3, 4))
     want = _probed_read_numpy(lut, x, R8)
-    arrays = [lut.copy(), x.copy(), np.empty(4, dtype=np.intp), np.empty(4), np.empty((3, 4)),
-              np.empty((3, 4))]
-    read = KERNEL.bind_read(*arrays[:2], R8, *arrays[2:])
-    got = _held_alone(arrays)[2:]
+    want = (*want, w * x + want[2])
+    arrays = [lut.copy(), w.copy(), x.copy(), np.empty(4, dtype=np.intp), np.empty(4),
+              np.empty((3, 4)), np.empty((3, 4)), np.empty((3, 4))]
+    read = KERNEL.bind_read(*arrays[:3], R8, *arrays[3:])
+    got = _held_alone(arrays)[3:]
     read()
-    for g, w in zip(got, want):
-        assert np.array_equal(_bits(g), _bits(w))
+    for mine, ref in zip(got, want):
+        assert np.array_equal(_bits(mine), _bits(ref))
 
     luts, visits, hit, scale, hp = _diffusion_case()
     arrays = [luts.copy(), visits.copy(), hit.copy()]
