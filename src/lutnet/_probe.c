@@ -54,6 +54,15 @@
  *  - the updates and the diffusion are elementwise, so each entry's chain
  *    of operations is numpy's, pass by pass, and a row is rewritten in one
  *    sweep in place.
+ *
+ * update_apply and diffuse_rows also report whether they wrote a value that is
+ * not finite, so that ``Trainer.run`` scans the network at a log point only when
+ * one may be there: each adds x - x of every value x it writes to a sum, which
+ * stays 0 while they are all finite and is NaN from the first that is not, and
+ * sets check_due[0] to 1 when the sum is not 0. That is a subtraction and an
+ * addition per value, with no branch and no bit of a written value changed,
+ * and a few sums side by side keep the chain of additions short. A call that
+ * declines writes nothing and sets nothing, and no call clears the flag.
  */
 #include <math.h>
 #include <stddef.h>
@@ -71,7 +80,7 @@ struct read_call {              /* probed_read's: one layer of one sample */
 };
 struct updates_call {           /* update_args' and update_apply's */
     double *params, *luts, *visits, *step, *grad, *arg, *err, *delta;
-    ptrdiff_t *hit;
+    ptrdiff_t *hit, *check_due;
     const double *rates, *frac, *read, *slope, *y, *target, *inputs, *gate_u;
     const ptrdiff_t *param_dst, *param_src, *conn_dst, *src, *lo, *sizes;
     ptrdiff_t n_params, n_rows, r, n_src, n_layers, n_nodes, n_inputs, n_gates;
@@ -80,6 +89,7 @@ struct updates_call {           /* update_args' and update_apply's */
 };
 struct diffusion_call {         /* diffusion_gaps' and diffuse_rows' */
     double *luts, *visits;
+    ptrdiff_t *check_due;
     const ptrdiff_t *hit;
     ptrdiff_t n_rows, r;
     double r_a, r_b, v_min;
@@ -255,16 +265,18 @@ static lanes floor2(lanes a, lanes v_floor)
 }
 
 /* Diffuses row 0 (t0, v0, g0) in lane 0 and row 1 in lane 1, in place; see
- * diffuse_rows. An odd row is passed as both rows: the lanes then compute
- * the same values and store them to the same entries. Where both lanes'
+ * diffuse_rows. Returns the sum of x - x over every LUT and visit entry x it
+ * wrote, per lane: 0 where they are all finite, NaN otherwise. An odd row is
+ * passed as both rows: the lanes then compute the same values and store them
+ * to the same entries. Where both lanes'
  * settled visit pairs are equal and finite (so at least v_min, above 0), both
  * visit ratios are exactly 1: the two balance denominators are one 1 + r_b,
  * the LUT transfer s / den is taken once, and the visit transfer is +0.0,
  * which leaves vm's bits as they are. That path gives the same bits as the
  * other with three of its eight divisions; a NaN fails the equality. */
-static void diffuse_two_rows(const struct diffusion_call *call, double *t0, double *t1,
-                             double *v0, double *v1, const double *g0, const double *g1,
-                             double scale)
+static lanes diffuse_two_rows(const struct diffusion_call *call, double *t0, double *t1,
+                              double *v0, double *v1, const double *g0, const double *g1,
+                              double scale)
 {
     ptrdiff_t r = call->r;
     const lanes half = {0.5, 0.5}, one = {1.0, 1.0}, rb = {call->r_b, call->r_b};
@@ -273,6 +285,7 @@ static void diffuse_two_rows(const struct diffusion_call *call, double *t0, doub
     const lanes den_even = one + rb;
     lanes v_lo = floor2((lanes){v0[0], v1[0]} * at, v_floor);
     lanes t_high = {0.0, 0.0}, v_high = {0.0, 0.0};     /* the high values of pair j - 1 */
+    lanes written = {0.0, 0.0};
     for (ptrdiff_t j = 0; j < r - 1; j++) {
         lanes v_hi = floor2((lanes){v0[j + 1], v1[j + 1]} * at, v_floor);
         lanes a = {t0[j], t1[j]}, b = {t0[j + 1], t1[j + 1]};
@@ -297,6 +310,7 @@ static void diffuse_two_rows(const struct diffusion_call *call, double *t0, doub
         t1[j] = t[1];
         v0[j] = v[0];
         v1[j] = v[1];
+        written += (t - t) + (v - v);
         t_high = high;
         v_high = v_up;
         v_lo = v_hi;
@@ -306,6 +320,7 @@ static void diffuse_two_rows(const struct diffusion_call *call, double *t0, doub
     t1[r - 1] = t_high[1];
     v0[r - 1] = v[0];
     v1[r - 1] = v[1];
+    return written + ((t_high - t_high) + (v - v));
 }
 
 /* luts and visits are (n_rows, r) in C order, visits stored at scale. Diffuses
@@ -316,7 +331,8 @@ static void diffuse_two_rows(const struct diffusion_call *call, double *t0, doub
  * j - 1's high value with pair j's low value, and the visit entry is
  * floored at v_min and stored back at scale. Pair j reads entries j and j + 1
  * only, so entry j is written as soon as pair j is done. The rows go two at a
- * time, one per lane.
+ * time, one per lane. Sets check_due[0] to 1 when an entry it wrote is not
+ * finite.
  * Returns 0, or -1 (nothing written) when the rows are not in order. */
 int diffuse_rows(const struct diffusion_call *call, ptrdiff_t n_hit, const double *tanh_gap,
                  double scale)
@@ -326,13 +342,16 @@ int diffuse_rows(const struct diffusion_call *call, ptrdiff_t n_hit, const doubl
     double *luts = call->luts, *visits = call->visits;
     if (!rows_in_order(hit, n_hit, call->n_rows))
         return -1;
+    lanes written = {0.0, 0.0};
     for (ptrdiff_t h = 0; h < n_hit; h += 2) {
         ptrdiff_t h1 = h + 1 < n_hit ? h + 1 : h;
         const double *g0 = tanh_gap ? tanh_gap + h * (r - 1) : NULL;
         const double *g1 = tanh_gap ? tanh_gap + h1 * (r - 1) : NULL;
-        diffuse_two_rows(call, luts + hit[h] * r, luts + hit[h1] * r, visits + hit[h] * r,
-                         visits + hit[h1] * r, g0, g1, scale);
+        written += diffuse_two_rows(call, luts + hit[h] * r, luts + hit[h1] * r,
+                                    visits + hit[h] * r, visits + hit[h1] * r, g0, g1, scale);
     }
+    if (written[0] != 0.0 || written[1] != 0.0)
+        *call->check_due = 1;
     return 0;
 }
 
@@ -425,6 +444,17 @@ void update_args(const struct updates_call *call)
         }
 }
 
+/* Steps params[i] by its gain times its rate (its gain alone where rates is
+ * NULL, LW), decays it by shrink, and returns its new value. */
+static double step_param(double *params, const double *grad, const double *arg,
+                         const double *rates, ptrdiff_t i, double s_a, double shrink)
+{
+    double dw = gain(params[i], grad[i], arg[i], s_a);
+    double p = (params[i] - (rates ? dw * rates[i] : dw)) * shrink;
+    params[i] = p;
+    return p;
+}
+
 /* Finishes the updates from update_args' grad and the expm1 of its arg (unused
  * at s_a = 0). Each parameter takes its gain times its rate (its gain alone
  * where rates is NULL, LW), then decays by 1 - s_b. LUT row c's step is -gain;
@@ -436,7 +466,8 @@ void update_args(const struct updates_call *call)
  * their shares (1 - f, f) over 2f^2 - 2f + 1; their visit entries settle, take
  * the bump 1 + r_c * share * (1 - v), decay by 1 - r_c, are floored at v_min,
  * bumped and stored at new_scale; and on a gated row each of them whose share
- * is above 0 decays by 1 - s_b.
+ * is above 0 decays by 1 - s_b. Sets check_due[0] to 1 when a parameter,
+ * LUT entry or visit entry it wrote is not finite.
  * Returns the number of gated rows, or -1 (nothing written) when row is not a
  * row of the gates or an lo, which the forward pass rewrites each iteration,
  * lies outside [0, r - 2]. */
@@ -454,13 +485,22 @@ ptrdiff_t update_apply(const struct updates_call *call, ptrdiff_t row, double sc
             return -1;
     double s_a = call->s_a, r_c = call->r_c, v_min = call->v_min;
     double keep = 1.0 - r_c, shrink = 1.0 - call->s_b;
-    if (call->rates)
-        for (ptrdiff_t i = 0; i < n_params; i++)
-            params[i] = (params[i] - gain(params[i], grad[i], arg[i], s_a) * call->rates[i])
-                        * shrink;
-    else
-        for (ptrdiff_t i = 0; i < n_params; i++)
-            params[i] = (params[i] - gain(params[i], grad[i], arg[i], s_a)) * shrink;
+    const double *rates = call->rates;
+    /* the sums of x - x over the values x written, 0 while all are finite and NaN
+     * from the first that is not: the parameters go to two, which halves the
+     * chain of additions, and each LUT row adds its own sum to the first */
+    double written = 0.0, written_odd = 0.0;
+    ptrdiff_t i = 0;
+    for (; i + 1 < n_params; i += 2) {
+        double p = step_param(params, grad, arg, rates, i, s_a, shrink);
+        double p_odd = step_param(params, grad, arg, rates, i + 1, s_a, shrink);
+        written += p - p;
+        written_odd += p_odd - p_odd;
+    }
+    if (i < n_params) {
+        double p = step_param(params, grad, arg, rates, i, s_a, shrink);
+        written += p - p;
+    }
     const double *u = call->gate_u + row * n_rows;
     ptrdiff_t n_hit = 0;
     for (ptrdiff_t c = 0; c < n_rows; c++) {
@@ -472,14 +512,21 @@ ptrdiff_t update_apply(const struct updates_call *call, ptrdiff_t row, double sc
         double share[2] = {1.0 - f, f};
         double den = 2.0 * f * f - 2.0 * f + 1.0;
         ptrdiff_t at = c * r + lo[src[c]];
+        double row_written = 0.0;
         for (int e = 0; e < 2; e++) {
             double pre = max_bound(visits[at + e] * scale, v_min);
             double bump = 1.0 + (r_c * share[e]) * (1.0 - pre);
-            visits[at + e] = max_bound(pre * keep, v_min) * bump / new_scale;
-            luts[at + e] += step * (share[e] / den);
+            double v = max_bound(pre * keep, v_min) * bump / new_scale;
+            double t = luts[at + e] + step * (share[e] / den);
             if (gated && share[e] > 0.0)
-                luts[at + e] *= shrink;
+                t *= shrink;
+            visits[at + e] = v;
+            luts[at + e] = t;
+            row_written += (t - t) + (v - v);
         }
+        written += row_written;
     }
+    if (written + written_odd != 0.0)
+        *call->check_due = 1;
     return n_hit;
 }

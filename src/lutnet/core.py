@@ -448,9 +448,11 @@ class Workspace:
     LUT connection (``GATE_ENTRIES`` in all, at least one row), and for the
     kernel's updates call the layer widths ``sizes`` and the raw steps
     ``grad`` and gain arguments ``arg`` of every parameter, then every LUT
-    connection. A layer reads its slice of ``inputs``, writes its segments,
-    reads, slopes and connection outputs into its slices, (n_out, n_in) views
-    where a connection has one, and its tanh into the next layer's inputs:
+    connection, and ``check_due``, one intp entry that is 1 once a training
+    write may have left a value that is not finite (see below). A layer reads
+    its slice of ``inputs``, writes its segments, reads, slopes and connection
+    outputs into its slices, (n_out, n_in) views where a connection has one,
+    and its tanh into the next layer's inputs:
     nothing is concatenated or allocated. An LW net has no LUT connection: its
     LUT-side arrays are empty, and its ``slope``, like its ``luts``,
     ``visits`` and ``rates``, is None.
@@ -472,6 +474,12 @@ class Workspace:
     after the first that has one input and more than one output: numpy sums
     that one-column block pairwise, not row after row as the C does, so the
     iteration runs numpy's backprop and the bound call skips its own.
+
+    ``check_due`` starts at 1. The bound updates and diffusion calls set it to
+    1 when a parameter, LUT entry or visit entry they write is not finite, and
+    their numpy forms set it on every call, so ``Trainer.run``, which clears it
+    after a clean ``find_nonfinite`` scan, scans at a log point only when a
+    write since the last scan may have left a non-finite value.
     """
 
     def __init__(self, net: Network):
@@ -501,6 +509,7 @@ class Workspace:
         self.slope = np.zeros(n_conn) if nlw else None
         self.outputs = np.zeros(sum(lay.w.size for lay in net.layers))
         self.hit = np.zeros(n_conn, dtype=np.intp)
+        self.check_due = np.ones(1, dtype=np.intp)
         n_steps = self.params.shape[0] + n_conn
         self.grad, self.arg = np.zeros(n_steps), np.zeros(n_steps)
         s = c = d = 0
@@ -529,7 +538,8 @@ class Workspace:
         if self.kern is not None:
             self.updates = self.kern.bind_updates(self, hp)
             if nlw:
-                self.diffuse = self.kern.bind_diffusion(self.luts, self.visits, self.hit, hp)
+                self.diffuse = self.kern.bind_diffusion(self.luts, self.visits, self.hit,
+                                                        self.check_due, hp)
 
     def forward(self, x) -> np.ndarray:
         """Run one sample through every layer, in place; returns ``y``, the outputs."""

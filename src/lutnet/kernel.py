@@ -26,7 +26,10 @@ with no further check on the Python side. The structs and the functions
 are declared once, in the block of ``_probe.c`` between ``CDEF_BEGINS``
 and ``CDEF_ENDS``, which gcc compiles and cffi reads as its cdef. A bind
 checks what it fixes, the layer widths and index maps among them; a C
-function checks only the indices that change per call. The first of them
+function checks only the indices that change per call. The updates and
+diffusion calls also set the workspace's one-entry ``check_due`` flag (a
+written field of their structs) when a value they write is not finite, which
+is how ``Trainer.run`` knows whether a log point needs a scan. The first of them
 to run in a process builds the library, unless it is cached, and loads it. A
 network's workspace loads it, so training and ``forward_network`` of
 either kind do; an LW batch pass has no LUT layer, so LW ``forward_batch``
@@ -60,8 +63,8 @@ CDEF_BEGINS, CDEF_ENDS = "/* cffi cdef begins */", "/* cffi cdef ends */"
 # the fields of each struct that its calls write: cffi's types drop const
 WRITTEN = {"read_call": {"lo", "frac", "read", "slope", "outputs"},
            "updates_call": {"params", "luts", "visits", "hit", "step", "grad", "arg", "err",
-                            "delta"},
-           "diffusion_call": {"luts", "visits"}}
+                            "delta", "check_due"},
+           "diffusion_call": {"luts", "visits", "check_due"}}
 # the pointer fields a bind may leave NULL (None): an LW net's LUT side, which the
 # calls read only behind a NULL test or over its 0 rows
 NULLABLE = {"read_call": {"lut", "lo", "frac", "read", "slope"},
@@ -169,7 +172,10 @@ class Kernel:
         ``err`` (y - target), the deltas, the steps and the gain arguments,
         numpy's expm1 runs on the arguments in place (not at s_a = 0), and
         update_apply writes the parameters, hit and the tables, visits
-        stored at visit scale ``scale`` and written at ``new_scale``. Where
+        stored at visit scale ``scale`` and written at ``new_scale``, and sets
+        ``ws.check_due[0]`` (one intp entry) to 1 when a parameter, LUT entry
+        or visit entry it wrote is not finite; a call that declines writes
+        nothing and sets nothing. Where
         ``ws.numpy_backprop`` is set (a net with a layer after the first that
         has one input and more than one output, whose backward sum numpy takes
         pairwise) the call skips backprop and reads the err and deltas the
@@ -201,7 +207,7 @@ class Kernel:
                 and _lengths(n_params + n_rows, ws.grad, ws.arg)
                 and _lengths(ws.frac.size, ws.lo, ws.frac)
                 and _lengths(sizes[-1], ws.y, ws.target, ws.err)
-                and _lengths(n_nodes, ws.delta, ws.step)
+                and _lengths(n_nodes, ws.delta, ws.step) and _lengths(1, ws.check_due)
                 and _within(n_nodes, ws.param_dst, ws.conn_dst)
                 and _within(ws.inputs.size, ws.param_src) and _within(ws.lo.size, ws.src)):
             return None
@@ -223,18 +229,23 @@ class Kernel:
 
         return updates
 
-    def bind_diffusion(self, luts, visits, hit, hp):
+    def bind_diffusion(self, luts, visits, hit, check_due, hp):
         """``(n_hit, scale) -> status``: ``regularize._diffuse_rows_numpy`` in place,
-        on the rows hit[:n_hit] of the (rows, r) tables luts and visits.
+        on the rows hit[:n_hit] of the (rows, r) tables luts and visits; -1 when
+        the C functions decline, writing nothing.
 
-        numpy's tanh runs on the scaled gaps between the two C passes.
+        numpy's tanh runs on the scaled gaps between the two C passes. A call that
+        writes a LUT or visit entry that is not finite sets check_due[0], a
+        one-entry intp array, to 1, and one that writes only finite values
+        leaves it as it is.
         """
-        if not (luts.ndim == 2 and luts.shape == visits.shape and hit.ndim == 1):
+        if not (luts.ndim == 2 and luts.shape == visits.shape and hit.ndim == 1
+                and _lengths(1, check_due)):
             return None
         n_rows, r = luts.shape
         bound = self._bind("diffusion_call", ["diffusion_gaps", "diffuse_rows"], dict(
-            luts=luts, visits=visits, hit=hit, n_rows=n_rows, r=r, r_a=hp.r_a, r_b=hp.r_b,
-            v_min=hp.v_min))
+            luts=luts, visits=visits, check_due=check_due, hit=hit, n_rows=n_rows, r=r,
+            r_a=hp.r_a, r_b=hp.r_b, v_min=hp.v_min))
         if bound is None:
             return None
         gaps_of, rows = bound

@@ -124,10 +124,13 @@ def _diffuse_rows(ws, n_hit: int, scale: float, hp: Hyperparameters) -> None:
     linearly, both with the balance denominators of its settled visits; the
     new visits are floored at v_min and stored back at ``scale``. Runs the
     kernel's call bound in ws when there is one and it takes the rows, else
-    ``_diffuse_rows_numpy``; both give the same bits.
+    ``_diffuse_rows_numpy``; both give the same bits. The bound call sets
+    ``ws.check_due[0]`` when it writes a value that is not finite; numpy's
+    form sets it whenever it runs.
     """
     if ws.diffuse is None or ws.diffuse(n_hit, scale):
         _diffuse_rows_numpy(ws.luts, ws.visits, ws.hit[:n_hit], scale, hp)
+        ws.check_due[0] = 1
 
 
 def _diffuse_rows_numpy(luts: np.ndarray, visits: np.ndarray, hit: np.ndarray, scale: float,

@@ -34,6 +34,13 @@ connection is estimated by averaging symmetric difference quotients at
 a geometric ladder of probe offsets, ``Hyperparameters.probe_offsets``. The
 forward pass reads the probes in its LUT gather, so it leaves the slope
 estimates that backprop uses.
+
+``Trainer.run`` checks each iteration's output, and scans the whole network
+(``find_nonfinite``) at a log point only while the workspace's ``check_due``
+flag is set: the run sets it when it starts, the kernel's updates and
+diffusion calls set it when a value they write is not finite, and their numpy
+forms on every call. A clean scan clears it, so on the kernel path a finite
+run scans once, and a log point does not cost more at a larger ``r_res``.
 """
 from __future__ import annotations
 
@@ -184,8 +191,10 @@ def _updates_numpy(ws: Workspace, gate_u: np.ndarray, scale: float, new_scale: f
     entries decay and bump (``_update_visits_tensor``) from visit scale
     ``scale`` to ``new_scale``, and on a gated row the touched entries decay
     (``_decay_touched``). The reference the kernel's updates call matches and
-    its fallback, for both kinds.
+    its fallback, for both kinds. It sets ``ws.check_due[0]`` on every call, so
+    the next log point of ``Trainer.run`` scans the network.
     """
+    ws.check_due[0] = 1
     step = np.multiply(ws.delta, hp.mu, out=ws.step)
     grad = step[ws.param_dst] * ws.inputs[ws.param_src]
     dw = _gain_decay(ws.params, grad, hp)
@@ -357,6 +366,14 @@ class Trainer:
         must be non-negative ints. A block of iterations ends at an epoch, log
         or checkpoint boundary, or where the network's ``Workspace.gate_u``
         is full: its gate uniforms are drawn into those rows in one call.
+
+        Raises ``TrainingDiverged`` once an output is not finite, or when
+        ``find_nonfinite`` finds a non-finite value at a log point or at the
+        run's end. It scans only while ``Workspace.check_due`` is set: at the
+        run's first scan, and after a training write that may have left a
+        non-finite value. So a non-finite value that a callback writes into
+        the arrays is found once it reaches the output, once training writes
+        carry it, or in the next run.
         """
         iterations, log_every = _count("iterations", iterations), _count("log_every", log_every)
         if checkpoint_every is not None:
@@ -364,7 +381,8 @@ class Trainer:
         net = self.net
         n = len(self.args)
         end = self.iteration + iterations
-        gate_u = net._workspace.gate_u
+        gate_u, check_due = net._workspace.gate_u, net._workspace.check_due
+        check_due[0] = 1                # the state the run starts from is scanned once
         rows: list[tuple[int, float]] = []
         window_sum = 0.0
         window_n = 0
@@ -390,10 +408,11 @@ class Trainer:
                                          idx, rows)
             self.iteration += block
             at_log = log_every and self.iteration % log_every == 0
-            if at_log or self.iteration == end:
+            if (at_log or self.iteration == end) and check_due[0]:
                 bad = find_nonfinite(net)
                 if bad is not None:
                     raise self._diverged(bad, idx, rows)
+                check_due[0] = 0
             if at_log:
                 rows.append((self.iteration, window_sum / max(window_n, 1)))
                 if on_log is not None:

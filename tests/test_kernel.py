@@ -61,10 +61,12 @@ def _kernel_read(lut, w, x, hp):
 
 
 def _bound(luts, visits, hit, hp):
-    """What ``regularize._diffuse_rows`` reads of a ``core.Workspace``, with the
-    kernel's diffusion bound to these arrays where it takes them."""
-    return SimpleNamespace(luts=luts, visits=visits, hit=hit,
-                           diffuse=KERNEL.bind_diffusion(luts, visits, hit, hp))
+    """What ``regularize._diffuse_rows`` reads and writes of a ``core.Workspace``,
+    its ``check_due`` cleared, with the kernel's diffusion bound to these arrays
+    where it takes them."""
+    check_due = np.zeros(1, dtype=np.intp)
+    return SimpleNamespace(luts=luts, visits=visits, hit=hit, check_due=check_due,
+                           diffuse=KERNEL.bind_diffusion(luts, visits, hit, check_due, hp))
 
 
 @st.composite
@@ -359,6 +361,55 @@ def test_kernel_matches_numpy_diffusion_bit_for_bit(case):
     assert np.array_equal(_bits(got_visits), _bits(visits))
 
 
+# Values that a bound call's writes can carry or make: NaN, infinities, and finite
+# entries near the largest double, whose (a + b) * 0.5, visit bump or step overflows.
+EXTREMES = [math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 1e308]
+
+
+def _extremes(draw, rng, values):
+    """Puts some of EXTREMES into values in place, in runs along its last axis so
+    that a pair of neighbours can hold two of them, or none."""
+    flat = values.reshape(-1, values.shape[-1])
+    for _ in range(draw(st.integers(0, 3))):
+        row, first = rng.integers(0, flat.shape[0]), rng.integers(0, flat.shape[1])
+        flat[row, first:first + rng.integers(1, 4)] = draw(st.sampled_from(EXTREMES))
+
+
+@st.composite
+def flagged_diffusion(draw):
+    """A ``gated_rows`` case with some EXTREMES in its tables, and the value of
+    check_due before the call."""
+    luts, visits, hit, scale, hp = draw(gated_rows())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    _extremes(draw, rng, luts)
+    _extremes(draw, rng, visits)
+    return luts, visits, hit, scale, hp, draw(st.sampled_from([0, 1]))
+
+
+def _overflowing_visit_pair():
+    """A flagged_diffusion case whose visit pair at 1e308 overflows in (a + b) * 0.5
+    and writes inf to two visit entries in the middle of the row, while every other
+    entry it writes, the LUT row and the last visit entry among them, is finite."""
+    hp = R8.replace(r_a=2.0, r_b=0.5)
+    luts, visits = np.linspace(-1.0, 1.0, 8)[None], np.full((1, 8), 0.5)
+    visits[0, 3:5] = 1e308
+    return luts, visits, np.array([0]), 1.0, hp, 0
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@example(case=_overflowing_visit_pair())
+@given(case=flagged_diffusion())
+def test_a_diffusion_call_sets_check_due_exactly_when_it_writes_a_non_finite_value(case):
+    # a call sets the flag or leaves it: a finite call leaves a cleared flag at 0
+    luts, visits, hit, scale, hp, due = case
+    bound = _bound(luts, visits, hit, hp)
+    bound.check_due[0] = due
+    assert _diffused(bound, hit.shape[0], scale)
+    written = np.concatenate([luts[hit], visits[hit]])     # every entry of each hit row
+    assert bound.check_due[0] == int(due or not np.isfinite(written).all())
+
+
 def _diffusion_case():
     rng = np.random.default_rng(11)
     return (rng.standard_normal((5, 8)), rng.uniform(1e-3, 1.0, (5, 8)),
@@ -413,11 +464,13 @@ def _space(case, hp):
     case maps the workspace's names (sizes and the index maps among them) to arrays,
     or to None for an LW net's tables, slopes and rates, and gate_u to the row of gate
     uniforms, the one row of the workspace's gate block; the buffers backprop and the
-    updates write are made unless case has them. As in ``core.Workspace``, a net with
-    a later one-input layer that feeds more than one node takes numpy's deltas."""
+    updates write are made unless case has them, ``check_due`` cleared. As in
+    ``core.Workspace``, a net with a later one-input layer that feeds more than one
+    node takes numpy's deltas."""
     n_rows, n_params = case["read"].shape[0], case["params"].shape[0]
     n_nodes, n_out = int(case["sizes"][1:].sum()), int(case["sizes"][-1])
     ws = SimpleNamespace(**{"hit": np.zeros(n_rows, dtype=np.intp),
+                            "check_due": np.zeros(1, dtype=np.intp),
                             "err": np.zeros(n_out), "delta": np.zeros(n_nodes),
                             "step": np.zeros(n_nodes), "grad": np.zeros(n_params + n_rows),
                             "arg": np.zeros(n_params + n_rows), **case,
@@ -625,6 +678,38 @@ LW_GAIN = Hyperparameters(r_res=8, s_a=5.0, s_b=1e-3)
 @given(case=gained_updates())
 def test_kernel_matches_numpy_updates_bit_for_bit(case):
     _assert_same_updates(*case, exact=False)
+
+
+@st.composite
+def flagged_updates(draw):
+    """A ``table_writes`` or ``gained_updates`` case with some EXTREMES in its params
+    and tables, and the value of check_due before the call."""
+    case, scale, hp = draw(st.one_of(table_writes(), gained_updates()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for name in ("params", "luts", "visits"):
+        if case[name] is not None:              # an LW net's tables
+            _extremes(draw, rng, case[name])
+    return case, scale, hp, draw(st.sampled_from([0, 1]))
+
+
+@needs_kernel
+@settings(max_examples=300, deadline=None)
+@given(case=flagged_updates())
+def test_an_updates_call_sets_check_due_exactly_when_it_writes_a_non_finite_value(case):
+    # the call writes every param and, on each LUT row, the two entries of its
+    # segment in both tables; it sets the flag or leaves it
+    case, scale, hp, due = case
+    ws = _space(case, hp)
+    ws.check_due[0] = due
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        if ws.numpy_backprop:
+            _numpy_backprop(ws)
+        assert ws.updates(0, scale, scale * (1.0 - hp.r_c)) >= 0
+    written = [ws.params]
+    if ws.luts is not None:
+        rows, lo = np.arange(ws.src.shape[0]), ws.lo[ws.src]
+        written += [table[rows, lo + e] for table in (ws.luts, ws.visits) for e in (0, 1)]
+    assert ws.check_due[0] == int(due or not all(np.isfinite(w).all() for w in written))
 
 
 def _decades(rng, shape, special):
@@ -905,7 +990,7 @@ def test_bound_calls_keep_their_arrays_alive():
         assert np.array_equal(_bits(mine), _bits(ref))
 
     luts, visits, hit, scale, hp = _diffusion_case()
-    arrays = [luts.copy(), visits.copy(), hit.copy()]
+    arrays = [luts.copy(), visits.copy(), hit.copy(), np.zeros(1, dtype=np.intp)]
     diffuse = KERNEL.bind_diffusion(*arrays, hp)
     got = _held_alone(arrays)
     _diffuse_rows_numpy(luts, visits, hit, scale, hp)

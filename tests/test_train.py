@@ -1157,6 +1157,112 @@ def test_trainer_divergence_names_the_training_row_and_the_last_window(logs_befo
                                    f"training row {tr._epoch_order(epoch)[pos]}, {last}")
 
 
+# Finite values that a training write overflows, written by on_log at iteration 30,
+# after that log point's clean scan, so that only a write of training can make the
+# next log point scan: (buffer, row, entries, value) and the report, the location,
+# iteration and training row a scan at every log point gives. Input 1 stays in
+# [-1, 0.2], so the top entries of a layer-0 table of source 1 (rows 1 and 5 of the
+# 2-4-3-1 net) are never read: the diffusion's (a + b) * 0.5 of a pair at 1.7e308
+# overflows there and stays in the table. Row 2 is read, and its first diffused inf
+# goes no further than the table before the log point; a visit row at 1e308
+# overflows in the visit update of the first iteration that touches it.
+OVERFLOWS = {
+    "lut-top-pair": ("luts", 1, slice(14, 16), 1.7e308,
+                     "layer 0: non-finite lut at dst 0, src 1, entry 14", 70, 11),
+    "lut-top-pair-negative": ("luts", 5, slice(14, 16), -1.7e308,
+                              "layer 0: non-finite lut at dst 2, src 1, entry 14", 40, 9),
+    "lut-row-read": ("luts", 2, slice(None), 1.7e308,
+                     "layer 0: non-finite lut at dst 1, src 0, entry 0", 40, 9),
+    "visit-row-layer-0": ("visits", 6, slice(None), 1e308,
+                          "layer 0: non-finite visits at dst 3, src 0, entry 0", 40, 9),
+    "visit-row-layer-1": ("visits", 11, slice(None), 1e308,
+                          "layer 1: non-finite visits at dst 0, src 3, entry 1", 40, 9),
+}
+
+
+def _low_source_1_data():
+    """24 rows of 2 inputs, input 0 in [-1, 1] and input 1 in [-1, 0.2]."""
+    rng = np.random.default_rng(0)
+    args = rng.uniform(-1.0, 1.0, (24, 2))
+    args[:, 1] = rng.uniform(-1.0, 0.2, 24)
+    return args
+
+
+@pytest.mark.parametrize("numpy_path", [False, True], ids=["kernel", "numpy"])
+@pytest.mark.parametrize("name", list(OVERFLOWS))
+def test_an_overflow_in_training_is_reported_at_the_next_log_point(numpy_only, name,
+                                                                  numpy_path):
+    # the kernel's writes set the workspace's check_due, numpy's always do, so both
+    # paths give the report that a scan at every log point gives
+    buffer, row, entries, value, where, iteration, sample = OVERFLOWS[name]
+    numpy_only.force(numpy_path)
+    net = init_network((2, 4, 3, 1), "NLW", NLW.replace(r_res=16), _rng([61, 0]))
+    args = _low_source_1_data()
+    vals = np.tanh(args[:, :1] - 0.5 * args[:, 1:])
+    windows = []
+
+    def on_log(trainer, window_mse):
+        windows.append(window_mse)
+        if trainer.iteration == 30:
+            getattr(net, buffer)[row, entries] = value
+
+    with pytest.raises(TrainingDiverged) as exc, np.errstate(all="ignore"):
+        Trainer(net, args, vals, seed=2).run(400, log_every=10, on_log=on_log)
+    numpy_only.check(net)
+    assert find_nonfinite(net) == where
+    assert str(exc.value) == (f"{where} at iteration {iteration}, training row {sample}, "
+                              f"last window mse {windows[-1]!r}")
+
+
+@pytest.mark.parametrize("numpy_path", [False, True], ids=["kernel", "numpy"])
+def test_a_run_scans_the_state_it_starts_from(numpy_only, numpy_path):
+    # each run sets check_due, so a NaN written between runs where no training write
+    # reaches it (a top visit entry of a source 1 table, zeta 0: no diffusion) is found
+    # at the next run's first log point
+    numpy_only.force(numpy_path)
+    net = init_network((2, 4, 3, 1), "NLW", NLW.replace(r_res=16, zeta=0.0), _rng([61, 0]))
+    args = _low_source_1_data()
+    tr = Trainer(net, args, np.tanh(args[:, :1]), seed=2)
+    tr.run(20, log_every=10)
+    net.visits[1, 15] = np.nan
+    with pytest.raises(TrainingDiverged, match=r"^layer 0: non-finite visits at dst 0, src 1, "
+                                               r"entry 15 at iteration 30, "):
+        tr.run(20, log_every=10)
+    numpy_only.check(net)
+
+
+@pytest.mark.parametrize("path,kind,scans", [
+    pytest.param("kernel", "NLW", 1, id="kernel"),
+    pytest.param("numpy", "NLW", 60, id="numpy"),
+    pytest.param("numpy", "LW", 60, id="numpy-lw"),
+    pytest.param("declined-diffusion", "NLW", 60, id="declined-diffusion"),
+])
+def test_a_finite_run_scans_once_on_the_kernel_path(monkeypatch, numpy_only, path, kind, scans):
+    # the bound calls wrote nothing that is not finite after the first log point's
+    # scan, so no later log point scans. numpy's updates, an LW net's only writes,
+    # set check_due on every call, and so does numpy's diffusion where a bound call
+    # declines the rows
+    if path != "numpy" and kernel.load() is None:
+        pytest.skip("the probe kernel cannot be built here")
+    numpy_only.force(path == "numpy")
+    hp = NLW.replace(r_res=64) if kind == "NLW" else LW
+    net = init_network((2, 32, 32, 1), kind, hp, _rng([62, 0]))
+    if path == "declined-diffusion":
+        net._workspace.diffuse = lambda n_hit, scale: -1
+    args, vals = _toy_data(n=64, seed=9)
+    scanned = []
+
+    def counted(scanned_net):
+        scanned.append(scanned_net)
+        return find_nonfinite(scanned_net)
+
+    monkeypatch.setattr(train, "find_nonfinite", counted)
+    rows = Trainer(net, args, vals, seed=10).run(600, log_every=10)
+    numpy_only.check(net)
+    assert len(rows) == 60 and find_nonfinite(net) is None
+    assert len(scanned) == scans
+
+
 def test_trainer_error_window_decreases_on_learnable_problem():
     rng = np.random.default_rng(36)
     args = rng.uniform(-0.5, 0.5, (64, 2))
