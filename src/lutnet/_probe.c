@@ -52,8 +52,9 @@
  *    (``Workspace.numpy_backprop``), and its call skips backprop
  *    (run_backprop 0);
  *  - the updates and the diffusion are elementwise, so each entry's chain
- *    of operations is numpy's, pass by pass, and a row is rewritten in one
- *    sweep in place.
+ *    of operations is numpy's, pass by pass. The updates rewrite a row in one
+ *    sweep in place; the diffusion writes a row's pair values into an O(r)
+ *    scratch, then the row from them.
  *
  * update_apply and diffuse_rows also report whether they wrote a value that is
  * not finite, so that ``Trainer.run`` scans the network at a log point only when
@@ -66,6 +67,8 @@
  */
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <string.h>
 
 /* cffi cdef begins */
 
@@ -88,7 +91,7 @@ struct updates_call {           /* update_args' and update_apply's */
     double mu, s_a, s_b, zeta, r_c, v_min;
 };
 struct diffusion_call {         /* diffusion_gaps' and diffuse_rows' */
-    double *luts, *visits;
+    double *luts, *visits, *pairs;     /* pairs: diffuse_rows' scratch, 4 * (r - 1) */
     ptrdiff_t *check_due;
     const ptrdiff_t *hit;
     ptrdiff_t n_rows, r;
@@ -129,13 +132,27 @@ static double locate(double b, double i_min, double i_max, double span, ptrdiff_
     return b;
 }
 
+/* probed_read prefetches the entries that destination d + AHEAD reads while it
+ * reads destination d's: the tables of one input lie n_in * r entries apart,
+ * too far for the hardware prefetcher to follow at a large r */
+#define AHEAD 2
+
+/* Prefetches every cache line of the entries from first to last, inclusive. */
+static void prefetch_entries(const double *first, const double *last)
+{
+    for (uintptr_t at = (uintptr_t)first & ~(uintptr_t)63; at <= (uintptr_t)last; at += 64)
+        __builtin_prefetch((const void *)at);
+}
+
 /* w is (n_out, n_in) and lut (n_out, n_in, r) in C order; input j reads
  * table (d, j). Writes lo and frac (n_in), then read, slope and the connection
  * outputs w[d, j] * x[j] + read[d, j] (n_out, n_in) in C order, each through
  * its own pointer, so that a caller can point them into its flat buffers. Each
  * quotient of a connection joins its sum as soon as it is formed, in numpy's
  * order. A layer with no tables (LW: lut, lo, frac, read and slope NULL) writes
- * the outputs w[d, j] * x[j] alone. */
+ * the outputs w[d, j] * x[j] alone. While it reads table (d, j) it prefetches
+ * the lines of table (d + AHEAD, j) from the lowest to the highest segment its
+ * probes read, which changes no read and no bit. */
 void probed_read(const struct read_call *call)
 {
     ptrdiff_t n_out = call->n_out, n_in = call->n_in, r = call->r, k = call->k;
@@ -163,8 +180,15 @@ void probed_read(const struct read_call *call)
         double count = (double)(apart > 0 ? apart : 1);
         call->lo[j] = lo[0];
         call->frac[j] = frac[0];
+        ptrdiff_t first = lo[0], last = lo[0];
+        for (ptrdiff_t p = 1; p < rows; p++) {
+            first = lo[p] < first ? lo[p] : first;
+            last = lo[p] > last ? lo[p] : last;
+        }
         for (ptrdiff_t d = 0; d < n_out; d++) {
             const double *t = call->lut + (d * n_in + j) * r;
+            if (d + AHEAD < n_out)
+                prefetch_entries(t + AHEAD * n_in * r + first, t + AHEAD * n_in * r + last + 1);
             for (ptrdiff_t p = 0; p < rows; p++)
                 reads[p] = (1.0 - frac[p]) * t[lo[p]] + frac[p] * t[lo[p] + 1];
             double s = 0.0;
@@ -251,6 +275,18 @@ int diffusion_gaps(const struct diffusion_call *call, ptrdiff_t n_hit, double *g
 typedef double lanes __attribute__((vector_size(16)));
 typedef long long lane_mask __attribute__((vector_size(16)));
 
+static lanes splat(double x) { return (lanes){x, x}; }
+
+/* entries p[0] and p[1], which need not be 16-byte aligned */
+static lanes load2(const double *p)
+{
+    lanes x;
+    memcpy(&x, p, sizeof x);
+    return x;
+}
+
+static void store2(double *p, lanes x) { memcpy(p, &x, sizeof x); }
+
 /* max_bound(a, v_floor) lane by lane, for a positive v_floor (v_min): SSE2's
  * maxpd(v_floor, a) returns a unless v_floor > a, so a NaN a is kept, and an
  * a equal to v_floor has its bits. */
@@ -264,92 +300,99 @@ static lanes floor2(lanes a, lanes v_floor)
 #endif
 }
 
-/* Diffuses row 0 (t0, v0, g0) in lane 0 and row 1 in lane 1, in place; see
- * diffuse_rows. Returns the sum of x - x over every LUT and visit entry x it
- * wrote, per lane: 0 where they are all finite, NaN otherwise. An odd row is
- * passed as both rows: the lanes then compute the same values and store them
- * to the same entries. Where both lanes'
- * settled visit pairs are equal and finite (so at least v_min, above 0), both
- * visit ratios are exactly 1: the two balance denominators are one 1 + r_b,
- * the LUT transfer s / den is taken once, and the visit transfer is +0.0,
- * which leaves vm's bits as they are. That path gives the same bits as the
- * other with three of its eight divisions; a NaN fails the equality. */
-static lanes diffuse_two_rows(const struct diffusion_call *call, double *t0, double *t1,
-                              double *v0, double *v1, const double *g0, const double *g1,
-                              double scale)
+/* The new values of two pairs of a row, one per lane: entries a and b, stored
+ * visits va and vb at scale, and the LUT transfer s. See diffuse_row. */
+struct pair_values { lanes low, high, v_low, v_up; };
+
+static struct pair_values pair_values(const struct diffusion_call *call, lanes a, lanes b,
+                                      lanes va, lanes vb, lanes s, double scale)
 {
-    ptrdiff_t r = call->r;
-    const lanes half = {0.5, 0.5}, one = {1.0, 1.0}, rb = {call->r_b, call->r_b};
-    const lanes at = {scale, scale}, two_r_a = {2.0 * call->r_a, 2.0 * call->r_a};
-    const lanes v_floor = {call->v_min, call->v_min}, huge = {HUGE_VAL, HUGE_VAL};
-    const lanes den_even = one + rb;
-    lanes v_lo = floor2((lanes){v0[0], v1[0]} * at, v_floor);
-    lanes t_high = {0.0, 0.0}, v_high = {0.0, 0.0};     /* the high values of pair j - 1 */
-    lanes written = {0.0, 0.0};
-    for (ptrdiff_t j = 0; j < r - 1; j++) {
-        lanes v_hi = floor2((lanes){v0[j + 1], v1[j + 1]} * at, v_floor);
-        lanes a = {t0[j], t1[j]}, b = {t0[j + 1], t1[j + 1]};
-        lanes m = (a + b) * half, s = g0 ? (lanes){g0[j], g1[j]} / two_r_a : (b - a) * half;
-        lanes vm = (v_lo + v_hi) * half, vs = (v_hi - v_lo) * half, low, high, v_low, v_up;
-        lane_mask even = (v_lo == v_hi) & (v_hi < huge);
-        if (even[0] && even[1]) {
-            lanes shift = s / den_even;
-            low = m - shift;
-            high = m + shift;
-            v_low = v_up = vm;
-        } else {
-            lanes den_lo = one + rb * (v_hi / v_lo), den_hi = one + rb * (v_lo / v_hi);
-            low = m - s / den_lo;
-            high = m + s / den_hi;
-            v_low = vm - vs / den_lo;
-            v_up = vm + vs / den_hi;
-        }
-        lanes t = j ? (low + t_high) * half : low;
-        lanes v = floor2(j ? (v_low + v_high) * half : v_low, v_floor) / at;
-        t0[j] = t[0];
-        t1[j] = t[1];
-        v0[j] = v[0];
-        v1[j] = v[1];
-        written += (t - t) + (v - v);
-        t_high = high;
-        v_high = v_up;
-        v_lo = v_hi;
+    const lanes half = splat(0.5), rb = splat(call->r_b), v_floor = splat(call->v_min);
+    lanes v_lo = floor2(va * splat(scale), v_floor), v_hi = floor2(vb * splat(scale), v_floor);
+    lanes il = v_lo / (v_lo + rb * v_hi), ih = v_hi / (v_hi + rb * v_lo);
+    lanes m = (a + b) * half, vm = (v_lo + v_hi) * half, vs = (v_hi - v_lo) * half;
+    return (struct pair_values){m - s * il, m + s * ih, vm - vs * il, vm + vs * ih};
+}
+
+/* Diffuses one row in place: LUT row t, visit row v stored at scale, and the
+ * tanh of its scaled gaps g, NULL at r_a = 0. Pass 1 writes each pair's low
+ * and high values into the four (r - 1)-entry blocks of the call's pairs, two
+ * adjacent pairs to a register; pass 2 writes entry j, the average of pair
+ * j - 1's high value and pair j's low value (an end entry keeps its one
+ * pair's value), the visit entry floored at v_min and stored times 1 / scale.
+ * An odd last pair or entry runs in both lanes, and lane 0 is stored. Returns
+ * the sum of x - x over every entry x it wrote, per lane. */
+static lanes diffuse_row(const struct diffusion_call *call, double *t, double *v,
+                         const double *g, double scale)
+{
+    ptrdiff_t n = call->r - 1, j;
+    double *low = call->pairs, *high = low + n, *v_low = high + n, *v_up = v_low + n;
+    const lanes half = splat(0.5), v_floor = splat(call->v_min), to_stored = splat(1.0 / scale);
+    const lanes to_transfer = splat(g ? 1.0 / (2.0 * call->r_a) : 0.5);
+    struct pair_values p;
+    for (j = 0; j + 1 < n; j += 2) {
+        lanes a = load2(t + j), b = load2(t + j + 1);
+        p = pair_values(call, a, b, load2(v + j), load2(v + j + 1),
+                        (g ? load2(g + j) : b - a) * to_transfer, scale);
+        store2(low + j, p.low);
+        store2(high + j, p.high);
+        store2(v_low + j, p.v_low);
+        store2(v_up + j, p.v_up);
     }
-    lanes v = floor2(v_high, v_floor) / at;
-    t0[r - 1] = t_high[0];
-    t1[r - 1] = t_high[1];
-    v0[r - 1] = v[0];
-    v1[r - 1] = v[1];
-    return written + ((t_high - t_high) + (v - v));
+    if (j < n) {
+        lanes a = splat(t[j]), b = splat(t[j + 1]);
+        p = pair_values(call, a, b, splat(v[j]), splat(v[j + 1]),
+                        (g ? splat(g[j]) : b - a) * to_transfer, scale);
+        low[j] = p.low[0];
+        high[j] = p.high[0];
+        v_low[j] = p.v_low[0];
+        v_up[j] = p.v_up[0];
+    }
+    lanes tt = {low[0], high[n - 1]};
+    lanes vv = floor2((lanes){v_low[0], v_up[n - 1]}, v_floor) * to_stored;
+    t[0] = tt[0];
+    t[n] = tt[1];
+    v[0] = vv[0];
+    v[n] = vv[1];
+    lanes written = (tt - tt) + (vv - vv);
+    for (j = 1; j + 1 < n; j += 2) {
+        tt = (load2(low + j) + load2(high + j - 1)) * half;
+        vv = floor2((load2(v_low + j) + load2(v_up + j - 1)) * half, v_floor) * to_stored;
+        store2(t + j, tt);
+        store2(v + j, vv);
+        written += (tt - tt) + (vv - vv);
+    }
+    if (j < n) {
+        tt = (splat(low[j]) + splat(high[j - 1])) * half;
+        vv = floor2((splat(v_low[j]) + splat(v_up[j - 1])) * half, v_floor) * to_stored;
+        t[j] = tt[0];
+        v[j] = vv[0];
+        written += (tt - tt) + (vv - vv);
+    }
+    return written;
 }
 
 /* luts and visits are (n_rows, r) in C order, visits stored at scale. Diffuses
- * each hit row of both in place: pair j of a row settles its visit entries,
- * takes the balance denominators and the low and high values of
- * ``_diffuse_rows_numpy``, whose LUT transfer is tanh_gap[j] / (2 r_a), or
- * the half-gap when tanh_gap is NULL (r_a = 0). Entry j then averages pair
- * j - 1's high value with pair j's low value, and the visit entry is
- * floored at v_min and stored back at scale. Pair j reads entries j and j + 1
- * only, so entry j is written as soon as pair j is done. The rows go two at a
- * time, one per lane. Sets check_due[0] to 1 when an entry it wrote is not
- * finite.
+ * each hit row of both in place, one row at a time (diffuse_row), as
+ * ``_diffuse_rows_numpy``: pair j of a row settles its visit entries into
+ * v_lo and v_hi, takes the balance shares il = v_lo / (v_lo + r_b * v_hi) and
+ * ih = v_hi / (v_hi + r_b * v_lo), its mean m and its transfer s, which is
+ * tanh_gap[j] * (1 / (2 r_a)) for a LUT row, or the half-gap when tanh_gap is
+ * NULL (r_a = 0) and for a visit row, and gives m - s * il and m + s * ih.
+ * tanh_gap holds the hit rows' gaps in order, (n_hit, r - 1). Sets
+ * check_due[0] to 1 when an entry it wrote is not finite.
  * Returns 0, or -1 (nothing written) when the rows are not in order. */
 int diffuse_rows(const struct diffusion_call *call, ptrdiff_t n_hit, const double *tanh_gap,
                  double scale)
 {
     ptrdiff_t r = call->r;
     const ptrdiff_t *hit = call->hit;
-    double *luts = call->luts, *visits = call->visits;
     if (!rows_in_order(hit, n_hit, call->n_rows))
         return -1;
     lanes written = {0.0, 0.0};
-    for (ptrdiff_t h = 0; h < n_hit; h += 2) {
-        ptrdiff_t h1 = h + 1 < n_hit ? h + 1 : h;
-        const double *g0 = tanh_gap ? tanh_gap + h * (r - 1) : NULL;
-        const double *g1 = tanh_gap ? tanh_gap + h1 * (r - 1) : NULL;
-        written += diffuse_two_rows(call, luts + hit[h] * r, luts + hit[h1] * r,
-                                    visits + hit[h] * r, visits + hit[h1] * r, g0, g1, scale);
-    }
+    for (ptrdiff_t h = 0; h < n_hit; h++)
+        written += diffuse_row(call, call->luts + hit[h] * r, call->visits + hit[h] * r,
+                               tanh_gap ? tanh_gap + h * (r - 1) : NULL, scale);
     if (written[0] != 0.0 || written[1] != 0.0)
         *call->check_due = 1;
     return 0;

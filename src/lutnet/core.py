@@ -445,7 +445,8 @@ class Workspace:
     outputs ``outputs`` of every layer, ``delta`` and ``step`` per fed node,
     the gated rows ``hit``, the outputs ``y``, the sample's ``target`` and the
     output error ``err``, the gate block ``gate_u``, rows of one uniform per
-    LUT connection (``GATE_ENTRIES`` in all, at least one row), and for the
+    LUT connection (``GATE_ENTRIES`` in all, at least one row), the
+    diffusion's row scratch ``pairs``, 4 * (r_res - 1) entries, and for the
     kernel's updates call the layer widths ``sizes`` and the raw steps
     ``grad`` and gain arguments ``arg`` of every parameter, then every LUT
     connection, and ``check_due``, one intp entry that is 1 once a training
@@ -509,6 +510,7 @@ class Workspace:
         self.slope = np.zeros(n_conn) if nlw else None
         self.outputs = np.zeros(sum(lay.w.size for lay in net.layers))
         self.hit = np.zeros(n_conn, dtype=np.intp)
+        self.pairs = np.zeros(4 * (self.luts.shape[1] - 1) if nlw else 0)
         self.check_due = np.ones(1, dtype=np.intp)
         n_steps = self.params.shape[0] + n_conn
         self.grad, self.arg = np.zeros(n_steps), np.zeros(n_steps)
@@ -538,8 +540,8 @@ class Workspace:
         if self.kern is not None:
             self.updates = self.kern.bind_updates(self, hp)
             if nlw:
-                self.diffuse = self.kern.bind_diffusion(self.luts, self.visits, self.hit,
-                                                        self.check_due, hp)
+                self.diffuse = self.kern.bind_diffusion(self.luts, self.visits, self.pairs,
+                                                        self.hit, self.check_due, hp)
 
     def forward(self, x) -> np.ndarray:
         """Run one sample through every layer, in place; returns ``y``, the outputs."""

@@ -64,7 +64,7 @@ CDEF_BEGINS, CDEF_ENDS = "/* cffi cdef begins */", "/* cffi cdef ends */"
 WRITTEN = {"read_call": {"lo", "frac", "read", "slope", "outputs"},
            "updates_call": {"params", "luts", "visits", "hit", "step", "grad", "arg", "err",
                             "delta", "check_due"},
-           "diffusion_call": {"luts", "visits", "check_due"}}
+           "diffusion_call": {"luts", "visits", "pairs", "check_due"}}
 # the pointer fields a bind may leave NULL (None): an LW net's LUT side, which the
 # calls read only behind a NULL test or over its 0 rows
 NULLABLE = {"read_call": {"lut", "lo", "frac", "read", "slope"},
@@ -229,23 +229,24 @@ class Kernel:
 
         return updates
 
-    def bind_diffusion(self, luts, visits, hit, check_due, hp):
+    def bind_diffusion(self, luts, visits, pairs, hit, check_due, hp):
         """``(n_hit, scale) -> status``: ``regularize._diffuse_rows_numpy`` in place,
         on the rows hit[:n_hit] of the (rows, r) tables luts and visits; -1 when
         the C functions decline, writing nothing.
 
-        numpy's tanh runs on the scaled gaps between the two C passes. A call that
-        writes a LUT or visit entry that is not finite sets check_due[0], a
-        one-entry intp array, to 1, and one that writes only finite values
-        leaves it as it is.
+        numpy's tanh runs on the scaled gaps between the two C passes. The C
+        diffuses one row at a time through pairs, a scratch of 4 * (r - 1)
+        float64 entries, whatever it holds. A call that writes a LUT or visit
+        entry that is not finite sets check_due[0], a one-entry intp array, to
+        1, and one that writes only finite values leaves it as it is.
         """
         if not (luts.ndim == 2 and luts.shape == visits.shape and hit.ndim == 1
-                and _lengths(1, check_due)):
+                and _lengths(1, check_due) and _lengths(4 * (luts.shape[1] - 1), pairs)):
             return None
         n_rows, r = luts.shape
         bound = self._bind("diffusion_call", ["diffusion_gaps", "diffuse_rows"], dict(
-            luts=luts, visits=visits, check_due=check_due, hit=hit, n_rows=n_rows, r=r,
-            r_a=hp.r_a, r_b=hp.r_b, v_min=hp.v_min))
+            luts=luts, visits=visits, pairs=pairs, check_due=check_due, hit=hit,
+            n_rows=n_rows, r=r, r_a=hp.r_a, r_b=hp.r_b, v_min=hp.v_min))
         if bound is None:
             return None
         gaps_of, rows = bound

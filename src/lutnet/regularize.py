@@ -121,7 +121,7 @@ def _diffuse_rows(ws, n_hit: int, scale: float, hp: Hyperparameters) -> None:
 
     ws is the network's ``core.Workspace``; its visits are stored at visit
     scale ``scale``. Each row's LUT diffuses smoothly and its visit table
-    linearly, both with the balance denominators of its settled visits; the
+    linearly, both split by the balance shares of its settled visits; the
     new visits are floored at v_min and stored back at ``scale``. Runs the
     kernel's call bound in ws when there is one and it takes the rows, else
     ``_diffuse_rows_numpy``; both give the same bits. The bound call sets
@@ -137,35 +137,44 @@ def _diffuse_rows_numpy(luts: np.ndarray, visits: np.ndarray, hit: np.ndarray, s
                         hp: Hyperparameters) -> None:
     """``_diffuse_rows`` in numpy: the reference the kernel matches, and its fallback.
 
-    Pair j's balance denominators are 1 + r_b * p low and 1 + r_b / p high,
-    p = v[j + 1] / v[j] (its inverse taken directly), for both tables.
+    Pair j of a row, settled visits v_lo and v_hi, moves its low side by the
+    balance share il = v_lo / (v_lo + r_b * v_hi) of its transfer and its high
+    side by ih = v_hi / (v_hi + r_b * v_lo), in both tables. These are the
+    paper's 1 / (1 + r_b * v_hi / v_lo) and 1 / (1 + r_b * v_lo / v_hi) in the
+    reciprocal form: two divisions a pair, and the last bits may differ. The
+    new visits are floored at v_min and stored as that times 1 / scale.
     """
     vis = _settle_visits(visits[hit], scale, hp)
     lo, hi = vis[:, :-1], vis[:, 1:]
-    den_lo = 1.0 + hp.r_b * (hi / lo)
-    den_hi = 1.0 + hp.r_b * (lo / hi)
-    luts[hit] = _diffuse_pairs(luts[hit], den_lo, den_hi, hp.r_a)
-    vis = _diffuse_pairs(vis, den_lo, den_hi, 0.0)
+    il = lo / (lo + hp.r_b * hi)
+    ih = hi / (hi + hp.r_b * lo)
+    luts[hit] = _diffuse_pairs(luts[hit], il, ih, hp.r_a)
+    vis = _diffuse_pairs(vis, il, ih, 0.0)
     np.maximum(vis, hp.v_min, out=vis)
-    vis /= scale
+    vis *= 1.0 / scale
     visits[hit] = vis
 
 
-def _diffuse_pairs(rows: np.ndarray, den_lo, den_hi, r_a: float) -> np.ndarray:
+def _diffuse_pairs(rows: np.ndarray, il, ih, r_a: float) -> np.ndarray:
     """Rows with every adjacent pair moved toward its mean, then recombined.
 
-    Pair j, gap d and mean m, gives m - t / den_lo[j] and m + t / den_hi[j],
-    with t = tanh(r_a * d) / (2 r_a), or d / 2 at r_a = 0. The end entries
-    keep their one pair's value; every other entry averages its two.
+    Pair j, gap d and mean m, gives m - s * il[j] and m + s * ih[j], with the
+    transfer s = tanh(r_a * d) * (1 / (2 r_a)), or d * 0.5 at r_a = 0. The end
+    entries keep their one pair's value; every other entry averages its two.
     """
     a, b = rows[:, :-1], rows[:, 1:]
-    d = b - a
+    s = b - a
     m = (a + b) * 0.5
-    t = np.tanh(r_a * d) / (2.0 * r_a) if r_a != 0.0 else d * 0.5
-    high = t / den_hi                   # in place where numpy can: fewer live temporaries
-    high += m
-    t /= den_lo
-    low = np.subtract(m, t, out=m)
+    if r_a != 0.0:
+        s *= r_a
+        np.tanh(s, out=s)
+        s *= 1.0 / (2.0 * r_a)
+    else:
+        s *= 0.5
+    high = np.multiply(s, ih)           # in place where numpy can: fewer live temporaries
+    np.add(m, high, out=high)
+    s *= il
+    low = np.subtract(m, s, out=m)
     out = np.empty_like(rows)
     out[:, 0] = low[:, 0]
     out[:, -1] = high[:, -1]

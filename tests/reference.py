@@ -265,3 +265,28 @@ def _ref_diffuse(values, vis, hp: Hyperparameters, smooth: bool):
     for j in range(1, hp.r_res - 1):
         out[j] = (lows[j] + highs[j - 1]) * 0.5
     return out
+
+
+def _ref_diffuse_reciprocal(values, vis, hp: Hyperparameters, smooth: bool):
+    """``_ref_diffuse`` as training runs it (``regularize._diffuse_rows_numpy``): each
+    pair's transfer is scaled by its balance shares v_lo / (v_lo + r_b * v_hi) and
+    v_hi / (v_hi + r_b * v_lo), the paper's two balance factors in a form with two
+    divisions, so its last bits may differ from ``_ref_diffuse``'s."""
+    lows, highs = [], []
+    for j in range(hp.r_res - 1):
+        a, b = values[j], values[j + 1]
+        d = b - a
+        m = (a + b) * 0.5
+        if smooth and hp.r_a != 0.0:
+            s = math.tanh(hp.r_a * d) * (1.0 / (2.0 * hp.r_a))
+        else:
+            s = d * 0.5
+        v_lo, v_hi = vis[j], vis[j + 1]
+        lows.append(m - s * (v_lo / (v_lo + hp.r_b * v_hi)))
+        highs.append(m + s * (v_hi / (v_hi + hp.r_b * v_lo)))
+    out = [0.0] * hp.r_res
+    out[0] = lows[0]
+    out[-1] = highs[-1]
+    for j in range(1, hp.r_res - 1):
+        out[j] = (lows[j] + highs[j - 1]) * 0.5
+    return out

@@ -62,18 +62,22 @@ def _kernel_read(lut, w, x, hp):
 
 def _bound(luts, visits, hit, hp):
     """What ``regularize._diffuse_rows`` reads and writes of a ``core.Workspace``,
-    its ``check_due`` cleared, with the kernel's diffusion bound to these arrays
-    where it takes them."""
+    its ``check_due`` cleared and its row scratch full of NaN, with the kernel's
+    diffusion bound to these arrays where it takes them."""
     check_due = np.zeros(1, dtype=np.intp)
+    pairs = np.full(4 * (luts.shape[-1] - 1), np.nan)
     return SimpleNamespace(luts=luts, visits=visits, hit=hit, check_due=check_due,
-                           diffuse=KERNEL.bind_diffusion(luts, visits, hit, check_due, hp))
+                           diffuse=KERNEL.bind_diffusion(luts, visits, pairs, hit, check_due,
+                                                         hp))
 
 
 @st.composite
 def probe_reads(draw):
-    """(lut, w, x, hp) as one sample's layer, lut None for an LW layer."""
+    """(lut, w, x, hp) as one sample's layer, lut None for an LW layer: tables past
+    256 entries, and layers of one or two destinations, which have none two ahead
+    to prefetch."""
     n_out, n_in = draw(st.integers(1, 33)), draw(st.integers(1, 33))
-    r_res = draw(st.integers(2, 256))
+    r_res = draw(st.integers(2, 600))
     i_min = draw(st.floats(-3.0, 1.0))
     i_max = i_min + draw(st.floats(1e-3, 5.0))
     span = i_max - i_min
@@ -315,8 +319,9 @@ def test_a_forward_pass_allocates_nothing_on_the_kernel_path(sizes, kind, r_res)
 
 @st.composite
 def gated_rows(draw):
-    """(luts, visits, hit, scale, hp) as the gated diffusion of one iteration."""
-    rows, r_res = draw(st.integers(1, 12)), draw(st.integers(2, 256))
+    """(luts, visits, hit, scale, hp) as the gated diffusion of one iteration, at
+    row lengths with an odd and an even number of pairs, past 256 entries."""
+    rows, r_res = draw(st.integers(1, 12)), draw(st.integers(2, 600))
     strength = st.one_of(st.just(0.0), st.floats(1e-6, 50.0))
     hp = Hyperparameters(r_res=r_res, r_a=draw(strength), r_b=draw(strength),
                          v_min=draw(st.sampled_from([1e-16, 0.5, draw(st.floats(1e-300, 0.5))])))
@@ -328,10 +333,10 @@ def gated_rows(draw):
     # visit values from 0 up, so that some settle below v_min, and some rows at v_min
     values = rng.uniform(0.0, 1.0, (rows, r_res)) ** rng.integers(1, 40)
     values[rng.random(rows) < 0.3] = hp.v_min
-    # a run of equal visits at the same columns of about half the rows, so that both
-    # lanes of two rows meet equal pairs together, or an equal inf or NaN run. Such a
-    # run stands in for the one non-finite entry below: where NaNs of both signs meet,
-    # the result's sign follows the operand order, which gcc may swap in an addition
+    # a run of equal visits at the same columns of about half the rows, or an equal
+    # inf or NaN run. Such a run stands in for the one non-finite entry below: where
+    # NaNs of both signs meet, the result's sign follows the operand order, which gcc
+    # may swap in an addition
     run = draw(st.sampled_from([rng.uniform(hp.v_min, 1.0), 1.0, math.inf, math.nan]))
     first, stop = np.sort(rng.integers(0, r_res + 1, 2))
     values[rng.random(rows) < 0.5, first:stop] = run
@@ -990,7 +995,8 @@ def test_bound_calls_keep_their_arrays_alive():
         assert np.array_equal(_bits(mine), _bits(ref))
 
     luts, visits, hit, scale, hp = _diffusion_case()
-    arrays = [luts.copy(), visits.copy(), hit.copy(), np.zeros(1, dtype=np.intp)]
+    arrays = [luts.copy(), visits.copy(), np.zeros(4 * (luts.shape[1] - 1)), hit.copy(),
+              np.zeros(1, dtype=np.intp)]
     diffuse = KERNEL.bind_diffusion(*arrays, hp)
     got = _held_alone(arrays)
     _diffuse_rows_numpy(luts, visits, hit, scale, hp)
@@ -1125,3 +1131,14 @@ def test_kernel_matches_numpy_at_a_lower_cpu_dispatch_level():
                           capture_output=True, text=True, env=env, cwd=root)
     assert done.returncode == 0, done.stdout + done.stderr
     assert re.search(r"^7 passed", done.stdout, re.MULTILINE), done.stdout
+
+
+def test_train_digest_prints_the_same_bits_on_both_paths():
+    # tests/train_digest.py trains its protocol on the kernel, then on numpy; its
+    # digest is not pinned here, because numpy's bits follow its CPU dispatch
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(Path(kernel.__file__).parents[1])}
+    done = subprocess.run([sys.executable, str(root / "tests" / "train_digest.py")],
+                          capture_output=True, text=True, env=env, cwd=root)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert re.search(r"^same bits$", done.stdout, re.MULTILINE), done.stdout

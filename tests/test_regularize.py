@@ -14,7 +14,7 @@ from lutnet.regularize import (
     gain_decay,
     update_visits,
 )
-from reference import _ref_diffuse
+from reference import _ref_diffuse, _ref_diffuse_reciprocal
 
 
 NLW = default_hyperparameters("NLW")
@@ -230,23 +230,35 @@ def test_scalar_forms_reject_bad_visit_values(form, bad):
         form(vis)
 
 
+def _near(got, want) -> bool:
+    """Whether got is within 1e-14 * max(1, |want|) of want: a few last bits."""
+    return bool(np.all(np.abs(got - want) <= 1e-14 * max(1.0, np.abs(want).max())))
+
+
 @settings(max_examples=300, deadline=None)
 @given(r_res=st.integers(2, 64),
        r_a=st.one_of(st.just(0.0), st.floats(1e-6, 5.0)),
        r_b=st.one_of(st.just(0.0), st.floats(0.0, 2.0, exclude_min=True)),
        seed=st.integers(0, 2**32 - 1))
 def test_diffusion_forms_match_the_float_by_float_reference(r_res, r_a, r_b, seed):
+    # the forms run the reciprocal rule float for float, and stay within a few last
+    # bits of the paper's statement of it
     hp = NLW.replace(r_res=r_res, r_a=r_a, r_b=r_b)
     rng = np.random.default_rng(seed)
     vals = rng.standard_normal(r_res) * 10.0 ** rng.integers(-3, 4)
     vis = rng.uniform(hp.v_min, 1.0, r_res) ** rng.integers(1, 40)
     vis[rng.random(r_res) < 0.2] = hp.v_min
     np.maximum(vis, hp.v_min, out=vis)
-    want_vis = np.maximum(_ref_diffuse(vis.tolist(), vis.tolist(), hp, smooth=False), hp.v_min)
-    assert np.array_equal(diffuse_visits(vis, hp), want_vis)
-    want = np.array(_ref_diffuse(vals.tolist(), vis.tolist(), hp, smooth=True))
+    got_vis = diffuse_visits(vis, hp)
+    want_vis = np.maximum(_ref_diffuse_reciprocal(vis.tolist(), vis.tolist(), hp, smooth=False),
+                          hp.v_min)
+    assert np.array_equal(got_vis, want_vis)
+    assert _near(got_vis, np.maximum(_ref_diffuse(vis.tolist(), vis.tolist(), hp, smooth=False),
+                                     hp.v_min))
     got = diffuse_lut(vals, vis, hp)
+    want = np.array(_ref_diffuse_reciprocal(vals.tolist(), vis.tolist(), hp, smooth=True))
     if r_a == 0.0:
         assert np.array_equal(got, want)
     else:                   # math.tanh and np.tanh may differ in the last bit of a transfer
-        assert np.all(np.abs(got - want) <= 1e-14 * max(1.0, np.abs(want).max()))
+        assert _near(got, want)
+    assert _near(got, np.array(_ref_diffuse(vals.tolist(), vis.tolist(), hp, smooth=True)))
