@@ -36,21 +36,18 @@
  *    bit and is left out; fmin turns a NaN position into the last segment;
  *  - a read is (1 - f) * t0 + f * t1, and a connection output (w * x) + read,
  *    numpy's w * x followed by += read;
- *  - the k quotients of a connection are summed from 0.0 in sequence: numpy's
- *    gather puts the destination axis innermost, so it adds whole (n_out, n_in)
- *    slices one after the other. A 1x1 read (n_out = n_in = 1) leaves the probe
- *    axis contiguous, and numpy sums that pairwise, so ``bind_read`` binds no
- *    1x1 layer with a table (an LW one has no quotients, and binds);
+ *  - numpy sums a reduction over a strided axis from 0.0 in sequence, and one
+ *    over a contiguous axis pairwise (pairwise_sum), adding the result to 0.0;
+ *  - the k quotients of a connection are summed in sequence: numpy's gather
+ *    puts the destination axis innermost, so it adds whole (n_out, n_in)
+ *    slices one after the other. A 1x1 read (n_out = n_in = 1) leaves the
+ *    probe axis contiguous, and its quotients are summed pairwise;
  *  - a pair whose clamped points do not lie apart gives quotient diff * 0.0,
  *    and the sum is divided by the number of the other pairs (at least 1);
- *  - backprop's sum over a layer's outputs starts from 0.0 and adds the rows
- *    of the (n_out, n_in) products one after the other: numpy reduces a
- *    C-ordered block over its rows so. A layer with one input leaves that
- *    column contiguous, and numpy sums it pairwise, so a net with a layer
- *    after the first with one input and more than one output (the first
- *    layer's deltas are not needed) takes numpy's err and deltas
- *    (``Workspace.numpy_backprop``), and its call skips backprop
- *    (run_backprop 0);
+ *  - backprop's sum over a layer's outputs adds the rows of the (n_out, n_in)
+ *    products one after the other: numpy reduces a C-ordered block over its
+ *    rows so. A layer with one input leaves that column contiguous, and its
+ *    n_out products are summed pairwise;
  *  - the updates and the diffusion are elementwise, so each entry's chain
  *    of operations is numpy's, pass by pass. The updates rewrite a row in one
  *    sweep in place; the diffusion writes a row's pair values into an O(r)
@@ -87,7 +84,6 @@ struct updates_call {           /* update_args' and update_apply's */
     const double *rates, *frac, *read, *slope, *y, *target, *inputs, *gate_u;
     const ptrdiff_t *param_dst, *param_src, *conn_dst, *src, *lo, *sizes;
     ptrdiff_t n_params, n_rows, r, n_src, n_layers, n_nodes, n_inputs, n_gates;
-    ptrdiff_t run_backprop;     /* 0: err and the deltas are numpy's, written before */
     double mu, s_a, s_b, zeta, r_c, v_min;
 };
 struct diffusion_call {         /* diffusion_gaps' and diffuse_rows' */
@@ -132,6 +128,35 @@ static double locate(double b, double i_min, double i_max, double span, ptrdiff_
     return b;
 }
 
+/* numpy's pairwise summation of n doubles: below 8 in sequence; up to 128, eight
+ * partial sums stepped 8 apart, combined in pairs, then the rest in sequence;
+ * above 128, two halves, the first a multiple of 8 */
+static double pairwise_sum(const double *a, ptrdiff_t n)
+{
+    if (n < 8) {
+        double s = 0.0;
+        for (ptrdiff_t i = 0; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    if (n <= 128) {
+        double r[8];
+        ptrdiff_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            s += a[i];
+        return s;
+    }
+    ptrdiff_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
 /* probed_read prefetches the entries that destination d + AHEAD reads while it
  * reads destination d's: the tables of one input lie n_in * r entries apart,
  * too far for the hardware prefetcher to follow at a large r */
@@ -147,12 +172,12 @@ static void prefetch_entries(const double *first, const double *last)
 /* w is (n_out, n_in) and lut (n_out, n_in, r) in C order; input j reads
  * table (d, j). Writes lo and frac (n_in), then read, slope and the connection
  * outputs w[d, j] * x[j] + read[d, j] (n_out, n_in) in C order, each through
- * its own pointer, so that a caller can point them into its flat buffers. Each
- * quotient of a connection joins its sum as soon as it is formed, in numpy's
- * order. A layer with no tables (LW: lut, lo, frac, read and slope NULL) writes
- * the outputs w[d, j] * x[j] alone. While it reads table (d, j) it prefetches
- * the lines of table (d + AHEAD, j) from the lowest to the highest segment its
- * probes read, which changes no read and no bit. */
+ * its own pointer, so that a caller can point them into its flat buffers. The
+ * quotients of a connection are summed in numpy's order: in sequence, or
+ * pairwise in a 1x1 layer. A layer with no tables (LW: lut, lo, frac, read and
+ * slope NULL) writes the outputs w[d, j] * x[j] alone. While it reads table
+ * (d, j) it prefetches the lines of table (d + AHEAD, j) from the lowest to the
+ * highest segment its probes read, which changes no read and no bit. */
 void probed_read(const struct read_call *call)
 {
     ptrdiff_t n_out = call->n_out, n_in = call->n_in, r = call->r, k = call->k;
@@ -165,7 +190,7 @@ void probed_read(const struct read_call *call)
         return;
     }
     ptrdiff_t rows = 2 * k + 1;
-    double pt[rows], frac[rows], reads[rows], den[k];
+    double pt[rows], frac[rows], reads[rows], den[k], quot[k];
     ptrdiff_t lo[rows];
     for (ptrdiff_t j = 0; j < n_in; j++) {
         for (ptrdiff_t p = 0; p < rows; p++) {
@@ -191,11 +216,16 @@ void probed_read(const struct read_call *call)
                 prefetch_entries(t + AHEAD * n_in * r + first, t + AHEAD * n_in * r + last + 1);
             for (ptrdiff_t p = 0; p < rows; p++)
                 reads[p] = (1.0 - frac[p]) * t[lo[p]] + frac[p] * t[lo[p] + 1];
-            double s = 0.0;
             for (ptrdiff_t i = 0; i < k; i++) {
                 double diff = reads[1 + i] - reads[k + 1 + i];
-                s += den[i] > 0.0 ? diff / den[i] : diff * 0.0;
+                quot[i] = den[i] > 0.0 ? diff / den[i] : diff * 0.0;
             }
+            double s = 0.0;
+            if (n_out == 1 && n_in == 1)
+                s += pairwise_sum(quot, k);
+            else
+                for (ptrdiff_t i = 0; i < k; i++)
+                    s += quot[i];
             ptrdiff_t at = d * n_in + j;
             call->read[at] = reads[0];
             call->slope[at] = s / count;
@@ -418,7 +448,8 @@ static double gain(double w, double g, double e, double s_a)
  * last layer down the deltas of each layer's inputs, back[j] * (1 - a[j] * a[j]),
  * where back[j] is the sum over k of delta[k] * (w[k, j] + slope[k, j]), or of
  * delta[k] * w[k, j] where slope is NULL (LW), taken from 0.0 row after row, as
- * numpy reduces a C-ordered (n_out, n_in) block over its rows, and a is the
+ * numpy reduces a C-ordered (n_out, n_in) block over its rows, or pairwise where
+ * n_in is 1, through step, which update_args writes only afterwards; a is the
  * layer's slice of inputs. Layer after layer, a layer's w is its (n_out, n_in)
  * block of params (its biases follow), its slopes its block of slope and its
  * inputs its slice of inputs. */
@@ -440,11 +471,16 @@ static void backprop(const struct updates_call *call)
         c -= n_in * n_out;
         s -= n_in;
         const double *w = call->params + p, *a = call->inputs + s, *dk = delta + d;
+        const double *sl = call->slope ? call->slope + c : NULL;
         double *back = delta + d - n_in;
         for (ptrdiff_t j = 0; j < n_in; j++)
             back[j] = 0.0;
-        if (call->slope) {
-            const double *sl = call->slope + c;
+        if (n_in == 1) {
+            double *column = call->step;
+            for (ptrdiff_t k = 0; k < n_out; k++)
+                column[k] = dk[k] * (sl ? w[k] + sl[k] : w[k]);
+            back[0] += pairwise_sum(column, n_out);
+        } else if (sl) {
             for (ptrdiff_t k = 0; k < n_out; k++)
                 for (ptrdiff_t j = 0; j < n_in; j++)
                     back[j] += dk[k] * (w[k * n_in + j] + sl[k * n_in + j]);
@@ -459,8 +495,7 @@ static void backprop(const struct updates_call *call)
     }
 }
 
-/* Writes err and the deltas (backprop, unless run_backprop is 0 and they are
- * numpy's), then step = delta * mu (n_nodes), each
+/* Writes err and the deltas (backprop), then step = delta * mu (n_nodes), each
  * parameter's raw step step[param_dst[i]] * inputs[param_src[i]] and each LUT
  * row's step[conn_dst[c]] into grad (n_params + n_rows), and, unless s_a is 0,
  * the argument of numpy's expm1, (s_a * w) * grad clamped into [-50, 50], into
@@ -472,8 +507,7 @@ void update_args(const struct updates_call *call)
     const ptrdiff_t *param_dst = call->param_dst, *param_src = call->param_src;
     const ptrdiff_t *conn_dst = call->conn_dst;
     double *step = call->step, *grad = call->grad;
-    if (call->run_backprop)
-        backprop(call);
+    backprop(call);
     for (ptrdiff_t d = 0; d < n_nodes; d++)
         step[d] = call->delta[d] * call->mu;
     for (ptrdiff_t i = 0; i < n_params; i++)

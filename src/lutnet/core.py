@@ -471,10 +471,7 @@ class Workspace:
     diffusion (NLW) and the backprop-and-updates call of either kind are None
     where numpy does the work. The layer widths ``sizes`` and the four maps are
     read-only once built, so the ranges the updates bind checks hold for the
-    workspace's lifetime. ``numpy_backprop`` is set for a net with a layer
-    after the first that has one input and more than one output: numpy sums
-    that one-column block pairwise, not row after row as the C does, so the
-    iteration runs numpy's backprop and the bound call skips its own.
+    workspace's lifetime.
 
     ``check_due`` starts at 1. The bound updates and diffusion calls set it to
     1 when a parameter, LUT entry or visit entry they write is not finite, and
@@ -490,7 +487,6 @@ class Workspace:
         nlw = self.luts is not None
         (self.param_dst, self.param_src, self.conn_dst, self.src,
          self.rates) = _update_maps(sizes, hp, nlw)
-        self.numpy_backprop = any(n_in == 1 < fed for n_in, fed in zip(sizes[1:-1], sizes[2:]))
         n_src, n_layers = sum(sizes[:-1]), len(sizes) - 1
         self.sizes = np.array(sizes, dtype=np.intp)
         for fixed in (self.sizes, self.param_dst, self.param_src, self.conn_dst, self.src):

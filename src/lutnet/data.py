@@ -281,22 +281,23 @@ def _one_hot(labels: list[str]) -> tuple[tuple[str, ...], np.ndarray]:
     return cats, block
 
 
-def _parse_cell(row: list[str], col: int, line_no: int) -> float:
+def _parse_cell(path, row: list[str], col: int, line_no: int) -> float:
     try:
         value = float(row[col])
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise ValueError(f"line {line_no}: column {col} is not a finite number: {row[col]!r}")
+        raise ValueError(
+            f"{path}: line {line_no}: column {col} is not a finite number: {row[col]!r}")
     return value
 
 
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Read a comma-separated file into a Dataset per the schema.
 
-    Rows shorter than the schema demands raise with the offending line
-    number, as do non-numeric and non-finite (nan, inf) cells in numeric
-    columns, which also name the column. A binary class
+    Rows shorter than the schema demands raise with the file and the
+    offending line number, as do non-numeric and non-finite (nan, inf)
+    cells in numeric columns, which also name the column. A binary class
     column becomes one +/-0.5 value attribute (sorted label order:
     first label negative); k > 2 labels become k one-hot columns.
     """
@@ -318,7 +319,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                 continue
             if len(row) <= needed:
                 raise ValueError(
-                    f"line {line_no}: {len(row)} fields, need at least {needed + 1}"
+                    f"{path}: line {line_no}: {len(row)} fields, need at least {needed + 1}"
                 )
             rows.append([cell.strip() for cell in row])
             line_nos.append(line_no)
@@ -330,7 +331,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     arg_blocks: list[np.ndarray] = []
     for col in schema.arg_columns:
         if col in numeric_args:
-            vals = [_parse_cell(r, col, ln) for r, ln in zip(rows, data_lines)]
+            vals = [_parse_cell(path, r, col, ln) for r, ln in zip(rows, data_lines)]
             arg_blocks.append(np.array(vals)[:, None])
         else:
             arg_blocks.append(_one_hot([r[col] for r in rows])[1])
@@ -345,7 +346,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
             vals = vals[:, [1]]               # one column, +0.5 for the second label
     else:
         cols = [
-            [_parse_cell(r, col, ln) for r, ln in zip(rows, data_lines)]
+            [_parse_cell(path, r, col, ln) for r, ln in zip(rows, data_lines)]
             for col in schema.val_columns
         ]
         vals = np.array(cols).T

@@ -15,8 +15,7 @@ the gate draw and the table writes), two C passes around numpy's
 ``regularize._diffuse_rows``, the gated diffusion of a training iteration,
 which leaves its ``tanh`` to numpy between two C passes. On the kernel path
 a training iteration leaves only the forward sum, the bias add, ``tanh`` and
-``expm1`` to numpy, and the backward sum of a net whose call takes numpy's
-deltas (``bind_updates``).
+``expm1`` to numpy.
 
 The single-sample operations run through a network's workspace: the
 ``bind_*`` methods check a set of arrays once (dtype, shape, contiguity,
@@ -139,15 +138,14 @@ class Kernel:
         results in place, lo and frac (n_in) and read and slope (n_out, n_in), and
         the outputs ``w * x + read`` (n_out, n_in). An LW layer has no tables: lut,
         lo, frac, read and slope are None, which the call takes as NULL, and it
-        writes the outputs ``w * x`` alone. None for a 1x1 layer with a table
-        (n_out = n_in = 1), whose quotients numpy sums pairwise.
+        writes the outputs ``w * x`` alone.
         """
         offsets = hp.probe_offsets
         k = offsets.shape[0]
         if lut is None:
             tables = all(a is None for a in (lo, frac, read, slope))
         else:
-            tables = (lut.ndim == 3 and lut.shape[:2] == w.shape != (1, 1)
+            tables = (lut.ndim == 3 and lut.shape[:2] == w.shape
                       and lo.shape == frac.shape == x.shape
                       and read.shape == slope.shape == w.shape and k <= MAX_PROBE_OFFSETS)
         if not (tables and w.ndim == 2 and w.shape[1:] == x.shape and outputs.shape == w.shape):
@@ -175,11 +173,7 @@ class Kernel:
         stored at visit scale ``scale`` and written at ``new_scale``, and sets
         ``ws.check_due[0]`` (one intp entry) to 1 when a parameter, LUT entry
         or visit entry it wrote is not finite; a call that declines writes
-        nothing and sets nothing. Where
-        ``ws.numpy_backprop`` is set (a net with a layer after the first that
-        has one input and more than one output, whose backward sum numpy takes
-        pairwise) the call skips backprop and reads the err and deltas the
-        caller wrote first.
+        nothing and sets nothing.
 
         The bind checks what the call reads but never writes, once: the layer
         widths in ``ws.sizes`` against the params, the LUT rows, the deltas and
@@ -215,7 +209,7 @@ class Kernel:
             **vars(ws), **hp.to_dict(), "n_params": n_params, "n_rows": n_rows,
             "r": 0 if luts is None else luts.shape[1], "n_src": ws.lo.size,
             "n_layers": sizes.size - 1, "n_nodes": n_nodes, "n_inputs": ws.inputs.size,
-            "n_gates": gate_u.shape[0], "run_backprop": int(not ws.numpy_backprop)})
+            "n_gates": gate_u.shape[0]})
         if bound is None:
             return None
         args, apply = bound

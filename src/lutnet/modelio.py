@@ -201,8 +201,11 @@ def load_model(path) -> LoadedModel:
     and the optional scale that ``save_model`` checks. A version 3 NLW
     file must give ``visit_scale``; older files load with visit scale 1.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{path}: not a JSON model file: {exc}") from None
     _require(isinstance(doc, dict), path, "not a JSON object")
     _require(doc.get("format") == FORMAT_NAME, path, "not a model file")
     # type(...) is int throughout: JSON true and false load as bool, an int subclass

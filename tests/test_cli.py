@@ -560,6 +560,22 @@ def test_train_nonfinite_data_row_exits_2_and_names_it(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("row,message", [
+    ("0.3,abc,-0.5", "line 2: column 1 is not a finite number: 'abc'"),
+    ("0.3,0.1", "line 2: 2 fields, need at least 3"),
+], ids=["cell", "short-row"])
+def test_a_bad_test_data_row_names_its_file(tmp_path, capsys, row, message):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text("0.1,0.2,0.5\n0.3,0.1,-0.5\n")
+    bad.write_text(f"0.1,0.2,0.5\n{row}\n")
+    code = run("train", "--data", good, "--test-data", bad, "--csv-args", "0,1",
+               "--csv-vals", "2", "--arch", "X-3-1", "--kind", "NLW", "--iterations", 10,
+               "--out", tmp_path / "m.json")
+    assert code == 2
+    assert f"lutnet: error: {bad}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 TRAIN = ("train", "--data", "spirals", "--arch", "2-4-1", "--kind", "NLW", "--iterations", 10)
 
 
@@ -593,6 +609,19 @@ def test_data_fraction_outside_unit_interval_is_usage_error(tmp_path, capsys, ar
 def test_train_resume_missing_file_exits_2(tmp_path):
     assert run("train", "--resume", tmp_path / "nope.json", "--data", "spirals",
                "--iterations", 10, "--out", tmp_path / "m.json") == 2
+
+
+@pytest.mark.parametrize("blob", [b'{"format": "lutnet-model", ', b'{"format": "\xff"}'],
+                         ids=["truncated", "not-ascii"])
+@pytest.mark.parametrize("command", ["eval", "resume"])
+def test_a_model_file_that_is_not_json_names_itself(tmp_path, capsys, blob, command):
+    model = tmp_path / "model.json"
+    model.write_bytes(blob)
+    argv = (("eval", "--model", model) if command == "eval" else
+            ("train", "--resume", model, "--iterations", 10, "--out", tmp_path / "m.json"))
+    assert run(*argv, "--data", "spirals") == 2
+    assert f"lutnet: error: {model}: not a JSON model file: " in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 # ---------------------------------------------------------------------------

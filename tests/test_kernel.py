@@ -105,10 +105,18 @@ def probe_reads(draw):
     return lut, w, x, hp
 
 
+# a 1x1 read leaves the probe axis contiguous, and numpy sums its quotients pairwise:
+# 9 offsets (the default ladder) take the blocked branch, 144 the split into halves,
+# and at this x a sequential sum, or the blocks without the split, would differ
+WIDE_LADDER = NLW.replace(a_l=0.01, a_h=0.35, a_m=1.025)
+
+
 @needs_kernel
 @settings(max_examples=300, deadline=None)
 @example(case=(np.linspace(-1.0, 1.0, 64)[None, None] ** 3, np.array([[0.5]]),
-               np.array([0.3]), NLW))
+               np.array([-0.75]), NLW))
+@example(case=(np.linspace(-1.0, 1.0, 64)[None, None] ** 3, np.array([[0.5]]),
+               np.array([-0.75]), WIDE_LADDER))
 @example(case=(None, np.array([[0.5]]), np.array([0.3]), NLW))
 @given(case=probe_reads())
 def test_kernel_matches_numpy_probe_read_bit_for_bit(case):
@@ -117,9 +125,6 @@ def test_kernel_matches_numpy_probe_read_bit_for_bit(case):
     if lut is None:                             # LW: the outputs w * x alone
         assert got is not None and got[:4] == (None,) * 4
         assert np.array_equal(_bits(got[4]), _bits(w * x))
-        return
-    if w.shape == (1, 1):                       # numpy sums a 1x1 read pairwise: left to it
-        assert got is None
         return
     with np.errstate(invalid="ignore"):
         want = _probed_read_numpy(lut, x, hp)
@@ -257,20 +262,19 @@ def test_kernel_declines_a_batch_column_outside_the_table():
         _layer_outputs(lut, w, act, R8)
 
 
-# The perfbench nets (NLW 2-8-1 r64, NLW 2-32-32-1 r256, LW 5-32-32-1) write every
-# layer's connection outputs in C: one read per layer and iteration, bound once, an LW
-# layer's with no table. NLW 2-1-1's later layer is a 1x1 read, which the kernel
-# declines to bind, so it goes to numpy every time; LW 2-1-1's has no table, and binds.
+# The perfbench nets (NLW 2-8-1 r64, NLW 2-32-32-1 r256, LW 5-32-32-1) and the 1x1
+# layers of 1-1 and 2-1-1 write every layer's connection outputs in C: one read per
+# layer and iteration, bound once, an LW layer's with no table.
 @needs_kernel
-@pytest.mark.parametrize("sizes,kind,r_res,reads,declined", [
-    pytest.param((2, 8, 1), "NLW", 64, 2, 0, id="spirals-small"),
-    pytest.param((2, 32, 32, 1), "NLW", 256, 3, 0, id="spirals-wide-r256"),
-    pytest.param((5, 32, 32, 1), "LW", 64, 3, 0, id="md2-lw"),
-    pytest.param((2, 1, 1), "NLW", 64, 2, 1, id="one-by-one"),
-    pytest.param((2, 1, 1), "LW", 64, 2, 0, id="lw-one-by-one"),
+@pytest.mark.parametrize("sizes,kind,r_res,reads", [
+    pytest.param((2, 8, 1), "NLW", 64, 2, id="spirals-small"),
+    pytest.param((2, 32, 32, 1), "NLW", 256, 3, id="spirals-wide-r256"),
+    pytest.param((5, 32, 32, 1), "LW", 64, 3, id="md2-lw"),
+    pytest.param((1, 1), "NLW", 64, 1, id="one-to-one"),
+    pytest.param((2, 1, 1), "NLW", 64, 2, id="one-by-one"),
+    pytest.param((2, 1, 1), "LW", 64, 2, id="lw-one-by-one"),
 ])
-def test_training_probe_reads_run_in_c_unless_they_are_1x1(monkeypatch, sizes, kind, r_res,
-                                                           reads, declined):
+def test_training_probe_reads_all_run_in_c(monkeypatch, sizes, kind, r_res, reads):
     binds, c_reads, numpy_reads = [], [], []
     bind, numpy_read = kernel.Kernel.bind_read, core._probed_read_numpy
 
@@ -287,10 +291,9 @@ def test_training_probe_reads_run_in_c_unless_they_are_1x1(monkeypatch, sizes, k
     trainer = Trainer(net, rng.uniform(-1, 1, (16, sizes[0])), rng.uniform(-1, 1, (16, 1)), 7)
     trainer.run(20)
     trainer.run(30)                             # the same workspace: bound once
-    assert len(binds) == reads
-    assert sum(read is None for read in binds) == declined
-    assert len(c_reads) == 50 * (reads - declined)
-    assert len(numpy_reads) == 50 * declined
+    assert len(binds) == reads and None not in binds
+    assert len(c_reads) == 50 * reads
+    assert numpy_reads == []
 
 
 @needs_kernel
@@ -469,9 +472,7 @@ def _space(case, hp):
     case maps the workspace's names (sizes and the index maps among them) to arrays,
     or to None for an LW net's tables, slopes and rates, and gate_u to the row of gate
     uniforms, the one row of the workspace's gate block; the buffers backprop and the
-    updates write are made unless case has them, ``check_due`` cleared. As in
-    ``core.Workspace``, a net with a later one-input layer that feeds more than one
-    node takes numpy's deltas."""
+    updates write are made unless case has them, ``check_due`` cleared."""
     n_rows, n_params = case["read"].shape[0], case["params"].shape[0]
     n_nodes, n_out = int(case["sizes"][1:].sum()), int(case["sizes"][-1])
     ws = SimpleNamespace(**{"hit": np.zeros(n_rows, dtype=np.intp),
@@ -479,15 +480,14 @@ def _space(case, hp):
                             "err": np.zeros(n_out), "delta": np.zeros(n_nodes),
                             "step": np.zeros(n_nodes), "grad": np.zeros(n_params + n_rows),
                             "arg": np.zeros(n_params + n_rows), **case,
-                            "gate_u": case["gate_u"][None],
-                            "numpy_backprop": _pairwise_sum(tuple(case["sizes"]))})
+                            "gate_u": case["gate_u"][None]})
     ws.updates = KERNEL.bind_updates(ws, hp)
     return ws
 
 
-def _numpy_backprop(ws):
-    """numpy's backprop on ws, with the per-layer views ``_backprop_numpy`` reads cut
-    from its flat arrays as ``core.Workspace`` cuts them."""
+def _numpy_iteration(ws, gate_u, scale, new_scale, hp):
+    """numpy's backprop and updates on ws, with the per-layer views ``_backprop_numpy``
+    reads cut from its flat arrays as ``core.Workspace`` cuts them; returns n_hit."""
     ws.weights, ws.slopes, ws.acts, ws.deltas = [], [], [], []
     sizes = ws.sizes.tolist()
     p = c = s = d = 0
@@ -500,11 +500,6 @@ def _numpy_backprop(ws):
         p, c, s, d = p + (n_in + 1) * n_out, c + n_in * n_out, s + n_in, d + n_out
     ws.acts[-1] = ws.y
     _backprop_numpy(ws)
-
-
-def _numpy_iteration(ws, gate_u, scale, new_scale, hp):
-    """numpy's backprop and updates on ws; returns n_hit."""
-    _numpy_backprop(ws)
     return _updates_numpy(ws, gate_u, scale, new_scale, hp)
 
 
@@ -519,16 +514,13 @@ def _copied(case):
 
 
 def _updated(case, scale, hp, numpy):
-    """The workspace after the kernel's updates call, or numpy's, and n_hit. The
-    kernel's call on a net that takes numpy's deltas runs after numpy's backprop."""
+    """The workspace after the kernel's updates call, or numpy's, and n_hit."""
     ws = _space(_copied(case), hp)
     new_scale = scale * (1.0 - hp.r_c)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         if numpy:
             return ws, _numpy_iteration(ws, case["gate_u"], scale, new_scale, hp)
         assert ws.updates is not None
-        if ws.numpy_backprop:
-            _numpy_backprop(ws)
     return ws, ws.updates(0, scale, new_scale)
 
 
@@ -599,13 +591,6 @@ def _layers(rng, sizes, hp, nlw):
                 y=rng.uniform(-1.0, 1.0, n_out), target=rng.uniform(-1.0, 1.0, n_out),
                 read=rng.standard_normal(n_rows),
                 slope=rng.standard_normal(n_rows) if nlw else None)
-
-
-def _pairwise_sum(sizes) -> bool:
-    """Whether the updates call on a net of these sizes takes numpy's deltas: a layer
-    after the first with one input and more than one output, whose column numpy sums
-    pairwise."""
-    return any(n_in == 1 < fed for n_in, fed in zip(sizes[1:-1], sizes[2:]))
 
 
 def _sizes(widest):
@@ -707,8 +692,6 @@ def test_an_updates_call_sets_check_due_exactly_when_it_writes_a_non_finite_valu
     ws = _space(case, hp)
     ws.check_due[0] = due
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        if ws.numpy_backprop:
-            _numpy_backprop(ws)
         assert ws.updates(0, scale, scale * (1.0 - hp.r_c)) >= 0
     written = [ws.params]
     if ws.luts is not None:
@@ -739,10 +722,14 @@ def _backprop_case(sizes, seed, nan_input=False, nlw=True):
 
 @needs_kernel
 @settings(max_examples=300, deadline=None)
-# numpy sums the 9 rows pairwise, and on these plain values the C's sequential sum
-# would differ: the call must take numpy's deltas
+# a one-input layer's backward column is contiguous, and numpy sums its rows pairwise:
+# on these plain values a sequential sum of 9 rows (the blocked branch) or 136 (the
+# split into halves) would differ
 @example(case=(_update_case(np.random.default_rng(0), (2, 1, 9), R8, 1.0), 1.0, R8))
 @example(case=(_update_case(np.random.default_rng(0), (2, 1, 9), R8, 1.0, nlw=False), 1.0, R8))
+@example(case=(_update_case(np.random.default_rng(1), (2, 1, 136), R8, 1.0), 1.0, R8))
+@example(case=(_update_case(np.random.default_rng(1), (2, 1, 136), R8, 1.0, nlw=False),
+               1.0, R8))
 @example(case=_backprop_case((3, 1, 1, 1), 1))  # one-input layers feeding one node: C's
 @example(case=_backprop_case((3, 1, 1, 1), 4, nlw=False))
 @example(case=_backprop_case((1, 12, 12, 12), 2))
@@ -751,8 +738,7 @@ def _backprop_case(sizes, seed, nan_input=False, nlw=True):
                       st.booleans()))
 def test_kernel_matches_numpy_backprop_bit_for_bit(case):
     # err, the deltas and what the updates write from them, on NLW and LW nets of 1 to
-    # 3 layers of 1 to 12 nodes; one with a layer after the first that has one input
-    # and more than one output runs numpy's backprop, and the bound call the rest
+    # 3 layers of 1 to 12 nodes
     assert _space(case[0], case[2]).updates is not None
     _assert_same_updates(*case, exact=False)
 

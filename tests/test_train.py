@@ -307,8 +307,8 @@ PARITY_IDS = ["nlw-aggressive", "nlw-default", "nlw-gate-never", "nlw-gate-alway
 # and it passes 1e-9 after 57.
 # The NLW cases run once on the probe read the process selects (the compiled
 # kernel where it loads) and once more, with "-numpy" ids, on the numpy one.
-# 2-1-1's later layer is a 1x1 read, which the kernel leaves to numpy;
-# 2-1-3-1's middle layer has a single input, which the kernel takes.
+# 2-1-1's later layer is a 1x1 read, and 2-1-3-1's middle layer has a single
+# input: numpy sums both contiguous axes pairwise, and so does the kernel.
 ONE_NODE_SIZES = (((2, 1, 1), 60, "-2-1-1"), ((2, 1, 3, 1), 40, "-2-1-3-1"))
 PARITY_CASES = (
     [pytest.param(kind, hp, (2, 3, 2), 60, False, id=name)
@@ -724,7 +724,6 @@ def test_a_gate_block_with_fewer_rows_trains_the_same_bits(monkeypatch):
 
 @pytest.mark.parametrize("sizes", [(1, 1), (2, 1, 1)], ids=["1-1", "2-1-1"])
 def test_a_net_with_a_1x1_lut_layer_trains_the_same_bits_on_both_paths(numpy_only, sizes):
-    # the kernel declines to bind a 1x1 read, so the workspace reads that layer in numpy
     hp = NLW.replace(r_res=16, zeta=0.3)
     args, vals = _toy_data(n=20, seed=6)
     start = init_network(sizes, "NLW", hp, _rng([45]))
@@ -746,19 +745,20 @@ def test_a_net_with_a_1x1_lut_layer_trains_the_same_bits_on_both_paths(numpy_onl
 @pytest.mark.skipif(kernel.load() is None, reason="the probe kernel cannot be built here")
 @pytest.mark.parametrize("kind,hp", [("NLW", NLW.replace(r_res=16, zeta=0.3)),
                                      ("LW", LW.replace(s_a=0.5))], ids=["NLW", "LW"])
-def test_a_one_input_layer_feeding_many_nodes_trains_on_numpy_deltas(
+def test_a_one_input_layer_feeding_many_nodes_trains_in_the_bound_call(
         monkeypatch, numpy_only, kind, hp):
     # numpy sums the backward column of a one-input layer after the first pairwise, and
-    # from 8 rows on that differs from the kernel's sum row after row: such a net
-    # (2-1-9) runs numpy's backprop, then the bound call's updates, which skip the C
-    # backprop; its reads and diffusion stay in C
+    # from 8 rows on that differs from a sum row after row; the kernel sums it pairwise
+    # too, so a 2-1-9 net's backprop and updates run in the bound call alone
     rng = _rng([62])
     args = rng.uniform(-1.3, 1.3, (30, 2))
     vals = np.tanh(args[:, :1] * np.linspace(-1.0, 1.0, 9) - 0.5 * args[:, 1:])
     start = init_network((2, 1, 9), kind, hp, _rng([63]))
-    numpy_updates, calls = train._updates_numpy, []
+    numpy_backprop, numpy_updates, calls = train._backprop_numpy, train._updates_numpy, []
+    monkeypatch.setattr(train, "_backprop_numpy",
+                        lambda *args: calls.append("backprop") or numpy_backprop(*args))
     monkeypatch.setattr(train, "_updates_numpy",
-                        lambda *args: calls.append(1) or numpy_updates(*args))
+                        lambda *args: calls.append("updates") or numpy_updates(*args))
     runs = []
     for numpy_path in (False, True):
         numpy_only.force(numpy_path)
@@ -767,9 +767,9 @@ def test_a_one_input_layer_feeding_many_nodes_trains_on_numpy_deltas(
         numpy_only.check(net)
         if not numpy_path:
             ws = net._workspace
-            assert ws.numpy_backprop and ws.updates is not None and calls == []
+            assert ws.updates is not None and calls == []
             assert (ws.diffuse is not None) == (kind == "NLW")
-    assert len(calls) == 300
+    assert calls == ["backprop", "updates"] * 300
     _assert_same_training(runs)
 
 
