@@ -173,11 +173,12 @@ static void prefetch_entries(const double *first, const double *last)
  * table (d, j). Writes lo and frac (n_in), then read, slope and the connection
  * outputs w[d, j] * x[j] + read[d, j] (n_out, n_in) in C order, each through
  * its own pointer, so that a caller can point them into its flat buffers. The
- * quotients of a connection are summed in numpy's order: in sequence, or
- * pairwise in a 1x1 layer. A layer with no tables (LW: lut, lo, frac, read and
- * slope NULL) writes the outputs w[d, j] * x[j] alone. While it reads table
- * (d, j) it prefetches the lines of table (d + AHEAD, j) from the lowest to the
- * highest segment its probes read, which changes no read and no bit. */
+ * quotients of a connection are summed in numpy's order: each joins the sum as
+ * soon as it is formed, or, in a 1x1 layer, all k are summed pairwise. A layer
+ * with no tables (LW: lut, lo, frac, read and slope NULL) writes the outputs
+ * w[d, j] * x[j] alone. While it reads table (d, j) it prefetches the lines of
+ * table (d + AHEAD, j) from the lowest to the highest segment its probes read,
+ * which changes no read and no bit. */
 void probed_read(const struct read_call *call)
 {
     ptrdiff_t n_out = call->n_out, n_in = call->n_in, r = call->r, k = call->k;
@@ -192,6 +193,7 @@ void probed_read(const struct read_call *call)
     ptrdiff_t rows = 2 * k + 1;
     double pt[rows], frac[rows], reads[rows], den[k], quot[k];
     ptrdiff_t lo[rows];
+    int pairwise = n_out == 1 && n_in == 1;
     for (ptrdiff_t j = 0; j < n_in; j++) {
         for (ptrdiff_t p = 0; p < rows; p++) {
             double b = p == 0 ? x[j] : p <= k ? x[j] + offsets[p - 1] : x[j] - offsets[p - k - 1];
@@ -216,16 +218,17 @@ void probed_read(const struct read_call *call)
                 prefetch_entries(t + AHEAD * n_in * r + first, t + AHEAD * n_in * r + last + 1);
             for (ptrdiff_t p = 0; p < rows; p++)
                 reads[p] = (1.0 - frac[p]) * t[lo[p]] + frac[p] * t[lo[p] + 1];
+            double s = 0.0;
             for (ptrdiff_t i = 0; i < k; i++) {
                 double diff = reads[1 + i] - reads[k + 1 + i];
-                quot[i] = den[i] > 0.0 ? diff / den[i] : diff * 0.0;
+                double q = den[i] > 0.0 ? diff / den[i] : diff * 0.0;
+                if (pairwise)
+                    quot[i] = q;
+                else
+                    s += q;
             }
-            double s = 0.0;
-            if (n_out == 1 && n_in == 1)
+            if (pairwise)
                 s += pairwise_sum(quot, k);
-            else
-                for (ptrdiff_t i = 0; i < k; i++)
-                    s += quot[i];
             ptrdiff_t at = d * n_in + j;
             call->read[at] = reads[0];
             call->slope[at] = s / count;
